@@ -9,6 +9,7 @@ attributes to dynamic grouping.
 import pytest
 
 from _common import TRAFFIC_SCALE, record
+from repro.core.coordinator import DictCoordinator
 from repro.core.engine import GrapeEngine
 from repro.optim.grouping import grouping_savings
 from repro.pie_programs import SSSPProgram
@@ -21,21 +22,20 @@ def run_ablation():
     engine = GrapeEngine(8)
 
     captured = []
-    original = GrapeEngine._compose_messages
+    original = DictCoordinator._compose
 
-    def capture(program, fragmentation, reported, dirty, global_table):
-        messages = original(program, fragmentation, reported, dirty,
-                            global_table)
+    def capture(self, dirty):
+        messages = original(self, dirty)
         captured.extend(messages.values())
         return messages
 
-    GrapeEngine._compose_messages = staticmethod(capture)
+    DictCoordinator._compose = capture
     try:
-        engine.run(SSSPProgram(), query=source, graph=graph)
+        # use_csr=False: the dict plane, whose messages are the
+        # {(node, name): value} dicts the byte helpers size
+        engine.run(SSSPProgram(use_csr=False), query=source, graph=graph)
     finally:
-        # Re-wrap: assigning the bare function would turn the class
-        # attribute back into an instance method.
-        GrapeEngine._compose_messages = staticmethod(original)
+        DictCoordinator._compose = original
     return grouping_savings(captured), len(captured)
 
 

@@ -1,0 +1,67 @@
+"""CI gate over one traced ``bench_e2e`` run (perf-smoke job).
+
+Usage::
+
+    python3 benchmarks/e2e/bench_e2e.py --workload social-hashcut \\
+        --seed 1 --seconds 0 --trace 1 > e2e.out
+    python3 benchmarks/check_overhead.py e2e.out
+
+Reads the run's result line (the last line of its standard output) and
+fails when the coordinator has grown back: ``overhead.sssp_x`` — a served
+SSSP ``play()`` over the whole-graph CSR kernel floor, two timings taken
+on the same host minutes apart, so the ratio needs no reference machine —
+must stay at or under ``MAX_SSSP_OVERHEAD_X``, and no operation of the
+run may have failed.  The bound sits between the dict-plane coordinator
+(49.5x on the reference run) and the array plane (about 10x).
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+
+MAX_SSSP_OVERHEAD_X = 30.0
+
+
+def check(result: dict) -> list:
+    """Problems found in one result line (empty: the gate passes)."""
+    problems = []
+    metrics = result.get("metrics", {})
+    overhead = metrics.get("overhead.sssp_x", {}).get("value")
+    if overhead is None:
+        problems.append("no overhead.sssp_x in the result "
+                        "(was the run made with --trace 1?)")
+    elif overhead > MAX_SSSP_OVERHEAD_X:
+        problems.append(f"overhead.sssp_x = {overhead:.1f} > "
+                        f"{MAX_SSSP_OVERHEAD_X:.0f}")
+    failed_share = metrics.get("failed_ops_share", {}).get("value")
+    if result.get("failed", 0) or failed_share or not result.get("correct"):
+        problems.append(f"failed operations: {result.get('failed')} of "
+                        f"{result.get('attempted')} "
+                        f"(failed_ops_share = {failed_share})")
+    return problems
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__)
+        return 2
+    with open(argv[1]) as fh:
+        lines = [line for line in fh.read().splitlines() if line.strip()]
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        print(f"{argv[1]}: the last line is not a bench_e2e result")
+        return 2
+    problems = check(result)
+    for problem in problems:
+        print("FAIL", problem)
+    if not problems:
+        print("ok  overhead.sssp_x = "
+              f"{result['metrics']['overhead.sssp_x']['value']:.1f} "
+              f"<= {MAX_SSSP_OVERHEAD_X:.0f}, no failed operation")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -35,7 +35,8 @@ from repro.graph.graph import Graph, Node
 from repro.partition.base import Fragment, Fragmentation, PartitionStrategy
 from repro.partition.strategies import MetisLikePartition
 from repro.runtime.cluster import SimulatedCluster
-from repro.runtime.metrics import CostModel, RunMetrics, message_bytes
+from repro.runtime.metrics import CostModel, RunMetrics
+from repro.runtime.wire import vertex_message_bytes
 from repro.sequential.sssp import dijkstra
 from repro.sequential.wcc import connected_components
 
@@ -45,6 +46,11 @@ __all__ = ["BlockProgram", "BlogelEngine", "BlogelResult",
 
 class BlockProgram(abc.ABC):
     """A Blogel B-compute program over one block (fragment)."""
+
+    #: bytes of one border-message value when values are fixed-width
+    #: scalars (see :func:`repro.runtime.wire.vertex_message_bytes`);
+    #: ``None`` prices messages by pickling them
+    message_width: Optional[int] = None
 
     @abc.abstractmethod
     def init_state(self, block: Fragment, query: Any) -> Any:
@@ -162,7 +168,8 @@ class BlogelEngine:
                     inboxes[dest].append((vertex, value))
                     next_active.add(dest)
                     if dest != src:
-                        pending_bytes += message_bytes((vertex, value))
+                        pending_bytes += vertex_message_bytes(
+                            (vertex, value), program.message_width)
                         pending_msgs += 1
             active = next_active
             superstep += 1
@@ -176,6 +183,8 @@ class SSSPBlockProgram(BlockProgram):
     """Fig. 11's recast Dijkstra: per superstep, re-run the local Dijkstra
     seeded with all current distances (no incremental reuse), then ship
     improved border distances per vertex."""
+
+    message_width = 8
 
     def init_state(self, block: Fragment, query: Node) -> Dict[str, Any]:
         return {"dist": {}, "sent": {}}
@@ -216,6 +225,8 @@ class SSSPBlockProgram(BlockProgram):
 class CCBlockProgram(BlockProgram):
     """With Blogel's CC-aligned partition each block labels its vertices
     locally; messages flow only if a component straddles blocks."""
+
+    message_width = 8
 
     def init_state(self, block: Fragment, query: Any) -> Dict[str, Any]:
         return {"cid": {}, "started": False}

@@ -27,7 +27,8 @@ from repro.baselines.vertex_centric import PregelEngine
 from repro.baselines.vertex_programs import SubIsoVertexProgram
 from repro.graph.graph import Graph, Node
 from repro.runtime.cluster import SimulatedCluster
-from repro.runtime.metrics import CostModel, RunMetrics, message_bytes
+from repro.runtime.metrics import CostModel, RunMetrics
+from repro.runtime.wire import vertex_message_bytes
 
 __all__ = ["GASProgram", "GASEngine", "GASResult", "run_subiso_on_gas"]
 
@@ -39,6 +40,10 @@ class GASProgram(abc.ABC):
     gather_direction = "in"
     #: which edges scatter signals over: "in", "out" or "both"
     scatter_direction = "out"
+    #: bytes of one vertex value when values are fixed-width scalars
+    #: (see :func:`repro.runtime.wire.vertex_message_bytes`); ``None``
+    #: prices shipped values by pickling them
+    message_width: Optional[int] = None
 
     @abc.abstractmethod
     def init_value(self, graph: Graph, vertex: Node, query: Any) -> Any:
@@ -142,7 +147,8 @@ class GASEngine:
                                 continue
                             # Cross-worker gather ships the neighbor value.
                             if self._worker_of(nbr) != wid:
-                                step_bytes += message_bytes(values[nbr])
+                                step_bytes += vertex_message_bytes(
+                                    values[nbr], program.message_width)
                                 step_msgs += 1
                             acc = contrib if acc is None \
                                 else program.merge(acc, contrib)
@@ -155,7 +161,8 @@ class GASEngine:
                                     graph, v, program.scatter_direction):
                                 next_active.add(nbr)
                                 if self._worker_of(nbr) != wid:
-                                    step_bytes += message_bytes(new_value)
+                                    step_bytes += vertex_message_bytes(
+                                        new_value, program.message_width)
                                     step_msgs += 1
                 return task
 

@@ -29,6 +29,7 @@ class SSSPGASProgram(GASProgram):
 
     gather_direction = "in"
     scatter_direction = "out"
+    message_width = 8
 
     def init_value(self, graph: Graph, vertex: Node, query: Node) -> float:
         return 0.0 if vertex == query else inf
@@ -54,6 +55,7 @@ class CCGASProgram(GASProgram):
 
     gather_direction = "both"
     scatter_direction = "both"
+    message_width = 8
 
     def init_value(self, graph: Graph, vertex: Node, query: Any) -> Node:
         return vertex

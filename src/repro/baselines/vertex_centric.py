@@ -26,7 +26,8 @@ from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, \
 
 from repro.graph.graph import Graph, Node
 from repro.runtime.cluster import SimulatedCluster
-from repro.runtime.metrics import CostModel, RunMetrics, message_bytes
+from repro.runtime.metrics import CostModel, RunMetrics
+from repro.runtime.wire import vertex_message_bytes
 
 __all__ = ["VertexProgram", "VertexContext", "PregelEngine", "PregelResult"]
 
@@ -57,6 +58,12 @@ class VertexContext:
 
 class VertexProgram(abc.ABC):
     """A Pregel vertex program for one query class."""
+
+    #: bytes of one message value when messages are fixed-width scalars
+    #: (priced by the wire model GRAPE's parameters use, see
+    #: :func:`repro.runtime.wire.vertex_message_bytes`); ``None`` prices
+    #: messages by pickling them
+    message_width: Optional[int] = None
 
     @abc.abstractmethod
     def init_value(self, graph: Graph, vertex: Node, query: Any) -> Any:
@@ -185,7 +192,8 @@ class PregelEngine:
                     new_inbox.setdefault(dest, []).extend(msgs)
                     crosses = self._worker_of(dest) != wid
                     if crosses or not self.intra_worker_free:
-                        pending_bytes += message_bytes(msgs)
+                        pending_bytes += vertex_message_bytes(
+                            msgs, program.message_width, len(msgs))
                         pending_msgs += len(msgs)
 
             inbox = new_inbox

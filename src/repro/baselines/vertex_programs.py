@@ -31,6 +31,8 @@ class SSSPVertexProgram(VertexProgram):
     would.
     """
 
+    message_width = 8
+
     def init_value(self, graph: Graph, vertex: Node, query: Node) -> float:
         return inf
 
@@ -56,6 +58,8 @@ class SSSPVertexProgram(VertexProgram):
 
 class CCVertexProgram(VertexProgram):
     """Classic min-label propagation for connected components."""
+
+    message_width = 8
 
     def init_value(self, graph: Graph, vertex: Node, query: Any) -> Node:
         return vertex

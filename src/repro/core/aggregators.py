@@ -17,6 +17,8 @@ from __future__ import annotations
 import abc
 from typing import Any, Iterable
 
+import numpy as np
+
 __all__ = [
     "Aggregator",
     "MinAggregator",
@@ -33,6 +35,11 @@ class ConflictError(RuntimeError):
 
 class Aggregator(abc.ABC):
     """Resolves conflicting values and defines the progress order."""
+
+    #: the aggregator as a numpy ufunc over fixed-width scalar values, for
+    #: the array-native coordinator (``ufunc.at`` folds a whole parameter
+    #: block); ``None`` when :meth:`combine` has no elementwise equivalent
+    ufunc = None
 
     @abc.abstractmethod
     def combine(self, a: Any, b: Any) -> Any:
@@ -58,6 +65,8 @@ class MinAggregator(Aggregator):
     """Keep the smallest value (SSSP distances, CC component ids, and Sim
     status booleans with ``false ≺ true``)."""
 
+    ufunc = np.minimum
+
     def combine(self, a: Any, b: Any) -> Any:
         return a if a <= b else b
 
@@ -67,6 +76,8 @@ class MinAggregator(Aggregator):
 
 class MaxAggregator(Aggregator):
     """Keep the largest value."""
+
+    ufunc = np.maximum
 
     def combine(self, a: Any, b: Any) -> Any:
         return a if a >= b else b

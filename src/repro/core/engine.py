@@ -22,10 +22,15 @@ message channels (Section 3.5): *designated* worker-to-worker messages and
 Simulation Theorem compilers (:mod:`repro.core.bsp_sim`,
 :mod:`repro.core.mapreduce_sim`, :mod:`repro.core.pram_sim`).
 
-Communication is accounted both ways (changed-parameter reports up to the
-coordinator, composed messages down), in serialized bytes.  Supersteps,
-per-superstep max-worker compute time and traffic are folded into
-:class:`~repro.runtime.metrics.RunMetrics` by the simulated cluster.
+Folding, composing and pricing are the job of one
+:class:`~repro.core.coordinator.Coordinator` per run — array-native when
+the program and the fragmentation allow it, the generic dict plane
+otherwise.  Communication is accounted both ways (changed-parameter
+reports up to the coordinator, composed messages down) by the wire model
+of :mod:`repro.runtime.wire`.  Supersteps, per-superstep max-worker
+compute time and traffic are folded into
+:class:`~repro.runtime.metrics.RunMetrics` by the simulated cluster,
+together with always-on timers of the coordinator's phases.
 
 The engine also implements:
 
@@ -40,15 +45,15 @@ The engine also implements:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Union
 
-from typing import Union
-
+from repro.core.coordinator import make_coordinator
 from repro.core.monotonic import MonotonicityChecker
-from repro.core.pie import ParamKey, ParamUpdates, PIEProgram
+from repro.core.pie import PIEProgram
 from repro.obs import events as _events
 from repro.obs.trace import Span
 from repro.graph.graph import Graph
@@ -62,11 +67,10 @@ from repro.runtime.executors import (PHASE_IDLE, PHASE_INC, PHASE_NI,
                                      PHASE_PEVAL,
                                      ExecutorBackend, StepCommand,
                                      WorkerHung, WorkerProcessDied,
-                                     read_report, resolve_backend)
+                                     resolve_backend)
 from repro.runtime.fault import Arbitrator, FailureInjector, WorkerFailure
 from repro.runtime.message import stable_hash
-from repro.runtime.metrics import (CostModel, ParamSizeCache, RunMetrics,
-                                   message_bytes)
+from repro.runtime.metrics import CostModel, RunMetrics, message_bytes
 
 __all__ = ["EngineConfig", "GrapeEngine", "GrapeResult"]
 
@@ -356,8 +360,13 @@ class GrapeEngine:
         def reopen():
             try:
                 session_box[0].close()
-            except Exception:
-                pass
+            except Exception as exc:
+                # The session being replaced already lost a worker; a
+                # failing close must not stop the recovery, but it is
+                # recorded (its workers may not have been returned to
+                # the pool).
+                _events.emit("session.close_failed",
+                             error=type(exc).__name__, detail=str(exc))
             # Retried: another pool worker may die while the replacement
             # session is being opened (each attempt culls the handles it
             # found dead, so progress is guaranteed).
@@ -392,123 +401,124 @@ class GrapeEngine:
                 else:
                     session_box[0].apply_preprocess(payloads)
 
-            # Coordinator bookkeeping: last values each fragment
-            # reported, the per-parameter global table.
-            reported: Dict[int, ParamUpdates] = {f.fid: {} for f in frags}
-            global_table: Dict[ParamKey, Any] = {}
-            # Memoized byte accounting: identical parameter entries recur
-            # across rounds and destinations; pickle each once per run.
-            sizer = ParamSizeCache()
+            # Fold / compose / price live in one coordinator object:
+            # the array plane when the program and the fragmentation
+            # support it, the generic dict plane otherwise (always for
+            # GRAPE-NI and for monotonicity checking, whose protocols
+            # are per-key).
+            coordinator = make_coordinator(
+                program, fragmentation, checker=checker,
+                arrays=self.incremental and not self.check_monotonic)
+            blocks = coordinator.blocks
+            metrics = cluster.metrics
+            step_index = itertools.count()
 
             def snapshot_state():
                 return {"states": session_box[0].collect_states(),
-                        "reported": reported, "table": global_table}
+                        "coordinator": coordinator.snapshot()}
 
             def restore(snap):
                 session_box[0].replace_states(snap["states"])
-                reported.clear()
-                reported.update(snap["reported"])
-                global_table.clear()
-                global_table.update(snap["table"])
+                coordinator.restore(snap["coordinator"])
 
-            step_seq = [0]
+            def superstep(commands, bytes_in, msgs_in, first_round=False):
+                """One round: step the workers (recovering failures),
+                fold their reports, compose and price the next round's
+                messages, route the explicit channels, checkpoint.
 
-            def traced_step(commands, **kw):
-                """One superstep through ``_step_with_recovery``, under a
-                ``superstep`` span when tracing: the span id rides every
-                command across the pipe, and worker-side measurements
-                come back re-attached as per-worker child spans."""
-                if trace is None:
-                    return self._step_with_recovery(
-                        cluster, session_box, arbitrator, commands, **kw)
-                index = step_seq[0]
-                step_seq[0] += 1
-                phase = next((c.phase for c in commands.values()
-                              if c.phase != PHASE_IDLE), PHASE_IDLE)
-                span = trace.child("superstep", index=index, phase=phase)
-                for command in commands.values():
-                    command.span_id = span.span_id
+                Returns ``(messages, designated, keyvalue, bytes,
+                msgs)`` — the traffic this round produced, charged to
+                the superstep that consumes it.  Under tracing the round
+                is one ``superstep`` span: its id rides every command
+                across the pipe, worker-side measurements come back
+                re-attached as per-worker children, and the
+                coordinator's fold / compose / accounting are recorded
+                beside them.
+                """
+                span = None
+                if trace is not None:
+                    phase = next((c.phase for c in commands.values()
+                                  if c.phase != PHASE_IDLE), PHASE_IDLE)
+                    span = trace.child("superstep", index=next(step_index),
+                                       phase=phase)
+                    for command in commands.values():
+                        command.span_id = span.span_id
+                timers = (coordinator.fold_s, coordinator.compose_s,
+                          coordinator.accounting_s)
                 try:
                     outcomes = self._step_with_recovery(
-                        cluster, session_box, arbitrator, commands, **kw)
+                        cluster, session_box, arbitrator, commands,
+                        bytes_in=bytes_in, msgs_in=msgs_in,
+                        restore=restore, reopen=reopen, plane=plane,
+                        deadline=deadline, budget_s=self.deadline_s,
+                        cancel=cancel)
+                    up_bytes, up_msgs, dirty = coordinator.fold(
+                        {fid: outcome.report
+                         for fid, outcome in outcomes.items()},
+                        first_round=first_round)
+                    messages = coordinator.compose(dirty)
+                    designated, keyvalue, ch_bytes, ch_msgs = \
+                        self._route_channels(frags, outcomes)
+                    down_bytes = sum(coordinator.price(msg)
+                                     for msg in messages.values())
+                    down_bytes += sum(message_bytes(p)
+                                      for p in designated.values())
+                    down_bytes += sum(message_bytes(g)
+                                      for g in keyvalue.values())
                 finally:
-                    span.finish()
-                for fid in sorted(outcomes):
-                    outcome = outcomes[fid]
-                    worker_span = span.record("worker", outcome.elapsed,
-                                              fid=fid)
-                    for name, duration_s, tags in outcome.spans:
-                        worker_span.record(name, duration_s, **tags)
-                return outcomes
+                    if span is not None:
+                        span.finish()
+                metrics.report_read_s += sum(
+                    outcome.report_s for outcome in outcomes.values())
+                if span is not None:
+                    for fid in sorted(outcomes):
+                        outcome = outcomes[fid]
+                        worker_span = span.record("worker", outcome.elapsed,
+                                                  fid=fid)
+                        for name, duration_s, tags in outcome.spans:
+                            worker_span.record(name, duration_s, **tags)
+                    span.record("coordinator.fold",
+                                coordinator.fold_s - timers[0])
+                    span.record("coordinator.compose",
+                                coordinator.compose_s - timers[1])
+                    span.record("coordinator.accounting",
+                                coordinator.accounting_s - timers[2])
+                if ft_enabled:
+                    arbitrator.checkpoint(snapshot_state())
+                return (messages, designated, keyvalue,
+                        up_bytes + ch_bytes + down_bytes,
+                        up_msgs + ch_msgs + len(messages)
+                        + len(designated) + len(keyvalue))
 
             # ------------- superstep 1: PEval --------------------------
             if ft_enabled:
                 arbitrator.checkpoint(snapshot_state())
 
-            outcomes = traced_step(
-                {f.fid: StepCommand(phase=PHASE_PEVAL) for f in frags},
-                bytes_in=pre_bytes, msgs_in=1 if payloads else 0,
-                restore=restore, reopen=reopen, plane=plane,
-                deadline=deadline, budget_s=self.deadline_s,
-                cancel=cancel)
-
-            up_bytes, up_msgs, dirty = self._fold_outcomes(
-                program, frags, outcomes, reported, global_table,
-                checker, first_round=True, sizer=sizer)
-            messages = self._compose_messages(program, fragmentation,
-                                              reported, dirty, global_table)
-            designated, keyvalue, ch_bytes, ch_msgs = \
-                self._route_channels(frags, outcomes)
-            up_bytes += ch_bytes
-            up_msgs += ch_msgs
-            if ft_enabled:
-                arbitrator.checkpoint(snapshot_state())
+            messages, designated, keyvalue, bytes_in, msgs_in = superstep(
+                {f.fid: StepCommand(phase=PHASE_PEVAL, blocks=blocks)
+                 for f in frags},
+                pre_bytes, 1 if payloads else 0, first_round=True)
 
             # ------------- IncEval supersteps --------------------------
+            # GRAPE-NI ablation: apply the message and redo PEval from
+            # scratch instead of IncEval.
+            phase = PHASE_INC if self.incremental else PHASE_NI
             rounds = 1
             while (messages or designated or keyvalue) \
                     and rounds < self.max_supersteps:
                 rounds += 1
-                down_bytes = sum(sizer.updates_bytes(msg)
-                                 for msg in messages.values())
-                down_bytes += sum(message_bytes(p)
-                                  for p in designated.values())
-                down_bytes += sum(message_bytes(g)
-                                  for g in keyvalue.values())
-                down_msgs = len(messages) + len(designated) + len(keyvalue)
-
                 active = set(messages) | set(designated) | set(keyvalue)
-                # GRAPE-NI ablation: apply the message and redo PEval
-                # from scratch instead of IncEval.
-                phase = PHASE_INC if self.incremental else PHASE_NI
                 commands = {
                     f.fid: (StepCommand(phase=phase,
-                                        message=messages.get(f.fid, {}),
+                                        message=messages.get(f.fid),
                                         designated=designated.get(f.fid),
-                                        keyvalue=keyvalue.get(f.fid))
-                            if f.fid in active else StepCommand())
+                                        keyvalue=keyvalue.get(f.fid),
+                                        blocks=blocks)
+                            if f.fid in active
+                            else StepCommand(blocks=blocks))
                     for f in frags}
-
-                outcomes = traced_step(
-                    commands,
-                    bytes_in=up_bytes + down_bytes,
-                    msgs_in=up_msgs + down_msgs,
-                    restore=restore, reopen=reopen, plane=plane,
-                    deadline=deadline, budget_s=self.deadline_s,
-                    cancel=cancel)
-
-                up_bytes, up_msgs, dirty = self._fold_outcomes(
-                    program, frags, outcomes, reported, global_table,
-                    checker, first_round=False, sizer=sizer)
-                messages = self._compose_messages(program, fragmentation,
-                                                  reported, dirty,
-                                                  global_table)
-                designated, keyvalue, ch_bytes, ch_msgs = \
-                    self._route_channels(frags, outcomes)
-                up_bytes += ch_bytes
-                up_msgs += ch_msgs
-                if ft_enabled:
-                    arbitrator.checkpoint(snapshot_state())
+                messages, designated, keyvalue, bytes_in, msgs_in = \
+                    superstep(commands, bytes_in, msgs_in)
 
             if messages or designated or keyvalue:
                 raise RuntimeError(
@@ -522,11 +532,13 @@ class GrapeEngine:
             assemble_s = time.perf_counter() - start
             if trace is not None:
                 trace.record("assemble", assemble_s)
+            metrics.assemble_s += assemble_s
+            coordinator.drain_timers(metrics)
             cluster.metrics.parallel_time_s += assemble_s
             cluster.metrics.total_compute_s += assemble_s
             # Trailing reports of the final round are communication too.
-            cluster.metrics.comm_bytes += up_bytes
-            cluster.metrics.comm_messages += up_msgs
+            cluster.metrics.comm_bytes += bytes_in
+            cluster.metrics.comm_messages += msgs_in
             # Physical-execution figures come from the live session — a
             # recovery mid-run re-opened it, so they describe the session
             # that finished the run.
@@ -666,108 +678,6 @@ class GrapeEngine:
             # else: replay from the current (pre-PEval) state.
 
     # ------------------------------------------------------------------
-    def _collect_reports(self, program, query, frags, states, reported,
-                         global_table, checker, *, first_round: bool,
-                         sizer: Optional[ParamSizeCache] = None,
-                         force_full: bool = False):
-        """Read every fragment's report in-process and fold it.
-
-        The coordinator-side entry point for callers holding states
-        directly (:class:`~repro.core.updates.ContinuousQuerySession`);
-        engine runs fold the reports their backend session returned
-        through :meth:`_fold_outcomes` instead.  ``force_full`` reads and
-        diffs the full parameter dict even for programs implementing the
-        incremental dirty-set protocol — required right after a graph
-        mutation, when candidate sets may have gained nodes the
-        program's dirty tracking never saw (e.g. a node newly becoming a
-        border node at a fragment that received no inserted edges).
-        """
-        reports = {frag.fid: read_report(program, query, frag,
-                                         states[frag.fid], force_full)
-                   for frag in frags}
-        return self._fold_reports(program, [f.fid for f in frags], reports,
-                                  reported, global_table, checker,
-                                  first_round=first_round, sizer=sizer)
-
-    def _fold_outcomes(self, program, frags, outcomes, reported,
-                       global_table, checker, *, first_round: bool,
-                       sizer: Optional[ParamSizeCache] = None):
-        """Fold the reports a backend session's superstep produced."""
-        reports = {fid: outcome.report for fid, outcome in outcomes.items()}
-        return self._fold_reports(program, [f.fid for f in frags], reports,
-                                  reported, global_table, checker,
-                                  first_round=first_round, sizer=sizer)
-
-    def _fold_reports(self, program, fid_order, reports, reported,
-                      global_table, checker, *, first_round: bool,
-                      sizer: Optional[ParamSizeCache] = None):
-        """Fold per-fragment parameter reports into the global table,
-        return (bytes, msgs, dirty).
-
-        A ``("changed", params)`` report (the incremental protocol of
-        :meth:`~repro.core.pie.PIEProgram.read_changed_params`) is folded
-        directly; a ``("full", params)`` report is diffed against the
-        fragment's last report first.  Report bytes are charged through
-        ``sizer`` when given (memoized per entry) and by monolithic
-        pickling otherwise.
-        """
-        agg = program.aggregator
-        dirty: Set[ParamKey] = set()
-        up_bytes = 0
-        up_msgs = 0
-        for fid in fid_order:
-            kind, params = reports[fid]
-            if kind == "full":
-                prev = reported[fid]
-                changed = {k: v for k, v in params.items()
-                           if k not in prev or prev[k] != v}
-                reported[fid] = params
-            else:
-                changed = params
-                if changed:
-                    reported[fid].update(changed)
-            if not changed:
-                continue
-            up_bytes += (sizer.updates_bytes(changed) if sizer is not None
-                         else message_bytes(changed))
-            up_msgs += 1
-            for key, value in changed.items():
-                if key in global_table:
-                    old = global_table[key]
-                    merged = agg.combine(old, value)
-                    if agg.is_progress(old, merged) or (
-                            first_round and merged != old):
-                        checker.observe(key, merged)
-                        global_table[key] = merged
-                        dirty.add(key)
-                else:
-                    global_table[key] = value
-                    dirty.add(key)
-        return up_bytes, up_msgs, dirty
-
-    @staticmethod
-    def _compose_messages(program, fragmentation, reported, dirty,
-                          global_table):
-        """Group changed parameters into one message per destination
-        fragment, deducing destinations from ``G_P`` (paper 3.2(3))."""
-        gp = fragmentation.gp
-        messages: Dict[int, ParamUpdates] = {}
-        for key in dirty:
-            node, _name = key
-            value = global_table[key]
-            if node not in gp:
-                continue
-            if program.route_to == "owner":
-                dests = (gp.owner(node),)
-            else:
-                dests = gp.holders(node)
-            for dest in dests:
-                # Skip fragments already holding this exact value.
-                if reported[dest].get(key) == value:
-                    continue
-                messages.setdefault(dest, {})[key] = value
-        return messages
-
     def _route_channels(self, frags, outcomes):
         """Route the designated and key-value messages the workers
         drained this superstep.

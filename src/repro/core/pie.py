@@ -27,17 +27,36 @@ booleans).
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Hashable, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, NamedTuple, Optional, Set, Tuple
 
 from repro.core.aggregators import Aggregator, DefaultExceptionAggregator
 from repro.graph.graph import Graph, Node
 from repro.partition.base import Fragment, Fragmentation
+from repro.runtime.wire import ParamBlock
 
-__all__ = ["PIEProgram", "ParamKey", "ParamUpdates"]
+__all__ = ["BlockSpec", "PIEProgram", "ParamKey", "ParamUpdates"]
 
 # (border node, variable name) -> value
 ParamKey = Tuple[Node, Hashable]
 ParamUpdates = Dict[ParamKey, Any]
+
+
+class BlockSpec(NamedTuple):
+    """How a program's update parameters look as arrays (the array
+    plane of :mod:`repro.core.coordinator`).
+
+    ``dtype`` is the numpy dtype of one value and ``neutral`` the value
+    an unreported parameter stands for (the aggregator's identity —
+    ``inf`` for a min over distances).  ``per_source`` marks programs
+    that attach one parameter per *(border node, writing fragment)*
+    rather than one per border node (PageRank's cut-edge contributions):
+    every entry has a single writer, so there is nothing to fold and the
+    coordinator only routes.
+    """
+
+    dtype: Any
+    neutral: Any
+    per_source: bool = False
 
 
 class PIEProgram(abc.ABC):
@@ -73,6 +92,25 @@ class PIEProgram(abc.ABC):
     #: fragment's CSR snapshot (:mod:`repro.kernels`) when its ``use_csr``
     #: switch is on, with the dict-graph algorithms as fallback.
     supports_csr: bool = False
+
+    #: wire model (:mod:`repro.runtime.wire`): bytes of one update-
+    #: parameter value when every parameter is a fixed-width scalar —
+    #: messages are then charged ``header + n * (8 + param_width)`` with
+    #: no serialization at all.  ``None`` prices each message by one
+    #: serialization of its payload.
+    param_width: Optional[int] = None
+
+    @property
+    def block_spec(self) -> Optional[BlockSpec]:
+        """The array layout of this program's update parameters, or
+        ``None`` when it only speaks the dict protocol.
+
+        A program returning a spec also implements
+        :meth:`read_changed_block` and :meth:`inceval_block`; the engine
+        then runs it on the array plane whenever the fragmentation has a
+        :class:`~repro.partition.base.BorderIndex` — no flag selects it.
+        """
+        return None
 
     # ------------------------------------------------------------------
     # Message preamble
@@ -140,6 +178,24 @@ class PIEProgram(abc.ABC):
         path for this round.
         """
         return None
+
+    def read_changed_block(self, query: Any, fragment: Fragment,
+                           state: Any) -> Optional[ParamBlock]:
+        """:meth:`read_changed_params` as an array block: the labels and
+        new values of the update parameters that changed since the
+        previous read, or ``None`` when none did.  Entry for entry the
+        same report the dict protocol would make.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} declares no block_spec")
+
+    def inceval_block(self, query: Any, fragment: Fragment, state: Any,
+                      block: ParamBlock) -> None:
+        """:meth:`inceval` on an array message: ``block.ids`` are the
+        labels of the border nodes whose aggregated value changed,
+        ``block.vals`` the new values."""
+        raise NotImplementedError(
+            f"{type(self).__name__} declares no block_spec")
 
     # ------------------------------------------------------------------
     # Optional hooks

@@ -41,15 +41,16 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Iterable, Optional, Set, Tuple, Union
 
+from repro.core.coordinator import DictCoordinator
 from repro.core.engine import GrapeEngine
 from repro.core.monotonic import MonotonicityChecker
-from repro.core.pie import ParamKey, ParamUpdates, PIEProgram
+from repro.core.pie import PIEProgram
 from repro.graph.delta import FragmentDelta, GraphDelta, NormalizedDelta
 from repro.graph.graph import Graph, Node
 from repro.partition.base import Fragmentation
 from repro.runtime.executors import read_report
 from repro.runtime.message import stable_hash
-from repro.runtime.metrics import CostModel, ParamSizeCache
+from repro.runtime.metrics import CostModel
 
 __all__ = ["ContinuousQuerySession", "NonMonotoneUpdateError",
            "apply_delta", "apply_insertions"]
@@ -324,7 +325,10 @@ class ContinuousQuerySession:
     incremental maintenance rounds themselves always execute
     coordinator-side — the point of IncEval under updates is that the
     affected area is small, so shipping it to a worker pool would cost
-    more than computing it.
+    more than computing it.  They fold, compose and price through the
+    session's own :class:`~repro.core.coordinator.DictCoordinator` (the
+    generic plane: per-key tables are what the bounded rebaseline
+    edits), whatever plane the engine's full runs take.
     """
 
     def __init__(self, engine: GrapeEngine, program: PIEProgram, query: Any,
@@ -348,11 +352,7 @@ class ContinuousQuerySession:
         self.states = result.states
         self.answer = result.answer
         self.metrics = result.metrics
-        # Entry sizes recur across maintenance rounds; memoize for the
-        # session's lifetime.
-        self._sizer = ParamSizeCache()
-        self._reported: Dict[int, ParamUpdates] = {}
-        self._table: Dict[ParamKey, Any] = {}
+        self._coord = DictCoordinator(program, self.fragmentation)
         # Set when an opt-out program rejected a non-maintainable batch
         # *after* the fragmentation was mutated: the converged state no
         # longer matches the graph, and folding later (even monotone)
@@ -363,18 +363,53 @@ class ContinuousQuerySession:
     def _rebaseline(self) -> None:
         """Rebuild the coordinator tables from the converged states."""
         program, query = self.program, self.query
-        self._reported.clear()
-        self._table.clear()
+        reported, table = self._coord.reported, self._coord.table
+        reported.clear()
+        table.clear()
         for frag in self.fragmentation:
             params = program.read_update_params(query, frag,
                                                 self.states[frag.fid])
-            self._reported[frag.fid] = params
+            reported[frag.fid] = params
             for key, value in params.items():
-                if key in self._table:
-                    self._table[key] = program.aggregator.combine(
-                        self._table[key], value)
+                if key in table:
+                    table[key] = program.aggregator.combine(table[key],
+                                                            value)
                 else:
-                    self._table[key] = value
+                    table[key] = value
+
+    def _begin_maintenance(self) -> None:
+        """A fresh monotonicity history per maintenance pass."""
+        self._coord.checker = MonotonicityChecker(
+            self.program.aggregator, enabled=self.engine.check_monotonic)
+
+    def _read_reports(self, force_full: bool = False):
+        """Every fragment's post-step report, read in-process.
+
+        ``force_full`` reads and diffs the full parameter dict even for
+        programs implementing the incremental dirty-set protocol —
+        required right after a graph mutation, when candidate sets may
+        have gained nodes the program's dirty tracking never saw (e.g.
+        a node newly becoming a border node at a fragment that received
+        no inserted edges).
+        """
+        return {frag.fid: read_report(self.program, self.query, frag,
+                                      self.states[frag.fid], force_full)
+                for frag in self.fragmentation.fragments}
+
+    def _finish_maintenance(self, messages, local_s: float, up_bytes: int,
+                            up_msgs: int) -> Any:
+        """Close the batch's first superstep, drain the message loop and
+        re-assemble (shared tail of both maintenance paths)."""
+        self.metrics.record_superstep([local_s], up_bytes, up_msgs,
+                                      self.engine.cost_model
+                                      or _DEFAULT_COST)
+        self._resume_fixpoint(messages)
+        start = time.perf_counter()
+        self.answer = self.program.assemble(self.query, self.fragmentation,
+                                            self.states)
+        self.metrics.assemble_s += time.perf_counter() - start
+        self._coord.drain_timers(self.metrics)
+        return self.answer
 
     # ------------------------------------------------------------------
     def update(self, delta: GraphDelta) -> Any:
@@ -445,8 +480,7 @@ class ContinuousQuerySession:
         """The monotone fast path: fold deltas into live state and
         resume the message fixpoint from the current converged state."""
         program, query = self.program, self.query
-        checker = MonotonicityChecker(program.aggregator,
-                                      enabled=self.engine.check_monotonic)
+        self._begin_maintenance()
 
         start = time.perf_counter()
         for fid, delta in touched.items():
@@ -454,26 +488,15 @@ class ContinuousQuerySession:
                                     self.states[fid], delta)
         local_s = time.perf_counter() - start
 
-        frags = self.fragmentation.fragments
         # Full-diff collect: the batch may have promoted nodes into
         # border sets of fragments that received no edges, which the
         # programs' own dirty tracking cannot see.
-        up_bytes, up_msgs, dirty = self.engine._collect_reports(
-            program, query, frags, self.states, self._reported,
-            self._table, checker, first_round=False, sizer=self._sizer,
-            force_full=True)
-        messages = self.engine._compose_messages(
-            program, self.fragmentation, self._reported, dirty,
-            self._table)
-        self.metrics.record_superstep([local_s], up_bytes, up_msgs,
-                                      self.engine.cost_model
-                                      or _DEFAULT_COST)
-        self._resume_fixpoint(messages, checker)
-        self.answer = program.assemble(query, self.fragmentation,
-                                       self.states)
-        return self.answer
+        up_bytes, up_msgs, dirty = self._coord.fold(
+            self._read_reports(force_full=True))
+        return self._finish_maintenance(self._coord.compose(dirty),
+                                        local_s, up_bytes, up_msgs)
 
-    def _resume_fixpoint(self, messages, checker) -> None:
+    def _resume_fixpoint(self, messages) -> None:
         """Run the maintenance message loop to a fixpoint (shared by the
         monotone fast path and the bounded non-monotone path — after a
         region reset every further change is a plain aggregator
@@ -485,20 +508,16 @@ class ContinuousQuerySession:
             rounds += 1
             if rounds > self.engine.max_supersteps:
                 raise RuntimeError("maintenance did not reach a fixpoint")
-            down_bytes = sum(self._sizer.updates_bytes(msg)
+            down_bytes = sum(self._coord.price(msg)
                              for msg in messages.values())
             times = []
             for fid, msg in messages.items():
                 t0 = time.perf_counter()
                 program.inceval(query, frags[fid], self.states[fid], msg)
                 times.append(time.perf_counter() - t0)
-            up_bytes, up_msgs, dirty = self.engine._collect_reports(
-                program, query, frags, self.states, self._reported,
-                self._table, checker, first_round=False,
-                sizer=self._sizer)
-            messages = self.engine._compose_messages(
-                program, self.fragmentation, self._reported, dirty,
-                self._table)
+            up_bytes, up_msgs, dirty = self._coord.fold(
+                self._read_reports())
+            messages = self._coord.compose(dirty)
             self.metrics.record_superstep(
                 times, down_bytes + up_bytes, len(messages) + up_msgs,
                 self.engine.cost_model or _DEFAULT_COST)
@@ -553,8 +572,8 @@ class ContinuousQuerySession:
         """
         program, query = self.program, self.query
         frags = self.fragmentation.fragments
-        checker = MonotonicityChecker(program.aggregator,
-                                      enabled=self.engine.check_monotonic)
+        table = self._coord.table
+        self._begin_maintenance()
         start = time.perf_counter()
 
         # Param names for the promotion probe of step 2 (the key layout
@@ -562,7 +581,7 @@ class ContinuousQuerySession:
         # names, so this is a tiny set — probing reported claims by
         # constructed key costs O(|grown|), not an O(border) index
         # build per batch).
-        param_names = {key[1] for key in self._table}
+        param_names = {key[1] for key in table}
 
         # Seeds: per-fragment direct hits, or — when the program offers
         # the driver-side batch hook — direct hits filtered with a view
@@ -596,7 +615,7 @@ class ContinuousQuerySession:
                                                 fresh)
                 grown -= known
                 known |= grown
-                reported = self._reported.get(frag.fid)
+                reported = self._coord.reported.get(frag.fid)
                 if not reported:
                     continue
                 for node in grown:
@@ -606,7 +625,7 @@ class ContinuousQuerySession:
                         key = (node, name)
                         value = reported.get(key, _MISSING)
                         if value is not _MISSING and \
-                                self._table.get(key, _MISSING) == value:
+                                table.get(key, _MISSING) == value:
                             round_promotions.add(node)
                             break
             promoted |= round_promotions
@@ -634,16 +653,8 @@ class ContinuousQuerySession:
         else:
             up_bytes, up_msgs, dirty = self._rebaseline_bounded_full(
                 global_aff)
-        messages = self.engine._compose_messages(
-            program, self.fragmentation, self._reported, dirty,
-            self._table)
-        self.metrics.record_superstep([local_s], up_bytes, up_msgs,
-                                      self.engine.cost_model
-                                      or _DEFAULT_COST)
-        self._resume_fixpoint(messages, checker)
-        self.answer = program.assemble(query, self.fragmentation,
-                                       self.states)
-        return self.answer
+        return self._finish_maintenance(self._coord.compose(dirty),
+                                        local_s, up_bytes, up_msgs)
 
     def _rebaseline_region(self, touched: Dict[int, FragmentDelta],
                            local_aff: Dict[int, Set[Node]],
@@ -663,7 +674,8 @@ class ContinuousQuerySession:
         """
         program, query = self.program, self.query
         frags = self.fragmentation.fragments
-        table = self._table
+        coord = self._coord
+        table = coord.table
         combine = program.aggregator.combine
         up_bytes = 0
         up_msgs = 0
@@ -671,7 +683,7 @@ class ContinuousQuerySession:
         for frag in frags:
             fid = frag.fid
             state = self.states[fid]
-            prev = self._reported.setdefault(fid, {})
+            prev = coord.reported.setdefault(fid, {})
             fresh = program.read_changed_params(query, frag, state)
             fresh = dict(fresh) if fresh else {}
             probe = set(local_aff[fid])
@@ -710,14 +722,14 @@ class ContinuousQuerySession:
                         recompute.add(key)
             if diff or gone:
                 up_msgs += 1
-                up_bytes += self._sizer.updates_bytes(diff)
+                up_bytes += coord.price(diff)
                 if gone:
-                    up_bytes += self._sizer.updates_bytes(gone)
+                    up_bytes += coord.price_tombstones(gone)
 
         # Dirty keys: aggregated values that moved, plus every key of an
         # affected vertex — a reset owner must be re-offered surviving
         # peer values even when the aggregate itself did not change.
-        reported = self._reported
+        reported = coord.reported
         dirty: Set = set()
         for key in recompute:
             best = _MISSING
@@ -748,15 +760,16 @@ class ContinuousQuerySession:
         table — correct for any program, at ``O(border)`` cost."""
         program, query = self.program, self.query
         frags = self.fragmentation.fragments
-        old_reported, old_table = self._reported, self._table
-        self._reported = {}
-        self._table = {}
+        coord = self._coord
+        old_reported, old_table = coord.reported, coord.table
+        reported = coord.reported = {}
+        table = coord.table = {}
         up_bytes = 0
         up_msgs = 0
         for frag in frags:
             _kind, params = read_report(program, query, frag,
                                         self.states[frag.fid], True)
-            self._reported[frag.fid] = params
+            reported[frag.fid] = params
             prev = old_reported.get(frag.fid, {})
             diff = {k: v for k, v in params.items()
                     if prev.get(k, _MISSING) != v}
@@ -764,18 +777,18 @@ class ContinuousQuerySession:
             gone = {k: None for k in prev if k not in params}
             if diff or gone:
                 up_msgs += 1
-                up_bytes += self._sizer.updates_bytes(diff)
+                up_bytes += coord.price(diff)
                 if gone:
-                    up_bytes += self._sizer.updates_bytes(gone)
+                    up_bytes += coord.price_tombstones(gone)
             for key, value in params.items():
-                if key in self._table:
-                    self._table[key] = program.aggregator.combine(
-                        self._table[key], value)
+                if key in table:
+                    table[key] = program.aggregator.combine(table[key],
+                                                            value)
                 else:
-                    self._table[key] = value
-        dirty = {k for k, v in self._table.items()
+                    table[key] = value
+        dirty = {k for k, v in table.items()
                  if old_table.get(k, _MISSING) != v}
-        dirty |= {k for k in self._table if k[0] in global_aff}
+        dirty |= {k for k in table if k[0] in global_aff}
         return up_bytes, up_msgs, dirty
 
     def _recompute(self) -> Any:

@@ -15,7 +15,20 @@ import numpy as np
 
 from repro.graph.graph import Graph, Node
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "positions_in_sorted"]
+
+
+def positions_in_sorted(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Positions of ``ids`` in the sorted, duplicate-free ``sorted_ids``
+    (vectorized ``index``); an id that is not there raises
+    :exc:`KeyError`.  The lookup behind every array parameter block:
+    node labels to border ids, to snapshot vertex ids, to ``F_i.I``
+    slots."""
+    pos = np.searchsorted(sorted_ids, ids)
+    if pos.size and (int(pos.max()) >= sorted_ids.shape[0]
+                     or not np.array_equal(sorted_ids[pos], ids)):
+        raise KeyError("id not found in the sorted id table")
+    return pos
 
 
 class CSRGraph:
@@ -33,7 +46,7 @@ class CSRGraph:
 
     __slots__ = ("n", "directed", "indptr", "indices", "weights",
                  "rev_indptr", "rev_indices", "rev_weights",
-                 "id_of", "node_of", "labels")
+                 "id_of", "node_of", "labels", "_label_index")
 
     def __init__(self, n: int, directed: bool,
                  indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
@@ -52,6 +65,7 @@ class CSRGraph:
         self.id_of = id_of
         self.node_of = node_of
         self.labels = labels
+        self._label_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -264,6 +278,22 @@ class CSRGraph:
                    id_of, node_of, labels)
 
     # ------------------------------------------------------------------
+    def ids_of(self, nodes: np.ndarray) -> np.ndarray:
+        """Dense ids of an int64 array of node identities (vectorized
+        ``id_of``), for snapshots whose nodes are all plain ints — the
+        receiving end of an array parameter block
+        (:class:`repro.runtime.wire.ParamBlock`).  The sorted lookup
+        table is built on first use and kept with the (immutable)
+        snapshot.  An unknown node raises :exc:`KeyError`.
+        """
+        index = self._label_index
+        if index is None:
+            labels = np.array(self.node_of, dtype=np.int64)
+            order = np.argsort(labels, kind="stable")
+            index = self._label_index = (labels[order], order)
+        sorted_labels, order = index
+        return order[positions_in_sorted(sorted_labels, nodes)]
+
     def out_neighbors(self, vid: int) -> np.ndarray:
         return self.indices[self.indptr[vid]:self.indptr[vid + 1]]
 

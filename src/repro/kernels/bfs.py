@@ -8,11 +8,11 @@ equality with the queue-based sequential BFS is exact by construction.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.kernels._segments import edge_positions
+from repro.kernels._segments import edge_positions, seed_frontier
 
 __all__ = ["csr_bfs", "csr_bfs_affected", "csr_bfs_reseed", "UNREACHED_HOPS"]
 
@@ -20,10 +20,12 @@ __all__ = ["csr_bfs", "csr_bfs_affected", "csr_bfs_reseed", "UNREACHED_HOPS"]
 UNREACHED_HOPS = 1 << 60
 
 
-def csr_bfs(csr, seeds: Dict[int, int],
+def csr_bfs(csr, seeds: Union[Dict[int, int],
+                             Tuple[np.ndarray, np.ndarray]],
             hops: Optional[np.ndarray] = None
             ) -> Tuple[np.ndarray, np.ndarray]:
-    """Expand ``seeds`` (dense id -> hop count) to a fixpoint.
+    """Expand ``seeds`` (dense id -> hop count, as a dict or as parallel
+    ``(ids, values)`` arrays with unique ids) to a fixpoint.
 
     ``hops`` is an int64 array (``UNREACHED_HOPS`` = unreached), mutated
     in place; ``None`` starts all-unreached.  Returns ``(hops, changed)``
@@ -33,13 +35,7 @@ def csr_bfs(csr, seeds: Dict[int, int],
     if hops is None:
         hops = np.full(n, UNREACHED_HOPS, dtype=np.int64)
     changed = np.zeros(n, dtype=bool)
-
-    frontier_list = []
-    for vid, h in seeds.items():
-        if h < hops[vid]:
-            hops[vid] = h
-            frontier_list.append(vid)
-    frontier = np.array(frontier_list, dtype=np.int64)
+    frontier = seed_frontier(seeds, hops)
     changed[frontier] = True
 
     indptr, indices = csr.indptr, csr.indices

@@ -16,16 +16,17 @@ exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.kernels._segments import edge_positions
+from repro.kernels._segments import edge_positions, seed_frontier
 
 __all__ = ["csr_sssp", "csr_sssp_affected", "csr_sssp_reseed"]
 
 
-def csr_sssp(csr, seeds: Dict[int, float],
+def csr_sssp(csr, seeds: Union[Dict[int, float],
+                              Tuple[np.ndarray, np.ndarray]],
              dist: Optional[np.ndarray] = None
              ) -> Tuple[np.ndarray, np.ndarray]:
     """Relax ``seeds`` (dense id -> candidate distance) to a fixpoint.
@@ -35,8 +36,9 @@ def csr_sssp(csr, seeds: Dict[int, float],
     csr:
         A :class:`~repro.graph.csr.CSRGraph`.
     seeds:
-        Candidate distances; only improvements over ``dist`` are applied
-        (the monotonic decrease-only discipline of IncEval).
+        Candidate distances, as a dict or as parallel ``(ids, values)``
+        arrays with unique ids; only improvements over ``dist`` are
+        applied (the monotonic decrease-only discipline of IncEval).
     dist:
         Existing float64 estimates, mutated in place; ``None`` starts
         from all-infinite.
@@ -50,13 +52,7 @@ def csr_sssp(csr, seeds: Dict[int, float],
     if dist is None:
         dist = np.full(n, np.inf, dtype=np.float64)
     changed = np.zeros(n, dtype=bool)
-
-    frontier_list = []
-    for vid, d in seeds.items():
-        if d < dist[vid]:
-            dist[vid] = d
-            frontier_list.append(vid)
-    frontier = np.array(frontier_list, dtype=np.int64)
+    frontier = seed_frontier(seeds, dist)
     changed[frontier] = True
 
     indptr, indices, weights = csr.indptr, csr.indices, csr.weights

@@ -29,9 +29,13 @@ import threading
 from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
+import numpy as np
+
+from repro.graph.csr import CSRGraph, positions_in_sorted
 from repro.graph.graph import Graph, Node
 
 __all__ = [
+    "BorderIndex",
     "Fragment",
     "FragmentationGraph",
     "Fragmentation",
@@ -64,6 +68,7 @@ class Fragment:
 
     __slots__ = ("fid", "graph", "owned", "inner", "outer",
                  "_csr", "_csr_lock", "_csr_shared", "_remote_csr_live",
+                 "_outer_slots",
                  "csr_epoch", "csr_builds", "csr_invalidations")
 
     def __init__(self, fid: int, graph: Graph, owned: Set[Node],
@@ -84,6 +89,8 @@ class Fragment:
         #: a worker-side copy of this fragment holds a live snapshot
         #: (process backend); used only for invalidation accounting
         self._remote_csr_live = False
+        # (csr epoch, sorted F_i.O labels, their dense ids): see outer_slots
+        self._outer_slots = None
         #: bumped on every invalidation so consumers holding arrays keyed
         #: by the old snapshot's dense ids know to rebuild them
         self.csr_epoch = 0
@@ -118,7 +125,6 @@ class Fragment:
         """
         snap = self._csr
         if snap is None:
-            from repro.graph.csr import CSRGraph
             with self._csr_lock:
                 snap = self._csr
                 if snap is None:
@@ -126,6 +132,25 @@ class Fragment:
                     self._csr = snap
                     self.csr_builds += 1
         return snap
+
+    def outer_slots(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``F_i.O`` as arrays: the copies' labels (sorted int64) and
+        their dense ids in the current CSR snapshot — the per-fragment
+        map through which array-plane programs read their reports
+        straight out of kernel arrays (``values[ids]`` lines up with
+        ``labels``).  Requires integer node labels.  Cached per
+        ``csr_epoch``: every change to ``F_i.O`` adds or removes a local
+        edge, which moves the epoch.
+        """
+        cached = self._outer_slots
+        if cached is None or cached[0] != self.csr_epoch:
+            epoch = self.csr_epoch
+            labels = np.fromiter(self.outer, dtype=np.int64,
+                                 count=len(self.outer))
+            labels.sort()
+            cached = self._outer_slots = (epoch, labels,
+                                          self.csr().ids_of(labels))
+        return cached[1], cached[2]
 
     def install_csr(self, snap, *, shared: bool = False) -> None:
         """Adopt a prebuilt CSR snapshot without counting a build.
@@ -269,6 +294,87 @@ class FragmentationGraph:
         return v in self._owner
 
 
+class BorderIndex:
+    """Dense integer index over a fragmentation's border nodes.
+
+    The array-native coordinator (:mod:`repro.core.coordinator`) keeps
+    one table row per border node instead of one dict entry per
+    ``(node, name)`` key; this is the index space those rows live in:
+
+    * ``nodes`` — the border nodes' labels, sorted (int64); a node's
+      *border id* is its position, found by :meth:`ids_of`;
+    * ``owner`` — border id -> owning fragment (int32);
+    * ``holder_ptr`` / ``holder_fid`` — ``G_P``'s holder sets as a CSR
+      table: the fragments holding border id ``b`` are
+      ``holder_fid[holder_ptr[b]:holder_ptr[b + 1]]``, ascending.
+
+    A border node is any member of some fragment's ``F_i.I`` or
+    ``F_i.O``.  Blocks on the wire carry node labels, not border ids
+    (see :mod:`repro.runtime.wire`), so the mapping from a block entry to
+    a fragment-local vertex id is the receiving snapshot's own
+    (:meth:`repro.graph.csr.CSRGraph.ids_of`) and never needs shipping.
+
+    The index only exists for graphs whose every node label is a plain
+    ``int`` (labels double as array values: a CC component id *is* a
+    node label); :meth:`build` returns ``None`` otherwise and callers
+    stay on the dict plane.  Built from the fragments and ``G_P`` in
+    ``O(|border| log |border|)``; never updated in place — a mutated
+    fragmentation rebuilds it on next use
+    (:meth:`Fragmentation.border_index`).
+    """
+
+    __slots__ = ("nodes", "owner", "holder_ptr", "holder_fid")
+
+    def __init__(self, nodes: np.ndarray, owner: np.ndarray,
+                 holder_ptr: np.ndarray, holder_fid: np.ndarray):
+        self.nodes = nodes
+        self.owner = owner
+        self.holder_ptr = holder_ptr
+        self.holder_fid = holder_fid
+
+    @classmethod
+    def build(cls, fragmentation: "Fragmentation") -> Optional["BorderIndex"]:
+        if not all(type(v) is int for v in fragmentation.graph.nodes()):
+            return None
+        border: Set[Node] = set()
+        for frag in fragmentation.fragments:
+            border |= frag.inner
+            border |= frag.outer
+        try:
+            nodes = np.array(sorted(border), dtype=np.int64)
+        except OverflowError:  # labels beyond int64
+            return None
+        gp = fragmentation.gp
+        ordered = nodes.tolist()
+        owner = np.fromiter((gp.owner(v) for v in ordered), dtype=np.int32,
+                            count=len(ordered))
+        holders = [sorted(gp.holders(v)) for v in ordered]
+        holder_ptr = np.zeros(len(ordered) + 1, dtype=np.int64)
+        np.cumsum([len(h) for h in holders], out=holder_ptr[1:])
+        holder_fid = np.fromiter((f for h in holders for f in h),
+                                 dtype=np.int32, count=int(holder_ptr[-1]))
+        return cls(nodes, owner, holder_ptr, holder_fid)
+
+    def __len__(self) -> int:
+        return int(self.nodes.shape[0])
+
+    def ids_of(self, labels: np.ndarray) -> np.ndarray:
+        """Border ids of the given node labels (vectorized); a label
+        that is not a border node raises :exc:`KeyError`."""
+        return positions_in_sorted(self.nodes, labels)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BorderIndex):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in self.__slots__)
+
+
+    def __repr__(self) -> str:
+        return (f"BorderIndex(border={len(self)}, "
+                f"held={int(self.holder_fid.shape[0])})")
+
+
 #: process-wide ids distinguishing fragmentation objects across pickling
 _fragmentation_ids = itertools.count(1)
 
@@ -305,6 +411,20 @@ class Fragmentation:
                 holders.setdefault(v, set()).add(frag.fid)
         self.gp = FragmentationGraph(
             owner, {v: frozenset(fs) for v, fs in holders.items()})
+        # (version, BorderIndex or None), built on first use per version
+        self._border_index: Optional[Tuple[int, Optional[BorderIndex]]] = None
+        self._border_lock = threading.Lock()
+
+    def __getstate__(self):
+        # The lock is unpicklable and the index is derived state.
+        state = self.__dict__.copy()
+        del state["_border_lock"]
+        state["_border_index"] = None
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._border_lock = threading.Lock()
 
     @classmethod
     def restored(cls, graph: Graph, fragments: Sequence[Fragment],
@@ -336,6 +456,27 @@ class Fragmentation:
         """Key under which process-backend workers cache shipped
         fragments; changes whenever the fragmentation is mutated."""
         return (self._token_id, self.version)
+
+    def border_index(self) -> Optional[BorderIndex]:
+        """The dense border index of the current version, or ``None``
+        when the graph's labels do not admit one.
+
+        Built lazily and cached per :attr:`version`: mutations
+        (:meth:`record_delta`, :meth:`bump_version`) only move the
+        version, so an update batch pays nothing for it and the first
+        array-plane query afterwards rebuilds it from the maintained
+        border sets and ``G_P`` — by construction equal to the index of
+        a freshly partitioned copy.  Thread-safe: concurrent queries on
+        a shared fragmentation build it once.
+        """
+        cached = self._border_index
+        if cached is None or cached[0] != self.version:
+            with self._border_lock:
+                cached = self._border_index
+                if cached is None or cached[0] != self.version:
+                    cached = (self.version, BorderIndex.build(self))
+                    self._border_index = cached
+        return cached[1]
 
     def bump_version(self) -> None:
         """Invalidate worker-side fragment caches after a mutation.

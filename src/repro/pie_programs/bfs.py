@@ -10,7 +10,8 @@ With ``use_csr`` on (the default) both functions run as level-synchronous
 frontier expansions over the fragment's CSR snapshot
 (:func:`repro.kernels.csr_bfs`) — hop counts are integers, so the paths
 are trivially identical — and dirty border hops feed the engine's
-incremental coordinator protocol via ``read_changed_params``.
+incremental coordinator protocol via ``read_changed_params``, or, on the
+array plane, as a gather of the hop array at the ``F_i.O`` slots.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from typing import Dict, Iterable, Optional, Set
 import numpy as np
 
 from repro.core.aggregators import MinAggregator
-from repro.core.pie import ParamUpdates, PIEProgram
+from repro.core.pie import BlockSpec, ParamUpdates, PIEProgram
 from repro.graph.graph import Node
 from repro.kernels import (UNREACHED_HOPS, csr_bfs, csr_bfs_affected,
                            csr_bfs_reseed)
 from repro.partition.base import Fragment, Fragmentation
+from repro.pie_programs._blocks import changed_outer_block, mirror_changes
+from repro.runtime.wire import ParamBlock
 
 __all__ = ["BFSProgram", "BFSState"]
 
@@ -45,6 +48,9 @@ class BFSState:
     #: dense-id mirror of ``hops`` for the CSR kernel
     _arr: Optional[np.ndarray] = None
     _arr_epoch: int = -1
+    #: array plane: the hops last reported for the fragment's sorted
+    #: ``F_i.O`` labels (``Fragment.outer_slots`` order)
+    _sent: Optional[np.ndarray] = None
 
 
 def _bfs_from(fragment: Fragment, hops: Dict[Node, int],
@@ -73,10 +79,15 @@ class BFSProgram(PIEProgram):
     name = "BFS"
     aggregator = MinAggregator()
     supports_csr = True
+    param_width = 8  # one int64 hop count
     route_to = "owner"
 
     def __init__(self, use_csr: bool = True):
         self.use_csr = use_csr
+
+    @property
+    def block_spec(self) -> Optional[BlockSpec]:
+        return BlockSpec(np.int64, _FAR) if self.use_csr else None
 
     def init_state(self, query: Node, fragment: Fragment) -> BFSState:
         return BFSState()
@@ -159,6 +170,19 @@ class BFSProgram(PIEProgram):
             state.hops[node] = h
             changed.add(node)
         return changed
+
+    def inceval_block(self, query: Node, fragment: Fragment,
+                      state: BFSState, block: ParamBlock) -> None:
+        csr = fragment.csr()
+        arr = self._ensure_arr(fragment, state, csr)
+        _arr, changed_ids = csr_bfs(
+            csr, (csr.ids_of(block.ids), block.vals), arr)
+        mirror_changes(state.hops, csr, arr, changed_ids)
+
+    def read_changed_block(self, query: Node, fragment: Fragment,
+                           state: BFSState) -> Optional[ParamBlock]:
+        arr = self._ensure_arr(fragment, state, fragment.csr())
+        return changed_outer_block(fragment, state, arr, _FAR)
 
     def apply_message(self, query: Node, fragment: Fragment,
                       state: BFSState, message: ParamUpdates) -> None:

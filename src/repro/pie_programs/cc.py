@@ -26,10 +26,11 @@ from typing import Dict, Optional, Set
 import numpy as np
 
 from repro.core.aggregators import MinAggregator
-from repro.core.pie import ParamUpdates, PIEProgram
+from repro.core.pie import BlockSpec, ParamUpdates, PIEProgram
 from repro.graph.graph import Node
 from repro.kernels import csr_components, csr_region_components
 from repro.partition.base import Fragment, Fragmentation
+from repro.runtime.wire import ParamBlock
 from repro.sequential.wcc import LocalComponents
 
 __all__ = ["CCProgram", "CCState"]
@@ -53,10 +54,16 @@ class CCProgram(PIEProgram):
     name = "CC"
     aggregator = MinAggregator()
     supports_csr = True
+    param_width = 8  # one int64 component id (a node label)
     route_to = "holders"
 
     def __init__(self, use_csr: bool = True):
         self.use_csr = use_csr
+
+    @property
+    def block_spec(self) -> Optional[BlockSpec]:
+        return (BlockSpec(np.int64, np.iinfo(np.int64).max)
+                if self.use_csr else None)
 
     def init_state(self, query, fragment: Fragment) -> CCState:
         return CCState()
@@ -96,9 +103,22 @@ class CCProgram(PIEProgram):
 
     def inceval(self, query, fragment: Fragment, state: CCState,
                 message: ParamUpdates) -> None:
-        for (v, _name), cid in message.items():
+        self._lower(fragment, state,
+                    ((v, cid) for (v, _name), cid in message.items()))
+
+    def inceval_block(self, query, fragment: Fragment, state: CCState,
+                      block: ParamBlock) -> None:
+        self._lower(fragment, state,
+                    zip(block.ids.tolist(), block.vals.tolist()))
+
+    @staticmethod
+    def _lower(fragment: Fragment, state: CCState, pairs) -> None:
+        """The bounded IncEval step: lower each named border node's
+        component to the incoming id, following the root links."""
+        inner, outer = fragment.inner, fragment.outer
+        for v, cid in pairs:
             for m in state.comps.lower_cid(v, cid):
-                if m in fragment.inner or m in fragment.outer:
+                if m in inner or m in outer:
                     state.dirty.add(m)
 
     def apply_message(self, query, fragment: Fragment, state: CCState,
@@ -366,6 +386,18 @@ class CCProgram(PIEProgram):
         dirty, state.dirty = state.dirty, set()
         cids = state.comps.cid
         return {(v, "cid"): cids.get(v, v) for v in dirty}
+
+    def read_changed_block(self, query, fragment: Fragment,
+                           state: CCState) -> Optional[ParamBlock]:
+        # The component structure is dict-based (LocalComponents), so the
+        # block is gathered from the dirty set rather than a kernel array.
+        if not state.dirty:
+            return None
+        dirty, state.dirty = list(state.dirty), set()
+        cids = state.comps.cid
+        return ParamBlock(
+            np.array(dirty, dtype=np.int64),
+            np.array([cids.get(v, v) for v in dirty], dtype=np.int64))
 
     def assemble(self, query, fragmentation: Fragmentation,
                  states: Dict[int, CCState]) -> Dict[Node, Set[Node]]:

@@ -18,7 +18,13 @@ With ``use_csr`` on (the default) the push runs as one
 resulting ranks are bitwise-identical.  Every iteration refreshes all
 non-zero contributions (their ``(iteration, value)`` tags always
 advance), so ``read_changed_params`` is a constant-time staleness check
-rather than a dict diff.
+rather than a dict diff.  On the array plane (``block_spec``) the
+contributions leave as a gather of the push's output at the ``F_i.O``
+slots and arrive as one array per source fragment.
+
+Contributions from different fragments to one node are summed in
+ascending source-fragment order on every path, so ranks do not depend on
+the order messages happened to be composed in.
 """
 
 from __future__ import annotations
@@ -29,10 +35,12 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.aggregators import MaxAggregator
-from repro.core.pie import ParamUpdates, PIEProgram
+from repro.core.pie import BlockSpec, ParamUpdates, PIEProgram
+from repro.graph.csr import positions_in_sorted
 from repro.graph.graph import Node
 from repro.kernels import csr_pagerank_push
 from repro.partition.base import Fragment, Fragmentation
+from repro.runtime.wire import ParamBlock
 
 __all__ = ["PageRankQuery", "PageRankProgram", "PageRankState"]
 
@@ -59,6 +67,7 @@ class PageRankState:
     #: rank mass arriving over cut edges: node -> {source fragment: mass}
     external: Dict[Node, Dict[int, float]] = field(default_factory=dict)
     #: mass this fragment sends to each copy, refreshed per iteration
+    #: (dict path; the CSR path keeps the push's output in ``_incoming``)
     outgoing: Dict[Node, float] = field(default_factory=dict)
     iteration: int = 0
     converged: bool = False
@@ -68,6 +77,23 @@ class PageRankState:
     #: (csr epoch, owned/outer node orders and dense ids, owned position
     #: index) — derived from the snapshot, rebuilt when it moves
     _csr_cache: Optional[tuple] = None
+    #: CSR path: the last push's per-vertex incoming mass (dense ids)
+    _incoming: Optional[np.ndarray] = None
+    #: array plane: mass received per source fragment, aligned with
+    #: ``_inner_labels`` (the sorted labels of ``F_i.I`` — label-keyed, so
+    #: it survives a restore onto another snapshot epoch)
+    _ext: Dict[int, np.ndarray] = field(default_factory=dict)
+    _inner_labels: Optional[np.ndarray] = None
+
+
+def _ordered_sum(by_source: Dict[int, float]) -> float:
+    """Left fold in ascending source-fragment order (an explicit loop:
+    builtin ``sum`` switches to compensated summation on newer Pythons,
+    which the array path's elementwise adds do not)."""
+    total = 0.0
+    for src in sorted(by_source):
+        total += by_source[src]
+    return total
 
 
 class PageRankProgram(PIEProgram):
@@ -79,10 +105,16 @@ class PageRankProgram(PIEProgram):
     # breaks ties; every real change advances the order (the CF recipe).
     aggregator = MaxAggregator()
     supports_csr = True
+    param_width = 16  # (int64 iteration, float64 contribution)
     route_to = "owner"
 
     def __init__(self, use_csr: bool = True):
         self.use_csr = use_csr
+
+    @property
+    def block_spec(self) -> Optional[BlockSpec]:
+        return (BlockSpec(np.float64, 0.0, per_source=True)
+                if self.use_csr else None)
 
     def init_state(self, query: PageRankQuery,
                    fragment: Fragment) -> PageRankState:
@@ -131,7 +163,7 @@ class PageRankProgram(PIEProgram):
         new_rank: Dict[Node, float] = {}
         delta = 0.0
         for v in fragment.owned:
-            external = sum(state.external.get(v, {}).values())
+            external = _ordered_sum(state.external.get(v, {}))
             value = (teleport
                      + query.damping * (incoming.get(v, 0.0) + external))
             delta += abs(value - state.rank.get(v, 0.0))
@@ -158,7 +190,7 @@ class PageRankProgram(PIEProgram):
             cache = state._csr_cache = (fragment.csr_epoch, owned_list,
                                         owned_ids, outer_list, outer_ids,
                                         pos_of)
-        _epoch, owned_list, owned_ids, outer_list, outer_ids, pos_of = cache
+        _epoch, owned_list, owned_ids, _outer_list, _outer_ids, pos_of = cache
 
         n = max(1, state.num_global_nodes)
         teleport = (1.0 - query.damping) / n
@@ -171,16 +203,23 @@ class PageRankProgram(PIEProgram):
             dtype=np.float64, count=len(owned_list))
         incoming = csr_pagerank_push(csr, rank_arr, owned_ids)
 
-        ext = np.zeros(len(owned_list), dtype=np.float64)
-        for v, srcs in state.external.items():
-            i = pos_of.get(v)
-            if i is not None:
-                ext[i] = sum(srcs.values())
+        if state._ext:
+            received = np.zeros(len(state._inner_labels), dtype=np.float64)
+            for src in sorted(state._ext):
+                received += state._ext[src]
+            by_vertex = np.zeros(csr.n, dtype=np.float64)
+            by_vertex[csr.ids_of(state._inner_labels)] = received
+            ext = by_vertex[owned_ids]
+        else:
+            ext = np.zeros(len(owned_list), dtype=np.float64)
+            for v, srcs in state.external.items():
+                i = pos_of.get(v)
+                if i is not None:
+                    ext[i] = _ordered_sum(srcs)
 
         old = rank_arr[owned_ids]
         vals = teleport + query.damping * (incoming[owned_ids] + ext)
-        state.outgoing = dict(zip(outer_list,
-                                  incoming[outer_ids].tolist()))
+        state._incoming = incoming
         state.rank = dict(zip(owned_list, vals.tolist()))
         if query.tolerance is not None:
             # Left-fold over Python floats: the dict path's exact sum.
@@ -219,13 +258,40 @@ class PageRankProgram(PIEProgram):
             _tag, src = name
             state.external.setdefault(v, {})[src] = contribution
 
+    def inceval_block(self, query: PageRankQuery, fragment: Fragment,
+                      state: PageRankState, block: ParamBlock) -> None:
+        if state.converged:
+            return
+        labels = state._inner_labels
+        if labels is None:
+            labels = np.fromiter(fragment.inner, dtype=np.int64,
+                                 count=len(fragment.inner))
+            labels.sort()
+            state._inner_labels = labels
+        # Contributions reach a node at its owner, where it is in F_i.I.
+        slots = positions_in_sorted(labels, block.ids)
+        for src in np.unique(block.src).tolist():
+            mine = block.src == src
+            received = state._ext.get(src)
+            if received is None:
+                received = state._ext[src] = np.zeros(len(labels),
+                                                      dtype=np.float64)
+            received[slots[mine]] = block.vals[mine]
+        self._iterate(query, fragment, state)
+
     # ------------------------------------------------------------------
     def read_update_params(self, query: PageRankQuery, fragment: Fragment,
                            state: PageRankState) -> ParamUpdates:
         # Per-source keys: owners must *sum* contributions from different
         # fragments, so each sender's mass is its own parameter.
+        if state._incoming is not None:
+            _epoch, _owned, _oids, outer_list, outer_ids, _pos = \
+                state._csr_cache
+            outgoing = zip(outer_list, state._incoming[outer_ids].tolist())
+        else:
+            outgoing = state.outgoing.items()
         return {(v, ("contrib", fragment.fid)): (state.iteration, value)
-                for v, value in state.outgoing.items() if value > 0.0}
+                for v, value in outgoing if value > 0.0}
 
     def read_changed_params(self, query: PageRankQuery, fragment: Fragment,
                             state: PageRankState) -> ParamUpdates:
@@ -236,6 +302,19 @@ class PageRankProgram(PIEProgram):
             return {}
         state._reported_iteration = state.iteration
         return self.read_update_params(query, fragment, state)
+
+    def read_changed_block(self, query: PageRankQuery, fragment: Fragment,
+                           state: PageRankState) -> Optional[ParamBlock]:
+        # as read_changed_params: nothing ran, or everything is fresh
+        if state.iteration == state._reported_iteration:
+            return None
+        state._reported_iteration = state.iteration
+        labels, vids = fragment.outer_slots()
+        mass = state._incoming[vids]
+        sent = mass > 0.0
+        if not sent.any():
+            return None
+        return ParamBlock(labels[sent], mass[sent])
 
     def assemble(self, query: PageRankQuery, fragmentation: Fragmentation,
                  states: Dict[int, PageRankState]) -> Dict[Node, float]:

@@ -12,7 +12,11 @@ fragment's CSR snapshot instead — same fixpoint, bitwise-identical
 distances, machine-speed inner loop.  The program also implements the
 incremental coordinator protocol: the relaxations know exactly which
 distances they lowered, so ``read_changed_params`` hands the engine the
-dirty border entries without a full-dict diff.
+dirty border entries without a full-dict diff.  On the array plane
+(``block_spec``) the report is a gather of the distance array at the
+fragment's ``F_i.O`` slots compared with what was last sent, and an
+incoming message seeds the relaxation as two arrays — no per-entry
+Python on either side.
 """
 
 from __future__ import annotations
@@ -25,10 +29,12 @@ from typing import Dict, Optional, Set
 import numpy as np
 
 from repro.core.aggregators import MinAggregator
-from repro.core.pie import ParamUpdates, PIEProgram
+from repro.core.pie import BlockSpec, ParamUpdates, PIEProgram
 from repro.graph.graph import Node
 from repro.kernels import csr_sssp, csr_sssp_affected, csr_sssp_reseed
 from repro.partition.base import Fragment, Fragmentation
+from repro.pie_programs._blocks import changed_outer_block, mirror_changes
+from repro.runtime.wire import ParamBlock
 from repro.sequential.inc_sssp import incremental_sssp_decrease
 from repro.sequential.sssp import dijkstra
 
@@ -46,6 +52,9 @@ class SSSPState:
     #: fragment's snapshot epoch moves or the dict was mutated directly
     _arr: Optional[np.ndarray] = None
     _arr_epoch: int = -1
+    #: array plane: the values last reported for the fragment's sorted
+    #: ``F_i.O`` labels (``Fragment.outer_slots`` order)
+    _sent: Optional[np.ndarray] = None
 
 
 class SSSPProgram(PIEProgram):
@@ -54,12 +63,17 @@ class SSSPProgram(PIEProgram):
     name = "SSSP"
     aggregator = MinAggregator()
     supports_csr = True
+    param_width = 8  # one float64 distance
     # F_i.O copies carry no local out-edges, so updates only need to reach
     # the owning fragment (the paper routes dist to F_j.I owners).
     route_to = "owner"
 
     def __init__(self, use_csr: bool = True):
         self.use_csr = use_csr
+
+    @property
+    def block_spec(self) -> Optional[BlockSpec]:
+        return BlockSpec(np.float64, inf) if self.use_csr else None
 
     def init_state(self, query: Node, fragment: Fragment) -> SSSPState:
         # dist(s, v) initialized to inf for every node (represented by
@@ -151,6 +165,19 @@ class SSSPProgram(PIEProgram):
             state.dist[node] = d
             changed.add(node)
         return changed
+
+    def inceval_block(self, query: Node, fragment: Fragment,
+                      state: SSSPState, block: ParamBlock) -> None:
+        csr = fragment.csr()
+        arr = self._ensure_arr(fragment, state, csr)
+        _arr, changed_ids = csr_sssp(
+            csr, (csr.ids_of(block.ids), block.vals), arr)
+        mirror_changes(state.dist, csr, arr, changed_ids)
+
+    def read_changed_block(self, query: Node, fragment: Fragment,
+                           state: SSSPState) -> Optional[ParamBlock]:
+        arr = self._ensure_arr(fragment, state, fragment.csr())
+        return changed_outer_block(fragment, state, arr, inf)
 
     def apply_message(self, query: Node, fragment: Fragment,
                       state: SSSPState, message: ParamUpdates) -> None:

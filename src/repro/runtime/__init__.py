@@ -9,11 +9,11 @@ from repro.runtime.executors import (ExecutorBackend, ExecutorSession,
                                      available_backends, resolve_backend)
 from repro.runtime.fault import Arbitrator, FailureInjector, WorkerFailure
 from repro.runtime.message import DesignatedMessage, KeyValueMessage
-from repro.runtime.metrics import (CostModel, ParamSizeCache, RunMetrics,
+from repro.runtime.metrics import (CostModel, RunMetrics,
                                    message_bytes)
 
 __all__ = [
-    "SimulatedCluster", "LoadBalancer", "CostModel", "ParamSizeCache",
+    "SimulatedCluster", "LoadBalancer", "CostModel",
     "RunMetrics", "message_bytes", "DesignatedMessage", "KeyValueMessage",
     "FailureInjector", "WorkerFailure", "Arbitrator",
     "ExecutorBackend", "ExecutorSession", "SerialBackend", "ThreadBackend",

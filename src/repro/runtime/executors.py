@@ -133,13 +133,18 @@ class StepCommand:
     this fragment.  ``full_report`` forces a full
     ``read_update_params`` read even for programs implementing the
     incremental dirty-set protocol (needed right after graph mutations).
+    ``blocks`` selects the array plane: ``message`` is a
+    :class:`~repro.runtime.wire.ParamBlock` handed to
+    ``program.inceval_block`` and the report is read with
+    ``program.read_changed_block``.
     """
 
     phase: str = PHASE_IDLE
-    message: Optional[Dict] = None
+    message: Any = None
     designated: Optional[list] = None
     keyvalue: Optional[Dict[Hashable, list]] = None
     full_report: bool = False
+    blocks: bool = False
     #: injected fault to act out before computing (``exec.step`` site of
     #: the :class:`~repro.resilience.faults.FaultPlane`); embedded by the
     #: engine — and stripped before any replay, so a recovered step
@@ -156,12 +161,16 @@ class StepOutcome:
     """What one fragment's superstep produced.
 
     ``report`` is ``("changed", params)`` when the program tracks its own
-    dirty keys, or ``("full", params)`` when the coordinator must diff the
-    full parameter dict against the fragment's last report.
+    dirty keys, ``("full", params)`` when the coordinator must diff the
+    full parameter dict against the fragment's last report, or
+    ``("block", ParamBlock or None)`` on the array plane.
     """
 
     elapsed: float = 0.0
-    report: Tuple[str, Dict] = ("changed", {})
+    report: Tuple[str, Any] = ("changed", {})
+    #: seconds spent reading the report and draining the explicit
+    #: channels (always measured: ``RunMetrics.report_read_s``)
+    report_s: float = 0.0
     designated: Dict[int, list] = field(default_factory=dict)
     keyvalue: list = field(default_factory=list)
     failed: Optional[WorkerFailure] = None
@@ -186,7 +195,10 @@ def run_phase(program, query, fragment, state, command: StepCommand) -> None:
     if phase == PHASE_PEVAL:
         program.peval(query, fragment, state)
     elif phase == PHASE_INC:
-        program.inceval(query, fragment, state, command.message or {})
+        if command.blocks:
+            program.inceval_block(query, fragment, state, command.message)
+        else:
+            program.inceval(query, fragment, state, command.message or {})
     elif phase == PHASE_NI:
         program.apply_message(query, fragment, state, command.message or {})
         program.peval(query, fragment, state)
@@ -216,23 +228,23 @@ def _execute_command(program, query, fragment, state,
     """Run one command and package the outcome (used by every backend)."""
     start = time.perf_counter()
     run_phase(program, query, fragment, state, command)
-    elapsed = time.perf_counter() - start
-    if command.span_id is None:
+    computed = time.perf_counter()
+    if command.blocks:
+        report = ("block",
+                  program.read_changed_block(query, fragment, state))
+    else:
         report = read_report(program, query, fragment, state,
                              command.full_report)
-        designated, keyvalue = program.drain_messages(query, fragment, state)
-        return StepOutcome(elapsed=elapsed, report=report,
-                           designated=designated, keyvalue=keyvalue)
-    t0 = time.perf_counter()
-    report = read_report(program, query, fragment, state,
-                         command.full_report)
     designated, keyvalue = program.drain_messages(query, fragment, state)
-    report_s = time.perf_counter() - t0
-    return StepOutcome(elapsed=elapsed, report=report,
-                       designated=designated, keyvalue=keyvalue,
-                       spans=[("worker.compute", elapsed,
-                               {"phase": command.phase}),
-                              ("worker.report", report_s, {})])
+    elapsed = computed - start
+    report_s = time.perf_counter() - computed
+    outcome = StepOutcome(elapsed=elapsed, report=report, report_s=report_s,
+                          designated=designated, keyvalue=keyvalue)
+    if command.span_id is not None:
+        outcome.spans = [("worker.compute", elapsed,
+                          {"phase": command.phase}),
+                         ("worker.report", report_s, {})]
+    return outcome
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Tuple
 
 from repro.obs.registry import TIME_BUCKETS, Histogram
 
-__all__ = ["CostModel", "ParamSizeCache", "RunMetrics", "ServiceMetrics",
+__all__ = ["CostModel", "PHASE_FIELDS", "RunMetrics", "ServiceMetrics",
            "message_bytes", "STRAGGLER_SKEW"]
 
 
@@ -32,78 +32,11 @@ def message_bytes(payload: Any) -> int:
 
     Uses pickle as a stand-in for the MPI wire format; what matters for the
     reproduction is that relative volumes between systems are faithful.
+    Prices the explicit channels (designated, key-value, preprocess
+    payloads) and the baselines; update parameters go through the
+    closed-form model of :mod:`repro.runtime.wire`.
     """
     return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-
-
-_EMPTY_DICT_BYTES = message_bytes({})
-_EMPTY_TUPLE_BYTES = message_bytes(())
-
-
-class ParamSizeCache:
-    """Memoized byte accounting for update-parameter dicts.
-
-    The coordinator charges every changed-parameter report and every
-    composed message by serialized size.  Pickling the same
-    ``(key, value)`` entries again each superstep — CC broadcasts one
-    unchanged ``(v, "cid")`` entry to every holder every round — wastes
-    the coordinator's time on serialization, so an engine run carries one
-    cache and charges a dict as the empty-dict overhead plus the sum of
-    its entries' memoized marginal sizes.
-
-    An entry's marginal size is measured with its variable name
-    (``key[1]`` of a ``(node, name)`` parameter key) already in the
-    pickle memo, the steady state inside a multi-entry dict where the
-    name string is a two-byte memo reference after its first occurrence.
-
-    Documented deviation from ``message_bytes(dict)``: the first
-    occurrence of each distinct name per dict is charged the memo-
-    reference size instead of the full string, and other cross-entry
-    memo sharing is not modeled — in practice within a few percent of the
-    monolithic pickle.  Both figures are faithful stand-ins for the wire
-    format; what matters is that the accounting is deterministic and
-    identical across engine runs of the same workload.  Dicts holding
-    unhashable keys or values fall back to monolithic pickling.
-
-    The memo is bounded: long-lived holders (a standing
-    :class:`~repro.core.updates.ContinuousQuerySession` keeps one sizer
-    for its lifetime) would otherwise accumulate one entry per distinct
-    shipped value forever.  On reaching ``max_entries`` the memo is
-    cleared — sizes are recomputed identically afterwards, so the
-    accounting itself never changes, only the amortization resets.
-    """
-
-    __slots__ = ("_sizes", "_max_entries")
-
-    def __init__(self, max_entries: int = 1 << 16):
-        self._sizes: Dict[Any, int] = {}
-        self._max_entries = max_entries
-
-    def updates_bytes(self, updates: Dict[Any, Any]) -> int:
-        """Charged size of one update-parameter dict."""
-        total = _EMPTY_DICT_BYTES
-        sizes = self._sizes
-        try:
-            for entry in updates.items():
-                size = sizes.get(entry)
-                if size is None:
-                    if len(sizes) >= self._max_entries:
-                        sizes.clear()
-                    size = sizes[entry] = self._entry_bytes(*entry)
-                total += size
-        except TypeError:  # unhashable value somewhere in an entry
-            return message_bytes(updates)
-        return total
-
-    @staticmethod
-    def _entry_bytes(key: Any, value: Any) -> int:
-        if isinstance(key, tuple) and len(key) == 2:
-            try:
-                preamble = message_bytes({key[1]: 0})
-                return message_bytes({key[1]: 0, key: value}) - preamble
-            except TypeError:  # unhashable name
-                pass
-        return message_bytes((key, value)) - _EMPTY_TUPLE_BYTES
 
 
 @dataclass
@@ -134,6 +67,14 @@ _GAUGE_FIELDS = ("shm_segments_active", "shm_bytes_mapped",
 
 #: RunMetrics fields merge()/absorb() handle by hand
 _SPECIAL_FIELDS = ("backend", "per_superstep")
+
+#: always-on phase timers (plain ``perf_counter`` deltas, no tracing
+#: needed), shared by RunMetrics and ServiceMetrics: where a run's wall
+#: clock went besides worker compute — workers reading their reports,
+#: and the coordinator folding them, composing messages, pricing
+#: traffic and assembling the answer
+PHASE_FIELDS = ("report_read_s", "fold_s", "compose_s", "accounting_s",
+                "assemble_s")
 
 #: A superstep whose slowest worker ran at >= this multiple of the mean
 #: worker time counts as a straggler step (needs >= 2 workers to mean
@@ -233,6 +174,13 @@ class RunMetrics:
     straggler_steps: int = 0
     #: distribution of individual worker superstep times
     worker_time_hist: Histogram = field(default_factory=_time_hist)
+    #: phase timers (see :data:`PHASE_FIELDS`); ``report_read_s`` sums
+    #: over fragments like ``total_compute_s`` does
+    report_read_s: float = 0.0
+    fold_s: float = 0.0
+    compose_s: float = 0.0
+    accounting_s: float = 0.0
+    assemble_s: float = 0.0
     per_superstep: List[Dict[str, float]] = field(default_factory=list)
 
     def record_superstep(self, worker_times: List[float],
@@ -448,10 +396,21 @@ class ServiceMetrics:
     straggler_steps: int = 0
     query_wall_s: Histogram = field(default_factory=_time_hist)
     worker_time_hist: Histogram = field(default_factory=_time_hist)
+    #: phase timers summed over served runs (see :data:`PHASE_FIELDS`)
+    #: — the per-layer table of ``GrapeService.debug_report()``; a
+    #: standing query's maintenance rounds accumulate theirs on the
+    #: watch handle's own ``metrics``
+    report_read_s: float = 0.0
+    fold_s: float = 0.0
+    compose_s: float = 0.0
+    accounting_s: float = 0.0
+    assemble_s: float = 0.0
 
     def observe_run(self, metrics: "RunMetrics") -> None:
         """Fold one completed query run into the aggregates."""
         self.queries_served += 1
+        for name in PHASE_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(metrics, name))
         self.wall_clock_s_total += metrics.wall_clock_s
         self.pipe_bytes_total += metrics.pipe_bytes
         self.delta_bytes_shipped += metrics.delta_bytes_shipped

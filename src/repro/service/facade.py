@@ -71,7 +71,7 @@ from repro.resilience import (BackendCircuitBreaker, DeadlineExceeded,
                               QueryCancelled, RetryPolicy, run_with_retry)
 from repro.runtime import shm
 from repro.runtime.executors import ExecutorBackend, WorkerProcessDied
-from repro.runtime.metrics import ServiceMetrics
+from repro.runtime.metrics import PHASE_FIELDS, ServiceMetrics
 from repro.service.tickets import QueryRequest, QueryTicket
 from repro.store.catalog import GraphStore, StoredGraph
 
@@ -1153,9 +1153,12 @@ class GrapeService:
 
     def debug_report(self) -> Dict[str, Any]:
         """One-call, JSON-serializable operational dump: graphs and
-        watches, the full metrics snapshot, recent structured events
-        (with per-kind totals), the slow-query log with span trees,
-        straggler diagnostics, and breaker transitions."""
+        watches, the full metrics snapshot, the per-layer table of the
+        always-on phase timers (seconds and share of served wall clock:
+        workers reading reports, coordinator fold / compose / byte
+        accounting, assemble), recent structured events (with per-kind
+        totals), the slow-query log with span trees, straggler
+        diagnostics, and breaker transitions."""
         registry = self.metrics_registry()
         log = obs_events.active()
         with self._lock:
@@ -1165,9 +1168,16 @@ class GrapeService:
             breaker_transitions = (list(self.breaker.transitions)
                                    if self.breaker is not None else [])
         hist = self.stats.worker_time_hist
+        wall = self.stats.wall_clock_s_total
+        layers = {
+            name[:-2]: {"seconds": getattr(self.stats, name),
+                        "share": (getattr(self.stats, name) / wall
+                                  if wall else 0.0)}
+            for name in PHASE_FIELDS}
         return {
             "graphs": graphs,
             "metrics": registry.to_json(),
+            "layers": layers,
             "events": {"counts": log.counts(),
                        "recent": [e.to_dict() for e in log.tail(50)]},
             "slow_queries": (self.slow_queries.to_dicts()

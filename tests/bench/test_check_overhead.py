@@ -1,0 +1,50 @@
+"""The perf-smoke gate over a traced bench_e2e run."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[2] / "benchmarks" / "check_overhead.py"
+_spec = importlib.util.spec_from_file_location("check_overhead", _PATH)
+gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gate)
+
+
+def _result(overhead=10.0, failed=0, share=0.0, correct=True):
+    return {"correct": correct, "attempted": 220, "failed": failed,
+            "metrics": {"overhead.sssp_x": {"value": overhead, "unit": "x"},
+                        "failed_ops_share": {"value": share,
+                                             "unit": "share"}}}
+
+
+def test_passes_under_the_bound_with_no_failed_operation():
+    assert gate.check(_result()) == []
+    assert gate.check(_result(overhead=gate.MAX_SSSP_OVERHEAD_X)) == []
+
+
+def test_fails_when_the_coordinator_grows_back():
+    (problem,) = gate.check(_result(overhead=49.5))
+    assert "overhead.sssp_x" in problem
+
+
+def test_fails_on_any_failed_operation():
+    assert gate.check(_result(failed=1, share=1 / 220, correct=False))
+    assert gate.check(_result(correct=False))
+
+
+def test_untraced_result_is_refused():
+    result = _result()
+    del result["metrics"]["overhead.sssp_x"]
+    assert gate.check(result)
+
+
+def test_main_reads_the_last_line(tmp_path, capsys):
+    out = tmp_path / "e2e.out"
+    out.write_text("overhead.sssp_x  10 x\nDETAIL {}\n"
+                   + json.dumps(_result()) + "\n")
+    assert gate.main(["check_overhead.py", str(out)]) == 0
+    out.write_text(json.dumps(_result(overhead=60.0)) + "\n")
+    assert gate.main(["check_overhead.py", str(out)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    out.write_text("not a result\n")
+    assert gate.main(["check_overhead.py", str(out)]) == 2

@@ -2,7 +2,11 @@
 
 Three result-equivalent execution paths now coexist: the dict-graph
 sequential algorithms, the vectorized CSR kernels, and (orthogonally)
-three execution backends including out-of-process workers.  Following the
+three execution backends including out-of-process workers — and beneath
+them two border-parameter planes: CSR-capable programs on integer-
+labelled graphs report and receive array blocks through the
+``ArrayCoordinator``, everything else (``use_csr=False``, GRAPE-NI,
+string labels) goes through the ``DictCoordinator``.  Following the
 incremental-view discipline of Berkholz et al. ("Answering FO+MOD queries
 under updates"), the cheapest way to keep them honest is to assert that
 every path agrees with every other — automatically, on randomized inputs.
@@ -14,14 +18,18 @@ every ``(backend × use_csr × incremental)`` combination and asserts that
 * **superstep counts and communication accounting** are identical across
   all combinations sharing the same ``incremental`` mode (GRAPE-NI
   legitimately reaches the same fixpoint along a different superstep
-  schedule).
+  schedule), and
+* every combination ran on the **plane** it is meant to cover (so the
+  ``use_csr`` sweep really is an array-plane vs. dict-plane sweep).
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Any, Callable, Dict, Tuple
+from unittest import mock
 
+from repro.core import engine as engine_mod
 from repro.core.engine import GrapeEngine
 
 BACKENDS = ("serial", "thread", "process")
@@ -67,6 +75,13 @@ def run_all_paths(make_program: Callable[..., Any], query: Any,
     reference_answer = None
     reference_key = None
     by_mode: Dict[bool, Tuple[PathKey, Any]] = {}
+    planes = []
+    real_make = engine_mod.make_coordinator
+
+    def recording_make(*args, **kwargs):
+        coordinator = real_make(*args, **kwargs)
+        planes.append(coordinator.blocks)
+        return coordinator
 
     for backend in backends:
         for use_csr in csr_modes:
@@ -75,11 +90,21 @@ def run_all_paths(make_program: Callable[..., Any], query: Any,
                                      num_fragments=num_fragments,
                                      backend=backend,
                                      incremental=incremental)
-                result = engine.run(make_program(use_csr=use_csr), query,
-                                    graph=graph_factory())
+                program = make_program(use_csr=use_csr)
+                del planes[:]
+                with mock.patch.object(engine_mod, "make_coordinator",
+                                       recording_make):
+                    result = engine.run(program, query,
+                                        graph=graph_factory())
                 key = (backend, use_csr, incremental)
                 results[key] = result
                 answer = normalize(result.answer)
+                array_leg = (use_csr and incremental
+                             and program.block_spec is not None
+                             and result.fragmentation.border_index()
+                             is not None)
+                assert planes == [array_leg], (
+                    f"{key} ran on the wrong border-parameter plane")
 
                 if reference_answer is None:
                     reference_answer, reference_key = answer, key
