@@ -13,6 +13,14 @@ on the same host minutes apart, so the ratio needs no reference machine —
 must stay at or under ``MAX_SSSP_OVERHEAD_X``, and no operation of the
 run may have failed.  The bound sits between the dict-plane coordinator
 (49.5x on the reference run) and the array plane (about 10x).
+
+It also fails when reads after writes have gone back to rebuilding
+snapshots: ``graph.csr.rebuilds`` counts ``CSRGraph.from_graph`` builds
+from the whole graph over the traced schedule, a count that repeats
+exactly — 4 (one per fragment) while the first read after an update
+splices the retired snapshots, 20 when every one of the 16 invalidations
+was answered with a full build — and must stay at or under
+``MAX_CSR_REBUILDS``.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import json
 import sys
 
 MAX_SSSP_OVERHEAD_X = 30.0
+MAX_CSR_REBUILDS = 8
 
 
 def check(result: dict) -> list:
@@ -34,6 +43,13 @@ def check(result: dict) -> list:
     elif overhead > MAX_SSSP_OVERHEAD_X:
         problems.append(f"overhead.sssp_x = {overhead:.1f} > "
                         f"{MAX_SSSP_OVERHEAD_X:.0f}")
+    rebuilds = metrics.get("graph.csr.rebuilds", {}).get("value")
+    if rebuilds is None:
+        problems.append("no graph.csr.rebuilds in the result")
+    elif rebuilds > MAX_CSR_REBUILDS:
+        problems.append(f"graph.csr.rebuilds = {rebuilds:.0f} > "
+                        f"{MAX_CSR_REBUILDS}: reads after writes rebuild "
+                        "whole snapshots again")
     failed_share = metrics.get("failed_ops_share", {}).get("value")
     if result.get("failed", 0) or failed_share or not result.get("correct"):
         problems.append(f"failed operations: {result.get('failed')} of "
@@ -57,9 +73,12 @@ def main(argv) -> int:
     for problem in problems:
         print("FAIL", problem)
     if not problems:
+        metrics = result["metrics"]
         print("ok  overhead.sssp_x = "
-              f"{result['metrics']['overhead.sssp_x']['value']:.1f} "
-              f"<= {MAX_SSSP_OVERHEAD_X:.0f}, no failed operation")
+              f"{metrics['overhead.sssp_x']['value']:.1f} "
+              f"<= {MAX_SSSP_OVERHEAD_X:.0f}, graph.csr.rebuilds = "
+              f"{metrics['graph.csr.rebuilds']['value']:.0f} "
+              f"<= {MAX_CSR_REBUILDS}, no failed operation")
     return 1 if problems else 0
 
 

@@ -39,12 +39,14 @@ Programs that cannot tolerate a recompute opt out with
 from __future__ import annotations
 
 import time
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Optional, Set, Tuple, Union
 
 from repro.core.coordinator import DictCoordinator
 from repro.core.engine import GrapeEngine
 from repro.core.monotonic import MonotonicityChecker
-from repro.core.pie import PIEProgram
+from repro.core.pie import ParamUpdates, PIEProgram
 from repro.graph.delta import FragmentDelta, GraphDelta, NormalizedDelta
 from repro.graph.graph import Graph, Node
 from repro.partition.base import Fragmentation
@@ -59,6 +61,8 @@ EdgeInsertion = Tuple[Node, Node, float]
 
 _DEFAULT_COST = CostModel()
 _MISSING = object()
+#: the ``name`` half of a ``(node, name)`` parameter key
+_NAME_OF = itemgetter(1)
 
 
 class NonMonotoneUpdateError(ValueError):
@@ -246,18 +250,19 @@ def apply_delta(fragmentation: Fragmentation,
     # Published shared-memory segments absorb the batch before the
     # invalidation pass: weight-only fragment deltas are patched into
     # the mapped arrays in place, and the patched fragments keep their
-    # (shared) snapshots — only a structural change drops them.
+    # (shared) snapshots.  Every other mutated fragment retires its
+    # snapshot together with the rows the batch dirtied, so the next
+    # read splices the new snapshot instead of rebuilding it.
     patched: Dict[int, Any] = {}
     if touched:
         from repro.runtime import shm
         patched = shm.notify_delta(fragmentation.cache_token[0],
                                    fragmentation.version + 1, touched)
     for fid in mutated_graphs:
+        frag = fragmentation[fid]
         snap = patched.get(fid)
-        if snap is not None:
-            fragmentation[fid].keep_patched_csr(snap)
-        else:
-            fragmentation[fid].invalidate_csr()
+        if snap is None or not frag.keep_patched_csr(snap):
+            frag.invalidate_csr(touched[fid].dirty_nodes())
     if touched:
         # Stamp sequence numbers and invalidate worker-side fragment
         # caches (process backend): the next lease replays these deltas,
@@ -353,6 +358,10 @@ class ContinuousQuerySession:
         self.answer = result.answer
         self.metrics = result.metrics
         self._coord = DictCoordinator(program, self.fragmentation)
+        # The ``name`` halves of every ``(node, name)`` key this session
+        # has read — a fixed handful per program — so the bounded path
+        # can probe a vertex's reported claims by constructed key.
+        self._param_names: Set[Any] = set()
         # Set when an opt-out program rejected a non-maintainable batch
         # *after* the fragmentation was mutated: the converged state no
         # longer matches the graph, and folding later (even monotone)
@@ -370,6 +379,7 @@ class ContinuousQuerySession:
             params = program.read_update_params(query, frag,
                                                 self.states[frag.fid])
             reported[frag.fid] = params
+            self._param_names.update(map(_NAME_OF, params))
             for key, value in params.items():
                 if key in table:
                     table[key] = program.aggregator.combine(table[key],
@@ -385,16 +395,46 @@ class ContinuousQuerySession:
     def _read_reports(self, force_full: bool = False):
         """Every fragment's post-step report, read in-process.
 
-        ``force_full`` reads and diffs the full parameter dict even for
-        programs implementing the incremental dirty-set protocol —
-        required right after a graph mutation, when candidate sets may
-        have gained nodes the program's dirty tracking never saw (e.g.
-        a node newly becoming a border node at a fragment that received
-        no inserted edges).
+        ``force_full`` reads the full parameter dict (the coordinator
+        diffs it) even for programs implementing the incremental
+        dirty-set protocol — how a batch is collected from a program
+        without the ``report_entries`` probe, whose dirty tracking cannot
+        see a node that merely joined a border set.
         """
-        return {frag.fid: read_report(self.program, self.query, frag,
-                                      self.states[frag.fid], force_full)
-                for frag in self.fragmentation.fragments}
+        reports = {}
+        for frag in self.fragmentation.fragments:
+            report = read_report(self.program, self.query, frag,
+                                 self.states[frag.fid], force_full)
+            self._param_names.update(map(_NAME_OF, report[1]))
+            reports[frag.fid] = report
+        return reports
+
+    def _batch_entries(self, frag, delta: Optional[FragmentDelta],
+                       affected: Iterable[Node] = ()
+                       ) -> Tuple[ParamUpdates, Set[Node]]:
+        """The entries of one fragment's report an applied batch could
+        have moved, at ``O(|batch| + |AFF|)``: the program's own dirty
+        values (``read_changed_params``) plus a ``report_entries`` probe
+        of the vertices with structural exposure — ``affected`` ones,
+        and what ``delta`` retired, added, moved between border sets
+        (``apply_delta`` records those for every fragment whose border
+        sets a batch changed, also one that received no edge) or made an
+        endpoint of an inserted or deleted edge.  Returns the entries and
+        the probed vertices; a probed vertex without an entry has none
+        any more."""
+        program, query = self.program, self.query
+        state = self.states[frag.fid]
+        fresh = dict(program.read_changed_params(query, frag, state) or {})
+        probe = set(affected)
+        if delta is not None:
+            probe.update(delta.border_nodes())
+            for u, v, _w in chain(delta.insertions, delta.deletions):
+                probe.add(u)
+                probe.add(v)
+        if probe:
+            fresh.update(program.report_entries(query, frag, state, probe))
+        self._param_names.update(map(_NAME_OF, fresh))
+        return fresh, probe
 
     def _finish_maintenance(self, messages, local_s: float, up_bytes: int,
                             up_msgs: int) -> Any:
@@ -477,8 +517,11 @@ class ContinuousQuerySession:
 
     # ------------------------------------------------------------------
     def _maintain(self, touched: Dict[int, FragmentDelta]) -> Any:
-        """The monotone fast path: fold deltas into live state and
-        resume the message fixpoint from the current converged state."""
+        """The monotone fast path: fold deltas into live state, collect
+        what that moved — at ``O(|batch| + |AFF|)`` like the bounded path
+        (:meth:`_batch_entries`), by an ``O(border)`` full-report diff
+        only for programs without ``report_entries`` — and resume the
+        message fixpoint from the current converged state."""
         program, query = self.program, self.query
         self._begin_maintenance()
 
@@ -488,11 +531,18 @@ class ContinuousQuerySession:
                                     self.states[fid], delta)
         local_s = time.perf_counter() - start
 
-        # Full-diff collect: the batch may have promoted nodes into
-        # border sets of fragments that received no edges, which the
-        # programs' own dirty tracking cannot see.
-        up_bytes, up_msgs, dirty = self._coord.fold(
-            self._read_reports(force_full=True))
+        if hasattr(program, "report_entries"):
+            reports = {}
+            for frag in self.fragmentation.fragments:
+                fresh, _probe = self._batch_entries(frag,
+                                                    touched.get(frag.fid))
+                prev = self._coord.reported[frag.fid]
+                reports[frag.fid] = ("changed", {
+                    key: value for key, value in fresh.items()
+                    if prev.get(key, _MISSING) != value})
+        else:
+            reports = self._read_reports(force_full=True)
+        up_bytes, up_msgs, dirty = self._coord.fold(reports)
         return self._finish_maintenance(self._coord.compose(dirty),
                                         local_s, up_bytes, up_msgs)
 
@@ -576,12 +626,10 @@ class ContinuousQuerySession:
         self._begin_maintenance()
         start = time.perf_counter()
 
-        # Param names for the promotion probe of step 2 (the key layout
-        # is ``(node, name)`` and programs declare a fixed handful of
-        # names, so this is a tiny set — probing reported claims by
-        # constructed key costs O(|grown|), not an O(border) index
-        # build per batch).
-        param_names = {key[1] for key in table}
+        # Param names for the promotion probe of step 2: probing reported
+        # claims by constructed ``(node, name)`` key costs O(|grown|), not
+        # an O(border) index build per batch.
+        param_names = self._param_names
 
         # Seeds: per-fragment direct hits, or — when the program offers
         # the driver-side batch hook — direct hits filtered with a view
@@ -649,7 +697,7 @@ class ContinuousQuerySession:
 
         if hasattr(program, "report_entries"):
             up_bytes, up_msgs, dirty = self._rebaseline_region(
-                touched, local_aff, global_aff, param_names)
+                touched, local_aff, global_aff)
         else:
             up_bytes, up_msgs, dirty = self._rebaseline_bounded_full(
                 global_aff)
@@ -658,53 +706,30 @@ class ContinuousQuerySession:
 
     def _rebaseline_region(self, touched: Dict[int, FragmentDelta],
                            local_aff: Dict[int, Set[Node]],
-                           global_aff: Set[Node],
-                           param_names: Set[Any]) -> Tuple[int, int, Set]:
+                           global_aff: Set[Node]) -> Tuple[int, int, Set]:
         """Step 4 of :meth:`_maintain_bounded`, incremental flavor.
 
         Only keys the batch could have touched are re-read and
-        re-aggregated: each fragment's own dirty values (tracked by the
-        program through ``apply_nonmonotone``) plus a probe of the
-        vertices with structural exposure — reset, retired, moved
-        between border sets, or endpoints of mutated edges.  A probed
-        vertex whose entry is missing from the probe read retracts
-        (tombstone); everything else in the coordinator tables is
-        untouched.  Returns ``(bytes, messages, dirty keys)`` for the
-        resumed fixpoint.
+        re-aggregated (:meth:`_batch_entries`, with the reset vertices
+        among the probed).  A probed vertex whose entry is missing from
+        the probe read retracts (tombstone); everything else in the
+        coordinator tables is untouched.  Returns ``(bytes, messages,
+        dirty keys)`` for the resumed fixpoint.
         """
-        program, query = self.program, self.query
+        program = self.program
         frags = self.fragmentation.fragments
         coord = self._coord
         table = coord.table
         combine = program.aggregator.combine
+        param_names = self._param_names
         up_bytes = 0
         up_msgs = 0
         recompute: Set = set()
         for frag in frags:
             fid = frag.fid
-            state = self.states[fid]
             prev = coord.reported.setdefault(fid, {})
-            fresh = program.read_changed_params(query, frag, state)
-            fresh = dict(fresh) if fresh else {}
-            probe = set(local_aff[fid])
-            delta = touched.get(fid)
-            if delta is not None:
-                probe.update(delta.retired_nodes)
-                probe.update(delta.inner_added)
-                probe.update(delta.inner_removed)
-                probe.update(delta.outer_added)
-                probe.update(delta.outer_removed)
-                for v, _label in delta.new_nodes:
-                    probe.add(v)
-                for u, v, _w in delta.insertions:
-                    probe.add(u)
-                    probe.add(v)
-                for u, v, _w in delta.deletions:
-                    probe.add(u)
-                    probe.add(v)
-            if probe:
-                fresh.update(program.report_entries(query, frag, state,
-                                                    probe))
+            fresh, probe = self._batch_entries(frag, touched.get(fid),
+                                               local_aff[fid])
             diff = {}
             for key, value in fresh.items():
                 if prev.get(key, _MISSING) != value:
@@ -758,19 +783,17 @@ class ContinuousQuerySession:
         fragment's complete parameter dict, diff against the previous
         baseline (absences become tombstones) and rebuild the aggregated
         table — correct for any program, at ``O(border)`` cost."""
-        program, query = self.program, self.query
-        frags = self.fragmentation.fragments
+        program = self.program
         coord = self._coord
         old_reported, old_table = coord.reported, coord.table
         reported = coord.reported = {}
         table = coord.table = {}
         up_bytes = 0
         up_msgs = 0
-        for frag in frags:
-            _kind, params = read_report(program, query, frag,
-                                        self.states[frag.fid], True)
-            reported[frag.fid] = params
-            prev = old_reported.get(frag.fid, {})
+        for fid, (_kind, params) in self._read_reports(
+                force_full=True).items():
+            reported[fid] = params
+            prev = old_reported.get(fid, {})
             diff = {k: v for k, v in params.items()
                     if prev.get(k, _MISSING) != v}
             # Retractions ship as key-only tombstones.

@@ -9,13 +9,14 @@ and by the benchmark harness when a read-only traversal is hot.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.graph import Graph, Node
 
-__all__ = ["CSRGraph", "positions_in_sorted"]
+__all__ = ["CSRGraph", "positions_in_sorted", "splice_rows"]
 
 
 def positions_in_sorted(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -31,6 +32,53 @@ def positions_in_sorted(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return pos
 
 
+def splice_rows(ptr: np.ndarray, cols: Sequence[np.ndarray],
+                source: np.ndarray, fresh_counts: np.ndarray,
+                fresh_cols: Sequence[np.ndarray]
+                ) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Row splice of a CSR-shaped table ``(ptr, cols)``.
+
+    Row ``i`` of the result is row ``source[i]`` of the old table where
+    ``source[i] >= 0`` and the next *fresh* row otherwise; fresh rows are
+    given CSR-style too, as their sizes and their concatenated columns, in
+    result order.  Returns the new ``(ptr, cols)`` — what a from-scratch
+    build of the same rows yields, at the cost of one slice copy per
+    maximal run of rows that are consecutive on their side.  Serves both
+    tables that are maintained under updates: a fragment's CSR snapshot
+    (:meth:`CSRGraph.from_graph`) and the border index's holder table
+    (:meth:`repro.partition.base.BorderIndex.patched`).
+    """
+    n, num_fresh = source.shape[0], fresh_counts.shape[0]
+    fresh = source < 0
+    fresh_ptr = np.zeros(num_fresh + 1, dtype=np.int64)
+    np.cumsum(fresh_counts, out=fresh_ptr[1:])
+    old_rows = source[~fresh]
+    counts = np.empty(n, dtype=np.int64)
+    counts[~fresh] = ptr[old_rows + 1] - ptr[old_rows]
+    counts[fresh] = fresh_counts
+    new_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=new_ptr[1:])
+    # Number the fresh rows -num_fresh-1 .. -2: consecutive like the old
+    # rows' numbers, and never adjacent to one (the smallest is 0), so a
+    # step other than +1 is exactly a boundary between runs.
+    number = source.copy()
+    number[fresh] = np.arange(-num_fresh - 1, -1)
+    cuts = np.flatnonzero(np.diff(number) != 1) + 1
+    firsts = number[np.concatenate(([0], cuts))[:n]].tolist()  # [:n]: n == 0
+    lasts = number[np.concatenate((cuts, [n]))[:n] - 1].tolist()
+    pieces: List[List[np.ndarray]] = [[col[:0]] for col in cols]
+    for first, last in zip(firsts, lasts):
+        if first >= 0:
+            side, lo, hi = cols, ptr[first], ptr[last + 1]
+        else:
+            side = fresh_cols
+            lo = fresh_ptr[first + num_fresh + 1]
+            hi = fresh_ptr[last + num_fresh + 2]
+        for piece, col in zip(pieces, side):
+            piece.append(col[lo:hi])
+    return new_ptr, [np.concatenate(piece) for piece in pieces]
+
+
 class CSRGraph:
     """Immutable CSR adjacency with parallel reverse (CSC) structure.
 
@@ -39,19 +87,22 @@ class CSRGraph:
     indptr, indices, weights:
         Standard CSR arrays over dense node ids ``0..n-1``.
     rev_indptr, rev_indices, rev_weights:
-        The transposed (incoming-edge) structure.
+        The transposed (incoming-edge) structure.  Derived from the
+        forward arrays on first use and kept: only the reseed kernels of
+        bounded maintenance and the shared-memory publish read it, so a
+        snapshot built or spliced for a plain query never pays for it.
     id_of, node_of:
         Mappings between original node objects and dense ids.
     """
 
-    __slots__ = ("n", "directed", "indptr", "indices", "weights",
-                 "rev_indptr", "rev_indices", "rev_weights",
+    __slots__ = ("n", "directed", "indptr", "indices", "weights", "_rev",
                  "id_of", "node_of", "labels", "_label_index")
 
     def __init__(self, n: int, directed: bool,
                  indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
-                 rev_indptr: np.ndarray, rev_indices: np.ndarray,
-                 rev_weights: np.ndarray,
+                 rev_indptr: Optional[np.ndarray],
+                 rev_indices: Optional[np.ndarray],
+                 rev_weights: Optional[np.ndarray],
                  id_of: Dict[Node, int], node_of: List[Node],
                  labels: List):
         self.n = n
@@ -59,43 +110,114 @@ class CSRGraph:
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
-        self.rev_indptr = rev_indptr
-        self.rev_indices = rev_indices
-        self.rev_weights = rev_weights
+        # (rev_indptr, rev_indices, rev_weights); one tuple so a
+        # concurrent first use publishes all three at once
+        self._rev = (None if rev_indptr is None
+                     else (rev_indptr, rev_indices, rev_weights))
         self.id_of = id_of
         self.node_of = node_of
         self.labels = labels
         self._label_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
+    def _reverse(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rev = self._rev
+        if rev is None:
+            # Stable argsort over destinations: bucket placement with
+            # sources ascending inside each bucket.
+            n, dst = self.n, self.indices
+            in_deg = np.zeros(n + 1, dtype=np.int64)
+            in_deg[1:] = np.bincount(dst, minlength=n)
+            src = np.repeat(np.arange(n, dtype=np.int64),
+                            np.diff(self.indptr))
+            order = np.argsort(dst, kind="stable")
+            rev = self._rev = (np.cumsum(in_deg), src[order],
+                               self.weights[order])
+        return rev
+
+    @property
+    def rev_indptr(self) -> np.ndarray:
+        return self._reverse()[0]
+
+    @property
+    def rev_indices(self) -> np.ndarray:
+        return self._reverse()[1]
+
+    @property
+    def rev_weights(self) -> np.ndarray:
+        return self._reverse()[2]
+
     # ------------------------------------------------------------------
     @classmethod
-    def from_graph(cls, g: Graph) -> "CSRGraph":
-        # Reads the adjacency rows directly: this runs on every snapshot
-        # rebuild after a structural mutation, which lands inside the
-        # update latency of the first query or maintenance pass to touch
-        # the fragment — C-speed row copies instead of per-edge
-        # generator hops keep that rebuild off the critical path.
+    def from_graph(cls, g: Graph, *, base: Optional["CSRGraph"] = None,
+                   dirty: Iterable[Node] = ()) -> "CSRGraph":
+        """Snapshot of ``g``: dense ids in node order, rows in adjacency
+        order.
+
+        With ``base`` — a snapshot of an earlier state of ``g`` — only
+        the rows of ``dirty`` (every node whose adjacency row changed
+        since: endpoints of inserted, deleted and reweighted edges, new
+        and removed nodes) and of nodes ``base`` does not know are read
+        from the adjacency dicts; the rest are spliced over from
+        ``base``'s arrays, dense ids remapped when the node order moved
+        (a node added, removed, or removed and re-added, which moves it
+        to the end).  The result equals the from-scratch build element
+        for element.
+        """
+        # Reads the adjacency rows directly: C-speed row copies instead
+        # of per-edge generator hops.  For undirected graphs Graph stores
+        # both orientations already, so CSR mirrors the symmetric
+        # adjacency.
         succ = g._succ
         node_of = list(succ)
-        id_of = {v: i for i, v in enumerate(node_of)}
         n = len(node_of)
-        labels = [g.node_label(v) for v in node_of]
+        labels = (list(map(g._node_labels.get, node_of)) if g._node_labels
+                  else [None] * n)
+        # source[i]: the row of ``base`` that is node i's, -1 for a row
+        # to read from ``g``; remap: base's dense ids -> the new ones
+        source = remap = None
+        if base is not None and node_of == base.node_of:
+            node_of, id_of = base.node_of, base.id_of
+            source = np.arange(n, dtype=np.int64)
+        else:
+            id_of = dict(zip(node_of, range(n)))
+            if base is not None:
+                source = np.fromiter(
+                    map(base.id_of.get, node_of, repeat(-1)),
+                    dtype=np.int64, count=n)
+                known = source >= 0
+                remap = np.full(base.n, -1, dtype=np.int64)
+                remap[source[known]] = np.flatnonzero(known)
+        if base is None:
+            rows = list(succ.values())
+        else:
+            for v in dirty:
+                i = id_of.get(v)
+                if i is not None:
+                    source[i] = -1
+            rows = [succ[node_of[i]]
+                    for i in np.flatnonzero(source < 0).tolist()]
 
-        # For undirected graphs Graph stores both orientations already; use
-        # successors directly so CSR mirrors the symmetric adjacency.
-        counts = np.empty(n, dtype=np.int64)
         dst_ids: List[int] = []
         wgts: List[float] = []
         get_id = id_of.__getitem__
-        for i, v in enumerate(node_of):
-            row = succ[v]
-            counts[i] = len(row)
+        for row in rows:
             dst_ids.extend(map(get_id, row))
             wgts.extend(row.values())
+        counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
         dst = np.array(dst_ids, dtype=np.int64)
         wgt = np.array(wgts, dtype=np.float64)
-        return cls._assemble(n, g.directed, counts, dst, wgt,
-                             id_of, node_of, labels)
+        if base is None:
+            return cls._assemble(n, g.directed, counts, dst, wgt,
+                                 id_of, node_of, labels)
+        indptr, (indices, weights) = splice_rows(
+            base.indptr, (base.indices if remap is None
+                          else remap[base.indices], base.weights),
+            source, counts, (dst, wgt))
+        snap = cls(n, g.directed, indptr, indices, weights,
+                   None, None, None, id_of, node_of, labels)
+        if remap is None:
+            snap._label_index = base._label_index
+        return snap
 
     @classmethod
     def from_edges(cls, edges: Sequence[Tuple[Node, Node, float]], *,
@@ -163,23 +285,11 @@ class CSRGraph:
         """Finish construction from row-grouped edge arrays.
 
         ``dst``/``wgt`` must already be grouped by source row with row
-        sizes ``counts``; the reverse (CSC) structure is derived with a
-        stable argsort over destinations — bucket placement without the
-        per-edge Python fill loop, and with the same within-bucket order
-        that loop produced.
+        sizes ``counts``.
         """
-        out_deg = np.zeros(n + 1, dtype=np.int64)
-        out_deg[1:] = counts
-        indptr = np.cumsum(out_deg)
-
-        in_deg = np.zeros(n + 1, dtype=np.int64)
-        in_deg[1:] = np.bincount(dst, minlength=n)
-        rev_indptr = np.cumsum(in_deg)
-
-        src = np.repeat(np.arange(n, dtype=np.int64), counts)
-        rev_order = np.argsort(dst, kind="stable")
-        return cls(n, directed, indptr, dst, wgt,
-                   rev_indptr, src[rev_order], wgt[rev_order],
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return cls(n, directed, indptr, dst, wgt, None, None, None,
                    id_of, node_of, labels)
 
     # ------------------------------------------------------------------
@@ -189,7 +299,7 @@ class CSRGraph:
         """The forward CSR arrays, the complete structural payload.
 
         The reverse (CSC) structure is derived, not stored — roughly
-        halving snapshot size; :meth:`from_arrays` rebuilds it.  Node
+        halving snapshot size.  Node
         identities and labels are Python objects and travel separately
         (the snapshot container pickles them as metadata).
         """
@@ -202,7 +312,7 @@ class CSRGraph:
                     node_of: Sequence[Node],
                     labels: Optional[Sequence] = None) -> "CSRGraph":
         """Rebuild a snapshot from :meth:`to_arrays` output plus the node
-        identity/label metadata; the reverse structure is re-derived."""
+        identity/label metadata."""
         node_of = list(node_of)
         n = len(node_of)
         if indptr.shape[0] != n + 1:
@@ -242,7 +352,8 @@ class CSRGraph:
         """Copy the six structural arrays into ``buf`` (any writable
         buffer — typically a mapped shared segment) starting at
         ``offset``.  Unlike :meth:`to_arrays` both orientations are
-        stored: attachers must not pay the reverse-derivation pass.
+        stored (deriving the reverse here if nothing has yet): attachers
+        must not pay the reverse-derivation pass.
         Returns the ``(field, dtype, count, offset)`` layout placed."""
         layout: List[Tuple[str, str, int, int]] = []
         for name in self.SHARED_FIELDS:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.graph.graph import Edge, Graph, Node
 
@@ -351,6 +351,26 @@ class FragmentDelta:
             self.insertions or self.deletions
             or self.new_nodes or self.retired_nodes)
 
+    def dirty_nodes(self) -> Set[Node]:
+        """Every node whose local adjacency row this delta changed, added
+        or removed — what the fragment's next CSR snapshot must re-read
+        (:meth:`repro.partition.base.Fragment.invalidate_csr`)."""
+        dirty = {v for v, _label in self.new_nodes}
+        dirty.update(self.retired_nodes)
+        for edge in chain(self.insertions, self.deletions,
+                          self.weight_changes):
+            dirty.add(edge[0])
+            dirty.add(edge[1])
+        return dirty
+
+    def border_nodes(self) -> Set[Node]:
+        """Every node whose border-set membership or ``G_P`` holders this
+        delta changed — the rows of the
+        :class:`~repro.partition.base.BorderIndex` it outdates."""
+        return {v for v, _label in self.new_nodes}.union(
+            self.retired_nodes, self.inner_added, self.inner_removed,
+            self.outer_added, self.outer_removed)
+
     def __bool__(self) -> bool:
         return bool(self.mutates_graph or self.owned_added
                     or self.inner_added or self.inner_removed
@@ -365,7 +385,8 @@ class FragmentDelta:
         then border-set adjustments — so a replayed copy is structurally
         identical to the coordinator's fragment at the same version.
         Invalidate-on-mutate keeps the copy's CSR epoch moving just like
-        the original's.
+        the original's, and hands it the same dirty rows to splice its
+        next snapshot from.
 
         ``keep_csr`` is the shared-memory fast path: the coordinator
         attests that this delta is weight-only and already patched into
@@ -395,7 +416,7 @@ class FragmentDelta:
             if keep_csr and self.weight_only and fragment.csr_shared:
                 fragment.touch_csr_epoch()
             else:
-                fragment.invalidate_csr()
+                fragment.invalidate_csr(self.dirty_nodes())
 
     def __repr__(self) -> str:
         return (f"FragmentDelta(fid={self.fid}, seq={self.seq}, "

@@ -29,15 +29,22 @@ answers, superstep counts and shipped parameter values are unchanged,
 only the time to compute them.
 
 **Snapshot invalidation.**  ``Fragment.csr()`` builds the snapshot
-lazily on first use and caches it.  Any structural mutation of the
-fragment — edge/node insertion, deletion or reweight through
+lazily on first use and caches it.  Any mutation of the fragment —
+edge/node insertion, deletion or reweight through
 :func:`repro.core.updates.apply_delta` (and therefore
 ``GrapeService.update`` and its sugar) — calls
-``Fragment.invalidate_csr()``,
-which drops the cached snapshot and bumps ``Fragment.csr_epoch`` so that
-program-side arrays derived from the old snapshot's dense ids are
-rebuilt.  The next kernel call rebuilds the snapshot from the mutated
-dict graph (itself vectorized: see ``CSRGraph.from_graph``).
+``Fragment.invalidate_csr(dirty)`` with the nodes whose adjacency row
+changed, which retires the cached snapshot (``Fragment.csr_cached`` turns
+false) and bumps ``Fragment.csr_epoch`` so that program-side arrays
+derived from the old snapshot's dense ids are rebuilt.  The next kernel
+call gets the new snapshot by *row splice*
+(``CSRGraph.from_graph(graph, base=retired, dirty=...)``): dirty rows are
+re-read from the dict graph, every other row is copied over from the
+retired arrays — the same arrays a build from the whole graph gives, for
+a few slice copies plus the dirty rows instead of a Python pass over
+every row.  A mutation that
+cannot name its rows (``invalidate_csr()``) still drops the snapshot and
+the next call builds it from the dict graph.
 
 **When the dict fallback is used.**  The sequential path runs when the
 program was constructed with ``use_csr=False``, for programs that do

@@ -3,8 +3,8 @@
 One power-iteration push: every owned node with out-edges divides its
 rank by its out-degree and adds the share to each successor.  The dict
 path accumulates ``incoming[w] += share`` edge by edge; ``np.add.at``
-performs the same left fold in the same order (owned nodes in their
-set-iteration order, successors in adjacency order), so the resulting
+performs the same left fold in the same order (owned nodes in the
+local graph's node order, successors in adjacency order), so the resulting
 float sums are bitwise-identical — the distributed power iteration is
 unchanged, only vectorized.
 """

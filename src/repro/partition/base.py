@@ -31,7 +31,7 @@ from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, positions_in_sorted
+from repro.graph.csr import CSRGraph, positions_in_sorted, splice_rows
 from repro.graph.graph import Graph, Node
 
 __all__ = [
@@ -67,9 +67,10 @@ class Fragment:
     """
 
     __slots__ = ("fid", "graph", "owned", "inner", "outer",
-                 "_csr", "_csr_lock", "_csr_shared", "_remote_csr_live",
-                 "_outer_slots",
-                 "csr_epoch", "csr_builds", "csr_invalidations")
+                 "_csr", "_csr_pending", "_csr_lock", "_csr_shared",
+                 "_remote_csr_live", "_outer_slots", "_owned_order",
+                 "csr_epoch", "csr_builds", "csr_patches",
+                 "csr_invalidations")
 
     def __init__(self, fid: int, graph: Graph, owned: Set[Node],
                  inner: Set[Node], outer: Set[Node]):
@@ -79,6 +80,9 @@ class Fragment:
         self.inner = inner
         self.outer = outer
         self._csr = None
+        # (last snapshot, nodes whose adjacency row changed since): what
+        # the next csr() splices the new snapshot from
+        self._csr_pending = None
         # GrapeService runs concurrent queries over one shared cached
         # fragmentation (they hold only the graph's read lock), so the
         # lazy build must be guarded against duplicate construction.
@@ -91,21 +95,26 @@ class Fragment:
         self._remote_csr_live = False
         # (csr epoch, sorted F_i.O labels, their dense ids): see outer_slots
         self._outer_slots = None
+        # (csr epoch, owned nodes in local graph order): see owned_order
+        self._owned_order = None
         #: bumped on every invalidation so consumers holding arrays keyed
         #: by the old snapshot's dense ids know to rebuild them
         self.csr_epoch = 0
+        #: snapshots built from the whole graph / spliced from the last
+        #: snapshot and a dirty set
         self.csr_builds = 0
+        self.csr_patches = 0
         self.csr_invalidations = 0
 
     def __getstate__(self):
         """Pickle contract (the process backend ships fragments once).
 
-        The cached CSR snapshot and its lock never cross the pipe: the
-        snapshot is bulk numpy data cheaply rebuilt from the dict graph,
-        and locks are unpicklable by design.  The receiving side starts
-        at epoch 0 with a fresh lock and rebuilds its snapshot lazily —
-        consumers key their derived arrays on *their* fragment's epoch,
-        so the reset is invisible.
+        The cached (or retired) CSR snapshot and its lock never cross
+        the pipe: the snapshot is bulk numpy data cheaply rebuilt from
+        the dict graph, and locks are unpicklable by design.  The
+        receiving side starts at epoch 0 with a fresh lock and rebuilds
+        its snapshot lazily — consumers key their derived arrays on
+        *their* fragment's epoch, so the reset is invisible.
         """
         return {slot: getattr(self, slot) for slot in
                 ("fid", "graph", "owned", "inner", "outer")}
@@ -117,20 +126,29 @@ class Fragment:
     def csr(self):
         """Frozen CSR snapshot of the local graph, built lazily.
 
-        The snapshot is cached until :meth:`invalidate_csr` drops it
-        (structural mutation through
-        :func:`repro.core.updates.apply_delta`); CSR-capable PIE
-        programs call this every round and almost always hit the cache.
-        Thread-safe: concurrent readers build the snapshot exactly once.
+        The snapshot is cached until :meth:`invalidate_csr` retires it
+        (mutation through :func:`repro.core.updates.apply_delta`);
+        CSR-capable PIE programs call this every round and almost always
+        hit the cache.  After a mutation that named its dirty rows the
+        next snapshot is spliced from the retired one (``csr_patches``),
+        otherwise built from the whole graph (``csr_builds``) — the same
+        arrays either way.  Thread-safe: concurrent readers build or
+        splice the snapshot exactly once.
         """
         snap = self._csr
         if snap is None:
             with self._csr_lock:
                 snap = self._csr
                 if snap is None:
-                    snap = CSRGraph.from_graph(self.graph)
+                    pending, self._csr_pending = self._csr_pending, None
+                    if pending is None:
+                        snap = CSRGraph.from_graph(self.graph)
+                        self.csr_builds += 1
+                    else:
+                        snap = CSRGraph.from_graph(
+                            self.graph, base=pending[0], dirty=pending[1])
+                        self.csr_patches += 1
                     self._csr = snap
-                    self.csr_builds += 1
         return snap
 
     def outer_slots(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -152,6 +170,23 @@ class Fragment:
                                           self.csr().ids_of(labels))
         return cached[1], cached[2]
 
+    def owned_order(self) -> List[Node]:
+        """The owned nodes in the local graph's node order (ascending
+        dense id) — a deterministic order, where iterating the ``owned``
+        set is not: a pickle round trip (the process backend) reorders
+        it, and float accumulations that follow it would differ in the
+        last digit between backends.  Cached per ``csr_epoch``.  The
+        elements are the set's own objects, which on an unpickled copy
+        sit together in memory where the graph's keys do not — per-node
+        loops over this list run measurably faster for it."""
+        cached = self._owned_order
+        if cached is None or cached[0] != self.csr_epoch:
+            epoch = self.csr_epoch
+            place = dict(zip(self.graph.nodes(), itertools.count()))
+            cached = self._owned_order = (
+                epoch, sorted(self.owned, key=place.__getitem__))
+        return cached[1]
+
     def install_csr(self, snap, *, shared: bool = False) -> None:
         """Adopt a prebuilt CSR snapshot without counting a build.
 
@@ -162,6 +197,7 @@ class Fragment:
         segment, patched in place by weight-only deltas)."""
         with self._csr_lock:
             self._csr = snap
+            self._csr_pending = None
             self._csr_shared = shared
 
     def touch_csr_epoch(self) -> None:
@@ -174,13 +210,12 @@ class Fragment:
     def keep_patched_csr(self, snap) -> bool:
         """After a weight-only delta the arena patched ``snap`` (the
         shared snapshot) in place: keep it and advance the epoch if it
-        is still the installed shared snapshot, else fall back to a
-        normal invalidation.  Returns whether the snapshot was kept."""
+        is still the installed shared snapshot.  Returns whether it was
+        kept; if not, the caller invalidates as for any other delta."""
         with self._csr_lock:
             if self._csr_shared and self._csr is snap:
                 self.csr_epoch += 1
                 return True
-        self.invalidate_csr()
         return False
 
     @property
@@ -190,46 +225,76 @@ class Fragment:
 
     @property
     def csr_cached(self) -> bool:
-        """Whether a current CSR snapshot is already built.
+        """Whether a current CSR snapshot is already built (a snapshot
+        retired by a mutation and waiting to be spliced does not count).
 
         The bounded maintenance paths use this to pick their
         representation: with a live snapshot the vectorized kernels are
-        free, but after a mutation has dropped it, rebuilding the whole
-        snapshot to process a small affected region would charge
-        ``O(|G|)`` work to an ``O(|AFF|)`` operation — the dict
-        algorithms serve the region instead and the next full scan
-        (which amortizes it) pays the rebuild.
+        free, but after a mutation has retired it, producing the next
+        snapshot — even by splice, ``O(|E_i|)`` of array copying — to
+        process a small affected region would charge that to an
+        ``O(|AFF|)`` operation; the dict algorithms serve the region
+        instead and the next full scan (which amortizes it) pays.
         """
         return self._csr is not None
 
-    def invalidate_csr(self) -> None:
-        """Drop the cached snapshot after a mutation of ``graph``.
+    def invalidate_csr(self, dirty: Optional[Iterable[Node]] = None) -> None:
+        """Retire the cached snapshot after a mutation of ``graph``.
+
+        ``dirty`` names every node whose adjacency row the mutation
+        changed (:meth:`~repro.graph.delta.FragmentDelta.dirty_nodes`):
+        the retired snapshot is then kept, with the dirty set, for the
+        next :meth:`csr` to splice from — dirty sets of successive
+        mutations accumulate, until they stop being small against the
+        snapshot.  Without ``dirty`` the mutation is unknown and both
+        the live and any kept snapshot are dropped.
 
         ``csr_epoch`` advances on *every* call: it marks graph mutations,
         not cache drops, because consumers' epoch-keyed arrays can be
         derived from a snapshot built in another process (the process
         backend builds CSR worker-side, so the coordinator-side fragment
         may have nothing cached locally when the mutation lands).
-        ``csr_invalidations`` still counts only actual drops — including
-        the drop of a worker-side snapshot (the mutation bumps the
-        fragmentation's cache token, so worker copies are re-shipped and
-        their snapshots discarded with them).
+        ``csr_invalidations`` still counts only retirements of a live
+        snapshot — including a worker-side one (the mutation bumps the
+        fragmentation's cache token, so worker copies replay it or are
+        re-shipped).
         """
         with self._csr_lock:
             self.csr_epoch += 1
-            if self._csr is not None or self._remote_csr_live:
+            live = self._csr
+            pending = (live, set()) if live is not None \
+                else self._csr_pending
+            if dirty is None or pending is None:
+                pending = None
+            else:
+                pending[1].update(dirty)
+                if 2 * len(pending[1]) > pending[0].n:
+                    pending = None  # no longer a small patch: build
+            self._csr_pending = pending
+            if live is not None or self._remote_csr_live:
                 self._csr = None
                 self._csr_shared = False
                 self._remote_csr_live = False
                 self.csr_invalidations += 1
 
-    def count_remote_csr_builds(self, builds: int) -> None:
-        """Fold snapshot builds performed on a worker-side copy of this
-        fragment (process backend) into the local lifetime counter, so
-        service-level CSR metrics see them."""
-        if builds:
+    def release_snapshots(self) -> None:
+        """Let go of every array this fragment holds — the live and the
+        kept snapshot and the ``F_i.O`` slot map — without recording a
+        mutation (the owner is done with the fragment; a later
+        :meth:`csr` would simply build again)."""
+        with self._csr_lock:
+            self._csr = self._csr_pending = None
+            self._outer_slots = self._owned_order = None
+            self._csr_shared = False
+
+    def count_remote_csr_work(self, builds: int, patches: int) -> None:
+        """Fold snapshot builds and splices performed on a worker-side
+        copy of this fragment (process backend) into the local lifetime
+        counters, so service-level CSR metrics see them."""
+        if builds or patches:
             with self._csr_lock:
                 self.csr_builds += builds
+                self.csr_patches += patches
                 self._remote_csr_live = True
 
     @property
@@ -318,9 +383,10 @@ class BorderIndex:
     ``int`` (labels double as array values: a CC component id *is* a
     node label); :meth:`build` returns ``None`` otherwise and callers
     stay on the dict plane.  Built from the fragments and ``G_P`` in
-    ``O(|border| log |border|)``; never updated in place — a mutated
-    fragmentation rebuilds it on next use
-    (:meth:`Fragmentation.border_index`).
+    ``O(|border| log |border|)``.  An index is immutable; after update
+    batches :meth:`Fragmentation.border_index` derives the next one from
+    it by :meth:`patched` — a row splice over the nodes the logged
+    deltas name — and builds afresh only when it cannot.
     """
 
     __slots__ = ("nodes", "owner", "holder_ptr", "holder_fid")
@@ -331,6 +397,20 @@ class BorderIndex:
         self.owner = owner
         self.holder_ptr = holder_ptr
         self.holder_fid = holder_fid
+
+    @staticmethod
+    def _rows(gp: FragmentationGraph, labels: List[int]
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Owner, holder count and (concatenated, ascending) holders of
+        each of ``labels``."""
+        owner = np.fromiter(map(gp.owner, labels), dtype=np.int32,
+                            count=len(labels))
+        holders = [sorted(gp.holders(v)) for v in labels]
+        counts = np.fromiter(map(len, holders), dtype=np.int64,
+                             count=len(labels))
+        fids = np.fromiter(itertools.chain.from_iterable(holders),
+                           dtype=np.int32, count=int(counts.sum()))
+        return owner, counts, fids
 
     @classmethod
     def build(cls, fragmentation: "Fragmentation") -> Optional["BorderIndex"]:
@@ -344,16 +424,39 @@ class BorderIndex:
             nodes = np.array(sorted(border), dtype=np.int64)
         except OverflowError:  # labels beyond int64
             return None
-        gp = fragmentation.gp
-        ordered = nodes.tolist()
-        owner = np.fromiter((gp.owner(v) for v in ordered), dtype=np.int32,
-                            count=len(ordered))
-        holders = [sorted(gp.holders(v)) for v in ordered]
-        holder_ptr = np.zeros(len(ordered) + 1, dtype=np.int64)
-        np.cumsum([len(h) for h in holders], out=holder_ptr[1:])
-        holder_fid = np.fromiter((f for h in holders for f in h),
-                                 dtype=np.int32, count=int(holder_ptr[-1]))
+        owner, counts, holder_fid = cls._rows(fragmentation.gp,
+                                              nodes.tolist())
+        holder_ptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+        np.cumsum(counts, out=holder_ptr[1:])
         return cls(nodes, owner, holder_ptr, holder_fid)
+
+    def patched(self, fragmentation: "Fragmentation",
+                dirty: Set[Node]) -> Optional["BorderIndex"]:
+        """The index of ``fragmentation`` as it is now, given that since
+        this index was current only the nodes in ``dirty`` changed border
+        membership or holders: their rows are dropped and re-read, every
+        other row is spliced over.  Equal to :meth:`build`, which is
+        what ``None`` — ``dirty`` names a label no index can hold — sends
+        the caller to."""
+        if not all(type(v) is int for v in dirty):
+            return None
+        try:
+            changed = np.array(sorted(dirty), dtype=np.int64)
+        except OverflowError:
+            return None
+        fragments = fragmentation.fragments
+        fresh = [v for v in changed.tolist()
+                 if any(v in f.inner or v in f.outer for f in fragments)]
+        stay = np.flatnonzero(~np.isin(self.nodes, changed))
+        kept_nodes = self.nodes[stay]
+        at = np.searchsorted(kept_nodes, fresh)
+        owner, counts, fids = self._rows(fragmentation.gp, fresh)
+        holder_ptr, (holder_fid,) = splice_rows(
+            self.holder_ptr, (self.holder_fid,), np.insert(stay, at, -1),
+            counts, (fids,))
+        return BorderIndex(np.insert(kept_nodes, at, fresh),
+                           np.insert(self.owner[stay], at, owner),
+                           holder_ptr, holder_fid)
 
     def __len__(self) -> int:
         return int(self.nodes.shape[0])
@@ -411,9 +514,14 @@ class Fragmentation:
                 holders.setdefault(v, set()).add(frag.fid)
         self.gp = FragmentationGraph(
             owner, {v: frozenset(fs) for v, fs in holders.items()})
-        # (version, BorderIndex or None), built on first use per version
+        # (version, BorderIndex or None), brought current on first use
+        # per version
         self._border_index: Optional[Tuple[int, Optional[BorderIndex]]] = None
         self._border_lock = threading.Lock()
+        #: border indexes built from the fragments / spliced from the
+        #: previous index and the delta log
+        self.border_index_builds = 0
+        self.border_index_patches = 0
 
     def __getstate__(self):
         # The lock is unpicklable and the index is derived state.
@@ -461,22 +569,57 @@ class Fragmentation:
         """The dense border index of the current version, or ``None``
         when the graph's labels do not admit one.
 
-        Built lazily and cached per :attr:`version`: mutations
-        (:meth:`record_delta`, :meth:`bump_version`) only move the
-        version, so an update batch pays nothing for it and the first
-        array-plane query afterwards rebuilds it from the maintained
-        border sets and ``G_P`` — by construction equal to the index of
-        a freshly partitioned copy.  Thread-safe: concurrent queries on
-        a shared fragmentation build it once.
+        Brought current lazily and cached per :attr:`version`:
+        mutations (:meth:`record_delta`, :meth:`bump_version`) only move
+        the version, so an update batch pays nothing for it.  The first
+        array-plane query afterwards splices the cached index with the
+        nodes the delta log names for the versions in between
+        (:meth:`BorderIndex.patched`), or — no cached index, a version
+        the log does not cover, too many nodes — builds it from the
+        maintained border sets and ``G_P``; either way equal to the index
+        of a freshly partitioned copy.  Thread-safe: concurrent queries
+        on a shared fragmentation do this once.
         """
         cached = self._border_index
         if cached is None or cached[0] != self.version:
             with self._border_lock:
                 cached = self._border_index
                 if cached is None or cached[0] != self.version:
-                    cached = (self.version, BorderIndex.build(self))
-                    self._border_index = cached
+                    index = None
+                    if cached is not None and cached[1] is not None:
+                        dirty = self._border_dirty_since(cached[0])
+                        # worth splicing while small against the index
+                        if dirty is not None \
+                                and 2 * len(dirty) <= len(cached[1]):
+                            index = cached[1].patched(self, dirty)
+                    if index is not None:
+                        self.border_index_patches += 1
+                    else:
+                        index = BorderIndex.build(self)
+                        self.border_index_builds += 1
+                    cached = self._border_index = (self.version, index)
         return cached[1]
+
+    def _border_dirty_since(self, version: int) -> Optional[Set[Node]]:
+        """Every node whose border membership or holders the batches
+        after ``version`` may have changed; ``None`` when the delta log
+        does not cover them all."""
+        dirty: Set[Node] = set()
+        for step_version in range(version + 1, self.version + 1):
+            step = self._delta_log.get(step_version)
+            if step is None:
+                return None
+            for delta in step.values():
+                dirty.update(delta.border_nodes())
+        return dirty
+
+    def release_snapshots(self) -> None:
+        """Drop every derived array — the fragments' snapshots and the
+        border index — of a fragmentation its owner has retired."""
+        for frag in self.fragments:
+            frag.release_snapshots()
+        with self._border_lock:
+            self._border_index = None
 
     def bump_version(self) -> None:
         """Invalidate worker-side fragment caches after a mutation.
@@ -538,6 +681,11 @@ class Fragmentation:
     def csr_snapshots_built(self) -> int:
         """Total CSR snapshot builds across fragments (lifetime count)."""
         return sum(f.csr_builds for f in self.fragments)
+
+    @property
+    def csr_snapshots_patched(self) -> int:
+        """Total CSR snapshot splices across fragments (lifetime count)."""
+        return sum(f.csr_patches for f in self.fragments)
 
     @property
     def csr_snapshot_invalidations(self) -> int:

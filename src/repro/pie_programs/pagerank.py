@@ -24,7 +24,11 @@ slots and arrive as one array per source fragment.
 
 Contributions from different fragments to one node are summed in
 ascending source-fragment order on every path, so ranks do not depend on
-the order messages happened to be composed in.
+the order messages happened to be composed in; and owned nodes push in
+the local graph's node order (``Fragment.owned_order``), never in the
+iteration order of the ``owned`` set, which a pickle round trip (the
+process backend) changes — so ranks are bitwise the same on every
+backend.
 """
 
 from __future__ import annotations
@@ -151,8 +155,9 @@ class PageRankProgram(PIEProgram):
         if not state.rank:
             state.rank = {v: 1.0 / n for v in fragment.owned}
 
+        owned_list = fragment.owned_order()
         incoming: Dict[Node, float] = {v: 0.0 for v in graph.nodes()}
-        for v in fragment.owned:
+        for v in owned_list:
             out_deg = graph.out_degree(v)
             if out_deg == 0:
                 continue
@@ -162,7 +167,7 @@ class PageRankProgram(PIEProgram):
 
         new_rank: Dict[Node, float] = {}
         delta = 0.0
-        for v in fragment.owned:
+        for v in owned_list:
             external = _ordered_sum(state.external.get(v, {}))
             value = (teleport
                      + query.damping * (incoming.get(v, 0.0) + external))
@@ -180,13 +185,13 @@ class PageRankProgram(PIEProgram):
         cache = state._csr_cache
         if cache is None or cache[0] != fragment.csr_epoch:
             id_of = csr.id_of
-            owned_list = list(fragment.owned)
-            owned_ids = np.fromiter((id_of[v] for v in owned_list),
+            owned_list = fragment.owned_order()
+            owned_ids = np.fromiter(map(id_of.__getitem__, owned_list),
                                     dtype=np.int64, count=len(owned_list))
             outer_list = list(fragment.outer)
-            outer_ids = np.fromiter((id_of[v] for v in outer_list),
+            outer_ids = np.fromiter(map(id_of.__getitem__, outer_list),
                                     dtype=np.int64, count=len(outer_list))
-            pos_of = {v: i for i, v in enumerate(owned_list)}
+            pos_of = dict(zip(owned_list, range(len(owned_list))))
             cache = state._csr_cache = (fragment.csr_epoch, owned_list,
                                         owned_ids, outer_list, outer_ids,
                                         pos_of)

@@ -699,7 +699,8 @@ def _worker_main(conn, heartbeat=None) -> None:
     fragments: Dict[int, Any] = {}
     states: Dict[int, Any] = {}
     frag_cache: Dict[Any, Dict[int, Any]] = {}
-    build_base: Dict[int, int] = {}
+    # fid -> (snapshot builds, splices) already reported to the coordinator
+    build_base: Dict[int, Tuple[int, int]] = {}
     # (token_id, fid) -> mapped shared segment backing that fragment's
     # CSR views; kept pinned for as long as the fragment could be served
     # from cache (dropping the reference unmaps, and unlinked segments
@@ -714,7 +715,7 @@ def _worker_main(conn, heartbeat=None) -> None:
         cache = frag_cache[token]
         fragments = {fid: cache[fid] for fid in fids}
         states = {}
-        build_base = {fid: frag.csr_builds
+        build_base = {fid: (frag.csr_builds, frag.csr_patches)
                       for fid, frag in fragments.items()}
 
     def _drop_dead_pins():
@@ -844,10 +845,13 @@ def _worker_main(conn, heartbeat=None) -> None:
                 states.update(msg[1])
                 channel.send(("ok", None))
             elif kind == "collect":
-                builds = {fid: frag.csr_builds - build_base.get(fid, 0)
-                          for fid, frag in fragments.items()}
-                build_base = {fid: frag.csr_builds
-                              for fid, frag in fragments.items()}
+                done = {fid: (frag.csr_builds, frag.csr_patches)
+                        for fid, frag in fragments.items()}
+                builds = {}
+                for fid, (built, patched) in done.items():
+                    was = build_base.get(fid, (0, 0))
+                    builds[fid] = (built - was[0], patched - was[1])
+                build_base = done
                 channel.send(("ok", (states, builds)))
             elif kind == "close":
                 channel.send(("ok", None))
@@ -1106,10 +1110,12 @@ class _ProcessSession(ExecutorSession):
         for worker_states, builds in self._broadcast(
                 lambda handle: ("collect", None)):
             states.update(worker_states)
-            # Fold worker-side CSR snapshot builds into the coordinator
-            # fragments so service-level CSR metrics stay meaningful.
-            for fid, delta in builds.items():
-                self._fragmentation[fid].count_remote_csr_builds(delta)
+            # Fold worker-side CSR snapshot builds and splices into the
+            # coordinator fragments so service-level CSR metrics stay
+            # meaningful.
+            for fid, (built, patched) in builds.items():
+                self._fragmentation[fid].count_remote_csr_work(built,
+                                                               patched)
         self._account()
         return states
 

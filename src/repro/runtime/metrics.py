@@ -23,8 +23,9 @@ from typing import Any, Dict, List, Tuple
 
 from repro.obs.registry import TIME_BUCKETS, Histogram
 
-__all__ = ["CostModel", "PHASE_FIELDS", "RunMetrics", "ServiceMetrics",
-           "message_bytes", "STRAGGLER_SKEW"]
+__all__ = ["CostModel", "DERIVED_STATE_COUNTERS", "PHASE_FIELDS",
+           "RunMetrics", "ServiceMetrics", "message_bytes",
+           "STRAGGLER_SKEW"]
 
 
 def message_bytes(payload: Any) -> int:
@@ -291,6 +292,14 @@ _RUN_ADDITIVE_FIELDS, _RUN_HISTOGRAM_FIELDS = _classify_fields(RunMetrics)
 _ADDITIVE_FIELDS = _RUN_ADDITIVE_FIELDS
 
 
+#: the lifetime counters a :class:`~repro.partition.base.Fragmentation`
+#: keeps of its derived state, under the names :class:`ServiceMetrics`
+#: aggregates them by
+DERIVED_STATE_COUNTERS = ("csr_snapshots_built", "csr_snapshots_patched",
+                          "csr_snapshot_invalidations",
+                          "border_index_builds", "border_index_patches")
+
+
 @dataclass
 class ServiceMetrics:
     """Aggregate counters for one :class:`~repro.service.GrapeService`.
@@ -313,12 +322,18 @@ class ServiceMetrics:
     supersteps_total: int = 0
     comm_bytes_total: int = 0
     comm_messages_total: int = 0
-    #: CSR snapshot reuse across the service's cached fragmentations:
-    #: builds are lazy (first kernel use per fragment), invalidations are
-    #: mutation-driven (insert_edges) — a low invalidation/build ratio
-    #: means the serving layer amortizes snapshots across queries.
+    #: CSR snapshot reuse across the service's cached fragmentations
+    #: (:data:`DERIVED_STATE_COUNTERS`): builds are lazy (first kernel use
+    #: per fragment), invalidations are mutation-driven (``update``), and
+    #: the first read after one splices the retired snapshot with the
+    #: batch's dirty rows (``patched``) where it used to rebuild — so
+    #: builds stay near one per fragment however many batches arrive.
+    #: The border index of each fragmentation is counted the same way.
     csr_snapshots_built: int = 0
+    csr_snapshots_patched: int = 0
     csr_snapshot_invalidations: int = 0
+    border_index_builds: int = 0
+    border_index_patches: int = 0
     #: physical execution totals: real wall-clock of served runs and the
     #: serialized bytes that crossed process-backend pipes
     wall_clock_s_total: float = 0.0
@@ -479,6 +494,7 @@ class ServiceMetrics:
                 f"supersteps={self.supersteps_total}, "
                 f"comm={self.comm_megabytes_total:.4f}MB, "
                 f"csr={self.csr_snapshots_built}built/"
+                f"{self.csr_snapshots_patched}patched/"
                 f"{self.csr_snapshot_invalidations}inv, "
                 f"store={self.snapshots_written}snap/"
                 f"{self.wal_appends}wal)")

@@ -71,7 +71,8 @@ from repro.resilience import (BackendCircuitBreaker, DeadlineExceeded,
                               QueryCancelled, RetryPolicy, run_with_retry)
 from repro.runtime import shm
 from repro.runtime.executors import ExecutorBackend, WorkerProcessDied
-from repro.runtime.metrics import PHASE_FIELDS, ServiceMetrics
+from repro.runtime.metrics import (DERIVED_STATE_COUNTERS, PHASE_FIELDS,
+                                   ServiceMetrics)
 from repro.service.tickets import QueryRequest, QueryTicket
 from repro.store.catalog import GraphStore, StoredGraph
 
@@ -357,9 +358,9 @@ class GrapeService:
 
         self._graphs: Dict[str, Graph] = {}
         self._frag_cache: Dict[FragCacheKey, Fragmentation] = {}
-        # CSR snapshot counters of fragmentations that left the cache;
-        # stats totals = this baseline + the live cached fragmentations.
-        self._csr_counter_base = [0, 0]  # [built, invalidated]
+        # Snapshot / border-index counters of fragmentations that left
+        # the cache; stats totals = this baseline + the live cached ones.
+        self._csr_counter_base = dict.fromkeys(DERIVED_STATE_COUNTERS, 0)
         self._graph_locks: Dict[str, _RWLock] = {}
         # Serializes the control-plane mutators (watch registration and
         # insert_edges) per graph, so a watcher can never miss a batch
@@ -557,29 +558,29 @@ class GrapeService:
             self._retire_fragmentation(self._frag_cache.pop(key))
 
     def _retire_fragmentation(self, frag: Fragmentation) -> None:
-        """Preserve a dropped fragmentation's CSR counters in the stats
-        baseline (its fragments are no longer summed by the sync) and
+        """Preserve a dropped fragmentation's snapshot counters in the
+        stats baseline (its fragments are no longer summed by the sync),
         unlink its published shared-memory segments — the cache entry
-        was the last coordinator-side use of the token."""
-        self._csr_counter_base[0] += frag.csr_snapshots_built
-        self._csr_counter_base[1] += frag.csr_snapshot_invalidations
+        was the last coordinator-side use of the token — and drop its
+        snapshots and border index: whoever still pins the object (a
+        caller's handle, an old ticket) must not pin their arrays."""
+        for name in DERIVED_STATE_COUNTERS:
+            self._csr_counter_base[name] += getattr(frag, name)
         shm.forget_token(frag.cache_token[0])
+        frag.release_snapshots()
 
     def _sync_csr_stats(self) -> None:
-        """Refresh the CSR snapshot counters from the live cache.
+        """Refresh the snapshot and border-index counters from the live
+        cache.
 
-        Fragments count their own builds and drops (they happen deep in
-        PIE programs and :func:`apply_insertions`); the service folds the
-        totals into :class:`ServiceMetrics` whenever they may have moved.
-        Callers must hold ``self._lock``.
+        Fragments and fragmentations count their own builds, splices and
+        drops (they happen deep in PIE programs and :func:`apply_delta`);
+        the service folds the totals into :class:`ServiceMetrics`
+        whenever they may have moved.  Callers must hold ``self._lock``.
         """
-        built = self._csr_counter_base[0]
-        inv = self._csr_counter_base[1]
-        for frag in self._frag_cache.values():
-            built += frag.csr_snapshots_built
-            inv += frag.csr_snapshot_invalidations
-        self.stats.csr_snapshots_built = built
-        self.stats.csr_snapshot_invalidations = inv
+        for name in DERIVED_STATE_COUNTERS:
+            setattr(self.stats, name, self._csr_counter_base[name] + sum(
+                getattr(frag, name) for frag in self._frag_cache.values()))
         segs, mapped = shm.global_stats()
         self.stats.shm_segments_active = segs
         self.stats.shm_bytes_mapped = mapped

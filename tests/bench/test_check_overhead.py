@@ -10,9 +10,11 @@ gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gate)
 
 
-def _result(overhead=10.0, failed=0, share=0.0, correct=True):
+def _result(overhead=10.0, failed=0, share=0.0, correct=True, rebuilds=4):
     return {"correct": correct, "attempted": 220, "failed": failed,
             "metrics": {"overhead.sssp_x": {"value": overhead, "unit": "x"},
+                        "graph.csr.rebuilds": {"value": rebuilds,
+                                               "unit": "count"},
                         "failed_ops_share": {"value": share,
                                              "unit": "share"}}}
 
@@ -25,6 +27,15 @@ def test_passes_under_the_bound_with_no_failed_operation():
 def test_fails_when_the_coordinator_grows_back():
     (problem,) = gate.check(_result(overhead=49.5))
     assert "overhead.sssp_x" in problem
+
+
+def test_fails_when_reads_after_writes_rebuild_snapshots_again():
+    assert gate.check(_result(rebuilds=gate.MAX_CSR_REBUILDS)) == []
+    (problem,) = gate.check(_result(rebuilds=20))  # the count before splices
+    assert "graph.csr.rebuilds = 20" in problem
+    result = _result()
+    del result["metrics"]["graph.csr.rebuilds"]
+    assert gate.check(result)
 
 
 def test_fails_on_any_failed_operation():

@@ -12,7 +12,9 @@ The harness owns three things the chaos tests share:
   retried in a bounded loop until it completes, only the typed error
   taxonomy (:data:`TAXONOMY`) is ever caught, and the answers of the
   operations that completed are collected for bitwise comparison
-  against the fault-free oracle.
+  against the fault-free oracle; after every completed query the
+  fragmentation's spliced snapshots and border index are compared with
+  a fresh build (``tests/differential/harness.py``).
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from repro.runtime.executors import WorkerProcessDied
 from repro.runtime.fault import WorkerFailure
 from repro.store.snapshot import SnapshotError
 from repro.store.wal import WALWriteError
+
+from differential.harness import assert_derived_state_fresh
 
 #: every error a resilient run is allowed to surface — anything outside
 #: this tuple propagates out of the harness and fails the test.
@@ -121,6 +125,8 @@ def run_workload(service, graph_name: str, ops, *,
                     ticket = service.play(program, source,
                                           graph=graph_name)
                     answers.append(ticket.answer)
+                    assert_derived_state_fresh(
+                        service.fragmentation(graph_name))
                 else:
                     service.update(graph_name, _delta_from_spec(op[1]))
                 break

@@ -21,6 +21,12 @@ every ``(backend × use_csr × incremental)`` combination and asserts that
   schedule), and
 * every combination ran on the **plane** it is meant to cover (so the
   ``use_csr`` sweep really is an array-plane vs. dict-plane sweep).
+
+:func:`assert_derived_state_fresh` is the check the update harnesses (the
+update fuzz, the service-update differential, the chaos runner) make after
+every batch: snapshots and the border index are spliced from their
+predecessors and the batch's dirty set, and must equal a from-scratch
+build field for field.
 """
 
 from __future__ import annotations
@@ -29,8 +35,12 @@ import itertools
 from typing import Any, Callable, Dict, Tuple
 from unittest import mock
 
+import numpy as np
+
 from repro.core import engine as engine_mod
 from repro.core.engine import GrapeEngine
+from repro.graph.csr import CSRGraph
+from repro.partition.base import BorderIndex
 
 BACKENDS = ("serial", "thread", "process")
 CSR_MODES = (True, False)
@@ -53,6 +63,44 @@ def normalize(answer: Any) -> Any:
         return {k: (frozenset(v) if isinstance(v, (set, frozenset)) else v)
                 for k, v in answer.items()}
     return answer
+
+
+def assert_same_snapshot(snap: CSRGraph, fresh: CSRGraph) -> None:
+    """``snap`` equals ``fresh`` field by field: the six structural
+    arrays with their dtypes, the id maps and the labels."""
+    assert (snap.n, snap.directed) == (fresh.n, fresh.directed)
+    for name in CSRGraph.SHARED_FIELDS:
+        got, want = getattr(snap, name), getattr(fresh, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    assert snap.node_of == fresh.node_of
+    assert snap.id_of == fresh.id_of
+    assert list(snap.id_of) == list(fresh.id_of)
+    assert snap.labels == fresh.labels
+
+
+def assert_same_border_index(index, fresh) -> None:
+    assert (index is None) == (fresh is None)
+    if index is not None:
+        for name in BorderIndex.__slots__:
+            got, want = getattr(index, name), getattr(fresh, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+
+
+def assert_derived_state_fresh(fragmentation) -> None:
+    """Every snapshot-shaped cache of ``fragmentation`` — spliced or not
+    — equals what a build from the whole (mutated) graph gives."""
+    index = fragmentation.border_index()
+    assert_same_border_index(index, BorderIndex.build(fragmentation))
+    for frag in fragmentation:
+        snap = frag.csr()
+        assert_same_snapshot(snap, CSRGraph.from_graph(frag.graph))
+        if index is not None:  # integer labels: the array plane's maps
+            labels, vids = frag.outer_slots()
+            assert labels.tolist() == sorted(frag.outer)
+            assert [snap.node_of[i] for i in vids.tolist()] \
+                == labels.tolist()
 
 
 def run_all_paths(make_program: Callable[..., Any], query: Any,

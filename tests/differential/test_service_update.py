@@ -21,7 +21,7 @@ from repro.graph.generators import uniform_random_graph
 from repro.sequential import connected_components, sssp_distances
 from repro.service import GrapeService
 
-from .harness import BACKENDS, normalize
+from .harness import BACKENDS, assert_derived_state_fresh, normalize
 
 
 def cc_oracle(g):
@@ -68,6 +68,7 @@ def test_mixed_update_with_active_watches(backend):
         assert sssp_watch.answer == pytest.approx(sssp_distances(g, 0))
         assert normalize(cc_watch.answer) == normalize(cc_oracle(g))
         service.fragmentation("social").validate()
+        assert_derived_state_fresh(service.fragmentation("social"))
 
         # The batch has deletions: both watches were served by the
         # delete-aware bounded path — a partial reset of the affected
@@ -120,6 +121,7 @@ def test_watch_answers_survive_update_streams(backend):
             service.update("g", delta)
             assert sssp_watch.answer == pytest.approx(sssp_distances(g, 0))
             assert normalize(cc_watch.answer) == normalize(cc_oracle(g))
+            assert_derived_state_fresh(service.fragmentation("g"))
         # Every batch — including the deletion and the weight increase —
         # was maintained; the non-monotone ones via partial resets.
         assert service.stats.incremental_maintained == 2 * len(batches)

@@ -31,7 +31,8 @@ from repro.graph.delta import GraphDelta
 from repro.graph.generators import uniform_random_graph
 from repro.pie_programs import BFSProgram, CCProgram, SSSPProgram
 
-from .harness import BACKENDS, CSR_MODES, normalize
+from .harness import (BACKENDS, CSR_MODES, assert_derived_state_fresh,
+                      normalize)
 
 EdgeBatch = List[Tuple[Any, Any, float]]
 OpBatch = List[Tuple]
@@ -144,6 +145,7 @@ def _fuzz(make_program, query, graph_factory, backend, seed,
         scratch = normalize(GrapeEngine(3, backend=backend).run(
             make_program(), query,
             fragmentation=session.fragmentation).answer)
+        assert_derived_state_fresh(session.fragmentation)
         if maintained != scratch:
             minimal = _shrink(
                 lambda subset: _fails(make_program, query, graph_factory,
@@ -254,6 +256,7 @@ def _fuzz_mixed(make_program, query, graph_factory, backend, use_csr,
         scratch = normalize(GrapeEngine(3, backend=backend).run(
             make_program(use_csr=use_csr), query,
             fragmentation=session.fragmentation).answer)
+        assert_derived_state_fresh(session.fragmentation)
         if maintained != scratch:
             minimal = _shrink(
                 lambda subset: _fails_mixed(make_program, query,

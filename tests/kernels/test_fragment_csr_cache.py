@@ -1,7 +1,14 @@
-"""Fragment CSR snapshot lifecycle: lazy build, reuse, invalidation."""
+"""Fragment CSR snapshot lifecycle: lazy build, reuse, invalidation, and
+the splice of the next snapshot from the retired one."""
+
+import sys
+import threading
+
+import numpy as np
 
 from repro.core.engine import GrapeEngine
-from repro.core.updates import apply_insertions
+from repro.core.updates import apply_delta, apply_insertions
+from repro.graph.delta import GraphDelta
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import uniform_random_graph
 from repro.pie_programs import SSSPProgram
@@ -50,6 +57,133 @@ class TestFragmentSnapshot:
         frag.invalidate_csr()
         assert frag.csr_invalidations == 0
         assert frag.csr_epoch == 1
+
+
+class TestOwnedOrder:
+    def test_graph_order_whatever_the_set_order(self):
+        import pickle
+        fragmentation = make_fragmentation()
+        for frag in fragmentation:
+            order = frag.owned_order()
+            assert order == [v for v in frag.graph.nodes()
+                             if v in frag.owned]
+            assert frag.owned_order() is order  # cached per epoch
+            # a pickle round trip may reorder the set, never this
+            assert pickle.loads(pickle.dumps(frag)).owned_order() == order
+
+    def test_follows_the_epoch(self):
+        fragmentation = make_fragmentation()
+        before = {frag.fid: frag.owned_order() for frag in fragmentation}
+        touched = apply_insertions(fragmentation, [(0, 4242, 0.5)])
+        home = fragmentation.gp.owner(4242)
+        assert 4242 in touched[home].owned_added
+        assert fragmentation[home].owned_order() == before[home] + [4242]
+
+
+class TestSplice:
+    """``csr_builds`` counts builds from the whole graph, ``csr_patches``
+    splices from the retired snapshot and a dirty set."""
+
+    def test_delta_retires_then_splices(self):
+        fragmentation = make_fragmentation()
+        snaps = [frag.csr() for frag in fragmentation]
+        u, v, _w = next(iter(fragmentation.graph.edges()))
+        touched = apply_delta(fragmentation,
+                              GraphDelta().insert(0, 1, 0.5).delete(u, v))
+        mutated = {fid for fid, d in touched.items() if d.mutates_graph}
+        assert mutated
+        for frag, old in zip(fragmentation, snaps):
+            if frag.fid not in mutated:
+                assert frag.csr() is old
+                continue
+            # maintenance must keep seeing "no snapshot" until a read
+            assert not frag.csr_cached
+            new = frag.csr()
+            assert frag.csr_cached and new is not old
+            assert (frag.csr_builds, frag.csr_patches) == (1, 1)
+            fresh = CSRGraph.from_graph(frag.graph)
+            assert np.array_equal(new.indptr, fresh.indptr)
+            assert np.array_equal(new.indices, fresh.indices)
+            assert np.array_equal(new.weights, fresh.weights)
+            assert frag.csr() is new  # the retired snapshot was let go
+            assert frag.csr_patches == 1
+        assert fragmentation.csr_snapshots_built == len(fragmentation)
+        assert fragmentation.csr_snapshots_patched == len(mutated)
+
+    def test_dirty_sets_of_successive_batches_accumulate(self):
+        fragmentation = make_fragmentation(num_fragments=2)
+        for frag in fragmentation:
+            frag.csr()
+        mutated = set()
+        for edge in ((0, 1, 0.5), (2, 3, 0.5), (4, 5, 0.5)):
+            touched = apply_insertions(fragmentation, [edge])
+            mutated |= {f for f, d in touched.items() if d.mutates_graph}
+        assert mutated
+        for frag in fragmentation:
+            snap = frag.csr()
+            # three batches, one retirement, one splice
+            assert (frag.csr_builds, frag.csr_invalidations,
+                    frag.csr_patches) == (1,) + 2 * (int(frag.fid in mutated),)
+            assert np.array_equal(snap.indices,
+                                  CSRGraph.from_graph(frag.graph).indices)
+
+    def test_invalidate_without_a_dirty_set_still_drops(self):
+        frag = make_fragmentation()[0]
+        frag.csr()
+        frag.invalidate_csr({next(iter(frag.owned))})
+        frag.invalidate_csr()  # an unknown mutation: nothing to splice
+        assert frag.csr_invalidations == 1
+        frag.csr()
+        assert (frag.csr_builds, frag.csr_patches) == (2, 0)
+
+    def test_a_dirty_set_that_is_not_small_builds(self):
+        frag = make_fragmentation()[0]
+        frag.csr()
+        frag.invalidate_csr(set(frag.graph.nodes()))
+        frag.csr()
+        assert (frag.csr_builds, frag.csr_patches) == (2, 0)
+
+    def test_release_drops_every_array(self):
+        fragmentation = make_fragmentation()
+        for frag in fragmentation:
+            frag.csr()
+        apply_insertions(fragmentation, [(0, 1, 0.5)])
+        fragmentation[1].outer_slots()
+        fragmentation[1].owned_order()
+        fragmentation.border_index()
+        fragmentation.release_snapshots()
+        for frag in fragmentation:
+            assert frag._csr is None and frag._csr_pending is None
+            assert frag._outer_slots is None and frag._owned_order is None
+        assert fragmentation._border_index is None
+        epochs = [frag.csr_epoch for frag in fragmentation]
+        assert fragmentation[0].csr().n == fragmentation[0].graph.num_nodes
+        assert [frag.csr_epoch for frag in fragmentation] == epochs
+
+    def test_concurrent_readers_splice_once(self):
+        frag = make_fragmentation(num_fragments=2)[0]
+        frag.csr()
+        frag.invalidate_csr({next(iter(frag.owned))})
+        results, start = [], threading.Barrier(8)
+
+        def read():
+            start.wait(timeout=10)
+            results.append(frag.csr())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8
+        assert all(snap is results[0] for snap in results)
+        assert (frag.csr_builds, frag.csr_patches) == (1, 1)
 
 
 class TestInsertionInvalidation:

@@ -1,4 +1,5 @@
-"""The dense border index: built lazily per version, equal to a fresh
+"""The dense border index: brought current lazily per version (spliced
+from the previous index where the delta log allows), equal to a fresh
 build after any update batch."""
 
 import pickle
@@ -86,10 +87,16 @@ class TestLifecycle:
             BorderIndex, "build",
             classmethod(lambda cls, f: builds.append(1) or real(cls, f)))
         apply_delta(frag, GraphDelta().insert(0, 59, 1.0))
-        assert builds == []
+        assert builds == [] and frag.border_index_patches == 0
         frag.border_index()
         frag.border_index()
-        assert builds == [1]
+        # ... and the first use afterwards splices the cached index
+        assert builds == [] and frag.border_index_patches == 1
+        assert frag.border_index() == real(BorderIndex, frag)
+        # a version the delta log does not cover cannot be spliced
+        frag.bump_version()
+        frag.border_index()
+        assert builds == [1] and frag.border_index_patches == 1
 
     def test_service_update_does_not_build_it(self, monkeypatch):
         g = uniform_random_graph(60, 150, seed=4)
@@ -108,8 +115,10 @@ class TestLifecycle:
             before = len(builds)
             service.update("g", GraphDelta().insert(1, 58, 0.5))
             assert len(builds) == before
+            assert service.fragmentation("g").border_index_patches == 0
             service.play("sssp", 0, graph="g")
-            assert len(builds) == before + 1
+            assert len(builds) == before
+            assert service.fragmentation("g").border_index_patches == 1
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_equal_to_a_fresh_build_after_border_churn(self, directed):
