@@ -7,12 +7,15 @@ Usage::
     python3 benchmarks/check_overhead.py e2e.out
 
 Reads the run's result line (the last line of its standard output) and
-fails when the coordinator has grown back: ``overhead.sssp_x`` — a served
-SSSP ``play()`` over the whole-graph CSR kernel floor, two timings taken
-on the same host minutes apart, so the ratio needs no reference machine —
-must stay at or under ``MAX_SSSP_OVERHEAD_X``, and no operation of the
-run may have failed.  The bound sits between the dict-plane coordinator
-(49.5x on the reference run) and the array plane (about 10x).
+fails when the layers around the kernels have grown back:
+``overhead.sssp_x`` / ``overhead.cc_x`` — a served ``play()`` over the
+whole-graph CSR kernel floor, two timings taken on the same host minutes
+apart, so the ratio needs no reference machine — must stay at or under
+``MAX_SSSP_OVERHEAD_X`` / ``MAX_CC_OVERHEAD_X``, and no operation of the
+run may have failed.  The SSSP bound sits between the array plane with
+dict mirrors beside the state (8.2–10.3x) and with the arrays as the
+state (about 6.7x); the CC bound between ``LocalComponents`` as the state
+(11.4–12.6x) and ``(comp, lab)`` (4–6.5x).
 
 It also fails when reads after writes have gone back to rebuilding
 snapshots: ``graph.csr.rebuilds`` counts ``CSRGraph.from_graph`` builds
@@ -28,7 +31,8 @@ from __future__ import annotations
 import json
 import sys
 
-MAX_SSSP_OVERHEAD_X = 30.0
+MAX_SSSP_OVERHEAD_X = 16.0
+MAX_CC_OVERHEAD_X = 10.0
 MAX_CSR_REBUILDS = 8
 
 
@@ -36,13 +40,14 @@ def check(result: dict) -> list:
     """Problems found in one result line (empty: the gate passes)."""
     problems = []
     metrics = result.get("metrics", {})
-    overhead = metrics.get("overhead.sssp_x", {}).get("value")
-    if overhead is None:
-        problems.append("no overhead.sssp_x in the result "
-                        "(was the run made with --trace 1?)")
-    elif overhead > MAX_SSSP_OVERHEAD_X:
-        problems.append(f"overhead.sssp_x = {overhead:.1f} > "
-                        f"{MAX_SSSP_OVERHEAD_X:.0f}")
+    for name, bound in (("overhead.sssp_x", MAX_SSSP_OVERHEAD_X),
+                        ("overhead.cc_x", MAX_CC_OVERHEAD_X)):
+        overhead = metrics.get(name, {}).get("value")
+        if overhead is None:
+            problems.append(f"no {name} in the result "
+                            "(was the run made with --trace 1?)")
+        elif overhead > bound:
+            problems.append(f"{name} = {overhead:.1f} > {bound:.0f}")
     rebuilds = metrics.get("graph.csr.rebuilds", {}).get("value")
     if rebuilds is None:
         problems.append("no graph.csr.rebuilds in the result")
@@ -76,7 +81,9 @@ def main(argv) -> int:
         metrics = result["metrics"]
         print("ok  overhead.sssp_x = "
               f"{metrics['overhead.sssp_x']['value']:.1f} "
-              f"<= {MAX_SSSP_OVERHEAD_X:.0f}, graph.csr.rebuilds = "
+              f"<= {MAX_SSSP_OVERHEAD_X:.0f}, overhead.cc_x = "
+              f"{metrics['overhead.cc_x']['value']:.1f} "
+              f"<= {MAX_CC_OVERHEAD_X:.0f}, graph.csr.rebuilds = "
               f"{metrics['graph.csr.rebuilds']['value']:.0f} "
               f"<= {MAX_CSR_REBUILDS}, no failed operation")
     return 1 if problems else 0

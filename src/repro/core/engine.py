@@ -533,6 +533,9 @@ class GrapeEngine:
             if trace is not None:
                 trace.record("assemble", assemble_s)
             metrics.assemble_s += assemble_s
+            metrics.dict_views_materialised += sum(
+                getattr(state, "views_materialised", 0)
+                for state in states.values())
             coordinator.drain_timers(metrics)
             cluster.metrics.parallel_time_s += assemble_s
             cluster.metrics.total_compute_s += assemble_s
@@ -579,18 +582,15 @@ class GrapeEngine:
         Two failure shapes are handled:
 
         * an **injected** :exc:`WorkerFailure` (inline backends) surfaces
-          in the outcomes — the failed attempt is recorded (its compute
-          happened), the checkpoint is restored and the step replays;
+          in the outcomes — the checkpoint is restored and the step
+          replays;
         * a **real worker death**
           (:exc:`~repro.runtime.executors.WorkerProcessDied`, process
           backend — including :exc:`~repro.runtime.executors.WorkerHung`,
           a worker killed for missing heartbeats) aborts the exchange
           mid-flight — with a checkpoint available the session is
           re-opened on fresh pool workers, the checkpoint restored into
-          them and the step replayed.  Nothing is recorded for the
-          aborted attempt (no complete outcome set exists), so a
-          recovered run's logical metrics — supersteps, traffic — equal
-          an uninterrupted run's.  A death during the recovery itself
+          them and the step replayed.  A death during the recovery itself
           (the replacement worker dies while states are being restored)
           retries the whole sequence.  Known limitation: a death landing
           inside the *checkpoint* exchange (``collect_states``) rather
@@ -598,6 +598,11 @@ class GrapeEngine:
           :exc:`WorkerProcessDied` — the next consistent resume point
           would predate work the coordinator has already folded; callers
           treat it as a failed (safely re-runnable) query.
+
+        Either way a superstep is recorded only for the attempt whose
+        outcomes are returned, so a recovered run's logical account —
+        supersteps, traffic — equals an uninterrupted run's on every
+        backend (``recoveries`` says what it went through).
 
         The fault plane's ``exec.step`` site is consulted here, exactly
         once per fragment per *logical* superstep; a fired action rides
@@ -663,12 +668,12 @@ class GrapeEngine:
                 _events.emit("worker.recovered",
                              error=type(exc).__name__, attempts=attempts)
                 continue
-            times = [outcomes[fid].elapsed for fid in sorted(outcomes)]
-            cluster.record_superstep(times, bytes_shipped=bytes_in,
-                                     num_messages=msgs_in)
             failure = next((o.failed for o in outcomes.values()
                             if o.failed is not None), None)
             if failure is None:
+                times = [outcomes[fid].elapsed for fid in sorted(outcomes)]
+                cluster.record_superstep(times, bytes_shipped=bytes_in,
+                                         num_messages=msgs_in)
                 return outcomes
             strip_faults()
             if attempts > 25:

@@ -65,8 +65,9 @@ class PIEProgram(abc.ABC):
     Subclasses implement the three sequential functions and the message
     preamble.  All per-fragment mutable data lives in an opaque *state*
     object created by :meth:`init_state`; the engine never inspects it
-    beyond deep-copying for checkpoints and (under the process backend)
-    pickling it back for Assemble.
+    beyond deep-copying for checkpoints, (under the process backend)
+    pickling it back for Assemble, and totalling an optional
+    ``views_materialised`` count into ``RunMetrics``.
 
     **Pickle contract.**  Under ``backend="process"`` the program, the
     query and every fragment are shipped to pooled worker processes, and

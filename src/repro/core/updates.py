@@ -38,6 +38,7 @@ Programs that cannot tolerate a recompute opt out with
 
 from __future__ import annotations
 
+import threading
 import time
 from itertools import chain
 from operator import itemgetter
@@ -61,6 +62,8 @@ EdgeInsertion = Tuple[Node, Node, float]
 
 _DEFAULT_COST = CostModel()
 _MISSING = object()
+#: ``ContinuousQuerySession._answer`` between a batch and the next read
+_STALE = object()
 #: the ``name`` half of a ``(node, name)`` parameter key
 _NAME_OF = itemgetter(1)
 
@@ -334,6 +337,12 @@ class ContinuousQuerySession:
     session's own :class:`~repro.core.coordinator.DictCoordinator` (the
     generic plane: per-key tables are what the bounded rebaseline
     edits), whatever plane the engine's full runs take.
+
+    **Assemble is deferred.**  A batch maintains the per-fragment states
+    and stops; :attr:`answer` assembles ``Q(G)`` on the first read after
+    a batch and keeps it until the next one (maintain eagerly, enumerate
+    when somebody asks).  :meth:`update` and its sugar, whose contract
+    is to return the answer, read it.
     """
 
     def __init__(self, engine: GrapeEngine, program: PIEProgram, query: Any,
@@ -355,8 +364,10 @@ class ContinuousQuerySession:
         result = engine.run(program, query,
                             fragmentation=self.fragmentation)
         self.states = result.states
-        self.answer = result.answer
+        self._answer = result.answer
+        self._answer_lock = threading.Lock()
         self.metrics = result.metrics
+        self._views_counted = result.metrics.dict_views_materialised
         self._coord = DictCoordinator(program, self.fragmentation)
         # The ``name`` halves of every ``(node, name)`` key this session
         # has read — a fixed handful per program — so the bounded path
@@ -369,15 +380,43 @@ class ContinuousQuerySession:
         self._stale = False
         self._rebaseline()
 
+    @property
+    def answer(self) -> Any:
+        """``Q(G)`` as of the last applied batch: assembled on the first
+        read after a batch and kept until the next one — the same object
+        between batches, a new one after; an answer a caller still holds
+        is never mutated.  (Under a :class:`~repro.service.GrapeService`
+        read it through the watch handle, which keeps writers out.)"""
+        with self._answer_lock:
+            if self._answer is _STALE:
+                start = time.perf_counter()
+                self._answer = self.program.assemble(
+                    self.query, self.fragmentation, self.states)
+                elapsed = time.perf_counter() - start
+                self.metrics.assemble_s += elapsed
+                self.metrics.standing_assemble_s += elapsed
+                self.metrics.standing_answers_assembled += 1
+            return self._answer
+
+    def _count_views(self) -> None:
+        """Fold the dict views maintenance made the states build into
+        ``metrics.dict_views_materialised``."""
+        views = sum(getattr(state, "views_materialised", 0)
+                    for state in self.states.values())
+        self.metrics.dict_views_materialised += views - self._views_counted
+        self._views_counted = views
+
     def _rebaseline(self) -> None:
-        """Rebuild the coordinator tables from the converged states."""
+        """Rebuild the coordinator tables from the converged states (a
+        full read, which also consumes the programs' changed-since-last-
+        report tracking: maintenance reports start from here)."""
         program, query = self.program, self.query
         reported, table = self._coord.reported, self._coord.table
         reported.clear()
         table.clear()
         for frag in self.fragmentation:
-            params = program.read_update_params(query, frag,
-                                                self.states[frag.fid])
+            _kind, params = read_report(program, query, frag,
+                                        self.states[frag.fid], True)
             reported[frag.fid] = params
             self._param_names.update(map(_NAME_OF, params))
             for key, value in params.items():
@@ -386,9 +425,12 @@ class ContinuousQuerySession:
                                                             value)
                 else:
                     table[key] = value
+        self._count_views()
 
     def _begin_maintenance(self) -> None:
-        """A fresh monotonicity history per maintenance pass."""
+        """A fresh monotonicity history per maintenance pass; the answer
+        assembled before it is no longer the answer."""
+        self._answer = _STALE
         self._coord.checker = MonotonicityChecker(
             self.program.aggregator, enabled=self.engine.check_monotonic)
 
@@ -437,19 +479,16 @@ class ContinuousQuerySession:
         return fresh, probe
 
     def _finish_maintenance(self, messages, local_s: float, up_bytes: int,
-                            up_msgs: int) -> Any:
-        """Close the batch's first superstep, drain the message loop and
-        re-assemble (shared tail of both maintenance paths)."""
+                            up_msgs: int) -> None:
+        """Close the batch's first superstep and drain the message loop
+        (shared tail of both maintenance paths).  The answer is left to
+        the next read."""
         self.metrics.record_superstep([local_s], up_bytes, up_msgs,
                                       self.engine.cost_model
                                       or _DEFAULT_COST)
         self._resume_fixpoint(messages)
-        start = time.perf_counter()
-        self.answer = self.program.assemble(self.query, self.fragmentation,
-                                            self.states)
-        self.metrics.assemble_s += time.perf_counter() - start
         self._coord.drain_timers(self.metrics)
-        return self.answer
+        self._count_views()
 
     # ------------------------------------------------------------------
     def update(self, delta: GraphDelta) -> Any:
@@ -463,8 +502,8 @@ class ContinuousQuerySession:
         :meth:`apply_update` on each session instead, so fragments are
         mutated exactly once.
         """
-        touched = apply_delta(self.fragmentation, delta)
-        return self.apply_update(touched)
+        self.apply_update(apply_delta(self.fragmentation, delta))
+        return self.answer
 
     def insert_edges(self, edges: Iterable[EdgeInsertion]) -> Any:
         """Apply an insertion batch (:meth:`update` sugar)."""
@@ -478,18 +517,19 @@ class ContinuousQuerySession:
         """Apply a reweight batch (:meth:`update` sugar)."""
         return self.update(GraphDelta.from_weight_changes(triples))
 
-    def apply_update(self, touched: Dict[int, Any]) -> Any:
-        """Refresh the standing answer after fragments were updated.
+    def apply_update(self, touched: Dict[int, Any]) -> None:
+        """Refresh the standing query after fragments were updated.
 
         ``touched`` maps fragment id to its
         :class:`~repro.graph.delta.FragmentDelta` (the return value of
         :func:`apply_delta`; legacy insertion lists are accepted).  The
         batch is folded incrementally when every touched fragment's
         delta is maintainable by the program, and answered by the
-        recompute fallback otherwise.
+        recompute fallback otherwise.  Nothing is assembled here: the
+        next read of :attr:`answer` does that.
         """
         if not touched:
-            return self.answer
+            return
         if self._stale:
             raise NonMonotoneUpdateError(
                 f"standing {type(self.program).__name__} answer is stale:"
@@ -513,10 +553,10 @@ class ContinuousQuerySession:
                 f"increases), and the program opted out of the "
                 f"recompute fallback (recompute_fallback=False)")
         self.metrics.fallback_reruns += 1
-        return self._recompute()
+        self._recompute()
 
     # ------------------------------------------------------------------
-    def _maintain(self, touched: Dict[int, FragmentDelta]) -> Any:
+    def _maintain(self, touched: Dict[int, FragmentDelta]) -> None:
         """The monotone fast path: fold deltas into live state, collect
         what that moved — at ``O(|batch| + |AFF|)`` like the bounded path
         (:meth:`_batch_entries`), by an ``O(border)`` full-report diff
@@ -543,8 +583,8 @@ class ContinuousQuerySession:
         else:
             reports = self._read_reports(force_full=True)
         up_bytes, up_msgs, dirty = self._coord.fold(reports)
-        return self._finish_maintenance(self._coord.compose(dirty),
-                                        local_s, up_bytes, up_msgs)
+        self._finish_maintenance(self._coord.compose(dirty), local_s,
+                                 up_bytes, up_msgs)
 
     def _resume_fixpoint(self, messages) -> None:
         """Run the maintenance message loop to a fixpoint (shared by the
@@ -572,7 +612,8 @@ class ContinuousQuerySession:
                 times, down_bytes + up_bytes, len(messages) + up_msgs,
                 self.engine.cost_model or _DEFAULT_COST)
 
-    def _maintain_bounded(self, touched: Dict[int, FragmentDelta]) -> Any:
+    def _maintain_bounded(self,
+                          touched: Dict[int, FragmentDelta]) -> None:
         """Bounded non-monotone maintenance: reset *only* the affected
         region, re-seed from its surviving boundary, re-converge.
 
@@ -701,8 +742,8 @@ class ContinuousQuerySession:
         else:
             up_bytes, up_msgs, dirty = self._rebaseline_bounded_full(
                 global_aff)
-        return self._finish_maintenance(self._coord.compose(dirty),
-                                        local_s, up_bytes, up_msgs)
+        self._finish_maintenance(self._coord.compose(dirty), local_s,
+                                 up_bytes, up_msgs)
 
     def _rebaseline_region(self, touched: Dict[int, FragmentDelta],
                            local_aff: Dict[int, Set[Node]],
@@ -814,7 +855,7 @@ class ContinuousQuerySession:
         dirty |= {k for k in table if k[0] in global_aff}
         return up_bytes, up_msgs, dirty
 
-    def _recompute(self) -> Any:
+    def _recompute(self) -> None:
         """The non-monotone fallback: re-run the query from reset state
         on the mutated fragmentation, inside this session.
 
@@ -830,9 +871,9 @@ class ContinuousQuerySession:
         result = self.engine.run(self.program, self.query,
                                  fragmentation=self.fragmentation)
         self.states = result.states
-        self.answer = result.answer
+        self._answer = result.answer
+        self._views_counted = result.metrics.dict_views_materialised
         # Fold the re-run's cost into the session's cumulative metrics
         # in place (WatchHandle holds a reference to the object).
         self.metrics.absorb(result.metrics)
         self._rebaseline()
-        return self.answer

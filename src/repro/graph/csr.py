@@ -96,7 +96,7 @@ class CSRGraph:
     """
 
     __slots__ = ("n", "directed", "indptr", "indices", "weights", "_rev",
-                 "id_of", "node_of", "labels", "_label_index")
+                 "id_of", "node_of", "labels", "_label_index", "_min_weight")
 
     def __init__(self, n: int, directed: bool,
                  indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
@@ -117,7 +117,26 @@ class CSRGraph:
         self.id_of = id_of
         self.node_of = node_of
         self.labels = labels
-        self._label_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # (labels, sorted labels, their order) once int_labels was asked
+        self._label_index: Optional[Tuple] = None
+        self._min_weight: Optional[float] = None
+
+    @property
+    def min_weight(self) -> float:
+        """The smallest edge weight (``inf`` without edges), computed on
+        first use and kept with the immutable snapshot: what
+        :func:`repro.kernels.csr_sssp` validates instead of testing every
+        round's gathered weights."""
+        low = self._min_weight
+        if low is None:
+            low = self._min_weight = (float(self.weights.min())
+                                      if self.weights.size else float("inf"))
+        return low
+
+    def weights_patched(self) -> None:
+        """The shared-memory plane rewrote weights of this snapshot's
+        mapped arrays in place: what was derived from them is stale."""
+        self._min_weight = None
 
     def _reverse(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         rev = self._rev
@@ -389,20 +408,38 @@ class CSRGraph:
                    id_of, node_of, labels)
 
     # ------------------------------------------------------------------
+    @property
+    def int_labels(self) -> Optional[np.ndarray]:
+        """The nodes' identities by dense id as an int64 array, or
+        ``None`` unless every node is a plain ``int`` that fits — the
+        precondition of everything that treats labels as array values
+        (parameter blocks, CC's component ids).  Built on first use,
+        with the sorted lookup table of :meth:`ids_of`, and kept with
+        the (immutable) snapshot."""
+        index = self._label_index
+        if index is None:
+            index = (None, None, None)
+            if all(type(v) is int for v in self.node_of):
+                try:
+                    labels = np.array(self.node_of, dtype=np.int64)
+                except OverflowError:  # labels beyond int64
+                    pass
+                else:
+                    order = np.argsort(labels, kind="stable")
+                    index = (labels, labels[order], order)
+            self._label_index = index
+        return index[0]
+
     def ids_of(self, nodes: np.ndarray) -> np.ndarray:
         """Dense ids of an int64 array of node identities (vectorized
         ``id_of``), for snapshots whose nodes are all plain ints — the
         receiving end of an array parameter block
-        (:class:`repro.runtime.wire.ParamBlock`).  The sorted lookup
-        table is built on first use and kept with the (immutable)
-        snapshot.  An unknown node raises :exc:`KeyError`.
+        (:class:`repro.runtime.wire.ParamBlock`).  An unknown node
+        raises :exc:`KeyError`.
         """
-        index = self._label_index
-        if index is None:
-            labels = np.array(self.node_of, dtype=np.int64)
-            order = np.argsort(labels, kind="stable")
-            index = self._label_index = (labels[order], order)
-        sorted_labels, order = index
+        if self.int_labels is None:
+            raise TypeError("snapshot nodes are not all plain ints")
+        _labels, sorted_labels, order = self._label_index
         return order[positions_in_sorted(sorted_labels, nodes)]
 
     def out_neighbors(self, vid: int) -> np.ndarray:

@@ -41,7 +41,7 @@ class Graph:
     """
 
     __slots__ = ("directed", "_succ", "_pred", "_node_labels", "_edge_labels",
-                 "_edge_weights", "_num_undirected_edges")
+                 "_num_edges")
 
     def __init__(self, directed: bool = True):
         self.directed = directed
@@ -50,8 +50,10 @@ class Graph:
         self._pred: Dict[Node, Dict[Node, float]] = {}
         self._node_labels: Dict[Node, Any] = {}
         self._edge_labels: Dict[Edge, Any] = {}
-        self._edge_weights: Dict[Edge, float] = {}
-        self._num_undirected_edges = 0
+        # The adjacency rows are the only per-edge store (a weight lives
+        # in ``_succ[u][v]``): a second, tuple-keyed table of every edge
+        # is one the collector re-walks in full after each insertion.
+        self._num_edges = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -75,30 +77,26 @@ class Graph:
         is_new = v not in self._succ[u]
         self._succ[u][v] = weight
         self._pred[v][u] = weight
-        self._edge_weights[(u, v)] = weight
         if label is not None:
             self._edge_labels[(u, v)] = label
         if not self.directed:
             self._succ[v][u] = weight
             self._pred[u][v] = weight
-            self._edge_weights[(v, u)] = weight
             if label is not None:
                 self._edge_labels[(v, u)] = label
-            if is_new:
-                self._num_undirected_edges += 1
+        if is_new:
+            self._num_edges += 1
 
     def remove_edge(self, u: Node, v: Node) -> None:
         """Remove edge ``(u, v)``; raises ``KeyError`` if absent."""
         del self._succ[u][v]
         del self._pred[v][u]
-        self._edge_weights.pop((u, v), None)
         self._edge_labels.pop((u, v), None)
         if not self.directed:
             self._succ[v].pop(u, None)
             self._pred[u].pop(v, None)
-            self._edge_weights.pop((v, u), None)
             self._edge_labels.pop((v, u), None)
-            self._num_undirected_edges -= 1
+        self._num_edges -= 1
 
     def set_edge_weight(self, u: Node, v: Node, weight: float) -> None:
         """Reweight existing edge ``(u, v)``; raises ``KeyError`` if absent.
@@ -111,11 +109,9 @@ class Graph:
             raise KeyError((u, v))
         self._succ[u][v] = weight
         self._pred[v][u] = weight
-        self._edge_weights[(u, v)] = weight
         if not self.directed:
             self._succ[v][u] = weight
             self._pred[u][v] = weight
-            self._edge_weights[(v, u)] = weight
 
     def remove_node(self, v: Node) -> None:
         """Remove ``v`` and every incident edge."""
@@ -142,9 +138,7 @@ class Graph:
     @property
     def num_edges(self) -> int:
         """Directed edge count; undirected edges are counted once."""
-        if self.directed:
-            return len(self._edge_weights)
-        return self._num_undirected_edges
+        return self._num_edges
 
     def nodes(self) -> Iterator[Node]:
         return iter(self._succ)

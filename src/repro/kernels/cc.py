@@ -1,13 +1,15 @@
 """Vectorized connected components over a CSR snapshot.
 
-Min-label propagation with pointer jumping: every node starts labeled
-with its own dense id; each round pushes labels across every edge in
-both directions (``np.minimum.at``) and then shortcuts chains
-(``comp = comp[comp]``) until stable.  Labels only decrease and are
-bounded below by the component minimum, so the loop converges in
-O(log n) rounds to ``comp[v] =`` the smallest dense id in ``v``'s
-component — edge direction ignored, matching the paper's undirected CC
-semantics.
+Min-label hooking with pointer jumping (FastSV-style): every node starts
+labeled with its own dense id; each round lowers, across every edge, both
+the endpoint's label and the label of the endpoint's *representative*
+(``np.minimum.at``) and then shortcuts chains (``comp = comp[comp]``)
+until stable.  Hooking the representatives merges whole trees per round
+instead of moving labels one vertex at a time, so the loop converges in
+O(log n) rounds whatever order the dense ids are in.  Labels only
+decrease and are bounded below by the component minimum, so the fixpoint
+is ``comp[v] =`` the smallest dense id in ``v``'s component — edge
+direction ignored, matching the paper's undirected CC semantics.
 """
 
 from __future__ import annotations
@@ -21,18 +23,21 @@ from repro.kernels._segments import edge_positions
 __all__ = ["csr_components", "csr_region_components"]
 
 
-def csr_components(csr) -> np.ndarray:
-    """Component representative (minimum dense id) for every node."""
-    n = csr.n
-    comp = np.arange(n, dtype=np.int64)
-    if not csr.indices.size:
-        return comp
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
-    dst = csr.indices
-    while True:
+def _hook_to_fixpoint(comp: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                      mirrored: bool) -> np.ndarray:
+    """Lower ``comp`` (idempotent: ``comp[comp] == comp``) across the
+    edges ``src -> dst`` until no label moves.  ``mirrored`` says every
+    edge is listed in both directions (an undirected snapshot), so
+    hooking one way covers the other."""
+    while src.size:
         new = comp.copy()
-        np.minimum.at(new, dst, comp[src])
-        np.minimum.at(new, src, comp[dst])
+        low = comp[src]
+        np.minimum.at(new, dst, low)
+        np.minimum.at(new, comp[dst], low)
+        if not mirrored:
+            low = comp[dst]
+            np.minimum.at(new, src, low)
+            np.minimum.at(new, comp[src], low)
         # Pointer jumping: labels satisfy comp[v] <= v, so chasing
         # labels-of-labels strictly decreases until stable.
         while True:
@@ -41,8 +46,17 @@ def csr_components(csr) -> np.ndarray:
                 break
             new = jumped
         if np.array_equal(new, comp):
-            return comp
+            break
         comp = new
+    return comp
+
+
+def csr_components(csr) -> np.ndarray:
+    """Component representative (minimum dense id) for every node."""
+    n = csr.n
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
+    return _hook_to_fixpoint(np.arange(n, dtype=np.int64), src, csr.indices,
+                             not csr.directed)
 
 
 def csr_region_components(csr, region) -> List[np.ndarray]:
@@ -66,20 +80,8 @@ def csr_region_components(csr, region) -> List[np.ndarray]:
     src = np.repeat(region, counts)
     dst = csr.indices[pos]
     keep = mask[dst]
-    src, dst = src[keep], dst[keep]
-    comp = np.arange(csr.n, dtype=np.int64)
-    while src.size:
-        new = comp.copy()
-        np.minimum.at(new, dst, comp[src])
-        np.minimum.at(new, src, comp[dst])
-        while True:
-            jumped = new[new]
-            if np.array_equal(jumped, new):
-                break
-            new = jumped
-        if np.array_equal(new, comp):
-            break
-        comp = new
+    comp = _hook_to_fixpoint(np.arange(csr.n, dtype=np.int64), src[keep],
+                             dst[keep], not csr.directed)
     labels = comp[region]
     order = np.argsort(labels, kind="stable")
     bounds = np.nonzero(np.diff(labels[order]))[0] + 1

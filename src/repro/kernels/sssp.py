@@ -49,27 +49,27 @@ def csr_sssp(csr, seeds: Union[Dict[int, float],
     whose distance improved, the affected area ``AFF``.
     """
     n = csr.n
+    indptr, indices, weights = csr.indptr, csr.indices, csr.weights
+    # Validated once per snapshot (a cached minimum), not per round.
+    if csr.min_weight < 0:
+        bad = int(np.argmax(weights < 0))
+        src = int(np.searchsorted(indptr, bad, side="right")) - 1
+        raise ValueError(
+            f"negative edge weight on "
+            f"({csr.node_of[src]}, {csr.node_of[int(indices[bad])]})")
     if dist is None:
         dist = np.full(n, np.inf, dtype=np.float64)
     changed = np.zeros(n, dtype=bool)
     frontier = seed_frontier(seeds, dist)
     changed[frontier] = True
 
-    indptr, indices, weights = csr.indptr, csr.indices, csr.weights
     while frontier.size:
         starts = indptr[frontier]
         counts = indptr[frontier + 1] - starts
         pos = edge_positions(starts, counts)
         if not pos.size:
             break
-        w = weights[pos]
-        if np.any(w < 0):
-            bad = pos[np.argmax(w < 0)]
-            src = int(np.searchsorted(indptr, bad, side="right")) - 1
-            raise ValueError(
-                f"negative edge weight on "
-                f"({csr.node_of[src]}, {csr.node_of[int(indices[bad])]})")
-        cand = np.repeat(dist[frontier], counts) + w
+        cand = np.repeat(dist[frontier], counts) + weights[pos]
         dst = indices[pos]
         if dst.size * 8 >= n:
             # Dense round: one O(n) compare beats sorting the touched

@@ -68,7 +68,7 @@ class Fragment:
 
     __slots__ = ("fid", "graph", "owned", "inner", "outer",
                  "_csr", "_csr_pending", "_csr_lock", "_csr_shared",
-                 "_remote_csr_live", "_outer_slots", "_owned_order",
+                 "_remote_csr_live", "_outer_slots", "_owned_slots",
                  "csr_epoch", "csr_builds", "csr_patches",
                  "csr_invalidations")
 
@@ -95,8 +95,9 @@ class Fragment:
         self._remote_csr_live = False
         # (csr epoch, sorted F_i.O labels, their dense ids): see outer_slots
         self._outer_slots = None
-        # (csr epoch, owned nodes in local graph order): see owned_order
-        self._owned_order = None
+        # (csr epoch, owned nodes in local graph order, their dense ids):
+        # see owned_slots
+        self._owned_slots = None
         #: bumped on every invalidation so consumers holding arrays keyed
         #: by the old snapshot's dense ids know to rebuild them
         self.csr_epoch = 0
@@ -170,22 +171,28 @@ class Fragment:
                                           self.csr().ids_of(labels))
         return cached[1], cached[2]
 
-    def owned_order(self) -> List[Node]:
-        """The owned nodes in the local graph's node order (ascending
-        dense id) — a deterministic order, where iterating the ``owned``
-        set is not: a pickle round trip (the process backend) reorders
-        it, and float accumulations that follow it would differ in the
-        last digit between backends.  Cached per ``csr_epoch``.  The
-        elements are the set's own objects, which on an unpickled copy
+    def owned_slots(self) -> Tuple[List[Node], np.ndarray]:
+        """The owned nodes in the local graph's node order and their
+        (ascending) dense ids — what Assemble gathers a value array at,
+        and a deterministic order where iterating the ``owned`` set is
+        not: a pickle round trip (the process backend) reorders it, and
+        float accumulations that follow it would differ in the last
+        digit between backends.  Cached per ``csr_epoch``; needs no live
+        snapshot (dense ids *are* positions in the graph's node order).
+        The nodes are the set's own objects, which on an unpickled copy
         sit together in memory where the graph's keys do not — per-node
         loops over this list run measurably faster for it."""
-        cached = self._owned_order
+        cached = self._owned_slots
         if cached is None or cached[0] != self.csr_epoch:
             epoch = self.csr_epoch
-            place = dict(zip(self.graph.nodes(), itertools.count()))
-            cached = self._owned_order = (
-                epoch, sorted(self.owned, key=place.__getitem__))
-        return cached[1]
+            snap = self._csr
+            id_of = (snap.id_of if snap is not None else
+                     dict(zip(self.graph.nodes(), itertools.count())))
+            nodes = sorted(self.owned, key=id_of.__getitem__)
+            ids = np.fromiter(map(id_of.__getitem__, nodes), dtype=np.int64,
+                              count=len(nodes))
+            cached = self._owned_slots = (epoch, nodes, ids)
+        return cached[1], cached[2]
 
     def install_csr(self, snap, *, shared: bool = False) -> None:
         """Adopt a prebuilt CSR snapshot without counting a build.
@@ -206,6 +213,8 @@ class Fragment:
         old epoch must refresh but the snapshot itself stays valid."""
         with self._csr_lock:
             self.csr_epoch += 1
+            if self._csr is not None:
+                self._csr.weights_patched()
 
     def keep_patched_csr(self, snap) -> bool:
         """After a weight-only delta the arena patched ``snap`` (the
@@ -284,7 +293,7 @@ class Fragment:
         :meth:`csr` would simply build again)."""
         with self._csr_lock:
             self._csr = self._csr_pending = None
-            self._outer_slots = self._owned_order = None
+            self._outer_slots = self._owned_slots = None
             self._csr_shared = False
 
     def count_remote_csr_work(self, builds: int, patches: int) -> None:

@@ -1,17 +1,23 @@
 """PIE program for connected components (paper Section 5.2).
 
 ``PEval`` computes fragment-local components and links every member to a
-component root; ``IncEval`` lowers component ids in ``O(|AFF|)`` by
-following the root links (the paper's bounded incremental step);
-``Assemble`` buckets nodes by final component id.
+component root; ``IncEval`` lowers component ids by following the root
+links (the paper's bounded incremental step); ``Assemble`` buckets nodes
+by final component id.
 
-With ``use_csr`` on (the default) ``PEval`` finds the local components by
-min-label propagation over the fragment's CSR snapshot
-(:func:`repro.kernels.csr_components`) instead of a Python BFS; the
-root/member bookkeeping and the bounded ``IncEval`` relabeling are shared
-— ``lower_cid`` is already O(|affected component|), so only the
-whole-fragment batch pass gains from vectorization.  Changed border cids
-are tracked as a dirty set feeding ``read_changed_params``.
+With ``use_csr`` on (the default, for integer-labelled graphs) the state
+is two arrays over the fragment's CSR snapshot: ``comp``, the
+representative :func:`repro.kernels.csr_components` found for every
+vertex, and ``lab``, the current component id of every representative —
+a vertex's cid is ``lab[comp[v]]``.  ``IncEval`` is one
+``np.minimum.at`` on ``lab``, a report is a gather at the border slots
+compared with what was last sent, and ``Assemble`` is one
+argsort-split.  The dict structure of the textbook algorithm
+(:class:`~repro.sequential.wcc.LocalComponents`, ``state.comps``) is a
+view built from ``(comp, lab)`` when somebody asks for it — every
+dict-plane hook does, and session maintenance, whose ``add_edge`` /
+``drop_components`` need member lists — and from then on it is the
+state: the arrays are dropped, not mirrored.
 
 Message preamble: integer ``v.cid`` per node, candidate set = the border
 nodes, ``aggregateMsg = min``.
@@ -19,9 +25,8 @@ nodes, ``aggregateMsg = min``.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -30,19 +35,89 @@ from repro.core.pie import BlockSpec, ParamUpdates, PIEProgram
 from repro.graph.graph import Node
 from repro.kernels import csr_components, csr_region_components
 from repro.partition.base import Fragment, Fragmentation
+from repro.pie_programs._blocks import ArrayState
 from repro.runtime.wire import ParamBlock
 from repro.sequential.wcc import LocalComponents
 
 __all__ = ["CCProgram", "CCState"]
 
+_NO_CID = np.iinfo(np.int64).max
 
-@dataclass
-class CCState:
-    """Per-fragment state: the local component structure."""
 
-    comps: Optional[LocalComponents] = None
-    #: border nodes whose cid changed since the last report
-    dirty: Set[Node] = field(default_factory=set)
+def _components_view(comp: np.ndarray, nodes: List[Node],
+                     lab: Optional[np.ndarray] = None) -> LocalComponents:
+    """The dict structure of the partition ``comp`` (representative per
+    dense id) over ``nodes``, every component lowered to its ``lab``
+    where one was learned."""
+    order = np.argsort(comp, kind="stable")
+    if not order.size:
+        return LocalComponents.from_partition([])
+    bounds = np.flatnonzero(np.diff(comp[order])) + 1
+    groups = [[nodes[i] for i in idx.tolist()]
+              for idx in np.split(order, bounds)]
+    comps = LocalComponents.from_partition(groups)
+    if lab is not None:
+        reps = comp[order[np.concatenate(([0], bounds))]]
+        for group, cid in zip(groups, lab[reps].tolist()):
+            comps.lower_cid(group[0], cid)
+    return comps
+
+
+class CCState(ArrayState):
+    """Per-fragment state: ``(comp, lab)`` over the snapshot's vertices,
+    or — once ``comps`` was asked for — the component structure."""
+
+    _arrays = ("_comp", "_lab")
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: the border nodes' labels and dense ids as PEval found them
+        #: (only the block hooks of one run read them: every dict-plane
+        #: hook, session maintenance included, asks for ``comps``)
+        self._slots: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def _empty_view(self) -> None:
+        return None
+
+    def _materialise(self) -> LocalComponents:
+        return _components_view(self._comp, self._keys, self._lab)
+
+    @property
+    def comps(self) -> Optional[LocalComponents]:
+        """The component structure; asking makes it the state.  What
+        moved since the last array report becomes the dirty set."""
+        comps = self.view
+        if self.has_arrays:
+            if self._sent is not None:
+                labels, ids = self._slots
+                now = self._lab[self._comp[ids]]
+                self.dirty = set(labels[now != self._sent].tolist())
+            self.drop_arrays()
+        return comps
+
+    @comps.setter
+    def comps(self, value: LocalComponents) -> None:
+        self.view = value
+
+    def comps_on(self, fragment: Fragment) -> Optional[LocalComponents]:
+        self.current(fragment)
+        return self.comps
+
+    def arrays_on(self, fragment: Fragment
+                  ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(comp, lab)`` while they are the state on ``fragment``'s
+        live snapshot; ``None`` when the component structure is (made
+        so, if the snapshot moved or was never built here)."""
+        if self.current(fragment) and fragment.csr_cached:
+            return self._comp, self._lab
+        _structure = self.comps  # the transition, if there are arrays
+        return None
+
+    def mark(self, fragment: Fragment, changed: Iterable[Node]) -> None:
+        if self.dirty is not None:
+            inner, outer = fragment.inner, fragment.outer
+            self.dirty.update(m for m in changed
+                              if m in inner or m in outer)
 
 
 class CCProgram(PIEProgram):
@@ -69,37 +144,42 @@ class CCProgram(PIEProgram):
         return CCState()
 
     def peval(self, query, fragment: Fragment, state: CCState) -> None:
-        old_cids = state.comps.cid if state.comps is not None else None
-        if self.use_csr:
-            state.comps = self._local_components_csr(fragment)
-        else:
-            state.comps = LocalComponents(fragment.graph)
-        if old_cids:
+        csr = fragment.csr() if self.use_csr else None
+        old = state.arrays_on(fragment)
+        if (csr is None or csr.int_labels is None
+                or state._view is not None):
+            return self._peval_dict(fragment, state)
+        comp = csr_components(csr)
+        lab = np.full(csr.n, _NO_CID, dtype=np.int64)
+        np.minimum.at(lab, comp, csr.int_labels)
+        if old is not None:
             # NI-mode re-run / failure replay: never regress below ids
             # already learned from other fragments (monotonicity).
-            for v, c in old_cids.items():
-                if c < state.comps.cid.get(v, c):
-                    state.comps.lower_cid(v, c)
-        cids = state.comps.cid
-        for v in fragment.inner:
-            if old_cids is None or cids[v] != old_cids.get(v):
-                state.dirty.add(v)
-        for v in fragment.outer:
-            if old_cids is None or cids[v] != old_cids.get(v):
-                state.dirty.add(v)
+            np.minimum.at(lab, comp, old[1][old[0]])
+        state.adopt(fragment, csr.node_of, comp, lab)
+        border = np.fromiter(chain(fragment.inner, fragment.outer),
+                             dtype=np.int64,
+                             count=len(fragment.inner) + len(fragment.outer))
+        state._slots = (border, csr.ids_of(border))
 
-    @staticmethod
-    def _local_components_csr(fragment: Fragment) -> LocalComponents:
-        csr = fragment.csr()
-        if not csr.n:
-            return LocalComponents.from_partition([])
-        comp = csr_components(csr)
-        order = np.argsort(comp, kind="stable")
-        boundaries = np.nonzero(np.diff(comp[order]))[0] + 1
-        node_of = csr.node_of
-        groups = [[node_of[i] for i in idx.tolist()]
-                  for idx in np.split(order, boundaries)]
-        return LocalComponents.from_partition(groups)
+    def _peval_dict(self, fragment: Fragment, state: CCState) -> None:
+        """PEval into the component structure (``use_csr=False``, labels
+        that are not array values, or a state that already is one)."""
+        old = state.comps_on(fragment)
+        if self.use_csr:
+            csr = fragment.csr()
+            comps = _components_view(csr_components(csr), csr.node_of)
+        else:
+            comps = LocalComponents(fragment.graph)
+        state.comps = comps
+        if old is None:
+            return  # the first report names every border node
+        cids = comps.cid
+        for v, c in old.cid.items():
+            if c < cids.get(v, c):
+                comps.lower_cid(v, c)  # as above: never regress
+        state.mark(fragment, [v for v in fragment.border_nodes
+                              if cids[v] != old.cid.get(v)])
 
     def inceval(self, query, fragment: Fragment, state: CCState,
                 message: ParamUpdates) -> None:
@@ -108,27 +188,31 @@ class CCProgram(PIEProgram):
 
     def inceval_block(self, query, fragment: Fragment, state: CCState,
                       block: ParamBlock) -> None:
-        self._lower(fragment, state,
-                    zip(block.ids.tolist(), block.vals.tolist()))
+        arrays = state.arrays_on(fragment)
+        if arrays is None:
+            return self._lower(fragment, state, zip(block.ids.tolist(),
+                                                    block.vals.tolist()))
+        comp, lab = arrays
+        np.minimum.at(lab, comp[fragment.csr().ids_of(block.ids)],
+                      block.vals)
 
     @staticmethod
     def _lower(fragment: Fragment, state: CCState, pairs) -> None:
-        """The bounded IncEval step: lower each named border node's
-        component to the incoming id, following the root links."""
-        inner, outer = fragment.inner, fragment.outer
+        """The bounded IncEval step on the component structure: lower
+        each named border node's component to the incoming id, following
+        the root links."""
+        comps = state.comps_on(fragment)
         for v, cid in pairs:
-            for m in state.comps.lower_cid(v, cid):
-                if m in inner or m in outer:
-                    state.dirty.add(m)
+            state.mark(fragment, comps.lower_cid(v, cid))
 
     def apply_message(self, query, fragment: Fragment, state: CCState,
                       message: ParamUpdates) -> None:
         # NI mode: record incoming ids; the PEval re-run folds them in.
+        comps = state.comps_on(fragment)
         for (v, _name), cid in message.items():
-            if state.comps is not None and cid < state.comps.cid.get(v, cid):
-                state.comps.cid[v] = cid
-                if v in fragment.inner or v in fragment.outer:
-                    state.dirty.add(v)
+            if comps is not None and cid < comps.cid.get(v, cid):
+                comps.cid[v] = cid
+                state.mark(fragment, (v,))
 
     def maintainable(self, delta) -> bool:
         """Every batch is maintainable: CC ignores weights entirely, so
@@ -149,72 +233,13 @@ class CCProgram(PIEProgram):
         """Inserted edges merge local components (weighted union);
         reweights need no work at all."""
         edges = delta.insertions if hasattr(delta, "insertions") else delta
+        comps = state.comps_on(fragment)
         for u, v, _w in edges:
-            for m in state.comps.add_edge(u, v):
-                if m in fragment.inner or m in fragment.outer:
-                    state.dirty.add(m)
+            state.mark(fragment, comps.add_edge(u, v))
 
     # ------------------------------------------------------------------
     # Bounded non-monotone maintenance (delete-aware IncEval)
     # ------------------------------------------------------------------
-    def affected_seeds(self, query, fragment: Fragment, state: CCState,
-                       delta) -> Set[Node]:
-        """Direct hits, filtered by a local reconnection check: a
-        deleted edge whose endpoints are still connected on the
-        (already-mutated) local graph cannot change any component —
-        local connectivity implies global connectivity, so the old cids
-        stay exact and the deletion seeds nothing.  Only deletions that
-        genuinely sever their endpoints locally condemn, and membership
-        carries no provenance to narrow the blast radius below the
-        endpoint's whole *local* component (the cross-fragment closure
-        grows this to the old global component, which is exactly
-        ``AFF`` for CC).  ``Graph.neighbors`` is symmetric also on
-        directed graphs, matching the weak-connectivity relation the
-        component structure is built on, so the filter applies to both
-        orientations."""
-        comps = state.comps
-        graph = fragment.graph
-        seeds: Set[Node] = set()
-        for u, v, _w in delta.deletions:
-            if self._locally_reconnected(comps, graph, u, v):
-                continue
-            for x in (u, v):
-                if comps is not None and x in comps.cid:
-                    seeds.update(comps.component_members(x))
-                else:
-                    seeds.add(x)
-        seeds.update(delta.retired_nodes)
-        return seeds
-
-    @staticmethod
-    def _locally_reconnected(comps: Optional[LocalComponents], graph,
-                             u: Node, v: Node) -> bool:
-        """BFS from ``u`` toward ``v`` on the mutated local graph,
-        restricted to the endpoints' old local component (the search may
-        not leave it: the component was closed under local edges and the
-        batch's insertions are folded separately).  Early exit on
-        reaching ``v``; worst case — the endpoints really are severed —
-        costs one sweep of the component about to be condemned anyway."""
-        if comps is None or u not in comps.cid or v not in comps.cid:
-            return False
-        if not (graph.has_node(u) and graph.has_node(v)):
-            return False
-        target_cid = comps.cid[u]
-        if comps.cid[v] != target_cid:
-            return False
-        cid = comps.cid
-        seen = {u}
-        dq = deque([u])
-        while dq:
-            x = dq.popleft()
-            for y in graph.neighbors(x):
-                if y == v:
-                    return True
-                if y not in seen and cid.get(y) == target_cid:
-                    seen.add(y)
-                    dq.append(y)
-        return False
-
     def affected_seeds_global(self, query, fragments, states,
                               touched) -> Dict[int, Set[Node]]:
         """Driver-side batch seeding: exact split detection.
@@ -244,7 +269,7 @@ class CCProgram(PIEProgram):
         seeds: Dict[int, Set[Node]] = {}
         for fid, delta in touched.items():
             found: Set[Node] = set()
-            comps = states[fid].comps
+            comps = states[fid].comps_on(fragments[fid])
             graph = fragments[fid].graph
             for u, v, _w in delta.deletions:
                 if not severed[frozenset((u, v))]:
@@ -312,7 +337,7 @@ class CCProgram(PIEProgram):
         ``O(|nodes| * |region|)``.  The dedup is by membership, not by
         cid: distinct local components routinely share one *global*
         label."""
-        comps = state.comps
+        comps = state.comps_on(fragment)
         grown: Set[Node] = set()
         for v in nodes:
             if comps is not None and v in comps.cid:
@@ -329,7 +354,7 @@ class CCProgram(PIEProgram):
         retraction of any split-off global minimum), then fold the
         batch's insertions; the resumed message fixpoint re-derives the
         global minima."""
-        comps = state.comps
+        comps = state.comps_on(fragment)
         if comps is None:
             comps = state.comps = LocalComponents(fragment.graph)
         comps.drop_components(affected)
@@ -346,11 +371,8 @@ class CCProgram(PIEProgram):
             else:
                 comps.rebuild_region(fragment.graph, region)
         if delta is not None:
-            inner, outer = fragment.inner, fragment.outer
             for u, v, _w in delta.insertions:
-                for m in comps.add_edge(u, v):
-                    if m in inner or m in outer:
-                        state.dirty.add(m)
+                state.mark(fragment, comps.add_edge(u, v))
 
     @staticmethod
     def _rebuild_region_csr(fragment: Fragment, comps: LocalComponents,
@@ -364,46 +386,73 @@ class CCProgram(PIEProgram):
 
     def read_update_params(self, query, fragment: Fragment,
                            state: CCState) -> ParamUpdates:
-        # .get(v, v): a node that joined via a graph update without any
-        # local edge is locally its own singleton component.
-        cids = state.comps.cid
-        return {(v, "cid"): cids.get(v, v) for v in fragment.border_nodes}
+        return self.report_entries(query, fragment, state,
+                                   fragment.border_nodes)
 
     def report_entries(self, query, fragment: Fragment, state: CCState,
                        nodes: Set[Node]) -> ParamUpdates:
         """Per-node restriction of :meth:`read_update_params` — the
         session's incremental rebaseline probes exactly the vertices a
         non-monotone batch could have touched."""
-        cids = state.comps.cid if state.comps is not None else {}
+        comps = state.comps_on(fragment)
+        cids = comps.cid if comps is not None else {}
         inner, outer = fragment.inner, fragment.outer
+        # .get(v, v): a node that joined via a graph update without any
+        # local edge is locally its own singleton component.
         return {(v, "cid"): cids.get(v, v) for v in nodes
                 if v in inner or v in outer}
 
     def read_changed_params(self, query, fragment: Fragment,
                             state: CCState) -> ParamUpdates:
-        if not state.dirty:
-            return {}
+        state.comps_on(fragment)  # (what the arrays owed becomes dirty)
         dirty, state.dirty = state.dirty, set()
-        cids = state.comps.cid
-        return {(v, "cid"): cids.get(v, v) for v in dirty}
+        if dirty is None:  # the first report names every border node
+            dirty = fragment.border_nodes
+        return self.report_entries(query, fragment, state, dirty)
 
     def read_changed_block(self, query, fragment: Fragment,
                            state: CCState) -> Optional[ParamBlock]:
-        # The component structure is dict-based (LocalComponents), so the
-        # block is gathered from the dirty set rather than a kernel array.
-        if not state.dirty:
+        arrays = state.arrays_on(fragment)
+        if arrays is None:
+            params = self.read_changed_params(query, fragment, state)
+            if not params:
+                return None
+            return ParamBlock(
+                np.array([v for v, _name in params], dtype=np.int64),
+                np.array(list(params.values()), dtype=np.int64))
+        comp, lab = arrays
+        labels, ids = state._slots
+        vals = lab[comp[ids]]
+        # ids only ever decrease; nothing sent yet: every border node
+        moved = vals < (_NO_CID if state._sent is None else state._sent)
+        if not moved.any():
             return None
-        dirty, state.dirty = list(state.dirty), set()
-        cids = state.comps.cid
-        return ParamBlock(
-            np.array(dirty, dtype=np.int64),
-            np.array([cids.get(v, v) for v in dirty], dtype=np.int64))
+        state._sent = vals
+        return ParamBlock(labels[moved], vals[moved])
 
     def assemble(self, query, fragmentation: Fragmentation,
                  states: Dict[int, CCState]) -> Dict[Node, Set[Node]]:
         buckets: Dict[Node, Set[Node]] = {}
+        cids, members, loose = [], [], []
         for frag in fragmentation:
-            cids = states[frag.fid].comps.cid
+            state = states[frag.fid]
+            if state.current(frag):
+                nodes, ids = frag.owned_slots()
+                cids.append(state._lab[state._comp[ids]])
+                members.append(frag.csr().int_labels[ids] if frag.csr_cached
+                               else np.array(nodes, dtype=np.int64))
+            else:
+                loose.append((frag, state.comps.cid))
+        if cids:
+            cid, member = np.concatenate(cids), np.concatenate(members)
+            order = np.argsort(cid, kind="stable")
+            cid, member = cid[order], member[order]
+            bounds = np.flatnonzero(np.diff(cid)) + 1
+            if cid.size:
+                for c, group in zip(cid[np.concatenate(([0], bounds))].tolist(),
+                                    np.split(member, bounds)):
+                    buckets[c] = set(group.tolist())
+        for frag, cid_of in loose:
             for v in frag.owned:
-                buckets.setdefault(cids.get(v, v), set()).add(v)
+                buckets.setdefault(cid_of.get(v, v), set()).add(v)
         return buckets

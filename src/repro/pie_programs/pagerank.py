@@ -13,7 +13,10 @@ by the owners next round — the standard distributed power iteration
 expressed as a PIE program.
 
 With ``use_csr`` on (the default) the push runs as one
-:func:`repro.kernels.csr_pagerank_push` over the fragment's CSR snapshot.
+:func:`repro.kernels.csr_pagerank_push` over the fragment's CSR snapshot
+and the ranks live in one float64 vector aligned with the fragment's
+owned nodes (``Fragment.owned_slots``), carried from one iteration to
+the next; ``state.rank`` is the dict view of it, built when asked.
 ``np.add.at`` folds shares in the same order as the dict loop, so the
 resulting ranks are bitwise-identical.  Every iteration refreshes all
 non-zero contributions (their ``(iteration, value)`` tags always
@@ -25,7 +28,7 @@ slots and arrive as one array per source fragment.
 Contributions from different fragments to one node are summed in
 ascending source-fragment order on every path, so ranks do not depend on
 the order messages happened to be composed in; and owned nodes push in
-the local graph's node order (``Fragment.owned_order``), never in the
+the local graph's node order (``Fragment.owned_slots``), never in the
 iteration order of the ``owned`` set, which a pickle round trip (the
 process backend) changes — so ranks are bitwise the same on every
 backend.
@@ -33,8 +36,8 @@ backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -44,6 +47,7 @@ from repro.graph.csr import positions_in_sorted
 from repro.graph.graph import Node
 from repro.kernels import csr_pagerank_push
 from repro.partition.base import Fragment, Fragmentation
+from repro.pie_programs._blocks import ArrayState
 from repro.runtime.wire import ParamBlock
 
 __all__ = ["PageRankQuery", "PageRankProgram", "PageRankState"]
@@ -63,31 +67,41 @@ class PageRankQuery:
     tolerance: Optional[float] = None
 
 
-@dataclass
-class PageRankState:
-    """Per-fragment state: ranks and incoming cross-edge contributions."""
+class PageRankState(ArrayState):
+    """Per-fragment state: the owned nodes' ranks — one float64 vector
+    in ``Fragment.owned_slots`` order, ``rank`` its dict view — and the
+    incoming cross-edge contributions."""
 
-    rank: Dict[Node, float] = field(default_factory=dict)
-    #: rank mass arriving over cut edges: node -> {source fragment: mass}
-    external: Dict[Node, Dict[int, float]] = field(default_factory=dict)
-    #: mass this fragment sends to each copy, refreshed per iteration
-    #: (dict path; the CSR path keeps the push's output in ``_incoming``)
-    outgoing: Dict[Node, float] = field(default_factory=dict)
-    iteration: int = 0
-    converged: bool = False
-    num_global_nodes: int = 0
-    #: iteration whose contributions were last reported to the engine
-    _reported_iteration: int = -1
-    #: (csr epoch, owned/outer node orders and dense ids, owned position
-    #: index) — derived from the snapshot, rebuilt when it moves
-    _csr_cache: Optional[tuple] = None
-    #: CSR path: the last push's per-vertex incoming mass (dense ids)
-    _incoming: Optional[np.ndarray] = None
-    #: array plane: mass received per source fragment, aligned with
-    #: ``_inner_labels`` (the sorted labels of ``F_i.I`` — label-keyed, so
-    #: it survives a restore onto another snapshot epoch)
-    _ext: Dict[int, np.ndarray] = field(default_factory=dict)
-    _inner_labels: Optional[np.ndarray] = None
+    _arrays = ("_vec",)
+    rank = ArrayState.view
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: rank mass arriving over cut edges: node -> {source fragment:
+        #: mass} (dict plane; the array plane keeps ``_ext``)
+        self.external: Dict[Node, Dict[int, float]] = {}
+        #: mass this fragment sends to each copy, refreshed per iteration
+        #: (dict path; the CSR path keeps the push's output in
+        #: ``_incoming``)
+        self.outgoing: Dict[Node, float] = {}
+        self.iteration = 0
+        self.converged = False
+        self.num_global_nodes = 0
+        #: iteration whose contributions were last reported to the engine
+        self._reported_iteration = -1
+        #: CSR path: the last push's per-vertex incoming mass (dense ids)
+        self._incoming: Optional[np.ndarray] = None
+        #: array plane: mass received per source fragment, aligned with
+        #: ``_inner_labels`` (the sorted labels of ``F_i.I`` — label-keyed,
+        #: so it survives a restore onto another snapshot epoch)
+        self._ext: Dict[int, np.ndarray] = {}
+        self._inner_labels: Optional[np.ndarray] = None
+
+    def _keys_of(self, fragment: Fragment) -> List[Node]:
+        return fragment.owned_slots()[0]
+
+    def _materialise(self) -> Dict[Node, float]:
+        return dict(zip(self._keys, self._vec.tolist()))
 
 
 def _ordered_sum(by_source: Dict[int, float]) -> float:
@@ -122,8 +136,7 @@ class PageRankProgram(PIEProgram):
 
     def init_state(self, query: PageRankQuery,
                    fragment: Fragment) -> PageRankState:
-        state = PageRankState()
-        return state
+        return PageRankState()
 
     def preprocess(self, query: PageRankQuery,
                    fragmentation: Fragmentation) -> Dict[int, int]:
@@ -152,16 +165,17 @@ class PageRankProgram(PIEProgram):
         graph = fragment.graph
         n = max(1, state.num_global_nodes)
         teleport = (1.0 - query.damping) / n
-        if not state.rank:
-            state.rank = {v: 1.0 / n for v in fragment.owned}
+        rank = state.view_on(fragment)
+        if not rank:
+            rank = {v: 1.0 / n for v in fragment.owned}
 
-        owned_list = fragment.owned_order()
+        owned_list = fragment.owned_slots()[0]
         incoming: Dict[Node, float] = {v: 0.0 for v in graph.nodes()}
         for v in owned_list:
             out_deg = graph.out_degree(v)
             if out_deg == 0:
                 continue
-            share = state.rank.get(v, 0.0) / out_deg
+            share = rank.get(v, 0.0) / out_deg
             for w in graph.successors(v):
                 incoming[w] = incoming.get(w, 0.0) + share
 
@@ -171,7 +185,7 @@ class PageRankProgram(PIEProgram):
             external = _ordered_sum(state.external.get(v, {}))
             value = (teleport
                      + query.damping * (incoming.get(v, 0.0) + external))
-            delta += abs(value - state.rank.get(v, 0.0))
+            delta += abs(value - rank.get(v, 0.0))
             new_rank[v] = value
         # Contributions flowing to copies (owned elsewhere) this round.
         state.outgoing = {v: incoming.get(v, 0.0)
@@ -182,30 +196,19 @@ class PageRankProgram(PIEProgram):
     def _iterate_csr(self, query: PageRankQuery, fragment: Fragment,
                      state: PageRankState) -> None:
         csr = fragment.csr()
-        cache = state._csr_cache
-        if cache is None or cache[0] != fragment.csr_epoch:
-            id_of = csr.id_of
-            owned_list = fragment.owned_order()
-            owned_ids = np.fromiter(map(id_of.__getitem__, owned_list),
-                                    dtype=np.int64, count=len(owned_list))
-            outer_list = list(fragment.outer)
-            outer_ids = np.fromiter(map(id_of.__getitem__, outer_list),
-                                    dtype=np.int64, count=len(outer_list))
-            pos_of = dict(zip(owned_list, range(len(owned_list))))
-            cache = state._csr_cache = (fragment.csr_epoch, owned_list,
-                                        owned_ids, outer_list, outer_ids,
-                                        pos_of)
-        _epoch, owned_list, owned_ids, _outer_list, _outer_ids, pos_of = cache
-
+        owned_list, owned_ids = fragment.owned_slots()
         n = max(1, state.num_global_nodes)
         teleport = (1.0 - query.damping) / n
-        if not state.rank:
-            state.rank = {v: 1.0 / n for v in fragment.owned}
+        if state.current(fragment):
+            old = state._vec
+        else:  # the first iteration, or a dict algorithm wrote last
+            rank = state.view
+            old = (np.fromiter((rank.get(v, 0.0) for v in owned_list),
+                               dtype=np.float64, count=len(owned_list))
+                   if rank else np.full(len(owned_list), 1.0 / n))
 
         rank_arr = np.zeros(csr.n, dtype=np.float64)
-        rank_arr[owned_ids] = np.fromiter(
-            (state.rank.get(v, 0.0) for v in owned_list),
-            dtype=np.float64, count=len(owned_list))
+        rank_arr[owned_ids] = old
         incoming = csr_pagerank_push(csr, rank_arr, owned_ids)
 
         if state._ext:
@@ -215,17 +218,17 @@ class PageRankProgram(PIEProgram):
             by_vertex = np.zeros(csr.n, dtype=np.float64)
             by_vertex[csr.ids_of(state._inner_labels)] = received
             ext = by_vertex[owned_ids]
+        elif state.external:  # dict plane
+            external = state.external
+            ext = np.fromiter((_ordered_sum(external[v]) if v in external
+                               else 0.0 for v in owned_list),
+                              dtype=np.float64, count=len(owned_list))
         else:
-            ext = np.zeros(len(owned_list), dtype=np.float64)
-            for v, srcs in state.external.items():
-                i = pos_of.get(v)
-                if i is not None:
-                    ext[i] = _ordered_sum(srcs)
+            ext = 0.0
 
-        old = rank_arr[owned_ids]
         vals = teleport + query.damping * (incoming[owned_ids] + ext)
         state._incoming = incoming
-        state.rank = dict(zip(owned_list, vals.tolist()))
+        state.adopt(fragment, owned_list, vals)
         if query.tolerance is not None:
             # Left-fold over Python floats: the dict path's exact sum.
             self._check_tolerance(query, state,
@@ -240,7 +243,7 @@ class PageRankProgram(PIEProgram):
               state: PageRankState) -> None:
         if state.converged:
             return
-        if not fragment.border_nodes:
+        if not (fragment.inner or fragment.outer):
             # No external input will ever arrive: partial evaluation IS
             # complete evaluation — iterate to convergence locally.
             while not state.converged:
@@ -290,9 +293,10 @@ class PageRankProgram(PIEProgram):
         # Per-source keys: owners must *sum* contributions from different
         # fragments, so each sender's mass is its own parameter.
         if state._incoming is not None:
-            _epoch, _owned, _oids, outer_list, outer_ids, _pos = \
-                state._csr_cache
-            outgoing = zip(outer_list, state._incoming[outer_ids].tolist())
+            outer = list(fragment.outer)
+            ids = np.fromiter(map(fragment.csr().id_of.__getitem__, outer),
+                              dtype=np.int64, count=len(outer))
+            outgoing = zip(outer, state._incoming[ids].tolist())
         else:
             outgoing = state.outgoing.items()
         return {(v, ("contrib", fragment.fid)): (state.iteration, value)
@@ -325,5 +329,7 @@ class PageRankProgram(PIEProgram):
                  states: Dict[int, PageRankState]) -> Dict[Node, float]:
         answer: Dict[Node, float] = {}
         for frag in fragmentation:
-            answer.update(states[frag.fid].rank)
+            state = states[frag.fid]
+            answer.update(zip(state._keys, state._vec.tolist())
+                          if state.current(frag) else state.rank)
         return answer

@@ -12,6 +12,9 @@ bare ``Exception`` or a silently wrong answer:
 * :exc:`QueryCancelled` — the caller cancelled the ticket
   (:meth:`~repro.service.tickets.QueryTicket.cancel`); the engine run
   was abandoned at a superstep boundary and its resources released.
+* :exc:`StateSnapshotMismatch` — a program state's arrays met a
+  fragment snapshot of another shape (a checkpoint restored onto the
+  wrong fragment); nothing is ever gathered from such a pairing.
 * :exc:`FailoverInterrupted` — an injected (or simulated) coordinator
   crash mid-failover; the fence holds, so re-running the failover is
   always safe.
@@ -30,7 +33,7 @@ from __future__ import annotations
 from typing import Optional
 
 __all__ = ["DeadlineExceeded", "FailoverInterrupted", "QueryCancelled",
-           "RetryExhausted"]
+           "RetryExhausted", "StateSnapshotMismatch"]
 
 
 class DeadlineExceeded(TimeoutError):
@@ -72,3 +75,9 @@ class FailoverInterrupted(RuntimeError):
     """The failover coordinator died mid-protocol (injected).  The
     epoch fence it wrote first still holds, so retrying the failover is
     safe and loses nothing."""
+
+
+class StateSnapshotMismatch(ValueError):
+    """A program state that crossed a process boundary carries arrays
+    addressed by snapshot vertex id; the fragment it was handed to has a
+    snapshot of another size, so the ids mean something else there."""

@@ -24,8 +24,8 @@ from typing import Any, Dict, List, Tuple
 from repro.obs.registry import TIME_BUCKETS, Histogram
 
 __all__ = ["CostModel", "DERIVED_STATE_COUNTERS", "PHASE_FIELDS",
-           "RunMetrics", "ServiceMetrics", "message_bytes",
-           "STRAGGLER_SKEW"]
+           "RunMetrics", "ServiceMetrics", "UPDATE_PHASE_FIELDS",
+           "message_bytes", "STRAGGLER_SKEW"]
 
 
 def message_bytes(payload: Any) -> int:
@@ -76,6 +76,11 @@ _SPECIAL_FIELDS = ("backend", "per_superstep")
 #: traffic and assembling the answer
 PHASE_FIELDS = ("report_read_s", "fold_s", "compose_s", "accounting_s",
                 "assemble_s")
+
+#: ServiceMetrics timers of the update path, equally always-on: where an
+#: ``update()`` batch went, and what its standing answers cost to read
+UPDATE_PHASE_FIELDS = ("update_apply_delta_s", "update_wal_append_s",
+                       "update_maintain_s", "standing_assemble_s")
 
 #: A superstep whose slowest worker ran at >= this multiple of the mean
 #: worker time counts as a straggler step (needs >= 2 workers to mean
@@ -182,6 +187,15 @@ class RunMetrics:
     compose_s: float = 0.0
     accounting_s: float = 0.0
     assemble_s: float = 0.0
+    #: dict views the programs' array states had to build
+    #: (:class:`repro.pie_programs._blocks.ArrayState`): zero for a query
+    #: served on the array plane, so a hot path that falls back to dicts
+    #: shows here
+    dict_views_materialised: int = 0
+    #: standing answers assembled — on the first read after a batch, not
+    #: by the batch — and the share of ``assemble_s`` that took
+    standing_answers_assembled: int = 0
+    standing_assemble_s: float = 0.0
     per_superstep: List[Dict[str, float]] = field(default_factory=list)
 
     def record_superstep(self, worker_times: List[float],
@@ -287,9 +301,6 @@ class RunMetrics:
 
 
 _RUN_ADDITIVE_FIELDS, _RUN_HISTOGRAM_FIELDS = _classify_fields(RunMetrics)
-
-#: kept as the historical name some callers/tests may rely on
-_ADDITIVE_FIELDS = _RUN_ADDITIVE_FIELDS
 
 
 #: the lifetime counters a :class:`~repro.partition.base.Fragmentation`
@@ -420,10 +431,23 @@ class ServiceMetrics:
     compose_s: float = 0.0
     accounting_s: float = 0.0
     assemble_s: float = 0.0
+    #: the same for update batches (:data:`UPDATE_PHASE_FIELDS`, the
+    #: ``update`` row of the layer table): mutating the fragmentation,
+    #: appending to the WAL, refreshing the standing queries — and, read
+    #: off the watches, assembling their answers when somebody asked
+    update_apply_delta_s: float = 0.0
+    update_wal_append_s: float = 0.0
+    update_maintain_s: float = 0.0
+    standing_assemble_s: float = 0.0
+    standing_answers_assembled: int = 0
+    #: dict views built by array program states, over served runs and
+    #: maintenance rounds (see :class:`RunMetrics`)
+    dict_views_materialised: int = 0
 
     def observe_run(self, metrics: "RunMetrics") -> None:
         """Fold one completed query run into the aggregates."""
         self.queries_served += 1
+        self.dict_views_materialised += metrics.dict_views_materialised
         for name in PHASE_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(metrics, name))
         self.wall_clock_s_total += metrics.wall_clock_s
@@ -441,12 +465,14 @@ class ServiceMetrics:
                            metrics.comm_messages)
 
     def observe_maintenance(self, supersteps: int, comm_bytes: int,
-                            comm_messages: int, *, maintained: int = 0,
+                            comm_messages: int, maintained: int = 0,
                             fallbacks: int = 0, partial_resets: int = 0,
                             affected_vertices: int = 0,
-                            delta_bytes: int = 0) -> None:
+                            delta_bytes: int = 0,
+                            dict_views: int = 0) -> None:
         """Fold one standing-query refresh (its *delta* cost) in."""
         self.watch_refreshes += 1
+        self.dict_views_materialised += dict_views
         self.incremental_maintained += maintained
         self.fallback_reruns += fallbacks
         self.partial_resets += partial_resets

@@ -515,6 +515,7 @@ class ShmArena:
                 if hits.size == 0:
                     return False
                 rev[s + hits] = new
+        csr.weights_patched()
         return True
 
     # -- lifecycle -----------------------------------------------------

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Tuple,
@@ -72,6 +73,7 @@ from repro.resilience import (BackendCircuitBreaker, DeadlineExceeded,
 from repro.runtime import shm
 from repro.runtime.executors import ExecutorBackend, WorkerProcessDied
 from repro.runtime.metrics import (DERIVED_STATE_COUNTERS, PHASE_FIELDS,
+                                   UPDATE_PHASE_FIELDS,
                                    ServiceMetrics)
 from repro.service.tickets import QueryRequest, QueryTicket
 from repro.store.catalog import GraphStore, StoredGraph
@@ -149,6 +151,11 @@ class _RWLock:
                 self._cond.notify_all()
 
 
+#: RunMetrics counters of a watch's session that :class:`ServiceMetrics`
+#: totals under the same names
+_WATCH_COUNTERS = ("standing_answers_assembled", "standing_assemble_s")
+
+
 class WatchHandle:
     """A standing query registered with :meth:`GrapeService.watch`.
 
@@ -160,18 +167,23 @@ class WatchHandle:
     """
 
     def __init__(self, watch_id: int, graph: str, program: str,
-                 session: ContinuousQuerySession):
+                 session: ContinuousQuerySession, graph_lock: _RWLock):
         self.watch_id = watch_id
         self.graph = graph
         self.program = program
         self.session = session
         self.refreshes = 0
         self.active = True
+        self._graph_lock = graph_lock
 
     @property
     def answer(self) -> Any:
-        """The maintained ``Q(G)`` reflecting every applied update."""
-        return self.session.answer
+        """The maintained ``Q(G)`` reflecting every applied update:
+        assembled on the first read after a batch (as a reader of the
+        graph, so never in the middle of one) and the same object until
+        the next batch; an answer read earlier is never mutated."""
+        with self._graph_lock.read():
+            return self.session.answer
 
     @property
     def metrics(self):
@@ -187,15 +199,20 @@ class WatchHandle:
         """Stop maintaining this query; later updates skip it."""
         self.active = False
 
+    #: the RunMetrics fields whose movement is one refresh's cost, in
+    #: :meth:`ServiceMetrics.observe_maintenance` argument order
+    _COST_FIELDS = ("supersteps", "comm_bytes", "comm_messages",
+                    "incremental_maintained", "fallback_reruns",
+                    "partial_resets", "affected_vertices",
+                    "delta_bytes_shipped", "dict_views_materialised")
+
     def _refresh(self, touched: Dict[int, FragmentDelta]
-                 ) -> Optional[Tuple[int, int, int, int, int, int, int,
-                                     int]]:
+                 ) -> Optional[Tuple[int, ...]]:
         """Fold an applied update batch into the session; returns the
-        delta (supersteps, bytes, messages, maintained, fallbacks,
-        partial_resets, affected_vertices, delta_bytes_shipped) this
-        maintenance round cost — measured per handle, so a batch that
-        maintains one watcher and falls back for another charges each
-        bucket its own session's outcome.
+        delta of every ``_COST_FIELDS`` counter this maintenance round
+        cost — measured per handle, so a batch that maintains one
+        watcher and falls back for another charges each bucket its own
+        session's outcome.
 
         Guarded against cancellation: a handle cancelled after the
         service snapshotted its watcher list (or from another thread
@@ -205,19 +222,11 @@ class WatchHandle:
         if not self.active:
             return None
         m = self.session.metrics
-        before = (m.supersteps, m.comm_bytes, m.comm_messages,
-                  m.incremental_maintained, m.fallback_reruns,
-                  m.partial_resets, m.affected_vertices,
-                  m.delta_bytes_shipped)
+        before = [getattr(m, name) for name in self._COST_FIELDS]
         self.session.apply_update(touched)
         self.refreshes += 1
-        return (m.supersteps - before[0], m.comm_bytes - before[1],
-                m.comm_messages - before[2],
-                m.incremental_maintained - before[3],
-                m.fallback_reruns - before[4],
-                m.partial_resets - before[5],
-                m.affected_vertices - before[6],
-                m.delta_bytes_shipped - before[7])
+        return tuple(getattr(m, name) - was
+                     for name, was in zip(self._COST_FIELDS, before))
 
     def __repr__(self) -> str:
         state = "active" if self.active else "cancelled"
@@ -360,7 +369,8 @@ class GrapeService:
         self._frag_cache: Dict[FragCacheKey, Fragmentation] = {}
         # Snapshot / border-index counters of fragmentations that left
         # the cache; stats totals = this baseline + the live cached ones.
-        self._csr_counter_base = dict.fromkeys(DERIVED_STATE_COUNTERS, 0)
+        self._csr_counter_base = dict.fromkeys(
+            DERIVED_STATE_COUNTERS + _WATCH_COUNTERS, 0)
         self._graph_locks: Dict[str, _RWLock] = {}
         # Serializes the control-plane mutators (watch registration and
         # insert_edges) per graph, so a watcher can never miss a batch
@@ -479,7 +489,10 @@ class GrapeService:
                 del self._graphs[name]
                 self._drop_cached(name)
                 self._graph_locks.pop(name, None)
-                self._watches.pop(name, None)
+                for handle in self._watches.pop(name, ()):
+                    for counter in _WATCH_COUNTERS:
+                        self._csr_counter_base[counter] += getattr(
+                            handle.metrics, counter)
             if self.store is not None:
                 self.store.remove(name)
             with self._lock:
@@ -584,6 +597,12 @@ class GrapeService:
         segs, mapped = shm.global_stats()
         self.stats.shm_segments_active = segs
         self.stats.shm_bytes_mapped = mapped
+        # Standing answers are assembled by whoever reads them, outside
+        # any service call; the watches count that themselves.
+        for name in _WATCH_COUNTERS:
+            setattr(self.stats, name, self._csr_counter_base[name] + sum(
+                getattr(handle.metrics, name)
+                for handles in self._watches.values() for handle in handles))
 
     # ------------------------------------------------------------------
     # play
@@ -849,7 +868,7 @@ class GrapeService:
                     self.engine_config.build(), prog, query,
                     fragmentation=frag)
             handle = WatchHandle(next(self._watch_ids), graph, program,
-                                 session)
+                                 session, glock)
             with self._lock:
                 self._watches.setdefault(graph, []).append(handle)
                 self.stats.watches_started += 1
@@ -925,10 +944,11 @@ class GrapeService:
                 self._retire_fragmentation(self._frag_cache.pop(key))
                 self.stats.cache_invalidations += 1
 
-        deltas: List[Tuple[int, int, int, int, int, int, int, int]] = []
+        deltas: List[Tuple[int, ...]] = []
         refreshed: List[WatchHandle] = []
         rejected: Optional[NonMonotoneUpdateError] = None
         with glock.write():
+            started = time.perf_counter()
             if canon is not None:
                 touched = apply_delta(canon, norm, wal=wal)
             else:
@@ -938,6 +958,7 @@ class GrapeService:
                 touched = {}
                 if wal is not None:
                     wal(norm, 0)
+            applied = time.perf_counter()
             if compact and self.store is not None:
                 # Fold an outgrown WAL into a fresh snapshot while
                 # the write lock still excludes readers — the
@@ -948,6 +969,7 @@ class GrapeService:
                     graph, g, fragmentation=canon,
                     frag_key=(list(canon_key[1:])
                               if canon is not None else None))
+            maintain_from = time.perf_counter()
             for handle in handles:
                 # Re-checked here (and inside _refresh): the handle
                 # may have been cancelled since the snapshot above.
@@ -966,16 +988,16 @@ class GrapeService:
                 if cost is not None:
                     deltas.append(cost)
                     refreshed.append(handle)
+            maintained = time.perf_counter()
 
         with self._lock:
             self.stats.updates_applied += 1
-            for (supersteps, nbytes, msgs, maintained, fallbacks,
-                 partial_resets, affected_vertices, delta_bytes) in deltas:
-                self.stats.observe_maintenance(
-                    supersteps, nbytes, msgs, maintained=maintained,
-                    fallbacks=fallbacks, partial_resets=partial_resets,
-                    affected_vertices=affected_vertices,
-                    delta_bytes=delta_bytes)
+            wal_s = wal.seconds[0] if wal is not None else 0.0
+            self.stats.update_wal_append_s += wal_s
+            self.stats.update_apply_delta_s += applied - started - wal_s
+            self.stats.update_maintain_s += maintained - maintain_from
+            for cost in deltas:
+                self.stats.observe_maintenance(*cost)
             self._sync_csr_stats()
             self._sync_store_stats()
         if rejected is not None:
@@ -1055,13 +1077,21 @@ class GrapeService:
         if self.store is None:
             return None
         store = self.store
+        # What the appends of this sink (one update batch) took: a cell
+        # of its own, not an attribute ``sink`` reads off itself — that
+        # closure is a reference cycle, one per batch, which only the
+        # cycle collector ever frees.
+        seconds = [0.0]
 
         def sink(norm, seq: int) -> None:
+            start = time.perf_counter()
             if self.retry is not None:
                 run_with_retry(lambda: store.append_delta(name, norm, seq),
                                self.retry)
             else:
                 store.append_delta(name, norm, seq)
+            seconds[0] += time.perf_counter() - start
+        sink.seconds = seconds
         return sink
 
     def _on_breaker_transition(self, kind: str, graph: str,
@@ -1157,7 +1187,10 @@ class GrapeService:
         watches, the full metrics snapshot, the per-layer table of the
         always-on phase timers (seconds and share of served wall clock:
         workers reading reports, coordinator fold / compose / byte
-        accounting, assemble), recent structured events (with per-kind
+        accounting, assemble; and an ``update`` row of seconds per
+        applied batch: ``apply_delta_s``, ``wal_append_s``,
+        ``maintain_s`` and the deferred ``assemble_s``), recent
+        structured events (with per-kind
         totals), the slow-query log with span trees, straggler
         diagnostics, and breaker transitions."""
         registry = self.metrics_registry()
@@ -1175,6 +1208,13 @@ class GrapeService:
                         "share": (getattr(self.stats, name) / wall
                                   if wall else 0.0)}
             for name in PHASE_FIELDS}
+        # the update path, per applied batch (the standing answers'
+        # assemble is paid by the first read after a batch, not by it)
+        batches = self.stats.updates_applied
+        layers["update"] = {"batches": batches, **{
+            name.split("_", 1)[1]: (getattr(self.stats, name) / batches
+                                    if batches else 0.0)
+            for name in UPDATE_PHASE_FIELDS}}
         return {
             "graphs": graphs,
             "metrics": registry.to_json(),

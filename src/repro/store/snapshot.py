@@ -97,9 +97,9 @@ def _unpack_graph(prefix: str, arrays, meta: Dict) -> Graph:
     replaying ``add_edge`` per edge — warm start is the store's hot
     read path and the per-edge method dispatch dominated it.  The CSR
     rows hold the *stored* adjacency (both orientations for undirected
-    graphs), so one pass fills ``_succ``/``_pred``/``_edge_weights``
-    exactly; correctness of this fast path is guarded by the loader's
-    content-hash verification against the saved graph's hash.
+    graphs), so one pass fills ``_succ``/``_pred`` exactly; correctness
+    of this fast path is guarded by the loader's content-hash
+    verification against the saved graph's hash.
     """
     gm = meta[prefix]
     directed = gm["directed"]
@@ -112,7 +112,6 @@ def _unpack_graph(prefix: str, arrays, meta: Dict) -> Graph:
     g = Graph(directed=directed)
     succ = g._succ
     pred = g._pred
-    ew = g._edge_weights
     node_labels = g._node_labels
     for v, lbl in zip(node_of, labels):
         succ[v] = {}
@@ -131,12 +130,11 @@ def _unpack_graph(prefix: str, arrays, meta: Dict) -> Graph:
             k += 1
             row[v] = w
             pred[v][u] = w
-            ew[(u, v)] = w
             if not directed and uid <= vid:
                 # each undirected edge is stored in both orientations
                 # (a self loop in one); count its canonical one
                 undirected_edges += 1
-    g._num_undirected_edges = undirected_edges
+    g._num_edges = k if directed else undirected_edges
     g._edge_labels.update(gm["edge_labels"])
     return g
 
@@ -168,19 +166,17 @@ def _derive_base(gm: Dict, fragments: List[Fragment]) -> Graph:
             lbl = local_labels.get(u)
             if lbl is not None:
                 node_labels[u] = lbl
-    ew = g._edge_weights
-    self_loops = 0
+    stored = self_loops = 0
     for u in succ:
         pred.setdefault(u, {})
     for u, row in succ.items():
+        stored += len(row)
         for v, w in row.items():
             pred[v][u] = w
-            ew[(u, v)] = w
             if u == v:
                 self_loops += 1
-    if not g.directed:
-        g._num_undirected_edges = (self_loops
-                                   + (len(ew) - self_loops) // 2)
+    g._num_edges = (stored if g.directed
+                    else self_loops + (stored - self_loops) // 2)
     g._edge_labels.update(gm["edge_labels"])
     return g
 

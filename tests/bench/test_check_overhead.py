@@ -10,9 +10,11 @@ gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gate)
 
 
-def _result(overhead=10.0, failed=0, share=0.0, correct=True, rebuilds=4):
+def _result(overhead=7.0, failed=0, share=0.0, correct=True, rebuilds=4,
+            cc_overhead=4.0):
     return {"correct": correct, "attempted": 220, "failed": failed,
             "metrics": {"overhead.sssp_x": {"value": overhead, "unit": "x"},
+                        "overhead.cc_x": {"value": cc_overhead, "unit": "x"},
                         "graph.csr.rebuilds": {"value": rebuilds,
                                                "unit": "count"},
                         "failed_ops_share": {"value": share,
@@ -27,6 +29,18 @@ def test_passes_under_the_bound_with_no_failed_operation():
 def test_fails_when_the_coordinator_grows_back():
     (problem,) = gate.check(_result(overhead=49.5))
     assert "overhead.sssp_x" in problem
+
+
+def test_fails_when_dicts_grow_back_beside_the_arrays():
+    # what a served read cost with a dict mirror beside every array
+    # state passes no more; LocalComponents as the CC state neither
+    assert gate.MAX_SSSP_OVERHEAD_X < 30.0
+    assert gate.check(_result(cc_overhead=gate.MAX_CC_OVERHEAD_X)) == []
+    (problem,) = gate.check(_result(cc_overhead=12.6))
+    assert "overhead.cc_x = 12.6 > 10" in problem
+    result = _result()
+    del result["metrics"]["overhead.cc_x"]
+    assert gate.check(result)
 
 
 def test_fails_when_reads_after_writes_rebuild_snapshots_again():

@@ -43,14 +43,19 @@ class TestFaultRecovery:
             expected.setdefault(c, set()).add(v)
         assert result.answer == expected
 
-    def test_failed_supersteps_still_accounted(self, small_road):
+    def test_recovered_run_accounts_like_a_clean_one(self, small_road):
         clean = GrapeEngine(4).run(SSSPProgram(), query=0,
                                    graph=small_road)
         injector = FailureInjector(planned=[(1, 0)])
         faulty = GrapeEngine(4, failure_injector=injector).run(
             SSSPProgram(), query=0, graph=small_road)
-        # The replayed superstep is charged too: at least one extra.
-        assert faulty.supersteps > clean.supersteps
+        # Only the attempt whose outcomes were used is a superstep (the
+        # PR 5 rule); the failed one shows up as a recovery.
+        assert faulty.recoveries == 1
+        assert (faulty.supersteps, faulty.metrics.comm_bytes,
+                faulty.metrics.comm_messages) == (
+                    clean.supersteps, clean.metrics.comm_bytes,
+                    clean.metrics.comm_messages)
 
     def test_no_injector_no_recoveries(self, small_road):
         result = GrapeEngine(4).run(SSSPProgram(), query=0,

@@ -537,8 +537,12 @@ class TestSessionErrors:
         session = ContinuousQuerySession(GrapeEngine(2), FrozenSSSP(), 0,
                                          small_road)
         u, v, _w = next(iter(small_road.edges()))
+        held = session.answer
         with pytest.raises(NonMonotoneUpdateError, match="opted out"):
             session.delete_edges([(u, v)])
+        # nothing was maintained, so nothing is re-assembled: the last
+        # correct answer stays what a reader gets
+        assert session.answer is held
         # The fragmentation was mutated before the rejection, so the
         # session's converged state is stale forever: folding even a
         # monotone batch into it would be silently wrong, and must

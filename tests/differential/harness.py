@@ -22,6 +22,12 @@ every ``(backend × use_csr × incremental)`` combination and asserts that
 * every combination ran on the **plane** it is meant to cover (so the
   ``use_csr`` sweep really is an array-plane vs. dict-plane sweep).
 
+:func:`run_under_faults` is the same idea along the failure axis: one
+``exec.step`` crash schedule acted out on every backend (a simulated
+``WorkerFailure`` inline, a real worker death under ``process``) must
+leave ``(answer, supersteps, comm_bytes, comm_messages)`` equal to the
+uninterrupted run's — recovery is visible in ``recoveries`` only.
+
 :func:`assert_derived_state_fresh` is the check the update harnesses (the
 update fuzz, the service-update differential, the chaos runner) make after
 every batch: snapshots and the border index are spliced from their
@@ -41,6 +47,7 @@ from repro.core import engine as engine_mod
 from repro.core.engine import GrapeEngine
 from repro.graph.csr import CSRGraph
 from repro.partition.base import BorderIndex
+from repro.resilience.faults import FaultPlane
 
 BACKENDS = ("serial", "thread", "process")
 CSR_MODES = (True, False)
@@ -171,3 +178,29 @@ def run_all_paths(make_program: Callable[..., Any], query: Any,
                         f"within incremental={incremental}: "
                         f"{key}={costs} vs {ref_key}={ref_costs}")
     return results
+
+
+def run_under_faults(make_program: Callable[..., Any], query: Any,
+                     graph_factory: Callable[[], Any], crashes, *,
+                     workers: int = 3, backends=BACKENDS) -> None:
+    """Act the ``crashes`` schedule — ``(fragment, at)`` pairs for the
+    ``exec.step`` site — out on every backend and assert the recovered
+    runs' logical account equals the uninterrupted serial run's."""
+    clean = GrapeEngine(workers, backend="serial").run(
+        make_program(), query, graph=graph_factory())
+    want = (normalize(clean.answer), clean.supersteps,
+            clean.metrics.comm_bytes, clean.metrics.comm_messages)
+    for backend in backends:
+        plane = FaultPlane()
+        for fid, at in crashes:
+            plane.plan("exec.step", "crash", key=fid, at=at)
+        result = GrapeEngine(workers, backend=backend,
+                             fault_plane=plane).run(
+            make_program(), query, graph=graph_factory())
+        assert len(plane.fired) == len(crashes), backend
+        assert result.recoveries >= 1, backend
+        got = (normalize(result.answer), result.supersteps,
+               result.metrics.comm_bytes, result.metrics.comm_messages)
+        assert got == want, (
+            f"(answer, supersteps, comm_bytes, comm_messages) under "
+            f"{crashes} diverged on {backend} from the uninterrupted run")

@@ -13,7 +13,7 @@ from repro.graph.generators import (grid_road_graph, preferential_attachment,
 from repro.pie_programs import (BFSProgram, CCProgram, PageRankProgram,
                                 PageRankQuery, SSSPProgram)
 
-from .harness import ALL_PATHS, run_all_paths
+from .harness import ALL_PATHS, run_all_paths, run_under_faults
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -58,3 +58,14 @@ def test_virtual_workers_all_paths():
     run_all_paths(SSSPProgram, 0,
                   lambda: uniform_random_graph(120, 480, seed=11),
                   workers=2, num_fragments=6)
+
+
+@pytest.mark.parametrize("make_program,query", [
+    (SSSPProgram, 0), (BFSProgram, 0), (CCProgram, None),
+    (PageRankProgram, PageRankQuery(max_iterations=5))])
+def test_fault_schedule_is_backend_invariant(make_program, query):
+    # PEval of fragment 2 and the first IncEval of fragment 1 crash.
+    run_under_faults(make_program, query,
+                     lambda: uniform_random_graph(90, 260, directed=False,
+                                                  seed=6),
+                     [(1, 2), (2, 1)], workers=4)

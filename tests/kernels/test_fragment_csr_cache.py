@@ -64,20 +64,27 @@ class TestOwnedOrder:
         import pickle
         fragmentation = make_fragmentation()
         for frag in fragmentation:
-            order = frag.owned_order()
+            order = frag.owned_slots()[0]
             assert order == [v for v in frag.graph.nodes()
                              if v in frag.owned]
-            assert frag.owned_order() is order  # cached per epoch
+            assert frag.owned_slots()[0] is order  # cached per epoch
+            # the ids are the snapshot's, with or without one built
+            assert not frag.csr_cached
+            ids = frag.owned_slots()[1].tolist()
+            assert ids == [frag.csr().id_of[v] for v in order]
+            frag.release_snapshots()
+            frag.csr()
+            assert frag.owned_slots()[1].tolist() == ids
             # a pickle round trip may reorder the set, never this
-            assert pickle.loads(pickle.dumps(frag)).owned_order() == order
+            assert pickle.loads(pickle.dumps(frag)).owned_slots()[0] == order
 
     def test_follows_the_epoch(self):
         fragmentation = make_fragmentation()
-        before = {frag.fid: frag.owned_order() for frag in fragmentation}
+        before = {frag.fid: frag.owned_slots()[0] for frag in fragmentation}
         touched = apply_insertions(fragmentation, [(0, 4242, 0.5)])
         home = fragmentation.gp.owner(4242)
         assert 4242 in touched[home].owned_added
-        assert fragmentation[home].owned_order() == before[home] + [4242]
+        assert fragmentation[home].owned_slots()[0] == before[home] + [4242]
 
 
 class TestSplice:
@@ -149,12 +156,12 @@ class TestSplice:
             frag.csr()
         apply_insertions(fragmentation, [(0, 1, 0.5)])
         fragmentation[1].outer_slots()
-        fragmentation[1].owned_order()
+        fragmentation[1].owned_slots()
         fragmentation.border_index()
         fragmentation.release_snapshots()
         for frag in fragmentation:
             assert frag._csr is None and frag._csr_pending is None
-            assert frag._outer_slots is None and frag._owned_order is None
+            assert frag._outer_slots is None and frag._owned_slots is None
         assert fragmentation._border_index is None
         epochs = [frag.csr_epoch for frag in fragmentation]
         assert fragmentation[0].csr().n == fragmentation[0].graph.num_nodes

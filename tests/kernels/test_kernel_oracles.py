@@ -180,3 +180,137 @@ class TestPageRankPushKernel:
         ids = np.arange(csr.n, dtype=np.int64)
         got = csr_pagerank_push(csr, rank_vals, ids)
         assert [incoming[v] for v in csr.node_of] == got.tolist()
+
+
+# ----------------------------------------------------------------------
+# Kernels that do not pay per round: parent hooking in the components
+# kernels, once-per-snapshot weight validation in csr_sssp — on built
+# *and* spliced snapshots, directed and undirected.
+# ----------------------------------------------------------------------
+def _label_pushing_components(csr):
+    """The reference loop: labels move vertex to vertex, both ways over
+    every edge, with the full pointer jump (the kernel before parents
+    were hooked)."""
+    comp = np.arange(csr.n, dtype=np.int64)
+    src = np.repeat(np.arange(csr.n, dtype=np.int64), np.diff(csr.indptr))
+    dst = csr.indices
+    while src.size:
+        new = comp.copy()
+        np.minimum.at(new, dst, comp[src])
+        np.minimum.at(new, src, comp[dst])
+        while not np.array_equal(new[new], new):
+            new = new[new]
+        if np.array_equal(new, comp):
+            break
+        comp = new
+    return comp
+
+
+@st.composite
+def spliced_snapshots(draw, directed):
+    """A graph, mutated after a snapshot was taken, with the snapshot
+    spliced from the old one and the dirty rows."""
+    g = draw(random_graphs(directed=directed, self_loops=False))
+    base = CSRGraph.from_graph(g)
+    n = g.num_nodes
+    dirty = set()
+    for _ in range(draw(st.integers(0, 6))):
+        u, v = draw(st.integers(0, n + 1)), draw(st.integers(0, n + 1))
+        if u == v:
+            continue
+        if g.has_node(u) and g.has_node(v) and g.has_edge(u, v) \
+                and draw(st.booleans()):
+            g.remove_edge(u, v)
+        else:
+            g.add_edge(u, v, weight=draw(st.floats(0.0, 5.0)))
+        dirty.update((u, v))
+    if n > 2 and draw(st.booleans()):
+        gone = draw(st.integers(0, n - 1))
+        dirty.update(g.neighbors(gone))
+        dirty.add(gone)
+        g.remove_node(gone)
+    return g, CSRGraph.from_graph(g, base=base, dirty=dirty)
+
+
+class TestParentHookingComponents:
+    @pytest.mark.parametrize("directed", [True, False])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equal_to_label_pushing_on_built_and_spliced(self, directed,
+                                                         data):
+        from repro.kernels import csr_region_components
+        g, spliced = data.draw(spliced_snapshots(directed))
+        built = CSRGraph.from_graph(g)
+        want = _label_pushing_components(built)
+        for snap in (built, spliced):
+            assert np.array_equal(csr_components(snap), want)
+            # the region flavour shares the loop: the whole graph as the
+            # region is the same partition
+            groups = csr_region_components(snap, range(snap.n))
+            assert sorted(map(tuple, map(np.ndarray.tolist, groups))) \
+                == sorted(tuple(np.flatnonzero(want == rep).tolist())
+                          for rep in np.unique(want).tolist())
+
+    def test_ids_out_of_grid_order_need_few_rounds(self):
+        import random
+
+        from repro.graph.generators import grid_road_graph
+        grid = grid_road_graph(30, 30, seed=1, directed=False)
+        nodes = list(grid.nodes())
+        random.Random(3).shuffle(nodes)
+        g = Graph(directed=False)
+        for v in nodes:
+            g.add_node(v)
+        for u, v, w in grid.edges():
+            g.add_edge(u, v, weight=w)
+        csr = g.to_csr()
+        calls = []
+        real = np.minimum.at
+
+        class Counting:
+            @staticmethod
+            def at(*args):
+                calls.append(1)
+                return real(*args)
+
+        from unittest import mock
+
+        from repro.kernels import cc as cc_kernel
+        with mock.patch.object(cc_kernel.np, "minimum", Counting):
+            comp = csr_components(csr)
+        assert comp.tolist() == [0] * csr.n
+        assert len(calls) <= 2 * 8  # two hooks a round; 30+ rounds before
+
+
+class TestNegativeWeightsValidatedOncePerSnapshot:
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_named_from_the_first_call_on_built_and_spliced(self, directed):
+        g = Graph(directed=directed)
+        g.add_edge(0, 1, weight=1.0)
+        g.add_edge(2, 3, weight=2.0)  # not reachable from 0
+        clean = g.to_csr()
+        assert clean.min_weight == 1.0
+        csr_sssp(clean, {clean.id_of[0]: 0.0})
+        g.set_edge_weight(2, 3, -2.0)
+        spliced = CSRGraph.from_graph(g, base=clean, dirty={2, 3})
+        for snap in (CSRGraph.from_graph(g), spliced):
+            assert snap.min_weight == -2.0
+            for _ in range(2):  # the first call and every later one
+                with pytest.raises(ValueError, match=(
+                        r"negative edge weight on \((2, 3|3, 2)\)")):
+                    csr_sssp(snap, {snap.id_of[0]: 0.0})
+        # the snapshot the splice started from is as valid as it was
+        csr_sssp(clean, {clean.id_of[0]: 0.0})
+
+    def test_empty_snapshot_and_in_place_patches(self):
+        g = Graph()
+        g.add_node(0)
+        assert g.to_csr().min_weight == inf
+        g.add_edge(0, 1, weight=3.0)
+        csr = g.to_csr()
+        assert csr.min_weight == 3.0
+        # what the shared-memory plane does to a mapped snapshot
+        csr.weights[0] = -1.0
+        csr.weights_patched()
+        with pytest.raises(ValueError, match="negative edge weight"):
+            csr_sssp(csr, {0: 0.0})

@@ -87,6 +87,10 @@ def test_service_exports_and_tabulates_the_layers(small_road):
         report = svc.debug_report()
         text = svc.expose_metrics().splitlines()
     json.dumps(report)
+    update = report["layers"].pop("update")
+    assert update == {"batches": 0, "apply_delta_s": 0.0,
+                      "wal_append_s": 0.0, "maintain_s": 0.0,
+                      "assemble_s": 0.0}
     assert set(report["layers"]) == {"report_read", "fold", "compose",
                                      "accounting", "assemble"}
     for name, row in report["layers"].items():
