@@ -12,12 +12,17 @@ for them exist (GraphLab-style asynchrony), under the same PIE contract:
   destinations — no barrier, no idle waiting for stragglers;
 * termination: the queue drains (no pending messages anywhere).
 
+That is a different *schedule* of the one superstep driver
+(:class:`~repro.core.fixpoint.Fixpoint`: same loop, same step, fold,
+compose and wire-model pricing), its round narrowed from "activate all"
+to "activate the earliest-ready fragment" on a simulated clock.
+
 Correctness: for programs satisfying the monotonic condition, the
 asynchronous fixpoint equals the synchronous one — update parameters
 move along the same partial order whatever the activation order, and the
 engine only stops when no parameter can change (the Assurance Theorem's
-argument does not use the barrier).  Tests assert async ≡ sync answers
-for SSSP, CC and Sim.
+argument does not use the barrier).  Tests assert async ≡ sync answers,
+bitwise for SSSP, BFS and CC.
 
 Timing uses a discrete-event simulation: every fragment activation is
 really executed and measured; it is scheduled on its physical worker at
@@ -29,16 +34,17 @@ advertised benefit of asynchrony on skewed workloads.
 
 from __future__ import annotations
 
-import heapq
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Sequence
 
+from repro.core.coordinator import DictCoordinator
+from repro.core.engine import EngineConfig
+from repro.core.fixpoint import Fixpoint
 from repro.core.monotonic import MonotonicityChecker
-from repro.core.pie import ParamKey, ParamUpdates, PIEProgram
+from repro.core.pie import PIEProgram
 from repro.graph.graph import Graph
 from repro.partition.base import Fragmentation, PartitionStrategy
-from repro.partition.strategies import HashPartition
 from repro.runtime.metrics import CostModel, RunMetrics, message_bytes
 
 __all__ = ["AsyncGrapeEngine", "AsyncGrapeResult"]
@@ -57,15 +63,72 @@ class AsyncGrapeResult:
     activations: int = 0
 
 
+class _AsyncRun(Fixpoint):
+    """The barrier-free schedule: a round activates one fragment, on a
+    simulated clock (one timeline per physical worker; a message is
+    ready a transfer delay after its sender finished)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.worker_free = [0.0] * self.num_workers
+        self.ready_at: Dict[int, float] = {}
+        #: compute seconds of the last activation
+        self.elapsed = 0.0
+
+    def _start(self, fid: int) -> float:
+        return max(self.worker_free[fid % self.num_workers],
+                   self.ready_at.get(fid, 0.0))
+
+    def superstep(self, pending: Dict[int, Any], designated=None,
+                  keyvalue=None, *, first_round: bool = False):
+        """Activate the fragment that can start earliest."""
+        fid = min(pending, key=lambda f: (self._start(f), f))
+        return self.activate(fid, pending.pop(fid), pending), None, None
+
+    def activate(self, fid: int, message: Any, pending: Dict[int, Any],
+                 first_round: bool = False) -> Dict[int, Any]:
+        """One round of the driver on fragment ``fid`` alone (PEval when
+        ``first_round``); what it composes queues up in ``pending``."""
+        worker = fid % self.num_workers
+        # PEval starts as soon as its worker is free; an activation also
+        # waits for (and consumes) its message.
+        start = self.worker_free[worker] if first_round else self._start(fid)
+        if not first_round:
+            self.ready_at.pop(fid, None)
+        fresh, _designated, _keyvalue = super().superstep(
+            {fid: message}, first_round=first_round)
+        finish = self.worker_free[worker] = start + self.elapsed
+        cost = self.cost_model
+        for dest, batch in fresh.items():
+            transfer = (self.coordinator.price(batch) * cost.seconds_per_byte
+                        + cost.sync_latency_s)
+            pending.setdefault(dest, {}).update(batch)
+            self.ready_at[dest] = max(self.ready_at.get(dest, 0.0),
+                                      finish + transfer)
+        return pending
+
+    def record(self, times: Sequence[float]) -> None:
+        """An activation, not a BSP superstep: no barrier to charge."""
+        metrics = self.metrics
+        (self.elapsed,) = times
+        metrics.supersteps += 1  # async analogue: activations
+        metrics.total_compute_s += self.elapsed
+        metrics.comm_bytes += self.bytes_in
+        metrics.comm_messages += self.msgs_in
+        self.bytes_in = self.msgs_in = 0
+
+
 class AsyncGrapeEngine:
     """Barrier-free evaluation of PIE programs.
 
     Shares the PIE contract with :class:`~repro.core.engine.GrapeEngine`
     (``peval``/``inceval``/``read_update_params``/``assemble`` and the
-    aggregator); explicit designated/key-value channels are not supported
-    (they encode BSP synchrony by construction).
+    aggregator) and its superstep driver; explicit designated/key-value
+    channels are not supported (they encode BSP synchrony by
+    construction).
 
-    Parameters mirror the synchronous engine where they make sense.
+    Parameters mirror the synchronous engine where they make sense (and
+    are validated as its :class:`~repro.core.engine.EngineConfig`).
     """
 
     def __init__(self, num_workers: int, *,
@@ -74,23 +137,14 @@ class AsyncGrapeEngine:
                  cost_model: Optional[CostModel] = None,
                  check_monotonic: bool = False,
                  max_activations: int = 1_000_000):
-        if num_workers < 1:
-            raise ValueError("need at least one worker")
-        self.num_workers = num_workers
-        self.num_fragments = num_fragments or num_workers
-        if self.num_fragments < self.num_workers:
-            raise ValueError("virtual workers m must be >= physical n")
-        self.partition = partition or HashPartition()
-        self.cost_model = cost_model or CostModel()
-        self.check_monotonic = check_monotonic
-        self.max_activations = max_activations
+        self.config = EngineConfig(
+            num_workers=num_workers, num_fragments=num_fragments,
+            partition=partition, cost_model=cost_model,
+            check_monotonic=check_monotonic, max_supersteps=max_activations)
 
     # ------------------------------------------------------------------
     def make_fragmentation(self, graph: Graph) -> Fragmentation:
-        return self.partition.partition(graph, self.num_fragments)
-
-    def _worker_of(self, fid: int) -> int:
-        return fid % self.num_workers
+        return self.config.build().make_fragmentation(graph)
 
     # ------------------------------------------------------------------
     def run(self, program: PIEProgram, query: Any,
@@ -103,14 +157,18 @@ class AsyncGrapeEngine:
                 raise ValueError("pass either graph or fragmentation")
             fragmentation = self.make_fragmentation(graph)
 
+        config = self.config
         frags = fragmentation.fragments
-        gp = fragmentation.gp
-        agg = program.aggregator
-        checker = MonotonicityChecker(agg, enabled=self.check_monotonic)
+        checker = MonotonicityChecker(program.aggregator,
+                                      enabled=config.check_monotonic)
         metrics = RunMetrics()
-
-        states: Dict[int, Any] = {f.fid: program.init_state(query, f)
-                                  for f in frags}
+        run = _AsyncRun(program, query, fragmentation,
+                        DictCoordinator(program, fragmentation, checker),
+                        metrics, num_workers=config.num_workers,
+                        cost_model=config.cost_model,
+                        max_supersteps=config.max_supersteps)
+        states = run.states = {f.fid: program.init_state(query, f)
+                               for f in frags}
         payloads = program.preprocess(query, fragmentation)
         if payloads:
             for fid, payload in payloads.items():
@@ -119,111 +177,19 @@ class AsyncGrapeEngine:
                 program.apply_preprocess(query, frags[fid], states[fid],
                                          payload)
 
-        reported: Dict[int, ParamUpdates] = {f.fid: {} for f in frags}
-        global_table: Dict[ParamKey, Any] = {}
-        pending: Dict[int, ParamUpdates] = {}     # fid -> message content
-        ready_at: Dict[int, float] = {}           # fid -> earliest start
-        worker_free = [0.0] * self.num_workers
-        activations = 0
-
-        def account_dirty(fid: int, finish: float) -> None:
-            """Diff fragment fid's parameters, fold into the table, and
-            enqueue destination fragments."""
-            current = program.read_update_params(query, frags[fid],
-                                                 states[fid])
-            prev = reported[fid]
-            changed = {k: v for k, v in current.items()
-                       if k not in prev or prev[k] != v}
-            reported[fid] = current
-            if not changed:
-                return
-            metrics.comm_bytes += message_bytes(changed)
-            metrics.comm_messages += 1
-            dirty: Set[ParamKey] = set()
-            for key, value in changed.items():
-                if key in global_table:
-                    old = global_table[key]
-                    merged = agg.combine(old, value)
-                    if agg.is_progress(old, merged):
-                        checker.observe(key, merged)
-                        global_table[key] = merged
-                        dirty.add(key)
-                else:
-                    global_table[key] = value
-                    dirty.add(key)
-            new_batches: Dict[int, ParamUpdates] = {}
-            for key in dirty:
-                node, _name = key
-                if node not in gp:
-                    continue
-                if program.route_to == "owner":
-                    dests = (gp.owner(node),)
-                else:
-                    dests = gp.holders(node)
-                for dest in dests:
-                    if dest == fid:
-                        continue
-                    if reported[dest].get(key) == global_table[key]:
-                        continue
-                    new_batches.setdefault(dest, {})[key] = \
-                        global_table[key]
-            for dest, batch in new_batches.items():
-                transfer = (message_bytes(batch)
-                            * self.cost_model.seconds_per_byte
-                            + self.cost_model.sync_latency_s)
-                metrics.comm_bytes += message_bytes(batch)
-                metrics.comm_messages += 1
-                pending.setdefault(dest, {}).update(batch)
-                ready_at[dest] = max(ready_at.get(dest, 0.0),
-                                     finish + transfer)
-
-        # ---------------- PEval: every fragment once -------------------
+        # PEval: every fragment once, each reporting as it finishes;
+        # IncEval: one activation per round until the queue drains.
+        pending: Dict[int, Any] = {}
         for frag in frags:
-            wid = self._worker_of(frag.fid)
-            start_clock = worker_free[wid]
-            t0 = time.perf_counter()
-            program.peval(query, frag, states[frag.fid])
-            elapsed = time.perf_counter() - t0
-            metrics.total_compute_s += elapsed
-            finish = start_clock + elapsed
-            worker_free[wid] = finish
-            activations += 1
-            account_dirty(frag.fid, finish)
+            run.activate(frag.fid, None, pending, first_round=True)
+        run.drain(pending, rounds=len(frags))
+        run.finish()
 
-        # ---------------- asynchronous IncEval loop --------------------
-        while pending:
-            if activations >= self.max_activations:
-                raise RuntimeError(
-                    f"no fixpoint after {self.max_activations} "
-                    "activations; check the monotonic condition")
-            # Schedule the fragment that can start earliest.
-            def start_time(fid: int) -> float:
-                return max(worker_free[self._worker_of(fid)],
-                           ready_at.get(fid, 0.0))
-
-            fid = min(pending, key=lambda f: (start_time(f), f))
-            message = pending.pop(fid)
-            ready_at.pop(fid, None)
-            wid = self._worker_of(fid)
-            start_clock = start_time(fid)
-
-            t0 = time.perf_counter()
-            program.inceval(query, frags[fid], states[fid], message)
-            elapsed = time.perf_counter() - t0
-            metrics.total_compute_s += elapsed
-            finish = start_clock + elapsed
-            worker_free[wid] = finish
-            activations += 1
-            account_dirty(fid, finish)
-
-        # ---------------- Assemble -------------------------------------
         t0 = time.perf_counter()
         answer = program.assemble(query, fragmentation, states)
         assemble_s = time.perf_counter() - t0
         metrics.total_compute_s += assemble_s
-        metrics.parallel_time_s = max(worker_free) + assemble_s
-        metrics.supersteps = activations  # async analogue
-
+        metrics.parallel_time_s = max(run.worker_free) + assemble_s
         return AsyncGrapeResult(answer=answer, metrics=metrics,
-                                fragmentation=fragmentation,
-                                states=states, activations=activations)
+                                fragmentation=fragmentation, states=states,
+                                activations=metrics.supersteps)

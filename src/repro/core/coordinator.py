@@ -12,9 +12,11 @@ as one small object with two representations of the same protocol:
   ``{(node, name): value}`` dicts, folded key by key through
   :meth:`~repro.core.aggregators.Aggregator.combine`.  Serves every
   program (Sim, SubIso, CF, the simulation compilers, ``use_csr=False``),
-  non-integer node labels, GRAPE-NI, runtime monotonicity checking and
-  the maintenance rounds of
-  :class:`~repro.core.updates.ContinuousQuerySession`.
+  non-integer node labels, GRAPE-NI, runtime monotonicity checking, the
+  maintenance rounds of
+  :class:`~repro.core.updates.ContinuousQuerySession` (whose bounded
+  rebaseline edits the per-key tables) and every activation of
+  :class:`~repro.core.async_engine.AsyncGrapeEngine`.
 * :class:`ArrayCoordinator` — the array plane, for programs that declare
   a :class:`~repro.core.pie.BlockSpec` on fragmentations that have a
   :class:`~repro.partition.base.BorderIndex`.  Reports and messages are
@@ -28,6 +30,8 @@ supersteps, message counts and — through the closed-form wire model of
 :func:`make_coordinator` picks the plane from what the program and the
 fragmentation support; no flag selects it.
 
+A coordinator is driven by :class:`~repro.core.fixpoint.Fixpoint` — the
+one superstep every caller shares — and nobody else folds or composes.
 Every coordinator accumulates always-on phase timers (``fold_s``,
 ``compose_s``, ``accounting_s``); :meth:`Coordinator.drain_timers` moves
 them into a :class:`~repro.runtime.metrics.RunMetrics`.

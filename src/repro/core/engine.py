@@ -22,15 +22,17 @@ message channels (Section 3.5): *designated* worker-to-worker messages and
 Simulation Theorem compilers (:mod:`repro.core.bsp_sim`,
 :mod:`repro.core.mapreduce_sim`, :mod:`repro.core.pram_sim`).
 
-Folding, composing and pricing are the job of one
-:class:`~repro.core.coordinator.Coordinator` per run — array-native when
-the program and the fragmentation allow it, the generic dict plane
+The round and the loop are :class:`~repro.core.fixpoint.Fixpoint`'s —
+the one superstep driver, shared with standing-query maintenance and the
+asynchronous engine; this module adds the run object whose *step*
+executes a round on the configured backend's session and replays it
+through worker failures.  Folding, composing and pricing are the job of
+one :class:`~repro.core.coordinator.Coordinator` per run — array-native
+when the program and the fragmentation allow it, the generic dict plane
 otherwise.  Communication is accounted both ways (changed-parameter
 reports up to the coordinator, composed messages down) by the wire model
-of :mod:`repro.runtime.wire`.  Supersteps, per-superstep max-worker
-compute time and traffic are folded into
-:class:`~repro.runtime.metrics.RunMetrics` by the simulated cluster,
-together with always-on timers of the coordinator's phases.
+of :mod:`repro.runtime.wire`, together with always-on timers of the
+coordinator's phases.
 
 The engine also implements:
 
@@ -38,20 +40,22 @@ The engine also implements:
   messages and re-runs ``PEval`` instead of ``IncEval``;
 * **monotonicity checking** (Assurance Theorem instrumentation);
 * **fault tolerance** (Section 6): per-superstep checkpoints through an
-  :class:`~repro.runtime.fault.Arbitrator`; injected worker failures roll
-  the failed superstep back and replay it.
+  :class:`~repro.runtime.fault.Arbitrator`; a worker failure (a real
+  death, or a :class:`~repro.resilience.faults.FaultPlane` crash spec)
+  rolls the failed superstep back and replays it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.core.coordinator import make_coordinator
+from repro.core.fixpoint import Fixpoint
 from repro.core.monotonic import MonotonicityChecker
 from repro.core.pie import PIEProgram
 from repro.obs import events as _events
@@ -62,14 +66,12 @@ from repro.partition.strategies import HashPartition
 from repro.resilience import faults as fault_plane_mod
 from repro.resilience.errors import DeadlineExceeded, QueryCancelled
 from repro.resilience.faults import FaultPlane
-from repro.runtime.cluster import SimulatedCluster
 from repro.runtime.executors import (PHASE_IDLE, PHASE_INC, PHASE_NI,
                                      PHASE_PEVAL,
                                      ExecutorBackend, StepCommand,
                                      WorkerHung, WorkerProcessDied,
                                      resolve_backend)
-from repro.runtime.fault import Arbitrator, FailureInjector, WorkerFailure
-from repro.runtime.message import stable_hash
+from repro.runtime.fault import Arbitrator
 from repro.runtime.metrics import CostModel, RunMetrics, message_bytes
 
 __all__ = ["EngineConfig", "GrapeEngine", "GrapeResult"]
@@ -77,32 +79,36 @@ __all__ = ["EngineConfig", "GrapeEngine", "GrapeResult"]
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """A reusable engine specification.
+    """A reusable engine specification — *the* list of engine parameters.
 
     One config can build any number of engines — the serving layer
     (:mod:`repro.service`) stores a config instead of an engine so each
     query runs on a fresh engine while sharing one declared setup, and so
-    the fragmentation cache can be keyed on the partition spec.
-
-    Fields mirror :class:`GrapeEngine`'s constructor parameters.
+    the fragmentation cache can be keyed on the partition spec.  A
+    :class:`GrapeEngine` holds one and reads every parameter through it.
+    Contradictory values are rejected here, where the config is built.
     """
 
+    #: physical workers ``n``
     num_workers: int = 4
+    #: virtual workers ``m`` (defaults to ``num_workers``); when larger,
+    #: several fragments share a physical worker (paper Section 3.1)
     num_fragments: Optional[int] = None
+    #: partition strategy ``P``; defaults to hash edge-cut.  Ignored when
+    #: a prebuilt fragmentation is passed to :meth:`GrapeEngine.run`.
     partition: Optional[PartitionStrategy] = None
     cost_model: Optional[CostModel] = None
-    executor: str = "serial"
     #: execution backend: ``"serial"``, ``"thread"``, ``"process"`` or an
     #: :class:`~repro.runtime.executors.ExecutorBackend` instance.
-    #: ``None`` defers to ``executor`` (back-compat) and then to the
-    #: ``REPRO_BACKEND`` environment variable.
+    #: ``None`` defers to the ``REPRO_BACKEND`` environment variable.
     backend: Union[str, ExecutorBackend, None] = None
+    #: ``False`` selects the GRAPE-NI ablation mode
     incremental: bool = True
+    #: verify the monotonic condition at runtime (small overhead)
     check_monotonic: bool = False
+    #: safety bound on supersteps
     max_supersteps: int = 100_000
-    failure_injector: Optional["FailureInjector"] = None
-    #: directory for per-superstep disk checkpoints (fault tolerance
-    #: without an injector; typically
+    #: directory for per-superstep disk checkpoints (typically
     #: :meth:`repro.store.GraphStore.checkpoint_dir`).  Enables recovery
     #: from *real* worker deaths under the process backend.
     checkpoint_dir: Optional[str] = None
@@ -121,6 +127,12 @@ class EngineConfig:
     #: (see :class:`~repro.resilience.faults.FaultPlane`); ``None``
     #: falls back to the process-globally installed plane, if any.
     fault_plane: Optional[FaultPlane] = None
+
+    def __post_init__(self) -> None:
+        if self.num_workers < 1:
+            raise ValueError("need at least one worker")
+        if self.effective_fragments < self.num_workers:
+            raise ValueError("virtual workers m must be >= physical n")
 
     @property
     def effective_fragments(self) -> int:
@@ -157,122 +169,42 @@ class GrapeResult:
 
 
 class GrapeEngine:
-    """Parallel evaluation of PIE programs on the simulated cluster.
+    """Parallel evaluation of PIE programs on an executor backend.
 
-    Parameters
-    ----------
-    num_workers:
-        Physical workers ``n``.
-    num_fragments:
-        Virtual workers ``m`` (defaults to ``num_workers``); when larger,
-        several fragments share a physical worker (paper Section 3.1).
-    partition:
-        Partition strategy ``P``; defaults to hash edge-cut.  Ignored when
-        a prebuilt fragmentation is passed to :meth:`run`.
-    incremental:
-        ``False`` selects the GRAPE-NI ablation mode.
-    check_monotonic:
-        Verify the monotonic condition at runtime (small overhead).
-    max_supersteps:
-        Safety bound on supersteps.
-    failure_injector:
-        Optional fault-injection plan; failures trigger checkpoint
-        recovery instead of aborting.
+    ``GrapeEngine(num_workers, **fields)`` takes the fields of
+    :class:`EngineConfig` and holds the config they build
+    (:attr:`config`); every field reads through as an attribute
+    (``engine.max_supersteps``), with ``num_fragments`` and ``partition``
+    resolved to their defaults.
     """
 
-    def __init__(self, num_workers: int, *,
-                 num_fragments: Optional[int] = None,
-                 partition: Optional[PartitionStrategy] = None,
-                 cost_model: Optional[CostModel] = None,
-                 executor: str = "serial",
-                 backend: Union[str, ExecutorBackend, None] = None,
-                 incremental: bool = True,
-                 check_monotonic: bool = False,
-                 max_supersteps: int = 100_000,
-                 failure_injector: Optional[FailureInjector] = None,
-                 checkpoint_dir: Optional[str] = None,
-                 deadline_s: Optional[float] = None,
-                 heartbeat_timeout_s: Optional[float] = None,
-                 fault_plane: Optional[FaultPlane] = None):
-        self.num_workers = num_workers
-        self.num_fragments = num_fragments or num_workers
-        if self.num_fragments < self.num_workers:
-            raise ValueError("virtual workers m must be >= physical n")
-        self.partition = partition or HashPartition()
-        self.cost_model = cost_model
-        self.executor = executor
-        self.backend = backend
-        self.incremental = incremental
-        self.check_monotonic = check_monotonic
-        self.max_supersteps = max_supersteps
-        self.failure_injector = failure_injector
-        self.checkpoint_dir = checkpoint_dir
-        self.deadline_s = deadline_s
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.fault_plane = fault_plane
+    def __init__(self, num_workers: int, **fields):
+        self.config = EngineConfig(num_workers=num_workers, **fields)
 
-    # ------------------------------------------------------------------
     @classmethod
     def from_config(cls, config: EngineConfig) -> "GrapeEngine":
         """Build an engine from a reusable :class:`EngineConfig`."""
-        return cls(config.num_workers,
-                   num_fragments=config.num_fragments,
-                   partition=config.partition,
-                   cost_model=config.cost_model,
-                   executor=config.executor,
-                   backend=config.backend,
-                   incremental=config.incremental,
-                   check_monotonic=config.check_monotonic,
-                   max_supersteps=config.max_supersteps,
-                   failure_injector=config.failure_injector,
-                   checkpoint_dir=config.checkpoint_dir,
-                   deadline_s=config.deadline_s,
-                   heartbeat_timeout_s=config.heartbeat_timeout_s,
-                   fault_plane=config.fault_plane)
+        engine = cls.__new__(cls)
+        engine.config = config
+        return engine
+
+    def __getattr__(self, name: str) -> Any:
+        if name == "config":  # not yet set: unpickling, copy
+            raise AttributeError(name)
+        return getattr(self.config, name)
 
     @property
-    def config(self) -> EngineConfig:
-        """This engine's parameters as a reusable spec."""
-        return EngineConfig(num_workers=self.num_workers,
-                            num_fragments=self.num_fragments,
-                            partition=self.partition,
-                            cost_model=self.cost_model,
-                            executor=self.executor,
-                            backend=self.backend,
-                            incremental=self.incremental,
-                            check_monotonic=self.check_monotonic,
-                            max_supersteps=self.max_supersteps,
-                            failure_injector=self.failure_injector,
-                            checkpoint_dir=self.checkpoint_dir,
-                            deadline_s=self.deadline_s,
-                            heartbeat_timeout_s=self.heartbeat_timeout_s,
-                            fault_plane=self.fault_plane)
+    def num_fragments(self) -> int:
+        return self.config.effective_fragments
 
-    # ------------------------------------------------------------------
+    @property
+    def partition(self) -> PartitionStrategy:
+        return self.config.partition or HashPartition()
+
     def _resolve_backend(self) -> ExecutorBackend:
-        """Pick the execution backend for a run.
-
-        Precedence: explicit ``backend`` > ``executor="threads"``
-        back-compat > the ``REPRO_BACKEND`` environment variable >
-        serial.  Fault injection needs coordinator-side states for
-        checkpoint recovery, so it forces an inline backend: an explicit
-        non-inline choice raises, an environment-sourced one quietly
-        falls back to serial.
-        """
-        spec = self.backend
-        explicit = spec is not None
-        if spec is None and self.executor == "threads":
-            spec, explicit = "thread", True
-        backend = resolve_backend(spec)
-        if self.failure_injector is not None and not backend.inline:
-            if explicit:
-                raise ValueError(
-                    "fault injection requires an inline backend "
-                    "(backend='serial' or 'thread'); the process "
-                    "backend's worker-resident states cannot be "
-                    "checkpoint-restored by the coordinator")
-            backend = resolve_backend("serial")
-        return backend
+        """The execution backend of a run: the explicit ``backend``, else
+        the ``REPRO_BACKEND`` environment variable, else serial."""
+        return resolve_backend(self.config.backend)
 
     # ------------------------------------------------------------------
     def make_fragmentation(self, graph: Graph) -> Fragmentation:
@@ -320,270 +252,162 @@ class GrapeEngine:
             if graph is None:
                 raise ValueError("pass either graph or fragmentation")
             fragmentation = self.make_fragmentation(graph)
-
-        backend = self._resolve_backend()
         wall_start = time.perf_counter()
-        plane = self.fault_plane or fault_plane_mod.active()
-        deadline = (time.monotonic() + self.deadline_s
-                    if self.deadline_s is not None else None)
-        # Checkpoint fault tolerance turns on whenever something can
-        # fail mid-run *and* recovery is possible: an injector, a disk
-        # checkpoint dir, or a fault plane with pending executor faults
-        # (in-memory checkpoints suffice for inline backends; the
-        # process backend additionally needs a checkpoint_dir only for
-        # real cross-process restores — in-memory copies restore
-        # through replace_states just as well).
-        ft_enabled = (self.failure_injector is not None
-                      or self.checkpoint_dir is not None
-                      or (plane is not None and plane.may_fire("exec.")))
-        cluster = SimulatedCluster(self.num_workers,
-                                   cost_model=self.cost_model,
-                                   backend=backend)
-        arbitrator = Arbitrator(checkpoint_dir=self.checkpoint_dir)
-        checker = MonotonicityChecker(program.aggregator,
-                                      enabled=self.check_monotonic)
-
-        frags = fragmentation.fragments
-        # The live session sits in a one-slot box: recovery from a real
-        # worker death (process backend) swaps in a fresh session on
-        # surviving/new pool workers, and every later use must see it.
-        open_span = (trace.child("session.open", backend=backend.name)
-                     if trace is not None else None)
-        session_box = [backend.open(program, query, fragmentation,
-                                    num_workers=self.num_workers,
-                                    failure_injector=self.failure_injector,
-                                    trace=open_span)]
-        if open_span is not None:
-            open_span.finish()
-        session_box[0].hang_timeout = self.heartbeat_timeout_s
-
-        def reopen():
-            try:
-                session_box[0].close()
-            except Exception as exc:
-                # The session being replaced already lost a worker; a
-                # failing close must not stop the recovery, but it is
-                # recorded (its workers may not have been returned to
-                # the pool).
-                _events.emit("session.close_failed",
-                             error=type(exc).__name__, detail=str(exc))
-            # Retried: another pool worker may die while the replacement
-            # session is being opened (each attempt culls the handles it
-            # found dead, so progress is guaranteed).
-            for attempt in range(5):
-                try:
-                    session_box[0] = backend.open(
-                        program, query, fragmentation,
-                        num_workers=self.num_workers,
-                        failure_injector=self.failure_injector)
-                    session_box[0].hang_timeout = self.heartbeat_timeout_s
-                    return
-                except WorkerProcessDied:
-                    if attempt == 4:
-                        raise
-
+        run = _EngineRun(self.config, program, query, fragmentation,
+                         cancel=cancel, trace=trace)
         try:
-            if trace is not None:
-                with trace.child("init_states"):
-                    session_box[0].init_states()
-            else:
-                session_box[0].init_states()
-
-            # Optional pre-PEval data shipping (SubIso neighborhoods).
-            pre_bytes = 0
-            payloads = program.preprocess(query, fragmentation)
-            if payloads:
-                pre_bytes = sum(message_bytes(p)
-                                for p in payloads.values())
-                if trace is not None:
-                    with trace.child("preprocess"):
-                        session_box[0].apply_preprocess(payloads)
-                else:
-                    session_box[0].apply_preprocess(payloads)
-
-            # Fold / compose / price live in one coordinator object:
-            # the array plane when the program and the fragmentation
-            # support it, the generic dict plane otherwise (always for
-            # GRAPE-NI and for monotonicity checking, whose protocols
-            # are per-key).
-            coordinator = make_coordinator(
-                program, fragmentation, checker=checker,
-                arrays=self.incremental and not self.check_monotonic)
-            blocks = coordinator.blocks
-            metrics = cluster.metrics
-            step_index = itertools.count()
-
-            def snapshot_state():
-                return {"states": session_box[0].collect_states(),
-                        "coordinator": coordinator.snapshot()}
-
-            def restore(snap):
-                session_box[0].replace_states(snap["states"])
-                coordinator.restore(snap["coordinator"])
-
-            def superstep(commands, bytes_in, msgs_in, first_round=False):
-                """One round: step the workers (recovering failures),
-                fold their reports, compose and price the next round's
-                messages, route the explicit channels, checkpoint.
-
-                Returns ``(messages, designated, keyvalue, bytes,
-                msgs)`` — the traffic this round produced, charged to
-                the superstep that consumes it.  Under tracing the round
-                is one ``superstep`` span: its id rides every command
-                across the pipe, worker-side measurements come back
-                re-attached as per-worker children, and the
-                coordinator's fold / compose / accounting are recorded
-                beside them.
-                """
-                span = None
-                if trace is not None:
-                    phase = next((c.phase for c in commands.values()
-                                  if c.phase != PHASE_IDLE), PHASE_IDLE)
-                    span = trace.child("superstep", index=next(step_index),
-                                       phase=phase)
-                    for command in commands.values():
-                        command.span_id = span.span_id
-                timers = (coordinator.fold_s, coordinator.compose_s,
-                          coordinator.accounting_s)
-                try:
-                    outcomes = self._step_with_recovery(
-                        cluster, session_box, arbitrator, commands,
-                        bytes_in=bytes_in, msgs_in=msgs_in,
-                        restore=restore, reopen=reopen, plane=plane,
-                        deadline=deadline, budget_s=self.deadline_s,
-                        cancel=cancel)
-                    up_bytes, up_msgs, dirty = coordinator.fold(
-                        {fid: outcome.report
-                         for fid, outcome in outcomes.items()},
-                        first_round=first_round)
-                    messages = coordinator.compose(dirty)
-                    designated, keyvalue, ch_bytes, ch_msgs = \
-                        self._route_channels(frags, outcomes)
-                    down_bytes = sum(coordinator.price(msg)
-                                     for msg in messages.values())
-                    down_bytes += sum(message_bytes(p)
-                                      for p in designated.values())
-                    down_bytes += sum(message_bytes(g)
-                                      for g in keyvalue.values())
-                finally:
-                    if span is not None:
-                        span.finish()
-                metrics.report_read_s += sum(
-                    outcome.report_s for outcome in outcomes.values())
-                if span is not None:
-                    for fid in sorted(outcomes):
-                        outcome = outcomes[fid]
-                        worker_span = span.record("worker", outcome.elapsed,
-                                                  fid=fid)
-                        for name, duration_s, tags in outcome.spans:
-                            worker_span.record(name, duration_s, **tags)
-                    span.record("coordinator.fold",
-                                coordinator.fold_s - timers[0])
-                    span.record("coordinator.compose",
-                                coordinator.compose_s - timers[1])
-                    span.record("coordinator.accounting",
-                                coordinator.accounting_s - timers[2])
-                if ft_enabled:
-                    arbitrator.checkpoint(snapshot_state())
-                return (messages, designated, keyvalue,
-                        up_bytes + ch_bytes + down_bytes,
-                        up_msgs + ch_msgs + len(messages)
-                        + len(designated) + len(keyvalue))
-
-            # ------------- superstep 1: PEval --------------------------
-            if ft_enabled:
-                arbitrator.checkpoint(snapshot_state())
-
-            messages, designated, keyvalue, bytes_in, msgs_in = superstep(
-                {f.fid: StepCommand(phase=PHASE_PEVAL, blocks=blocks)
-                 for f in frags},
-                pre_bytes, 1 if payloads else 0, first_round=True)
-
-            # ------------- IncEval supersteps --------------------------
-            # GRAPE-NI ablation: apply the message and redo PEval from
-            # scratch instead of IncEval.
-            phase = PHASE_INC if self.incremental else PHASE_NI
-            rounds = 1
-            while (messages or designated or keyvalue) \
-                    and rounds < self.max_supersteps:
-                rounds += 1
-                active = set(messages) | set(designated) | set(keyvalue)
-                commands = {
-                    f.fid: (StepCommand(phase=phase,
-                                        message=messages.get(f.fid),
-                                        designated=designated.get(f.fid),
-                                        keyvalue=keyvalue.get(f.fid),
-                                        blocks=blocks)
-                            if f.fid in active
-                            else StepCommand(blocks=blocks))
-                    for f in frags}
-                messages, designated, keyvalue, bytes_in, msgs_in = \
-                    superstep(commands, bytes_in, msgs_in)
-
-            if messages or designated or keyvalue:
-                raise RuntimeError(
-                    f"no fixpoint after {self.max_supersteps} supersteps; "
-                    "check the monotonic condition of the PIE program")
-
-            # ------------- Assemble ------------------------------------
-            states = session_box[0].collect_states()
-            start = time.perf_counter()
-            answer = program.assemble(query, fragmentation, states)
-            assemble_s = time.perf_counter() - start
-            if trace is not None:
-                trace.record("assemble", assemble_s)
-            metrics.assemble_s += assemble_s
-            metrics.dict_views_materialised += sum(
-                getattr(state, "views_materialised", 0)
-                for state in states.values())
-            coordinator.drain_timers(metrics)
-            cluster.metrics.parallel_time_s += assemble_s
-            cluster.metrics.total_compute_s += assemble_s
-            # Trailing reports of the final round are communication too.
-            cluster.metrics.comm_bytes += bytes_in
-            cluster.metrics.comm_messages += msgs_in
-            # Physical-execution figures come from the live session — a
-            # recovery mid-run re-opened it, so they describe the session
-            # that finished the run.
-            session = session_box[0]
-            cluster.metrics.pipe_bytes = session.pipe_bytes
-            cluster.metrics.delta_bytes_shipped = session.delta_bytes_shipped
-            cluster.metrics.fragments_shipped = session.fragments_shipped
-            cluster.metrics.fragments_delta_shipped = \
-                session.fragments_delta_shipped
-            cluster.metrics.fragment_bytes_shipped = \
-                session.fragment_bytes_shipped
-            cluster.metrics.shm_fallbacks = session.shm_fallbacks
-            shm_stats = getattr(backend, "shm_stats", None)
-            if shm_stats is not None:
-                segs, mapped = shm_stats()
-                cluster.metrics.shm_segments_active = segs
-                cluster.metrics.shm_bytes_mapped = mapped
-            cluster.metrics.wall_clock_s = time.perf_counter() - wall_start
-            cluster.metrics.recoveries = arbitrator.recoveries
-
-            return GrapeResult(answer=answer, metrics=cluster.metrics,
-                               fragmentation=fragmentation, states=states,
-                               recoveries=arbitrator.recoveries,
-                               trace=trace)
+            run.open()
+            pending = run.superstep(dict.fromkeys(range(len(run.fragments))),
+                                    first_round=True)
+            run.drain(*pending)
+            return run.assemble(wall_start)
         finally:
-            session_box[0].close()
-            arbitrator.discard()
+            run.close()
+
+
+#: physical-execution figures a run's metrics copy from the session that
+#: finished it (a recovery mid-run re-opens the session)
+_SESSION_FIGURES = ("pipe_bytes", "delta_bytes_shipped", "fragments_shipped",
+                    "fragments_delta_shipped", "fragment_bytes_shipped",
+                    "shm_fallbacks")
+
+
+class _EngineRun(Fixpoint):
+    """The run object of :meth:`GrapeEngine.run`: a fixpoint whose step
+    goes through an executor session.  The live session, the arbitrator
+    and fault plane that recover it, the query's deadline and cancel flag
+    are attributes; the trace span is the base class's."""
+
+    def __init__(self, config: EngineConfig, program: PIEProgram, query: Any,
+                 fragmentation: Fragmentation, *,
+                 cancel: Optional[threading.Event], trace: Optional[Span]):
+        self.config = config
+        self.backend = resolve_backend(config.backend)
+        self.fragmentation = fragmentation
+        super().__init__(program, query, fragmentation, None,
+                         RunMetrics(backend=self.backend.name),
+                         num_workers=config.num_workers,
+                         cost_model=config.cost_model,
+                         max_supersteps=config.max_supersteps, trace=trace)
+        # GRAPE-NI ablation: apply the message and redo PEval from
+        # scratch instead of IncEval.
+        self.phase = PHASE_INC if config.incremental else PHASE_NI
+        self.cancel = cancel
+        self.deadline = (time.monotonic() + config.deadline_s
+                         if config.deadline_s is not None else None)
+        self.plane = config.fault_plane or fault_plane_mod.active()
+        self.arbitrator = Arbitrator(checkpoint_dir=config.checkpoint_dir)
+        # Checkpoint fault tolerance turns on whenever something can
+        # fail mid-run *and* recovery is possible: a disk checkpoint dir,
+        # or a fault plane with pending executor faults (in-memory
+        # checkpoints suffice for inline backends; the process backend
+        # additionally needs a checkpoint_dir only for real cross-process
+        # restores — in-memory copies restore through replace_states
+        # just as well).
+        self.fault_tolerant = (
+            config.checkpoint_dir is not None
+            or (self.plane is not None and self.plane.may_fire("exec.")))
+        self.session = None
+
+    def _child(self, name: str, **tags):
+        """A child span of the run's trace, or nothing."""
+        return (self.trace.child(name, **tags) if self.trace is not None
+                else nullcontext())
+
+    def _open_session(self, trace: Optional[Span] = None) -> None:
+        self.session = self.backend.open(
+            self.program, self.query, self.fragmentation,
+            num_workers=self.num_workers, trace=trace)
+        self.session.hang_timeout = self.config.heartbeat_timeout_s
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _step_with_recovery(cluster, session_box, arbitrator, commands,
-                            bytes_in, msgs_in, restore, reopen=None, *,
-                            plane=None, deadline=None, budget_s=None,
-                            cancel=None):
+    def open(self) -> None:
+        """Bind the backend session, create the states, ship the
+        program's pre-PEval payloads (SubIso neighborhoods; charged to
+        the PEval superstep) and take the first checkpoint."""
+        with self._child("session.open", backend=self.backend.name) as span:
+            self._open_session(span)
+        with self._child("init_states"):
+            self.session.init_states()
+        payloads = self.program.preprocess(self.query, self.fragmentation)
+        if payloads:
+            self.bytes_in = sum(map(message_bytes, payloads.values()))
+            self.msgs_in = 1
+            with self._child("preprocess"):
+                self.session.apply_preprocess(payloads)
+        # The array plane when the program and the fragmentation support
+        # it, the generic dict plane otherwise (always for GRAPE-NI and
+        # for monotonicity checking, whose protocols are per-key).
+        config = self.config
+        self.coordinator = make_coordinator(
+            self.program, self.fragmentation,
+            checker=MonotonicityChecker(self.program.aggregator,
+                                        enabled=config.check_monotonic),
+            arrays=config.incremental and not config.check_monotonic)
+        self.checkpoint()
+
+    def checkpoint(self) -> None:
+        if self.fault_tolerant:
+            self.arbitrator.checkpoint(
+                {"states": self.session.collect_states(),
+                 "coordinator": self.coordinator.snapshot()})
+
+    def _restore(self) -> None:
+        snap = self.arbitrator.restore()
+        self.session.replace_states(snap["states"])
+        self.coordinator.restore(snap["coordinator"])
+
+    def _reopen(self) -> None:
+        """Swap in a fresh session on surviving / new pool workers."""
+        try:
+            self.session.close()
+        except Exception as exc:
+            # The session being replaced already lost a worker; a
+            # failing close must not stop the recovery, but it is
+            # recorded (its workers may not have been returned to
+            # the pool).
+            _events.emit("session.close_failed",
+                         error=type(exc).__name__, detail=str(exc))
+        # Retried: another pool worker may die while the replacement
+        # session is being opened (each attempt culls the handles it
+        # found dead, so progress is guaranteed).
+        for attempt in range(5):
+            try:
+                return self._open_session()
+            except WorkerProcessDied:
+                if attempt == 4:
+                    raise
+
+    # ------------------------------------------------------------------
+    def step(self, messages, designated, keyvalue, first_round, span):
+        """One :class:`StepCommand` per fragment — the round's phase
+        where something is pending (the first round: PEval everywhere),
+        an idle command (report + drain only) elsewhere — executed by
+        the session, replayed through failures."""
+        designated, keyvalue = designated or {}, keyvalue or {}
+        phase = PHASE_PEVAL if first_round else self.phase
+        commands = {
+            fid: StepCommand(
+                phase=(phase if fid in messages or fid in designated
+                       or fid in keyvalue else PHASE_IDLE),
+                message=messages.get(fid), designated=designated.get(fid),
+                keyvalue=keyvalue.get(fid), blocks=self.coordinator.blocks,
+                span_id=span.span_id if span is not None else None)
+            for fid in range(len(self.fragments))}
+        outcomes = self._step_with_recovery(commands)
+        fids = sorted(outcomes)
+        return ([outcomes[fid].elapsed for fid in fids],
+                {fid: outcomes[fid].report for fid in fids}, outcomes)
+
+    def _step_with_recovery(self, commands: Dict[int, StepCommand]):
         """Run one superstep; recover failures and replay (the
         arbitrator's task-transfer protocol).
 
         Two failure shapes are handled:
 
-        * an **injected** :exc:`WorkerFailure` (inline backends) surfaces
-          in the outcomes — the checkpoint is restored and the step
-          replays;
+        * an inline :exc:`~repro.runtime.fault.WorkerFailure` (a plane
+          ``crash`` on the serial / thread backends) surfaces in the
+          outcomes — the checkpoint is restored and the step replays;
         * a **real worker death**
           (:exc:`~repro.runtime.executors.WorkerProcessDied`, process
           backend — including :exc:`~repro.runtime.executors.WorkerHung`,
@@ -599,37 +423,31 @@ class GrapeEngine:
           would predate work the coordinator has already folded; callers
           treat it as a failed (safely re-runnable) query.
 
-        Either way a superstep is recorded only for the attempt whose
-        outcomes are returned, so a recovered run's logical account —
-        supersteps, traffic — equals an uninterrupted run's on every
-        backend (``recoveries`` says what it went through).
+        Either way only the attempt whose outcomes are returned becomes a
+        superstep, so a recovered run's logical account — supersteps,
+        traffic — equals an uninterrupted run's on every backend
+        (``recoveries`` says what it went through).
 
         The fault plane's ``exec.step`` site is consulted here, exactly
         once per fragment per *logical* superstep; a fired action rides
         the :class:`StepCommand` to wherever the fragment executes.
-        Every replay strips the embedded faults first — matching the
-        injector's "each failure fires exactly once" semantics, so
-        recovery always converges.  ``deadline`` (absolute monotonic)
-        and ``cancel`` are checked before every attempt; an
-        unrecoverable hang is reported as
+        Every attempt strips the embedded faults on its way out — each
+        fault fires exactly once, so recovery always converges.  The
+        deadline (absolute monotonic) and the cancel flag are checked
+        before every attempt; an unrecoverable hang is reported as
         :exc:`~repro.resilience.errors.DeadlineExceeded` when the query
         had a time budget (the caller asked for bounded latency, and
         that is the bound that broke).
         """
-        if plane is not None:
+        if self.plane is not None:
             for fid in sorted(commands):
-                action = plane.check("exec.step", key=fid)
-                if action is not None:
-                    commands[fid].fault = action
-
-        def strip_faults():
-            for command in commands.values():
-                command.fault = None
-
+                commands[fid].fault = self.plane.check("exec.step", key=fid)
+        arbitrator, deadline, budget_s = (self.arbitrator, self.deadline,
+                                          self.config.deadline_s)
         attempts = 0
         while True:
             attempts += 1
-            if cancel is not None and cancel.is_set():
+            if self.cancel is not None and self.cancel.is_set():
                 raise QueryCancelled(
                     "query cancelled at a superstep boundary")
             if deadline is not None and time.monotonic() > deadline:
@@ -637,19 +455,16 @@ class GrapeEngine:
                     f"query exceeded its {budget_s}s budget at a "
                     "superstep boundary", budget_s=budget_s)
             try:
-                outcomes = session_box[0].step(commands, deadline=deadline,
-                                               cancel=cancel)
+                outcomes = self.session.step(commands, deadline=deadline,
+                                             cancel=self.cancel)
             except DeadlineExceeded as exc:
                 # Raised inside a pipe wait, where only the absolute
                 # deadline is known — stamp the budget on the way out.
-                strip_faults()
                 if exc.budget_s is None:
                     exc.budget_s = budget_s
                 raise
             except WorkerProcessDied as exc:
-                strip_faults()
-                if (attempts > 25 or reopen is None
-                        or not arbitrator.has_checkpoint):
+                if attempts > 25 or not arbitrator.has_checkpoint:
                     if isinstance(exc, WorkerHung) and deadline is not None:
                         raise DeadlineExceeded(
                             f"worker hung and could not be replaced "
@@ -658,8 +473,8 @@ class GrapeEngine:
                     raise
                 while True:
                     try:
-                        reopen()
-                        restore(arbitrator.restore())
+                        self._reopen()
+                        self._restore()
                         break
                     except WorkerProcessDied:
                         attempts += 1
@@ -668,54 +483,51 @@ class GrapeEngine:
                 _events.emit("worker.recovered",
                              error=type(exc).__name__, attempts=attempts)
                 continue
+            finally:
+                for command in commands.values():
+                    command.fault = None
             failure = next((o.failed for o in outcomes.values()
                             if o.failed is not None), None)
             if failure is None:
-                times = [outcomes[fid].elapsed for fid in sorted(outcomes)]
-                cluster.record_superstep(times, bytes_shipped=bytes_in,
-                                         num_messages=msgs_in)
                 return outcomes
-            strip_faults()
             if attempts > 25:
                 raise failure
             if arbitrator.has_checkpoint:
-                restore(arbitrator.restore())
+                self._restore()
             # else: replay from the current (pre-PEval) state.
 
     # ------------------------------------------------------------------
-    def _route_channels(self, frags, outcomes):
-        """Route the designated and key-value messages the workers
-        drained this superstep.
+    def assemble(self, wall_start: float) -> GrapeResult:
+        """Pull the partial results, combine them and close the metrics."""
+        session, metrics = self.session, self.metrics
+        states = session.collect_states()
+        start = time.perf_counter()
+        answer = self.program.assemble(self.query, self.fragmentation,
+                                       states)
+        assemble_s = time.perf_counter() - start
+        if self.trace is not None:
+            self.trace.record("assemble", assemble_s)
+        metrics.assemble_s += assemble_s
+        metrics.parallel_time_s += assemble_s
+        metrics.total_compute_s += assemble_s
+        metrics.dict_views_materialised += sum(
+            getattr(state, "views_materialised", 0)
+            for state in states.values())
+        self.finish()
+        for name in _SESSION_FIGURES:
+            setattr(metrics, name, getattr(session, name))
+        shm_stats = getattr(self.backend, "shm_stats", None)
+        if shm_stats is not None:
+            metrics.shm_segments_active, metrics.shm_bytes_mapped = \
+                shm_stats()
+        metrics.wall_clock_s = time.perf_counter() - wall_start
+        metrics.recoveries = self.arbitrator.recoveries
+        return GrapeResult(answer=answer, metrics=metrics,
+                           fragmentation=self.fragmentation, states=states,
+                           recoveries=self.arbitrator.recoveries,
+                           trace=self.trace)
 
-        Key-value pairs are grouped by key and assigned to workers by key
-        hash — the coordinator's MapReduce-style shuffle (Section 3.5).
-        Returns ``(designated, keyvalue, bytes, message_count)`` where both
-        channel dicts map destination fid to deliverable content.
-        """
-        m = len(frags)
-        designated: Dict[int, List[Any]] = {}
-        grouped: Dict[Hashable, List[Any]] = {}
-        ch_bytes = 0
-        ch_msgs = 0
-        for frag in frags:
-            outcome = outcomes[frag.fid]
-            des, kvs = outcome.designated, outcome.keyvalue
-            for dest, items in des.items():
-                if not 0 <= dest < m:
-                    raise ValueError(f"designated dest {dest} out of range")
-                if items:
-                    designated.setdefault(dest, []).extend(items)
-                    ch_bytes += message_bytes(items)
-                    ch_msgs += 1
-            for key, value in kvs:
-                grouped.setdefault(key, []).append(value)
-                ch_msgs += 1
-            if kvs:
-                ch_bytes += message_bytes(kvs)
-        keyvalue: Dict[int, Dict[Hashable, List[Any]]] = {}
-        for key, values in grouped.items():
-            # stable_hash, not builtin hash: string keys must route to the
-            # same worker in every process regardless of PYTHONHASHSEED.
-            dest = stable_hash(key) % m
-            keyvalue.setdefault(dest, {})[key] = values
-        return designated, keyvalue, ch_bytes, ch_msgs
+    def close(self) -> None:
+        if self.session is not None:
+            self.session.close()
+        self.arbitrator.discard()

@@ -34,7 +34,8 @@ from repro.graph.graph import Graph, Node
 from repro.partition.base import Fragment, Fragmentation
 from repro.runtime.wire import ParamBlock
 
-__all__ = ["BlockSpec", "PIEProgram", "ParamKey", "ParamUpdates"]
+__all__ = ["BlockSpec", "Maintenance", "PIEProgram", "ParamKey",
+           "ParamUpdates"]
 
 # (border node, variable name) -> value
 ParamKey = Tuple[Node, Hashable]
@@ -216,72 +217,17 @@ class PIEProgram(abc.ABC):
         :class:`~repro.graph.delta.FragmentDelta` predicates
         (``monotone``, ``has_deletions``, ``has_weight_increases``).
         When the answer is ``True`` for every touched fragment, the
-        continuous-query layer calls :meth:`on_graph_update` per
-        fragment and resumes the IncEval fixpoint from converged state;
-        otherwise it falls back to re-running the query from reset
-        state on the (already mutated) fragmentation.
-
-        The default is conservative and correct for inflationary
-        fixpoints: monotone deltas (new edges, weight decreases) only,
-        and only for programs that implement ``on_graph_update``.
-        Programs whose answers ignore parts of the delta should widen
-        this — CC, for example, accepts arbitrary reweights because
-        component structure does not depend on weights.
+        continuous-query layer maintains the standing answer through the
+        :class:`Maintenance` hooks; otherwise it re-runs the query from
+        reset state on the (already mutated) fragmentation.  Never, for a
+        program without those hooks.
         """
-        return delta.monotone and hasattr(self, "on_graph_update")
-
-    # ``on_graph_update(query, fragment, state, delta)`` is the matching
-    # optional hook (defined by subclasses, detected via ``hasattr``):
-    # fold a maintainable :class:`~repro.graph.delta.FragmentDelta` into
-    # the fragment's live state after its local graph was mutated, e.g.
-    # relax ``delta.as_insertions`` as shortcut candidates (SSSP) or
-    # union the endpoints of ``delta.insertions`` (CC).
+        return False
 
     def invalidates(self, delta) -> bool:
-        """Does ``delta`` threaten already-converged values?
-
-        Consulted only for batches :meth:`maintainable` accepted.  When
-        any touched fragment's delta invalidates, the session routes the
-        batch through the bounded non-monotone path (affected-region
-        reset + re-convergence) instead of the plain ``on_graph_update``
-        fold.  The bounded path requires the three optional hooks below;
-        the default is therefore "non-monotone and the program
-        implements them".  Programs whose answers ignore parts of a
-        delta narrow this — BFS and CC, for example, treat weight
-        increases as no-ops and only dispatch on deletions.
-        """
-        return not delta.monotone and hasattr(self, "apply_nonmonotone")
-
-    # The bounded non-monotone path (delete-aware IncEval) is three more
-    # optional hooks, detected via ``hasattr`` and required together:
-    #
-    # * ``affected_seeds(query, fragment, state, delta) -> Set[Node]`` —
-    #   the direct hits: vertices whose converged value was supported by
-    #   a deleted or raised edge of this fragment's delta (old weights
-    #   ride on ``delta.deletions`` / ``delta.weight_changes``);
-    # * ``expand_affected(query, fragment, state, nodes) -> Set[Node]``
-    #   — grow the region locally: given vertices invalidated anywhere,
-    #   return the locally-known ones plus every vertex whose current
-    #   value is supported by one of them (closure over the fragment's
-    #   value-dependency chains; over-approximation is safe);
-    # * ``apply_nonmonotone(query, fragment, state, delta, affected)`` —
-    #   reset the affected vertices to neutral, re-seed them from
-    #   unaffected in-neighbors on the mutated graph, fold the monotone
-    #   part of ``delta`` (which may be ``None`` for fragments affected
-    #   only transitively) and re-converge locally.
-    #
-    # A fourth, optional on top of those three:
-    #
-    # * ``report_entries(query, fragment, state, nodes) -> ParamUpdates``
-    #   — the per-node restriction of ``read_update_params``: current
-    #   report entries for the listed nodes only.  Programs that provide
-    #   it — and whose ``apply_nonmonotone`` keeps the dirty tracking
-    #   behind ``read_changed_params`` alive — get the session's
-    #   *incremental* rebaseline after a bounded reset: the coordinator
-    #   re-reads and re-aggregates only the dirty values plus a probe of
-    #   the vertices the batch could have touched (affected, retired, or
-    #   moved between border sets), instead of full ``O(border)``
-    #   reports.
+        """Does ``delta`` threaten already-converged values?  Consulted
+        only for batches :meth:`maintainable` accepted."""
+        return False
 
     def apply_message(self, query: Any, fragment: Fragment, state: Any,
                       message: ParamUpdates) -> None:
@@ -351,3 +297,71 @@ class PIEProgram(abc.ABC):
     # ------------------------------------------------------------------
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+class Maintenance(PIEProgram):
+    """A PIE program that maintains its converged per-fragment state under
+    update batches (:class:`~repro.core.updates.ContinuousQuerySession`
+    tests for it with one ``isinstance``).  The hooks come together: the
+    monotone fold, the bounded non-monotone path (delete-aware IncEval)
+    and the per-node report probe both collect their changes with."""
+
+    def maintainable(self, delta) -> bool:
+        """Correct for inflationary fixpoints: monotone deltas (new edges,
+        weight decreases) only.  Programs whose answers ignore parts of a
+        delta widen this — CC accepts any reweight."""
+        return delta.monotone
+
+    def invalidates(self, delta) -> bool:
+        """A batch that invalidates goes through the bounded path
+        (affected-region reset + re-convergence) instead of the plain
+        :meth:`on_graph_update` fold.  Programs narrow this the same way
+        — BFS and CC only dispatch on deletions."""
+        return not delta.monotone
+
+    @abc.abstractmethod
+    def on_graph_update(self, query: Any, fragment: Fragment, state: Any,
+                        delta) -> None:
+        """Fold a maintainable :class:`~repro.graph.delta.FragmentDelta`
+        into the fragment's live state after its local graph was mutated,
+        e.g. relax ``delta.as_insertions`` as shortcut candidates (SSSP)
+        or union the endpoints of ``delta.insertions`` (CC)."""
+
+    def affected_seeds_global(self, query: Any, fragments, states,
+                              touched) -> Dict[int, Set[Node]]:
+        """The direct hits of a batch, per touched fragment: vertices
+        whose converged value was supported by a deleted or raised edge
+        (old weights ride on ``delta.deletions`` / ``.weight_changes``).
+        The default asks ``affected_seeds(query, fragment, state, delta)``
+        of each fragment; maintenance runs on the driver, so a program
+        whose test is inherently global (CC's does-this-deletion-split
+        check) overrides this and answers exactly, with a view of *all*
+        fragments, instead of condemning on local evidence."""
+        return {fid: self.affected_seeds(query, fragments[fid], states[fid],
+                                         delta)
+                for fid, delta in touched.items()}
+
+    @abc.abstractmethod
+    def expand_affected(self, query: Any, fragment: Fragment, state: Any,
+                        nodes: Set[Node]) -> Set[Node]:
+        """Grow the region locally: given vertices invalidated anywhere,
+        return the locally-known ones plus every vertex whose current
+        value is supported by one of them (closure over the fragment's
+        value-dependency chains; over-approximation is safe)."""
+
+    @abc.abstractmethod
+    def apply_nonmonotone(self, query: Any, fragment: Fragment, state: Any,
+                          delta, affected: Set[Node]) -> None:
+        """Reset the affected vertices to neutral, re-seed them from
+        unaffected in-neighbors on the mutated graph, fold the monotone
+        part of ``delta`` (``None`` for fragments affected only
+        transitively) and re-converge locally, keeping the dirty tracking
+        behind :meth:`read_changed_params` alive."""
+
+    @abc.abstractmethod
+    def report_entries(self, query: Any, fragment: Fragment, state: Any,
+                       nodes: Set[Node]) -> ParamUpdates:
+        """The per-node restriction of :meth:`read_update_params`.  A
+        batch is collected as the dirty values plus a probe of the
+        vertices it could have touched (affected, retired, or moved
+        between border sets): ``O(|batch| + |AFF|)``, not ``O(border)``."""

@@ -46,21 +46,20 @@ from typing import Any, Dict, Iterable, Optional, Set, Tuple, Union
 
 from repro.core.coordinator import DictCoordinator
 from repro.core.engine import GrapeEngine
+from repro.core.fixpoint import Fixpoint
 from repro.core.monotonic import MonotonicityChecker
-from repro.core.pie import ParamUpdates, PIEProgram
+from repro.core.pie import Maintenance, ParamUpdates, PIEProgram
 from repro.graph.delta import FragmentDelta, GraphDelta, NormalizedDelta
 from repro.graph.graph import Graph, Node
 from repro.partition.base import Fragmentation
 from repro.runtime.executors import read_report
 from repro.runtime.message import stable_hash
-from repro.runtime.metrics import CostModel
 
 __all__ = ["ContinuousQuerySession", "NonMonotoneUpdateError",
            "apply_delta", "apply_insertions"]
 
 EdgeInsertion = Tuple[Node, Node, float]
 
-_DEFAULT_COST = CostModel()
 _MISSING = object()
 #: ``ContinuousQuerySession._answer`` between a batch and the next read
 _STALE = object()
@@ -289,20 +288,29 @@ def apply_insertions(fragmentation: Fragmentation,
     return apply_delta(fragmentation, GraphDelta.from_insertions(edges))
 
 
-def _coerce_touched(touched: Dict[int, Any]) -> Dict[int, FragmentDelta]:
-    """Accept legacy ``{fid: [(u, v, w), ...]}`` insertion maps."""
-    coerced: Dict[int, FragmentDelta] = {}
-    for fid, delta in touched.items():
-        if isinstance(delta, FragmentDelta):
-            coerced[fid] = delta
-        else:
-            coerced[fid] = FragmentDelta(fid=fid, insertions=list(delta))
-    return coerced
-
-
 # ---------------------------------------------------------------------------
 # Standing queries
 # ---------------------------------------------------------------------------
+class _MaintenanceRounds(Fixpoint):
+    """A standing query's rounds: the in-process step, noting the
+    ``name`` half of every ``(node, name)`` key the session reads — a
+    fixed handful per program — so the bounded path can probe a vertex's
+    reported claims by constructed key."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.names: Set[Any] = set()
+
+    def note_names(self, reports) -> None:
+        for _kind, params in reports.values():
+            self.names.update(map(_NAME_OF, params))
+
+    def step(self, *round_):
+        result = super().step(*round_)
+        self.note_names(result[1])
+        return result
+
+
 class ContinuousQuerySession:
     """A standing query whose answer is maintained under any update.
 
@@ -333,10 +341,14 @@ class ContinuousQuerySession:
     incremental maintenance rounds themselves always execute
     coordinator-side — the point of IncEval under updates is that the
     affected area is small, so shipping it to a worker pool would cost
-    more than computing it.  They fold, compose and price through the
-    session's own :class:`~repro.core.coordinator.DictCoordinator` (the
-    generic plane: per-key tables are what the bounded rebaseline
-    edits), whatever plane the engine's full runs take.
+    more than computing it.  A batch's first superstep is the session's
+    (the program's hooks, then the entries the batch could have moved);
+    what that composes goes to the engine's own round and loop — one
+    :class:`~repro.core.fixpoint.Fixpoint` per session, in-process step,
+    over the session's states and its own
+    :class:`~repro.core.coordinator.DictCoordinator` (the generic plane:
+    per-key tables are what the bounded rebaseline edits, whatever plane
+    the engine's full runs take).  They are no ``exec.step`` fault site.
 
     **Assemble is deferred.**  A batch maintains the per-fragment states
     and stops; :attr:`answer` assembles ``Q(G)`` on the first read after
@@ -348,12 +360,19 @@ class ContinuousQuerySession:
     def __init__(self, engine: GrapeEngine, program: PIEProgram, query: Any,
                  graph: Optional[Graph] = None, *,
                  fragmentation: Optional[Fragmentation] = None):
-        if not hasattr(program, "on_graph_update") \
-                and not program.recompute_fallback:
-            raise TypeError(
-                f"{type(program).__name__} neither implements "
-                "on_graph_update nor allows the recompute fallback; no "
-                "update could ever be applied to this standing query")
+        self._maintains = isinstance(program, Maintenance)
+        if not self._maintains:
+            if hasattr(program, "on_graph_update"):
+                raise TypeError(
+                    f"{type(program).__name__} implements on_graph_update "
+                    "outside the Maintenance hooks (core.pie.Maintenance: "
+                    "report_entries and the bounded path come with it)")
+            if not program.recompute_fallback:
+                raise TypeError(
+                    f"{type(program).__name__} neither implements the "
+                    "Maintenance hooks (on_graph_update, ...) nor allows "
+                    "the recompute fallback; no update could ever be "
+                    "applied to this standing query")
         if (graph is None) == (fragmentation is None):
             raise ValueError("pass exactly one of graph or fragmentation")
         self.engine = engine
@@ -363,22 +382,19 @@ class ContinuousQuerySession:
                               else engine.make_fragmentation(graph))
         result = engine.run(program, query,
                             fragmentation=self.fragmentation)
-        self.states = result.states
-        self._answer = result.answer
         self._answer_lock = threading.Lock()
         self.metrics = result.metrics
-        self._views_counted = result.metrics.dict_views_materialised
-        self._coord = DictCoordinator(program, self.fragmentation)
-        # The ``name`` halves of every ``(node, name)`` key this session
-        # has read — a fixed handful per program — so the bounded path
-        # can probe a vertex's reported claims by constructed key.
-        self._param_names: Set[Any] = set()
+        # Built once per session; every _adopt gives it a coordinator.
+        self._loop = _MaintenanceRounds(
+            program, query, self.fragmentation, None, self.metrics,
+            num_workers=engine.num_workers, cost_model=engine.cost_model,
+            max_supersteps=engine.max_supersteps)
         # Set when an opt-out program rejected a non-maintainable batch
         # *after* the fragmentation was mutated: the converged state no
         # longer matches the graph, and folding later (even monotone)
         # batches into it would be silently wrong.
         self._stale = False
-        self._rebaseline()
+        self._adopt(result)
 
     @property
     def answer(self) -> Any:
@@ -406,50 +422,35 @@ class ContinuousQuerySession:
         self.metrics.dict_views_materialised += views - self._views_counted
         self._views_counted = views
 
-    def _rebaseline(self) -> None:
-        """Rebuild the coordinator tables from the converged states (a
-        full read, which also consumes the programs' changed-since-last-
-        report tracking: maintenance reports start from here)."""
+    def _adopt(self, result) -> None:
+        """Take over a full run's converged states and answer, and fold
+        fresh coordinator tables from full reports (a read that also
+        consumes the programs' changed-since-last-report tracking:
+        maintenance reports start from here).  Programs that are only
+        ever recomputed have no use for tables."""
+        self.states = self._loop.states = result.states
+        self._answer = result.answer
+        self._views_counted = result.metrics.dict_views_materialised
+        if not self._maintains:
+            return
         program, query = self.program, self.query
-        reported, table = self._coord.reported, self._coord.table
-        reported.clear()
-        table.clear()
-        for frag in self.fragmentation:
-            _kind, params = read_report(program, query, frag,
-                                        self.states[frag.fid], True)
-            reported[frag.fid] = params
-            self._param_names.update(map(_NAME_OF, params))
-            for key, value in params.items():
-                if key in table:
-                    table[key] = program.aggregator.combine(table[key],
-                                                            value)
-                else:
-                    table[key] = value
+        coord = self._loop.coordinator = DictCoordinator(program,
+                                                         self.fragmentation)
+        reports = {frag.fid: read_report(program, query, frag,
+                                         self.states[frag.fid], True)
+                   for frag in self.fragmentation}
+        self._loop.note_names(reports)
+        coord.fold(reports, first_round=True)
+        coord.drain_timers(self.metrics)
         self._count_views()
 
     def _begin_maintenance(self) -> None:
         """A fresh monotonicity history per maintenance pass; the answer
         assembled before it is no longer the answer."""
         self._answer = _STALE
-        self._coord.checker = MonotonicityChecker(
-            self.program.aggregator, enabled=self.engine.check_monotonic)
-
-    def _read_reports(self, force_full: bool = False):
-        """Every fragment's post-step report, read in-process.
-
-        ``force_full`` reads the full parameter dict (the coordinator
-        diffs it) even for programs implementing the incremental
-        dirty-set protocol — how a batch is collected from a program
-        without the ``report_entries`` probe, whose dirty tracking cannot
-        see a node that merely joined a border set.
-        """
-        reports = {}
-        for frag in self.fragmentation.fragments:
-            report = read_report(self.program, self.query, frag,
-                                 self.states[frag.fid], force_full)
-            self._param_names.update(map(_NAME_OF, report[1]))
-            reports[frag.fid] = report
-        return reports
+        if self.engine.check_monotonic:
+            self._loop.coordinator.checker = MonotonicityChecker(
+                self.program.aggregator)
 
     def _batch_entries(self, frag, delta: Optional[FragmentDelta],
                        affected: Iterable[Node] = ()
@@ -475,19 +476,20 @@ class ContinuousQuerySession:
                 probe.add(v)
         if probe:
             fresh.update(program.report_entries(query, frag, state, probe))
-        self._param_names.update(map(_NAME_OF, fresh))
+        self._loop.names.update(map(_NAME_OF, fresh))
         return fresh, probe
 
-    def _finish_maintenance(self, messages, local_s: float, up_bytes: int,
-                            up_msgs: int) -> None:
-        """Close the batch's first superstep and drain the message loop
-        (shared tail of both maintenance paths).  The answer is left to
-        the next read."""
-        self.metrics.record_superstep([local_s], up_bytes, up_msgs,
-                                      self.engine.cost_model
-                                      or _DEFAULT_COST)
-        self._resume_fixpoint(messages)
-        self._coord.drain_timers(self.metrics)
+    def _finish_maintenance(self, local_s: float, up_bytes: int,
+                            up_msgs: int, dirty: Set) -> None:
+        """Close the batch's first superstep — ``local_s`` of hooks, the
+        folded reports — and hand what it composes to the engine's loop
+        (after a region reset every further change is a plain aggregator
+        improvement, so the same rounds drain both maintenance paths).
+        The answer is left to the next read."""
+        loop = self._loop
+        loop.record([local_s])
+        loop.drain(*loop.settle(up_bytes, up_msgs, dirty))
+        loop.finish()
         self._count_views()
 
     # ------------------------------------------------------------------
@@ -522,11 +524,10 @@ class ContinuousQuerySession:
 
         ``touched`` maps fragment id to its
         :class:`~repro.graph.delta.FragmentDelta` (the return value of
-        :func:`apply_delta`; legacy insertion lists are accepted).  The
-        batch is folded incrementally when every touched fragment's
-        delta is maintainable by the program, and answered by the
-        recompute fallback otherwise.  Nothing is assembled here: the
-        next read of :attr:`answer` does that.
+        :func:`apply_delta`).  The batch is folded incrementally when
+        every touched fragment's delta is maintainable by the program,
+        and answered by the recompute fallback otherwise.  Nothing is
+        assembled here: the next read of :attr:`answer` does that.
         """
         if not touched:
             return
@@ -537,10 +538,10 @@ class ContinuousQuerySession:
                 "(recompute_fallback=False) after the fragmentation had "
                 "already been mutated, so this session can never be "
                 "refreshed again — cancel it")
-        touched = _coerce_touched(touched)
         self.metrics.deltas_applied += 1
         program = self.program
-        if all(program.maintainable(d) for d in touched.values()):
+        if self._maintains and all(program.maintainable(d)
+                                   for d in touched.values()):
             self.metrics.incremental_maintained += 1
             if any(program.invalidates(d) for d in touched.values()):
                 return self._maintain_bounded(touched)
@@ -559,9 +560,8 @@ class ContinuousQuerySession:
     def _maintain(self, touched: Dict[int, FragmentDelta]) -> None:
         """The monotone fast path: fold deltas into live state, collect
         what that moved — at ``O(|batch| + |AFF|)`` like the bounded path
-        (:meth:`_batch_entries`), by an ``O(border)`` full-report diff
-        only for programs without ``report_entries`` — and resume the
-        message fixpoint from the current converged state."""
+        (:meth:`_batch_entries`) — and resume the message fixpoint from
+        the current converged state."""
         program, query = self.program, self.query
         self._begin_maintenance()
 
@@ -571,46 +571,15 @@ class ContinuousQuerySession:
                                     self.states[fid], delta)
         local_s = time.perf_counter() - start
 
-        if hasattr(program, "report_entries"):
-            reports = {}
-            for frag in self.fragmentation.fragments:
-                fresh, _probe = self._batch_entries(frag,
-                                                    touched.get(frag.fid))
-                prev = self._coord.reported[frag.fid]
-                reports[frag.fid] = ("changed", {
-                    key: value for key, value in fresh.items()
-                    if prev.get(key, _MISSING) != value})
-        else:
-            reports = self._read_reports(force_full=True)
-        up_bytes, up_msgs, dirty = self._coord.fold(reports)
-        self._finish_maintenance(self._coord.compose(dirty), local_s,
-                                 up_bytes, up_msgs)
-
-    def _resume_fixpoint(self, messages) -> None:
-        """Run the maintenance message loop to a fixpoint (shared by the
-        monotone fast path and the bounded non-monotone path — after a
-        region reset every further change is a plain aggregator
-        improvement, so the same loop drains both)."""
-        program, query = self.program, self.query
-        frags = self.fragmentation.fragments
-        rounds = 0
-        while messages:
-            rounds += 1
-            if rounds > self.engine.max_supersteps:
-                raise RuntimeError("maintenance did not reach a fixpoint")
-            down_bytes = sum(self._coord.price(msg)
-                             for msg in messages.values())
-            times = []
-            for fid, msg in messages.items():
-                t0 = time.perf_counter()
-                program.inceval(query, frags[fid], self.states[fid], msg)
-                times.append(time.perf_counter() - t0)
-            up_bytes, up_msgs, dirty = self._coord.fold(
-                self._read_reports())
-            messages = self._coord.compose(dirty)
-            self.metrics.record_superstep(
-                times, down_bytes + up_bytes, len(messages) + up_msgs,
-                self.engine.cost_model or _DEFAULT_COST)
+        coord = self._loop.coordinator
+        reports = {}
+        for frag in self.fragmentation.fragments:
+            fresh, _probe = self._batch_entries(frag, touched.get(frag.fid))
+            prev = coord.reported[frag.fid]
+            reports[frag.fid] = ("changed", {
+                key: value for key, value in fresh.items()
+                if prev.get(key, _MISSING) != value})
+        self._finish_maintenance(local_s, *coord.fold(reports))
 
     def _maintain_bounded(self,
                           touched: Dict[int, FragmentDelta]) -> None:
@@ -656,38 +625,26 @@ class ContinuousQuerySession:
            is missing from the probe read, so the stale entry it
            shipped earlier is dropped from the table (peers are charged
            a tombstone entry for it).  The cost is ``O(|AFF| +
-           |batch|)``, not ``O(border)``; programs without the
-           ``report_entries`` hook fall back to a full-report diff;
+           |batch|)``, not ``O(border)``;
         5. the standard monotone message loop resumes — every change
            after the reset is a plain aggregator improvement.
         """
         program, query = self.program, self.query
         frags = self.fragmentation.fragments
-        table = self._coord.table
+        coord = self._loop.coordinator
+        table = coord.table
         self._begin_maintenance()
         start = time.perf_counter()
 
         # Param names for the promotion probe of step 2: probing reported
         # claims by constructed ``(node, name)`` key costs O(|grown|), not
         # an O(border) index build per batch.
-        param_names = self._param_names
+        param_names = self._loop.names
 
-        # Seeds: per-fragment direct hits, or — when the program offers
-        # the driver-side batch hook — direct hits filtered with a view
-        # of *all* fragments (maintenance runs on the driver, so a
-        # program whose invalidation test is inherently global, like
-        # CC's does-this-deletion-split check, may answer it exactly
-        # instead of condemning on local evidence).
         work: Dict[int, Set[Node]] = {f.fid: set() for f in frags}
-        seeds_global = getattr(program, "affected_seeds_global", None)
-        if seeds_global is not None:
-            for fid, found in seeds_global(query, frags, self.states,
-                                           touched).items():
-                work[fid] |= found
-        else:
-            for fid, delta in touched.items():
-                work[fid] |= program.affected_seeds(query, frags[fid],
-                                                    self.states[fid], delta)
+        for fid, found in program.affected_seeds_global(
+                query, frags, self.states, touched).items():
+            work[fid] |= found
 
         local_aff: Dict[int, Set[Node]] = {f.fid: set() for f in frags}
         promoted: Set[Node] = set()
@@ -704,7 +661,7 @@ class ContinuousQuerySession:
                                                 fresh)
                 grown -= known
                 known |= grown
-                reported = self._coord.reported.get(frag.fid)
+                reported = coord.reported.get(frag.fid)
                 if not reported:
                     continue
                 for node in grown:
@@ -735,20 +692,13 @@ class ContinuousQuerySession:
                                           self.states[frag.fid], delta,
                                           aff)
         local_s = time.perf_counter() - start
-
-        if hasattr(program, "report_entries"):
-            up_bytes, up_msgs, dirty = self._rebaseline_region(
-                touched, local_aff, global_aff)
-        else:
-            up_bytes, up_msgs, dirty = self._rebaseline_bounded_full(
-                global_aff)
-        self._finish_maintenance(self._coord.compose(dirty), local_s,
-                                 up_bytes, up_msgs)
+        self._finish_maintenance(local_s, *self._rebaseline_region(
+            touched, local_aff, global_aff))
 
     def _rebaseline_region(self, touched: Dict[int, FragmentDelta],
                            local_aff: Dict[int, Set[Node]],
                            global_aff: Set[Node]) -> Tuple[int, int, Set]:
-        """Step 4 of :meth:`_maintain_bounded`, incremental flavor.
+        """Step 4 of :meth:`_maintain_bounded`.
 
         Only keys the batch could have touched are re-read and
         re-aggregated (:meth:`_batch_entries`, with the reset vertices
@@ -759,10 +709,10 @@ class ContinuousQuerySession:
         """
         program = self.program
         frags = self.fragmentation.fragments
-        coord = self._coord
+        coord = self._loop.coordinator
         table = coord.table
         combine = program.aggregator.combine
-        param_names = self._param_names
+        param_names = self._loop.names
         up_bytes = 0
         up_msgs = 0
         recompute: Set = set()
@@ -816,45 +766,6 @@ class ContinuousQuerySession:
                     dirty.add(key)
         return up_bytes, up_msgs, dirty
 
-    def _rebaseline_bounded_full(self,
-                                 global_aff: Set[Node]) -> Tuple[int, int,
-                                                                 Set]:
-        """Step 4 of :meth:`_maintain_bounded`, full-report fallback for
-        programs without the ``report_entries`` probe hook: re-read every
-        fragment's complete parameter dict, diff against the previous
-        baseline (absences become tombstones) and rebuild the aggregated
-        table — correct for any program, at ``O(border)`` cost."""
-        program = self.program
-        coord = self._coord
-        old_reported, old_table = coord.reported, coord.table
-        reported = coord.reported = {}
-        table = coord.table = {}
-        up_bytes = 0
-        up_msgs = 0
-        for fid, (_kind, params) in self._read_reports(
-                force_full=True).items():
-            reported[fid] = params
-            prev = old_reported.get(fid, {})
-            diff = {k: v for k, v in params.items()
-                    if prev.get(k, _MISSING) != v}
-            # Retractions ship as key-only tombstones.
-            gone = {k: None for k in prev if k not in params}
-            if diff or gone:
-                up_msgs += 1
-                up_bytes += coord.price(diff)
-                if gone:
-                    up_bytes += coord.price_tombstones(gone)
-            for key, value in params.items():
-                if key in table:
-                    table[key] = program.aggregator.combine(table[key],
-                                                            value)
-                else:
-                    table[key] = value
-        dirty = {k for k, v in table.items()
-                 if old_table.get(k, _MISSING) != v}
-        dirty |= {k for k in table if k[0] in global_aff}
-        return up_bytes, up_msgs, dirty
-
     def _recompute(self) -> None:
         """The non-monotone fallback: re-run the query from reset state
         on the mutated fragmentation, inside this session.
@@ -870,10 +781,7 @@ class ContinuousQuerySession:
         """
         result = self.engine.run(self.program, self.query,
                                  fragmentation=self.fragmentation)
-        self.states = result.states
-        self._answer = result.answer
-        self._views_counted = result.metrics.dict_views_materialised
         # Fold the re-run's cost into the session's cumulative metrics
         # in place (WatchHandle holds a reference to the object).
         self.metrics.absorb(result.metrics)
-        self._rebaseline()
+        self._adopt(result)

@@ -27,7 +27,7 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.aggregators import MinAggregator
-from repro.core.pie import BlockSpec, ParamUpdates, PIEProgram
+from repro.core.pie import BlockSpec, Maintenance, ParamUpdates
 from repro.graph.graph import Node
 from repro.partition.base import Fragment, Fragmentation
 from repro.resilience.errors import StateSnapshotMismatch
@@ -209,7 +209,7 @@ class ValueState(ArrayState):
         self.relax(fragment, kernel, seeds)
 
 
-class DecreaseOnlyProgram(PIEProgram):
+class DecreaseOnlyProgram(Maintenance):
     """What SSSP and BFS share.  A subclass names its state class, its
     three kernels, the parameter name, the value of the source
     (``zero``), what an unreached vertex reads in the answer

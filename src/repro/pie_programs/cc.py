@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.aggregators import MinAggregator
-from repro.core.pie import BlockSpec, ParamUpdates, PIEProgram
+from repro.core.pie import BlockSpec, Maintenance, ParamUpdates
 from repro.graph.graph import Node
 from repro.kernels import csr_components, csr_region_components
 from repro.partition.base import Fragment, Fragmentation
@@ -120,7 +120,7 @@ class CCState(ArrayState):
                               if m in inner or m in outer)
 
 
-class CCProgram(PIEProgram):
+class CCProgram(Maintenance):
     """Query: ignored (CC is a whole-graph computation).
 
     Answer: ``{component id: set of nodes}``.

@@ -33,10 +33,8 @@ is what lets the chaos harness assert bitwise equality against a
 fault-free oracle.  Randomized schedules (:meth:`FaultPlane.rate`) draw
 from per-spec ``random.Random`` streams derived from the plane seed, so
 they too are reproducible.  Every fault fires a bounded number of times
-(``times`` per spec, ``max_fires`` per plane), mirroring
-:class:`~repro.runtime.fault.FailureInjector`'s "each failure fires
-exactly once" discipline — retries and recovery always drain the
-schedule instead of livelocking.
+(``times`` per spec, ``max_fires`` per plane) — retries and recovery
+always drain the schedule instead of livelocking.
 
 Production code calls the module-level :func:`check`, a fast no-op while
 no plane is installed (one attribute read), so the fault-free path pays
@@ -48,7 +46,11 @@ nothing.  Tests install a plane for a scope with::
 
 The engine additionally accepts a plane directly
 (``EngineConfig(fault_plane=...)``) for single-run injection without the
-process-global install.
+process-global install — the one way to fail a worker in a test, on
+every backend (fragment ``fid``'s ``k``-th superstep, or a seeded rate)::
+
+    FaultPlane().plan("exec.step", "crash", key=fid, at=k)
+    FaultPlane(seed=4).rate("exec.step", "crash", 0.05, times=5)
 """
 
 from __future__ import annotations
@@ -208,6 +210,17 @@ class FaultPlane:
             return all(spec.fires >= spec.times or spec.rate > 0.0
                        for specs in self._specs.values()
                        for spec in specs)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # a plane rides an EngineConfig, which must pickle: the schedule
+        # and its progress travel, the lock does not
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     def __repr__(self) -> str:
         with self._lock:

@@ -7,7 +7,7 @@ from repro.runtime.executors import (ExecutorBackend, ExecutorSession,
                                      ThreadBackend,
                                      UnpicklableProgramError,
                                      available_backends, resolve_backend)
-from repro.runtime.fault import Arbitrator, FailureInjector, WorkerFailure
+from repro.runtime.fault import Arbitrator, WorkerFailure
 from repro.runtime.message import DesignatedMessage, KeyValueMessage
 from repro.runtime.metrics import (CostModel, RunMetrics,
                                    message_bytes)
@@ -15,7 +15,7 @@ from repro.runtime.metrics import (CostModel, RunMetrics,
 __all__ = [
     "SimulatedCluster", "LoadBalancer", "CostModel",
     "RunMetrics", "message_bytes", "DesignatedMessage", "KeyValueMessage",
-    "FailureInjector", "WorkerFailure", "Arbitrator",
+    "WorkerFailure", "Arbitrator",
     "ExecutorBackend", "ExecutorSession", "SerialBackend", "ThreadBackend",
     "ProcessBackend", "StepCommand", "StepOutcome",
     "UnpicklableProgramError", "available_backends", "resolve_backend",

@@ -1,19 +1,21 @@
 """The simulated shared-nothing cluster.
 
 A :class:`SimulatedCluster` plays the role of the paper's ``n`` physical
-workers plus MPI controller.  Engines (GRAPE and the baselines) submit one
+workers plus MPI controller for the baseline engines, which submit one
 *task per virtual worker* per superstep; the cluster
 
-* executes every task (serially or on a thread pool), timing each with a
-  performance counter,
+* executes every task (on an inline executor backend), timing each with
+  a performance counter,
 * maps virtual workers onto physical workers (paper Section 3.1: ``m``
   virtual workers on ``n`` physical workers share memory when ``n < m``),
 * folds the timings into :class:`~repro.runtime.metrics.RunMetrics` using
   the BSP cost model: a superstep costs the *max over physical workers* of
   their assigned virtual workers' summed compute time, plus communication.
 
-Fault injection (paper Section 6, "Fault tolerance") is supported through a
-:class:`~repro.runtime.fault.FailureInjector` — see that module.
+The GRAPE engine executes through
+:class:`~repro.runtime.executors.ExecutorSession` and records its rounds
+through :class:`~repro.core.fixpoint.Fixpoint`; what it shares with the
+cluster is the placement, :func:`physical_times`.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ import time
 from typing import Any, Callable, List, Optional, Sequence, Union
 
 from repro.runtime.executors import ExecutorBackend, resolve_backend
-from repro.runtime.fault import FailureInjector, WorkerFailure
 from repro.runtime.metrics import CostModel, RunMetrics, message_bytes
 
-__all__ = ["SimulatedCluster", "LoadBalancer"]
+__all__ = ["SimulatedCluster", "LoadBalancer", "physical_times"]
 
 
 class LoadBalancer:
@@ -48,6 +49,24 @@ class LoadBalancer:
         return placement
 
 
+def physical_times(times: Sequence[float], num_physical: int,
+                   costs: Optional[Sequence[float]] = None
+                   ) -> Sequence[float]:
+    """Per-physical-worker compute seconds of one superstep: the virtual
+    workers' ``times`` summed where the :class:`LoadBalancer` places them
+    (by ``costs``, default the times themselves).  With no more virtual
+    workers than physical ones every one has a worker to itself, so the
+    placement is the identity and none is computed."""
+    if len(times) <= num_physical:
+        return times
+    placement = LoadBalancer().assign(times if costs is None else costs,
+                                      num_physical)
+    physical = [0.0] * num_physical
+    for i, t in enumerate(times):
+        physical[placement[i]] += t
+    return physical
+
+
 class SimulatedCluster:
     """``n`` physical workers with synchronous (BSP) supersteps.
 
@@ -57,46 +76,28 @@ class SimulatedCluster:
         Number of *physical* workers ``n``.
     cost_model:
         BSP cost parameters; defaults to :class:`CostModel` defaults.
-    executor:
-        Back-compat spelling of ``backend``: ``"serial"`` (default,
-        deterministic) or ``"threads"`` (thread pool).  Thread timing
-        still uses per-task perf-counter measurement, so the cost model
-        is unaffected.
     backend:
         An :class:`~repro.runtime.executors.ExecutorBackend` name or
-        instance executing the per-worker tasks; overrides ``executor``
-        when given.  Closure tasks submitted through
-        :meth:`run_superstep` require an *inline* backend — the process
-        backend only speaks the PIE session protocol driven by
+        instance executing the per-worker tasks (default ``"serial"``,
+        deterministic; ``"thread"`` still times every task with its own
+        perf counter, so the cost model is unaffected).  Closure tasks
+        require an *inline* backend — the process backend only speaks
+        the PIE session protocol driven by
         :class:`~repro.core.engine.GrapeEngine`.
-    failure_injector:
-        Optional fault-injection plan; tasks raising
-        :class:`WorkerFailure` are surfaced to the engine for recovery.
     """
 
     def __init__(self, num_workers: int, cost_model: Optional[CostModel] = None,
-                 executor: str = "serial",
-                 failure_injector: Optional[FailureInjector] = None,
-                 backend: Union[str, ExecutorBackend, None] = None):
+                 backend: Union[str, ExecutorBackend] = "serial"):
         if num_workers < 1:
             raise ValueError("need at least one worker")
-        if executor not in ("serial", "threads"):
-            raise ValueError(f"unknown executor {executor!r}")
         self.num_workers = num_workers
         self.cost_model = cost_model or CostModel()
-        self.executor = executor
-        if backend is None:
-            backend = "thread" if executor == "threads" else "serial"
         self.backend = resolve_backend(backend)
-        self.failure_injector = failure_injector
         self.metrics = RunMetrics(backend=self.backend.name)
-        self.balancer = LoadBalancer()
-        self._superstep_index = 0
 
     # ------------------------------------------------------------------
     def reset_metrics(self) -> None:
         self.metrics = RunMetrics(backend=self.backend.name)
-        self._superstep_index = 0
 
     # ------------------------------------------------------------------
     def run_superstep(self, tasks: Sequence[Callable[[], Any]],
@@ -109,70 +110,21 @@ class SimulatedCluster:
         ``num_messages`` describe the traffic *delivered at the start of*
         this superstep (routed by the coordinator), charged to it per the
         BSP cost formula.
-
-        Raises :class:`WorkerFailure` (after accounting the partial step)
-        if the failure injector kills a worker this superstep; the engine
-        is expected to recover and retry.
         """
-        step = self._superstep_index
-        self._superstep_index += 1
-
-        times, results, failure = self._execute(tasks, step)
-        self.record_superstep(times, bytes_shipped, num_messages,
-                              virtual_costs=virtual_costs,
-                              _count_step=False)
-        if failure is not None:
-            raise failure
-        return results
-
-    def record_superstep(self, times: Sequence[float], bytes_shipped: int,
-                         num_messages: int,
-                         virtual_costs: Optional[Sequence[float]] = None,
-                         _count_step: bool = True) -> None:
-        """Fold one executed superstep's timings into the metrics.
-
-        Used directly by engines that execute supersteps through an
-        :class:`~repro.runtime.executors.ExecutorSession` (where the
-        backend, not the cluster, owns execution): ``times`` are the
-        per-virtual-worker compute seconds the session reported.
-        """
-        if _count_step:
-            self._superstep_index += 1
-        # Fold virtual-worker times into physical-worker times.
-        if virtual_costs is None:
-            virtual_costs = times
-        placement = self.balancer.assign(virtual_costs, self.num_workers)
-        physical = [0.0] * self.num_workers
-        for i, t in enumerate(times):
-            physical[placement[i]] += t
-        self.metrics.record_superstep(physical, bytes_shipped, num_messages,
-                                      self.cost_model)
-
-    def _execute(self, tasks: Sequence[Callable[[], Any]], step: int):
-        times: List[float] = []
-        results: List[Any] = []
-        failure: Optional[WorkerFailure] = None
-
-        def run_one(i: int, task: Callable[[], Any]):
-            if self.failure_injector is not None and \
-                    self.failure_injector.should_fail(worker=i, superstep=step):
-                return 0.0, None, WorkerFailure(worker=i, superstep=step)
+        def timed(task: Callable[[], Any]):
             start = time.perf_counter()
             value = task()
-            return time.perf_counter() - start, value, None
+            return time.perf_counter() - start, value
 
         # Delegated to the backend; raises TypeError for non-inline
         # backends, whose workers cannot receive in-process closures.
         outcomes = self.backend.run_tasks(
-            [lambda i=i, t=t: run_one(i, t) for i, t in enumerate(tasks)],
-            self.num_workers)
-
-        for elapsed, value, fail in outcomes:
-            times.append(elapsed)
-            results.append(value)
-            if fail is not None and failure is None:
-                failure = fail
-        return times, results, failure
+            [lambda t=t: timed(t) for t in tasks], self.num_workers)
+        times = [elapsed for elapsed, _value in outcomes]
+        self.metrics.record_superstep(
+            physical_times(times, self.num_workers, virtual_costs),
+            bytes_shipped, num_messages, self.cost_model)
+        return [value for _elapsed, value in outcomes]
 
     # ------------------------------------------------------------------
     def account_payload(self, payload: Any) -> int:

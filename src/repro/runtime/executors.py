@@ -68,7 +68,7 @@ from repro.resilience import faults as _fault_plane
 from repro.resilience.errors import DeadlineExceeded, QueryCancelled
 from repro.resilience.faults import FaultAction
 from repro.runtime import shm
-from repro.runtime.fault import FailureInjector, WorkerFailure
+from repro.runtime.fault import WorkerFailure
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -103,9 +103,9 @@ class UnpicklableProgramError(TypeError):
 class WorkerProcessDied(RuntimeError):
     """A pooled worker process died mid-exchange (crash or ``kill -9``).
 
-    Distinct from :exc:`~repro.runtime.fault.WorkerFailure` (a *simulated*
-    failure injected into an inline backend): this is a real OS-level
-    death.  The engine recovers from it when disk checkpoints are enabled
+    Distinct from :exc:`~repro.runtime.fault.WorkerFailure` (how an
+    injected ``crash`` surfaces on an inline backend): this is a real
+    OS-level death.  The engine recovers from it when a checkpoint exists
     — the session is re-opened on fresh workers and the last consistent
     checkpoint restored — and re-raises it otherwise.
     """
@@ -130,10 +130,7 @@ class StepCommand:
     ``phase`` selects which sequential function runs; ``message`` is the
     composed update-parameter message ``M_i``; ``designated`` and
     ``keyvalue`` are the explicit channels (paper Section 3.5) routed to
-    this fragment.  ``full_report`` forces a full
-    ``read_update_params`` read even for programs implementing the
-    incremental dirty-set protocol (needed right after graph mutations).
-    ``blocks`` selects the array plane: ``message`` is a
+    this fragment.  ``blocks`` selects the array plane: ``message`` is a
     :class:`~repro.runtime.wire.ParamBlock` handed to
     ``program.inceval_block`` and the report is read with
     ``program.read_changed_block``.
@@ -143,7 +140,6 @@ class StepCommand:
     message: Any = None
     designated: Optional[list] = None
     keyvalue: Optional[Dict[Hashable, list]] = None
-    full_report: bool = False
     blocks: bool = False
     #: injected fault to act out before computing (``exec.step`` site of
     #: the :class:`~repro.resilience.faults.FaultPlane`); embedded by the
@@ -212,8 +208,7 @@ def read_report(program, query, fragment, state,
 
     With ``full`` the program's dirty set is consumed (so it cannot be
     re-reported next round) and the full parameter dict is returned for a
-    coordinator-side diff — the semantics
-    :meth:`~repro.core.engine.GrapeEngine` documents for ``force_full``.
+    coordinator-side diff — how a standing query re-baselines.
     """
     changed = program.read_changed_params(query, fragment, state)
     if full and changed is not None:
@@ -233,8 +228,7 @@ def _execute_command(program, query, fragment, state,
         report = ("block",
                   program.read_changed_block(query, fragment, state))
     else:
-        report = read_report(program, query, fragment, state,
-                             command.full_report)
+        report = read_report(program, query, fragment, state, False)
     designated, keyvalue = program.drain_messages(query, fragment, state)
     elapsed = computed - start
     report_s = time.perf_counter() - computed
@@ -318,18 +312,16 @@ class ExecutorSession(abc.ABC):
 class ExecutorBackend(abc.ABC):
     """A way of executing per-fragment work.
 
-    ``inline`` backends run everything in the coordinator process and
-    additionally support arbitrary closure tasks (:meth:`run_tasks`, used
-    by the baseline engines); the process backend supports only the PIE
-    session protocol.
+    The *inline* backends (serial, thread) run everything in the
+    coordinator process and additionally support arbitrary closure tasks
+    (:meth:`run_tasks`, used by the baseline engines); the process
+    backend supports only the PIE session protocol.
     """
 
     name: str = "abstract"
-    inline: bool = True
 
     @abc.abstractmethod
     def open(self, program, query, fragmentation, *, num_workers: int,
-             failure_injector: Optional[FailureInjector] = None,
              trace=None) -> ExecutorSession:
         """Bind a session for one engine run.
 
@@ -358,14 +350,12 @@ class _InlineSession(ExecutorSession):
     """States live in the coordinator; compute runs in-process."""
 
     def __init__(self, backend: "ExecutorBackend", program, query,
-                 fragmentation, num_workers: int,
-                 failure_injector: Optional[FailureInjector]):
+                 fragmentation, num_workers: int):
         self._backend = backend
         self._program = program
         self._query = query
         self._fragments = {f.fid: f for f in fragmentation.fragments}
         self._num_workers = num_workers
-        self._injector = failure_injector
         self._states: Dict[int, Any] = {}
         self._step_index = 0
 
@@ -386,16 +376,12 @@ class _InlineSession(ExecutorSession):
         self._step_index += 1
 
         def run_one(fid: int) -> Tuple[int, StepOutcome]:
-            if self._injector is not None and self._injector.should_fail(
-                    worker=fid, superstep=step_index):
-                return fid, StepOutcome(
-                    failed=WorkerFailure(worker=fid, superstep=step_index))
             fault = commands[fid].fault
             if fault is not None:
                 # Inline acting of plane faults: a "crash" surfaces as a
-                # simulated WorkerFailure (same recovery path as the
-                # injector); "hang"/"slow" stall the compute, which the
-                # engine's deadline check bounds at the next superstep.
+                # simulated WorkerFailure, recovered from the checkpoint
+                # like a real death; "hang"/"slow" stall the compute, which
+                # the engine's deadline check bounds at the next superstep.
                 if fault.kind == "crash":
                     return fid, StepOutcome(failed=WorkerFailure(
                         worker=fid, superstep=step_index))
@@ -425,13 +411,11 @@ class SerialBackend(ExecutorBackend):
     """Deterministic single-threaded execution (the default)."""
 
     name = "serial"
-    inline = True
 
     def open(self, program, query, fragmentation, *, num_workers: int,
-             failure_injector: Optional[FailureInjector] = None,
              trace=None) -> ExecutorSession:
         return _InlineSession(self, program, query, fragmentation,
-                              num_workers, failure_injector)
+                              num_workers)
 
     def run_tasks(self, thunks: Sequence[Callable[[], Any]],
                   num_workers: int) -> List[Any]:
@@ -446,7 +430,6 @@ class ThreadBackend(ExecutorBackend):
     """
 
     name = "thread"
-    inline = True
 
     def __init__(self):
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -467,10 +450,9 @@ class ThreadBackend(ExecutorBackend):
             return self._pool
 
     def open(self, program, query, fragmentation, *, num_workers: int,
-             failure_injector: Optional[FailureInjector] = None,
              trace=None) -> ExecutorSession:
         return _InlineSession(self, program, query, fragmentation,
-                              num_workers, failure_injector)
+                              num_workers)
 
     def run_tasks(self, thunks: Sequence[Callable[[], Any]],
                   num_workers: int) -> List[Any]:
@@ -1155,7 +1137,6 @@ class ProcessBackend(ExecutorBackend):
     """
 
     name = "process"
-    inline = False
 
     def __init__(self, start_method: Optional[str] = None,
                  max_workers: Optional[int] = None,
@@ -1176,13 +1157,7 @@ class ProcessBackend(ExecutorBackend):
 
     # ------------------------------------------------------------------
     def open(self, program, query, fragmentation, *, num_workers: int,
-             failure_injector: Optional[FailureInjector] = None,
              trace=None) -> ExecutorSession:
-        if failure_injector is not None:
-            raise ValueError(
-                "fault injection requires an inline backend "
-                "(backend='serial' or 'thread'): the process backend's "
-                "worker-resident states have no checkpoint channel")
         fragments = fragmentation.fragments
         token = fragmentation.cache_token
         want = min(max(1, num_workers), max(1, len(fragments)))

@@ -1,4 +1,4 @@
-"""Fault injection and recovery (paper Section 6, "Fault tolerance").
+"""Recovery from worker failures (paper Section 6, "Fault tolerance").
 
 GRAPE reserves an *arbitrator* worker that heart-beats every worker and the
 coordinator; on a worker failure the arbitrator transfers the failed
@@ -7,21 +7,20 @@ coordinator failure.
 
 In the simulation:
 
-* :class:`FailureInjector` schedules deterministic worker failures
-  (``(worker, superstep)`` pairs, or a seeded random failure rate);
-* :exc:`WorkerFailure` is raised by the cluster when an injected failure
-  fires;
+* failures are scheduled by the one injector, ``exec.step`` specs of a
+  :class:`~repro.resilience.faults.FaultPlane`;
+* :exc:`WorkerFailure` is how a ``crash`` spec surfaces on the inline
+  backends (under the process backend the worker really dies);
 * :class:`Arbitrator` implements the recovery policy used by the GRAPE
   engine: it keeps per-fragment state checkpoints and, on failure,
   restores the failed fragment's state so the superstep can be re-run
   (simulating the task transfer to a healthy worker).
 
 The arbitrator has two checkpoint modes.  The default keeps deep copies
-in memory — enough for *injected* failures, where the coordinator
-process survives.  Passing ``checkpoint_dir`` switches to **disk
-checkpoints** backed by the durable store's layout
-(:meth:`~repro.store.catalog.GraphStore.checkpoint_dir`): each
-checkpoint is pickled to a per-run file and atomically renamed into
+in memory — enough while the coordinator process survives.  Passing
+``checkpoint_dir`` switches to **disk checkpoints** backed by the durable
+store's layout (:meth:`~repro.store.catalog.GraphStore.checkpoint_dir`):
+each checkpoint is pickled to a per-run file and atomically renamed into
 place, so the state a ``kill -9``'d process-backend worker held can be
 restored into a fresh worker; the file is discarded when its run ends.
 """
@@ -31,12 +30,11 @@ from __future__ import annotations
 import copy
 import os
 import pickle
-import random
 import re
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
-__all__ = ["WorkerFailure", "FailureInjector", "Arbitrator"]
+__all__ = ["WorkerFailure", "Arbitrator"]
 
 
 class WorkerFailure(RuntimeError):
@@ -46,43 +44,6 @@ class WorkerFailure(RuntimeError):
         super().__init__(f"worker {worker} failed at superstep {superstep}")
         self.worker = worker
         self.superstep = superstep
-
-
-class FailureInjector:
-    """Deterministic or randomized failure schedule.
-
-    Parameters
-    ----------
-    planned:
-        Explicit ``(worker, superstep)`` failures.  Each fires exactly once:
-        after a failure is consumed the (recovered) worker runs normally.
-    rate:
-        Optional per-(worker, superstep) random failure probability.
-    max_failures:
-        Safety cap on total injected failures (default 10) so randomized
-        schedules cannot livelock a run.
-    """
-
-    def __init__(self, planned: Optional[List[Tuple[int, int]]] = None,
-                 rate: float = 0.0, seed: int = 0, max_failures: int = 10):
-        self._planned: Set[Tuple[int, int]] = set(planned or [])
-        self._rate = rate
-        self._rng = random.Random(seed)
-        self._max_failures = max_failures
-        self.fired: List[Tuple[int, int]] = []
-
-    def should_fail(self, worker: int, superstep: int) -> bool:
-        if len(self.fired) >= self._max_failures:
-            return False
-        key = (worker, superstep)
-        if key in self._planned:
-            self._planned.discard(key)
-            self.fired.append(key)
-            return True
-        if self._rate > 0.0 and self._rng.random() < self._rate:
-            self.fired.append(key)
-            return True
-        return False
 
 
 class Arbitrator:

@@ -1,8 +1,6 @@
 """The engine's key-value shuffle must route by the stable hash."""
 
-from types import SimpleNamespace
-
-from repro.core.engine import GrapeEngine
+from repro.core.fixpoint import route_channels
 from repro.runtime.executors import StepOutcome
 from repro.runtime.message import stable_hash
 
@@ -11,13 +9,10 @@ class TestShuffleRouting:
     def test_keyvalue_destinations_use_stable_hash(self):
         m = 4
         pairs = [("alpha", 1), ("beta", 2), ("alpha", 3), (("t", 9), 4)]
-        engine = GrapeEngine(m)
-        frags = [SimpleNamespace(fid=i) for i in range(m)]
         outcomes = {i: StepOutcome(keyvalue=list(pairs) if i == 0 else [])
                     for i in range(m)}
 
-        designated, keyvalue, _bytes, _msgs = engine._route_channels(
-            frags, outcomes)
+        designated, keyvalue, _bytes, _msgs = route_channels(m, outcomes)
 
         assert not designated
         routed = {key: dest for dest, groups in keyvalue.items()

@@ -16,8 +16,8 @@ from repro.core.pie import PIEProgram
 from repro.graph.generators import uniform_random_graph
 from repro.partition.strategies import HashPartition, RangePartition
 from repro.pie_programs import SSSPProgram
+from repro.resilience.faults import FaultPlane
 from repro.runtime.executors import UnpicklableProgramError
-from repro.runtime.fault import FailureInjector
 
 
 def roundtrip(obj):
@@ -97,7 +97,8 @@ def test_fragmentation_roundtrip_preserves_gp():
     EngineConfig(num_workers=2, num_fragments=8, backend="process"),
     EngineConfig(partition=RangePartition(), incremental=False),
     EngineConfig(partition=HashPartition(),
-                 failure_injector=FailureInjector(planned=[(0, 1)])),
+                 fault_plane=FaultPlane().plan("exec.step", "crash",
+                                               key=0, at=2)),
 ], ids=["default", "process", "range-ni", "hash-ft"])
 def test_engine_config_roundtrips(config):
     clone = roundtrip(config)
@@ -106,6 +107,10 @@ def test_engine_config_roundtrips(config):
     assert clone.backend == config.backend
     assert clone.incremental == config.incremental
     assert type(clone.partition) is type(config.partition)
+    if config.fault_plane is not None:
+        assert clone.fault_plane.may_fire("exec.")
+        assert clone.fault_plane.check("exec.step", key=0) is None
+        assert clone.fault_plane.check("exec.step", key=0).kind == "crash"
 
 
 # ---------------------------------------------------------------------------

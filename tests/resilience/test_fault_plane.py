@@ -107,6 +107,21 @@ class TestRateMode:
                     for _ in range(50))
         assert fires == 5
 
+    def test_times_caps_fractional_rates(self):
+        plane = FaultPlane(seed=0).rate("exec.step", "crash", 0.5, times=4)
+        fires = sum(plane.check("exec.step", key=w) is not None
+                    for w in range(8) for _ in range(100))
+        assert fires == 4 == len(plane.fired)
+
+    def test_planned_specs_count_toward_max_fires(self):
+        plane = FaultPlane(max_fires=2)
+        for fid in range(3):
+            plane.plan("exec.step", "crash", key=fid, at=1)
+        fires = sum(plane.check("exec.step", key=fid) is not None
+                    for fid in range(3))
+        assert fires == 2
+        assert not plane.may_fire("exec.")  # the cap, not the schedule
+
 
 class TestModuleRegistry:
     def teardown_method(self):
@@ -150,6 +165,18 @@ class TestFaultAction:
         clone = pickle.loads(pickle.dumps(action))
         assert clone.kind == "hang"
         assert clone.param("hang_s", 0.0) == 1.0
+
+    def test_plane_pickles_with_its_schedule_and_progress(self):
+        plane = (FaultPlane(seed=5).plan("exec.step", "crash", key=1, at=2)
+                 .rate("exec.step", "slow", 0.5, times=8))
+        plane.check("exec.step", key=1)
+        clone = pickle.loads(pickle.dumps(plane))
+        assert clone.fired == plane.fired
+        # same ordinals, same random streams from here on
+        ahead = [plane.check("exec.step", key=1) for _ in range(20)]
+        again = [clone.check("exec.step", key=1) for _ in range(20)]
+        assert [a and a.kind for a in ahead] == [a and a.kind for a in again]
+        assert ahead[0].kind == "crash"
 
     def test_thread_safety_of_check(self):
         import threading

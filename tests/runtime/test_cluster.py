@@ -3,7 +3,6 @@
 import pytest
 
 from repro.runtime.cluster import LoadBalancer, SimulatedCluster
-from repro.runtime.fault import FailureInjector, WorkerFailure
 from repro.runtime.metrics import CostModel
 
 
@@ -64,29 +63,9 @@ class TestSimulatedCluster:
         assert parallel <= total
         assert parallel > 0
 
-    def test_threads_executor(self):
-        cluster = SimulatedCluster(2, executor="threads")
-        results = cluster.run_superstep([lambda: 1, lambda: 2])
-        assert results == [1, 2]
-
-    def test_invalid_executor(self):
-        with pytest.raises(ValueError):
-            SimulatedCluster(2, executor="processes")
-
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
             SimulatedCluster(0)
-
-    def test_failure_raises_after_accounting(self):
-        injector = FailureInjector(planned=[(0, 0)])
-        cluster = SimulatedCluster(2, failure_injector=injector)
-        with pytest.raises(WorkerFailure):
-            cluster.run_superstep([lambda: 1, lambda: 2])
-        # The superstep was still recorded (partial work happened).
-        assert cluster.metrics.supersteps == 1
-        # Replay succeeds: the planned failure fires only once.
-        results = cluster.run_superstep([lambda: 1, lambda: 2])
-        assert results == [1, 2]
 
     def test_account_payload(self):
         cluster = SimulatedCluster(1)

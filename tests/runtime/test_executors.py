@@ -5,11 +5,11 @@ import pytest
 from repro.core.engine import EngineConfig, GrapeEngine
 from repro.graph.generators import uniform_random_graph
 from repro.pie_programs import SSSPProgram
+from repro.resilience.faults import FaultPlane
 from repro.runtime.cluster import SimulatedCluster
 from repro.runtime.executors import (BACKEND_ENV_VAR, ProcessBackend,
                                      SerialBackend, ThreadBackend,
                                      available_backends, resolve_backend)
-from repro.runtime.fault import FailureInjector
 
 
 class ExplodingError(RuntimeError):
@@ -62,8 +62,6 @@ class TestResolution:
         # explicit choices beat the environment
         assert GrapeEngine(2, backend="serial")._resolve_backend().name \
             == "serial"
-        assert GrapeEngine(2, executor="threads")._resolve_backend().name \
-            == "thread"
 
     def test_config_carries_backend(self):
         config = EngineConfig(backend="thread")
@@ -71,16 +69,28 @@ class TestResolution:
 
 
 class TestFaultInjectionGate:
-    def test_explicit_process_plus_injector_raises(self):
-        engine = GrapeEngine(2, backend="process",
-                             failure_injector=FailureInjector())
-        with pytest.raises(ValueError, match="inline backend"):
-            engine._resolve_backend()
+    """There is none any more: a crash spec runs — and recovers — on the
+    backend the engine was given, the process backend included (the
+    injector this replaced refused it, or quietly fell back to serial)."""
 
-    def test_env_process_plus_injector_falls_back(self, monkeypatch):
+    @staticmethod
+    def _crash():
+        return FaultPlane().plan("exec.step", "crash", key=0, at=2)
+
+    def test_explicit_process_plus_crash_spec_recovers(self):
+        graph = uniform_random_graph(60, 200, seed=3)
+        engine = GrapeEngine(2, backend="process", fault_plane=self._crash())
+        assert engine._resolve_backend().name == "process"
+        result = engine.run(SSSPProgram(), 0, graph=graph)
+        assert result.recoveries >= 1
+        assert result.metrics.backend == "process"
+        assert result.answer == GrapeEngine(2, backend="serial").run(
+            SSSPProgram(), 0, graph=graph).answer
+
+    def test_env_process_plus_crash_spec_stays_on_process(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "process")
-        engine = GrapeEngine(2, failure_injector=FailureInjector())
-        assert engine._resolve_backend().name == "serial"
+        engine = GrapeEngine(2, fault_plane=self._crash())
+        assert engine._resolve_backend().name == "process"
 
 
 class TestClosureTasks:
@@ -94,11 +104,6 @@ class TestClosureTasks:
         cluster = SimulatedCluster(2, backend="process")
         with pytest.raises(TypeError, match="process boundary"):
             cluster.run_superstep([lambda: 1])
-
-    def test_executor_threads_compat_maps_to_thread_backend(self):
-        cluster = SimulatedCluster(2, executor="threads")
-        assert cluster.backend.name == "thread"
-        assert cluster.run_superstep([lambda: 7]) == [7]
 
 
 class TestProcessPool:

@@ -1,80 +1,33 @@
-"""Tests for fault injection and arbitrator recovery."""
+"""Tests for injected-crash recovery and the arbitrator."""
 
 import pytest
 
-from repro.runtime.fault import Arbitrator, FailureInjector, WorkerFailure
+from repro.runtime.fault import Arbitrator, WorkerFailure
 
 
 class TestFailureInjector:
-    def test_planned_fires_once(self):
-        inj = FailureInjector(planned=[(1, 2)])
-        assert not inj.should_fail(0, 2)
-        assert inj.should_fail(1, 2)
-        assert not inj.should_fail(1, 2)  # consumed
-        assert inj.fired == [(1, 2)]
-
-    def test_rate_zero_never_fires(self):
-        inj = FailureInjector(rate=0.0)
-        assert not any(inj.should_fail(w, s)
-                       for w in range(4) for s in range(100))
-
-    def test_rate_one_fires_until_cap(self):
-        inj = FailureInjector(rate=1.0, max_failures=3)
-        fires = sum(inj.should_fail(0, s) for s in range(10))
-        assert fires == 3
-
-    def test_rate_deterministic_with_seed(self):
-        a = FailureInjector(rate=0.5, seed=42)
-        b = FailureInjector(rate=0.5, seed=42)
-        pattern_a = [a.should_fail(0, s) for s in range(20)]
-        pattern_b = [b.should_fail(0, s) for s in range(20)]
-        assert pattern_a == pattern_b
-
-    def test_same_seed_records_identical_fired_lists(self):
-        a = FailureInjector(rate=0.3, seed=7)
-        b = FailureInjector(rate=0.3, seed=7)
-        for inj in (a, b):
-            for w in range(4):
-                for s in range(30):
-                    inj.should_fail(w, s)
-        assert a.fired == b.fired
-        assert a.fired  # the schedule actually fired something
-
-    def test_different_seeds_give_different_schedules(self):
-        a = FailureInjector(rate=0.5, seed=1)
-        b = FailureInjector(rate=0.5, seed=2)
-        pattern_a = [a.should_fail(0, s) for s in range(40)]
-        pattern_b = [b.should_fail(0, s) for s in range(40)]
-        assert pattern_a != pattern_b
-
-    def test_max_failures_caps_fractional_rates(self):
-        inj = FailureInjector(rate=0.5, seed=0, max_failures=4)
-        fires = sum(inj.should_fail(w, s)
-                    for w in range(8) for s in range(100))
-        assert fires == 4
-        assert len(inj.fired) == 4
-
-    def test_planned_failures_count_toward_the_cap(self):
-        inj = FailureInjector(planned=[(0, 1), (1, 1), (2, 1)],
-                              max_failures=2)
-        fires = sum(inj.should_fail(w, 1) for w in range(3))
-        assert fires == 2
+    """What is left of the deleted ``FailureInjector``'s suite: its
+    end-to-end case, on the ``FaultPlane`` rate spec that replaced it and
+    on every backend.  The schedule itself (fires once, seeds, caps) is
+    ``tests/resilience/test_fault_plane.py``'s subject."""
 
     def test_rate_mode_end_to_end_recovers_with_exact_answers(self):
         from repro.core.engine import GrapeEngine
         from repro.graph.generators import grid_road_graph
         from repro.pie_programs import SSSPProgram
+        from repro.resilience.faults import FaultPlane
         from repro.sequential import sssp_distances
 
         g = grid_road_graph(6, 6, seed=3)
-        inj = FailureInjector(rate=0.15, seed=11, max_failures=5)
-        result = GrapeEngine(4, backend="serial",
-                             failure_injector=inj).run(
-            SSSPProgram(), query=0, graph=g)
-        assert inj.fired  # the seeded schedule really injected failures
-        # Failures landing in the same superstep share one recovery.
-        assert 1 <= result.recoveries <= len(inj.fired)
-        assert result.answer == pytest.approx(sssp_distances(g, 0))
+        for backend in ("serial", "thread", "process"):
+            plane = FaultPlane(seed=11).rate("exec.step", "crash", 0.15,
+                                             times=5)
+            result = GrapeEngine(4, backend=backend, fault_plane=plane).run(
+                SSSPProgram(), query=0, graph=g)
+            assert plane.fired  # the seeded schedule really injected failures
+            # Failures landing in the same superstep share one recovery.
+            assert 1 <= result.recoveries <= len(plane.fired), backend
+            assert result.answer == pytest.approx(sssp_distances(g, 0))
 
 
 class TestWorkerFailure:
