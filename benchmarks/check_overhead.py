@@ -24,6 +24,15 @@ exactly — 4 (one per fragment) while the first read after an update
 splices the retired snapshots, 20 when every one of the 16 invalidations
 was answered with a full build — and must stay at or under
 ``MAX_CSR_REBUILDS``.
+
+And when the content hash has gone back to visiting the graph record by
+record: ``graph.content_hash_ms`` over ``graph.csr.build_ms`` — the hash
+is one flatten of the adjacency rows (a ``CSRGraph.from_graph``) plus
+array arithmetic, two timings of the same traced run — must stay at or
+under ``MAX_HASH_OVER_CSR_BUILD_X``: 1.2–1.5x as arrays; as a format /
+encode / ``crc32`` loop over every node and stored edge 5.7–7.0x (two
+traced runs of each workload; 3.3 and 4.1 in the two whose
+``graph.csr.build_ms`` samples caught a slow stretch of the host).
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ import sys
 MAX_SSSP_OVERHEAD_X = 16.0
 MAX_CC_OVERHEAD_X = 10.0
 MAX_CSR_REBUILDS = 8
+MAX_HASH_OVER_CSR_BUILD_X = 3.0
 
 
 def check(result: dict) -> list:
@@ -55,6 +65,16 @@ def check(result: dict) -> list:
         problems.append(f"graph.csr.rebuilds = {rebuilds:.0f} > "
                         f"{MAX_CSR_REBUILDS}: reads after writes rebuild "
                         "whole snapshots again")
+    hash_ms = metrics.get("graph.content_hash_ms", {}).get("value")
+    build_ms = metrics.get("graph.csr.build_ms", {}).get("value")
+    if hash_ms is None or not build_ms:
+        problems.append("no graph.content_hash_ms / graph.csr.build_ms "
+                        "in the result")
+    elif hash_ms > MAX_HASH_OVER_CSR_BUILD_X * build_ms:
+        problems.append(f"graph.content_hash_ms = {hash_ms:.1f} > "
+                        f"{MAX_HASH_OVER_CSR_BUILD_X:.0f} x "
+                        f"graph.csr.build_ms = {build_ms:.1f}: the content "
+                        "hash visits the graph record by record again")
     failed_share = metrics.get("failed_ops_share", {}).get("value")
     if result.get("failed", 0) or failed_share or not result.get("correct"):
         problems.append(f"failed operations: {result.get('failed')} of "
@@ -85,7 +105,11 @@ def main(argv) -> int:
               f"{metrics['overhead.cc_x']['value']:.1f} "
               f"<= {MAX_CC_OVERHEAD_X:.0f}, graph.csr.rebuilds = "
               f"{metrics['graph.csr.rebuilds']['value']:.0f} "
-              f"<= {MAX_CSR_REBUILDS}, no failed operation")
+              f"<= {MAX_CSR_REBUILDS}, graph.content_hash_ms / "
+              "graph.csr.build_ms = "
+              f"{metrics['graph.content_hash_ms']['value']:.1f} / "
+              f"{metrics['graph.csr.build_ms']['value']:.1f} "
+              f"<= {MAX_HASH_OVER_CSR_BUILD_X:.0f}, no failed operation")
     return 1 if problems else 0
 
 

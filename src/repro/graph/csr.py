@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.graph import Graph, Node
+from repro.graph.graph import Edge, Graph, Node
 
 __all__ = ["CSRGraph", "positions_in_sorted", "splice_rows"]
 
@@ -77,6 +77,32 @@ def splice_rows(ptr: np.ndarray, cols: Sequence[np.ndarray],
         for piece, col in zip(pieces, side):
             piece.append(col[lo:hi])
     return new_ptr, [np.concatenate(piece) for piece in pieces]
+
+
+#: the polynomial's (odd) base; what tells node, edge and label records apart
+_BASE, _NODE_SEED, _EDGE_SEED, _LABEL_SEED = map(np.uint64, (
+    0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
+    0x27D4EB2F165667C5))
+
+
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer over a uint64 array (arithmetic wraps)."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _digests(texts: List[str]) -> np.ndarray:
+    """One 64-bit digest per text, all in a few array passes: the
+    polynomial ``sum(code[j] * BASE**(j + 1))`` over its code points and
+    a terminator, finalized (no ``PYTHONHASHSEED``, no process state)."""
+    lengths = np.array(list(map(len, texts)), dtype=np.int64) + 1
+    starts = np.cumsum(lengths) - lengths
+    codes = np.frombuffer("\x1f".join(texts + [""]).encode(
+        "utf-32-le", "surrogatepass"), dtype="<u4")
+    powers = np.cumprod(np.full(lengths.max(initial=0), _BASE))
+    place = np.arange(codes.size) - np.repeat(starts, lengths)
+    return _mix64(np.add.reduceat(codes * powers[place], starts))
 
 
 class CSRGraph:
@@ -226,8 +252,10 @@ class CSRGraph:
         dst = np.array(dst_ids, dtype=np.int64)
         wgt = np.array(wgts, dtype=np.float64)
         if base is None:
-            return cls._assemble(n, g.directed, counts, dst, wgt,
-                                 id_of, node_of, labels)
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+            return cls(n, g.directed, indptr, dst, wgt, None, None, None,
+                       id_of, node_of, labels)
         indptr, (indices, weights) = splice_rows(
             base.indptr, (base.indices if remap is None
                           else remap[base.indices], base.weights),
@@ -286,30 +314,16 @@ class CSRGraph:
         src, dst, wgt = src[:k], dst[:k], wgt[:k]
 
         n = len(node_of)
-        counts = np.bincount(src, minlength=n).astype(np.int64)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         # Stable argsort groups edges by source while preserving input
         # order within each row — the same adjacency order Graph.add_edge
         # replay would produce.
         order = np.argsort(src, kind="stable")
         label_list = ([labels.get(v) for v in node_of] if labels
                       else [None] * n)
-        return cls._assemble(n, directed, counts, dst[order], wgt[order],
-                             id_of, node_of, label_list)
-
-    @classmethod
-    def _assemble(cls, n: int, directed: bool, counts: np.ndarray,
-                  dst: np.ndarray, wgt: np.ndarray,
-                  id_of: Dict[Node, int], node_of: List[Node],
-                  labels: List) -> "CSRGraph":
-        """Finish construction from row-grouped edge arrays.
-
-        ``dst``/``wgt`` must already be grouped by source row with row
-        sizes ``counts``.
-        """
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(n, directed, indptr, dst, wgt, None, None, None,
-                   id_of, node_of, labels)
+        return cls(n, directed, indptr, dst[order], wgt[order],
+                   None, None, None, id_of, node_of, label_list)
 
     # ------------------------------------------------------------------
     # Array (de)serialization — the durable store's snapshot payload
@@ -337,13 +351,36 @@ class CSRGraph:
         if indptr.shape[0] != n + 1:
             raise ValueError(f"indptr has {indptr.shape[0]} entries "
                              f"for {n} nodes")
-        id_of = {v: i for i, v in enumerate(node_of)}
-        counts = np.diff(np.asarray(indptr, dtype=np.int64))
-        label_list = list(labels) if labels is not None else [None] * n
-        return cls._assemble(n, directed, counts,
-                             np.asarray(indices, dtype=np.int64),
-                             np.asarray(weights, dtype=np.float64),
-                             id_of, node_of, label_list)
+        return cls(n, directed, np.asarray(indptr, dtype=np.int64),
+                   np.asarray(indices, dtype=np.int64),
+                   np.asarray(weights, dtype=np.float64), None, None, None,
+                   dict(zip(node_of, range(n))), node_of,
+                   list(labels) if labels is not None else [None] * n)
+
+    def content_hash(self, edge_labels: Dict[Edge, object]) -> int:
+        """:meth:`Graph.content_hash` of the graph this is a snapshot
+        of, given the edge-label table a snapshot does not carry.
+
+        Records are 64-bit words: a node's is the digest of the ``repr``
+        of its id and label; a stored edge's is mixed from ``(digest[u],
+        digest[v], float64 bits of w)``, nested so that it is neither
+        symmetric nor separable in ``u`` and ``v``; a labelled edge adds
+        one of its own.  They are folded by XOR and by sum of squares
+        (commutative: order cannot matter) with ``(directed, count)``.
+        """
+        node = _digests([repr(v) if lbl is None else "%r\x1f%r" % (v, lbl)
+                         for v, lbl in zip(self.node_of, self.labels)])
+        # + 0.0: -0.0 == 0.0 under ==, so the two share one bit pattern
+        edge = _mix64((self.weights + 0.0).view(np.uint64) ^ _EDGE_SEED)
+        edge = _mix64(edge ^ node[self.indices])
+        edge = _mix64(edge ^ np.repeat(node, np.diff(self.indptr)))
+        labelled = _digests(["%r\x1f%r\x1f%r" % (*e, lbl) for e, lbl
+                             in edge_labels.items() if lbl is not None])
+        records = np.concatenate((_mix64(node ^ _NODE_SEED), edge,
+                                  _mix64(labelled ^ _LABEL_SEED)))
+        return int(_digests(["%r\x1f%d\x1f%d\x1f%d" % (
+            self.directed, records.size, np.bitwise_xor.reduce(records),
+            (records * records).sum())])[0])
 
     # ------------------------------------------------------------------
     # Shared-memory (de)serialization — the process backend's zero-copy
@@ -465,17 +502,25 @@ class CSRGraph:
         return int(self.indices.shape[0])
 
     def to_graph(self) -> Graph:
-        """Round-trip back to a mutable :class:`Graph`."""
+        """Round-trip back to a mutable :class:`Graph` (without edge
+        labels: a snapshot carries none).  The rows hold the *stored*
+        adjacency, so one pass fills ``_succ`` / ``_pred`` exactly — the
+        store's warm-start path, guarded there by the content hash."""
+        node_of = self.node_of
+        indices, weights = self.indices.tolist(), self.weights.tolist()
         g = Graph(directed=self.directed)
-        for vid in range(self.n):
-            g.add_node(self.node_of[vid], self.labels[vid])
-        for vid in range(self.n):
-            start, end = self.indptr[vid], self.indptr[vid + 1]
-            for k in range(start, end):
-                u = self.node_of[vid]
-                v = self.node_of[int(self.indices[k])]
-                if not g.has_edge(u, v):
-                    g.add_edge(u, v, weight=float(self.weights[k]))
+        succ = g._succ = {v: {} for v in node_of}
+        pred = g._pred = {v: {} for v in node_of}
+        g._node_labels = {v: lbl for v, lbl in zip(node_of, self.labels)
+                          if lbl is not None}
+        k = 0
+        for u, end in zip(node_of, self.indptr[1:].tolist()):
+            row = succ[u]
+            while k < end:
+                v = node_of[indices[k]]
+                row[v] = pred[v][u] = weights[k]
+                k += 1
+        g._count_edges()
         return g
 
     def __repr__(self) -> str:

@@ -87,6 +87,13 @@ class Graph:
         if is_new:
             self._num_edges += 1
 
+    def _count_edges(self) -> None:
+        """Recount after adjacency rows were filled directly: an undirected
+        edge is stored in both orientations, a self loop in one."""
+        stored = sum(map(len, self._succ.values()))
+        self._num_edges = stored if self.directed else (
+            stored + sum(u in row for u, row in self._succ.items())) // 2
+
     def remove_edge(self, u: Node, v: Node) -> None:
         """Remove edge ``(u, v)``; raises ``KeyError`` if absent."""
         del self._succ[u][v]
@@ -264,62 +271,19 @@ class Graph:
     # Integrity
     # ------------------------------------------------------------------
     def content_hash(self) -> int:
-        """Cheap order-independent hash of the graph's full content.
+        """Cheap order-independent 64-bit hash of the graph's full content.
 
         Two graphs that compare ``==`` (same directedness, nodes, edges,
-        labels and weights) hash equal no matter what order their nodes
-        and edges were inserted in — each node and stored edge record is
-        hashed independently with :func:`~repro.runtime.message.stable_hash`
-        and the records are folded with commutative XOR/sum mixing.
-        Used by the durable store to verify a loaded snapshot decoded to
-        the graph that was saved, and usable as a content-addressed cache
-        key.  This is an integrity check, not a cryptographic digest.
-
-        Each record is hashed from its ``repr`` — stable across processes
-        and ``PYTHONHASHSEED`` values for the builtin id/label types
-        (and for custom types exactly as stable as their repr, the same
-        contract :func:`~repro.runtime.message.stable_hash` documents) —
-        and records are folded with commutative XOR/sum mixing, so
-        insertion order cannot matter.
+        labels and weights — ``1 == 1.0`` and ``-0.0 == 0.0`` included)
+        hash equal whatever order their nodes and edges were inserted
+        in, and a change to any one of those fields changes the hash.
+        The durable store verifies with it that a loaded snapshot
+        decoded to the graph that was saved: an integrity check, not a
+        cryptographic digest.  Ids and labels enter through their
+        ``repr``, so the hash is as stable across processes and
+        ``PYTHONHASHSEED`` values as that is; weights as float64.
         """
-        from zlib import crc32
-        mask = (1 << 64) - 1
-        nl = self._node_labels
-        el = self._edge_labels
-        # One repr per node, reused across its edges — the hash runs on
-        # the store's warm-start path, so per-record cost matters.
-        reprs = {v: repr(v) for v in self._succ}
-        acc_xor = 0
-        acc_sum = 0
-        count = 0
-        for v, rv in reprs.items():
-            h = crc32(("N\x1f%s\x1f%r" % (rv, nl.get(v)))
-                      .encode("utf-8", "backslashreplace"))
-            acc_xor ^= h
-            acc_sum = (acc_sum + h * h) & mask
-            count += 1
-        # Rows of _succ: directed edges, or both orientations of each
-        # undirected edge — either way an insertion-order-free multiset.
-        for u, nbrs in self._succ.items():
-            ru = reprs[u]
-            for v, w in nbrs.items():
-                lbl = el.get((u, v))
-                # float(w): weights are hashed in their float identity,
-                # matching both dict equality (1 == 1.0 under __eq__)
-                # and the store's float64 array round trip — an
-                # int-weighted graph must hash equal to its loaded self.
-                if lbl is None:
-                    data = "E\x1f%s\x1f%s\x1f%r" % (ru, reprs[v], float(w))
-                else:
-                    data = "E\x1f%s\x1f%s\x1f%r\x1f%r" % (ru, reprs[v],
-                                                          float(w), lbl)
-                h = crc32(data.encode("utf-8", "backslashreplace"))
-                acc_xor ^= h
-                acc_sum = (acc_sum + h * h) & mask
-                count += 1
-        head = crc32(("G\x1f%r\x1f%d" % (self.directed, count))
-                     .encode("utf-8"))
-        return ((acc_sum << 32) ^ (acc_xor << 1) ^ head) & mask
+        return self.to_csr().content_hash(self._edge_labels)
 
     # ------------------------------------------------------------------
     # Dunder conveniences
@@ -342,20 +306,13 @@ class Graph:
         """Structural equality: same nodes, edges, labels and weights."""
         if not isinstance(other, Graph):
             return NotImplemented
-        if self.directed != other.directed:
+        if self.directed != other.directed or self._succ != other._succ:
             return False
-        if set(self._succ) != set(other._succ):
-            return False
-        for u, nbrs in self._succ.items():
-            if nbrs != other._succ[u]:
-                return False
-        for v in self._succ:
-            if self._node_labels.get(v) != other._node_labels.get(v):
-                return False
-        for e, lbl in self._edge_labels.items():
-            if other._edge_labels.get(e) != lbl:
-                return False
-        return True
+        labels, theirs = self._node_labels, other._node_labels
+        mine, others = self._edge_labels, other._edge_labels
+        return (all(labels.get(v) == theirs.get(v) for v in self._succ)
+                and all(mine.get(e) == others.get(e)
+                        for e in mine.keys() | others.keys()))
 
     def __hash__(self):  # mutable: identity hash
         return id(self)

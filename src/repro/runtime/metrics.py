@@ -80,7 +80,8 @@ PHASE_FIELDS = ("report_read_s", "fold_s", "compose_s", "accounting_s",
 #: ServiceMetrics timers of the update path, equally always-on: where an
 #: ``update()`` batch went, and what its standing answers cost to read
 UPDATE_PHASE_FIELDS = ("update_apply_delta_s", "update_wal_append_s",
-                       "update_maintain_s", "standing_assemble_s")
+                       "update_compact_s", "update_maintain_s",
+                       "standing_assemble_s")
 
 #: A superstep whose slowest worker ran at >= this multiple of the mean
 #: worker time counts as a straggler step (needs >= 2 workers to mean
@@ -372,15 +373,22 @@ class ServiceMetrics:
     shm_fallbacks: int = 0
     shm_segments_active: int = 0
     shm_bytes_mapped: int = 0
-    #: the durability layer (``GrapeService(store_dir=...)``): snapshot
-    #: generations committed, WAL records appended, WAL records replayed
-    #: during warm start / loads, and graphs recovered from the store at
+    #: the durability layer (``GrapeService(store_dir=...)``): mirrors
+    #: of :class:`~repro.store.StoreMetrics` (snapshots, WAL records and
+    #: the snapshot timers behind the ``store`` row of the layer table)
+    #: and graphs recovered from the store at
     #: service construction — ``edge_lists_parsed`` counts the cold path
     #: (``load_graph_file``), so a warm-started service serving with
     #: ``edge_lists_parsed == 0`` provably skipped re-parsing
     snapshots_written: int = 0
+    snapshots_loaded: int = 0
     wal_appends: int = 0
     wal_replayed: int = 0
+    snapshot_hash_s: float = 0.0
+    snapshot_pack_s: float = 0.0
+    snapshot_io_s: float = 0.0
+    snapshot_decode_s: float = 0.0
+    snapshot_verify_s: float = 0.0
     warm_starts: int = 0
     edge_lists_parsed: int = 0
     #: checkpoint restores across served runs (fault tolerance)
@@ -433,10 +441,11 @@ class ServiceMetrics:
     assemble_s: float = 0.0
     #: the same for update batches (:data:`UPDATE_PHASE_FIELDS`, the
     #: ``update`` row of the layer table): mutating the fragmentation,
-    #: appending to the WAL, refreshing the standing queries — and, read
-    #: off the watches, assembling their answers when somebody asked
+    #: appending to the WAL, compacting it, refreshing the standing
+    #: queries — and, read off the watches, assembling their answers
     update_apply_delta_s: float = 0.0
     update_wal_append_s: float = 0.0
+    update_compact_s: float = 0.0
     update_maintain_s: float = 0.0
     standing_assemble_s: float = 0.0
     standing_answers_assembled: int = 0

@@ -965,10 +965,8 @@ class GrapeService:
                 # snapshot must not observe a half-applied batch.
                 # The canonical fragmentation rides along so a
                 # restart can skip re-partitioning.
-                self.store.maybe_compact(
-                    graph, g, fragmentation=canon,
-                    frag_key=(list(canon_key[1:])
-                              if canon is not None else None))
+                self.store.maybe_compact(graph, g, fragmentation=canon,
+                                         frag_key=list(canon_key[1:]))
             maintain_from = time.perf_counter()
             for handle in handles:
                 # Re-checked here (and inside _refresh): the handle
@@ -995,6 +993,7 @@ class GrapeService:
             wal_s = wal.seconds[0] if wal is not None else 0.0
             self.stats.update_wal_append_s += wal_s
             self.stats.update_apply_delta_s += applied - started - wal_s
+            self.stats.update_compact_s += maintain_from - applied
             self.stats.update_maintain_s += maintained - maintain_from
             for cost in deltas:
                 self.stats.observe_maintenance(*cost)
@@ -1104,15 +1103,15 @@ class GrapeService:
             elif kind == "restore":
                 self.stats.backend_restorations += 1
 
-    def _sync_store_stats(self) -> None:
-        """Mirror the store's counters into :class:`ServiceMetrics`
-        (same pattern as the CSR snapshot counters)."""
-        if self.store is None:
-            return
-        m = self.store.metrics
-        self.stats.snapshots_written = m.snapshots_written
-        self.stats.wal_appends = m.wal_appends
-        self.stats.wal_replayed = m.wal_replayed
+    def _sync_store_stats(self, store: Optional[GraphStore] = None) -> None:
+        """Mirror what :class:`ServiceMetrics` names of the metrics of
+        ``store`` (default: the attached one)."""
+        if store is None:
+            store = self.store
+        if store is not None:
+            for name, value in vars(store.metrics).items():
+                if hasattr(self.stats, name):
+                    setattr(self.stats, name, value)
 
     def _flush_store(self, store: GraphStore) -> None:
         """Graceful-shutdown checkpoint: fold each graph's pending WAL
@@ -1145,14 +1144,10 @@ class GrapeService:
                 frag_missing = canon is not None and stored_key != key
                 if dirty or frag_missing:
                     store.persist_graph(name, g, fragmentation=canon,
-                                        frag_key=(key if canon is not None
-                                                  else None))
+                                        frag_key=key)
         with self._lock:
-            # self.store is already detached (close() owns it), so sync
-            # the final counters from the store directly
-            self.stats.snapshots_written = store.metrics.snapshots_written
-            self.stats.wal_appends = store.metrics.wal_appends
-            self.stats.wal_replayed = store.metrics.wal_replayed
+            # self.store is already detached (close() owns it)
+            self._sync_store_stats(store)
 
     # ------------------------------------------------------------------
     # telemetry
@@ -1187,12 +1182,12 @@ class GrapeService:
         watches, the full metrics snapshot, the per-layer table of the
         always-on phase timers (seconds and share of served wall clock:
         workers reading reports, coordinator fold / compose / byte
-        accounting, assemble; and an ``update`` row of seconds per
-        applied batch: ``apply_delta_s``, ``wal_append_s``,
-        ``maintain_s`` and the deferred ``assemble_s``), recent
-        structured events (with per-kind
-        totals), the slow-query log with span trees, straggler
-        diagnostics, and breaker transitions."""
+        accounting, assemble; an ``update`` row of seconds per applied
+        batch: ``apply_delta_s``, ``wal_append_s``, ``compact_s``,
+        ``maintain_s`` and the deferred ``assemble_s``; a ``store`` row
+        of seconds per snapshot written and per snapshot loaded), recent
+        structured events (with per-kind totals), the slow-query log
+        with span trees, straggler diagnostics, and breaker transitions."""
         registry = self.metrics_registry()
         log = obs_events.active()
         with self._lock:
@@ -1215,6 +1210,15 @@ class GrapeService:
             name.split("_", 1)[1]: (getattr(self.stats, name) / batches
                                     if batches else 0.0)
             for name in UPDATE_PHASE_FIELDS}}
+        stats = self.stats
+        written, loaded = stats.snapshots_written, stats.snapshots_loaded
+        layers["store"] = {
+            "snapshots_written": written, "snapshots_loaded": loaded,
+            "hash_s": stats.snapshot_hash_s / max(written, 1),
+            "pack_s": stats.snapshot_pack_s / max(written, 1),
+            "io_s": stats.snapshot_io_s / max(written, 1),
+            "decode_s": stats.snapshot_decode_s / max(loaded, 1),
+            "verify_s": stats.snapshot_verify_s / max(loaded, 1)}
         return {
             "graphs": graphs,
             "metrics": registry.to_json(),

@@ -90,6 +90,7 @@ class StoreMetrics:
     :class:`~repro.runtime.metrics.ServiceMetrics` by the service)."""
 
     snapshots_written: int = 0
+    snapshots_loaded: int = 0
     wal_appends: int = 0
     wal_replayed: int = 0
     compactions: int = 0
@@ -97,14 +98,18 @@ class StoreMetrics:
     files_gced: int = 0
     #: writes rejected because a newer fencing epoch was on disk
     fenced_rejections: int = 0
+    #: always-on timers: the ``phases`` of :func:`save_snapshot` and
+    #: :func:`load_snapshot`, summed over the snapshots written / loaded
+    snapshot_hash_s: float = 0.0
+    snapshot_pack_s: float = 0.0
+    snapshot_io_s: float = 0.0
+    snapshot_decode_s: float = 0.0
+    snapshot_verify_s: float = 0.0
 
-    def __repr__(self) -> str:
-        return (f"StoreMetrics(snapshots={self.snapshots_written}, "
-                f"appends={self.wal_appends}, "
-                f"replayed={self.wal_replayed}, "
-                f"compactions={self.compactions}, "
-                f"gced={self.files_gced}, "
-                f"fenced={self.fenced_rejections})")
+    def add_phases(self, phases: Dict[str, float]) -> None:
+        for name, seconds in phases.items():
+            name = f"snapshot_{name}"
+            setattr(self, name, getattr(self, name) + seconds)
 
 
 @dataclass
@@ -363,8 +368,10 @@ class GraphStore:
             snap_name = f"snapshot-{generation}.snap"
             wal_name = f"wal-{generation}.log"
 
+            phases: Dict[str, float] = {}
             save_snapshot(gdir / snap_name, graph,
-                          fragmentation=fragmentation, meta=meta)
+                          fragmentation=fragmentation, meta=meta,
+                          phases=phases)
             fresh = DeltaWAL(gdir / wal_name, sync=self._sync)
             self._commit_manifest(name, {
                 "name": name, "generation": generation,
@@ -377,6 +384,7 @@ class GraphStore:
             # the WAL the manifest still points at.
             with self._lock:
                 self.metrics.snapshots_written += 1
+                self.metrics.add_phases(phases)
                 wal = self._wals.pop(name, None)
                 self._wals[name] = fresh
             if wal is not None:
@@ -494,7 +502,8 @@ class GraphStore:
             if manifest is None:
                 raise KeyError(f"no stored graph named {name!r}")
             gdir = self._graph_dir(name)
-            snap = load_snapshot(gdir / manifest["snapshot"])
+            phases: Dict[str, float] = {}
+            snap = load_snapshot(gdir / manifest["snapshot"], phases=phases)
             replayed = 0
             for _seq, delta in self._replay_wal(name, manifest):
                 if snap.fragmentation is not None:
@@ -504,6 +513,8 @@ class GraphStore:
                     delta.apply_to(snap.graph)
                 replayed += 1
             with self._lock:
+                self.metrics.snapshots_loaded += 1
+                self.metrics.add_phases(phases)
                 self.metrics.wal_replayed += replayed
             return StoredGraph(name=name, graph=snap.graph,
                                fragmentation=snap.fragmentation,

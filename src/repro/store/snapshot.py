@@ -10,7 +10,7 @@ format everything else in :mod:`repro.store` builds on.
 File layout::
 
     MAGIC (9 bytes, ``b"GRAPESNAP"``)
-    format version (1 byte, currently 1)
+    format version (1 byte, currently 2)
     sha256 of the payload (32 bytes)
     payload length (8 bytes, big endian)
     payload: an ``npz`` archive
@@ -22,7 +22,10 @@ everything object-shaped — node identities, labels, border sets, the
 saved graph's :meth:`~repro.graph.graph.Graph.content_hash` — as one
 pickled metadata blob stored as a ``uint8`` array.  Loading verifies the
 header checksum (bytes arrived intact) *and* the content hash (the
-decoded graph is the graph that was saved).
+decoded graph is the graph that was saved): the dict graph rebuilt from
+the arrays is hashed again, not the arrays as stored.  The hash is part
+of the format: version 2 stores the 64-bit array-computed one; a version
+1 file (a per-record ``crc32`` fold nothing computes any more) is refused.
 
 Writes are atomic: the file is assembled under a temporary name in the
 destination directory and published with ``os.replace``, so a crashed
@@ -35,9 +38,10 @@ import hashlib
 import io
 import pickle
 import struct
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -51,7 +55,7 @@ __all__ = ["LoadedSnapshot", "SnapshotError", "load_snapshot",
            "save_snapshot"]
 
 MAGIC = b"GRAPESNAP"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _HEADER = struct.Struct(f">{len(MAGIC)}sB32sQ")
 
 
@@ -76,67 +80,30 @@ class LoadedSnapshot:
 # ---------------------------------------------------------------------------
 # Graph <-> arrays
 # ---------------------------------------------------------------------------
-def _pack_graph(graph: Graph, prefix: str, arrays: Dict[str, np.ndarray],
-                meta: Dict) -> None:
+def _pack_graph(csr: CSRGraph, edge_labels: Dict, prefix: str,
+                arrays: Dict[str, np.ndarray], meta: Dict) -> None:
     """Add one graph's CSR arrays and object metadata under ``prefix``."""
-    csr = CSRGraph.from_graph(graph)
     for name, arr in csr.to_arrays().items():
         arrays[f"{prefix}{name}"] = arr
     meta[prefix] = {
-        "directed": graph.directed,
+        "directed": csr.directed,
         "node_of": csr.node_of,
         "labels": csr.labels,
-        "edge_labels": dict(graph._edge_labels),
+        "edge_labels": dict(edge_labels),
     }
 
 
-def _unpack_graph(prefix: str, arrays, meta: Dict) -> Graph:
-    """Rebuild one graph from its packed arrays + metadata.
-
-    Rebuilds the adjacency dicts directly from the CSR rows instead of
-    replaying ``add_edge`` per edge — warm start is the store's hot
-    read path and the per-edge method dispatch dominated it.  The CSR
-    rows hold the *stored* adjacency (both orientations for undirected
-    graphs), so one pass fills ``_succ``/``_pred`` exactly; correctness
-    of this fast path is guarded by the loader's content-hash
-    verification against the saved graph's hash.
-    """
+def _unpack_graph(prefix: str, arrays, meta: Dict) -> Tuple[Graph, CSRGraph]:
+    """Rebuild one graph from its packed arrays + metadata, each npz
+    member parsed once: the dict graph and the CSR snapshot it is of."""
     gm = meta[prefix]
-    directed = gm["directed"]
-    node_of = gm["node_of"]
-    labels = gm["labels"]
-    indptr = arrays[f"{prefix}indptr"].tolist()
-    indices = arrays[f"{prefix}indices"].tolist()
-    weights = arrays[f"{prefix}weights"].tolist()
-
-    g = Graph(directed=directed)
-    succ = g._succ
-    pred = g._pred
-    node_labels = g._node_labels
-    for v, lbl in zip(node_of, labels):
-        succ[v] = {}
-        pred[v] = {}
-        if lbl is not None:
-            node_labels[v] = lbl
-    undirected_edges = 0
-    k = 0
-    for uid, u in enumerate(node_of):
-        row = succ[u]
-        end = indptr[uid + 1]
-        while k < end:
-            vid = indices[k]
-            v = node_of[vid]
-            w = weights[k]
-            k += 1
-            row[v] = w
-            pred[v][u] = w
-            if not directed and uid <= vid:
-                # each undirected edge is stored in both orientations
-                # (a self loop in one); count its canonical one
-                undirected_edges += 1
-    g._num_edges = k if directed else undirected_edges
+    csr = CSRGraph.from_arrays(
+        directed=gm["directed"], node_of=gm["node_of"], labels=gm["labels"],
+        **{name: arrays[f"{prefix}{name}"]
+           for name in ("indptr", "indices", "weights")})
+    g = csr.to_graph()
     g._edge_labels.update(gm["edge_labels"])
-    return g
+    return g, csr
 
 
 def _derive_base(gm: Dict, fragments: List[Fragment]) -> Graph:
@@ -151,32 +118,18 @@ def _derive_base(gm: Dict, fragments: List[Fragment]) -> Graph:
     owner.  Verified by the loader's content-hash check.
     """
     g = Graph(directed=gm["directed"])
-    succ = g._succ
-    pred = g._pred
-    node_labels = g._node_labels
+    succ, node_labels = g._succ, g._node_labels
     for frag in fragments:
         for u, row in frag.graph._succ.items():
-            base_row = succ.get(u)
-            if base_row is None:
-                succ[u] = dict(row)
-            elif row:
-                base_row.update(row)
+            succ.setdefault(u, {}).update(row)
         local_labels = frag.graph._node_labels
-        for u in frag.owned:
-            lbl = local_labels.get(u)
-            if lbl is not None:
-                node_labels[u] = lbl
-    stored = self_loops = 0
-    for u in succ:
-        pred.setdefault(u, {})
+        for u in frag.owned & local_labels.keys():
+            node_labels[u] = local_labels[u]
+    pred = g._pred = {u: {} for u in succ}
     for u, row in succ.items():
-        stored += len(row)
         for v, w in row.items():
             pred[v][u] = w
-            if u == v:
-                self_loops += 1
-    g._num_edges = (stored if g.directed
-                    else self_loops + (stored - self_loops) // 2)
+    g._count_edges()
     g._edge_labels.update(gm["edge_labels"])
     return g
 
@@ -186,7 +139,8 @@ def _derive_base(gm: Dict, fragments: List[Fragment]) -> Graph:
 # ---------------------------------------------------------------------------
 def save_snapshot(path: Union[str, Path], graph: Graph, *,
                   fragmentation: Optional[Fragmentation] = None,
-                  meta: Optional[Dict] = None) -> int:
+                  meta: Optional[Dict] = None,
+                  phases: Optional[Dict[str, float]] = None) -> int:
     """Write a snapshot of ``graph`` (and optionally a fragmentation of
     it) to ``path`` atomically; returns the file size in bytes.
 
@@ -195,17 +149,24 @@ def save_snapshot(path: Union[str, Path], graph: Graph, *,
     version its delta log had reached — not merely a re-runnable
     partition assignment, so a fragmentation mutated by
     :func:`repro.core.updates.apply_delta` round-trips exactly.
+
+    ``phases``, when given, receives the seconds spent in ``hash_s``
+    (flattening and hashing ``graph``), ``pack_s`` and ``io_s``.
     """
     if fragmentation is not None and fragmentation.graph is not graph:
         raise ValueError("fragmentation does not partition the given graph")
+    started = time.perf_counter()
+    base = CSRGraph.from_graph(graph)
     arrays: Dict[str, np.ndarray] = {}
     obj_meta: Dict = {
         "meta": dict(meta or {}),
-        "content_hash": graph.content_hash(),
+        "content_hash": base.content_hash(graph._edge_labels),
         "num_fragments": None,
     }
+    hashed = time.perf_counter()
     if fragmentation is None:
-        _pack_graph(graph, "g_", arrays, obj_meta)
+        # the arrays the hash was computed from: one flatten, not two
+        _pack_graph(base, graph._edge_labels, "g_", arrays, obj_meta)
     else:
         # The fragments jointly cover every base edge (and owners cover
         # every node), so the base graph's arrays would be pure
@@ -221,7 +182,10 @@ def save_snapshot(path: Union[str, Path], graph: Graph, *,
         obj_meta["frag_version"] = fragmentation.version
         for frag in fragmentation:
             prefix = f"f{frag.fid}_"
-            _pack_graph(frag.graph, prefix, arrays, obj_meta)
+            # the snapshot the fragment caches, or splices from its
+            # pending dirty rows: what a build from scratch would yield
+            _pack_graph(frag.csr(), frag.graph._edge_labels, prefix, arrays,
+                        obj_meta)
             obj_meta[prefix].update({
                 "owned": list(frag.owned),
                 "inner": list(frag.inner),
@@ -235,6 +199,7 @@ def save_snapshot(path: Union[str, Path], graph: Graph, *,
     payload = buf.getvalue()
     header = _HEADER.pack(MAGIC, FORMAT_VERSION,
                           hashlib.sha256(payload).digest(), len(payload))
+    packed = time.perf_counter()
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -250,13 +215,23 @@ def save_snapshot(path: Union[str, Path], graph: Graph, *,
         path.write_bytes(data[:cut])
         raise SnapshotError(f"injected torn snapshot write: {path.name}")
     atomic_write_bytes(path, header + payload)
+    if phases is not None:
+        phases.update(hash_s=hashed - started, pack_s=packed - hashed,
+                      io_s=time.perf_counter() - packed)
     return len(header) + len(payload)
 
 
-def load_snapshot(path: Union[str, Path]) -> LoadedSnapshot:
+def load_snapshot(path: Union[str, Path], *,
+                  phases: Optional[Dict[str, float]] = None
+                  ) -> LoadedSnapshot:
     """Read a snapshot back; verifies the checksummed header and the
     decoded graph's content hash.  Raises :exc:`SnapshotError` on any
-    truncation, corruption or format mismatch."""
+    truncation, corruption or format mismatch.
+
+    ``phases``, when given, receives the seconds spent in ``verify_s``
+    (hashing the decoded graph) and ``decode_s`` (everything else).
+    """
+    started = time.perf_counter()
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -284,37 +259,35 @@ def load_snapshot(path: Union[str, Path]) -> LoadedSnapshot:
         m = obj_meta["num_fragments"]
         fragments: List[Fragment] = []
         for fid in range(m or 0):
-            prefix = f"f{fid}_"
-            local = _unpack_graph(prefix, arrays, obj_meta)
-            fm = obj_meta[prefix]
+            local, csr = _unpack_graph(f"f{fid}_", arrays, obj_meta)
+            fm = obj_meta[f"f{fid}_"]
             frag = Fragment(fid, local, set(fm["owned"]),
                             set(fm["inner"]), set(fm["outer"]))
-            gm = fm
             # The stored arrays *are* a current CSR snapshot: install it
             # so a warm-started service serves its first kernel query
             # without re-deriving CSR from the dict graph (installs do
             # not count as builds — csr_snapshots_built stays honest).
-            frag.install_csr(CSRGraph.from_arrays(
-                directed=gm["directed"],
-                indptr=arrays[f"{prefix}indptr"],
-                indices=arrays[f"{prefix}indices"],
-                weights=arrays[f"{prefix}weights"],
-                node_of=gm["node_of"], labels=gm["labels"]))
+            frag.install_csr(csr)
             fragments.append(frag)
         if obj_meta["g_"].get("derived"):
             graph = _derive_base(obj_meta["g_"], fragments)
         else:
-            graph = _unpack_graph("g_", arrays, obj_meta)
+            graph, _csr = _unpack_graph("g_", arrays, obj_meta)
+        decoded = time.perf_counter()
         if graph.content_hash() != obj_meta["content_hash"]:
             raise SnapshotError(
                 f"snapshot {path} decoded to a different graph than was "
                 "saved (content hash mismatch)")
+        verify_s = time.perf_counter() - decoded
         fragmentation = None
         if m is not None:
             fragmentation = Fragmentation.restored(
                 graph, fragments,
                 strategy_name=obj_meta["strategy_name"],
                 version=obj_meta["frag_version"])
+    if phases is not None:
+        phases.update(verify_s=verify_s,
+                      decode_s=time.perf_counter() - started - verify_s)
     return LoadedSnapshot(graph=graph, fragmentation=fragmentation,
                           meta=obj_meta["meta"],
                           content_hash=obj_meta["content_hash"])

@@ -11,12 +11,16 @@ _spec.loader.exec_module(gate)
 
 
 def _result(overhead=7.0, failed=0, share=0.0, correct=True, rebuilds=4,
-            cc_overhead=4.0):
+            cc_overhead=4.0, hash_ms=12.0, build_ms=8.0):
     return {"correct": correct, "attempted": 220, "failed": failed,
             "metrics": {"overhead.sssp_x": {"value": overhead, "unit": "x"},
                         "overhead.cc_x": {"value": cc_overhead, "unit": "x"},
                         "graph.csr.rebuilds": {"value": rebuilds,
                                                "unit": "count"},
+                        "graph.content_hash_ms": {"value": hash_ms,
+                                                  "unit": "ms"},
+                        "graph.csr.build_ms": {"value": build_ms,
+                                               "unit": "ms"},
                         "failed_ops_share": {"value": share,
                                              "unit": "share"}}}
 
@@ -50,6 +54,18 @@ def test_fails_when_reads_after_writes_rebuild_snapshots_again():
     result = _result()
     del result["metrics"]["graph.csr.rebuilds"]
     assert gate.check(result)
+
+
+def test_fails_when_the_content_hash_visits_every_record_again():
+    bound = gate.MAX_HASH_OVER_CSR_BUILD_X
+    assert gate.check(_result(hash_ms=bound * 8.0, build_ms=8.0)) == []
+    # the per-record format / encode / crc32 loop, road-lowcut
+    (problem,) = gate.check(_result(hash_ms=73.3, build_ms=11.4))
+    assert "graph.content_hash_ms = 73.3 > 3 x" in problem
+    for name in ("graph.content_hash_ms", "graph.csr.build_ms"):
+        result = _result()
+        del result["metrics"][name]
+        assert gate.check(result)
 
 
 def test_fails_on_any_failed_operation():

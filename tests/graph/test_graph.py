@@ -261,6 +261,20 @@ class TestDerivedGraphs:
         b.add_edge(1, 2, weight=2.0)
         assert a != b
 
+    def test_equality_considers_edge_labels_in_both_orders(self):
+        """Regression: only ``self``'s label table was compared, so a
+        label on the right-hand graph alone went unnoticed — and two
+        graphs that compared equal hashed apart."""
+        a = Graph()
+        a.add_edge(1, 2)
+        b = Graph()
+        b.add_edge(1, 2, label="x")
+        assert a != b
+        assert b != a
+        b._edge_labels[(1, 2)] = None  # an explicit None is no label
+        assert a == b and b == a
+        assert a.content_hash() == b.content_hash()
+
 
 class TestContentHash:
     """Order-independent integrity hash (store snapshot verification)."""

@@ -89,8 +89,10 @@ def test_service_exports_and_tabulates_the_layers(small_road):
     json.dumps(report)
     update = report["layers"].pop("update")
     assert update == {"batches": 0, "apply_delta_s": 0.0,
-                      "wal_append_s": 0.0, "maintain_s": 0.0,
-                      "assemble_s": 0.0}
+                      "wal_append_s": 0.0, "compact_s": 0.0,
+                      "maintain_s": 0.0, "assemble_s": 0.0}
+    # no store attached: nothing written, nothing loaded
+    assert not any(report["layers"].pop("store").values())
     assert set(report["layers"]) == {"report_read", "fold", "compose",
                                      "accounting", "assemble"}
     for name, row in report["layers"].items():

@@ -138,8 +138,9 @@ class TestTheUpdateRow:
             row = svc.debug_report()["layers"]["update"]
             assert row["batches"] == applied
             assert set(row) == {"batches", "apply_delta_s", "wal_append_s",
-                                "maintain_s", "assemble_s"}
-            for name in ("apply_delta_s", "wal_append_s", "maintain_s"):
+                                "compact_s", "maintain_s", "assemble_s"}
+            for name in ("apply_delta_s", "wal_append_s", "compact_s",
+                         "maintain_s"):
                 assert row[name] > 0.0, name
             assert row["assemble_s"] == 0.0  # nobody has asked yet
             for handle in handles:

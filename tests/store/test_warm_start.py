@@ -145,6 +145,44 @@ def test_restart_after_compaction(tmp_path):
         assert warm.play("cc", graph="social").answer == live_cc
 
 
+def test_debug_report_names_what_snapshots_and_compactions_cost(tmp_path):
+    """The ``store`` row (always-on ``StoreMetrics`` timers) and the
+    ``compact_s`` phase of the ``update`` row: a compaction inside
+    ``update()`` is charged to a phase, and that phase covers the
+    snapshot it wrote."""
+    g = uniform_random_graph(50, 140, directed=False, seed=4)
+    store_dir = tmp_path / "store"
+    rng = random.Random(5)
+    live = GrapeService(store_dir=store_dir, store_compact_threshold=1)
+    live.load_graph("social", g)
+    live.watch("cc", graph="social")
+    loaded_graph = dict(live.debug_report()["layers"]["store"])
+    assert loaded_graph["snapshots_written"] == 1
+    for round_no in range(N_BATCHES):  # every batch compacts
+        live.update("social",
+                    mixed_delta(live.graph("social"), rng, round_no))
+    report = live.debug_report()["layers"]
+    row, update = report["store"], report["update"]
+    assert row["snapshots_written"] == 1 + N_BATCHES
+    assert row["snapshots_loaded"] == 0 == row["decode_s"] == row["verify_s"]
+    for name in ("hash_s", "pack_s", "io_s"):
+        assert row[name] > 0.0, name
+    compacted = sum(
+        row[name] * row["snapshots_written"] - loaded_graph[name]
+        for name in ("hash_s", "pack_s", "io_s"))
+    assert update["compact_s"] * N_BATCHES >= compacted > 0.0
+    live.close()
+    # close() detached the store; its checkpoint is still on the row
+    assert (live.debug_report()["layers"]["store"]["snapshots_written"]
+            == live.stats.snapshots_written >= 1 + N_BATCHES)
+
+    with GrapeService(store_dir=store_dir) as warm:
+        row = warm.debug_report()["layers"]["store"]
+        assert row["snapshots_loaded"] == 1
+        assert row["decode_s"] > 0.0 and row["verify_s"] > 0.0
+        assert warm.stats.snapshot_verify_s == row["verify_s"]
+
+
 def test_unload_removes_from_store(tmp_path):
     store_dir = tmp_path / "store"
     with GrapeService(store_dir=store_dir) as service:
