@@ -90,11 +90,6 @@ class PIEProgram(abc.ABC):
     #: ``aggregateMsg``); paper default is the exception handler.
     aggregator: Aggregator = DefaultExceptionAggregator()
 
-    #: capability flag: the program can run its sequential functions on a
-    #: fragment's CSR snapshot (:mod:`repro.kernels`) when its ``use_csr``
-    #: switch is on, with the dict-graph algorithms as fallback.
-    supports_csr: bool = False
-
     #: wire model (:mod:`repro.runtime.wire`): bytes of one update-
     #: parameter value when every parameter is a fixed-width scalar —
     #: messages are then charged ``header + n * (8 + param_width)`` with

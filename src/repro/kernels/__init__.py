@@ -8,20 +8,23 @@ interpreter speed, not machine speed.  This package provides numpy
 kernels over the frozen :class:`~repro.graph.csr.CSRGraph` snapshot for
 the four traversal-shaped query classes:
 
-* :func:`csr_sssp` — frontier Bellman–Ford relaxation (the delta-stepping
-  degenerate case with a single bucket per round);
-* :func:`csr_bfs` — level-synchronous BFS hop counts;
+* :func:`csr_sssp` / :func:`csr_bfs` — one decrease-only frontier
+  relaxation (:mod:`repro.kernels.relax`): with the edge weight as the
+  cost it is frontier Bellman–Ford (the delta-stepping degenerate case
+  with a single bucket per round), with unit cost level-synchronous BFS;
 * :func:`csr_components` — min-label hooking of vertices and their
   representatives (FastSV-style) with pointer jumping;
 * :func:`csr_pagerank_push` — one power-iteration push of rank mass.
 
-**Capability-flag dispatch.**  A PIE program advertises CSR support with
-the class attribute ``supports_csr = True`` and an instance switch
-``use_csr`` (constructor argument, default on).  Inside ``PEval`` /
-``IncEval`` the program asks its fragment for a snapshot via
+**Dispatch.**  A program that runs on the kernels takes a ``use_csr``
+constructor argument (default on) and, while it is on, declares a
+:attr:`~repro.core.pie.PIEProgram.block_spec` — the engine then
+exchanges its border parameters as arrays wherever the fragmentation has
+a border index.  Inside ``PEval`` / ``IncEval`` the program asks its
+fragment for a snapshot via
 :meth:`~repro.partition.base.Fragment.csr` and runs the kernel on the
 arrays that are its per-fragment state
-(:mod:`repro.pie_programs._blocks`); when ``use_csr`` is off the original
+(:mod:`repro.pie_programs._blocks`); with ``use_csr`` off the original
 dict-graph sequential algorithm runs instead.  Both paths compute
 *bitwise-identical* results: every kernel reaches the same fixpoint as
 its sequential oracle and performs float additions in the same left-fold
@@ -43,28 +46,28 @@ the dirty rows.  A mutation that cannot name its rows
 (``invalidate_csr()``) still drops the snapshot and the next call builds
 it from the dict graph.
 
-**When the dict algorithms run.**  With ``use_csr=False``, for programs
-that do not set ``supports_csr`` (Sim, SubIso, CF), and in the
-maintenance rounds of a standing query on a fragment whose snapshot a
-batch has just retired (``csr_cached`` false): they work on the dict
-*view* of the state, which is materialised on first use and then kept.
+**When the dict algorithms run.**  A served query runs on arrays; a
+standing query's maintenance runs the bounded dict algorithms of
+:mod:`repro.sequential` on the state's dict *view* (materialised on first
+use, then kept), and no maintenance hook asks whether a snapshot happens
+to be cached: closure, reset-and-re-seed and CC's region rebuild do
+constant work per affected vertex, where a numpy round costs a fixed
+~45 µs however small its frontier.  Dict-plane ``IncEval``, shared by
+queries and maintenance rounds, calls the kernel while the state's
+arrays *are* the state on a live snapshot (a run on string-labelled
+nodes, a standing query's untouched fragments) and the dict algorithm
+once one wrote last.  They also serve ``use_csr=False`` and the programs
+without kernels (Sim, SubIso, CF).
 """
 
-from repro.kernels.bfs import (UNREACHED_HOPS, csr_bfs, csr_bfs_affected,
-                               csr_bfs_reseed)
-from repro.kernels.cc import csr_components, csr_region_components
+from repro.kernels.cc import csr_components
 from repro.kernels.pagerank import csr_pagerank_push
-from repro.kernels.sssp import csr_sssp, csr_sssp_affected, csr_sssp_reseed
+from repro.kernels.relax import UNREACHED_HOPS, csr_bfs, csr_sssp
 
 __all__ = [
     "csr_sssp",
-    "csr_sssp_affected",
-    "csr_sssp_reseed",
     "csr_bfs",
-    "csr_bfs_affected",
-    "csr_bfs_reseed",
     "csr_components",
-    "csr_region_components",
     "csr_pagerank_push",
     "UNREACHED_HOPS",
 ]

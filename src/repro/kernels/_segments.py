@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["edge_positions", "seed_frontier"]
+__all__ = ["edge_positions"]
 
 
 def edge_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -27,26 +27,3 @@ def edge_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     ends = np.cumsum(counts)
     within = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
     return np.repeat(starts, counts) + within
-
-
-def seed_frontier(seeds, values: np.ndarray) -> np.ndarray:
-    """Fold candidate ``seeds`` into ``values`` (in place, keeping the
-    minimum) and return the dense ids that improved — the first frontier
-    of a decrease-only relaxation.
-
-    ``seeds`` is a ``{id: candidate}`` dict or a pair of parallel
-    ``(ids, candidates)`` arrays whose ids are unique (an array
-    parameter block names each border node once).
-    """
-    if isinstance(seeds, dict):
-        frontier_list = []
-        for vid, value in seeds.items():
-            if value < values[vid]:
-                values[vid] = value
-                frontier_list.append(vid)
-        return np.array(frontier_list, dtype=np.int64)
-    ids, candidates = seeds
-    better = candidates < values[ids]
-    frontier = ids[better].astype(np.int64, copy=False)
-    values[frontier] = candidates[better]
-    return frontier

@@ -14,27 +14,23 @@ direction ignored, matching the paper's undirected CC semantics.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from repro.kernels._segments import edge_positions
-
-__all__ = ["csr_components", "csr_region_components"]
+__all__ = ["csr_components"]
 
 
-def _hook_to_fixpoint(comp: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                      mirrored: bool) -> np.ndarray:
-    """Lower ``comp`` (idempotent: ``comp[comp] == comp``) across the
-    edges ``src -> dst`` until no label moves.  ``mirrored`` says every
-    edge is listed in both directions (an undirected snapshot), so
-    hooking one way covers the other."""
+def csr_components(csr) -> np.ndarray:
+    """Component representative (minimum dense id) for every node."""
+    comp = np.arange(csr.n, dtype=np.int64)
+    src, dst = np.repeat(comp, np.diff(csr.indptr)), csr.indices
     while src.size:
         new = comp.copy()
         low = comp[src]
         np.minimum.at(new, dst, low)
         np.minimum.at(new, comp[dst], low)
-        if not mirrored:
+        if csr.directed:
+            # (an undirected snapshot lists every edge in both
+            # directions, so hooking one way covers the other)
             low = comp[dst]
             np.minimum.at(new, src, low)
             np.minimum.at(new, comp[src], low)
@@ -49,40 +45,3 @@ def _hook_to_fixpoint(comp: np.ndarray, src: np.ndarray, dst: np.ndarray,
             break
         comp = new
     return comp
-
-
-def csr_components(csr) -> np.ndarray:
-    """Component representative (minimum dense id) for every node."""
-    n = csr.n
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
-    return _hook_to_fixpoint(np.arange(n, dtype=np.int64), src, csr.indices,
-                             not csr.directed)
-
-
-def csr_region_components(csr, region) -> List[np.ndarray]:
-    """Components of the subgraph induced on the ``region`` dense ids.
-
-    The delete-aware CC path condemns whole components and rebuilds them
-    from the mutated snapshot: only edges with *both* endpoints inside
-    the region participate (the condemned components were closed, so no
-    surviving edge crosses the boundary).  Same min-label + pointer
-    jumping as :func:`csr_components`, restricted to the region's edges.
-    Returns the region partitioned into groups of dense ids.
-    """
-    region = np.asarray(sorted(region), dtype=np.int64)
-    if not region.size:
-        return []
-    mask = np.zeros(csr.n, dtype=bool)
-    mask[region] = True
-    starts = csr.indptr[region]
-    counts = csr.indptr[region + 1] - starts
-    pos = edge_positions(starts, counts)
-    src = np.repeat(region, counts)
-    dst = csr.indices[pos]
-    keep = mask[dst]
-    comp = _hook_to_fixpoint(np.arange(csr.n, dtype=np.int64), src[keep],
-                             dst[keep], not csr.directed)
-    labels = comp[region]
-    order = np.argsort(labels, kind="stable")
-    bounds = np.nonzero(np.diff(labels[order]))[0] + 1
-    return [region[idx] for idx in np.split(order, bounds)]

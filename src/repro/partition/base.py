@@ -237,13 +237,14 @@ class Fragment:
         """Whether a current CSR snapshot is already built (a snapshot
         retired by a mutation and waiting to be spliced does not count).
 
-        The bounded maintenance paths use this to pick their
-        representation: with a live snapshot the vectorized kernels are
-        free, but after a mutation has retired it, producing the next
-        snapshot — even by splice, ``O(|E_i|)`` of array copying — to
-        process a small affected region would charge that to an
-        ``O(|AFF|)`` operation; the dict algorithms serve the region
-        instead and the next full scan (which amortizes it) pays.
+        Dict-plane ``IncEval`` asks before it calls a kernel: producing
+        the next snapshot — even by splice, ``O(|E_i|)`` of array
+        copying — to relax a few border values would charge that to an
+        ``O(|AFF|)`` operation; the next full scan (which amortizes it)
+        pays instead.  The bounded maintenance hooks do not ask — they
+        run the dict algorithms with or without a live snapshot (head to
+        head on equal regions a numpy round's fixed cost does not beat
+        constant work per affected vertex).
         """
         return self._csr is not None
 

@@ -8,9 +8,18 @@ epoch, array(s))``.  The dict the sequential algorithms of
 :mod:`repro.sequential` and the dict-plane hooks work on is a *view*,
 materialised from the arrays the first time somebody asks — a served
 query on the array plane never does — and from then on a party to every
-write: a kernel call mirrors what it changed into the view, a dict
-algorithm that writes the view drops the arrays, and the next kernel
-call rebuilds them from it.
+write: a kernel call mirrors what it changed into the view, and a dict
+algorithm that writes the view drops the arrays for good — from there
+the view is the state, and nothing rebuilds an array from it.
+
+Which representation serves which path is fixed, not a function of what
+happens to be cached: **a query runs on arrays, a standing query's
+maintenance runs the bounded dict algorithms on the view.**  The
+maintenance hooks (``on_graph_update``, ``expand_affected``,
+``apply_nonmonotone``) never look at the fragment's snapshot; dict-plane
+``inceval``, which queries and maintenance rounds share, calls the
+kernel while the arrays are the state on a live snapshot and the dict
+algorithm after a dict algorithm wrote.
 
 :class:`ValueState` / :class:`DecreaseOnlyProgram` are everything SSSP
 and BFS share — one value per vertex that only ever decreases, reported
@@ -166,16 +175,14 @@ class ValueState(ArrayState):
         return view
 
     def array(self, fragment: Fragment) -> np.ndarray:
-        """The value array on ``fragment``'s current snapshot, rebuilt
-        from the view when the snapshot moved or a dict algorithm wrote
-        last."""
+        """The value array, for a kernel call or an array-plane report:
+        read only while it is the state on ``fragment``'s snapshot,
+        never rebuilt from the view."""
         if not self.current(fragment):
-            view, neutral = self.view, self.neutral
-            csr = fragment.csr()
-            self._arr = np.fromiter((view.get(v, neutral)
-                                     for v in csr.node_of),
-                                    dtype=self.dtype, count=csr.n)
-            self._epoch, self._keys = fragment.csr_epoch, csr.node_of
+            raise StateSnapshotMismatch(
+                f"{type(self).__name__} on fragment {fragment.fid}: the "
+                "snapshot moved or a dict algorithm wrote last — the view "
+                "is the state")
         return self._arr
 
     def relax(self, fragment: Fragment, kernel, seeds) -> None:
@@ -211,14 +218,13 @@ class ValueState(ArrayState):
 
 class DecreaseOnlyProgram(Maintenance):
     """What SSSP and BFS share.  A subclass names its state class, its
-    three kernels, the parameter name, the value of the source
+    kernel, the parameter name, the value of the source
     (``zero``), what an unreached vertex reads in the answer
     (``unreached``), how a value travels along an edge (:meth:`_through`)
     and its two dict algorithms (:meth:`_peval_dict`,
     :meth:`_decrease`)."""
 
     aggregator = MinAggregator()
-    supports_csr = True
     param_width = 8
     # F_i.O copies carry no local out-edges, so updates only need to
     # reach the owning fragment (the paper routes dist to F_j.I owners).
@@ -230,7 +236,7 @@ class DecreaseOnlyProgram(Maintenance):
     unreached: Any = None
     #: whether edge weights reach the values (reweights can invalidate)
     weighted = True
-    _kernel = _affected_kernel = _reseed_kernel = None
+    _kernel = None
 
     def __init__(self, use_csr: bool = True):
         self.use_csr = use_csr
@@ -298,7 +304,10 @@ class DecreaseOnlyProgram(Maintenance):
     def inceval(self, query: Node, fragment: Fragment, state: ValueState,
                 message: ParamUpdates) -> None:
         updates = {node: value for (node, _name), value in message.items()}
-        if self.use_csr and fragment.csr_cached:
+        # The kernel only while the arrays are the state on a live
+        # snapshot — never an array rebuilt from the view (use_csr off:
+        # there are no arrays) to relax a handful of border values.
+        if fragment.csr_cached and state.current(fragment):
             state.relax_message(fragment, self._kernel, updates)
         else:
             changed = self._decrease(fragment, state.view_on(fragment),
@@ -415,20 +424,8 @@ class DecreaseOnlyProgram(Maintenance):
         are never expanded through (``neutral`` is not a support)."""
         view, neutral = state.view_on(fragment), self.neutral
         through, graph = self._through, fragment.graph
-        local = {v for v in nodes if v in view or graph.has_node(v)}
-        if not local:
-            return local
-        if self.use_csr and fragment.csr_cached:
-            csr = fragment.csr()
-            id_of = csr.id_of
-            seed_ids = [id_of[v] for v in local if v in id_of]
-            if seed_ids:
-                aff = self._affected_kernel(csr, state.array(fragment),
-                                            seed_ids)
-                local.update(csr.node_of[i] for i in aff.tolist())
-            return local
-        affected = set(local)
-        dq = deque(v for v in local
+        affected = {v for v in nodes if v in view or graph.has_node(v)}
+        dq = deque(v for v in affected
                    if graph.has_node(v) and view.get(v, neutral) < neutral)
         while dq:
             y = dq.popleft()
@@ -458,32 +455,13 @@ class DecreaseOnlyProgram(Maintenance):
         if delta is not None:
             for v in delta.retired_nodes:
                 view.pop(v, None)
-        insertions = delta.as_insertions if delta is not None else ()
-        source_hit = graph.has_node(query) and query in affected
-        if self.use_csr and fragment.csr_cached:
-            csr = fragment.csr()
-            arr, id_of = state.array(fragment), csr.id_of
-            seeds = self._reseed_kernel(
-                csr, arr, [id_of[v] for v in affected if v in id_of])
-            if source_hit:
-                sid = id_of[query]
-                seeds[sid] = min(seeds.get(sid, neutral), self.zero)
-            for u, v, w in insertions:
-                alt = through(self.zero if u == query
-                              else view.get(u, neutral), w)
-                vid = id_of.get(v)
-                if vid is not None and alt < min(arr[vid],
-                                                 seeds.get(vid, neutral)):
-                    seeds[vid] = alt
-            state.relax(fragment, self._kernel, seeds)
-            return
-        seeds = {}
+        seeds: Dict[Node, Any] = {}
 
         def offer(v: Node, d: Any) -> None:
             if d < min(view.get(v, neutral), seeds.get(v, neutral)):
                 seeds[v] = d
 
-        if source_hit:
+        if graph.has_node(query) and query in affected:
             offer(query, self.zero)
         for x in affected:
             if not graph.has_node(x):
@@ -493,7 +471,7 @@ class DecreaseOnlyProgram(Maintenance):
                     dy = view.get(y, neutral)
                     if dy < neutral:
                         offer(x, through(dy, w))
-        for u, v, w in insertions:
+        for u, v, w in (delta.as_insertions if delta is not None else ()):
             offer(v, through(self.zero if u == query
                              else view.get(u, neutral), w))
         state.mark(fragment, self._decrease(fragment, view, seeds))

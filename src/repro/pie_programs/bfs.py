@@ -10,9 +10,11 @@ two have in common).
 
 With ``use_csr`` on (the default) both functions run as level-synchronous
 frontier expansions over the fragment's CSR snapshot
-(:func:`repro.kernels.csr_bfs`) — hop counts are integers, so the paths
-are trivially identical — and the int64 hop array is the fragment's
-state; ``hops`` is its dict view (absent = unreached).
+(:func:`repro.kernels.csr_bfs`, the relaxation SSSP runs with unit edge
+cost) — hop counts are integers, so the paths are trivially identical —
+and the int64 hop array is the fragment's state; ``hops`` is its dict
+view (absent = unreached), which is what a standing query's maintenance
+works on.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from typing import Dict, Set
 import numpy as np
 
 from repro.graph.graph import Node
-from repro.kernels import (UNREACHED_HOPS, csr_bfs, csr_bfs_affected,
-                           csr_bfs_reseed)
+from repro.kernels import UNREACHED_HOPS, csr_bfs
 from repro.partition.base import Fragment
 from repro.pie_programs._blocks import DecreaseOnlyProgram, ValueState
 
@@ -84,8 +85,6 @@ class BFSProgram(DecreaseOnlyProgram):
     # hop counts ignore weights: a reweight is a no-op
     weighted = False
     _kernel = staticmethod(csr_bfs)
-    _affected_kernel = staticmethod(csr_bfs_affected)
-    _reseed_kernel = staticmethod(csr_bfs_reseed)
 
     @staticmethod
     def _through(value: int, weight: float) -> int:

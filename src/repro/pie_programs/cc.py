@@ -16,8 +16,10 @@ argsort-split.  The dict structure of the textbook algorithm
 (:class:`~repro.sequential.wcc.LocalComponents`, ``state.comps``) is a
 view built from ``(comp, lab)`` when somebody asks for it — every
 dict-plane hook does, and session maintenance, whose ``add_edge`` /
-``drop_components`` need member lists — and from then on it is the
-state: the arrays are dropped, not mirrored.
+``drop_components`` / ``rebuild_region`` need member lists — and from
+then on it is the state: the arrays are dropped, not mirrored.  No
+maintenance hook looks at the snapshot: a condemned region is
+re-discovered by a BFS over the mutated dict graph, ``O(|region|)``.
 
 Message preamble: integer ``v.cid`` per node, candidate set = the border
 nodes, ``aggregateMsg = min``.
@@ -33,7 +35,7 @@ import numpy as np
 from repro.core.aggregators import MinAggregator
 from repro.core.pie import BlockSpec, Maintenance, ParamUpdates
 from repro.graph.graph import Node
-from repro.kernels import csr_components, csr_region_components
+from repro.kernels import csr_components
 from repro.partition.base import Fragment, Fragmentation
 from repro.pie_programs._blocks import ArrayState
 from repro.runtime.wire import ParamBlock
@@ -128,7 +130,6 @@ class CCProgram(Maintenance):
 
     name = "CC"
     aggregator = MinAggregator()
-    supports_csr = True
     param_width = 8  # one int64 component id (a node label)
     route_to = "holders"
 
@@ -364,25 +365,10 @@ class CCProgram(Maintenance):
             for v in delta.retired_nodes:
                 if v not in affected:
                     comps.detach(v)
-        region = {v for v in affected if fragment.graph.has_node(v)}
-        if region:
-            if self.use_csr and fragment.csr_cached:
-                self._rebuild_region_csr(fragment, comps, region)
-            else:
-                comps.rebuild_region(fragment.graph, region)
+        comps.rebuild_region(fragment.graph, affected)
         if delta is not None:
             for u, v, _w in delta.insertions:
                 state.mark(fragment, comps.add_edge(u, v))
-
-    @staticmethod
-    def _rebuild_region_csr(fragment: Fragment, comps: LocalComponents,
-                            region: Set[Node]) -> None:
-        csr = fragment.csr()
-        id_of = csr.id_of
-        node_of = csr.node_of
-        groups = csr_region_components(csr, [id_of[v] for v in region])
-        for group in groups:
-            comps.install([node_of[i] for i in group.tolist()])
 
     def read_update_params(self, query, fragment: Fragment,
                            state: CCState) -> ParamUpdates:

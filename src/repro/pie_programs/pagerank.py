@@ -122,7 +122,6 @@ class PageRankProgram(PIEProgram):
     # (iteration, contribution) — newest iteration wins, value order
     # breaks ties; every real change advances the order (the CF recipe).
     aggregator = MaxAggregator()
-    supports_csr = True
     param_width = 16  # (int64 iteration, float64 contribution)
     route_to = "owner"
 

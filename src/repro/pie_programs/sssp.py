@@ -16,7 +16,9 @@ report is a gather of it at the ``F_i.O`` slots compared with what was
 last sent, a message seeds the relaxation as two arrays, and Assemble
 gathers it at the owned slots — no per-vertex Python anywhere.  The
 ``dist`` dict is a view, built when a dict consumer (the dict plane,
-GRAPE-NI, session maintenance) first asks.
+GRAPE-NI, session maintenance) first asks; a standing query is
+maintained on it by the bounded dict algorithms, at constant work per
+affected vertex, whether or not a snapshot is cached.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Dict, Set
 import numpy as np
 
 from repro.graph.graph import Node
-from repro.kernels import csr_sssp, csr_sssp_affected, csr_sssp_reseed
+from repro.kernels import csr_sssp
 from repro.partition.base import Fragment
 from repro.pie_programs._blocks import DecreaseOnlyProgram, ValueState
 from repro.sequential.inc_sssp import incremental_sssp_decrease
@@ -55,8 +57,6 @@ class SSSPProgram(DecreaseOnlyProgram):
     zero = 0.0
     unreached = inf
     _kernel = staticmethod(csr_sssp)
-    _affected_kernel = staticmethod(csr_sssp_affected)
-    _reseed_kernel = staticmethod(csr_sssp_reseed)
 
     @staticmethod
     def _through(value: float, weight: float) -> float:

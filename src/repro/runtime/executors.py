@@ -522,7 +522,9 @@ class _Channel:
     under the ``fork`` start method) and counted; payloads above
     ``_SHM_THRESHOLD`` are written to a shared-memory file with only the
     path crossing the pipe.  The receiver reads the bytes out and unlinks
-    the file immediately.
+    the file immediately; a file whose sender was killed before that
+    carries the sender's PID in the segments' namespace, so
+    :func:`repro.runtime.shm.sweep_stale` reclaims it.
     """
 
     def __init__(self, conn):
@@ -543,7 +545,7 @@ class _Channel:
             path = None
             try:
                 import tempfile
-                fd, path = tempfile.mkstemp(prefix="repro-ipc-",
+                fd, path = tempfile.mkstemp(prefix=shm.spill_prefix(),
                                             dir=_SHM_DIR)
                 with os.fdopen(fd, "wb") as handle:
                     handle.write(blob)

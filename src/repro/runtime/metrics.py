@@ -16,6 +16,7 @@ allows honest parallel wall-clock speedups.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import pickle
 from dataclasses import dataclass, field
@@ -254,29 +255,18 @@ class RunMetrics:
                    - self.delta_bytes_shipped)
 
     def merge(self, other: "RunMetrics") -> "RunMetrics":
-        """Combine metrics of sequential phases (e.g. query batches).
-
-        Field handling is reflection-driven (see ``_classify_fields``):
-        every dataclass field is special-cased by name, declared a
-        gauge, or combined automatically — a new counter cannot be
-        silently dropped.
-        """
-        out = RunMetrics()
-        out.backend = (self.backend if self.backend == other.backend
-                       else "mixed")
-        out.per_superstep = self.per_superstep + other.per_superstep
-        for name in _RUN_ADDITIVE_FIELDS:
-            setattr(out, name, getattr(self, name) + getattr(other, name))
-        for name in _GAUGE_FIELDS:
-            setattr(out, name, max(getattr(self, name), getattr(other, name)))
-        for name in _RUN_HISTOGRAM_FIELDS:
-            hist = getattr(self, name).copy()
-            hist.merge(getattr(other, name))
-            setattr(out, name, hist)
+        """Combine metrics of sequential phases (e.g. query batches)
+        into a new object: a copy of this one, then :meth:`absorb`."""
+        out = copy.deepcopy(self)
+        out.absorb(other)
         return out
 
     def absorb(self, other: "RunMetrics") -> None:
-        """Fold ``other`` into this object *in place*.
+        """Fold ``other`` into this object *in place* — the one
+        combination rule.  Field handling is reflection-driven (see
+        ``_classify_fields``): every dataclass field is special-cased by
+        name, declared a gauge, or combined automatically — a new
+        counter cannot be silently dropped.
 
         Used by :class:`~repro.core.updates.ContinuousQuerySession` to
         accumulate a fallback re-run's cost: holders of the session's

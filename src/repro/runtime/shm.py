@@ -15,9 +15,10 @@ Layout of a segment (array offsets 64-byte aligned)::
            | meta (pickled Fragment: fid, dict graph, owned/inner/outer)
 
 Providers: on Linux segments are plain files in ``/dev/shm``
-(``repro-shm-<pid>-…``) — the same tmpfs the channel's >1MB payload
-spill uses — because ``multiprocessing.shared_memory``'s resource
-tracker unlinks attached segments behind long-lived pools.  The names
+(``repro-shm-<pid>-…``) — the tmpfs and the namespace the channel's
+>1MB payload spill uses too (``repro-shm-<pid>-ipc-…``) — because
+``multiprocessing.shared_memory``'s resource tracker unlinks attached
+segments behind long-lived pools.  The names
 carry the publishing PID so :func:`sweep_stale` can reclaim segments
 whose owner died without unlinking (the same discipline as the
 Arbitrator's checkpoint GC).  Where ``/dev/shm`` is unavailable,
@@ -54,7 +55,8 @@ from repro.graph.csr import CSRGraph
 
 __all__ = ["SegmentDescriptor", "ShmArena", "attach_fragment",
            "forget_token", "global_stats", "invalidate_token",
-           "notify_delta", "provider", "shm_available", "sweep_stale"]
+           "notify_delta", "provider", "shm_available", "spill_prefix",
+           "sweep_stale"]
 
 #: every segment name starts with this prefix followed by the publishing
 #: PID — the stale sweep parses the PID back out to find orphans
@@ -66,6 +68,13 @@ _counter = itertools.count(1)
 
 def _segment_name(fid: int) -> str:
     return f"{_SEG_PREFIX}{os.getpid()}-{next(_counter):x}-f{fid}"
+
+
+def spill_prefix() -> str:
+    """Name prefix of the process channel's >1 MB spill files: in the
+    segments' namespace, so a file whose sender was killed before the
+    reader took it is reclaimed by the same dead-owner sweep."""
+    return f"{_SEG_PREFIX}{os.getpid()}-ipc-"
 
 
 def _owner_pid(name: str) -> Optional[int]:

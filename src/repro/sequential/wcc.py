@@ -149,12 +149,6 @@ class LocalComponents:
             self._root_of[v] = root
             self.cid[v] = root
 
-    def install(self, members: List[Node]) -> None:
-        """Register one rebuilt component (public entry for callers that
-        discovered the partition externally, e.g. the CSR region
-        rebuild)."""
-        self._install(list(members))
-
     def lower_cid(self, v: Node, new_cid: Node) -> List[Node]:
         """Lower the cid of ``v``'s whole component to ``new_cid``.
 

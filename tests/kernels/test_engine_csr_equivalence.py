@@ -1,4 +1,4 @@
-"""Engine-level equivalence: ``supports_csr`` programs with the kernels
+"""Engine-level equivalence: the ``use_csr`` programs with the kernels
 on and off produce byte-identical runs.
 
 The acceptance bar for the vectorized runtime is not "close": answers,
@@ -178,11 +178,3 @@ def test_cc_session_tracks_oracle_on_directed_insertions(use_csr, seed):
             expected.setdefault(c, set()).add(v)
         assert session.answer == expected
 
-
-def test_supports_csr_flags():
-    assert SSSPProgram.supports_csr and CCProgram.supports_csr
-    assert BFSProgram.supports_csr and PageRankProgram.supports_csr
-    from repro.pie_programs import CFProgram, SimProgram, SubIsoProgram
-    assert not SimProgram.supports_csr
-    assert not SubIsoProgram.supports_csr
-    assert not CFProgram.supports_csr

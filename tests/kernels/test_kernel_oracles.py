@@ -121,6 +121,40 @@ class TestBFSKernel:
                if h < UNREACHED_HOPS}
         assert got == truth
 
+    @pytest.mark.parametrize("directed", [True, False])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_is_the_sssp_relaxation_at_unit_cost(self, directed, data):
+        """One frontier loop serves both kernels: on unit weights they
+        agree value for value and frontier for frontier (``changed``
+        ids) — from a cold start on dict seeds, and resuming over the
+        estimates that left on array seeds."""
+        g = data.draw(random_graphs(directed=directed))
+        unit = Graph(directed=directed)
+        for v in g.nodes():
+            unit.add_node(v)
+        for u, v, _w in g.edges():
+            unit.add_edge(u, v, weight=1.0)
+        csr = unit.to_csr()
+        hops = dist = None
+        for as_arrays in (False, True):
+            ids = data.draw(st.lists(st.integers(0, csr.n - 1),
+                                     max_size=4, unique=True))
+            vals = [data.draw(st.integers(0, 6)) for _ in ids]
+            if as_arrays:
+                ids = np.array(ids, dtype=np.int64)
+                hop_seeds = (ids, np.array(vals, dtype=np.int64))
+                dist_seeds = (ids, np.array(vals, dtype=np.float64))
+            else:
+                hop_seeds = dict(zip(ids, vals))
+                dist_seeds = {i: float(h) for i, h in hop_seeds.items()}
+            hops, moved_hops = csr_bfs(csr, hop_seeds, hops)
+            dist, moved_dist = csr_sssp(csr, dist_seeds, dist)
+            assert hops.dtype == np.int64 and dist.dtype == np.float64
+            assert moved_hops.tolist() == moved_dist.tolist()
+            assert dist.tolist() == [h if h < UNREACHED_HOPS else inf
+                                     for h in hops.tolist()]
+
 
 class TestComponentsKernel:
     @staticmethod
@@ -238,18 +272,11 @@ class TestParentHookingComponents:
     @settings(max_examples=60, deadline=None)
     def test_equal_to_label_pushing_on_built_and_spliced(self, directed,
                                                          data):
-        from repro.kernels import csr_region_components
         g, spliced = data.draw(spliced_snapshots(directed))
         built = CSRGraph.from_graph(g)
         want = _label_pushing_components(built)
         for snap in (built, spliced):
             assert np.array_equal(csr_components(snap), want)
-            # the region flavour shares the loop: the whole graph as the
-            # region is the same partition
-            groups = csr_region_components(snap, range(snap.n))
-            assert sorted(map(tuple, map(np.ndarray.tolist, groups))) \
-                == sorted(tuple(np.flatnonzero(want == rep).tolist())
-                          for rep in np.unique(want).tolist())
 
     def test_ids_out_of_grid_order_need_few_rounds(self):
         import random

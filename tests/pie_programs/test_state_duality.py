@@ -207,6 +207,37 @@ class TestEstimatesForUnknownNodes:
         assert state.dist[0] == 0.5 and state.dist[3] == 3.25
 
 
+class TestWhoWroteLastDecides:
+    """Dict-plane IncEval follows the state's representation, not the
+    snapshot cache: once a dict algorithm wrote, the view is the state,
+    and a live snapshot (an inline compaction re-caches them between a
+    batch and the refresh) does not bring the kernel back."""
+
+    @pytest.mark.parametrize("make,name,msg,want", [
+        (SSSPProgram, "dist", 1.0, {2: 0.25, 3: 3.25}),
+        (BFSProgram, "hop", 1, {2: 0, 3: 1})])
+    def test_no_kernel_and_no_array_after_a_dict_write(self, make, name,
+                                                       msg, want):
+        _g, frag = _split_path()
+        prog = make()
+        state = prog.init_state(0, frag[1])
+        prog.peval(0, frag[1], state)
+        prog.inceval(0, frag[1], state, {(2, name): 5 * msg})
+        assert state.current(frag[1])  # the kernel ran: arrays are the state
+        # maintenance folds a cheaper edge into 2 (query 1 is its tail)
+        prog.on_graph_update(1, frag[1], state, [(1, 2, 0.5)])
+        assert frag[1].csr_cached and not state.has_arrays
+        with mock.patch.object(make, "_kernel",
+                               side_effect=AssertionError("kernel call")):
+            prog.inceval(0, frag[1], state, {(2, name): msg})  # no gain
+            prog.inceval(0, frag[1], state, {(2, name): want[2]})
+        view = state.view
+        assert {v: view[v] for v in want} == want
+        assert not state.has_arrays and state.views_materialised == 1
+        with pytest.raises(StateSnapshotMismatch):
+            state.array(frag[1])  # never rebuilt from the view
+
+
 class TestCrossingAProcessBoundary:
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_a_state_pickles_arrays_never_a_per_vertex_dict(self, name):

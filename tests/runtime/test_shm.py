@@ -2,8 +2,10 @@
 republish-on-structural, arena lifecycle, and the stale-segment sweep."""
 
 import glob
+import multiprocessing
 import os
 import subprocess
+import time
 
 import numpy as np
 import pytest
@@ -203,6 +205,51 @@ def test_sweep_stale_reclaims_dead_owner_segments():
     finally:
         prov.unlink(dead)
         prov.unlink(live)
+
+
+def _spill_and_hang(conn):
+    from repro.runtime.executors import _Channel
+    _Channel(conn).send(b"x" * (2 << 20))  # above the 1 MiB threshold
+    time.sleep(60)
+
+
+@pytest.mark.parametrize("read_after_sweep", [False, True])
+def test_spill_of_a_killed_sender_is_swept(read_after_sweep):
+    """The channel's >1 MB spill file outlives a sender that is killed
+    before the reader takes it (what ``_WorkerHandle._abandon`` does on
+    cancel, deadline and missed heartbeats).  It lives in the segments'
+    namespace, so the dead-owner sweep reclaims it — and a reader that
+    comes for it afterwards gets the typed worker-death error."""
+    from repro.runtime.executors import (WorkerProcessDied, _Channel,
+                                         _WorkerHandle)
+    shm.sweep_stale()  # whatever dead processes left here before
+    ctx = multiprocessing.get_context("spawn")
+    parent, child = ctx.Pipe()
+    proc = ctx.Process(target=_spill_and_hang, args=(child,), daemon=True)
+    proc.start()
+    child.close()
+    try:
+        assert parent.poll(30)  # the header is sent after the file is written
+        spilled = glob.glob(f"/dev/shm/repro-shm-{proc.pid}-ipc-*")
+        assert len(spilled) == 1
+        assert os.path.getsize(spilled[0]) > 2 << 20
+        assert spilled[0] in shm_files()  # the orphan checks see it
+    finally:
+        proc.kill()
+        proc.join(30)
+    assert not proc.is_alive()
+    handle = _WorkerHandle.__new__(_WorkerHandle)
+    handle.channel, handle.process, handle._dead = _Channel(parent), proc, False
+    if not read_after_sweep:
+        handle.channel.close()  # unread: the receiver never owned the file
+        assert os.path.exists(spilled[0])
+    assert shm.sweep_stale() == 1
+    assert not glob.glob(f"/dev/shm/repro-shm-{proc.pid}-*")
+    if read_after_sweep:
+        with pytest.raises(WorkerProcessDied):
+            handle.receive()
+        assert not handle.alive
+        handle.channel.close()
 
 
 def test_env_var_disables_plane(monkeypatch):
