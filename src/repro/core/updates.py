@@ -249,22 +249,11 @@ def apply_delta(fragmentation: Fragmentation,
         fix_inner(u)
         fix_inner(v)
 
-    # Published shared-memory segments absorb the batch before the
-    # invalidation pass: weight-only fragment deltas are patched into
-    # the mapped arrays in place, and the patched fragments keep their
-    # (shared) snapshots.  Every other mutated fragment retires its
-    # snapshot together with the rows the batch dirtied, so the next
-    # read splices the new snapshot instead of rebuilding it.
-    patched: Dict[int, Any] = {}
-    if touched:
-        from repro.runtime import shm
-        patched = shm.notify_delta(fragmentation.cache_token[0],
-                                   fragmentation.version + 1, touched)
+    # Every mutated fragment retires its snapshot together with the rows
+    # the batch dirtied, so the next read splices the new snapshot
+    # instead of rebuilding it.
     for fid in mutated_graphs:
-        frag = fragmentation[fid]
-        snap = patched.get(fid)
-        if snap is None or not frag.keep_patched_csr(snap):
-            frag.invalidate_csr(touched[fid].dirty_nodes())
+        fragmentation[fid].invalidate_csr(touched[fid].dirty_nodes())
     if touched:
         # Stamp sequence numbers and invalidate worker-side fragment
         # caches (process backend): the next lease replays these deltas,

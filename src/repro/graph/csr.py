@@ -106,29 +106,23 @@ def _digests(texts: List[str]) -> np.ndarray:
 
 
 class CSRGraph:
-    """Immutable CSR adjacency with parallel reverse (CSC) structure.
+    """Immutable CSR adjacency.
 
     Attributes
     ----------
     indptr, indices, weights:
-        Standard CSR arrays over dense node ids ``0..n-1``.
-    rev_indptr, rev_indices, rev_weights:
-        The transposed (incoming-edge) structure.  Derived from the
-        forward arrays on first use and kept: only the reseed kernels of
-        bounded maintenance and the shared-memory publish read it, so a
-        snapshot built or spliced for a plain query never pays for it.
+        Standard CSR arrays over dense node ids ``0..n-1``, read-only
+        from construction on: nothing writes a snapshot, whether its
+        arrays are private or map a published shared-memory segment.
     id_of, node_of:
         Mappings between original node objects and dense ids.
     """
 
-    __slots__ = ("n", "directed", "indptr", "indices", "weights", "_rev",
+    __slots__ = ("n", "directed", "indptr", "indices", "weights",
                  "id_of", "node_of", "labels", "_label_index", "_min_weight")
 
     def __init__(self, n: int, directed: bool,
                  indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
-                 rev_indptr: Optional[np.ndarray],
-                 rev_indices: Optional[np.ndarray],
-                 rev_weights: Optional[np.ndarray],
                  id_of: Dict[Node, int], node_of: List[Node],
                  labels: List):
         self.n = n
@@ -136,10 +130,8 @@ class CSRGraph:
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
-        # (rev_indptr, rev_indices, rev_weights); one tuple so a
-        # concurrent first use publishes all three at once
-        self._rev = (None if rev_indptr is None
-                     else (rev_indptr, rev_indices, rev_weights))
+        for arr in (indptr, indices, weights):
+            arr.flags.writeable = False
         self.id_of = id_of
         self.node_of = node_of
         self.labels = labels
@@ -158,38 +150,6 @@ class CSRGraph:
             low = self._min_weight = (float(self.weights.min())
                                       if self.weights.size else float("inf"))
         return low
-
-    def weights_patched(self) -> None:
-        """The shared-memory plane rewrote weights of this snapshot's
-        mapped arrays in place: what was derived from them is stale."""
-        self._min_weight = None
-
-    def _reverse(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rev = self._rev
-        if rev is None:
-            # Stable argsort over destinations: bucket placement with
-            # sources ascending inside each bucket.
-            n, dst = self.n, self.indices
-            in_deg = np.zeros(n + 1, dtype=np.int64)
-            in_deg[1:] = np.bincount(dst, minlength=n)
-            src = np.repeat(np.arange(n, dtype=np.int64),
-                            np.diff(self.indptr))
-            order = np.argsort(dst, kind="stable")
-            rev = self._rev = (np.cumsum(in_deg), src[order],
-                               self.weights[order])
-        return rev
-
-    @property
-    def rev_indptr(self) -> np.ndarray:
-        return self._reverse()[0]
-
-    @property
-    def rev_indices(self) -> np.ndarray:
-        return self._reverse()[1]
-
-    @property
-    def rev_weights(self) -> np.ndarray:
-        return self._reverse()[2]
 
     # ------------------------------------------------------------------
     @classmethod
@@ -254,14 +214,14 @@ class CSRGraph:
         if base is None:
             indptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
-            return cls(n, g.directed, indptr, dst, wgt, None, None, None,
-                       id_of, node_of, labels)
+            return cls(n, g.directed, indptr, dst, wgt, id_of, node_of,
+                       labels)
         indptr, (indices, weights) = splice_rows(
             base.indptr, (base.indices if remap is None
                           else remap[base.indices], base.weights),
             source, counts, (dst, wgt))
-        snap = cls(n, g.directed, indptr, indices, weights,
-                   None, None, None, id_of, node_of, labels)
+        snap = cls(n, g.directed, indptr, indices, weights, id_of, node_of,
+                   labels)
         if remap is None:
             snap._label_index = base._label_index
         return snap
@@ -323,16 +283,13 @@ class CSRGraph:
         label_list = ([labels.get(v) for v in node_of] if labels
                       else [None] * n)
         return cls(n, directed, indptr, dst[order], wgt[order],
-                   None, None, None, id_of, node_of, label_list)
+                   id_of, node_of, label_list)
 
     # ------------------------------------------------------------------
     # Array (de)serialization — the durable store's snapshot payload
     # ------------------------------------------------------------------
     def to_arrays(self) -> Dict[str, np.ndarray]:
-        """The forward CSR arrays, the complete structural payload.
-
-        The reverse (CSC) structure is derived, not stored — roughly
-        halving snapshot size.  Node
+        """The CSR arrays, the complete structural payload.  Node
         identities and labels are Python objects and travel separately
         (the snapshot container pickles them as metadata).
         """
@@ -353,7 +310,7 @@ class CSRGraph:
                              f"for {n} nodes")
         return cls(n, directed, np.asarray(indptr, dtype=np.int64),
                    np.asarray(indices, dtype=np.int64),
-                   np.asarray(weights, dtype=np.float64), None, None, None,
+                   np.asarray(weights, dtype=np.float64),
                    dict(zip(node_of, range(n))), node_of,
                    list(labels) if labels is not None else [None] * n)
 
@@ -386,9 +343,8 @@ class CSRGraph:
     # Shared-memory (de)serialization — the process backend's zero-copy
     # fragment plane (repro.runtime.shm)
     # ------------------------------------------------------------------
-    #: the six structural arrays a shared segment carries, in layout order
-    SHARED_FIELDS = ("indptr", "indices", "weights",
-                     "rev_indptr", "rev_indices", "rev_weights")
+    #: the structural arrays a shared segment carries, in layout order
+    SHARED_FIELDS = ("indptr", "indices", "weights")
     _SHARED_ALIGN = 64
 
     @classmethod
@@ -405,11 +361,8 @@ class CSRGraph:
 
     def to_shared(self, buf, offset: int = 0
                   ) -> List[Tuple[str, str, int, int]]:
-        """Copy the six structural arrays into ``buf`` (any writable
-        buffer — typically a mapped shared segment) starting at
-        ``offset``.  Unlike :meth:`to_arrays` both orientations are
-        stored (deriving the reverse here if nothing has yet): attachers
-        must not pay the reverse-derivation pass.
+        """Copy the structural arrays into ``buf`` (any writable buffer —
+        typically a mapped shared segment) starting at ``offset``.
         Returns the ``(field, dtype, count, offset)`` layout placed."""
         layout: List[Tuple[str, str, int, int]] = []
         for name in self.SHARED_FIELDS:
@@ -427,22 +380,14 @@ class CSRGraph:
                     id_of: Dict[Node, int], node_of: List[Node],
                     labels: List) -> "CSRGraph":
         """Zero-copy snapshot over a shared buffer written by
-        :meth:`to_shared`: every array is a view into ``buf`` (read-only
-        when the buffer is, and flagged read-only regardless), so the
+        :meth:`to_shared`: every array is a view into ``buf``, so the
         buffer must stay mapped for the snapshot's lifetime."""
-        views: Dict[str, np.ndarray] = {}
-        for name, dtype, count, off in layout:
-            if name not in cls.SHARED_FIELDS:
-                continue
-            arr = np.frombuffer(buf, dtype=dtype, count=count, offset=off)
-            if arr.flags.writeable:
-                arr = arr.view()
-                arr.flags.writeable = False
-            views[name] = arr
+        views = {name: np.frombuffer(buf, dtype=dtype, count=count,
+                                     offset=off)
+                 for name, dtype, count, off in layout
+                 if name in cls.SHARED_FIELDS}
         return cls(n, directed, views["indptr"], views["indices"],
-                   views["weights"], views["rev_indptr"],
-                   views["rev_indices"], views["rev_weights"],
-                   id_of, node_of, labels)
+                   views["weights"], id_of, node_of, labels)
 
     # ------------------------------------------------------------------
     @property
@@ -485,17 +430,8 @@ class CSRGraph:
     def out_weights(self, vid: int) -> np.ndarray:
         return self.weights[self.indptr[vid]:self.indptr[vid + 1]]
 
-    def in_neighbors(self, vid: int) -> np.ndarray:
-        return self.rev_indices[self.rev_indptr[vid]:self.rev_indptr[vid + 1]]
-
-    def in_weights(self, vid: int) -> np.ndarray:
-        return self.rev_weights[self.rev_indptr[vid]:self.rev_indptr[vid + 1]]
-
     def out_degree(self, vid: int) -> int:
         return int(self.indptr[vid + 1] - self.indptr[vid])
-
-    def in_degree(self, vid: int) -> int:
-        return int(self.rev_indptr[vid + 1] - self.rev_indptr[vid])
 
     @property
     def num_directed_edges(self) -> int:

@@ -342,15 +342,6 @@ class FragmentDelta:
         return bool(self.insertions or self.deletions or self.weight_changes
                     or self.new_nodes or self.retired_nodes)
 
-    @property
-    def weight_only(self) -> bool:
-        """Reweights without any structural change — the shape-preserving
-        case the shared-memory arena patches into mapped CSR arrays in
-        place instead of republishing the segment."""
-        return bool(self.weight_changes) and not (
-            self.insertions or self.deletions
-            or self.new_nodes or self.retired_nodes)
-
     def dirty_nodes(self) -> Set[Node]:
         """Every node whose local adjacency row this delta changed, added
         or removed — what the fragment's next CSR snapshot must re-read
@@ -377,7 +368,7 @@ class FragmentDelta:
                     or self.outer_added or self.outer_removed)
 
     # -- remote replay --------------------------------------------------
-    def replay(self, fragment, *, keep_csr: bool = False) -> None:
+    def replay(self, fragment) -> None:
         """Apply this delta to a (remote) copy of the fragment.
 
         Mutation order mirrors :func:`repro.core.updates.apply_delta`
@@ -387,12 +378,6 @@ class FragmentDelta:
         Invalidate-on-mutate keeps the copy's CSR epoch moving just like
         the original's, and hands it the same dirty rows to splice its
         next snapshot from.
-
-        ``keep_csr`` is the shared-memory fast path: the coordinator
-        attests that this delta is weight-only and already patched into
-        the segment the copy's CSR maps, so the views stay valid — the
-        epoch advances without dropping the snapshot.  It is honoured
-        only when those conditions actually hold locally.
         """
         g = fragment.graph
         for v, label in self.new_nodes:
@@ -413,10 +398,7 @@ class FragmentDelta:
         fragment.outer.update(self.outer_added)
         fragment.outer.difference_update(self.outer_removed)
         if self.mutates_graph:
-            if keep_csr and self.weight_only and fragment.csr_shared:
-                fragment.touch_csr_epoch()
-            else:
-                fragment.invalidate_csr(self.dirty_nodes())
+            fragment.invalidate_csr(self.dirty_nodes())
 
     def __repr__(self) -> str:
         return (f"FragmentDelta(fid={self.fid}, seq={self.seq}, "

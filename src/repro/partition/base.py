@@ -201,31 +201,11 @@ class Fragment:
         while decoding, so the first query should not pay
         ``from_graph`` again) and the shared-memory fragment plane
         (``shared=True`` — the snapshot's arrays are views over a mapped
-        segment, patched in place by weight-only deltas)."""
+        segment)."""
         with self._csr_lock:
             self._csr = snap
             self._csr_pending = None
             self._csr_shared = shared
-
-    def touch_csr_epoch(self) -> None:
-        """Advance the epoch while keeping the snapshot: its mapped
-        arrays were patched in place, so derived arrays keyed on the
-        old epoch must refresh but the snapshot itself stays valid."""
-        with self._csr_lock:
-            self.csr_epoch += 1
-            if self._csr is not None:
-                self._csr.weights_patched()
-
-    def keep_patched_csr(self, snap) -> bool:
-        """After a weight-only delta the arena patched ``snap`` (the
-        shared snapshot) in place: keep it and advance the epoch if it
-        is still the installed shared snapshot.  Returns whether it was
-        kept; if not, the caller invalidates as for any other delta."""
-        with self._csr_lock:
-            if self._csr_shared and self._csr is snap:
-                self.csr_epoch += 1
-                return True
-        return False
 
     @property
     def csr_shared(self) -> bool:
@@ -638,8 +618,7 @@ class Fragmentation:
         holding older copies fall back to a full re-ship — the escape
         hatch for mutations that bypass
         :func:`repro.core.updates.apply_delta`.  Published shared-memory
-        segments for this token are staled for the same reason: no delta
-        describes the mutation, so in-place patching is impossible.
+        segments for this token go stale with them.
         """
         self.version += 1
         from repro.runtime import shm
@@ -653,9 +632,12 @@ class Fragmentation:
         version as its sequence number; pooled process workers whose
         cached fragments lag by at most ``_DELTA_LOG_LIMIT`` logged
         versions are brought current by replaying these deltas instead
-        of re-shipping whole fragments.
+        of re-shipping whole fragments.  Published shared-memory
+        segments of the touched fragments go stale.
         """
         self.version += 1
+        from repro.runtime import shm
+        shm.notify_delta(self._token_id, self.version, touched)
         for delta in touched.values():
             delta.seq = self.version
         self._delta_log[self.version] = dict(touched)

@@ -61,7 +61,7 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
-                    Tuple, Union)
+                    Set, Tuple, Union)
 
 from repro.obs import events as _events
 from repro.resilience import faults as _fault_plane
@@ -716,8 +716,8 @@ def _worker_main(conn, heartbeat=None) -> None:
             kind = msg[0]
             if kind == "init":
                 (token, program, query, ship_blob, reuse_fids,
-                 base_token, replay_blob, descriptors, patched_fids,
-                 shm_fault, want_trace) = msg[1:]
+                 base_token, replay_blob, descriptors, shm_fault,
+                 want_trace) = msg[1:]
                 # tracing: worker-side setup measurements shipped back
                 # by value as (name, duration_s, tags) tuples
                 wspans: List[Tuple[str, float, Dict]] = []
@@ -730,7 +730,6 @@ def _worker_main(conn, heartbeat=None) -> None:
                                    time.perf_counter() - t0,
                                    {"fragments": len(shipped)}))
                 replay = pickle.loads(replay_blob) if replay_blob else {}
-                patched = set(patched_fids or ())
                 if base_token is not None and base_token in frag_cache:
                     # Cached copies of an older version: replay the
                     # logged per-fragment deltas to bring them current,
@@ -742,21 +741,17 @@ def _worker_main(conn, heartbeat=None) -> None:
                 for fid, deltas in (replay or {}).items():
                     frag = cache.get(fid)
                     if frag is not None:
-                        # the coordinator vouches (via patched_fids)
-                        # that this fragment's mapped arrays already
-                        # hold the post-delta values — keep the
-                        # zero-copy CSR instead of invalidating it
-                        keep = fid in patched
                         t0 = time.perf_counter()
                         for delta in deltas:
-                            delta.replay(frag, keep_csr=keep)
+                            delta.replay(frag)
                         if want_trace:
                             wspans.append(("delta.replay",
                                            time.perf_counter() - t0,
                                            {"fid": fid,
                                             "deltas": len(deltas)}))
-                        if not keep:
-                            seg_keep.pop((token[0], fid), None)
+                        # the copy moved past its segment (which stays
+                        # mapped while a retired snapshot views it)
+                        seg_keep.pop((token[0], fid), None)
                 # shared-memory attaches: map each published segment and
                 # wrap zero-copy CSR views; any failure falls back to a
                 # coordinator re-ship of that fragment
@@ -871,10 +866,10 @@ class _WorkerHandle:
         self.channel = _Channel(parent)
         #: fragmentation token -> fids this worker holds resident
         self.cached: Dict[Any, set] = {}
-        #: (token_id, fid) -> segment generation this worker has mapped;
-        #: each entry holds one arena refcount, released when the pin is
-        #: dropped (mirrors the worker's ``seg_keep``)
-        self.shm_attached: Dict[Tuple[int, int], int] = {}
+        #: the (token_id, fid) segments this worker has mapped; each
+        #: holds one arena refcount, released when the pin is dropped
+        #: (mirrors the worker's ``seg_keep``)
+        self.shm_attached: Set[Tuple[int, int]] = set()
         #: set the moment a pipe error is observed: ``is_alive`` can
         #: race True for a few microseconds after a SIGKILL, and a dead
         #: handle slipping back into the idle pool would poison the
@@ -1224,11 +1219,6 @@ class ProcessBackend(ExecutorBackend):
                         descriptors[fid] = desc
                     else:
                         ship[fid] = fragmentation[fid]
-                # Replayed fragments whose mapped arrays already hold
-                # the post-delta values may keep their zero-copy CSR.
-                patched = (arena.keepable_fids(token[0], token[1],
-                                               handle.shm_attached, replay)
-                           if arena is not None and replay else set())
                 # Pickle bulk payloads exactly once: the blobs both
                 # cross the pipe and are the byte-accounting figures.
                 replay_blob = None
@@ -1245,8 +1235,7 @@ class ProcessBackend(ExecutorBackend):
                              if descriptors else None)
                 failed, init_spans = handle.request((
                     "init", token, program, query, ship_blob, reuse,
-                    base_token, replay_blob, descriptors,
-                    sorted(patched), shm_fault,
+                    base_token, replay_blob, descriptors, shm_fault,
                     init_span is not None))
                 failed = failed or []
                 if init_span is not None:
@@ -1272,27 +1261,19 @@ class ProcessBackend(ExecutorBackend):
                 handle.cached[token] = entry | assigned
                 if _evict_cached(handle.cached, token):
                     self._drop_dead_pins(handle)
-                # mirror the worker's segment pins: replayed-without-keep
+                # mirror the worker's segment pins: replayed fragments
                 # and failed attaches drop a reference, fresh attaches
                 # take one (republished generations carry their refs)
                 if arena is not None:
-                    failed_set = set(failed)
-                    for fid in replay:
-                        key = (token[0], fid)
-                        if (fid not in patched
-                                and key in handle.shm_attached):
-                            del handle.shm_attached[key]
-                            arena.release(*key)
-                    for fid in descriptors:
-                        key = (token[0], fid)
-                        if fid in failed_set:
-                            if handle.shm_attached.pop(key, None) is not None:
-                                arena.release(*key)
-                        else:
-                            if key not in handle.shm_attached:
-                                arena.retain(*key)
-                            handle.shm_attached[key] = \
-                                descriptors[fid].generation
+                    pins = handle.shm_attached
+                    dropped = {(token[0], fid) for fid in (*replay, *failed)}
+                    attached = {(token[0], fid) for fid in descriptors
+                                if fid not in failed}
+                    for key in dropped & pins:
+                        arena.release(*key)
+                    for key in attached - pins:
+                        arena.retain(*key)
+                    handle.shm_attached = (pins - dropped) | attached
                 full_shipped += len(need)
                 if init_span is not None:
                     init_span.finish()
@@ -1324,14 +1305,14 @@ class ProcessBackend(ExecutorBackend):
         live_tids = {t[0] for t in handle.cached}
         for key in [k for k in handle.shm_attached
                     if k[0] not in live_tids]:
-            del handle.shm_attached[key]
+            handle.shm_attached.remove(key)
             if self._arena is not None:
                 self._arena.release(*key)
 
     def _release_handle_refs(self, handle: _WorkerHandle) -> None:
         """A worker is gone (dead or stopped): its mappings are gone
         with it, so every arena reference it held is returned."""
-        pins, handle.shm_attached = handle.shm_attached, {}
+        pins, handle.shm_attached = handle.shm_attached, set()
         if self._arena is not None:
             for tid, fid in pins:
                 self._arena.release(tid, fid)

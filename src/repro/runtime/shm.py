@@ -11,29 +11,35 @@ pipe drop to near zero and the worker-side CSR rebuild disappears.
 
 Layout of a segment (array offsets 64-byte aligned)::
 
-    indptr | indices | weights | rev_indptr | rev_indices | rev_weights
+    indptr | indices | weights
            | meta (pickled Fragment: fid, dict graph, owned/inner/outer)
 
-Providers: on Linux segments are plain files in ``/dev/shm``
-(``repro-shm-<pid>-…``) — the tmpfs and the namespace the channel's
->1MB payload spill uses too (``repro-shm-<pid>-ipc-…``) — because
-``multiprocessing.shared_memory``'s resource tracker unlinks attached
-segments behind long-lived pools.  The names
-carry the publishing PID so :func:`sweep_stale` can reclaim segments
-whose owner died without unlinking (the same discipline as the
-Arbitrator's checkpoint GC).  Where ``/dev/shm`` is unavailable,
-``multiprocessing.shared_memory`` is the fallback provider.  Set
-``REPRO_SHM=0`` to disable the plane entirely (every caller degrades to
-the pickle shipping path).
+A segment is never written after publish.  A fragment an update batch
+touches retires its snapshot like any other and splices the next one
+from the (still mapped, read-only) arrays and its dirty rows; the
+segment is merely *stale*, and a worker that lacks the fragment later
+gets a fresh publish.
+
+The provider is plain files in ``/dev/shm`` (``repro-shm-<pid>-…``) —
+the tmpfs and the namespace the channel's >1MB payload spill uses too
+(``repro-shm-<pid>-ipc-…``) — mapped ``PROT_READ`` by attachers; nothing
+registers with ``multiprocessing``'s resource tracker, which would
+unlink attached segments behind long-lived pools.  The names carry the
+publishing PID so :func:`sweep_stale` can reclaim segments whose owner
+died without unlinking (the same discipline as the Arbitrator's
+checkpoint GC).  Without a writable ``/dev/shm``, or with
+``REPRO_SHM=0``, the plane reports unavailable and every caller uses the
+pickle shipping path.
 
 Lifecycle is owned by :class:`ShmArena` (one per ``ProcessBackend``):
-entries are keyed by ``(token_id, fid)``, re-published when a
-structural delta makes the arrays stale, patched in place for
-weight-only deltas, reference-counted against worker cache mirrors, and
-unlinked on token retirement, LRU eviction, arena close and interpreter
-exit.  Unlinking removes only the *name* — existing worker mappings
-stay valid until the last view is dropped (POSIX semantics), so eager
-unlink is always safe.
+entries are keyed by ``(token_id, fid)``, reference-counted against
+worker cache mirrors, and unlinked the moment they go stale (an update
+batch touched the fragment, or the version moved out of band), on token
+retirement, LRU eviction, arena close and interpreter exit.  Unlinking
+removes only the *name* — existing mappings stay valid until the last
+view is dropped (POSIX semantics), so eager unlink is always safe, and
+what :meth:`ShmArena.stats` counts is exactly what can still be
+attached.
 """
 
 from __future__ import annotations
@@ -47,9 +53,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.graph.csr import CSRGraph
 
@@ -105,11 +109,10 @@ class _Segment:
 class _FileProvider:
     """Named files on a tmpfs (``/dev/shm``), mapped with ``mmap``.
 
-    The primary provider on Linux: attach-side mappings are
-    ``PROT_READ`` (true read-only views) and nothing registers with the
-    multiprocessing resource tracker, so a long-lived pool can outlive
-    the publishing coordinator's helper processes without spurious
-    unlinks."""
+    Attach-side mappings are ``PROT_READ`` (true read-only views) and
+    nothing registers with the multiprocessing resource tracker, so a
+    long-lived pool can outlive the publishing coordinator's helper
+    processes without spurious unlinks."""
 
     kind = "file"
 
@@ -155,42 +158,6 @@ class _FileProvider:
         return [e for e in entries if e.startswith(_SEG_PREFIX)]
 
 
-class _SharedMemoryProvider:
-    """``multiprocessing.shared_memory`` fallback for platforms without
-    a writable ``/dev/shm``.  Attached views are read-write (POSIX shm
-    has no per-mapping protection here) and orphan listing is
-    unavailable, so :func:`sweep_stale` is a no-op under it."""
-
-    kind = "shared_memory"
-
-    def create(self, name: str, size: int) -> _Segment:
-        from multiprocessing import shared_memory
-        seg = shared_memory.SharedMemory(name=name, create=True, size=size)
-        return _Segment(name, seg.buf, seg)
-
-    def attach(self, name: str, size: int) -> _Segment:
-        from multiprocessing import shared_memory
-        seg = shared_memory.SharedMemory(name=name)
-        if seg.buf.nbytes < size:
-            raise OSError(f"segment {name} truncated: "
-                          f"{seg.buf.nbytes} < {size} bytes")
-        return _Segment(name, seg.buf, seg)
-
-    def unlink(self, name: str) -> None:
-        from multiprocessing import shared_memory
-        try:
-            seg = shared_memory.SharedMemory(name=name)
-        except OSError:
-            return
-        try:
-            seg.unlink()
-        finally:
-            seg.close()
-
-    def segments(self) -> List[str]:  # pragma: no cover - no listing API
-        return []
-
-
 _provider_lock = threading.Lock()
 _provider_box: List[Any] = []
 
@@ -200,16 +167,13 @@ def _make_provider():
         return None
     if os.path.isdir(_DEFAULT_DIR) and os.access(_DEFAULT_DIR, os.W_OK):
         return _FileProvider(_DEFAULT_DIR)
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except Exception:  # pragma: no cover - crippled platform
-        return None
-    return _SharedMemoryProvider()
+    return None
 
 
 def provider():
-    """The process-wide segment provider (None when shm is disabled or
-    unavailable — every caller then uses the pickle shipping path)."""
+    """The process-wide segment provider: a :class:`_FileProvider`, or
+    None when shm is disabled or ``/dev/shm`` is not writable — every
+    caller then uses the pickle shipping path."""
     with _provider_lock:
         if not _provider_box:
             _provider_box.append(_make_provider())
@@ -303,52 +267,21 @@ def attach_fragment(desc: SegmentDescriptor, timings=None):
     return frag, seg
 
 
-def _coordinator_views(seg, desc, csr):
-    """Read-only CSR over the coordinator's own (writable) mapping, plus
-    the writable per-field arrays used for in-place weight patching."""
-    patch: Dict[str, np.ndarray] = {}
-    ro: Dict[str, np.ndarray] = {}
-    for name, dtype, count, off in desc.layout:
-        if name == "meta":
-            continue
-        arr = np.frombuffer(seg.buf, dtype=dtype, count=count, offset=off)
-        patch[name] = arr
-        view = arr.view()
-        view.flags.writeable = False
-        ro[name] = view
-    shared = CSRGraph(desc.n, desc.directed, ro["indptr"], ro["indices"],
-                      ro["weights"], ro["rev_indptr"], ro["rev_indices"],
-                      ro["rev_weights"], csr.id_of, csr.node_of, csr.labels)
-    return shared, patch
-
-
 # ---------------------------------------------------------------------------
 # Arena
 # ---------------------------------------------------------------------------
 class _Entry:
-    __slots__ = ("seg", "descriptor", "csr", "patch", "version",
-                 "published_version", "generation", "compat_floor",
-                 "refs", "stale")
+    __slots__ = ("descriptor", "version", "refs", "stale")
 
-    def __init__(self, seg, descriptor, csr, patch, version,
-                 generation, compat_floor, refs) -> None:
-        self.seg = seg
+    def __init__(self, descriptor, version, refs) -> None:
         self.descriptor = descriptor
-        self.csr = csr
-        self.patch = patch
-        #: fragmentation version the *arrays* are current for
+        #: fragmentation version the segment is current for
         self.version = version
-        #: fragmentation version the pickled meta region is current for
-        #: (falls behind ``version`` after in-place patches — new
-        #: attaches then force a republish, existing mappings stay good)
-        self.published_version = version
-        self.generation = generation
-        #: oldest generation whose arrays hold the same values as this
-        #: one — a worker mapping any generation >= the floor may keep
-        #: its CSR across a weight-only replay
-        self.compat_floor = compat_floor
-        #: worker cache-mirror entries referencing this segment
+        #: worker cache-mirror entries referencing this segment (or an
+        #: older generation of it: the count belongs to the key)
         self.refs = refs
+        #: the name is unlinked and never served again; the entry stays
+        #: for its reference count and generation
         self.stale = False
 
 
@@ -369,7 +302,6 @@ class ShmArena:
         self._closed = False
         # lifetime counters (benchmarks, tests, leak audits)
         self.publishes = 0
-        self.patches = 0
         self.ref_leaks = 0
         if self._provider is not None:
             sweep_stale(self._provider)
@@ -392,15 +324,13 @@ class ShmArena:
             self._token_order.pop(token_id, None)
             self._token_order[token_id] = None
             entry = self._entries.get(key)
-            current = (entry is not None and not entry.stale
-                       and entry.version == version)
-            if current and entry.published_version == version:
-                return entry.descriptor
-            generation = entry.generation + 1 if entry is not None else 0
-            compat_floor = entry.compat_floor if current else generation
-            refs = entry.refs if entry is not None else 0
+            generation = refs = 0
             if entry is not None:
-                self._provider.unlink(entry.descriptor.name)
+                if not entry.stale and entry.version == version:
+                    return entry.descriptor
+                self._retire(entry)
+                generation = entry.descriptor.generation + 1
+                refs = entry.refs
             csr = frag.csr()
             try:
                 seg, desc = publish_fragment(self._provider, token_id,
@@ -408,124 +338,53 @@ class ShmArena:
             except (OSError, ValueError, pickle.PicklingError):
                 self._entries.pop(key, None)
                 return None
-            shared_csr, patch = _coordinator_views(seg, desc, csr)
-            self._entries[key] = _Entry(seg, desc, shared_csr, patch,
-                                        version, generation, compat_floor,
-                                        refs)
+            self._entries[key] = _Entry(desc, version, refs)
             self.publishes += 1
             evict = list(self._token_order)[:-self._max_tokens] \
                 if len(self._token_order) > self._max_tokens else []
             for tid in evict:
                 self._forget_locked(tid)
-        # The coordinator adopts the shared view too: its own fragment
-        # now reads the published pages, weight patches are visible on
-        # both sides, and the dict->CSR build happens once per publish.
-        frag.install_csr(shared_csr, shared=True)
+        # The coordinator adopts the published pages too (read-only
+        # views over its own mapping) and lets its private arrays go.
+        frag.install_csr(CSRGraph.from_shared(
+            seg.buf, desc.layout, n=csr.n, directed=csr.directed,
+            id_of=csr.id_of, node_of=csr.node_of, labels=csr.labels),
+            shared=True)
         return desc
 
     def current_generation(self, token_id: int, version: int,
                            fid: int) -> Optional[int]:
         """Generation serving ``(token_id, fid)`` at ``version``, if the
-        entry's arrays are current (used by tests and leak audits)."""
+        entry is current (used by tests and leak audits)."""
         with self._lock:
             entry = self._entries.get((token_id, fid))
             if entry is None or entry.stale or entry.version != version:
                 return None
-            return entry.generation
-
-    def keepable_fids(self, token_id: int, version: int,
-                      attached: Dict[Tuple[int, int], int],
-                      fids: Iterable[int]) -> Set[int]:
-        """Which of ``fids`` a worker holding ``attached`` generation
-        records may replay *without* dropping its mapped CSR: the
-        entry's arrays are current at ``version`` and the worker's
-        generation is value-compatible (patched in place to the same
-        values)."""
-        keep: Set[int] = set()
-        with self._lock:
-            for fid in fids:
-                gen = attached.get((token_id, fid))
-                if gen is None:
-                    continue
-                entry = self._entries.get((token_id, fid))
-                if (entry is not None and not entry.stale
-                        and entry.version == version
-                        and gen >= entry.compat_floor):
-                    keep.add(fid)
-        return keep
+            return entry.descriptor.generation
 
     # -- delta maintenance ---------------------------------------------
     def apply_delta(self, token_id: int, new_version: int,
-                    touched: Dict[int, Any]) -> Dict[int, Any]:
-        """Advance this arena's entries past one applied update batch.
-
-        Per entry of ``token_id``: untouched fragments stay current at
-        the new version; weight-only deltas are patched into the mapped
-        arrays in place (both sides see the new weights with no
-        republish); border-only deltas keep the arrays but stale the
-        meta region; structural deltas stale the entry (lazily
-        republished at the next descriptor request).  Returns
-        ``{fid: shared_csr}`` for the fragments patched in place — the
-        caller keeps those snapshots live instead of invalidating."""
-        patched: Dict[int, Any] = {}
-        if self._provider is None:
-            return patched
+                    touched: Dict[int, Any]) -> None:
+        """Advance this arena's entries past one applied update batch:
+        a fragment the batch touched (graph or border sets — the pickled
+        meta region holds both) goes stale and is republished at the
+        next descriptor request; the others are current at the new
+        version."""
         with self._lock:
             for (tid, fid), entry in self._entries.items():
                 if tid != token_id or entry.stale:
                     continue
-                delta = touched.get(fid)
-                if delta is None:
-                    entry.version = new_version
-                    entry.published_version = new_version
-                elif not delta.mutates_graph:
-                    # border-set churn only: arrays untouched, pickled
-                    # meta stale -> republish before any new attach
-                    entry.version = new_version
-                elif getattr(delta, "weight_only", False) \
-                        and self._patch(entry, delta):
-                    entry.version = new_version
-                    self.patches += 1
-                    patched[fid] = entry.csr
+                if fid in touched:
+                    self._retire(entry)
                 else:
-                    entry.stale = True
-        return patched
+                    entry.version = new_version
 
-    @staticmethod
-    def _patch(entry: _Entry, delta) -> bool:
-        """Write a weight-only delta into the mapped arrays.  Returns
-        False (caller stales the entry) if any changed edge is missing
-        from the published CSR — half-applied writes are then never
-        served."""
-        csr = entry.csr
-        id_of = csr.id_of
-        fwd = entry.patch["weights"]
-        rev = entry.patch["rev_weights"]
-        indptr, indices = csr.indptr, csr.indices
-        rev_indptr, rev_indices = csr.rev_indptr, csr.rev_indices
-        for u, v, _old, new in delta.weight_changes:
-            pairs = [(u, v)]
-            if not csr.directed and u != v:
-                # the local graph stores both orientations; the delta
-                # records the one(s) the owner saw
-                pairs.append((v, u))
-            for a, b in pairs:
-                ai = id_of.get(a)
-                bi = id_of.get(b)
-                if ai is None or bi is None:
-                    return False
-                s, e = indptr[ai], indptr[ai + 1]
-                hits = np.nonzero(indices[s:e] == bi)[0]
-                if hits.size == 0:
-                    return False
-                fwd[s + hits] = new
-                s, e = rev_indptr[bi], rev_indptr[bi + 1]
-                hits = np.nonzero(rev_indices[s:e] == ai)[0]
-                if hits.size == 0:
-                    return False
-                rev[s + hits] = new
-        csr.weights_patched()
-        return True
+    def _retire(self, entry: _Entry) -> None:
+        """Stale ``entry`` and unlink its name (caller holds the lock).
+        Mappings of it stay valid; nothing new can attach."""
+        if not entry.stale:
+            entry.stale = True
+            self._provider.unlink(entry.descriptor.name)
 
     # -- lifecycle -----------------------------------------------------
     def retain(self, token_id: int, fid: int) -> bool:
@@ -547,14 +406,14 @@ class ShmArena:
         with self._lock:
             for (tid, _fid), entry in self._entries.items():
                 if tid == token_id:
-                    entry.stale = True
+                    self._retire(entry)
 
     def _forget_locked(self, token_id: int) -> int:
         released = 0
         for key in [k for k in self._entries if k[0] == token_id]:
             entry = self._entries.pop(key)
             released += entry.refs
-            self._provider.unlink(entry.descriptor.name)
+            self._retire(entry)
         self._token_order.pop(token_id, None)
         return released
 
@@ -568,11 +427,12 @@ class ShmArena:
             return self._forget_locked(token_id)
 
     def stats(self) -> Tuple[int, int]:
-        """(active segments, mapped bytes) currently owned."""
+        """(segments, bytes) a worker could attach right now — stale
+        entries are unlinked already and count for nothing."""
         with self._lock:
-            segs = len(self._entries)
-            nbytes = sum(e.descriptor.nbytes for e in self._entries.values())
-        return segs, nbytes
+            live = [e.descriptor.nbytes for e in self._entries.values()
+                    if not e.stale]
+        return len(live), sum(live)
 
     def close(self) -> None:
         """Unlink everything.  References still outstanding here are
@@ -580,13 +440,11 @@ class ShmArena:
         recorded in ``ref_leaks``."""
         with self._lock:
             self._closed = True
-            entries = list(self._entries.values())
+            for entry in self._entries.values():
+                self.ref_leaks += entry.refs
+                self._retire(entry)
             self._entries.clear()
             self._token_order.clear()
-        for entry in entries:
-            self.ref_leaks += entry.refs
-            if self._provider is not None:
-                self._provider.unlink(entry.descriptor.name)
         _arenas.discard(self)
 
 
@@ -598,13 +456,10 @@ _arenas: "weakref.WeakSet[ShmArena]" = weakref.WeakSet()
 
 
 def notify_delta(token_id: int, new_version: int,
-                 touched: Dict[int, Any]) -> Dict[int, Any]:
-    """Fan an applied update batch out to every live arena; returns the
-    union of fragments whose mapped arrays were patched in place."""
-    patched: Dict[int, Any] = {}
+                 touched: Dict[int, Any]) -> None:
+    """Fan an applied update batch out to every live arena."""
     for arena in list(_arenas):
-        patched.update(arena.apply_delta(token_id, new_version, touched))
-    return patched
+        arena.apply_delta(token_id, new_version, touched)
 
 
 def invalidate_token(token_id: int) -> None:

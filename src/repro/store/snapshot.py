@@ -17,7 +17,7 @@ File layout::
 
 The npz payload carries the structural bulk as numpy CSR arrays
 (:meth:`~repro.graph.csr.CSRGraph.to_arrays` — ``indptr``/``indices``/
-``weights``; the reverse structure is derived on load, not stored) and
+``weights``) and
 everything object-shaped — node identities, labels, border sets, the
 saved graph's :meth:`~repro.graph.graph.Graph.content_hash` — as one
 pickled metadata blob stored as a ``uint8`` array.  Loading verifies the

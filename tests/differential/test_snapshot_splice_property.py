@@ -15,7 +15,7 @@ dict), brand-new nodes, weight-only batches, directed and undirected —
 
 and the same holds for a worker-side copy of every fragment brought
 current by ``FragmentDelta.replay`` and for shared (``shm``) snapshots
-that received a structural delta.
+that received a delta.
 """
 
 import pickle
@@ -216,10 +216,11 @@ def test_weight_only_batches_keep_the_id_maps():
 @pytest.mark.skipif(not shm.shm_available(),
                     reason="no shared-memory provider here")
 @pytest.mark.parametrize("directed", [True, False])
-def test_shared_snapshots_splice_after_a_structural_delta(directed):
+def test_shared_snapshots_splice_after_a_delta(directed):
     """Coordinator side the retired snapshot's arrays are views over the
     published segment, worker side read-only mappings of it: both are
-    spliced from, neither is written to."""
+    spliced from — after a weight-only delta too — neither is written
+    to."""
     g = uniform_random_graph(40, 130, directed=directed, seed=11)
     fragmentation = HashPartition().partition(g, 3)
     arena = shm.ShmArena()
@@ -233,27 +234,27 @@ def test_shared_snapshots_splice_after_a_structural_delta(directed):
         u, v, _w = next(iter(g.edges()))
         cross = next((a, b) for a, b, _w in g.edges()
                      if fragmentation.gp.owner(a) != fragmentation.gp.owner(b))
-        touched = apply_delta(fragmentation, GraphDelta()
-                              .insert(u, 4000, 0.5)        # a new node
-                              .delete(*cross)
-                              .set_weight(u, v, 7.25))
-        assert any(d.mutates_graph and not d.weight_only
-                   for d in touched.values())
-        for fid, delta in touched.items():
-            delta.replay(attached[fid][0])
-        for frag in fragmentation:
-            delta = touched.get(frag.fid)
-            mutated = delta is not None and delta.mutates_graph
-            # (the arena patches a weight-only delta into the segment in
-            # place and the coordinator's fragment keeps its snapshot)
-            for side, retired in ((frag, mutated and not delta.weight_only),
-                                  (attached[frag.fid][0], mutated)):
-                assert side.csr_cached == (not retired)
-                snap = side.csr()
-                assert side.csr_builds == (1 if side is frag else 0)
-                assert side.csr_patches == (1 if retired else 0)
-                assert side.csr_shared == (not retired)
-                assert_same_snapshot(snap, CSRGraph.from_graph(side.graph))
+        spliced = dict.fromkeys(range(3), 0)
+        for batch in (GraphDelta().insert(u, 4000, 0.5)        # a new node
+                      .delete(*cross).set_weight(u, v, 7.25),
+                      GraphDelta().set_weight(u, v, 0.75)):    # weights only
+            touched = apply_delta(fragmentation, batch)
+            for fid, delta in touched.items():
+                delta.replay(attached[fid][0])
+            for frag in fragmentation:
+                delta = touched.get(frag.fid)
+                retired = delta is not None and delta.mutates_graph
+                spliced[frag.fid] += retired
+                for side in (frag, attached[frag.fid][0]):
+                    assert side.csr_cached == (not retired)
+                    snap = side.csr()
+                    assert side.csr_builds == (1 if side is frag else 0)
+                    assert side.csr_patches == spliced[frag.fid]
+                    assert side.csr_shared == (not spliced[frag.fid])
+                    assert_same_snapshot(snap,
+                                         CSRGraph.from_graph(side.graph))
+        # the weight-only batch spliced too, and not everywhere
+        assert spliced[fragmentation.gp.owner(u)] == 2 > min(spliced.values())
         assert_derived_state_fresh(fragmentation)
     finally:
         arena.close()

@@ -329,15 +329,14 @@ class TestNegativeWeightsValidatedOncePerSnapshot:
         # the snapshot the splice started from is as valid as it was
         csr_sssp(clean, {clean.id_of[0]: 0.0})
 
-    def test_empty_snapshot_and_in_place_patches(self):
+    def test_empty_snapshot_and_read_only_weights(self):
         g = Graph()
         g.add_node(0)
         assert g.to_csr().min_weight == inf
         g.add_edge(0, 1, weight=3.0)
         csr = g.to_csr()
         assert csr.min_weight == 3.0
-        # what the shared-memory plane does to a mapped snapshot
-        csr.weights[0] = -1.0
-        csr.weights_patched()
-        with pytest.raises(ValueError, match="negative edge weight"):
-            csr_sssp(csr, {0: 0.0})
+        # nothing can get under the cached minimum: a snapshot's weights
+        # are never written
+        with pytest.raises(ValueError, match="read-only"):
+            csr.weights[0] = -1.0

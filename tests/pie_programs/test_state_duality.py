@@ -284,7 +284,7 @@ class TestCrossingAProcessBoundary:
         # the coordinator's copy of the fragments has seen a mutation the
         # workers' copies have not: the epochs differ
         for frag in clean.fragmentation:
-            frag.touch_csr_epoch()
+            frag.invalidate_csr(())
         plane = (FaultPlane().plan("exec.step", "crash", key=0, at=2)
                  .plan("exec.step", "crash", key=1, at=1))
         recovered = GrapeEngine(3, backend=backend, fault_plane=plane,

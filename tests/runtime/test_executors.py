@@ -354,36 +354,6 @@ class TestSharedMemoryPlane:
             backend.close()
 
     @needs_shm
-    def test_weight_only_delta_keeps_worker_csr(self):
-        from repro.core.updates import apply_delta
-        from repro.graph.delta import GraphDelta
-
-        backend = ProcessBackend()
-        try:
-            graph = uniform_random_graph(60, 220, seed=24)
-            engine = GrapeEngine(2, backend=backend)
-            frag = engine.make_fragmentation(graph)
-            engine.run(SSSPProgram(), 0, fragmentation=frag)
-            built = frag.csr_snapshots_built
-            publishes = backend._arena.publishes
-            u, v, w = next(iter(graph.edges()))
-            apply_delta(frag, GraphDelta().set_weight(u, v, w + 0.75))
-            assert backend._arena.patches >= 1
-            result = engine.run(SSSPProgram(), 0, fragmentation=frag)
-            # replayed via deltas, arrays patched in place: no re-ship,
-            # no republish, no CSR rebuild anywhere
-            assert result.metrics.fragments_shipped == 0
-            assert result.metrics.fragments_delta_shipped > 0
-            assert result.metrics.fragment_bytes_shipped == 0
-            assert backend._arena.publishes == publishes
-            assert frag.csr_snapshots_built == built
-            serial = GrapeEngine(2).run(SSSPProgram(), 0,
-                                        fragmentation=frag)
-            assert result.answer == serial.answer
-        finally:
-            backend.close()
-
-    @needs_shm
     def test_arena_refcounts_drain_on_close(self):
         backend = ProcessBackend(max_workers=1)
         try:

@@ -1,20 +1,28 @@
-"""The shared-memory fragment plane: publish/attach, in-place patching,
-republish-on-structural, arena lifecycle, and the stale-segment sweep."""
+"""The shared-memory fragment plane: publish/attach, segments that are
+never written after publish, stale-and-republish, arena lifecycle, and
+the stale-segment sweep."""
 
 import glob
+import mmap
 import multiprocessing
 import os
 import subprocess
 import time
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from repro.core.engine import GrapeEngine
+from repro.core.engine import EngineConfig, GrapeEngine
 from repro.core.updates import apply_delta
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import uniform_random_graph
+from repro.pie_programs import SSSPProgram
 from repro.runtime import shm
+from repro.runtime.executors import ProcessBackend
+from repro.sequential import sssp_distances
+from repro.service import GrapeService
 
 pytestmark = pytest.mark.skipif(not shm.shm_available(),
                                 reason="no shared-memory provider here")
@@ -52,7 +60,6 @@ def test_publish_attach_roundtrip():
         np.testing.assert_array_equal(snap.indptr, csr.indptr)
         np.testing.assert_array_equal(snap.indices, csr.indices)
         np.testing.assert_array_equal(snap.weights, csr.weights)
-        np.testing.assert_array_equal(snap.rev_indices, csr.rev_indices)
         # attached views are read-only (file provider maps PROT_READ)
         assert not snap.indices.flags.writeable
         assert not snap.weights.flags.writeable
@@ -70,10 +77,34 @@ def test_attach_missing_segment_raises():
         shm.attach_fragment(desc)
 
 
+def test_segment_layout_is_three_arrays_and_the_fragment():
+    """The format, pinned: ``indptr | indices | weights | meta``, each
+    at the next 64-byte boundary, and nothing after the pickle."""
+    fragmentation, _g = make_fragmentation()
+    frag = fragmentation[0]
+    csr = frag.csr()
+    prov = shm.provider()
+    _seg, desc = shm.publish_fragment(prov, 1, 0, 0, frag, csr)
+    try:
+        assert [name for name, *_rest in desc.layout] \
+            == ["indptr", "indices", "weights", "meta"]
+        end = 0
+        for name, dtype, count, offset in desc.layout:
+            assert offset == -(-end // 64) * 64, name
+            end = offset + count * np.dtype(dtype).itemsize
+            if name != "meta":
+                assert (dtype, count) == (getattr(csr, name).dtype.str,
+                                          getattr(csr, name).shape[0])
+        assert desc.nbytes == end
+        assert os.path.getsize(os.path.join("/dev/shm", desc.name)) == end
+    finally:
+        prov.unlink(desc.name)
+
+
 # ---------------------------------------------------------------------------
-# arena: descriptors, patches, republish
+# arena: descriptors, stale entries, republish
 # ---------------------------------------------------------------------------
-def test_descriptor_reuse_and_weight_patch():
+def test_descriptor_reuse_stale_and_republish():
     fragmentation, g = make_fragmentation()
     arena = shm.ShmArena()
     try:
@@ -86,58 +117,77 @@ def test_descriptor_reuse_and_weight_patch():
         again = arena.descriptor_for(tid, ver, fragmentation[0])
         assert again is descs[0]
         assert arena.publishes == fragmentation.num_fragments
+        assert arena.stats() == (2, sum(d.nbytes for d in descs.values()))
 
-        # weight-only delta: patched into the mapped arrays in place —
-        # no republish, the coordinator's shared CSR shows the new value
+        # a weight-only delta is a delta like any other: the touched
+        # fragment's entry goes stale and is unlinked on the spot, its
+        # shared snapshot is retired and the next one spliced from it
         u, v, w = next(iter(g.edges()))
-        built = fragmentation.csr_snapshots_built
-        apply_delta(fragmentation, GraphDelta().set_weight(u, v, w + 2.5))
-        assert arena.patches >= 1
-        assert arena.publishes == fragmentation.num_fragments
-        assert fragmentation.csr_snapshots_built == built
         owner = fragmentation.gp.owner(u)
+        before = fragmentation[owner].csr()
+        assert fragmentation[owner].csr_shared
+        touched = apply_delta(fragmentation,
+                              GraphDelta().set_weight(u, v, w + 2.5))
+        ver1 = fragmentation.cache_token[1]
+        for fid, desc in descs.items():
+            gone = fid in touched
+            assert os.path.exists(f"/dev/shm/{desc.name}") == (not gone)
+            assert (arena.current_generation(tid, ver1, fid) is None) == gone
+        assert arena.stats()[0] == 2 - len(touched)
+        assert not fragmentation[owner].csr_cached
         snap = fragmentation[owner].csr()
-        eid = snap.id_of[u]
-        row = slice(int(snap.indptr[eid]), int(snap.indptr[eid + 1]))
-        hit = np.nonzero(snap.indices[row] == snap.id_of[v])[0]
-        assert hit.size > 0
-        assert snap.weights[row][hit[0]] == w + 2.5
+        assert not fragmentation[owner].csr_shared
+        assert (fragmentation[owner].csr_builds,
+                fragmentation[owner].csr_patches) == (1, 1)
+        row = slice(*snap.indptr[snap.id_of[u]:snap.id_of[u] + 2])
+        hit = snap.indices[row] == snap.id_of[v]
+        assert snap.weights[row][hit] == w + 2.5
+        assert before.weights[row][hit] == w  # the retired one is as it was
 
-        # structural delta: the entry goes stale, the next descriptor
-        # request republishes under a bumped generation
-        apply_delta(fragmentation, GraphDelta().insert(u, "fresh", 0.4))
-        tid2, ver2 = fragmentation.cache_token
-        assert tid2 == tid
-        desc2 = arena.descriptor_for(tid, ver2, fragmentation[owner])
-        assert desc2 is not None
-        assert desc2.generation > descs[owner].generation
-        assert arena.publishes > fragmentation.num_fragments
+        # the next descriptor request republishes under a bumped generation
+        desc1 = arena.descriptor_for(tid, ver1, fragmentation[owner])
+        assert desc1.generation == descs[owner].generation + 1
+        assert arena.publishes == fragmentation.num_fragments + 1
+        assert fragmentation[owner].csr_shared
+
+        # border-set churn alone stales too (the pickled fragment holds
+        # F_i.I): ``other`` gains an inner node, none of its edges change
+        other = 1 - owner
+        x = next(n for n in fragmentation[other].owned
+                 if n not in fragmentation[other].inner)
+        touched = apply_delta(fragmentation, GraphDelta().insert(u, x, 0.4))
+        assert not touched[other].mutates_graph
+        ver2 = fragmentation.cache_token[1]
+        assert arena.current_generation(tid, ver2, other) is None
+        assert arena.stats() == (0, 0)
+        assert not any(os.path.exists(f"/dev/shm/{d.name}")
+                       for d in (*descs.values(), desc1))
     finally:
         arena.close()
     assert arena.ref_leaks == 0
 
 
-def test_keepable_fids_tracks_compat_floor():
+def test_references_survive_stale_and_republish():
+    """A reference belongs to the key, not to a generation: a worker
+    that mapped generation 0 is still counted on generation 1."""
     fragmentation, g = make_fragmentation()
     arena = shm.ShmArena()
-    try:
-        tid, ver = fragmentation.cache_token
-        desc = arena.descriptor_for(tid, ver, fragmentation[0])
-        attached = {(tid, 0): desc.generation}
-        u, v, w = next(iter(fragmentation[0].graph.edges()))
-        apply_delta(fragmentation, GraphDelta().set_weight(u, v, w + 1.0))
-        _tid, ver2 = fragmentation.cache_token
-        # patched in place: a worker mapping the old generation may keep
-        # its CSR across the replay
-        assert arena.keepable_fids(tid, ver2, attached, [0]) == {0}
-        # structural: nothing is keepable
-        apply_delta(fragmentation, GraphDelta().delete(u, v))
-        _tid, ver3 = fragmentation.cache_token
-        assert arena.keepable_fids(tid, ver3, attached, [0]) == set()
-    finally:
-        arena.close()
+    tid, ver = fragmentation.cache_token
+    arena.descriptor_for(tid, ver, fragmentation[0])
+    assert arena.retain(tid, 0)
+    u, v, w = next(iter(fragmentation[0].graph.edges()))
+    apply_delta(fragmentation, GraphDelta().set_weight(u, v, w + 1.0))
+    assert arena.stats() == (0, 0)
+    desc = arena.descriptor_for(tid, fragmentation.cache_token[1],
+                                fragmentation[0])
+    assert desc.generation == 1
+    arena.close()
+    assert arena.ref_leaks == 1
 
 
+# ---------------------------------------------------------------------------
+# arena: lifecycle
+# ---------------------------------------------------------------------------
 def test_forget_unlinks_segments():
     fragmentation, _g = make_fragmentation(seed=6)
     arena = shm.ShmArena()
@@ -182,6 +232,157 @@ def test_close_unlinks_everything():
     assert arena.stats() == (0, 0)
     # a closed arena serves no descriptors
     assert arena.descriptor_for(tid, ver, fragmentation[0]) is None
+
+
+# ---------------------------------------------------------------------------
+# through the process backend: segments are immutable, stale ones unlinked
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def pool():
+    backend = ProcessBackend(max_workers=2)
+    yield backend
+    backend.close()
+    assert backend._arena.ref_leaks == 0
+
+
+class SegmentWatch:
+    """Maps every segment file of this process it has not seen yet and
+    keeps the bytes it first read there — a mapping outlives the unlink,
+    and a write through any other mapping of the file shows in it."""
+
+    def __init__(self):
+        self.seen = {}
+
+    def look(self):
+        for path in glob.glob(f"/dev/shm/repro-shm-{os.getpid()}-*-f*"):
+            if path not in self.seen:
+                with open(path, "rb") as fh:
+                    mapped = mmap.mmap(fh.fileno(), 0, prot=mmap.PROT_READ)
+                self.seen[path] = (mapped, bytes(mapped))
+
+    def assert_unwritten(self):
+        for path, (mapped, first) in self.seen.items():
+            assert bytes(mapped) == first, path
+
+
+edge_picks = st.integers(min_value=0)
+weights = st.floats(min_value=0.1, max_value=5.0, allow_nan=False)
+nodes = st.integers(min_value=0, max_value=43)  # a few beyond the graph's
+reweight = st.tuples(st.just("w"), edge_picks, weights)
+operation = st.one_of(reweight,
+                      st.tuples(st.just("+"), nodes, nodes, weights),
+                      st.tuples(st.just("-"), edge_picks))
+
+
+@st.composite
+def histories(draw):
+    """``(pure, batches)``: pure-reweight histories, or mixed ones with
+    empty batches among them."""
+    pure = draw(st.booleans())
+    batch = (st.lists(reweight, min_size=1, max_size=3) if pure
+             else st.lists(operation, max_size=3))
+    return pure, draw(st.lists(batch, min_size=1, max_size=4))
+
+
+def resolve(graph, ops) -> GraphDelta:
+    delta = GraphDelta()
+    live = sorted(graph.edges())
+    for kind, *args in ops:
+        if kind == "+":
+            if args[0] != args[1]:
+                delta.insert(*args)
+        else:
+            u, v, _w = live[args[0] % len(live)]
+            if kind == "-":
+                delta.delete(u, v)
+            else:
+                delta.set_weight(u, v, args[1])
+    return delta
+
+
+@given(seed=st.integers(min_value=0, max_value=50), directed=st.booleans(),
+       history=histories())
+@settings(max_examples=40, deadline=None)
+def test_published_segments_are_never_written(pool, seed, directed, history):
+    """Whatever the update history — inserts, deletes, reweights, pure
+    reweights, empty batches — no byte of a published segment changes,
+    and the process backend agrees with the serial one on the answer and
+    on every count.  After a pure-reweight batch the workers splice
+    their next snapshots from the segments they map; nothing rebuilds."""
+    g = uniform_random_graph(40, 140, directed=directed, seed=seed)
+    engine = GrapeEngine(2, backend=pool)
+    serial = GrapeEngine(2, backend="serial")
+    fragmentation = engine.make_fragmentation(g)
+    watch = SegmentWatch()
+    pure, batches = history
+    for ops in [[]] + batches:
+        touched = apply_delta(fragmentation, resolve(g, ops))
+        built = fragmentation.csr_snapshots_built
+        patched = fragmentation.csr_snapshots_patched
+        result = engine.run(SSSPProgram(), 0, fragmentation=fragmentation)
+        watch.look()
+        assert result.metrics.shm_fallbacks == 0
+        if pure and touched:  # (a reweight to the same weight is no batch)
+            # delta replay on resident copies: the splices below happened
+            # worker-side, off the (stale, still mapped) segments
+            assert result.metrics.fragments_shipped == 0
+            assert fragmentation.csr_snapshots_patched - patched \
+                == sum(d.mutates_graph for d in touched.values()) > 0
+            assert fragmentation.csr_snapshots_built == built
+        expected = serial.run(SSSPProgram(), 0, fragmentation=fragmentation)
+        assert result.answer == expected.answer
+        assert (result.supersteps, result.metrics.comm_bytes,
+                result.metrics.comm_messages) == (
+            expected.supersteps, expected.metrics.comm_bytes,
+            expected.metrics.comm_messages)
+    watch.assert_unwritten()
+    assert len(watch.seen) >= fragmentation.num_fragments
+
+
+def test_update_unlinks_the_segments_it_stales():
+    """A stale segment's file does not wait for its token to be
+    forgotten: ``update()`` unlinks what it touches, the workers replay
+    past it on mappings that stay valid, and what the service reports as
+    active is what ``/dev/shm`` holds."""
+    def files():
+        return sorted(os.path.basename(p) for p in glob.glob(
+            f"/dev/shm/repro-shm-{os.getpid()}-*-f*"))
+
+    def ours():
+        return [name for name in files() if name not in before]
+
+    g = uniform_random_graph(60, 220, directed=False, seed=24)
+    before = files()
+    backend = ProcessBackend(max_workers=2)
+    try:
+        with GrapeService(engine=EngineConfig(num_workers=2),
+                          backend=backend) as service:
+            service.load_graph("g", g)
+            service.play("sssp", 0, graph="g")
+            published = ours()
+            assert len(published) == backend.shm_stats()[0] == 2
+            u, v, w = next(iter(g.edges()))
+            for batch in (GraphDelta().set_weight(u, v, w + 0.75),
+                          GraphDelta().insert(u, 4000, 0.4),
+                          GraphDelta().delete(u, v)):
+                service.update("g", batch)
+                # something went, nothing was republished
+                assert set(ours()) < set(published)
+                assert backend.shm_stats()[0] == len(ours())
+                # (process-wide: other live arenas' segments count too)
+                assert service.stats.shm_segments_active == len(files())
+                ticket = service.play("sssp", 0, graph="g")
+                assert ticket.metrics.fragments_shipped == 0
+                assert ticket.metrics.fragments_delta_shipped > 0
+                assert ticket.metrics.shm_fallbacks == 0
+                assert ticket.answer == pytest.approx(sssp_distances(g, 0))
+            # every worker has replayed past every touched fragment
+            assert ours() == []
+            assert backend.shm_stats() == (0, 0)
+    finally:
+        backend.close()
+    assert backend._arena.ref_leaks == 0
+    assert files() == before
 
 
 # ---------------------------------------------------------------------------
