@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.core.monotonic import MonotonicityChecker
 from repro.core.pie import ParamKey, ParamUpdates, PIEProgram
-from repro.kernels._segments import edge_positions
+from repro.graph.csr import edge_positions
 from repro.partition.base import BorderIndex, Fragmentation
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.wire import ParamBlock, params_bytes

@@ -82,7 +82,7 @@ def apply_delta(fragmentation: Fragmentation,
 
     The batch is normalized against the base graph first (dedup,
     no-op elimination, classification), so **an empty or duplicate-only
-    batch is a true no-op**: no fragment graph is touched, no CSR epoch
+    batch is a true no-op**: no fragment graph is touched, no epoch
     moves and the fragmentation's cache token stays put.
 
     For every surviving change the base graph and the owning fragments
@@ -99,19 +99,16 @@ def apply_delta(fragmentation: Fragmentation,
       node that no longer has any cross edge leaves ``F_j.I``.
 
     Returns ``{fid: FragmentDelta}`` for the touched fragments; the same
-    records are stamped into the fragmentation's delta log
-    (:meth:`~repro.partition.base.Fragmentation.record_delta`) so pooled
-    process workers can replay them instead of receiving full fragment
-    re-ships.
+    records go into the fragmentation's delta log
+    (:meth:`~repro.partition.base.Fragmentation.record_delta`) for
+    pooled process workers to replay.
 
-    ``wal`` is the durability hook: a callable invoked as
-    ``wal(normalized, version)`` after the batch was applied and
-    sequenced, where ``version`` is the fragmentation version the batch
-    produced — exactly what
-    :meth:`~repro.store.catalog.GraphStore.append_delta` expects, so a
-    store-backed owner logs every applied batch with the same sequence
-    number the worker-replay chain uses.  No-op batches never reach the
-    hook.
+    ``wal`` is the durability hook, called as ``wal(normalized,
+    version)`` after the batch was applied and sequenced, with the
+    fragmentation version it produced — what
+    :meth:`~repro.store.catalog.GraphStore.append_delta` expects, the
+    sequence number the worker-replay chain uses.  No-op batches never
+    reach it.
     """
     graph = fragmentation.graph
     norm = delta.normalize(graph) if isinstance(delta, GraphDelta) else delta
@@ -249,11 +246,13 @@ def apply_delta(fragmentation: Fragmentation,
         fix_inner(u)
         fix_inner(v)
 
-    # Every mutated fragment retires its snapshot together with the rows
-    # the batch dirtied, so the next read splices the new snapshot
-    # instead of rebuilding it.
+    # Every mutated fragment retires its snapshot with the rows the batch
+    # dirtied (the next read splices); an edited border set moves the
+    # border epoch, whether or not the local graph changed under it.
     for fid in mutated_graphs:
         fragmentation[fid].invalidate_csr(touched[fid].dirty_nodes())
+    for fid, delta_f in touched.items():
+        fragmentation[fid].border_moved(delta_f.border_edits)
     if touched:
         # Stamp sequence numbers and invalidate worker-side fragment
         # caches (process backend): the next lease replays these deltas,

@@ -9,14 +9,15 @@ and by the benchmark harness when a read-only traversal is hot.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.graph import Edge, Graph, Node
 
-__all__ = ["CSRGraph", "positions_in_sorted", "splice_rows"]
+__all__ = ["CSRGraph", "edge_positions", "int_array", "positions_in_sorted",
+           "splice_rows"]
 
 
 def positions_in_sorted(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -32,6 +33,34 @@ def positions_in_sorted(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return pos
 
 
+def edge_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat positions covered by ``(starts[i], counts[i])`` segments of a
+    CSR-shaped table's columns: ``np.concatenate([np.arange(s, s + c) for
+    s, c in zip(starts, counts)])`` without the Python loop, segment and
+    within-segment order preserved — which lets the kernels replay the
+    dict path's exact edge iteration and float-accumulation order."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    # the flat output index, shifted per segment by how far the
+    # segment's start is from where it lands
+    pos = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    pos += np.arange(total, dtype=np.int64)
+    return pos
+
+
+def int_array(nodes: Sequence) -> Optional[np.ndarray]:
+    """``nodes`` as an int64 array, or ``None`` unless every one is a
+    plain ``int`` (``bool`` is not) that fits — the precondition of
+    everything that treats node labels as array values."""
+    if set(map(type, nodes)) <= {int}:
+        try:
+            return np.array(nodes, dtype=np.int64)
+        except OverflowError:  # labels beyond int64
+            pass
+    return None
+
+
 def splice_rows(ptr: np.ndarray, cols: Sequence[np.ndarray],
                 source: np.ndarray, fresh_counts: np.ndarray,
                 fresh_cols: Sequence[np.ndarray]
@@ -42,41 +71,23 @@ def splice_rows(ptr: np.ndarray, cols: Sequence[np.ndarray],
     ``source[i] >= 0`` and the next *fresh* row otherwise; fresh rows are
     given CSR-style too, as their sizes and their concatenated columns, in
     result order.  Returns the new ``(ptr, cols)`` — what a from-scratch
-    build of the same rows yields, at the cost of one slice copy per
-    maximal run of rows that are consecutive on their side.  Serves both
-    tables that are maintained under updates: a fragment's CSR snapshot
-    (:meth:`CSRGraph.from_graph`) and the border index's holder table
-    (:meth:`repro.partition.base.BorderIndex.patched`).
+    build of the same rows yields — by one gather per column over the
+    old column followed by the fresh one.  Serves a fragment's CSR
+    snapshot (:meth:`CSRGraph.from_graph`) and the border index's holder
+    table (:meth:`repro.partition.base.BorderIndex.patched`).
     """
-    n, num_fresh = source.shape[0], fresh_counts.shape[0]
-    fresh = source < 0
-    fresh_ptr = np.zeros(num_fresh + 1, dtype=np.int64)
-    np.cumsum(fresh_counts, out=fresh_ptr[1:])
-    old_rows = source[~fresh]
-    counts = np.empty(n, dtype=np.int64)
-    counts[~fresh] = ptr[old_rows + 1] - ptr[old_rows]
+    fresh = np.flatnonzero(source < 0)
+    # -1 reads the old table's end: where the fresh columns start in
+    # ``old column ++ fresh column``
+    starts = ptr[source]
+    counts = ptr[source + 1] - starts
     counts[fresh] = fresh_counts
-    new_ptr = np.zeros(n + 1, dtype=np.int64)
+    starts[fresh] += np.cumsum(fresh_counts) - fresh_counts
+    new_ptr = np.zeros(source.shape[0] + 1, dtype=np.int64)
     np.cumsum(counts, out=new_ptr[1:])
-    # Number the fresh rows -num_fresh-1 .. -2: consecutive like the old
-    # rows' numbers, and never adjacent to one (the smallest is 0), so a
-    # step other than +1 is exactly a boundary between runs.
-    number = source.copy()
-    number[fresh] = np.arange(-num_fresh - 1, -1)
-    cuts = np.flatnonzero(np.diff(number) != 1) + 1
-    firsts = number[np.concatenate(([0], cuts))[:n]].tolist()  # [:n]: n == 0
-    lasts = number[np.concatenate((cuts, [n]))[:n] - 1].tolist()
-    pieces: List[List[np.ndarray]] = [[col[:0]] for col in cols]
-    for first, last in zip(firsts, lasts):
-        if first >= 0:
-            side, lo, hi = cols, ptr[first], ptr[last + 1]
-        else:
-            side = fresh_cols
-            lo = fresh_ptr[first + num_fresh + 1]
-            hi = fresh_ptr[last + num_fresh + 2]
-        for piece, col in zip(pieces, side):
-            piece.append(col[lo:hi])
-    return new_ptr, [np.concatenate(piece) for piece in pieces]
+    pos = edge_positions(starts, counts)
+    return new_ptr, [np.concatenate((col, fresh_col))[pos]
+                     for col, fresh_col in zip(cols, fresh_cols)]
 
 
 #: the polynomial's (odd) base; what tells node, edge and label records apart
@@ -116,10 +127,15 @@ class CSRGraph:
         arrays are private or map a published shared-memory segment.
     id_of, node_of:
         Mappings between original node objects and dense ids.
+    remap, appended:
+        What a splice learned (:meth:`from_graph`): the base's dense ids
+        -> these (``-1``: gone; ``None``: none moved), the ids of the
+        nodes the base did not have.
     """
 
     __slots__ = ("n", "directed", "indptr", "indices", "weights",
-                 "id_of", "node_of", "labels", "_label_index", "_min_weight")
+                 "id_of", "node_of", "labels", "remap", "appended",
+                 "_label_index", "_min_weight")
 
     def __init__(self, n: int, directed: bool,
                  indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
@@ -135,6 +151,7 @@ class CSRGraph:
         self.id_of = id_of
         self.node_of = node_of
         self.labels = labels
+        self.remap = self.appended = None
         # (labels, sorted labels, their order) once int_labels was asked
         self._label_index: Optional[Tuple] = None
         self._min_weight: Optional[float] = None
@@ -142,9 +159,8 @@ class CSRGraph:
     @property
     def min_weight(self) -> float:
         """The smallest edge weight (``inf`` without edges), computed on
-        first use and kept with the immutable snapshot: what
-        :func:`repro.kernels.csr_sssp` validates instead of testing every
-        round's gathered weights."""
+        first use: what :func:`repro.kernels.csr_sssp` validates instead
+        of testing every round's gathered weights."""
         low = self._min_weight
         if low is None:
             low = self._min_weight = (float(self.weights.min())
@@ -159,140 +175,113 @@ class CSRGraph:
         order.
 
         With ``base`` — a snapshot of an earlier state of ``g`` — only
-        the rows of ``dirty`` (every node whose adjacency row changed
-        since: endpoints of inserted, deleted and reweighted edges, new
-        and removed nodes) and of nodes ``base`` does not know are read
-        from the adjacency dicts; the rest are spliced over from
-        ``base``'s arrays, dense ids remapped when the node order moved
-        (a node added, removed, or removed and re-added, which moves it
-        to the end).  The result equals the from-scratch build element
-        for element.
+        the rows of ``dirty`` (which must name every node whose adjacency
+        row changed since: endpoints of inserted, deleted and reweighted
+        edges, new and removed nodes) are read from the adjacency dicts;
+        the rest are spliced over from ``base``'s arrays, dense ids
+        remapped when the node order moved (a node added, removed, or
+        removed and re-added, which moves it to the end).  The result
+        equals the from-scratch build element for element.
+
+        **The derive contract.**  The splice hands its successor what it
+        learned — :attr:`remap`, :attr:`appended` — and every table
+        derived from ``base`` crosses as a function of (previous table,
+        remap, dirty rows) instead of being re-learned from Python
+        objects: the label index here, a fragment's slot tables in
+        :meth:`repro.partition.base.Fragment.csr`.
         """
-        # Reads the adjacency rows directly: C-speed row copies instead
-        # of per-edge generator hops.  For undirected graphs Graph stores
-        # both orientations already, so CSR mirrors the symmetric
-        # adjacency.
+        # Reads the adjacency rows directly (C-speed row copies); Graph
+        # stores both orientations of an undirected edge already.
         succ = g._succ
         node_of = list(succ)
         n = len(node_of)
         labels = (list(map(g._node_labels.get, node_of)) if g._node_labels
                   else [None] * n)
-        # source[i]: the row of ``base`` that is node i's, -1 for a row
-        # to read from ``g``; remap: base's dense ids -> the new ones
-        source = remap = None
-        if base is not None and node_of == base.node_of:
-            node_of, id_of = base.node_of, base.id_of
-            source = np.arange(n, dtype=np.int64)
-        else:
-            id_of = dict(zip(node_of, range(n)))
-            if base is not None:
-                source = np.fromiter(
-                    map(base.id_of.get, node_of, repeat(-1)),
-                    dtype=np.int64, count=n)
-                known = source >= 0
-                remap = np.full(base.n, -1, dtype=np.int64)
-                remap[source[known]] = np.flatnonzero(known)
         if base is None:
+            id_of = dict(zip(node_of, range(n)))
             rows = list(succ.values())
         else:
-            for v in dirty:
-                i = id_of.get(v)
-                if i is not None:
-                    source[i] = -1
-            rows = [succ[node_of[i]]
-                    for i in np.flatnonzero(source < 0).tolist()]
+            # Every node that left, arrived or moved is dirty; the clean
+            # ones keep their order: their ids line up one to one.
+            dirty = list(dirty)
+            was = np.fromiter(map(base.id_of.get, dirty, repeat(-1)),
+                              dtype=np.int64, count=len(dirty))
+            if node_of == base.node_of:
+                node_of, id_of, now = base.node_of, base.id_of, was
+            else:
+                id_of = dict(zip(node_of, range(n)))
+                now = np.fromiter(map(id_of.get, dirty, repeat(-1)),
+                                  dtype=np.int64, count=len(dirty))
+            stay = np.ones(base.n, dtype=bool)
+            stay[was[was >= 0]] = False
+            stay_old = np.flatnonzero(stay)
+            stay = np.ones(n, dtype=bool)
+            stay[now[now >= 0]] = False
+            stay_new = np.flatnonzero(stay)
+            if stay_new.shape != stay_old.shape:
+                raise ValueError("dirty does not name every node that "
+                                 "joined or left the graph since base")
+            # source[i]: the row of ``base`` that is node i's, -1 for a
+            # row to read from ``g``
+            source = np.full(n, -1, dtype=np.int64)
+            source[stay_new] = stay_old
+            rows = [succ[node_of[i]] for i in np.flatnonzero(~stay).tolist()]
 
-        dst_ids: List[int] = []
-        wgts: List[float] = []
-        get_id = id_of.__getitem__
-        for row in rows:
-            dst_ids.extend(map(get_id, row))
-            wgts.extend(row.values())
         counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        dst = np.array(dst_ids, dtype=np.int64)
-        wgt = np.array(wgts, dtype=np.float64)
+        total = int(counts.sum())
+        dst = np.fromiter(map(id_of.__getitem__, chain.from_iterable(rows)),
+                          dtype=np.int64, count=total)
+        wgt = np.fromiter(chain.from_iterable(map(dict.values, rows)),
+                          dtype=np.float64, count=total)
         if base is None:
             indptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
             return cls(n, g.directed, indptr, dst, wgt, id_of, node_of,
                        labels)
+        remap = None
+        if id_of is not base.id_of:
+            remap = np.full(base.n, -1, dtype=np.int64)
+            remap[stay_old] = stay_new
+            remap[was[was >= 0]] = now[was >= 0]
         indptr, (indices, weights) = splice_rows(
             base.indptr, (base.indices if remap is None
                           else remap[base.indices], base.weights),
             source, counts, (dst, wgt))
         snap = cls(n, g.directed, indptr, indices, weights, id_of, node_of,
                    labels)
-        if remap is None:
-            snap._label_index = base._label_index
+        snap.remap = remap
+        snap.appended = np.sort(now[(was < 0) & (now >= 0)])
+        snap._label_index = base._derive_label_index(snap)
         return snap
 
-    @classmethod
-    def from_edges(cls, edges: Sequence[Tuple[Node, Node, float]], *,
-                   directed: bool = True,
-                   nodes: Optional[Sequence[Node]] = None,
-                   labels: Optional[Dict[Node, object]] = None
-                   ) -> "CSRGraph":
-        """Build a snapshot straight from an edge list, skipping the
-        intermediate dict :class:`Graph`.
-
-        Dense ids follow ``nodes`` when given, otherwise first-seen order
-        over the edge list (sources before destinations, as when the
-        edges are replayed through ``Graph.add_edge``).  For an
-        undirected snapshot each input edge contributes both
-        orientations, mirroring the symmetric storage of :class:`Graph`.
-        Parallel duplicate edges are kept as given (deduplicate upstream
-        if the source may repeat edges).
-        """
-        id_of: Dict[Node, int] = {}
-        node_of: List[Node] = []
-        if nodes is not None:
-            for v in nodes:
-                if v not in id_of:
-                    id_of[v] = len(node_of)
-                    node_of.append(v)
-
-        def vid(v: Node) -> int:
-            i = id_of.get(v)
-            if i is None:
-                i = id_of[v] = len(node_of)
-                node_of.append(v)
-            return i
-
-        num_edges = len(edges)
-        slots = num_edges if directed else 2 * num_edges
-        src = np.empty(slots, dtype=np.int64)
-        dst = np.empty(slots, dtype=np.int64)
-        wgt = np.empty(slots, dtype=np.float64)
-        k = 0
-        for u, v, w in edges:
-            ui, vi = vid(u), vid(v)
-            src[k], dst[k], wgt[k] = ui, vi, w
-            k += 1
-            if not directed and ui != vi:
-                src[k], dst[k], wgt[k] = vi, ui, w
-                k += 1
-        src, dst, wgt = src[:k], dst[:k], wgt[:k]
-
-        n = len(node_of)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        # Stable argsort groups edges by source while preserving input
-        # order within each row — the same adjacency order Graph.add_edge
-        # replay would produce.
-        order = np.argsort(src, kind="stable")
-        label_list = ([labels.get(v) for v in node_of] if labels
-                      else [None] * n)
-        return cls(n, directed, indptr, dst[order], wgt[order],
-                   id_of, node_of, label_list)
+    def _derive_label_index(self, snap: "CSRGraph") -> Optional[Tuple]:
+        """The label index of ``snap``, spliced from this snapshot: this
+        one's index gathered through ``snap.remap``, the appended nodes
+        — the only ones type-checked — merged into the sorted table.
+        ``None`` (learn it on first use) when there is nothing to carry."""
+        index, remap = self._label_index, snap.remap
+        if remap is None or index is None or index[0] is None:
+            return index if remap is None else None
+        fresh = int_array([snap.node_of[i] for i in snap.appended.tolist()])
+        if fresh is None:
+            return (None, None, None)
+        labels, alive = np.empty(snap.n, dtype=np.int64), remap >= 0
+        labels[remap[alive]] = index[0][alive]
+        labels[snap.appended] = fresh
+        order = remap[index[2]]
+        alive = order >= 0
+        sorted_labels, order = index[1][alive], order[alive]
+        by_label = np.argsort(fresh, kind="stable")
+        at = np.searchsorted(sorted_labels, fresh[by_label])
+        return (labels, np.insert(sorted_labels, at, fresh[by_label]),
+                np.insert(order, at, snap.appended[by_label]))
 
     # ------------------------------------------------------------------
     # Array (de)serialization — the durable store's snapshot payload
     # ------------------------------------------------------------------
     def to_arrays(self) -> Dict[str, np.ndarray]:
-        """The CSR arrays, the complete structural payload.  Node
-        identities and labels are Python objects and travel separately
-        (the snapshot container pickles them as metadata).
-        """
+        """The CSR arrays, the complete structural payload (node
+        identities and labels are Python objects and travel apart)."""
         return {"indptr": self.indptr, "indices": self.indices,
                 "weights": self.weights}
 
@@ -323,8 +312,7 @@ class CSRGraph:
         digest[v], float64 bits of w)``, nested so that it is neither
         symmetric nor separable in ``u`` and ``v``; a labelled edge adds
         one of its own.  They are folded by XOR and by sum of squares
-        (commutative: order cannot matter) with ``(directed, count)``.
-        """
+        (order cannot matter) with ``(directed, count)``."""
         node = _digests([repr(v) if lbl is None else "%r\x1f%r" % (v, lbl)
                          for v, lbl in zip(self.node_of, self.labels)])
         # + 0.0: -0.0 == 0.0 under ==, so the two share one bit pattern
@@ -353,8 +341,8 @@ class CSRGraph:
         return (offset + a - 1) // a * a
 
     def shared_nbytes(self, offset: int = 0) -> int:
-        """Bytes needed to place the structural arrays in a shared
-        buffer starting at ``offset`` (each array 64-byte aligned)."""
+        """Bytes the structural arrays need in a shared buffer from
+        ``offset`` on (each array 64-byte aligned)."""
         for name in self.SHARED_FIELDS:
             offset = self._aligned(offset) + getattr(self, name).nbytes
         return self._aligned(offset)
@@ -393,45 +381,28 @@ class CSRGraph:
     @property
     def int_labels(self) -> Optional[np.ndarray]:
         """The nodes' identities by dense id as an int64 array, or
-        ``None`` unless every node is a plain ``int`` that fits — the
-        precondition of everything that treats labels as array values
-        (parameter blocks, CC's component ids).  Built on first use,
-        with the sorted lookup table of :meth:`ids_of`, and kept with
-        the (immutable) snapshot."""
+        ``None`` unless every node is a plain ``int`` that fits
+        (:func:`int_array`).  Built on first use with the sorted lookup
+        table of :meth:`ids_of` — or carried over by the splice."""
         index = self._label_index
         if index is None:
+            labels = int_array(self.node_of)
             index = (None, None, None)
-            if all(type(v) is int for v in self.node_of):
-                try:
-                    labels = np.array(self.node_of, dtype=np.int64)
-                except OverflowError:  # labels beyond int64
-                    pass
-                else:
-                    order = np.argsort(labels, kind="stable")
-                    index = (labels, labels[order], order)
+            if labels is not None:
+                order = np.argsort(labels, kind="stable")
+                index = (labels, labels[order], order)
             self._label_index = index
         return index[0]
 
     def ids_of(self, nodes: np.ndarray) -> np.ndarray:
         """Dense ids of an int64 array of node identities (vectorized
-        ``id_of``), for snapshots whose nodes are all plain ints — the
-        receiving end of an array parameter block
+        ``id_of``) — the receiving end of an array parameter block
         (:class:`repro.runtime.wire.ParamBlock`).  An unknown node
-        raises :exc:`KeyError`.
-        """
+        raises :exc:`KeyError`."""
         if self.int_labels is None:
             raise TypeError("snapshot nodes are not all plain ints")
         _labels, sorted_labels, order = self._label_index
         return order[positions_in_sorted(sorted_labels, nodes)]
-
-    def out_neighbors(self, vid: int) -> np.ndarray:
-        return self.indices[self.indptr[vid]:self.indptr[vid + 1]]
-
-    def out_weights(self, vid: int) -> np.ndarray:
-        return self.weights[self.indptr[vid]:self.indptr[vid + 1]]
-
-    def out_degree(self, vid: int) -> int:
-        return int(self.indptr[vid + 1] - self.indptr[vid])
 
     @property
     def num_directed_edges(self) -> int:
@@ -440,8 +411,8 @@ class CSRGraph:
     def to_graph(self) -> Graph:
         """Round-trip back to a mutable :class:`Graph` (without edge
         labels: a snapshot carries none).  The rows hold the *stored*
-        adjacency, so one pass fills ``_succ`` / ``_pred`` exactly — the
-        store's warm-start path, guarded there by the content hash."""
+        adjacency, so one pass fills ``_succ`` / ``_pred`` exactly (the
+        store's warm-start path)."""
         node_of = self.node_of
         indices, weights = self.indices.tolist(), self.weights.tolist()
         g = Graph(directed=self.directed)

@@ -272,17 +272,13 @@ class FragmentDelta:
     """What one fragment absorbed from an applied update batch.
 
     Produced by :func:`repro.core.updates.apply_delta` — one per touched
-    fragment — and consumed in three places:
-
-    * PIE programs fold maintainable deltas into live per-fragment state
-      through :meth:`~repro.core.pie.PIEProgram.on_graph_update`
-      (``insertions`` / ``as_insertions`` are the interesting views);
-    * the process backend ships these, instead of whole fragments, to
-      pooled workers whose cached copy lags by a few versions —
-      :meth:`replay` applies the identical mutations there;
-    * the maintenance layer dispatches on ``monotone`` /
-      ``has_deletions`` via
-      :meth:`~repro.core.pie.PIEProgram.maintainable`.
+    fragment — and consumed in three places: PIE programs fold
+    maintainable deltas into live per-fragment state
+    (:meth:`~repro.core.pie.PIEProgram.on_graph_update`); the process
+    backend ships these, instead of whole fragments, to pooled workers
+    whose copy lags by a few versions (:meth:`replay`); the maintenance
+    layer dispatches on ``monotone`` / ``has_deletions``
+    (:meth:`~repro.core.pie.PIEProgram.maintainable`).
 
     Edge lists are in the fragment's *local orientation*: for undirected
     graphs the symmetric orientation of a cross edge appears in the other
@@ -359,26 +355,26 @@ class FragmentDelta:
         delta changed — the rows of the
         :class:`~repro.partition.base.BorderIndex` it outdates."""
         return {v for v, _label in self.new_nodes}.union(
-            self.retired_nodes, self.inner_added, self.inner_removed,
-            self.outer_added, self.outer_removed)
+            self.retired_nodes, *self.border_edits)
+
+    @property
+    def border_edits(self) -> Tuple[List[Node], ...]:
+        """The nodes that joined or left ``F_i.I`` / ``F_i.O``."""
+        return (self.inner_added, self.inner_removed,
+                self.outer_added, self.outer_removed)
 
     def __bool__(self) -> bool:
         return bool(self.mutates_graph or self.owned_added
-                    or self.inner_added or self.inner_removed
-                    or self.outer_added or self.outer_removed)
+                    or any(self.border_edits))
 
     # -- remote replay --------------------------------------------------
     def replay(self, fragment) -> None:
-        """Apply this delta to a (remote) copy of the fragment.
-
-        Mutation order mirrors :func:`repro.core.updates.apply_delta`
-        exactly — nodes, insertions, reweights, deletions, retirements,
-        then border-set adjustments — so a replayed copy is structurally
-        identical to the coordinator's fragment at the same version.
-        Invalidate-on-mutate keeps the copy's CSR epoch moving just like
-        the original's, and hands it the same dirty rows to splice its
-        next snapshot from.
-        """
+        """Apply this delta to a (remote) copy of the fragment, in
+        :func:`repro.core.updates.apply_delta`'s order — nodes,
+        insertions, reweights, deletions, retirements, border sets — so
+        the copy is structurally identical to the coordinator's fragment
+        at the same version, its epochs move like the original's and it
+        gets the same dirty rows to splice its next snapshot from."""
         g = fragment.graph
         for v, label in self.new_nodes:
             g.add_node(v, label)
@@ -397,6 +393,7 @@ class FragmentDelta:
         fragment.inner.difference_update(self.inner_removed)
         fragment.outer.update(self.outer_added)
         fragment.outer.difference_update(self.outer_removed)
+        fragment.border_moved(self.border_edits)
         if self.mutates_graph:
             fragment.invalidate_csr(self.dirty_nodes())
 

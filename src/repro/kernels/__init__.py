@@ -33,41 +33,31 @@ array order) — so answers, superstep counts and shipped parameter values
 are unchanged, only the time to compute them.
 
 **Snapshot invalidation.**  ``Fragment.csr()`` builds the snapshot
-lazily on first use and caches it.  Any mutation of the fragment through
-:func:`repro.core.updates.apply_delta` calls
-``Fragment.invalidate_csr(dirty)`` with the nodes whose adjacency row
-changed, which retires the cached snapshot (``Fragment.csr_cached`` turns
-false) and bumps ``Fragment.csr_epoch`` so that arrays addressed by the
-old snapshot's dense ids stop being read.  The next kernel call gets the
-new snapshot by *row splice*
-(``CSRGraph.from_graph(graph, base=retired, dirty=...)``): the same
-arrays a build from the whole graph gives, for a few slice copies plus
-the dirty rows.  A mutation that cannot name its rows
-(``invalidate_csr()``) still drops the snapshot and the next call builds
-it from the dict graph.
+lazily and caches it.  A mutation through
+:func:`repro.core.updates.apply_delta` retires it
+(``Fragment.invalidate_csr(dirty)``: ``csr_cached`` turns false,
+``csr_epoch`` moves, arrays addressed by the old dense ids stop being
+read) and the next kernel call gets the new one by *row splice*
+(``CSRGraph.from_graph(graph, base=retired, dirty=...)``) — the arrays a
+build from the whole graph gives, for one gather plus the dirty rows,
+with the tables derived from the old snapshot carried across (see
+:class:`~repro.partition.base.Fragment`).  A mutation that cannot name
+its rows still drops the snapshot and the next call builds it.
 
 **When the dict algorithms run.**  A served query runs on arrays; a
 standing query's maintenance runs the bounded dict algorithms of
-:mod:`repro.sequential` on the state's dict *view* (materialised on first
-use, then kept), and no maintenance hook asks whether a snapshot happens
-to be cached: closure, reset-and-re-seed and CC's region rebuild do
-constant work per affected vertex, where a numpy round costs a fixed
-~45 µs however small its frontier.  Dict-plane ``IncEval``, shared by
-queries and maintenance rounds, calls the kernel while the state's
-arrays *are* the state on a live snapshot (a run on string-labelled
-nodes, a standing query's untouched fragments) and the dict algorithm
-once one wrote last.  They also serve ``use_csr=False`` and the programs
-without kernels (Sim, SubIso, CF).
+:mod:`repro.sequential` on the state's dict *view*, whether or not a
+snapshot happens to be cached (constant work per affected vertex, where
+a numpy round costs a fixed ~45 µs).  Dict-plane ``IncEval`` calls the
+kernel while the state's arrays *are* the state on a live snapshot and
+the dict algorithm once one wrote last (:mod:`repro.pie_programs._blocks`
+has the rule).  The dict algorithms also serve ``use_csr=False`` and
+the programs without kernels (Sim, SubIso, CF).
 """
 
 from repro.kernels.cc import csr_components
 from repro.kernels.pagerank import csr_pagerank_push
 from repro.kernels.relax import UNREACHED_HOPS, csr_bfs, csr_sssp
 
-__all__ = [
-    "csr_sssp",
-    "csr_bfs",
-    "csr_components",
-    "csr_pagerank_push",
-    "UNREACHED_HOPS",
-]
+__all__ = ["csr_sssp", "csr_bfs", "csr_components", "csr_pagerank_push",
+           "UNREACHED_HOPS"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels._segments import edge_positions
+from repro.graph.csr import edge_positions
 
 __all__ = ["csr_pagerank_push"]
 

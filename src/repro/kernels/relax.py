@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.kernels._segments import edge_positions
+from repro.graph.csr import edge_positions
 
 __all__ = ["csr_sssp", "csr_bfs", "UNREACHED_HOPS"]
 

@@ -31,20 +31,13 @@ from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, positions_in_sorted, splice_rows
+from repro.graph.csr import (CSRGraph, int_array, positions_in_sorted,
+                             splice_rows)
 from repro.graph.graph import Graph, Node
 
-__all__ = [
-    "BorderIndex",
-    "Fragment",
-    "FragmentationGraph",
-    "Fragmentation",
-    "PartitionStrategy",
-    "build_edge_cut_fragments",
-    "build_vertex_cut_fragments",
-    "cut_edges",
-    "replication_factor",
-]
+__all__ = ["BorderIndex", "Fragment", "FragmentationGraph", "Fragmentation",
+           "PartitionStrategy", "build_edge_cut_fragments",
+           "build_vertex_cut_fragments", "cut_edges", "replication_factor"]
 
 
 class Fragment:
@@ -64,13 +57,23 @@ class Fragment:
         ``F_i.I`` — owned border nodes reachable from other fragments.
     outer:
         ``F_i.O`` — copied nodes owned elsewhere.
+
+    **Derived tables.**  The CSR snapshot (:meth:`csr`) and the slot
+    tables read off it (:meth:`outer_slots`, :meth:`border_slots`,
+    :meth:`owned_slots`) are each a function of (previous table, the
+    splice's id remap, the nodes the logged deltas name): the splice
+    that installs the next snapshot carries every table current with
+    the retired one across (``tables_carried``), so a batch costs the
+    next read work in its own size.  A table with no known predecessor
+    is derived from the sets (``tables_rebuilt``) — the same arrays.
     """
 
     __slots__ = ("fid", "graph", "owned", "inner", "outer",
                  "_csr", "_csr_pending", "_csr_lock", "_csr_shared",
-                 "_remote_csr_live", "_outer_slots", "_owned_slots",
-                 "csr_epoch", "csr_builds", "csr_patches",
-                 "csr_invalidations")
+                 "_remote_csr_live", "_border_table", "_owned_slots",
+                 "_border_dirty", "csr_epoch", "border_epoch",
+                 "csr_builds", "csr_patches", "csr_invalidations",
+                 "tables_carried", "tables_rebuilt")
 
     def __init__(self, fid: int, graph: Graph, owned: Set[Node],
                  inner: Set[Node], outer: Set[Node]):
@@ -80,43 +83,38 @@ class Fragment:
         self.inner = inner
         self.outer = outer
         self._csr = None
-        # (last snapshot, nodes whose adjacency row changed since): what
-        # the next csr() splices the new snapshot from
+        # (last snapshot, nodes whose adjacency row changed since, the
+        # csr_epoch it was live at): what the next csr() splices from
         self._csr_pending = None
         # GrapeService runs concurrent queries over one shared cached
-        # fragmentation (they hold only the graph's read lock), so the
-        # lazy build must be guarded against duplicate construction.
+        # fragmentation (they hold only the graph's read lock): lazy
+        # builds are guarded against duplicate construction.
         self._csr_lock = threading.Lock()
-        #: the installed snapshot's arrays live in a shared-memory
-        #: segment (repro.runtime.shm) rather than private heap memory
+        #: the installed snapshot's arrays map a shared-memory segment
         self._csr_shared = False
         #: a worker-side copy of this fragment holds a live snapshot
         #: (process backend); used only for invalidation accounting
         self._remote_csr_live = False
-        # (csr epoch, sorted F_i.O labels, their dense ids): see outer_slots
-        self._outer_slots = None
-        # (csr epoch, owned nodes in local graph order, their dense ids):
-        # see owned_slots
-        self._owned_slots = None
+        # the slot tables (see _border_slow, owned_slots) and the nodes
+        # that joined or left F_i.I / F_i.O since they were current
+        self._border_table = self._owned_slots = None
+        self._border_dirty: Set[Node] = set()
         #: bumped on every invalidation so consumers holding arrays keyed
         #: by the old snapshot's dense ids know to rebuild them
         self.csr_epoch = 0
-        #: snapshots built from the whole graph / spliced from the last
-        #: snapshot and a dirty set
-        self.csr_builds = 0
-        self.csr_patches = 0
-        self.csr_invalidations = 0
+        #: bumped whenever ``inner`` / ``outer`` are edited — which can
+        #: happen without the local graph, and so ``csr_epoch``, moving
+        self.border_epoch = 0
+        #: snapshots built / spliced from the last one and a dirty set /
+        #: retired; tables carried across / derived from the sets
+        self.csr_builds = self.csr_patches = self.csr_invalidations = 0
+        self.tables_carried = self.tables_rebuilt = 0
 
     def __getstate__(self):
-        """Pickle contract (the process backend ships fragments once).
-
-        The cached (or retired) CSR snapshot and its lock never cross
-        the pipe: the snapshot is bulk numpy data cheaply rebuilt from
-        the dict graph, and locks are unpicklable by design.  The
-        receiving side starts at epoch 0 with a fresh lock and rebuilds
-        its snapshot lazily — consumers key their derived arrays on
-        *their* fragment's epoch, so the reset is invisible.
-        """
+        """Pickle contract (the process backend ships fragments once):
+        snapshots, tables and the lock never cross the pipe.  The
+        receiving side starts at epoch 0 and derives its own lazily —
+        consumers key their arrays on *their* fragment's epoch."""
         return {slot: getattr(self, slot) for slot in
                 ("fid", "graph", "owned", "inner", "outer")}
 
@@ -131,10 +129,10 @@ class Fragment:
         (mutation through :func:`repro.core.updates.apply_delta`);
         CSR-capable PIE programs call this every round and almost always
         hit the cache.  After a mutation that named its dirty rows the
-        next snapshot is spliced from the retired one (``csr_patches``),
-        otherwise built from the whole graph (``csr_builds``) — the same
-        arrays either way.  Thread-safe: concurrent readers build or
-        splice the snapshot exactly once.
+        next snapshot is spliced from the retired one (``csr_patches``)
+        and the derived tables cross with it, otherwise it is built from
+        the whole graph (``csr_builds``) — the same arrays either way.
+        Thread-safe: concurrent readers build or splice exactly once.
         """
         snap = self._csr
         if snap is None:
@@ -146,42 +144,107 @@ class Fragment:
                         snap = CSRGraph.from_graph(self.graph)
                         self.csr_builds += 1
                     else:
-                        snap = CSRGraph.from_graph(
-                            self.graph, base=pending[0], dirty=pending[1])
+                        base, rows, epoch = pending
+                        snap = CSRGraph.from_graph(self.graph, base=base,
+                                                   dirty=rows)
                         self.csr_patches += 1
+                        self.tables_carried += snap._label_index is not None
+                        self._carry_tables(snap, epoch, rows)
                     self._csr = snap
         return snap
+
+    def _carry_tables(self, snap, epoch: int, rows=()) -> None:
+        """The derive hooks, run (under ``_csr_lock``) where tables
+        cross: those keyed by ``epoch`` are brought current with
+        ``snap`` — ids through the splice's remap (none when ``epoch``
+        is current: a border move alone), membership re-read at ``rows``
+        and the border edits' nodes — and the rest dropped."""
+        remap = snap.remap if epoch != self.csr_epoch else None
+        named, self._border_dirty = self._border_dirty.union(rows), set()
+        prev, self._border_table = self._border_table, None
+        if prev is not None and prev[0] == epoch \
+                and snap.int_labels is not None:
+            asked = int_array(list(named))
+            if asked is not None:
+                self._border_table = (
+                    self.csr_epoch, self.border_epoch) + _carry_border(
+                        prev[2:], remap, named, asked, self.inner,
+                        self.outer, snap.id_of)
+                self.tables_carried += 1
+        prev = self._owned_slots
+        if prev is not None and prev[0] != self.csr_epoch:
+            self._owned_slots = None
+        if prev is not None and prev[0] == epoch != self.csr_epoch:
+            # owned nodes keep their place in the node order and new
+            # ones are among the appended; else: derive from the set
+            node_of, ids = snap.node_of, prev[2]
+            added = [i for i in snap.appended.tolist()
+                     if node_of[i] in self.owned]
+            ids = np.concatenate((ids if remap is None else remap[ids],
+                                  np.array(added, dtype=np.int64)))
+            if (np.diff(ids, prepend=-1) > 0).all():
+                self._owned_slots = (self.csr_epoch, prev[1] + [
+                    node_of[i] for i in added], ids)
+                self.tables_carried += 1
+
+    def _border_slow(self) -> Tuple:
+        """The border table ``(csr epoch, border epoch, sorted F_i.I |
+        F_i.O labels, their dense ids, which are F_i.O's, the F_i.O
+        labels, their ids)`` when a getter's epoch compare fails: it
+        crossed the splice in :meth:`csr`, is patched after a border
+        move alone, or is derived from the sets."""
+        snap = self.csr()
+        with self._csr_lock:
+            table = self._border_table
+            if table is not None and table[1] != self.border_epoch:
+                self._carry_tables(snap, self.csr_epoch)
+                table = self._border_table
+            if table is None or table[0] != self.csr_epoch:
+                labels = np.fromiter(
+                    itertools.chain(self.inner, self.outer), dtype=np.int64,
+                    count=len(self.inner) + len(self.outer))
+                order = np.argsort(labels, kind="stable")
+                labels, is_outer = labels[order], order >= len(self.inner)
+                ids = snap.ids_of(labels)
+                table = self._border_table = (
+                    self.csr_epoch, self.border_epoch, labels, ids, is_outer,
+                    labels[is_outer], ids[is_outer])
+                self._border_dirty = set()
+                self.tables_rebuilt += 1
+        return table
 
     def outer_slots(self) -> Tuple[np.ndarray, np.ndarray]:
         """``F_i.O`` as arrays: the copies' labels (sorted int64) and
         their dense ids in the current CSR snapshot — the per-fragment
         map through which array-plane programs read their reports
         straight out of kernel arrays (``values[ids]`` lines up with
-        ``labels``).  Requires integer node labels.  Cached per
-        ``csr_epoch``: every change to ``F_i.O`` adds or removes a local
-        edge, which moves the epoch.
-        """
-        cached = self._outer_slots
-        if cached is None or cached[0] != self.csr_epoch:
-            epoch = self.csr_epoch
-            labels = np.fromiter(self.outer, dtype=np.int64,
-                                 count=len(self.outer))
-            labels.sort()
-            cached = self._outer_slots = (epoch, labels,
-                                          self.csr().ids_of(labels))
-        return cached[1], cached[2]
+        ``labels``).  Requires integer node labels.  A view of the
+        border table, cached per ``(csr_epoch, border_epoch)``."""
+        table = self._border_table
+        if table is None or table[0] != self.csr_epoch \
+                or table[1] != self.border_epoch:
+            table = self._border_slow()
+        return table[5], table[6]
+
+    def border_slots(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``F_i.I ∪ F_i.O`` as arrays, like :meth:`outer_slots`: where
+        CC, whose candidate set is every border node, reads and reports
+        component ids."""
+        table = self._border_table
+        if table is None or table[0] != self.csr_epoch \
+                or table[1] != self.border_epoch:
+            table = self._border_slow()
+        return table[2], table[3]
 
     def owned_slots(self) -> Tuple[List[Node], np.ndarray]:
         """The owned nodes in the local graph's node order and their
         (ascending) dense ids — what Assemble gathers a value array at,
         and a deterministic order where iterating the ``owned`` set is
-        not: a pickle round trip (the process backend) reorders it, and
-        float accumulations that follow it would differ in the last
-        digit between backends.  Cached per ``csr_epoch``; needs no live
-        snapshot (dense ids *are* positions in the graph's node order).
-        The nodes are the set's own objects, which on an unpickled copy
-        sit together in memory where the graph's keys do not — per-node
-        loops over this list run measurably faster for it."""
+        not (a pickle round trip reorders it, and float accumulations
+        that follow it would differ in the last digit between backends).
+        Cached per ``csr_epoch``; needs no live snapshot (dense ids *are*
+        positions in the graph's node order).  The nodes are the set's
+        own objects (together in memory on an unpickled copy)."""
         cached = self._owned_slots
         if cached is None or cached[0] != self.csr_epoch:
             epoch = self.csr_epoch
@@ -192,16 +255,14 @@ class Fragment:
             ids = np.fromiter(map(id_of.__getitem__, nodes), dtype=np.int64,
                               count=len(nodes))
             cached = self._owned_slots = (epoch, nodes, ids)
+            self.tables_rebuilt += 1
         return cached[1], cached[2]
 
     def install_csr(self, snap, *, shared: bool = False) -> None:
-        """Adopt a prebuilt CSR snapshot without counting a build.
-
-        Two callers: warm start (the snapshot loader rebuilds the arrays
-        while decoding, so the first query should not pay
-        ``from_graph`` again) and the shared-memory fragment plane
-        (``shared=True`` — the snapshot's arrays are views over a mapped
-        segment)."""
+        """Adopt a prebuilt CSR snapshot without counting a build: warm
+        start (the snapshot loader rebuilds the arrays while decoding)
+        and the shared-memory fragment plane (``shared=True`` — the
+        arrays are views over a mapped segment)."""
         with self._csr_lock:
             self._csr = snap
             self._csr_pending = None
@@ -214,18 +275,13 @@ class Fragment:
 
     @property
     def csr_cached(self) -> bool:
-        """Whether a current CSR snapshot is already built (a snapshot
-        retired by a mutation and waiting to be spliced does not count).
-
+        """Whether a current CSR snapshot is already built (one retired
+        by a mutation and waiting to be spliced does not count).
         Dict-plane ``IncEval`` asks before it calls a kernel: producing
         the next snapshot — even by splice, ``O(|E_i|)`` of array
         copying — to relax a few border values would charge that to an
-        ``O(|AFF|)`` operation; the next full scan (which amortizes it)
-        pays instead.  The bounded maintenance hooks do not ask — they
-        run the dict algorithms with or without a live snapshot (head to
-        head on equal regions a numpy round's fixed cost does not beat
-        constant work per affected vertex).
-        """
+        ``O(|AFF|)`` operation.  The bounded maintenance hooks do not
+        ask: they run the dict algorithms either way."""
         return self._csr is not None
 
     def invalidate_csr(self, dirty: Optional[Iterable[Node]] = None) -> None:
@@ -240,20 +296,15 @@ class Fragment:
         the live and any kept snapshot are dropped.
 
         ``csr_epoch`` advances on *every* call: it marks graph mutations,
-        not cache drops, because consumers' epoch-keyed arrays can be
-        derived from a snapshot built in another process (the process
-        backend builds CSR worker-side, so the coordinator-side fragment
-        may have nothing cached locally when the mutation lands).
-        ``csr_invalidations`` still counts only retirements of a live
-        snapshot — including a worker-side one (the mutation bumps the
-        fragmentation's cache token, so worker copies replay it or are
-        re-shipped).
+        not cache drops (consumers' epoch-keyed arrays can come from a
+        snapshot built in a worker process).  ``csr_invalidations``
+        counts retirements of a live snapshot, worker-side ones included.
         """
         with self._csr_lock:
-            self.csr_epoch += 1
             live = self._csr
-            pending = (live, set()) if live is not None \
+            pending = (live, set(), self.csr_epoch) if live is not None \
                 else self._csr_pending
+            self.csr_epoch += 1
             if dirty is None or pending is None:
                 pending = None
             else:
@@ -269,20 +320,30 @@ class Fragment:
 
     def release_snapshots(self) -> None:
         """Let go of every array this fragment holds — the live and the
-        kept snapshot and the ``F_i.O`` slot map — without recording a
-        mutation (the owner is done with the fragment; a later
-        :meth:`csr` would simply build again)."""
+        kept snapshot and the slot tables — without recording a mutation
+        (the owner is done with it; a later :meth:`csr` builds again)."""
         with self._csr_lock:
             self._csr = self._csr_pending = None
-            self._outer_slots = self._owned_slots = None
+            self._border_table = self._owned_slots = None
             self._csr_shared = False
 
-    def count_remote_csr_work(self, builds: int, patches: int) -> None:
-        """Fold snapshot builds and splices performed on a worker-side
+    def border_moved(self, edits: Sequence[Sequence[Node]]) -> None:
+        """``F_i.I`` / ``F_i.O`` were edited at the nodes of ``edits``
+        (:attr:`~repro.graph.delta.FragmentDelta.border_edits`): the
+        border table is due a patch there."""
+        if any(edits):
+            self.border_epoch += 1
+            self._border_dirty.update(*edits)
+
+    def count_remote_csr_work(self, builds: int, patches: int,
+                              carried: int = 0, rebuilt: int = 0) -> None:
+        """Fold snapshot and table derivations done on a worker-side
         copy of this fragment (process backend) into the local lifetime
-        counters, so service-level CSR metrics see them."""
-        if builds or patches:
-            with self._csr_lock:
+        counters, so service-level metrics see them."""
+        with self._csr_lock:
+            self.tables_carried += carried
+            self.tables_rebuilt += rebuilt
+            if builds or patches:
                 self.csr_builds += builds
                 self.csr_patches += patches
                 self._remote_csr_live = True
@@ -303,6 +364,30 @@ class Fragment:
     def __repr__(self) -> str:
         return (f"Fragment(fid={self.fid}, owned={len(self.owned)}, "
                 f"inner={len(self.inner)}, outer={len(self.outer)})")
+
+
+def _carry_border(prev: Tuple, remap: Optional[np.ndarray],
+                  named: Set[Node], asked: np.ndarray, inner: Set[Node],
+                  outer: Set[Node], id_of: Dict[Node, int]) -> Tuple:
+    """The derive hook of the border table's arrays (see
+    :meth:`Fragment._border_slow`): ids cross through ``remap``; only
+    the ``named`` nodes (``asked``: the same, as an array) can have
+    joined or left, so when one did, their slots are dropped and
+    re-read.  Equal to deriving from the sets."""
+    labels, ids, is_outer = prev[:3]
+    if remap is not None:
+        ids = remap[ids]
+    was = np.isin(labels, asked)
+    now = sorted(named & inner | named & outer)
+    if labels[was].tolist() != now:
+        labels, ids, is_outer = labels[~was], ids[~was], is_outer[~was]
+        at = np.searchsorted(labels, now)
+        labels = np.insert(labels, at, now)
+        ids = np.insert(ids, at, [id_of[v] for v in now])
+        is_outer = np.insert(is_outer, at, [v in outer for v in now])
+    elif remap is None:
+        return prev
+    return labels, ids, is_outer, labels[is_outer], ids[is_outer]
 
 
 class FragmentationGraph:
@@ -372,11 +457,10 @@ class BorderIndex:
     The index only exists for graphs whose every node label is a plain
     ``int`` (labels double as array values: a CC component id *is* a
     node label); :meth:`build` returns ``None`` otherwise and callers
-    stay on the dict plane.  Built from the fragments and ``G_P`` in
-    ``O(|border| log |border|)``.  An index is immutable; after update
-    batches :meth:`Fragmentation.border_index` derives the next one from
-    it by :meth:`patched` — a row splice over the nodes the logged
-    deltas name — and builds afresh only when it cannot.
+    stay on the dict plane.  An index is immutable; after update batches
+    :meth:`Fragmentation.border_index` derives the next one from it by
+    :meth:`patched` — a row splice over the nodes the logged deltas name
+    — and builds afresh only when it cannot.
     """
 
     __slots__ = ("nodes", "owner", "holder_ptr", "holder_fid")
@@ -404,16 +488,13 @@ class BorderIndex:
 
     @classmethod
     def build(cls, fragmentation: "Fragmentation") -> Optional["BorderIndex"]:
-        if not all(type(v) is int for v in fragmentation.graph.nodes()):
+        if int_array(list(fragmentation.graph.nodes())) is None:
             return None
         border: Set[Node] = set()
         for frag in fragmentation.fragments:
             border |= frag.inner
             border |= frag.outer
-        try:
-            nodes = np.array(sorted(border), dtype=np.int64)
-        except OverflowError:  # labels beyond int64
-            return None
+        nodes = int_array(sorted(border))
         owner, counts, holder_fid = cls._rows(fragmentation.gp,
                                               nodes.tolist())
         holder_ptr = np.zeros(len(nodes) + 1, dtype=np.int64)
@@ -428,12 +509,10 @@ class BorderIndex:
         other row is spliced over.  Equal to :meth:`build`, which is
         what ``None`` — ``dirty`` names a label no index can hold — sends
         the caller to."""
-        if not all(type(v) is int for v in dirty):
+        changed = int_array(list(dirty))
+        if changed is None:
             return None
-        try:
-            changed = np.array(sorted(dirty), dtype=np.int64)
-        except OverflowError:
-            return None
+        changed.sort()
         fragments = fragmentation.fragments
         fresh = [v for v in changed.tolist()
                  if any(v in f.inner or v in f.outer for f in fragments)]
@@ -476,6 +555,12 @@ _fragmentation_ids = itertools.count(1)
 _DELTA_LOG_LIMIT = 64
 
 
+def _summed(counter: str, what: str) -> property:
+    return property(
+        lambda self: sum(getattr(f, counter) for f in self.fragments),
+        doc=f"Total {what} across fragments (lifetime count).")
+
+
 class Fragmentation:
     """A complete partition of ``G``: fragments plus the ``G_P`` index."""
 
@@ -485,11 +570,9 @@ class Fragmentation:
         self.fragments = list(fragments)
         self.strategy_name = strategy_name
         # Identity + mutation counter: the process backend caches shipped
-        # fragments worker-side keyed by (identity, version); structural
-        # mutations (apply_delta) bump the version so stale copies are
-        # refreshed on the next lease — by replaying the logged
-        # per-fragment deltas when the log still covers the gap, by full
-        # re-ship otherwise.
+        # fragments worker-side keyed by (identity, version); mutations
+        # bump the version so stale copies are refreshed on the next lease
+        # — by replaying the logged deltas, or by full re-ship.
         self._token_id = next(_fragmentation_ids)
         self.version = 0
         # version -> {fid: FragmentDelta} for the last few applied
@@ -529,17 +612,12 @@ class Fragmentation:
                  strategy_name: str = "unknown",
                  version: int = 0) -> "Fragmentation":
         """Rebuild a fragmentation from persisted state (the durable
-        store's snapshot path).
-
-        The ``G_P`` index is recomputed from the fragments' node sets —
-        :func:`repro.core.updates.apply_delta` keeps fragment membership
-        and the live index in lockstep, so the recomputation reproduces
-        the maintained index exactly.  The restored object resumes at the
+        store's snapshot path).  ``G_P`` is recomputed from the
+        fragments' node sets (:func:`repro.core.updates.apply_delta`
+        keeps the two in lockstep).  The restored object resumes at the
         persisted ``version`` but with an **empty delta log and a fresh
         cache token**: no replay chain can be proven across a process
-        restart, so pooled workers holding copies from the previous
-        incarnation are refreshed by full re-ship rather than trusted
-        with an unverifiable delta replay.
+        restart, so pooled workers are refreshed by full re-ship.
         """
         frag = cls(graph, fragments, strategy_name=strategy_name)
         frag.version = version
@@ -559,16 +637,13 @@ class Fragmentation:
         """The dense border index of the current version, or ``None``
         when the graph's labels do not admit one.
 
-        Brought current lazily and cached per :attr:`version`:
-        mutations (:meth:`record_delta`, :meth:`bump_version`) only move
-        the version, so an update batch pays nothing for it.  The first
-        array-plane query afterwards splices the cached index with the
-        nodes the delta log names for the versions in between
-        (:meth:`BorderIndex.patched`), or — no cached index, a version
-        the log does not cover, too many nodes — builds it from the
-        maintained border sets and ``G_P``; either way equal to the index
-        of a freshly partitioned copy.  Thread-safe: concurrent queries
-        on a shared fragmentation do this once.
+        Brought current lazily and cached per :attr:`version`: an update
+        batch only moves the version.  The first array-plane query
+        afterwards splices the cached index with the nodes the delta log
+        names for the versions in between (:meth:`BorderIndex.patched`),
+        or — no cached index, a version the log does not cover, too many
+        nodes — builds it from the border sets and ``G_P``; either way
+        equal to the index of a freshly partitioned copy.  Thread-safe.
         """
         cached = self._border_index
         if cached is None or cached[0] != self.version:
@@ -612,28 +687,22 @@ class Fragmentation:
             self._border_index = None
 
     def bump_version(self) -> None:
-        """Invalidate worker-side fragment caches after a mutation.
-
-        Advances the version *without* a delta-log entry, so workers
-        holding older copies fall back to a full re-ship — the escape
-        hatch for mutations that bypass
-        :func:`repro.core.updates.apply_delta`.  Published shared-memory
-        segments for this token go stale with them.
-        """
+        """Invalidate worker-side fragment caches after a mutation that
+        bypassed :func:`repro.core.updates.apply_delta`: the version
+        advances *without* a delta-log entry, so workers fall back to a
+        full re-ship and published shared-memory segments go stale."""
         self.version += 1
         from repro.runtime import shm
         shm.invalidate_token(self._token_id)
 
     def record_delta(self, touched: Dict[int, "FragmentDelta"]) -> None:
-        """Log one applied update batch and bump the cache token.
-
-        Called by :func:`repro.core.updates.apply_delta` after mutating
-        fragments in place.  Each fragment delta is stamped with the new
-        version as its sequence number; pooled process workers whose
-        cached fragments lag by at most ``_DELTA_LOG_LIMIT`` logged
-        versions are brought current by replaying these deltas instead
-        of re-shipping whole fragments.  Published shared-memory
-        segments of the touched fragments go stale.
+        """Log one applied update batch and bump the cache token
+        (:func:`repro.core.updates.apply_delta`, after mutating the
+        fragments in place).  Each fragment delta is stamped with the
+        new version; pooled workers whose copies lag by at most
+        ``_DELTA_LOG_LIMIT`` versions replay these instead of receiving
+        whole fragments.  Published segments of the touched fragments go
+        stale.
         """
         self.version += 1
         from repro.runtime import shm
@@ -669,20 +738,14 @@ class Fragmentation:
                     chain[fid].append(delta)
         return {fid: deltas for fid, deltas in chain.items() if deltas}
 
-    @property
-    def csr_snapshots_built(self) -> int:
-        """Total CSR snapshot builds across fragments (lifetime count)."""
-        return sum(f.csr_builds for f in self.fragments)
-
-    @property
-    def csr_snapshots_patched(self) -> int:
-        """Total CSR snapshot splices across fragments (lifetime count)."""
-        return sum(f.csr_patches for f in self.fragments)
-
-    @property
-    def csr_snapshot_invalidations(self) -> int:
-        """Total CSR snapshot drops across fragments (lifetime count)."""
-        return sum(f.csr_invalidations for f in self.fragments)
+    csr_snapshots_built = _summed("csr_builds", "CSR snapshot builds")
+    csr_snapshots_patched = _summed("csr_patches", "CSR snapshot splices")
+    csr_snapshot_invalidations = _summed("csr_invalidations",
+                                         "CSR snapshot drops")
+    derived_tables_carried = _summed(
+        "tables_carried", "derived tables carried across a splice")
+    derived_tables_rebuilt = _summed(
+        "tables_rebuilt", "derived tables built from the sets")
 
     def fragment_of(self, v: Node) -> Fragment:
         """The fragment owning ``v``."""

@@ -27,7 +27,6 @@ nodes, ``aggregateMsg = min``.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -73,9 +72,8 @@ class CCState(ArrayState):
 
     def __init__(self) -> None:
         super().__init__()
-        #: the border nodes' labels and dense ids as PEval found them
-        #: (only the block hooks of one run read them: every dict-plane
-        #: hook, session maintenance included, asks for ``comps``)
+        #: ``fragment.border_slots()`` as PEval found them (read by the
+        #: block hooks of one run: every dict-plane hook asks for ``comps``)
         self._slots: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def _empty_view(self) -> None:
@@ -158,10 +156,7 @@ class CCProgram(Maintenance):
             # already learned from other fragments (monotonicity).
             np.minimum.at(lab, comp, old[1][old[0]])
         state.adopt(fragment, csr.node_of, comp, lab)
-        border = np.fromiter(chain(fragment.inner, fragment.outer),
-                             dtype=np.int64,
-                             count=len(fragment.inner) + len(fragment.outer))
-        state._slots = (border, csr.ids_of(border))
+        state._slots = fragment.border_slots()
 
     def _peval_dict(self, fragment: Fragment, state: CCState) -> None:
         """PEval into the component structure (``use_csr=False``, labels

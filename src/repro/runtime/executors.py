@@ -60,6 +60,7 @@ import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
                     Set, Tuple, Union)
 
@@ -654,6 +655,12 @@ def _apply_worker_fault(action: FaultAction,
         time.sleep(float(action.param("delay_s", 0.05)))
 
 
+#: a fragment's lifetime counters of snapshot and table derivations, in
+#: the order of ``Fragment.count_remote_csr_work``'s parameters
+_DERIVED_WORK = attrgetter("csr_builds", "csr_patches", "tables_carried",
+                           "tables_rebuilt")
+
+
 def _worker_main(conn, heartbeat=None) -> None:
     # pragma: no cover - runs in child process
     """Worker process loop: hold fragments + states resident, serve steps.
@@ -683,8 +690,8 @@ def _worker_main(conn, heartbeat=None) -> None:
     fragments: Dict[int, Any] = {}
     states: Dict[int, Any] = {}
     frag_cache: Dict[Any, Dict[int, Any]] = {}
-    # fid -> (snapshot builds, splices) already reported to the coordinator
-    build_base: Dict[int, Tuple[int, int]] = {}
+    # fid -> _DERIVED_WORK counts already reported to the coordinator
+    build_base: Dict[int, Tuple[int, ...]] = {}
     # (token_id, fid) -> mapped shared segment backing that fragment's
     # CSR views; kept pinned for as long as the fragment could be served
     # from cache (dropping the reference unmaps, and unlinked segments
@@ -699,7 +706,7 @@ def _worker_main(conn, heartbeat=None) -> None:
         cache = frag_cache[token]
         fragments = {fid: cache[fid] for fid in fids}
         states = {}
-        build_base = {fid: (frag.csr_builds, frag.csr_patches)
+        build_base = {fid: _DERIVED_WORK(frag)
                       for fid, frag in fragments.items()}
 
     def _drop_dead_pins():
@@ -824,12 +831,11 @@ def _worker_main(conn, heartbeat=None) -> None:
                 states.update(msg[1])
                 channel.send(("ok", None))
             elif kind == "collect":
-                done = {fid: (frag.csr_builds, frag.csr_patches)
+                done = {fid: _DERIVED_WORK(frag)
                         for fid, frag in fragments.items()}
-                builds = {}
-                for fid, (built, patched) in done.items():
-                    was = build_base.get(fid, (0, 0))
-                    builds[fid] = (built - was[0], patched - was[1])
+                builds = {fid: tuple(map(int.__sub__, work,
+                                         build_base.get(fid, (0,) * 4)))
+                          for fid, work in done.items()}
                 build_base = done
                 channel.send(("ok", (states, builds)))
             elif kind == "close":
@@ -1089,12 +1095,11 @@ class _ProcessSession(ExecutorSession):
         for worker_states, builds in self._broadcast(
                 lambda handle: ("collect", None)):
             states.update(worker_states)
-            # Fold worker-side CSR snapshot builds and splices into the
-            # coordinator fragments so service-level CSR metrics stay
-            # meaningful.
-            for fid, (built, patched) in builds.items():
-                self._fragmentation[fid].count_remote_csr_work(built,
-                                                               patched)
+            # Fold worker-side snapshot builds and splices and table
+            # derivations into the coordinator fragments so service-level
+            # metrics stay meaningful.
+            for fid, work in builds.items():
+                self._fragmentation[fid].count_remote_csr_work(*work)
         self._account()
         return states
 

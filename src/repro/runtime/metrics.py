@@ -299,6 +299,7 @@ _RUN_ADDITIVE_FIELDS, _RUN_HISTOGRAM_FIELDS = _classify_fields(RunMetrics)
 #: aggregates them by
 DERIVED_STATE_COUNTERS = ("csr_snapshots_built", "csr_snapshots_patched",
                           "csr_snapshot_invalidations",
+                          "derived_tables_carried", "derived_tables_rebuilt",
                           "border_index_builds", "border_index_patches")
 
 
@@ -330,10 +331,13 @@ class ServiceMetrics:
     #: the first read after one splices the retired snapshot with the
     #: batch's dirty rows (``patched``) where it used to rebuild — so
     #: builds stay near one per fragment however many batches arrive.
-    #: The border index of each fragmentation is counted the same way.
+    #: The border index is counted the same way, and so are the tables
+    #: derived from a snapshot: carried across a splice, or rebuilt.
     csr_snapshots_built: int = 0
     csr_snapshots_patched: int = 0
     csr_snapshot_invalidations: int = 0
+    derived_tables_carried: int = 0
+    derived_tables_rebuilt: int = 0
     border_index_builds: int = 0
     border_index_patches: int = 0
     #: physical execution totals: real wall-clock of served runs and the

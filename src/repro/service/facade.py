@@ -1184,8 +1184,9 @@ class GrapeService:
         workers reading reports, coordinator fold / compose / byte
         accounting, assemble; an ``update`` row of seconds per applied
         batch: ``apply_delta_s``, ``wal_append_s``, ``compact_s``,
-        ``maintain_s`` and the deferred ``assemble_s``; a ``store`` row
-        of seconds per snapshot written and per snapshot loaded), recent
+        ``maintain_s`` and the deferred ``assemble_s``; a ``graph`` row:
+        snapshots built / spliced, tables carried / rebuilt; a ``store``
+        row of seconds per snapshot written and per loaded), recent
         structured events (with per-kind totals), the slow-query log
         with span trees, straggler diagnostics, and breaker transitions."""
         registry = self.metrics_registry()
@@ -1211,6 +1212,10 @@ class GrapeService:
                                     if batches else 0.0)
             for name in UPDATE_PHASE_FIELDS}}
         stats = self.stats
+        # the read path: snapshots spliced vs built, tables carried vs not
+        layers["graph"] = {name: getattr(stats, name) for name in (
+            "csr_snapshots_built", "csr_snapshots_patched",
+            "derived_tables_carried", "derived_tables_rebuilt")}
         written, loaded = stats.snapshots_written, stats.snapshots_loaded
         layers["store"] = {
             "snapshots_written": written, "snapshots_loaded": loaded,

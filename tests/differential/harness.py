@@ -30,9 +30,9 @@ uninterrupted run's — recovery is visible in ``recoveries`` only.
 
 :func:`assert_derived_state_fresh` is the check the update harnesses (the
 update fuzz, the service-update differential, the chaos runner) make after
-every batch: snapshots and the border index are spliced from their
-predecessors and the batch's dirty set, and must equal a from-scratch
-build field for field.
+every batch: snapshots, the tables derived from them (label index, slot
+tables) and the border index are spliced from their predecessors and the
+batch's dirty set, and must equal a from-scratch build field for field.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 from repro.core import engine as engine_mod
 from repro.core.engine import GrapeEngine
 from repro.graph.csr import CSRGraph
-from repro.partition.base import BorderIndex
+from repro.partition.base import BorderIndex, Fragment
 from repro.resilience.faults import FaultPlane
 
 BACKENDS = ("serial", "thread", "process")
@@ -95,19 +95,47 @@ def assert_same_border_index(index, fresh) -> None:
             assert np.array_equal(got, want), name
 
 
+def _assert_same_arrays(got, want, what) -> None:
+    assert len(got) == len(want), what
+    for i, (a, b) in enumerate(zip(got, want)):
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray) and a.dtype == b.dtype \
+                and np.array_equal(a, b), (what, i)
+        else:
+            assert type(a) is type(b) and a == b, (what, i)
+
+
+def assert_derived_tables_fresh(frag) -> None:
+    """The snapshot of ``frag`` and every table derived from it — the
+    label index, ``outer_slots``, ``owned_slots``, ``border_slots`` —
+    carried across splices or not, equal (values and dtypes) what a
+    freshly built fragment over the same graph and sets derives."""
+    fresh = Fragment(frag.fid, frag.graph, frag.owned, frag.inner,
+                     frag.outer)
+    snap, want = frag.csr(), fresh.csr()
+    assert_same_snapshot(snap, want)
+    snap.int_labels, want.int_labels  # (learn them where nobody asked)
+    _assert_same_arrays(snap._label_index, want._label_index, "label index")
+    _assert_same_arrays(frag.owned_slots(), fresh.owned_slots(),
+                        "owned_slots")
+    if want.int_labels is not None:  # the array plane's maps
+        _assert_same_arrays((snap.int_labels,), (want.int_labels,),
+                            "int_labels")
+        for name in ("outer_slots", "border_slots"):
+            _assert_same_arrays(getattr(frag, name)(),
+                                getattr(fresh, name)(), name)
+        labels, vids = frag.outer_slots()
+        assert labels.tolist() == sorted(frag.outer)
+        assert [snap.node_of[i] for i in vids.tolist()] == labels.tolist()
+
+
 def assert_derived_state_fresh(fragmentation) -> None:
     """Every snapshot-shaped cache of ``fragmentation`` — spliced or not
     — equals what a build from the whole (mutated) graph gives."""
     index = fragmentation.border_index()
     assert_same_border_index(index, BorderIndex.build(fragmentation))
     for frag in fragmentation:
-        snap = frag.csr()
-        assert_same_snapshot(snap, CSRGraph.from_graph(frag.graph))
-        if index is not None:  # integer labels: the array plane's maps
-            labels, vids = frag.outer_slots()
-            assert labels.tolist() == sorted(frag.outer)
-            assert [snap.node_of[i] for i in vids.tolist()] \
-                == labels.tolist()
+        assert_derived_tables_fresh(frag)
 
 
 def run_all_paths(make_program: Callable[..., Any], query: Any,

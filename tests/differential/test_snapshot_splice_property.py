@@ -11,6 +11,10 @@ dict), brand-new nodes, weight-only batches, directed and undirected —
 * ``fragment.csr()`` equals ``CSRGraph.from_graph(fragment.graph)`` field
   by field (all six arrays with dtypes, ``node_of``, ``id_of``,
   ``labels``),
+* the tables derived from the snapshot — ``int_labels`` and the sorted
+  label index, ``outer_slots()``, ``owned_slots()``, ``border_slots()``
+  — which cross the splice through its id remap, equal (values and
+  dtypes) what a freshly built fragment over the same graph derives,
 * ``fragmentation.border_index()`` equals ``BorderIndex.build``,
 
 and the same holds for a worker-side copy of every fragment brought
@@ -33,8 +37,8 @@ from repro.partition.base import BorderIndex, build_edge_cut_fragments
 from repro.partition.strategies import HashPartition, MetisLikePartition
 from repro.runtime import shm
 
-from .harness import (assert_derived_state_fresh, assert_same_border_index,
-                      assert_same_snapshot)
+from .harness import (assert_derived_state_fresh, assert_derived_tables_fresh,
+                      assert_same_border_index, assert_same_snapshot)
 
 PARTITIONS = (HashPartition(), MetisLikePartition())
 FRAGMENTS = 4
@@ -95,10 +99,10 @@ def resolve(graph, ops) -> GraphDelta:
 
 def worker_copies(fragmentation):
     """What pooled workers hold: unpickled fragments with their own
-    first snapshot."""
+    first snapshot and tables."""
     copies = pickle.loads(pickle.dumps(fragmentation.fragments))
     for copy in copies:
-        copy.csr()
+        assert_derived_tables_fresh(copy)
     return copies
 
 
@@ -106,7 +110,7 @@ def assert_copies_current(fragmentation, copies) -> None:
     for frag, copy in zip(fragmentation, copies):
         assert list(copy.graph.nodes()) == list(frag.graph.nodes())
         assert copy.graph == frag.graph
-        assert_same_snapshot(copy.csr(), CSRGraph.from_graph(copy.graph))
+        assert_derived_tables_fresh(copy)
 
 
 @given(g=graphs(), history=batches,
@@ -117,6 +121,7 @@ def test_spliced_state_equals_a_fresh_build(g, history, strategy):
     # The mechanism on its own, whatever share of the rows is dirty (a
     # fragment builds afresh once its dirty set stops being small): the
     # last snapshot / index of every table and what changed since.
+    assert_derived_state_fresh(fragmentation)  # (tables to carry)
     bases = [frag.csr() for frag in fragmentation]
     dirty_rows = [set() for _frag in fragmentation]
     index, dirty_border = fragmentation.border_index(), set()
@@ -145,6 +150,10 @@ def test_spliced_state_equals_a_fresh_build(g, history, strategy):
             dirty_border = set()
     if fragmentation.csr_snapshots_patched:
         event("a fragment spliced its snapshot")
+    if fragmentation.derived_tables_carried:
+        event("a fragment carried a derived table across")
+    if any(f.csr().remap is not None for f in fragmentation):
+        event("a splice remapped dense ids")
     if fragmentation.border_index_patches:
         event("the fragmentation spliced its border index")
 
@@ -253,6 +262,7 @@ def test_shared_snapshots_splice_after_a_delta(directed):
                     assert side.csr_shared == (not spliced[frag.fid])
                     assert_same_snapshot(snap,
                                          CSRGraph.from_graph(side.graph))
+                    assert_derived_tables_fresh(side)
         # the weight-only batch spliced too, and not everywhere
         assert spliced[fragmentation.gp.owner(u)] == 2 > min(spliced.values())
         assert_derived_state_fresh(fragmentation)

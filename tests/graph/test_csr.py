@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, int_array
 from repro.graph.generators import uniform_random_graph
 from repro.graph.graph import Graph
+
+
+def row(csr, vid):
+    """Row ``vid`` of the snapshot read off its arrays: ``(neighbour
+    ids, weights)``."""
+    lo, hi = csr.indptr[vid], csr.indptr[vid + 1]
+    return csr.indices[lo:hi], csr.weights[lo:hi]
 
 
 class TestCSRBasics:
@@ -22,21 +29,19 @@ class TestCSRBasics:
     def test_out_neighbors_match(self, diamond):
         csr = diamond.to_csr()
         vid = csr.id_of[0]
-        nbrs = {csr.node_of[int(i)] for i in csr.out_neighbors(vid)}
+        nbrs = {csr.node_of[int(i)] for i in row(csr, vid)[0]}
         assert nbrs == set(diamond.successors(0))
 
     def test_degrees(self, diamond):
         csr = diamond.to_csr()
         for v in diamond.nodes():
             vid = csr.id_of[v]
-            assert csr.out_degree(vid) == diamond.out_degree(v)
+            assert len(row(csr, vid)[0]) == diamond.out_degree(v)
 
     def test_weights_preserved(self, diamond):
         csr = diamond.to_csr()
         vid = csr.id_of[0]
-        pairs = {csr.node_of[int(i)]: w
-                 for i, w in zip(csr.out_neighbors(vid),
-                                 csr.out_weights(vid))}
+        pairs = {csr.node_of[int(i)]: w for i, w in zip(*row(csr, vid))}
         assert pairs == dict(diamond.successors_with_weights(0))
 
     def test_labels_carried(self):
@@ -47,45 +52,6 @@ class TestCSRBasics:
 
     def test_repr(self, diamond):
         assert "CSRGraph" in repr(diamond.to_csr())
-
-
-class TestFromEdges:
-    def test_directed_matches_graph_replay(self):
-        edges = list(uniform_random_graph(50, 180, seed=8).edges())
-        g = Graph(directed=True)
-        for u, v, w in edges:
-            g.add_edge(u, v, weight=w)
-        a = CSRGraph.from_graph(g)
-        b = CSRGraph.from_edges(edges, directed=True)
-        assert a.node_of == b.node_of
-        assert np.array_equal(a.indptr, b.indptr)
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.weights, b.weights)
-
-    def test_undirected_with_self_loop(self):
-        edges = [(0, 1, 1.0), (1, 2, 2.0), (2, 2, 3.0)]
-        g = Graph(directed=False)
-        for u, v, w in edges:
-            g.add_edge(u, v, weight=w)
-        a = CSRGraph.from_graph(g)
-        b = CSRGraph.from_edges(edges, directed=False)
-        assert a.node_of == b.node_of
-        assert np.array_equal(a.indptr, b.indptr)
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.weights, b.weights)
-
-    def test_explicit_nodes_and_labels(self):
-        csr = CSRGraph.from_edges([("b", "a", 1.0)],
-                                  nodes=["a", "b", "isolated"],
-                                  labels={"a": "L", "isolated": "I"})
-        assert csr.node_of == ["a", "b", "isolated"]
-        assert csr.out_degree(csr.id_of["isolated"]) == 0
-        assert csr.labels[csr.id_of["a"]] == "L"
-        assert csr.labels[csr.id_of["b"]] is None
-
-    def test_first_seen_id_order(self):
-        csr = CSRGraph.from_edges([(7, 3, 1.0), (3, 9, 1.0)])
-        assert csr.node_of == [7, 3, 9]
 
 
 class TestRoundTrip:
@@ -111,7 +77,7 @@ class TestRoundTrip:
         # Every edge appears exactly once.
         fwd = sorted((int(csr.indptr[v]), int(i))
                      for v in range(csr.n)
-                     for i in csr.out_neighbors(v))
+                     for i in row(csr, v)[0])
         assert len(fwd) == csr.num_directed_edges
 
 
@@ -167,7 +133,6 @@ class TestReadOnly:
         g.add_edge(u, "fresh", weight=0.5)
         yield "remapping splice", CSRGraph.from_graph(g, base=built,
                                                       dirty={u, v, "fresh"})
-        yield "from_edges", CSRGraph.from_edges(list(g.edges()))
         arrays = {name: arr.copy()
                   for name, arr in built.to_arrays().items()}
         yield "from_arrays", CSRGraph.from_arrays(
@@ -184,3 +149,73 @@ class TestReadOnly:
                 assert not arr.flags.writeable, (path, name)
                 with pytest.raises(ValueError, match="read-only"):
                     arr[:1] = 0
+
+
+class TestIntLabels:
+    """One scan decides whether labels are array values (the snapshot's
+    label index, the border index and its patches all ask it)."""
+
+    def test_plain_ints_only(self):
+        assert int_array([3, 1, 2]).tolist() == [3, 1, 2]
+        assert int_array([3, 1, 2]).dtype == np.int64
+        assert int_array([]).shape == (0,)
+        for labels in ([1, "a"], [1, 2.0], [1, None], [1, 2 ** 63],
+                       [0, True], [np.int64(1)]):
+            assert int_array(labels) is None, labels
+
+    def test_bool_labels_stay_off_the_array_plane(self):
+        g = Graph()
+        g.add_edge(0, 2, weight=1.0)
+        assert g.to_csr().int_labels.tolist() == [0, 2]
+        g.add_edge(True, 2, weight=1.0)  # a bool is not a plain int
+        assert g.to_csr().int_labels is None
+        with pytest.raises(TypeError, match="plain ints"):
+            g.to_csr().ids_of(np.array([2]))
+
+
+class TestSpliceHandsOverWhatItLearned:
+    def spliced(self):
+        g = Graph()
+        for u, v in ((10, 20), (20, 30), (30, 40), (40, 10)):
+            g.add_edge(u, v, weight=1.0)
+        base = g.to_csr()
+        assert base.int_labels.tolist() == [10, 20, 30, 40]
+        g.remove_node(20)              # gone
+        g.remove_node(30)
+        g.add_edge(30, 40, weight=2.0)  # moved to the end
+        g.add_edge(5, 10, weight=3.0)   # appended
+        return g, base, {10, 20, 30, 40, 5}
+
+    def test_remap_appended_and_the_carried_label_index(self):
+        g, base, dirty = self.spliced()
+        snap = CSRGraph.from_graph(g, base=base, dirty=dirty)
+        assert snap.node_of == [10, 40, 30, 5]
+        assert snap.remap.tolist() == [0, -1, 2, 1]
+        assert snap.appended.tolist() == [3]
+        fresh = g.to_csr()
+        assert (fresh.remap, fresh.appended) == (None, None)
+        assert snap._label_index is not None  # carried, not re-learned
+        fresh.int_labels
+        for got, want in zip(snap._label_index, fresh._label_index):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert snap.ids_of(np.array([5, 30])).tolist() == [3, 2]
+
+    def test_a_label_index_nobody_asked_for_is_not_derived(self):
+        g = Graph()
+        g.add_edge(1, 2, weight=1.0)
+        base = g.to_csr()
+        g.add_edge(2, 3, weight=1.0)
+        snap = CSRGraph.from_graph(g, base=base, dirty={2, 3})
+        assert snap._label_index is None
+        assert snap.int_labels.tolist() == [1, 2, 3]
+
+    def test_an_appended_label_that_is_no_array_value(self):
+        g, base, dirty = self.spliced()
+        g.add_edge("s", 10, weight=1.0)
+        snap = CSRGraph.from_graph(g, base=base, dirty=dirty | {"s"})
+        assert snap.int_labels is None and g.to_csr().int_labels is None
+
+    def test_dirty_must_name_every_node_that_came_or_went(self):
+        g, base, dirty = self.spliced()
+        with pytest.raises(ValueError, match="dirty does not name"):
+            CSRGraph.from_graph(g, base=base, dirty=dirty - {5})

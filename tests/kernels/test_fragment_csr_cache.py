@@ -5,6 +5,7 @@ import sys
 import threading
 
 import numpy as np
+from differential.harness import assert_derived_state_fresh
 
 from repro.core.engine import GrapeEngine
 from repro.core.updates import apply_delta, apply_insertions
@@ -161,7 +162,7 @@ class TestSplice:
         fragmentation.release_snapshots()
         for frag in fragmentation:
             assert frag._csr is None and frag._csr_pending is None
-            assert frag._outer_slots is None and frag._owned_slots is None
+            assert frag._border_table is None and frag._owned_slots is None
         assert fragmentation._border_index is None
         epochs = [frag.csr_epoch for frag in fragmentation]
         assert fragmentation[0].csr().n == fragmentation[0].graph.num_nodes
@@ -191,6 +192,69 @@ class TestSplice:
         assert len(results) == 8
         assert all(snap is results[0] for snap in results)
         assert (frag.csr_builds, frag.csr_patches) == (1, 1)
+
+
+class TestDerivedTables:
+    """The slot tables cross a splice, a border move alone patches
+    them, and what has no known predecessor is derived from the sets —
+    the same arrays every time (tests/differential has the property)."""
+
+    def fragmentation(self):
+        from repro.partition.strategies import HashPartition
+        g = uniform_random_graph(60, 200, directed=True, seed=3)
+        return g, HashPartition().partition(g, 3)
+
+    @staticmethod
+    def touch(fragmentation):
+        for frag in fragmentation:
+            frag.outer_slots(), frag.border_slots(), frag.owned_slots()
+
+    @staticmethod
+    def cross_edge_onto_a_fresh_inner_node(g, fragmentation):
+        owner = fragmentation.gp.owner
+        return next((u, v) for u in g.nodes() for v in g.nodes()
+                    if u != v and owner(u) != owner(v)
+                    and not g.has_edge(u, v)
+                    and v not in fragmentation[owner(v)].inner)
+
+    def test_tables_are_built_once_and_carried_from_then_on(self):
+        g, fragmentation = self.fragmentation()
+        self.touch(fragmentation)
+        assert [(f.tables_carried, f.tables_rebuilt)
+                for f in fragmentation] == [(0, 2)] * 3
+        u, v = self.cross_edge_onto_a_fresh_inner_node(g, fragmentation)
+        gp = fragmentation.gp
+        there, here = fragmentation[gp.owner(u)], fragmentation[gp.owner(v)]
+        assert v not in here.border_slots()[0]
+        touched = apply_delta(fragmentation, GraphDelta().insert(u, v, 1.0))
+        # the tail's owner: a new mirror, a splice, every table crosses
+        assert touched[there.fid].mutates_graph and not there.csr_cached
+        # the head's owner: F_i.I moved, the local graph did not
+        assert not touched[here.fid].mutates_graph and here.csr_cached
+        assert (here.border_epoch, here.csr_epoch) == (1, 0)
+        self.touch(fragmentation)
+        assert v in here.border_slots()[0] and v not in here.outer_slots()[0]
+        assert v in there.outer_slots()[0]
+        # label index + border table + owned slots / the border table
+        assert (there.tables_carried, here.tables_carried) == (3, 1)
+        assert [f.tables_rebuilt for f in fragmentation] == [2] * 3
+        assert_derived_state_fresh(fragmentation)
+        warm = [(f.tables_carried, f.border_slots()) for f in fragmentation]
+        self.touch(fragmentation)
+        assert all(f.tables_carried == n and f.border_slots()[0] is t[0]
+                   for f, (n, t) in zip(fragmentation, warm))
+
+    def test_tables_without_a_known_predecessor_are_rebuilt(self):
+        g, fragmentation = self.fragmentation()
+        self.touch(fragmentation)
+        for frag in fragmentation:
+            frag.invalidate_csr()  # an unknown mutation: nothing to splice
+        u, v = self.cross_edge_onto_a_fresh_inner_node(g, fragmentation)
+        apply_delta(fragmentation, GraphDelta().insert(u, v, 1.0))
+        self.touch(fragmentation)
+        assert [(f.csr_builds, f.tables_carried, f.tables_rebuilt)
+                for f in fragmentation] == [(2, 0, 4)] * 3
+        assert_derived_state_fresh(fragmentation)
 
 
 class TestInsertionInvalidation:

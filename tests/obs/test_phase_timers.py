@@ -93,6 +93,12 @@ def test_service_exports_and_tabulates_the_layers(small_road):
                       "maintain_s": 0.0, "assemble_s": 0.0}
     # no store attached: nothing written, nothing loaded
     assert not any(report["layers"].pop("store").values())
+    # two reads, no write: four snapshots built, every table from the sets
+    graph = report["layers"].pop("graph")
+    assert graph == {"csr_snapshots_built": 4, "csr_snapshots_patched": 0,
+                     "derived_tables_carried": 0,
+                     "derived_tables_rebuilt": graph["derived_tables_rebuilt"]}
+    assert graph["derived_tables_rebuilt"] >= 4
     assert set(report["layers"]) == {"report_read", "fold", "compose",
                                      "accounting", "assemble"}
     for name, row in report["layers"].items():

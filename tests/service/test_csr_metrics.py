@@ -1,6 +1,13 @@
 """Serving-layer observability of CSR snapshot reuse."""
 
-from repro.graph.generators import uniform_random_graph
+import gc
+import random
+
+import pytest
+
+from repro import EngineConfig, GraphDelta
+from repro.graph.generators import preferential_attachment, uniform_random_graph
+from repro.partition.strategies import HashPartition
 from repro.pie_programs import PageRankQuery
 from repro.service import GrapeService
 
@@ -75,14 +82,14 @@ class TestServiceCSRCounters:
         service.insert_edges("g", [(0, 39, 0.01)])  # retires snapshots
         held = service.fragmentation("g")
         assert any(frag._csr_pending is not None for frag in held)
-        assert any(frag._outer_slots is not None for frag in held)
+        assert any(frag._border_table is not None for frag in held)
         assert held._border_index is not None
         patched = service.stats.border_index_patches
         service.close()
         assert held._border_index is None
         for frag in held:
             assert frag._csr is None and frag._csr_pending is None
-            assert frag._outer_slots is None
+            assert frag._border_table is None
         # ... and what it counted is still in the service's totals
         assert service.stats.csr_snapshots_built >= len(held.fragments)
         assert service.stats.border_index_patches == patched
@@ -92,3 +99,116 @@ class TestServiceCSRCounters:
             service.play("cc", graph="g")
             assert "csr=" in repr(service)
             assert "csr=" in repr(service.stats)
+
+
+def mixed_batch(graph, rng, ops=32):
+    """A 32-op batch like the benchmark's mixed one: deletes (which
+    retire mirrors), weight increases, inserts between nodes two hops
+    apart (which add mirrors under a hash cut)."""
+    edges = rng.sample(sorted(graph.edges()), ops)
+    delta = GraphDelta()
+    for u, v, _w in edges[:14]:
+        delta.delete(u, v)
+    for u, v, w in edges[14:24]:
+        delta.set_weight(u, v, w + 1.0)
+    for u, _v, _w in edges[24:]:
+        far = next(x for n in graph.neighbors(u) for x in graph.neighbors(n)
+                   if x != u and not graph.has_edge(u, x))
+        delta.insert(u, far, rng.random())
+    return delta
+
+
+class TestDerivedTablesCrossTheSplice:
+    """The first read after a write derives no table from Python
+    objects: label index and slot tables cross the splice with the
+    snapshot (``derived_tables_carried``), nothing is rebuilt."""
+
+    @pytest.fixture(params=[False, True], ids=["undirected", "directed"])
+    def service(self, request):
+        graph = preferential_attachment(400, 3, directed=request.param,
+                                        seed=5)
+        # (inline backend: pooled workers hold the snapshots and carry
+        # their tables; the coordinator's Assemble map has no snapshot
+        # to cross with and follows the graph order — see below)
+        with GrapeService(engine=EngineConfig(
+                num_workers=4, partition=HashPartition(),
+                backend="serial")) as svc:
+            svc.load_graph("g", graph)
+            yield svc, graph
+
+    def counters(self, svc):
+        stats = svc.stats
+        return (stats.csr_snapshots_built, stats.derived_tables_rebuilt)
+
+    def test_first_reads_after_a_batch_rebuild_nothing(self, service):
+        svc, graph = service
+        rng = random.Random(7)
+        svc.play("sssp", 0, graph="g")
+        svc.play("cc", None, graph="g")
+        before, carried = self.counters(svc), svc.stats.derived_tables_carried
+        assert before[0] == 4 and carried == 0
+        for program, query in (("sssp", 0), ("cc", None)) * 2:
+            svc.update("g", mixed_batch(graph, rng))
+            moved = svc.fragmentation("g").csr_snapshot_invalidations
+            svc.play(program, query, graph="g")
+            assert self.counters(svc) == before
+            stats = svc.stats
+            assert stats.csr_snapshots_patched == moved
+            # label index, border table and owned slots of every splice
+            assert stats.derived_tables_carried >= 3 * moved
+            after = stats.derived_tables_carried
+            for warm, q in (("sssp", 0), ("cc", None), ("bfs", 0)):
+                svc.play(warm, q, graph="g")
+            assert self.counters(svc) == before
+            assert svc.stats.derived_tables_carried == after
+        assert any(f.csr().remap is not None
+                   for f in svc.fragmentation("g"))  # ids did move
+        row = svc.debug_report()["layers"]["graph"]
+        assert row == {"csr_snapshots_built": 4,
+                       "csr_snapshots_patched": svc.stats.csr_snapshots_patched,
+                       "derived_tables_carried": after,
+                       "derived_tables_rebuilt": before[1]}
+
+    def test_a_first_read_leaves_nothing_to_the_cycle_collector(self,
+                                                                service):
+        """The carried tables are arrays (and the snapshot's one dict):
+        no per-node container, no reference cycle."""
+        svc, graph = service
+        rng = random.Random(11)
+        svc.play("sssp", 0, graph="g")
+        svc.play("cc", None, graph="g")
+        svc.update("g", mixed_batch(graph, rng))
+        svc.play("cc", None, graph="g")
+        svc.update("g", mixed_batch(graph, rng))
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            svc.play("sssp", 0, graph="g")
+            svc.play("cc", None, graph="g")
+            gc.collect()
+            leaked = [type(obj).__name__ for obj in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            del gc.garbage[:]
+        assert leaked == []
+
+    def test_worker_side_carries_fold_into_the_service_counters(self):
+        graph = preferential_attachment(300, 3, directed=False, seed=5)
+        with GrapeService(engine=EngineConfig(
+                num_workers=2, num_fragments=4, partition=HashPartition(),
+                backend="process")) as svc:
+            svc.load_graph("g", graph)
+            svc.play("sssp", 0, graph="g")
+            svc.play("cc", None, graph="g")
+            stats = svc.stats
+            built, carried = stats.csr_snapshots_built, \
+                stats.derived_tables_carried
+            assert built == 4 and carried == 0
+            svc.update("g", mixed_batch(graph, random.Random(3)))
+            svc.play("cc", None, graph="g")
+            stats = svc.stats
+            assert stats.csr_snapshots_built == built
+            assert stats.csr_snapshots_patched >= 1
+            # the workers' label indexes and border tables crossed
+            assert stats.derived_tables_carried \
+                >= 2 * stats.csr_snapshots_patched
