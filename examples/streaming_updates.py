@@ -1,17 +1,12 @@
 """Streaming updates: standing queries maintained as the graph churns.
 
-Two extensions beyond the paper's evaluation, both sketched in the paper
-itself:
-
-* the **continuous-query service** (Section 6's lightweight transaction
-  controller, over general batches ``ΔG = (ΔG⁺, ΔG⁻)``) —
-  ``service.watch`` registers a standing query; ``service.update`` folds
-  insertions into every watcher's answer by IncEval and serves
-  non-monotone changes (road closures, weight increases) by a
-  transparent in-session recompute on the mutated fragments;
-* the **asynchronous engine** (Section 8: "an asynchronous version of
-  GRAPE is also under development") — no barriers, fragments activate as
-  messages arrive (shown via the low-level path at the end).
+An extension beyond the paper's evaluation, sketched in the paper itself:
+the **continuous-query service** (Section 6's lightweight transaction
+controller, over general batches ``ΔG = (ΔG⁺, ΔG⁻)``) — ``service.watch``
+registers a standing query; ``service.update`` folds insertions into
+every watcher's answer by IncEval and serves non-monotone changes (road
+closures, weight increases) by a transparent in-session recompute on the
+mutated fragments.
 
 Run:  python examples/streaming_updates.py
 """
@@ -73,23 +68,5 @@ def main():
     service.close()
 
 
-def advanced_async_engine():
-    """Low-level variant: the barrier-free asynchronous engine."""
-    from repro import GrapeEngine
-    from repro.core.async_engine import AsyncGrapeEngine
-    from repro.pie_programs import SSSPProgram
-
-    graph = traffic_like(scale=0.1)
-    sync = GrapeEngine(4).run(SSSPProgram(), 0, graph=graph)
-    async_run = AsyncGrapeEngine(4).run(SSSPProgram(), 0, graph=graph)
-    assert all(abs(sync.answer[v] - async_run.answer[v]) < 1e-9
-               or sync.answer[v] == async_run.answer[v]
-               for v in sync.answer)
-    print(f"\n[advanced] sync engine:  {sync.supersteps} supersteps")
-    print(f"[advanced] async engine: {async_run.activations} fragment "
-          "activations, same answer ✓")
-
-
 if __name__ == "__main__":
     main()
-    advanced_async_engine()

@@ -1,6 +1,5 @@
 """GRAPE core: the PIE model, parallel engine and simulation compilers."""
 
-from repro.core.async_engine import AsyncGrapeEngine, AsyncGrapeResult
 from repro.core.aggregators import (Aggregator, ConflictError,
                                     DefaultExceptionAggregator,
                                     LatestTimestampAggregator, MaxAggregator,
@@ -23,7 +22,6 @@ __all__ = [
     "ConflictError", "MonotonicityChecker", "MonotonicityViolation",
     "PIERegistry", "default_registry", "BSPProgram", "run_bsp_on_grape",
     "MapReduceJob", "run_mapreduce_on_grape", "PRAMProgram",
-    "run_pram_on_grape", "CREWViolation", "AsyncGrapeEngine",
-    "AsyncGrapeResult", "ContinuousQuerySession", "NonMonotoneUpdateError",
-    "apply_delta", "apply_insertions",
+    "run_pram_on_grape", "CREWViolation", "ContinuousQuerySession",
+    "NonMonotoneUpdateError", "apply_delta", "apply_insertions",
 ]

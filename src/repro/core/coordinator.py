@@ -12,11 +12,10 @@ as one small object with two representations of the same protocol:
   ``{(node, name): value}`` dicts, folded key by key through
   :meth:`~repro.core.aggregators.Aggregator.combine`.  Serves every
   program (Sim, SubIso, CF, the simulation compilers, ``use_csr=False``),
-  non-integer node labels, GRAPE-NI, runtime monotonicity checking, the
-  maintenance rounds of
+  non-integer node labels, GRAPE-NI, runtime monotonicity checking and
+  the maintenance rounds of
   :class:`~repro.core.updates.ContinuousQuerySession` (whose bounded
-  rebaseline edits the per-key tables) and every activation of
-  :class:`~repro.core.async_engine.AsyncGrapeEngine`.
+  rebaseline edits the per-key tables).
 * :class:`ArrayCoordinator` — the array plane, for programs that declare
   a :class:`~repro.core.pie.BlockSpec` on fragmentations that have a
   :class:`~repro.partition.base.BorderIndex`.  Reports and messages are

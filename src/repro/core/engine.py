@@ -23,8 +23,8 @@ Simulation Theorem compilers (:mod:`repro.core.bsp_sim`,
 :mod:`repro.core.mapreduce_sim`, :mod:`repro.core.pram_sim`).
 
 The round and the loop are :class:`~repro.core.fixpoint.Fixpoint`'s —
-the one superstep driver, shared with standing-query maintenance and the
-asynchronous engine; this module adds the run object whose *step*
+the one superstep driver, shared with standing-query maintenance; this
+module adds the run object whose *step*
 executes a round on the configured backend's session and replays it
 through worker failures.  Folding, composing and pricing are the job of
 one :class:`~repro.core.coordinator.Coordinator` per run — array-native
@@ -70,7 +70,7 @@ from repro.runtime.executors import (PHASE_IDLE, PHASE_INC, PHASE_NI,
                                      PHASE_PEVAL,
                                      ExecutorBackend, StepCommand,
                                      WorkerHung, WorkerProcessDied,
-                                     resolve_backend)
+                                     backend_name, resolve_backend)
 from repro.runtime.fault import Arbitrator
 from repro.runtime.metrics import CostModel, RunMetrics, message_bytes
 
@@ -133,6 +133,8 @@ class EngineConfig:
             raise ValueError("need at least one worker")
         if self.effective_fragments < self.num_workers:
             raise ValueError("virtual workers m must be >= physical n")
+        if not isinstance(self.backend, (ExecutorBackend, type(None))):
+            backend_name(self.backend)
 
     @property
     def effective_fragments(self) -> int:

@@ -1,21 +1,19 @@
 """The superstep driver: one round, one loop (paper Section 3.2).
 
 The paper has one simultaneous fixpoint — PEval, then IncEval until no
-update parameter moves.  :class:`Fixpoint` is the run object every caller
-drives: :meth:`~Fixpoint.superstep` is a round, written once (step the
+update parameter moves.  :class:`Fixpoint` is the run object both callers
+drive: :meth:`~Fixpoint.superstep` is a round, written once (step the
 fragments, record, fold the reports, compose and price the next round's
 messages, route the explicit channels, checkpoint) and
 :meth:`~Fixpoint.drain` the one loop that repeats it.  Callers replace
-the *step* — where a round's compute runs:
+only the *step* — where a round's compute runs:
 
 * :class:`~repro.core.engine.GrapeEngine` steps through an executor
   session and replays a round through worker failures;
 * :class:`~repro.core.updates.ContinuousQuerySession` does the first
   superstep of a batch itself (:meth:`~Fixpoint.record` +
   :meth:`~Fixpoint.settle`) and drains the rest with the in-process step
-  defined here, over its own states;
-* :class:`~repro.core.async_engine.AsyncGrapeEngine` narrows a round of
-  that step to the one fragment that is ready earliest.
+  defined here, over its own states.
 
 **One accounting rule.**  The traffic a round produces — reports up,
 messages and explicit channels down — is charged to the superstep that
@@ -179,10 +177,11 @@ class Fixpoint:
         return pending
 
     def drain(self, messages: Dict[int, Any], designated=None,
-              keyvalue=None, *, rounds: int = 1) -> None:
-        """Repeat :meth:`superstep` until no update parameter moved and
-        no explicit message is pending (the simultaneous fixpoint).
-        ``rounds`` is how many of ``max_supersteps`` are already spent."""
+              keyvalue=None) -> None:
+        """Repeat :meth:`superstep` after the caller's first round until
+        no update parameter moved and no explicit message is pending (the
+        simultaneous fixpoint)."""
+        rounds = 1
         while messages or designated or keyvalue:
             if rounds >= self.max_supersteps:
                 raise RuntimeError(

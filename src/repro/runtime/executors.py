@@ -84,6 +84,7 @@ __all__ = [
     "WorkerHung",
     "WorkerProcessDied",
     "available_backends",
+    "backend_name",
     "resolve_backend",
 ]
 
@@ -1421,6 +1422,19 @@ def available_backends() -> List[str]:
     return sorted(_FACTORIES)
 
 
+def backend_name(spec: str) -> str:
+    """The canonical name of a backend name or alias; instantiates
+    nothing."""
+    if not isinstance(spec, str):
+        raise TypeError(f"backend must be a name or an ExecutorBackend "
+                        f"instance, got {spec!r}")
+    canonical = _ALIASES.get(spec.strip().lower())
+    if canonical is None:
+        raise ValueError(f"unknown backend {spec!r}; "
+                         f"available: {available_backends()}")
+    return canonical
+
+
 def resolve_backend(spec: Union[str, ExecutorBackend, None],
                     ) -> ExecutorBackend:
     """Turn a backend spec (name, instance or ``None``) into a backend.
@@ -1434,13 +1448,7 @@ def resolve_backend(spec: Union[str, ExecutorBackend, None],
         return spec
     if spec is None:
         spec = os.environ.get(BACKEND_ENV_VAR) or "serial"
-    if not isinstance(spec, str):
-        raise TypeError(f"backend must be a name or an ExecutorBackend "
-                        f"instance, got {spec!r}")
-    canonical = _ALIASES.get(spec.strip().lower())
-    if canonical is None:
-        raise ValueError(f"unknown backend {spec!r}; "
-                         f"available: {available_backends()}")
+    canonical = backend_name(spec)
     with _shared_lock:
         backend = _shared.get(canonical)
         if backend is None or getattr(backend, "_closed", False):

@@ -4,7 +4,9 @@ executable Assurance Theorem."""
 
 from math import inf
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.core.engine import GrapeEngine
 from repro.graph.generators import (grid_road_graph, labeled_graph,
@@ -12,8 +14,8 @@ from repro.graph.generators import (grid_road_graph, labeled_graph,
 from repro.graph.graph import Graph
 from repro.partition.strategies import (HashPartition, MetisLikePartition,
                                         StreamingPartition)
-from repro.pie_programs import (CCProgram, CFProgram, CFQuery, SimProgram,
-                                SSSPProgram, SubIsoProgram)
+from repro.pie_programs import (BFSProgram, CCProgram, CFProgram, CFQuery,
+                                SimProgram, SSSPProgram, SubIsoProgram)
 from repro.sequential import (canonical_match, connected_components,
                               maximum_simulation, sssp_distances,
                               vf2_all_matches)
@@ -253,3 +255,49 @@ class TestCFOnGrape:
         result = GrapeEngine(2).run(CFProgram(), query=query, graph=g)
         # Absurdly lax target: every fragment converges immediately.
         assert result.supersteps <= 3
+
+
+@st.composite
+def graphs(draw, max_nodes=16):
+    n = draw(st.integers(min_value=2, max_value=max_nodes))
+    g = Graph(directed=draw(st.booleans()))
+    for v in range(n):
+        g.add_node(v)
+    for _ in range(draw(st.integers(min_value=1, max_value=3 * n))):
+        u = draw(st.integers(min_value=0, max_value=n - 1))
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        if u != v:
+            g.add_edge(u, v, weight=draw(
+                st.floats(min_value=0.1, max_value=5.0, allow_nan=False)))
+    return g
+
+
+class TestScheduleIndependence:
+    """Virtual fragments are only scheduled onto the physical workers:
+    a superstep folds every fragment's report before composing, so how
+    many workers share the fragments changes neither the fixpoint
+    (*bitwise*) nor the supersteps and traffic it takes to reach it."""
+
+    @pytest.mark.parametrize("partition", [HashPartition(),
+                                           MetisLikePartition()],
+                             ids=["hash", "metis"])
+    @pytest.mark.parametrize("make_program,query", [
+        (SSSPProgram, 0), (BFSProgram, 0), (CCProgram, None)],
+        ids=["sssp", "bfs", "cc"])
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(graph=graphs(), workers=st.integers(min_value=1, max_value=3))
+    def test_worker_count_never_changes_the_fixpoint(
+            self, make_program, query, partition, graph, workers):
+        if query is None and graph.directed:
+            return  # CC is defined on undirected graphs
+        fragmentation = partition.partition(graph, 4)
+        one_each = GrapeEngine(4).run(
+            make_program(), query, fragmentation=fragmentation)
+        shared = GrapeEngine(workers, num_fragments=4).run(
+            make_program(), query, fragmentation=fragmentation)
+        assert shared.answer == one_each.answer
+        assert (shared.supersteps, shared.metrics.comm_bytes,
+                shared.metrics.comm_messages) == (
+            one_each.supersteps, one_each.metrics.comm_bytes,
+            one_each.metrics.comm_messages)

@@ -5,6 +5,8 @@ import dataclasses
 
 import pytest
 
+from repro.core import engine as engine_mod
+from repro.core import fixpoint as fixpoint_mod
 from repro.core.coordinator import Coordinator
 from repro.core.engine import EngineConfig, GrapeEngine
 from repro.core.updates import ContinuousQuerySession
@@ -14,6 +16,7 @@ from repro.partition.strategies import MetisLikePartition
 from repro.pie_programs import BFSProgram, CCProgram, SSSPProgram
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlane
+from repro.runtime.wire import wire_bytes
 from repro.sequential import connected_components, sssp_distances
 
 
@@ -106,6 +109,41 @@ class TestMaintenanceAccounting:
         assert result.metrics.comm_bytes == ledger.bytes
 
 
+class TestWireModelAccounting:
+    @pytest.mark.parametrize("plane", [
+        {}, {"check_monotonic": True}, {"incremental": False}],
+        ids=["arrays", "dicts", "ni"])
+    @pytest.mark.parametrize("make_program,query,fixture", [
+        (SSSPProgram, 0, "small_road"),
+        (BFSProgram, 0, "small_road"),
+        (CCProgram, None, "small_undirected")], ids=["sssp", "bfs", "cc"])
+    def test_comm_bytes_obey_the_wire_model(self, monkeypatch, request,
+                                            make_program, query, fixture,
+                                            plane):
+        """Every non-empty report and every composed message is one
+        message charged ``16 + n * (8 + width)`` on every coordinator
+        plane — the closed form, no pickling."""
+        sizes = []
+        price = Coordinator.price
+
+        def spy_price(coord, payload):
+            sizes.append(len(payload))
+            return price(coord, payload)
+
+        monkeypatch.setattr(Coordinator, "price", spy_price)
+        for module in (engine_mod, fixpoint_mod):
+            monkeypatch.setattr(module, "message_bytes",
+                                lambda payload: pytest.fail(
+                                    "an update parameter was priced by "
+                                    "pickle"))
+        result = GrapeEngine(4, **plane).run(
+            make_program(), query, graph=request.getfixturevalue(fixture))
+        assert len(sizes) > 4 and all(sizes)
+        assert result.metrics.comm_messages == len(sizes)
+        assert result.metrics.comm_bytes == sum(
+            wire_bytes(n, make_program.param_width) for n in sizes)
+
+
 class TestMaintenanceIsNoFaultSite:
     def test_an_update_advances_no_exec_step_ordinal(self, small_road):
         """Maintenance rounds run in-process: a crash due at the very
@@ -135,16 +173,44 @@ class TestEngineConfig:
         {"num_workers": 0},
         {"num_workers": -2},
         {"num_workers": 4, "num_fragments": 2},
+        {"num_workers": 2, "backend": "bogus"},
     ])
     def test_contradictions_are_rejected_where_the_config_is_built(
             self, fields):
         with pytest.raises(ValueError):
             EngineConfig(**fields)
         with pytest.raises(ValueError):
-            GrapeEngine(fields["num_workers"],
-                        num_fragments=fields.get("num_fragments"))
+            GrapeEngine(**fields)
         with pytest.raises(ValueError):
             EngineConfig().replace(**fields)
+        if "backend" in fields:
+            from repro import GrapeService
+
+            with pytest.raises(ValueError, match="unknown backend"):
+                GrapeService(backend=fields["backend"])
+
+    def test_a_backend_name_is_checked_without_building_one(
+            self, monkeypatch):
+        from repro.runtime import executors
+
+        monkeypatch.setattr(executors, "_shared", {})
+        assert EngineConfig(backend="process").backend == "process"
+        assert EngineConfig().replace(backend="mp").backend == "mp"
+        assert "process" not in executors._shared
+
+    def test_an_instance_or_none_passes_unchanged(self):
+        from repro.runtime.executors import SerialBackend
+
+        backend = SerialBackend()
+        assert EngineConfig(backend=backend).backend is backend
+        assert EngineConfig().replace(backend=backend).backend is backend
+        assert EngineConfig(backend=None).backend is None
+
+    def test_a_backend_that_is_no_name_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            EngineConfig(backend=42)
+        with pytest.raises(TypeError):
+            GrapeEngine(2, backend=42)
 
     def test_valid_shapes(self):
         assert EngineConfig(num_workers=2, num_fragments=2)

@@ -5,7 +5,6 @@ from collections import deque
 import networkx as nx
 import pytest
 
-from repro.core.async_engine import AsyncGrapeEngine
 from repro.core.engine import GrapeEngine
 from repro.graph.generators import (grid_road_graph,
                                     preferential_attachment,
@@ -63,6 +62,11 @@ class TestBFS:
         result = GrapeEngine(2).run(BFSProgram(), query=0, graph=g)
         assert result.answer[5] == -1
 
+    def test_more_fragments_than_workers(self, small_road):
+        result = GrapeEngine(2, num_fragments=6).run(
+            BFSProgram(), query=0, graph=small_road)
+        assert result.answer == bfs_oracle(small_road, 0)
+
     def test_ni_mode(self, small_road):
         truth = bfs_oracle(small_road, 0)
         engine = GrapeEngine(3, incremental=False)
@@ -72,11 +76,6 @@ class TestBFS:
     def test_monotonic_check(self, small_road):
         engine = GrapeEngine(4, check_monotonic=True)
         result = engine.run(BFSProgram(), query=0, graph=small_road)
-        assert result.answer == bfs_oracle(small_road, 0)
-
-    def test_async_engine(self, small_road):
-        result = AsyncGrapeEngine(4).run(BFSProgram(), query=0,
-                                         graph=small_road)
         assert result.answer == bfs_oracle(small_road, 0)
 
     def test_random_graph(self):

@@ -7,9 +7,11 @@ from repro.graph.generators import uniform_random_graph
 from repro.pie_programs import SSSPProgram
 from repro.resilience.faults import FaultPlane
 from repro.runtime.cluster import SimulatedCluster
+from repro.runtime import executors
 from repro.runtime.executors import (BACKEND_ENV_VAR, ProcessBackend,
                                      SerialBackend, ThreadBackend,
-                                     available_backends, resolve_backend)
+                                     available_backends, backend_name,
+                                     resolve_backend)
 
 
 class ExplodingError(RuntimeError):
@@ -35,6 +37,24 @@ class TestResolution:
     ])
     def test_aliases(self, alias, cls):
         assert isinstance(resolve_backend(alias), cls)
+
+    @pytest.mark.parametrize("alias,canonical", [
+        ("serial", "serial"), ("sync", "serial"),
+        ("thread", "thread"), ("threads", "thread"),
+        ("process", "process"), ("mp", "process"),
+        (" Process ", "process"),  # case- and space-insensitive
+    ])
+    def test_a_name_is_canonicalised_without_building_a_backend(
+            self, monkeypatch, alias, canonical):
+        monkeypatch.setattr(executors, "_shared", {})
+        assert backend_name(alias) == canonical
+        assert executors._shared == {}
+
+    def test_backend_name_rejects_what_resolution_rejects(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            backend_name("gpu")
+        with pytest.raises(TypeError):
+            backend_name(42)
 
     def test_named_lookup_is_shared(self):
         assert resolve_backend("process") is resolve_backend("mp")

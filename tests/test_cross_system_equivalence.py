@@ -1,9 +1,9 @@
-"""Cross-system integration property: GRAPE (sync and async), Pregel, GAS
-and Blogel all compute identical answers on random inputs.
+"""Cross-system integration property: GRAPE, Pregel, GAS and Blogel all
+compute identical answers on random inputs.
 
 This is the strongest end-to-end invariant of the reproduction: four
-independently implemented engines plus two GRAPE execution modes agree
-with the sequential oracle on every random graph hypothesis generates.
+independently implemented engines agree with the sequential oracle on
+every random graph hypothesis generates.
 """
 
 import hypothesis.strategies as st
@@ -17,7 +17,6 @@ from repro.baselines.gas_programs import CCGASProgram, SSSPGASProgram
 from repro.baselines.vertex_centric import PregelEngine
 from repro.baselines.vertex_programs import (CCVertexProgram,
                                              SSSPVertexProgram)
-from repro.core.async_engine import AsyncGrapeEngine
 from repro.core.engine import GrapeEngine
 from repro.graph.graph import Graph
 from repro.pie_programs import CCProgram, SSSPProgram
@@ -49,8 +48,6 @@ def test_all_systems_agree_on_sssp(g, n):
     truth = sssp_distances(g, 0)
     answers = {
         "grape": GrapeEngine(n).run(SSSPProgram(), 0, graph=g).answer,
-        "async": AsyncGrapeEngine(n).run(SSSPProgram(), 0,
-                                         graph=g).answer,
         "pregel": PregelEngine(n).run(SSSPVertexProgram(), g,
                                       query=0).answer,
         "gas": GASEngine(n).run(SSSPGASProgram(), g, query=0).answer,
@@ -83,8 +80,6 @@ def test_all_systems_agree_on_cc(g, n):
         expected.setdefault(c, set()).add(v)
     answers = {
         "grape": GrapeEngine(n).run(CCProgram(), None, graph=g).answer,
-        "async": AsyncGrapeEngine(n).run(CCProgram(), None,
-                                         graph=g).answer,
         "pregel": PregelEngine(n).run(CCVertexProgram(), g).answer,
         "gas": GASEngine(n).run(CCGASProgram(), g).answer,
         "blogel": BlogelEngine(n, precompute_cc=True).run(
