@@ -8,8 +8,8 @@ exception handler (here: raise on genuine conflicts).
 
 Aggregators also expose the *partial order* of the monotonic condition
 (Section 4.1): :meth:`Aggregator.is_progress` says whether a new value
-strictly advances the order, which the engine's monotonicity checker and
-termination logic rely on.
+strictly advances the order, which the coordinator's fold and its
+monotonic check rely on.
 """
 
 from __future__ import annotations

@@ -12,8 +12,7 @@ as one small object with two representations of the same protocol:
   ``{(node, name): value}`` dicts, folded key by key through
   :meth:`~repro.core.aggregators.Aggregator.combine`.  Serves every
   program (Sim, SubIso, CF, the simulation compilers, ``use_csr=False``),
-  non-integer node labels, GRAPE-NI, runtime monotonicity checking and
-  the maintenance rounds of
+  non-integer node labels, GRAPE-NI and the maintenance rounds of
   :class:`~repro.core.updates.ContinuousQuerySession` (whose bounded
   rebaseline edits the per-key tables).
 * :class:`ArrayCoordinator` — the array plane, for programs that declare
@@ -34,6 +33,11 @@ one superstep every caller shares — and nobody else folds or composes.
 Every coordinator accumulates always-on phase timers (``fold_s``,
 ``compose_s``, ``accounting_s``); :meth:`Coordinator.drain_timers` moves
 them into a :class:`~repro.runtime.metrics.RunMetrics`.
+
+``reported`` (what each fragment last reported) is the history of the
+monotonic condition (Section 4.1): with ``check`` on, a report moving a
+parameter back against the aggregator's order raises
+:exc:`MonotonicityViolation` before it overwrites the entry.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from typing import Any, Dict, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.monotonic import MonotonicityChecker
 from repro.core.pie import ParamKey, ParamUpdates, PIEProgram
 from repro.graph.csr import edge_positions
 from repro.partition.base import BorderIndex, Fragmentation
@@ -52,11 +55,16 @@ from repro.runtime.metrics import RunMetrics
 from repro.runtime.wire import ParamBlock, params_bytes
 
 __all__ = ["ArrayCoordinator", "Coordinator", "DictCoordinator",
-           "make_coordinator"]
+           "MonotonicityViolation", "make_coordinator"]
 
 #: one fragment's post-step report: ``("changed" | "full", dict)`` on the
 #: dict plane, ``("block", ParamBlock or None)`` on the array plane
 Report = Tuple[str, Any]
+
+
+class MonotonicityViolation(RuntimeError):
+    """A fragment reported an update parameter that moved against the
+    aggregator's partial order (paper Section 4.1)."""
 
 
 class Coordinator(abc.ABC):
@@ -66,9 +74,11 @@ class Coordinator(abc.ABC):
     #: :attr:`~repro.runtime.executors.StepCommand.blocks`)
     blocks: bool = False
 
-    def __init__(self, program: PIEProgram, fragmentation: Fragmentation):
+    def __init__(self, program: PIEProgram, fragmentation: Fragmentation,
+                 check: bool = False):
         self.program = program
         self.fragmentation = fragmentation
+        self.check = check
         self._width = program.param_width
         self.fold_s = 0.0
         self.compose_s = 0.0
@@ -148,13 +158,11 @@ class DictCoordinator(Coordinator):
     """
 
     def __init__(self, program: PIEProgram, fragmentation: Fragmentation,
-                 checker: Optional[MonotonicityChecker] = None):
-        super().__init__(program, fragmentation)
+                 check: bool = False):
+        super().__init__(program, fragmentation, check)
         self.reported: Dict[int, ParamUpdates] = {
             f.fid: {} for f in fragmentation.fragments}
         self.table: Dict[ParamKey, Any] = {}
-        self.checker = checker or MonotonicityChecker(program.aggregator,
-                                                      enabled=False)
 
     def _fold(self, reports, first_round):
         """A ``("changed", params)`` report (the incremental protocol of
@@ -162,21 +170,22 @@ class DictCoordinator(Coordinator):
         directly; a ``("full", params)`` report is diffed against the
         fragment's last report first."""
         agg = self.program.aggregator
-        table, reported, checker = self.table, self.reported, self.checker
+        table, reported = self.table, self.reported
         dirty: Set[ParamKey] = set()
         up_bytes = 0
         up_msgs = 0
         for fid in sorted(reports):
             kind, params = reports[fid]
+            prev = reported[fid]
+            changed = params if kind == "changed" else {
+                k: v for k, v in params.items()
+                if k not in prev or prev[k] != v}
+            if self.check:
+                self._check(fid, prev, changed)
             if kind == "full":
-                prev = reported[fid]
-                changed = {k: v for k, v in params.items()
-                           if k not in prev or prev[k] != v}
                 reported[fid] = params
-            else:
-                changed = params
-                if changed:
-                    reported[fid].update(changed)
+            elif changed:
+                prev.update(changed)
             if not changed:
                 continue
             up_bytes += self.price(changed)
@@ -187,13 +196,22 @@ class DictCoordinator(Coordinator):
                     merged = agg.combine(old, value)
                     if agg.is_progress(old, merged) or (
                             first_round and merged != old):
-                        checker.observe(key, merged)
                         table[key] = merged
                         dirty.add(key)
                 else:
                     table[key] = value
                     dirty.add(key)
         return up_bytes, up_msgs, dirty
+
+    def _check(self, fid: int, prev: ParamUpdates,
+               changed: ParamUpdates) -> None:
+        """Every key ``fid`` reported before must not fall behind."""
+        behind = self.program.aggregator.is_progress
+        for key, value in changed.items():
+            if key in prev and behind(value, prev[key]):
+                raise MonotonicityViolation(
+                    f"fragment {fid} moved {key[1]!r} of node {key[0]!r} "
+                    f"from {prev[key]!r} → {value!r}, against the order")
 
     def _compose(self, dirty):
         gp = self.fragmentation.gp
@@ -222,14 +240,15 @@ class ArrayCoordinator(Coordinator):
     initialised to the spec's neutral value (an unreported parameter).
     Per-source programs (PageRank) keep no tables at all: every entry
     has one writer and always advances, so a round's reports *are* its
-    dirty set and composing is a routing of each block by owner.
+    dirty set and composing is a routing of each block by owner; the
+    monotonic check skips them (the round orders each entry).
     """
 
     blocks = True
 
     def __init__(self, program: PIEProgram, fragmentation: Fragmentation,
-                 index: BorderIndex):
-        super().__init__(program, fragmentation)
+                 index: BorderIndex, check: bool = False):
+        super().__init__(program, fragmentation, check)
         spec = program.block_spec
         self._index = index
         self._per_source = spec.per_source
@@ -253,9 +272,20 @@ class ArrayCoordinator(Coordinator):
         before = table.copy()
         for fid, block in blocks:
             ids = index.ids_of(block.ids)
+            if self.check:
+                self._check(fid, reported[fid, ids], block)
             reported[fid, ids] = block.vals
             self._ufunc.at(table, ids, block.vals)
         return up_bytes, len(blocks), np.flatnonzero(table != before)
+
+    def _check(self, fid: int, old: np.ndarray, block: ParamBlock) -> None:
+        """Every value of ``block`` must advance or keep ``old``."""
+        behind = self._ufunc(old, block.vals) != block.vals
+        if behind.any():
+            i = int(np.argmax(behind))
+            raise MonotonicityViolation(
+                f"fragment {fid} moved node {block.ids[i]} from {old[i]} → "
+                f"{block.vals[i]}, against the order")
 
     def _compose(self, dirty):
         if self._per_source:
@@ -316,17 +346,16 @@ def _block_hooks_current(program: PIEProgram) -> bool:
 
 
 def make_coordinator(program: PIEProgram, fragmentation: Fragmentation, *,
-                     checker: Optional[MonotonicityChecker] = None,
+                     check: bool = False,
                      arrays: bool = True) -> Coordinator:
     """The coordinator for one run: the array plane whenever the program
     declares a block layout (and no subclass has customised the dict
     hooks underneath it) and the fragmentation has a border index, the
-    dict plane otherwise.  ``arrays=False`` is for callers whose
-    protocol is dict-only (GRAPE-NI's ``apply_message``, the
-    monotonicity checker's per-key histories)."""
+    dict plane otherwise (``arrays=False``: GRAPE-NI's dict-only
+    ``apply_message``).  ``check`` turns the monotonic check on."""
     if (arrays and program.block_spec is not None
             and _block_hooks_current(program)):
         index = fragmentation.border_index()
         if index is not None:
-            return ArrayCoordinator(program, fragmentation, index)
-    return DictCoordinator(program, fragmentation, checker)
+            return ArrayCoordinator(program, fragmentation, index, check)
+    return DictCoordinator(program, fragmentation, check)

@@ -56,7 +56,6 @@ from typing import Any, Dict, Optional, Union
 
 from repro.core.coordinator import make_coordinator
 from repro.core.fixpoint import Fixpoint
-from repro.core.monotonic import MonotonicityChecker
 from repro.core.pie import PIEProgram
 from repro.obs import events as _events
 from repro.obs.trace import Span
@@ -104,7 +103,9 @@ class EngineConfig:
     backend: Union[str, ExecutorBackend, None] = None
     #: ``False`` selects the GRAPE-NI ablation mode
     incremental: bool = True
-    #: verify the monotonic condition at runtime (small overhead)
+    #: verify the monotonic condition on the report table of whichever
+    #: plane the run takes: a regressed report raises
+    #: ``MonotonicityViolation`` (a few percent of a served query)
     check_monotonic: bool = False
     #: safety bound on supersteps
     max_supersteps: int = 100_000
@@ -338,14 +339,12 @@ class _EngineRun(Fixpoint):
             with self._child("preprocess"):
                 self.session.apply_preprocess(payloads)
         # The array plane when the program and the fragmentation support
-        # it, the generic dict plane otherwise (always for GRAPE-NI and
-        # for monotonicity checking, whose protocols are per-key).
-        config = self.config
+        # it, the generic dict plane otherwise (always for GRAPE-NI,
+        # whose protocol is per-key).
         self.coordinator = make_coordinator(
             self.program, self.fragmentation,
-            checker=MonotonicityChecker(self.program.aggregator,
-                                        enabled=config.check_monotonic),
-            arrays=config.incremental and not config.check_monotonic)
+            check=self.config.check_monotonic,
+            arrays=self.config.incremental)
         self.checkpoint()
 
     def checkpoint(self) -> None:

@@ -186,7 +186,8 @@ class Fixpoint:
             if rounds >= self.max_supersteps:
                 raise RuntimeError(
                     f"no fixpoint after {self.max_supersteps} supersteps; "
-                    "check the monotonic condition of the PIE program")
+                    "EngineConfig(check_monotonic=True) names the first "
+                    "parameter that breaks the monotonic condition")
             rounds += 1
             messages, designated, keyvalue = self.superstep(
                 messages, designated, keyvalue)

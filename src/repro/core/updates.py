@@ -47,7 +47,6 @@ from typing import Any, Dict, Iterable, Optional, Set, Tuple, Union
 from repro.core.coordinator import DictCoordinator
 from repro.core.engine import GrapeEngine
 from repro.core.fixpoint import Fixpoint
-from repro.core.monotonic import MonotonicityChecker
 from repro.core.pie import Maintenance, ParamUpdates, PIEProgram
 from repro.graph.delta import FragmentDelta, GraphDelta, NormalizedDelta
 from repro.graph.graph import Graph, Node
@@ -422,8 +421,8 @@ class ContinuousQuerySession:
         if not self._maintains:
             return
         program, query = self.program, self.query
-        coord = self._loop.coordinator = DictCoordinator(program,
-                                                         self.fragmentation)
+        coord = self._loop.coordinator = DictCoordinator(
+            program, self.fragmentation, self.engine.check_monotonic)
         reports = {frag.fid: read_report(program, query, frag,
                                          self.states[frag.fid], True)
                    for frag in self.fragmentation}
@@ -431,14 +430,6 @@ class ContinuousQuerySession:
         coord.fold(reports, first_round=True)
         coord.drain_timers(self.metrics)
         self._count_views()
-
-    def _begin_maintenance(self) -> None:
-        """A fresh monotonicity history per maintenance pass; the answer
-        assembled before it is no longer the answer."""
-        self._answer = _STALE
-        if self.engine.check_monotonic:
-            self._loop.coordinator.checker = MonotonicityChecker(
-                self.program.aggregator)
 
     def _batch_entries(self, frag, delta: Optional[FragmentDelta],
                        affected: Iterable[Node] = ()
@@ -531,6 +522,7 @@ class ContinuousQuerySession:
         if self._maintains and all(program.maintainable(d)
                                    for d in touched.values()):
             self.metrics.incremental_maintained += 1
+            self._answer = _STALE
             if any(program.invalidates(d) for d in touched.values()):
                 return self._maintain_bounded(touched)
             return self._maintain(touched)
@@ -551,8 +543,6 @@ class ContinuousQuerySession:
         (:meth:`_batch_entries`) — and resume the message fixpoint from
         the current converged state."""
         program, query = self.program, self.query
-        self._begin_maintenance()
-
         start = time.perf_counter()
         for fid, delta in touched.items():
             program.on_graph_update(query, self.fragmentation[fid],
@@ -621,7 +611,6 @@ class ContinuousQuerySession:
         frags = self.fragmentation.fragments
         coord = self._loop.coordinator
         table = coord.table
-        self._begin_maintenance()
         start = time.perf_counter()
 
         # Param names for the promotion probe of step 2: probing reported

@@ -322,16 +322,16 @@ class DecreaseOnlyProgram(Maintenance):
 
     def read_changed_block(self, query: Node, fragment: Fragment,
                            state: ValueState) -> Optional[ParamBlock]:
-        # A gather at the F_i.O slots compared with what was last sent.
-        # Values only ever decrease and neutral is never shipped, so
-        # ``<`` finds exactly the entries the dict protocol's dirty set
-        # would name (``_sent is None``: every finite one).
+        # A gather at the F_i.O slots compared with what was last sent:
+        # the entries the dict protocol's dirty set would name
+        # (``_sent is None``: every non-neutral one).  Which way they
+        # moved is the coordinator's to judge (``check_monotonic``).
         if state.dirty:
             state.dirty.clear()  # the array diff subsumes it
         labels, vids = fragment.outer_slots()
         vals = state.array(fragment)[vids]
         sent = state._sent
-        changed = vals < (self.neutral if sent is None else sent)
+        changed = vals != (self.neutral if sent is None else sent)
         if not changed.any():
             return None
         state._sent = vals

@@ -404,8 +404,8 @@ class CCProgram(Maintenance):
         comp, lab = arrays
         labels, ids = state._slots
         vals = lab[comp[ids]]
-        # ids only ever decrease; nothing sent yet: every border node
-        moved = vals < (_NO_CID if state._sent is None else state._sent)
+        # what moved, either way; nothing sent yet: every border node
+        moved = vals != (_NO_CID if state._sent is None else state._sent)
         if not moved.any():
             return None
         state._sent = vals

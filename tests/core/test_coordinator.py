@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import engine as engine_mod
 from repro.core.coordinator import (ArrayCoordinator, DictCoordinator,
-                                    make_coordinator)
+                                    MonotonicityViolation, make_coordinator)
 from repro.core.engine import GrapeEngine
 from repro.graph.generators import grid_road_graph, uniform_random_graph
 from repro.graph.graph import Graph
@@ -79,8 +79,9 @@ class TestPlaneSelection:
         for kwargs in ({}, {"incremental": False},
                        {"check_monotonic": True}):
             GrapeEngine(3, **kwargs).run(SSSPProgram(), query=0, graph=g)
+        # the monotonic check does not change the plane
         assert taken == ["ArrayCoordinator", "DictCoordinator",
-                         "DictCoordinator"]
+                         "ArrayCoordinator"]
 
 
 class TestArrayFoldAndCompose:
@@ -129,21 +130,29 @@ class TestArrayFoldAndCompose:
         assert messages[1].src.tolist() == [0]
         assert messages[0].src.tolist() == [1]
 
-    def test_same_messages_as_the_dict_plane(self):
+    @pytest.mark.parametrize("check", [False, True])
+    def test_same_messages_as_the_dict_plane(self, check):
         frag = _two_fragments()
-        array = make_coordinator(SSSPProgram(), frag)
-        plain = make_coordinator(SSSPProgram(use_csr=False), frag)
+        array = make_coordinator(SSSPProgram(), frag, check=check)
+        plain = make_coordinator(SSSPProgram(use_csr=False), frag,
+                                 check=check)
         rounds = [({0: {3: 2.0}, 1: {0: 5.0}}, True),
                   ({0: {3: 1.5}, 1: {}}, False),
-                  ({0: {}, 1: {0: 7.0}}, False)]
+                  ({0: {}, 1: {0: 7.0}}, False)]  # a worse value: F1 regressed
         for reports, first in rounds:
-            a = array.fold(
-                {fid: (_block(list(r), list(r.values())) if r
-                       else ("block", None)) for fid, r in reports.items()},
-                first_round=first)
-            d = plain.fold(
-                {fid: ("changed", {(v, "dist"): x for v, x in r.items()})
-                 for fid, r in reports.items()}, first_round=first)
+            blocks = {fid: (_block(list(r), list(r.values())) if r
+                            else ("block", None))
+                      for fid, r in reports.items()}
+            dicts = {fid: ("changed", {(v, "dist"): x for v, x in r.items()})
+                     for fid, r in reports.items()}
+            if check and reports[1].get(0) == 7.0:
+                for coord, folded in ((array, blocks), (plain, dicts)):
+                    with pytest.raises(MonotonicityViolation,
+                                       match="node 0 from 5.0 → 7.0"):
+                        coord.fold(folded)
+                return
+            a = array.fold(blocks, first_round=first)
+            d = plain.fold(dicts, first_round=first)
             assert a[:2] == d[:2]
             blocks, dicts = array.compose(a[2]), plain.compose(d[2])
             assert sorted(blocks) == sorted(dicts)

@@ -110,8 +110,8 @@ class TestMaintenanceAccounting:
 
 
 class TestWireModelAccounting:
-    @pytest.mark.parametrize("plane", [
-        {}, {"check_monotonic": True}, {"incremental": False}],
+    @pytest.mark.parametrize("engine,plane", [
+        ({}, {}), ({}, {"use_csr": False}), ({"incremental": False}, {})],
         ids=["arrays", "dicts", "ni"])
     @pytest.mark.parametrize("make_program,query,fixture", [
         (SSSPProgram, 0, "small_road"),
@@ -119,7 +119,7 @@ class TestWireModelAccounting:
         (CCProgram, None, "small_undirected")], ids=["sssp", "bfs", "cc"])
     def test_comm_bytes_obey_the_wire_model(self, monkeypatch, request,
                                             make_program, query, fixture,
-                                            plane):
+                                            engine, plane):
         """Every non-empty report and every composed message is one
         message charged ``16 + n * (8 + width)`` on every coordinator
         plane — the closed form, no pickling."""
@@ -136,8 +136,9 @@ class TestWireModelAccounting:
                                 lambda payload: pytest.fail(
                                     "an update parameter was priced by "
                                     "pickle"))
-        result = GrapeEngine(4, **plane).run(
-            make_program(), query, graph=request.getfixturevalue(fixture))
+        result = GrapeEngine(4, **engine).run(
+            make_program(**plane), query,
+            graph=request.getfixturevalue(fixture))
         assert len(sizes) > 4 and all(sizes)
         assert result.metrics.comm_messages == len(sizes)
         assert result.metrics.comm_bytes == sum(

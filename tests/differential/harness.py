@@ -147,7 +147,9 @@ def run_all_paths(make_program: Callable[..., Any], query: Any,
                   incremental_modes=INCREMENTAL_MODES,
                   ) -> Dict[PathKey, Any]:
     """Run every (backend × use_csr × incremental) combination, assert
-    pairwise agreement, and return the per-path results.
+    pairwise agreement, and return the per-path results.  Every run
+    checks the monotonic condition (``check_monotonic=True``), which
+    moves neither the plane nor the counts compared here.
 
     ``make_program`` is called as ``make_program(use_csr=...)`` per run
     (a fresh program per run — programs may carry per-run state);
@@ -172,7 +174,8 @@ def run_all_paths(make_program: Callable[..., Any], query: Any,
                 engine = GrapeEngine(workers,
                                      num_fragments=num_fragments,
                                      backend=backend,
-                                     incremental=incremental)
+                                     incremental=incremental,
+                                     check_monotonic=True)
                 program = make_program(use_csr=use_csr)
                 del planes[:]
                 with mock.patch.object(engine_mod, "make_coordinator",

@@ -16,6 +16,9 @@ Two properties, both the incremental-view discipline of Berkholz et al.:
   batches, exercising the maintainable-vs-recompute dispatch, border-set
   retirement under ``ΔG⁻`` and (under the process backend) worker-side
   delta replay, across every ``(backend × use_csr)`` combination.
+
+Every session checks the monotonic condition (``check_monotonic=True``)
+through its initial run and every maintenance round.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ def _scenario_answers(make_program: Callable[[], Any], query: Any,
     """Apply ``edges`` as one session insertion stream; return
     (maintained answer, from-scratch answer on the mutated fragmentation).
     """
-    engine = GrapeEngine(3, backend=backend)
+    engine = GrapeEngine(3, backend=backend, check_monotonic=True)
     session = ContinuousQuerySession(engine, make_program(), query,
                                      graph=graph_factory())
     if edges:
@@ -135,7 +138,7 @@ def _fuzz(make_program, query, graph_factory, backend, seed,
           new_node=None) -> None:
     batches = _random_batches(seed, graph_factory(), new_node=new_node)
     applied: List[Tuple[Any, Any, float]] = []
-    engine = GrapeEngine(3, backend=backend)
+    engine = GrapeEngine(3, backend=backend, check_monotonic=True)
     session = ContinuousQuerySession(engine, make_program(), query,
                                      graph=graph_factory())
     for batch in batches:
@@ -217,7 +220,7 @@ def _random_op_batches(seed: int, reference, *, num_batches: int = 3,
 
 def _mixed_scenario_answers(make_program, query, graph_factory, backend,
                             use_csr, ops: OpBatch):
-    engine = GrapeEngine(3, backend=backend)
+    engine = GrapeEngine(3, backend=backend, check_monotonic=True)
     session = ContinuousQuerySession(engine,
                                      make_program(use_csr=use_csr), query,
                                      graph=graph_factory())
@@ -244,7 +247,7 @@ def _fuzz_mixed(make_program, query, graph_factory, backend, use_csr,
                                  insert_rate=insert_rate,
                                  delete_rate=delete_rate)
     applied: OpBatch = []
-    engine = GrapeEngine(3, backend=backend)
+    engine = GrapeEngine(3, backend=backend, check_monotonic=True)
     session = ContinuousQuerySession(engine,
                                      make_program(use_csr=use_csr), query,
                                      graph=graph_factory())

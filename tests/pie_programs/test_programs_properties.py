@@ -1,5 +1,7 @@
 """Property-based Assurance tests: GRAPE == sequential oracle on random
-graphs, partitions and worker counts, for SSSP, CC and Sim."""
+graphs, partitions and worker counts, for SSSP, CC and Sim, with the
+monotonic condition checked — on both border-parameter planes where a
+program has two (``use_csr``)."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -38,12 +40,12 @@ def engine_params(draw):
     return n_workers, strategy
 
 
-@given(weighted_digraphs(), engine_params())
+@given(weighted_digraphs(), engine_params(), st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_sssp_assurance(g, params):
+def test_sssp_assurance(g, params, use_csr):
     n, strategy = params
     engine = GrapeEngine(n, partition=strategy, check_monotonic=True)
-    result = engine.run(SSSPProgram(), query=0, graph=g)
+    result = engine.run(SSSPProgram(use_csr=use_csr), query=0, graph=g)
     truth = sssp_distances(g, 0)
     for v in g.nodes():
         assert abs(result.answer[v] - truth[v]) < 1e-9 \
@@ -64,12 +66,12 @@ def undirected_graphs(draw, max_nodes=14):
     return g
 
 
-@given(undirected_graphs(), engine_params())
+@given(undirected_graphs(), engine_params(), st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_cc_assurance(g, params):
+def test_cc_assurance(g, params, use_csr):
     n, strategy = params
     engine = GrapeEngine(n, partition=strategy, check_monotonic=True)
-    result = engine.run(CCProgram(), query=None, graph=g)
+    result = engine.run(CCProgram(use_csr=use_csr), query=None, graph=g)
     expected = {}
     for v, c in connected_components(g).items():
         expected.setdefault(c, set()).add(v)

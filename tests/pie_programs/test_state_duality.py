@@ -310,7 +310,7 @@ class TestServedQueriesNeverBuildAView:
             assert svc.stats.dict_views_materialised == 0
             # the dict plane does build them, and says so
             ticket = svc.play("sssp", 0, graph="g", engine=EngineConfig(
-                num_workers=3, backend=backend, check_monotonic=True))
+                num_workers=3, backend=backend, incremental=False))
             assert ticket.metrics.dict_views_materialised > 0
             report = svc.debug_report()
         assert (report["metrics"]["repro_dict_views_materialised"]
