@@ -5,10 +5,10 @@ standing queries (SSSP + CC) through rounds of
 
     play("sssp")  ->  insert-only batch  ->  mixed batch
 
-where insert-only batches ride the incremental fast path and mixed
-batches (deletions + weight increases) exercise the delete-aware
-bounded path (partial reset of the affected region; the recompute
-fallback is reserved for hook-less programs).  Reports per-batch
+where both kinds take the delete-aware bounded path: insert-only
+batches with an empty affected region, mixed batches (deletions +
+weight increases) with a partial reset of the affected region (only
+hook-less programs recompute).  Reports per-batch
 latencies, the incremental/bounded/recompute split and the measured
 affected-region sizes, runs a deletion sweep targeting ~1%/5%/20% of
 ``|G|``, and emits machine-readable
@@ -56,7 +56,7 @@ def insert_only_delta(rng, g, fresh):
             u, v = rng.sample(nodes, 2)
             if g.has_edge(u, v):
                 # keep the batch monotone: re-inserting an existing edge
-                # is only maintainable as a weight *decrease*
+                # is monotone only as a weight *decrease*
                 delta.insert(u, v, g.edge_weight(u, v) * 0.9)
             else:
                 delta.insert(u, v, rng.uniform(0.1, 1.0))

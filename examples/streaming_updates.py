@@ -3,10 +3,11 @@
 An extension beyond the paper's evaluation, sketched in the paper itself:
 the **continuous-query service** (Section 6's lightweight transaction
 controller, over general batches ``ΔG = (ΔG⁺, ΔG⁻)``) — ``service.watch``
-registers a standing query; ``service.update`` folds insertions into
-every watcher's answer by IncEval and serves non-monotone changes (road
-closures, weight increases) by a transparent in-session recompute on the
-mutated fragments.
+registers a standing query; ``service.update`` maintains every
+watcher's answer by bounded IncEval.  Insertions fold in with an empty
+affected region; non-monotone changes (road closures, weight increases)
+reset only the vertices whose value hung off a changed edge, re-seed
+them from the surviving boundary and re-converge — no recompute.
 
 Run:  python examples/streaming_updates.py
 """
@@ -48,21 +49,23 @@ def main():
     print("maintained answer equals full recomputation ✓")
 
     # Now the non-monotone side: close the new highway again and jack up
-    # a road's weight in the same batch.  SSSP cannot maintain that
-    # incrementally (distances grow), so the service recomputes the
-    # watch in place — same session, same fragmentation, no re-partition.
+    # a road's weight in the same batch.  Distances grow, so the bounded
+    # path resets the affected region only — the vertices whose distance
+    # hung off a changed edge — and re-converges it from its boundary.
     u, v, w = next(iter(graph.edges()))
     service.update("roads", (GraphDelta()
                              .delete(source, far)
                              .set_weight(u, v, w * 5.0)))
+    m = watch_near.metrics
     print(f"\nclosed the shortcut and reweighted ({u} -> {v}) x5: "
-          f"dist({far}) back to {watch_near.answer[far]:.1f} via "
-          f"recompute fallback "
-          f"(maintained={watch_near.metrics.incremental_maintained}, "
-          f"fallbacks={watch_near.metrics.fallback_reruns})")
+          f"dist({far}) back to {watch_near.answer[far]:.1f} on the "
+          f"bounded path (partial_resets={m.partial_resets}, "
+          f"affected_vertices={m.affected_vertices} of "
+          f"{graph.num_nodes}, fallbacks={m.fallback_reruns})")
+    assert m.fallback_reruns == 0, "no batch may recompute"
     assert watch_near.answer == {n: d for n, d in
                                  sssp_distances(graph, source).items()}, \
-        "fallback answer must equal recomputation"
+        "maintained answer must equal recomputation"
     print("answer tracks the mutated graph under deletions too ✓")
     print(f"\nservice totals: {service.stats}")
     service.close()

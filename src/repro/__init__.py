@@ -32,7 +32,7 @@ Advanced (one engine run, no service)::
 from repro.core.api import PIERegistry, default_registry
 from repro.core.engine import EngineConfig, GrapeEngine, GrapeResult
 from repro.core.pie import PIEProgram
-from repro.core.updates import ContinuousQuerySession, NonMonotoneUpdateError
+from repro.core.updates import ContinuousQuerySession
 from repro.graph.delta import GraphDelta
 from repro.graph.graph import Graph
 from repro.partition.base import Fragmentation
@@ -48,7 +48,7 @@ __all__ = [
     "Graph", "GraphDelta", "GrapeEngine", "GrapeResult", "EngineConfig",
     "PIEProgram", "PIERegistry", "Fragmentation", "get_strategy",
     "CostModel", "RunMetrics", "ServiceMetrics", "default_registry",
-    "ContinuousQuerySession", "NonMonotoneUpdateError", "GrapeService",
+    "ContinuousQuerySession", "GrapeService",
     "GraphStore", "QueryRequest", "QueryTicket", "WatchHandle",
     "__version__",
 ]

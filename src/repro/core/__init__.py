@@ -11,8 +11,7 @@ from repro.core.engine import GrapeEngine, GrapeResult
 from repro.core.mapreduce_sim import MapReduceJob, run_mapreduce_on_grape
 from repro.core.pie import ParamKey, ParamUpdates, PIEProgram
 from repro.core.pram_sim import CREWViolation, PRAMProgram, run_pram_on_grape
-from repro.core.updates import (ContinuousQuerySession,
-                                NonMonotoneUpdateError, apply_delta,
+from repro.core.updates import (ContinuousQuerySession, apply_delta,
                                 apply_insertions)
 
 __all__ = [
@@ -23,5 +22,5 @@ __all__ = [
     "PIERegistry", "default_registry", "BSPProgram", "run_bsp_on_grape",
     "MapReduceJob", "run_mapreduce_on_grape", "PRAMProgram",
     "run_pram_on_grape", "CREWViolation", "ContinuousQuerySession",
-    "NonMonotoneUpdateError", "apply_delta", "apply_insertions",
+    "apply_delta", "apply_insertions",
 ]

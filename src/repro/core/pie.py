@@ -197,33 +197,6 @@ class PIEProgram(abc.ABC):
     # ------------------------------------------------------------------
     # Optional hooks
     # ------------------------------------------------------------------
-    #: Whether a non-maintainable update batch may be answered by a full
-    #: re-evaluation of the standing query inside the same session (the
-    #: paper's "incremental when possible, recompute when not" serving
-    #: contract).  Programs that opt out (``False``) make
-    #: :class:`~repro.core.updates.ContinuousQuerySession` raise a typed
-    #: :class:`~repro.core.updates.NonMonotoneUpdateError` instead.
-    recompute_fallback: bool = True
-
-    def maintainable(self, delta) -> bool:
-        """Can this program fold ``delta`` into live per-fragment state?
-
-        ``delta`` is any object exposing the
-        :class:`~repro.graph.delta.FragmentDelta` predicates
-        (``monotone``, ``has_deletions``, ``has_weight_increases``).
-        When the answer is ``True`` for every touched fragment, the
-        continuous-query layer maintains the standing answer through the
-        :class:`Maintenance` hooks; otherwise it re-runs the query from
-        reset state on the (already mutated) fragmentation.  Never, for a
-        program without those hooks.
-        """
-        return False
-
-    def invalidates(self, delta) -> bool:
-        """Does ``delta`` threaten already-converged values?  Consulted
-        only for batches :meth:`maintainable` accepted."""
-        return False
-
     def apply_message(self, query: Any, fragment: Fragment, state: Any,
                       message: ParamUpdates) -> None:
         """Write message values into the state *without* propagating.
@@ -297,36 +270,18 @@ class PIEProgram(abc.ABC):
 class Maintenance(PIEProgram):
     """A PIE program that maintains its converged per-fragment state under
     update batches (:class:`~repro.core.updates.ContinuousQuerySession`
-    tests for it with one ``isinstance``).  The hooks come together: the
-    monotone fold, the bounded non-monotone path (delete-aware IncEval)
-    and the per-node report probe both collect their changes with."""
-
-    def maintainable(self, delta) -> bool:
-        """Correct for inflationary fixpoints: monotone deltas (new edges,
-        weight decreases) only.  Programs whose answers ignore parts of a
-        delta widen this — CC accepts any reweight."""
-        return delta.monotone
-
-    def invalidates(self, delta) -> bool:
-        """A batch that invalidates goes through the bounded path
-        (affected-region reset + re-convergence) instead of the plain
-        :meth:`on_graph_update` fold.  Programs narrow this the same way
-        — BFS and CC only dispatch on deletions."""
-        return not delta.monotone
-
-    @abc.abstractmethod
-    def on_graph_update(self, query: Any, fragment: Fragment, state: Any,
-                        delta) -> None:
-        """Fold a maintainable :class:`~repro.graph.delta.FragmentDelta`
-        into the fragment's live state after its local graph was mutated,
-        e.g. relax ``delta.as_insertions`` as shortcut candidates (SSSP)
-        or union the endpoints of ``delta.insertions`` (CC)."""
+    tests for it with one ``isinstance``; any other program is
+    recomputed).  The hooks come together: the bounded path
+    (delete-aware IncEval, which a monotone batch takes with an empty
+    region) and the per-node report probe it collects its changes
+    with."""
 
     def affected_seeds_global(self, query: Any, fragments, states,
                               touched) -> Dict[int, Set[Node]]:
         """The direct hits of a batch, per touched fragment: vertices
         whose converged value was supported by a deleted or raised edge
         (old weights ride on ``delta.deletions`` / ``.weight_changes``).
+        Nothing, for a batch that can raise no converged value.
         The default asks ``affected_seeds(query, fragment, state, delta)``
         of each fragment; maintenance runs on the driver, so a program
         whose test is inherently global (CC's does-this-deletion-split
@@ -351,7 +306,10 @@ class Maintenance(PIEProgram):
         unaffected in-neighbors on the mutated graph, fold the monotone
         part of ``delta`` (``None`` for fragments affected only
         transitively) and re-converge locally, keeping the dirty tracking
-        behind :meth:`read_changed_params` alive."""
+        behind :meth:`read_changed_params` alive.  With ``affected``
+        empty this is the plain fold of a monotone batch, e.g. relax
+        ``delta.as_insertions`` as shortcut candidates (SSSP) or union
+        the endpoints of ``delta.insertions`` (CC)."""
 
     @abc.abstractmethod
     def report_entries(self, query: Any, fragment: Fragment, state: Any,

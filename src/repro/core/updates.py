@@ -14,26 +14,19 @@ mutation path for partitioned graphs, built around the first-class
   :class:`~repro.graph.delta.FragmentDelta` records (which double as the
   process backend's shippable replay units);
 * :class:`ContinuousQuerySession` holds a standing query and keeps its
-  answer correct under *any* batch: a delta every touched fragment's
-  program declares :meth:`~repro.core.pie.PIEProgram.maintainable` is
-  folded into live state — monotone batches through ``on_graph_update``
-  with the message fixpoint resuming from the converged state (the
-  fast path), and non-monotone batches (deletions, weight increases)
-  through the **bounded affected-region path**: the program identifies
+  answer correct under *any* batch.  A program with the
+  :class:`~repro.core.pie.Maintenance` hooks maintains every batch on
+  one path, the **bounded affected-region path**: the program names
   the vertices whose converged value hung off a mutated edge, the
   session closes that region across fragments, resets only those
-  vertices to neutral, re-seeds from the surviving boundary and
-  re-converges — cost ``O(|AFF|)``, not ``O(|G|)``.  Batches no program
-  hook can absorb (e.g. programs without ``on_graph_update``)
-  transparently fall back to re-running the query from reset state on
-  the same (already mutated) fragmentation, inside the same session.
-  This is the paper's "incremental when possible, recompute when not"
-  contract, in the spirit of Berkholz, Keppeler & Schweikardt's dynamic
-  query answering under updates.
-
-Programs that cannot tolerate a recompute opt out with
-``recompute_fallback = False`` and receive a typed
-:class:`NonMonotoneUpdateError` instead.
+  vertices to neutral, re-seeds from the surviving boundary, folds the
+  batch's monotone part and re-converges — cost ``O(|AFF|)``, not
+  ``O(|G|)``.  A monotone batch (insertions, weight decreases) is the
+  case whose region is empty.  Any other program re-runs the query from
+  reset state on the same (already mutated) fragmentation, inside the
+  same session.  This is the paper's IncEval contract under updates, in
+  the spirit of Berkholz, Keppeler & Schweikardt's dynamic query
+  answering under updates.
 """
 
 from __future__ import annotations
@@ -54,8 +47,7 @@ from repro.partition.base import Fragmentation
 from repro.runtime.executors import read_report
 from repro.runtime.message import stable_hash
 
-__all__ = ["ContinuousQuerySession", "NonMonotoneUpdateError",
-           "apply_delta", "apply_insertions"]
+__all__ = ["ContinuousQuerySession", "apply_delta", "apply_insertions"]
 
 EdgeInsertion = Tuple[Node, Node, float]
 
@@ -64,11 +56,6 @@ _MISSING = object()
 _STALE = object()
 #: the ``name`` half of a ``(node, name)`` parameter key
 _NAME_OF = itemgetter(1)
-
-
-class NonMonotoneUpdateError(ValueError):
-    """A non-maintainable update hit a program that opted out of the
-    recompute fallback (``recompute_fallback = False``)."""
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +255,8 @@ def apply_insertions(fragmentation: Fragmentation,
     """Apply a batch of edge insertions (thin :func:`apply_delta` sugar).
 
     Kept as the established name for the insert-only path; re-inserting
-    an existing edge with a lower weight is a maintainable decrease, with
-    a higher weight a non-monotone increase (handled by the session's
-    fallback, no longer an error).
+    an existing edge with a lower weight is a decrease, with a higher
+    weight an increase — both plain reweights to a session.
     """
     return apply_delta(fragmentation, GraphDelta.from_insertions(edges))
 
@@ -308,19 +294,16 @@ class ContinuousQuerySession:
     the shared fragmentation once and fanning the per-fragment deltas
     out to every session via :meth:`apply_update`.
 
-    **Maintenance dispatch.**  For a batch whose every per-fragment
-    delta the program declares
-    :meth:`~repro.core.pie.PIEProgram.maintainable`, the program folds
-    the delta into its live state (``on_graph_update``) and the message
-    fixpoint resumes from the converged state — today's monotone fast
-    path, now a *special case*.  Any other batch triggers the recompute
-    fallback: the query re-runs from reset state on the mutated
-    fragmentation through the engine (honoring its execution backend —
-    under the process backend the re-run ships compact per-fragment
-    deltas to the pooled workers, not whole fragments), and the session
-    re-baselines its coordinator tables from the fresh result.  The
-    session's :attr:`metrics` accumulate either way, with
-    ``incremental_maintained`` / ``fallback_reruns`` recording the
+    **One maintenance path.**  A :class:`~repro.core.pie.Maintenance`
+    program maintains every batch through :meth:`_maintain_bounded`
+    (affected region reset, batch folded, message fixpoint resumed from
+    the converged state); a monotone batch is the case whose region is
+    empty.  Any other program recomputes: the query re-runs from reset
+    state on the mutated fragmentation through the engine (honoring its
+    execution backend — under the process backend the re-run ships
+    compact per-fragment deltas to the pooled workers, not whole
+    fragments).  The session's :attr:`metrics` accumulate either way,
+    with ``incremental_maintained`` / ``fallback_reruns`` recording the
     split.
 
     The *initial* evaluation honors the engine's execution backend (the
@@ -348,18 +331,12 @@ class ContinuousQuerySession:
                  graph: Optional[Graph] = None, *,
                  fragmentation: Optional[Fragmentation] = None):
         self._maintains = isinstance(program, Maintenance)
-        if not self._maintains:
-            if hasattr(program, "on_graph_update"):
-                raise TypeError(
-                    f"{type(program).__name__} implements on_graph_update "
-                    "outside the Maintenance hooks (core.pie.Maintenance: "
-                    "report_entries and the bounded path come with it)")
-            if not program.recompute_fallback:
-                raise TypeError(
-                    f"{type(program).__name__} neither implements the "
-                    "Maintenance hooks (on_graph_update, ...) nor allows "
-                    "the recompute fallback; no update could ever be "
-                    "applied to this standing query")
+        if not self._maintains and hasattr(program, "apply_nonmonotone"):
+            raise TypeError(
+                f"{type(program).__name__} implements apply_nonmonotone "
+                "outside the Maintenance hooks (core.pie.Maintenance: "
+                "report_entries and the rest of the bounded path come "
+                "with it)")
         if (graph is None) == (fragmentation is None):
             raise ValueError("pass exactly one of graph or fragmentation")
         self.engine = engine
@@ -376,11 +353,6 @@ class ContinuousQuerySession:
             program, query, self.fragmentation, None, self.metrics,
             num_workers=engine.num_workers, cost_model=engine.cost_model,
             max_supersteps=engine.max_supersteps)
-        # Set when an opt-out program rejected a non-maintainable batch
-        # *after* the fragmentation was mutated: the converged state no
-        # longer matches the graph, and folding later (even monotone)
-        # batches into it would be silently wrong.
-        self._stale = False
         self._adopt(result)
 
     @property
@@ -458,19 +430,6 @@ class ContinuousQuerySession:
         self._loop.names.update(map(_NAME_OF, fresh))
         return fresh, probe
 
-    def _finish_maintenance(self, local_s: float, up_bytes: int,
-                            up_msgs: int, dirty: Set) -> None:
-        """Close the batch's first superstep — ``local_s`` of hooks, the
-        folded reports — and hand what it composes to the engine's loop
-        (after a region reset every further change is a plain aggregator
-        improvement, so the same rounds drain both maintenance paths).
-        The answer is left to the next read."""
-        loop = self._loop
-        loop.record([local_s])
-        loop.drain(*loop.settle(up_bytes, up_msgs, dirty))
-        loop.finish()
-        self._count_views()
-
     # ------------------------------------------------------------------
     def update(self, delta: GraphDelta) -> Any:
         """Apply an update batch and refresh the answer.
@@ -503,66 +462,27 @@ class ContinuousQuerySession:
 
         ``touched`` maps fragment id to its
         :class:`~repro.graph.delta.FragmentDelta` (the return value of
-        :func:`apply_delta`).  The batch is folded incrementally when
-        every touched fragment's delta is maintainable by the program,
-        and answered by the recompute fallback otherwise.  Nothing is
-        assembled here: the next read of :attr:`answer` does that.
+        :func:`apply_delta`).  A :class:`~repro.core.pie.Maintenance`
+        program maintains the batch (:meth:`_maintain_bounded`), any
+        other program recomputes.  Nothing is assembled here: the next
+        read of :attr:`answer` does that.
         """
         if not touched:
             return
-        if self._stale:
-            raise NonMonotoneUpdateError(
-                f"standing {type(self.program).__name__} answer is stale:"
-                " a previous non-maintainable batch was rejected "
-                "(recompute_fallback=False) after the fragmentation had "
-                "already been mutated, so this session can never be "
-                "refreshed again — cancel it")
         self.metrics.deltas_applied += 1
-        program = self.program
-        if self._maintains and all(program.maintainable(d)
-                                   for d in touched.values()):
+        if self._maintains:
             self.metrics.incremental_maintained += 1
             self._answer = _STALE
-            if any(program.invalidates(d) for d in touched.values()):
-                return self._maintain_bounded(touched)
-            return self._maintain(touched)
-        if not program.recompute_fallback:
-            self._stale = True
-            raise NonMonotoneUpdateError(
-                f"update batch is not incrementally maintainable by "
-                f"{type(program).__name__} (deletions or weight "
-                f"increases), and the program opted out of the "
-                f"recompute fallback (recompute_fallback=False)")
+            return self._maintain_bounded(touched)
         self.metrics.fallback_reruns += 1
         self._recompute()
 
     # ------------------------------------------------------------------
-    def _maintain(self, touched: Dict[int, FragmentDelta]) -> None:
-        """The monotone fast path: fold deltas into live state, collect
-        what that moved — at ``O(|batch| + |AFF|)`` like the bounded path
-        (:meth:`_batch_entries`) — and resume the message fixpoint from
-        the current converged state."""
-        program, query = self.program, self.query
-        start = time.perf_counter()
-        for fid, delta in touched.items():
-            program.on_graph_update(query, self.fragmentation[fid],
-                                    self.states[fid], delta)
-        local_s = time.perf_counter() - start
-
-        coord = self._loop.coordinator
-        reports = {}
-        for frag in self.fragmentation.fragments:
-            fresh, _probe = self._batch_entries(frag, touched.get(frag.fid))
-            prev = coord.reported[frag.fid]
-            reports[frag.fid] = ("changed", {
-                key: value for key, value in fresh.items()
-                if prev.get(key, _MISSING) != value})
-        self._finish_maintenance(local_s, *coord.fold(reports))
-
     def _maintain_bounded(self,
                           touched: Dict[int, FragmentDelta]) -> None:
-        """Bounded non-monotone maintenance: reset *only* the affected
-        region, re-seed from its surviving boundary, re-converge.
+        """Bounded maintenance of any batch: reset *only* the affected
+        region, re-seed from its surviving boundary, fold the batch,
+        re-converge.
 
         The paper's IncEval contract is that maintenance costs
         ``O(|AFF|)``, not ``O(|G|)`` — also for deletions and weight
@@ -571,7 +491,9 @@ class ContinuousQuerySession:
 
         1. every mutated fragment names its *direct hits*: vertices
            whose converged value was supported by a deleted or raised
-           edge (``program.affected_seeds``);
+           edge (``program.affected_seeds_global``).  A batch that can
+           raise no converged value seeds nothing, and every step below
+           runs on an empty region;
         2. the region is closed in two levels.  Condemnation is
            *fragment-local* by default: each fragment grows the region
            along its own still-standing support chains
@@ -604,8 +526,9 @@ class ContinuousQuerySession:
            shipped earlier is dropped from the table (peers are charged
            a tombstone entry for it).  The cost is ``O(|AFF| +
            |batch|)``, not ``O(border)``;
-        5. the standard monotone message loop resumes — every change
-           after the reset is a plain aggregator improvement.
+        5. the engine's round and loop resume from what that composes —
+           every change after the reset is a plain aggregator
+           improvement.  The answer is left to the next read.
         """
         program, query = self.program, self.query
         frags = self.fragmentation.fragments
@@ -658,7 +581,8 @@ class ContinuousQuerySession:
         global_aff: Set[Node] = set()
         for aff in local_aff.values():
             global_aff |= aff
-        self.metrics.partial_resets += 1
+        self.metrics.partial_resets += not all(
+            d.monotone for d in touched.values())
         self.metrics.affected_vertices += len(global_aff)
 
         for frag in frags:
@@ -668,9 +592,12 @@ class ContinuousQuerySession:
                 program.apply_nonmonotone(query, frag,
                                           self.states[frag.fid], delta,
                                           aff)
-        local_s = time.perf_counter() - start
-        self._finish_maintenance(local_s, *self._rebaseline_region(
-            touched, local_aff, global_aff))
+        loop = self._loop
+        loop.record([time.perf_counter() - start])
+        loop.drain(*loop.settle(*self._rebaseline_region(
+            touched, local_aff, global_aff)))
+        loop.finish()
+        self._count_views()
 
     def _rebaseline_region(self, touched: Dict[int, FragmentDelta],
                            local_aff: Dict[int, Set[Node]],
@@ -683,27 +610,45 @@ class ContinuousQuerySession:
         the probe read retracts (tombstone); everything else in the
         coordinator tables is untouched.  Returns ``(bytes, messages,
         dirty keys)`` for the resumed fixpoint.
+
+        This is the only fold of a batch's first round, so with the
+        coordinator's ``check`` on it checks the monotonic condition
+        here: every moved entry of a vertex outside the fragment's reset
+        region must not fall behind (the region may rise).
         """
         program = self.program
         frags = self.fragmentation.fragments
         coord = self._loop.coordinator
         table = coord.table
         combine = program.aggregator.combine
+        is_progress = program.aggregator.is_progress
         param_names = self._loop.names
         up_bytes = 0
         up_msgs = 0
+        # An entry that advanced on its fragment's last report folds into
+        # the table as in any round; one that fell behind (the reset
+        # region) or retracted re-aggregates the key from every report.
+        advanced = []
         recompute: Set = set()
         for frag in frags:
             fid = frag.fid
             prev = coord.reported.setdefault(fid, {})
             fresh, probe = self._batch_entries(frag, touched.get(fid),
                                                local_aff[fid])
-            diff = {}
-            for key, value in fresh.items():
-                if prev.get(key, _MISSING) != value:
-                    diff[key] = value
-                    prev[key] = value
+            diff = {key: value for key, value in fresh.items()
+                    if prev.get(key, _MISSING) != value}
+            if coord.check:
+                aff = local_aff[fid]
+                coord._check(fid, prev, {key: value for key, value
+                                         in diff.items()
+                                         if key[0] not in aff})
+            for key, value in diff.items():
+                old = prev.get(key, _MISSING)
+                if old is _MISSING or is_progress(old, value):
+                    advanced.append((key, value))
+                else:
                     recompute.add(key)
+            prev.update(diff)
             # Retractions ship as key-only tombstones.
             gone = {}
             for node in probe:
@@ -722,8 +667,15 @@ class ContinuousQuerySession:
         # Dirty keys: aggregated values that moved, plus every key of an
         # affected vertex — a reset owner must be re-offered surviving
         # peer values even when the aggregate itself did not change.
-        reported = coord.reported
         dirty: Set = set()
+        for key, value in advanced:
+            if key not in recompute:
+                old = table.get(key, _MISSING)
+                best = value if old is _MISSING else combine(old, value)
+                if best != old:
+                    table[key] = best
+                    dirty.add(key)
+        reported = coord.reported
         for key in recompute:
             best = _MISSING
             for frag in frags:
@@ -744,13 +696,13 @@ class ContinuousQuerySession:
         return up_bytes, up_msgs, dirty
 
     def _recompute(self) -> None:
-        """The non-monotone fallback: re-run the query from reset state
-        on the mutated fragmentation, inside this session.
+        """Every batch of a program without the maintenance hooks: re-run
+        the query from reset state on the mutated fragmentation, inside
+        this session.
 
-        Deletions and weight increases can invalidate converged values
-        *anywhere* downstream, and inflationary aggregators (min) cannot
-        raise a value once learned — so every fragment's state is reset
-        and the full PEval/IncEval fixpoint re-runs.  What is preserved
+        Such a program has no way to name the values a batch invalidated,
+        so every fragment's state is reset and the full PEval/IncEval
+        fixpoint re-runs.  What is preserved
         is everything else the session owns: the fragmentation (no
         re-partition), the engine's warm backend (process workers keep
         their cached fragments, brought current by delta replay rather

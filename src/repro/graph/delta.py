@@ -16,8 +16,8 @@ of the system:
   brand-new insertion, a weight decrease, a weight increase or a
   deletion.  Normalized deltas are **invertible** — :meth:`~NormalizedDelta.invert`
   returns the batch that undoes them — and carry the
-  :attr:`~NormalizedDelta.monotone` predicate the maintenance layer
-  dispatches on;
+  :attr:`~NormalizedDelta.monotone` predicate (per fragment, what
+  decides whether maintenance seeds an affected region at all);
 * :class:`FragmentDelta` — what one fragment actually absorbed when a
   normalized delta was applied to a fragmentation
   (:func:`repro.core.updates.apply_delta`): local edge mutations plus the
@@ -29,8 +29,8 @@ The monotone/non-monotone split mirrors the dynamic-query-answering
 literature (Berkholz, Keppeler & Schweikardt, "Answering FO+MOD queries
 under updates"): a monotone delta (new edges, weight decreases) can be
 folded into a standing answer by resuming the IncEval fixpoint, while a
-non-monotone one (deletions, weight increases) generally cannot and
-forces a recompute from reset state.
+non-monotone one (deletions, weight increases) first resets the region
+of converged values it may have raised.
 """
 
 from __future__ import annotations
@@ -174,8 +174,8 @@ class NormalizedDelta:
 
     The four categories are disjoint by construction; old weights are
     retained for ``decreases``/``increases``/``deletions`` so the delta
-    is invertible.  ``monotone`` is the maintenance dispatch predicate:
-    insertions and weight decreases can only *improve* the answers of
+    is invertible.  ``monotone`` says whether a batch can seed an
+    affected region at all: insertions and weight decreases can only *improve* the answers of
     inflationary fixpoints (shorter paths, merged components), while
     deletions and increases can invalidate them.
     """
@@ -272,13 +272,12 @@ class FragmentDelta:
     """What one fragment absorbed from an applied update batch.
 
     Produced by :func:`repro.core.updates.apply_delta` — one per touched
-    fragment — and consumed in three places: PIE programs fold
-    maintainable deltas into live per-fragment state
-    (:meth:`~repro.core.pie.PIEProgram.on_graph_update`); the process
-    backend ships these, instead of whole fragments, to pooled workers
-    whose copy lags by a few versions (:meth:`replay`); the maintenance
-    layer dispatches on ``monotone`` / ``has_deletions``
-    (:meth:`~repro.core.pie.PIEProgram.maintainable`).
+    fragment — and consumed in two places: PIE programs with the
+    :class:`~repro.core.pie.Maintenance` hooks fold them into live
+    per-fragment state (seeding the affected region from the old
+    weights, nothing when every touched delta is ``monotone``); the
+    process backend ships these, instead of whole fragments, to pooled
+    workers whose copy lags by a few versions (:meth:`replay`).
 
     Edge lists are in the fragment's *local orientation*: for undirected
     graphs the symmetric orientation of a cross edge appears in the other

@@ -15,7 +15,7 @@ the view is the state, and nothing rebuilds an array from it.
 Which representation serves which path is fixed, not a function of what
 happens to be cached: **a query runs on arrays, a standing query's
 maintenance runs the bounded dict algorithms on the view.**  The
-maintenance hooks (``on_graph_update``, ``expand_affected``,
+maintenance hooks (``affected_seeds``, ``expand_affected``,
 ``apply_nonmonotone``) never look at the fragment's snapshot; dict-plane
 ``inceval``, which queries and maintenance rounds share, calls the
 kernel while the arrays are the state on a live snapshot and the dict
@@ -346,39 +346,20 @@ class DecreaseOnlyProgram(Maintenance):
                 view[node] = value
         state.drop_arrays()
 
-    def maintainable(self, delta) -> bool:
-        """Every batch is maintainable: the monotone part folds through
-        :meth:`on_graph_update`, everything that can raise a converged
-        value goes through the bounded affected-region path
-        (:meth:`apply_nonmonotone`)."""
-        return True
-
-    def on_graph_update(self, query: Node, fragment: Fragment,
-                        state: ValueState, delta) -> None:
-        """Fold a monotone delta in: each inserted or cheapened edge may
-        open a shortcut from its tail's current value
-        (continuous-query maintenance).  What could raise a converged
-        value never reaches this hook — the session's ``invalidates``
-        dispatch routes it through the bounded path below."""
-        edges = (delta.as_insertions if hasattr(delta, "as_insertions")
-                 else delta)
-        view, neutral = state.view_on(fragment), self.neutral
-        through = self._through
-        updates: Dict[Node, Any] = {}
-        for u, v, w in edges:
-            alt = through(self.zero if u == query
-                          else view.get(u, neutral), w)
-            if alt < min(view.get(v, neutral), updates.get(v, neutral)):
-                updates[v] = alt
-        if updates:
-            # The fragment graph was just mutated, so any CSR arrays are
-            # stale; the dict algorithm is authoritative here.
-            state.drop_arrays()
-            state.mark(fragment, self._decrease(fragment, view, updates))
-
     # ------------------------------------------------------------------
-    # Bounded non-monotone maintenance (delete-aware IncEval)
+    # Bounded maintenance (delete-aware IncEval)
     # ------------------------------------------------------------------
+    def affected_seeds_global(self, query: Node, fragments, states,
+                              touched) -> Dict[int, Set[Node]]:
+        """Nothing when every touched delta is monotone — insertions and
+        decreases only lower values, so the region is empty.  The gate is
+        per batch, not per fragment: a non-monotone batch seeds every
+        reweight (see :meth:`affected_seeds`), decreases included."""
+        if all(delta.monotone for delta in touched.values()):
+            return {}
+        return super().affected_seeds_global(query, fragments, states,
+                                             touched)
+
     def affected_seeds(self, query: Node, fragment: Fragment,
                        state: ValueState, delta) -> Set[Node]:
         """Direct hits: heads of deleted (and, for weighted programs,

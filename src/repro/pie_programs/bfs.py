@@ -100,9 +100,3 @@ class BFSProgram(DecreaseOnlyProgram):
         _bfs_from(fragment, hops, list(hops))
 
     _decrease = staticmethod(_bfs_decrease)
-
-    def invalidates(self, delta) -> bool:
-        """Hop counts ignore weights, so only deletions (and the mirror
-        retirements they cause) can raise a converged value; a
-        reweight-only batch stays on the monotone fold."""
-        return delta.has_deletions

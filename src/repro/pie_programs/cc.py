@@ -210,35 +210,14 @@ class CCProgram(Maintenance):
                 comps.cid[v] = cid
                 state.mark(fragment, (v,))
 
-    def maintainable(self, delta) -> bool:
-        """Every batch is maintainable: CC ignores weights entirely, so
-        any reweight is answer-preserving; insertions merge through
-        :meth:`on_graph_update`; deletions go through the bounded
-        affected-region path (condemn + rebuild the touched
-        components)."""
-        return True
-
-    def invalidates(self, delta) -> bool:
-        """Only deletions (and the mirror retirements they cause) can
-        split components; reweight-only batches stay on the monotone
-        fold."""
-        return delta.has_deletions
-
-    def on_graph_update(self, query, fragment: Fragment, state: CCState,
-                        delta) -> None:
-        """Inserted edges merge local components (weighted union);
-        reweights need no work at all."""
-        edges = delta.insertions if hasattr(delta, "insertions") else delta
-        comps = state.comps_on(fragment)
-        for u, v, _w in edges:
-            state.mark(fragment, comps.add_edge(u, v))
-
     # ------------------------------------------------------------------
-    # Bounded non-monotone maintenance (delete-aware IncEval)
+    # Bounded maintenance (delete-aware IncEval)
     # ------------------------------------------------------------------
     def affected_seeds_global(self, query, fragments, states,
                               touched) -> Dict[int, Set[Node]]:
-        """Driver-side batch seeding: exact split detection.
+        """Coordinator-side batch seeding: exact split detection.  Only
+        deletions can split a component — CC ignores weights, so a
+        batch without deletions seeds nothing.
 
         Whether a deletion splits a component is a *global* question —
         a pair severed inside one fragment is routinely still connected

@@ -129,9 +129,10 @@ class RunMetrics:
     The update-pipeline counters make the incremental-vs-recompute split
     observable: ``deltas_applied`` counts applied (non-no-op) update
     batches on a standing query, partitioned into
-    ``incremental_maintained`` fast-path folds and ``fallback_reruns``
-    recomputes; ``delta_bytes_shipped`` / ``fragments_delta_shipped``
-    vs ``fragments_shipped`` show whether process workers were brought
+    ``incremental_maintained`` (bounded path) and ``fallback_reruns``
+    (recomputes of programs without the maintenance hooks);
+    ``delta_bytes_shipped`` / ``fragments_delta_shipped`` vs
+    ``fragments_shipped`` show whether process workers were brought
     current by compact delta replay or by full fragment re-ships.
     """
 
@@ -147,11 +148,11 @@ class RunMetrics:
     deltas_applied: int = 0
     incremental_maintained: int = 0
     fallback_reruns: int = 0
-    #: non-monotone batches served by the bounded delete-aware path
-    #: (affected-region reset + re-convergence) instead of a recompute;
-    #: a subset of ``incremental_maintained``
+    #: non-monotone batches (a deletion or a weight increase somewhere)
+    #: among ``incremental_maintained`` — every maintained batch takes
+    #: the bounded path, a monotone one with an empty region
     partial_resets: int = 0
-    #: total size of the affected regions those partial resets touched —
+    #: total size of the affected regions of maintained batches —
     #: ``affected_vertices / partial_resets`` is the measured |AFF|
     affected_vertices: int = 0
     #: serialized bytes of per-fragment deltas replayed on pooled
@@ -345,16 +346,16 @@ class ServiceMetrics:
     wall_clock_s_total: float = 0.0
     pipe_bytes_total: int = 0
     #: the update pipeline, service-wide: how watcher refreshes split
-    #: between the incremental fast path and recompute fallbacks, and
-    #: how many serialized bytes of per-fragment deltas were replayed on
-    #: process workers instead of full fragment re-ships —
-    #: `incremental_maintained / (incremental_maintained +
-    #: fallback_reruns)` is the serving layer's incremental-vs-recompute
-    #: ratio
+    #: between maintained (programs with the maintenance hooks) and
+    #: recomputed (every other program), and how many serialized bytes
+    #: of per-fragment deltas were replayed on process workers instead
+    #: of full fragment re-ships — `incremental_maintained /
+    #: (incremental_maintained + fallback_reruns)` is the serving
+    #: layer's incremental-vs-recompute ratio
     incremental_maintained: int = 0
     fallback_reruns: int = 0
-    #: bounded delete-aware refreshes (a subset of
-    #: ``incremental_maintained``) and the total |AFF| they reset
+    #: non-monotone batches among the maintained refreshes and the
+    #: total |AFF| the maintained refreshes reset
     partial_resets: int = 0
     affected_vertices: int = 0
     delta_bytes_shipped: int = 0
@@ -508,8 +509,8 @@ class ServiceMetrics:
 
     @property
     def maintained_ratio(self) -> float:
-        """Fraction of watcher refreshes served by the incremental fast
-        path (the rest were recompute fallbacks)."""
+        """Fraction of watcher refreshes maintained on the bounded path
+        (the rest were recomputes of programs without the hooks)."""
         total = self.incremental_maintained + self.fallback_reruns
         return self.incremental_maintained / total if total else 0.0
 

@@ -23,11 +23,10 @@ repo's previously separate layers into that shape:
   :class:`~repro.graph.delta.GraphDelta` — insertions, deletions,
   weight changes — to the shared fragmentation once and fans the
   per-fragment deltas out to every watcher, which maintain their
-  answers incrementally — a monotone fold for insertions and
-  answer-preserving reweights, the bounded affected-region path for
-  deletions and weight increases — falling back to an in-session
-  recompute only for programs without the maintenance hooks
-  (``insert_edges`` / ``delete_edges`` / ``set_weights`` are sugar).
+  answers on the bounded affected-region path (a monotone batch has an
+  empty region) — an in-session recompute only for programs without
+  the maintenance hooks (``insert_edges`` / ``delete_edges`` /
+  ``set_weights`` are sugar).
 
 Queries on a graph run concurrently (they only read the fragmentation);
 an update batch takes that graph's write lock, so it waits for in-flight
@@ -55,7 +54,7 @@ from pathlib import Path
 from repro.core.api import PIERegistry, default_registry
 from repro.core.engine import EngineConfig, GrapeEngine
 from repro.core.updates import (ContinuousQuerySession, EdgeInsertion,
-                                NonMonotoneUpdateError, apply_delta)
+                                apply_delta)
 from repro.graph.delta import FragmentDelta, GraphDelta, NormalizedDelta
 from repro.graph.graph import Graph, Node
 from repro.graph.io import read_edge_list
@@ -887,18 +886,12 @@ class GrapeService:
         Otherwise the shared fragmentation is updated in place — border
         sets and ``G_P`` maintained, mirror copies retired under
         deletions, no re-partition — and every active watcher refreshes
-        its answer: incrementally when its program can maintain the
-        batch (:meth:`~repro.core.pie.PIEProgram.maintainable`), by the
-        recompute fallback otherwise.  Cached fragmentations built under
-        *other* engine configs are invalidated (they would go stale) and
-        lazily rebuilt on next use.  Returns the refreshed handles.
-
-        A watcher whose program opted out of the recompute fallback
-        (``recompute_fallback = False``) and rejects the batch is
-        **cancelled** — its answer can never match the mutated graph
-        again — and its :class:`NonMonotoneUpdateError` is re-raised
-        after every other watcher has been refreshed, so the rest of the
-        system stays consistent.
+        its answer: maintained on the bounded path when its program has
+        the :class:`~repro.core.pie.Maintenance` hooks (a monotone batch
+        with an empty affected region), recomputed otherwise.  Cached
+        fragmentations built under *other* engine configs are
+        invalidated (they would go stale) and lazily rebuilt on next
+        use.  Returns the refreshed handles.
         """
         with self._mutation_lock(graph):
             with self._lock:
@@ -946,7 +939,6 @@ class GrapeService:
 
         deltas: List[Tuple[int, ...]] = []
         refreshed: List[WatchHandle] = []
-        rejected: Optional[NonMonotoneUpdateError] = None
         with glock.write():
             started = time.perf_counter()
             if canon is not None:
@@ -969,20 +961,9 @@ class GrapeService:
                                          frag_key=list(canon_key[1:]))
             maintain_from = time.perf_counter()
             for handle in handles:
-                # Re-checked here (and inside _refresh): the handle
-                # may have been cancelled since the snapshot above.
-                try:
-                    cost = handle._refresh(touched)
-                except NonMonotoneUpdateError as exc:
-                    # An opt-out program rejected the batch after the
-                    # fragments were mutated: its answer can never be
-                    # correct again, so the watch is cancelled — and
-                    # the fan-out continues, keeping every *other*
-                    # watcher consistent with the mutated graph.
-                    handle.cancel()
-                    if rejected is None:
-                        rejected = exc
-                    continue
+                # _refresh re-checks the handle: it may have been
+                # cancelled since the snapshot above.
+                cost = handle._refresh(touched)
                 if cost is not None:
                     deltas.append(cost)
                     refreshed.append(handle)
@@ -999,18 +980,14 @@ class GrapeService:
                 self.stats.observe_maintenance(*cost)
             self._sync_csr_stats()
             self._sync_store_stats()
-        if rejected is not None:
-            raise rejected
         return refreshed
 
     def insert_edges(self, graph: str,
                      edges: Iterable[EdgeInsertion]) -> List[WatchHandle]:
         """Apply an insertion batch (:meth:`update` sugar).
 
-        Re-inserting an existing edge with a lower weight is a
-        maintainable decrease; with a higher weight it becomes a
-        non-monotone update served through the recompute fallback (no
-        longer an error).
+        Re-inserting an existing edge with a lower weight is a weight
+        decrease; with a higher weight, a weight increase.
         """
         return self.update(graph, GraphDelta.from_insertions(edges))
 

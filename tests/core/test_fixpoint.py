@@ -267,7 +267,8 @@ class TestMaintenanceHooksAreDeclared:
         from repro.core.pie import Maintenance
 
         class OnlyTheFold(Maintenance):
-            def on_graph_update(self, query, fragment, state, delta):
+            def apply_nonmonotone(self, query, fragment, state, delta,
+                                  affected):
                 pass
 
         with pytest.raises(TypeError, match="report_entries"):
@@ -278,7 +279,8 @@ class TestMaintenanceHooksAreDeclared:
         from repro.pie_programs import SimProgram
 
         class Sim(SimProgram):
-            def on_graph_update(self, query, fragment, state, delta):
+            def apply_nonmonotone(self, query, fragment, state, delta,
+                                  affected):
                 raise AssertionError("never called")
 
         with pytest.raises(TypeError, match="Maintenance"):

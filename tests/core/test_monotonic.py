@@ -1,7 +1,8 @@
 """The monotonic condition of the Assurance Theorem (paper Section 4.1),
 checked on the coordinator's report tables: a regressed report raises
-:exc:`MonotonicityViolation` on either plane, and the check changes
-neither the plane nor anything a run counts."""
+:exc:`MonotonicityViolation` on either plane and in a standing query's
+maintenance, and the check changes neither the plane nor anything a run
+counts."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from repro.core import engine as engine_mod
 from repro.core.aggregators import MinAggregator
 from repro.core.engine import EngineConfig, GrapeEngine
 from repro.core.pie import PIEProgram
-from repro.graph.generators import preferential_attachment
+from repro.core.updates import ContinuousQuerySession
+from repro.graph.delta import GraphDelta
+from repro.graph.generators import grid_road_graph, preferential_attachment
 from repro.graph.graph import Graph
 from repro.partition.base import build_edge_cut_fragments
 from repro.pie_programs import (BFSProgram, CCProgram, PageRankProgram,
@@ -60,6 +63,24 @@ class RegressingSSSP(SSSPProgram):
                                       labels[finite[0]].item()))
 
 
+class RegressingMaintenance(SSSPProgram):
+    """SSSP whose maintenance raises one finite ``F_i.O`` distance
+    outside the reset region by 100 on every fragment it refreshes."""
+
+    raised = []
+
+    def apply_nonmonotone(self, query, fragment, state, delta, affected):
+        super().apply_nonmonotone(query, fragment, state, delta, affected)
+        dist = state.dist
+        victim = next((v for v in sorted(fragment.outer)
+                       if v not in affected and dist.get(v, np.inf)
+                       < np.inf), None)
+        if victim is not None:
+            dist[victim] += 100.0
+            state.mark(fragment, (victim,))
+            type(self).raised.append((fragment.fid, victim))
+
+
 def _cycle_fragments():
     """0 -> 1 -> 2 | 3 -> 4, cut between 2 and 3, plus 4 -> 0 back."""
     g = Graph(directed=True)
@@ -80,6 +101,7 @@ def _names_a_raised_node(exc):
 @pytest.fixture(autouse=True)
 def _fresh_counters():
     RegressingSSSP.calls, RegressingSSSP.raised = 0, []
+    RegressingMaintenance.raised = []
 
 
 class TestRegressionsAreCaught:
@@ -111,6 +133,30 @@ class TestRegressionsAreCaught:
                 service.play("regressing-sssp", 0, graph="g")
         assert caught.type is MonotonicityViolation
         assert "moved node" in str(caught.value)
+
+
+@pytest.mark.parametrize("op", ["insert", "delete"])
+def test_a_batch_first_round_is_checked(op):
+    """The first round of a maintained batch is folded by the session's
+    rebaseline, for a monotone batch and a non-monotone one alike."""
+    def session(check):
+        engine = GrapeEngine(4, backend="serial", check_monotonic=check)
+        return ContinuousQuerySession(engine, RegressingMaintenance(), 0,
+                                      grid_road_graph(12, 12, seed=3))
+
+    quiet = session(False)
+    u, v, _w = sorted(quiet.fragmentation.graph.edges())[70]
+    delta = (GraphDelta().insert(0, 143, 0.25) if op == "insert"
+             else GraphDelta().delete(u, v))
+    quiet.update(delta)  # without the check: nothing noticed
+    assert RegressingMaintenance.raised
+
+    RegressingMaintenance.raised = []
+    with pytest.raises(MonotonicityViolation) as caught:
+        session(True).update(delta)
+    assert any(f"fragment {fid} moved 'dist' of node {node!r} " in
+               str(caught.value)
+               for fid, node in RegressingMaintenance.raised)
 
 
 @pytest.mark.parametrize("make_program,query", [

@@ -7,8 +7,7 @@ for programs without the maintenance hooks."""
 import pytest
 
 from repro.core.engine import GrapeEngine
-from repro.core.updates import (ContinuousQuerySession,
-                                NonMonotoneUpdateError, apply_delta,
+from repro.core.updates import (ContinuousQuerySession, apply_delta,
                                 apply_insertions)
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import grid_road_graph, uniform_random_graph
@@ -23,21 +22,6 @@ def cc_oracle(g):
     for v, c in connected_components(g).items():
         buckets.setdefault(c, set()).add(v)
     return buckets
-
-
-class FrozenSSSP(SSSPProgram):
-    """Module-level (picklable under the process backend): opts out of
-    the recompute fallback *and* of the bounded non-monotone path, so
-    non-monotone batches genuinely reach the opt-out error."""
-
-    recompute_fallback = False
-
-    def maintainable(self, delta):
-        return delta.monotone
-
-
-class FrozenSim(SimProgram):
-    recompute_fallback = False
 
 
 class TestApplyInsertions:
@@ -522,8 +506,8 @@ class TestCCUnderDeltas:
 class TestSessionErrors:
     def test_program_without_hook_recomputes(self, small_labeled,
                                              tiny_pattern):
-        """Programs without on_graph_update now serve standing queries
-        through the recompute fallback instead of being rejected."""
+        """Programs without the Maintenance hooks serve standing queries
+        by recomputing every batch instead of being rejected."""
         session = ContinuousQuerySession(GrapeEngine(2), SimProgram(),
                                          tiny_pattern, small_labeled)
         u = next(iter(small_labeled.nodes()))
@@ -532,34 +516,3 @@ class TestSessionErrors:
         answer = session.insert_edges([(u, v, 1.0)])
         assert session.metrics.fallback_reruns == 1
         assert answer == session.answer
-
-    def test_opt_out_program_raises_typed_error(self, small_road):
-        session = ContinuousQuerySession(GrapeEngine(2), FrozenSSSP(), 0,
-                                         small_road)
-        u, v, _w = next(iter(small_road.edges()))
-        held = session.answer
-        with pytest.raises(NonMonotoneUpdateError, match="opted out"):
-            session.delete_edges([(u, v)])
-        # nothing was maintained, so nothing is re-assembled: the last
-        # correct answer stays what a reader gets
-        assert session.answer is held
-        # The fragmentation was mutated before the rejection, so the
-        # session's converged state is stale forever: folding even a
-        # monotone batch into it would be silently wrong, and must
-        # raise instead.
-        with pytest.raises(NonMonotoneUpdateError, match="stale"):
-            session.insert_edges([(0, 35, 0.25)])
-
-    def test_opt_out_program_maintains_monotone_batches(self, small_road):
-        session = ContinuousQuerySession(GrapeEngine(2), FrozenSSSP(), 0,
-                                         small_road)
-        session.insert_edges([(0, 35, 0.25)])
-        assert session.metrics.incremental_maintained == 1
-        assert session.answer == pytest.approx(
-            sssp_distances(small_road, 0))
-
-    def test_opt_out_without_hook_rejected_at_construction(
-            self, small_labeled, tiny_pattern):
-        with pytest.raises(TypeError, match="on_graph_update"):
-            ContinuousQuerySession(GrapeEngine(2), FrozenSim(),
-                                   tiny_pattern, small_labeled)

@@ -7,9 +7,9 @@ single-kind non-monotone batch to a standing session and assert that
 * the maintained answer equals the sequential oracle on the mutated
   graph (exact equality — the bounded path re-derives every reset value
   as the same path sum the oracle computes), and
-* the batch was served without a recompute fallback, with a partial
-  reset exactly when the program's ``invalidates`` dispatch says the
-  operation kind threatens converged values (weight increases are
+* the batch was maintained without a recompute fallback and counted as
+  one non-monotone batch, with an empty affected region when the
+  operation kind cannot move a converged value (weight increases are
   no-ops for BFS hop counts and CC membership).
 """
 
@@ -52,7 +52,7 @@ def cc_oracle(g):
     return buckets
 
 
-#: (program factory, query, oracle, operation kinds that invalidate)
+#: (program factory, query, oracle, operation kinds that seed a region)
 CASES = {
     "sssp": (SSSPProgram, 0,
              lambda g: sssp_distances(g, 0), {"delete", "increase"}),
@@ -81,7 +81,7 @@ def _single_kind_delta(g, op, count=3):
                          ids=("directed", "undirected"))
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_nonmonotone_matrix(backend, directed, op, program_key):
-    make_program, query, oracle, invalidating = CASES[program_key]
+    make_program, query, oracle, seeding = CASES[program_key]
     g = uniform_random_graph(60, 180, directed=directed, seed=90)
     engine = GrapeEngine(3, backend=backend)
     session = ContinuousQuerySession(engine, make_program(), query, graph=g)
@@ -95,10 +95,8 @@ def test_nonmonotone_matrix(backend, directed, op, program_key):
     m = session.metrics
     assert m.fallback_reruns == 0
     assert m.incremental_maintained == 1
-    if op in invalidating:
-        assert m.partial_resets == 1
-        assert m.affected_vertices >= 0
-    else:
-        # The kind is answer-preserving for this program: served by the
-        # plain monotone fold, no reset at all.
-        assert m.partial_resets == 0
+    assert m.partial_resets == 1
+    if op not in seeding:
+        # The kind is answer-preserving for this program: the bounded
+        # path runs on an empty region.
+        assert m.affected_vertices == 0

@@ -13,12 +13,13 @@ Two properties, both the incremental-view discipline of Berkholz et al.:
   recomputation on the mutated fragmentation, on every execution
   backend;
 * **mixed fuzz** — the same with deletions and weight increases in the
-  batches, exercising the maintainable-vs-recompute dispatch, border-set
+  batches, exercising the bounded path's affected regions, border-set
   retirement under ``ΔG⁻`` and (under the process backend) worker-side
   delta replay, across every ``(backend × use_csr)`` combination.
 
 Every session checks the monotonic condition (``check_monotonic=True``)
-through its initial run and every maintenance round.
+through its initial run and every maintenance round, a batch's first
+round (the session's rebaseline) included.
 """
 
 from __future__ import annotations

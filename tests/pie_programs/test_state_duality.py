@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core import engine as engine_mod
 from repro.core.engine import EngineConfig, GrapeEngine
+from repro.graph.delta import FragmentDelta
 from repro.graph.generators import grid_road_graph, uniform_random_graph
 from repro.graph.graph import Graph
 from repro.partition.base import build_edge_cut_fragments
@@ -225,7 +226,8 @@ class TestWhoWroteLastDecides:
         prog.inceval(0, frag[1], state, {(2, name): 5 * msg})
         assert state.current(frag[1])  # the kernel ran: arrays are the state
         # maintenance folds a cheaper edge into 2 (query 1 is its tail)
-        prog.on_graph_update(1, frag[1], state, [(1, 2, 0.5)])
+        prog.apply_nonmonotone(1, frag[1], state, FragmentDelta(
+            fid=1, insertions=[(1, 2, 0.5)]), set())
         assert frag[1].csr_cached and not state.has_arrays
         with mock.patch.object(make, "_kernel",
                                side_effect=AssertionError("kernel call")):

@@ -28,10 +28,9 @@ from repro.sequential import connected_components, sssp_distances
 from repro.service import GrapeService
 
 #: everything a maintained batch calls before the message rounds
-MAINTENANCE_HOOKS = ("on_graph_update", "affected_seeds",
-                     "affected_seeds_global", "expand_affected",
-                     "apply_nonmonotone", "read_changed_params",
-                     "report_entries")
+MAINTENANCE_HOOKS = ("affected_seeds", "affected_seeds_global",
+                     "expand_affected", "apply_nonmonotone",
+                     "read_changed_params", "report_entries")
 FRAGMENTS = 4
 
 

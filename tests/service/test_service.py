@@ -9,30 +9,9 @@ from repro.core.engine import EngineConfig
 from repro.core.pie import PIEProgram
 from repro.graph.generators import grid_road_graph
 from repro.partition.strategies import HashPartition, RangePartition
-from repro.pie_programs import SSSPProgram
 from repro.sequential import sssp_distances
 from repro.service import GrapeService, QueryRequest
 from repro.core.aggregators import MaxAggregator
-
-
-class FrozenSSSP(SSSPProgram):
-    """Module-level (picklable): opts out of the recompute fallback and
-    of the bounded delete-aware path (maintains monotone batches only),
-    so non-monotone batches raise instead of being served."""
-
-    recompute_fallback = False
-
-    def maintainable(self, delta):
-        return delta.monotone
-
-
-class RecomputingSSSP(SSSPProgram):
-    """Module-level (picklable): keeps the recompute fallback but does
-    not claim non-monotone batches — the pre-bounded-path dispatch,
-    preserved to pin the mixed-watchers accounting."""
-
-    def maintainable(self, delta):
-        return delta.monotone
 
 
 def reachable_oracle(graph, source):
@@ -295,45 +274,20 @@ class TestWatchAndUpdates:
         assert service.stats.partial_resets == 1
         assert handle.answer == pytest.approx(sssp_distances(small_road, 0))
 
-    def test_opt_out_watch_cancelled_without_stranding_others(
-            self, service, small_road):
-        """Regression: one watcher rejecting a non-monotone batch must
-        not abort the fan-out — the other watchers refresh and stay
-        consistent with the mutated graph; the opt-out watch is
-        cancelled and its typed error surfaced afterwards."""
-        from repro.core.updates import NonMonotoneUpdateError
-
-        service.plug("frozen-sssp", FrozenSSSP)
-        frozen = service.watch("frozen-sssp", 0, graph="roads")
-        normal = service.watch("sssp", 0, graph="roads")
-        u, v, _w = next(iter(small_road.edges()))
-        with pytest.raises(NonMonotoneUpdateError, match="opted out"):
-            service.delete_edges("roads", [(u, v)])
-        # the mutation landed and the surviving watch tracks it
-        assert not small_road.has_edge(u, v)
-        assert normal.answer == pytest.approx(sssp_distances(small_road, 0))
-        assert not frozen.active
-        assert service.watches("roads") == [normal]
-        # later updates proceed normally — the service is not wedged
-        refreshed = service.insert_edges("roads", [(0, 35, 0.3)])
-        assert refreshed == [normal]
-        assert normal.answer == pytest.approx(sssp_distances(small_road, 0))
-
     def test_mixed_watchers_split_maintained_ratio(self, service,
                                                    small_road):
         """One batch, two watches, two outcomes: the bounded-path SSSP
-        watch is *maintained* while the hook-less one recomputes — the
-        per-session accounting must split the batch across both buckets
-        instead of attributing it wholesale to one."""
-        service.plug("legacy-sssp", RecomputingSSSP)
+        watch is *maintained* while the hook-less reachability one
+        recomputes — the per-session accounting must split the batch
+        across both buckets instead of attributing it wholesale to one."""
+        service.plug("reach", PluggedReach)
         fast = service.watch("sssp", 0, graph="roads")
-        slow = service.watch("legacy-sssp", 0, graph="roads")
+        slow = service.watch("reach", 0, graph="roads")
         u, v, _w = next(iter(small_road.edges()))
         refreshed = service.delete_edges("roads", [(u, v)])
         assert set(refreshed) == {fast, slow}
-        truth = sssp_distances(small_road, 0)
-        assert fast.answer == pytest.approx(truth)
-        assert slow.answer == pytest.approx(truth)
+        assert fast.answer == pytest.approx(sssp_distances(small_road, 0))
+        assert slow.answer == reachable_oracle(small_road, 0)
         assert service.stats.incremental_maintained == 1
         assert service.stats.fallback_reruns == 1
         assert service.stats.partial_resets == 1
