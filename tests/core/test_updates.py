@@ -176,6 +176,59 @@ class TestContinuousSSSP:
         answer = session.insert_edges([(0, "annex", 2.0)])
         assert answer["annex"] == pytest.approx(2.0)
 
+    @staticmethod
+    def _local_tight_edges(session, graph):
+        """Intra-fragment edges on a shortest path: their heads are the
+        direct hits of a reweight, whatever its direction."""
+        dist, frag = session.answer, session.fragmentation
+        return [(u, v, w) for u, v, w in graph.edges()
+                if u != 0 and frag.gp.owner(u) == frag.gp.owner(v)
+                and dist[v] == dist[u] + w]
+
+    def test_monotone_batch_is_an_empty_region(self, small_road):
+        """A monotone batch takes the bounded path with nothing reset:
+        the batch-level gate empties the seeds even though the
+        per-fragment test would hit the decreased edge's head."""
+        session = ContinuousQuerySession(GrapeEngine(4), SSSPProgram(), 0,
+                                         small_road)
+        program, frags = session.program, session.fragmentation.fragments
+        u, v, w = self._local_tight_edges(session, small_road)[0]
+        touched = apply_delta(session.fragmentation,
+                              GraphDelta.from_weight_changes([(u, v, w / 2)]))
+        assert all(d.monotone for d in touched.values())
+        assert any(program.affected_seeds(0, frags[fid], session.states[fid],
+                                          d) for fid, d in touched.items())
+        assert program.affected_seeds_global(0, frags, session.states,
+                                             touched) == {}
+        session.apply_update(touched)
+        m = session.metrics
+        assert (m.incremental_maintained, m.fallback_reruns) == (1, 0)
+        assert (m.partial_resets, m.affected_vertices) == (0, 0)
+        assert session.answer == pytest.approx(sssp_distances(small_road, 0))
+
+    def test_nonmonotone_batch_seeds_its_decreases(self, small_road):
+        """The gate is per batch: once a deletion makes the batch
+        non-monotone, a fragment whose own delta only decreases a weight
+        still seeds that reweight's head."""
+        session = ContinuousQuerySession(GrapeEngine(4), SSSPProgram(), 0,
+                                         small_road)
+        program, frag = session.program, session.fragmentation
+        tight = self._local_tight_edges(session, small_road)
+        u, v, w = tight[0]
+        x, y, _ = next(e for e in tight
+                       if frag.gp.owner(e[0]) != frag.gp.owner(u))
+        touched = apply_delta(frag, GraphDelta.from_weight_changes(
+            [(u, v, w / 2)]) + GraphDelta.from_deletions([(x, y)]))
+        mono = [fid for fid, d in touched.items() if d.monotone]
+        assert mono and not all(d.monotone for d in touched.values())
+        seeds = program.affected_seeds_global(0, frag.fragments,
+                                              session.states, touched)
+        for fid in mono:
+            assert v in seeds[fid]
+        session.apply_update(touched)
+        assert session.metrics.partial_resets == 1
+        assert session.answer == pytest.approx(sssp_distances(small_road, 0))
+
 
 class TestContinuousCC:
     def test_component_merge_maintained(self):

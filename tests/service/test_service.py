@@ -293,6 +293,25 @@ class TestWatchAndUpdates:
         assert service.stats.partial_resets == 1
         assert service.stats.maintained_ratio == pytest.approx(0.5)
 
+    def test_every_watch_survives_every_batch(self, service, small_road):
+        """No program opts out: a Maintenance watch maintains every batch
+        (a monotone one resets nothing), a hook-less watch recomputes
+        every batch, and neither is ever cancelled."""
+        service.plug("reach", PluggedReach)
+        fast = service.watch("sssp", 0, graph="roads")
+        slow = service.watch("reach", 0, graph="roads")
+        service.insert_edges("roads", [(0, 35, 0.3)])
+        assert service.stats.partial_resets == 0
+        u, v, _w = next(iter(small_road.edges()))
+        service.delete_edges("roads", [(u, v)])
+        assert fast.active and slow.active
+        assert service.watches("roads") == [fast, slow]
+        assert fast.answer == pytest.approx(sssp_distances(small_road, 0))
+        assert slow.answer == reachable_oracle(small_road, 0)
+        assert service.stats.incremental_maintained == 2
+        assert service.stats.fallback_reruns == 2
+        assert service.stats.partial_resets == 1
+
     def test_noop_batch_is_free(self, service, small_road):
         service.watch("sssp", 0, graph="roads")
         frag = service.fragmentation("roads")
