@@ -181,7 +181,7 @@ class DictCoordinator(Coordinator):
                 k: v for k, v in params.items()
                 if k not in prev or prev[k] != v}
             if self.check:
-                self._check(fid, prev, changed)
+                self.check_report(fid, prev, changed)
             if kind == "full":
                 reported[fid] = params
             elif changed:
@@ -203,8 +203,8 @@ class DictCoordinator(Coordinator):
                     dirty.add(key)
         return up_bytes, up_msgs, dirty
 
-    def _check(self, fid: int, prev: ParamUpdates,
-               changed: ParamUpdates) -> None:
+    def check_report(self, fid: int, prev: ParamUpdates,
+                     changed: ParamUpdates) -> None:
         """Every key ``fid`` reported before must not fall behind."""
         behind = self.program.aggregator.is_progress
         for key, value in changed.items():
@@ -273,12 +273,13 @@ class ArrayCoordinator(Coordinator):
         for fid, block in blocks:
             ids = index.ids_of(block.ids)
             if self.check:
-                self._check(fid, reported[fid, ids], block)
+                self.check_report(fid, reported[fid, ids], block)
             reported[fid, ids] = block.vals
             self._ufunc.at(table, ids, block.vals)
         return up_bytes, len(blocks), np.flatnonzero(table != before)
 
-    def _check(self, fid: int, old: np.ndarray, block: ParamBlock) -> None:
+    def check_report(self, fid: int, old: np.ndarray,
+                     block: ParamBlock) -> None:
         """Every value of ``block`` must advance or keep ``old``."""
         behind = self._ufunc(old, block.vals) != block.vals
         if behind.any():

@@ -281,7 +281,7 @@ class Maintenance(PIEProgram):
         """The direct hits of a batch, per touched fragment: vertices
         whose converged value was supported by a deleted or raised edge
         (old weights ride on ``delta.deletions`` / ``.weight_changes``).
-        Nothing, for a batch that can raise no converged value.
+        Asked of non-monotone batches only: a monotone one seeds nothing.
         The default asks ``affected_seeds(query, fragment, state, delta)``
         of each fragment; maintenance runs on the driver, so a program
         whose test is inherently global (CC's does-this-deletion-split

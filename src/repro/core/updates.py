@@ -491,9 +491,10 @@ class ContinuousQuerySession:
 
         1. every mutated fragment names its *direct hits*: vertices
            whose converged value was supported by a deleted or raised
-           edge (``program.affected_seeds_global``).  A batch that can
-           raise no converged value seeds nothing, and every step below
-           runs on an empty region;
+           edge (``program.affected_seeds_global``).  A monotone batch
+           (insertions and weight decreases only) raises no converged
+           value: it seeds nothing, and every step below runs on an
+           empty region;
         2. the region is closed in two levels.  Condemnation is
            *fragment-local* by default: each fragment grows the region
            along its own still-standing support chains
@@ -541,10 +542,16 @@ class ContinuousQuerySession:
         # an O(border) index build per batch.
         param_names = self._loop.names
 
+        # Insertions and weight decreases raise no converged value: a
+        # monotone batch seeds nothing.  The gate is per batch, not per
+        # fragment — a non-monotone batch seeds on every touched fragment
+        # (SSSP seeds its decreases too; see ``affected_seeds``).
+        monotone = all(d.monotone for d in touched.values())
         work: Dict[int, Set[Node]] = {f.fid: set() for f in frags}
-        for fid, found in program.affected_seeds_global(
-                query, frags, self.states, touched).items():
-            work[fid] |= found
+        if not monotone:
+            for fid, found in program.affected_seeds_global(
+                    query, frags, self.states, touched).items():
+                work[fid] |= found
 
         local_aff: Dict[int, Set[Node]] = {f.fid: set() for f in frags}
         promoted: Set[Node] = set()
@@ -581,8 +588,7 @@ class ContinuousQuerySession:
         global_aff: Set[Node] = set()
         for aff in local_aff.values():
             global_aff |= aff
-        self.metrics.partial_resets += not all(
-            d.monotone for d in touched.values())
+        self.metrics.partial_resets += not monotone
         self.metrics.affected_vertices += len(global_aff)
 
         for frag in frags:
@@ -621,14 +627,9 @@ class ContinuousQuerySession:
         coord = self._loop.coordinator
         table = coord.table
         combine = program.aggregator.combine
-        is_progress = program.aggregator.is_progress
         param_names = self._loop.names
         up_bytes = 0
         up_msgs = 0
-        # An entry that advanced on its fragment's last report folds into
-        # the table as in any round; one that fell behind (the reset
-        # region) or retracted re-aggregates the key from every report.
-        advanced = []
         recompute: Set = set()
         for frag in frags:
             fid = frag.fid
@@ -639,16 +640,11 @@ class ContinuousQuerySession:
                     if prev.get(key, _MISSING) != value}
             if coord.check:
                 aff = local_aff[fid]
-                coord._check(fid, prev, {key: value for key, value
-                                         in diff.items()
-                                         if key[0] not in aff})
-            for key, value in diff.items():
-                old = prev.get(key, _MISSING)
-                if old is _MISSING or is_progress(old, value):
-                    advanced.append((key, value))
-                else:
-                    recompute.add(key)
+                coord.check_report(fid, prev, {
+                    key: value for key, value in diff.items()
+                    if key[0] not in aff})
             prev.update(diff)
+            recompute.update(diff)
             # Retractions ship as key-only tombstones.
             gone = {}
             for node in probe:
@@ -667,15 +663,8 @@ class ContinuousQuerySession:
         # Dirty keys: aggregated values that moved, plus every key of an
         # affected vertex — a reset owner must be re-offered surviving
         # peer values even when the aggregate itself did not change.
-        dirty: Set = set()
-        for key, value in advanced:
-            if key not in recompute:
-                old = table.get(key, _MISSING)
-                best = value if old is _MISSING else combine(old, value)
-                if best != old:
-                    table[key] = best
-                    dirty.add(key)
         reported = coord.reported
+        dirty: Set = set()
         for key in recompute:
             best = _MISSING
             for frag in frags:

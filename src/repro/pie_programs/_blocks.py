@@ -349,17 +349,6 @@ class DecreaseOnlyProgram(Maintenance):
     # ------------------------------------------------------------------
     # Bounded maintenance (delete-aware IncEval)
     # ------------------------------------------------------------------
-    def affected_seeds_global(self, query: Node, fragments, states,
-                              touched) -> Dict[int, Set[Node]]:
-        """Nothing when every touched delta is monotone — insertions and
-        decreases only lower values, so the region is empty.  The gate is
-        per batch, not per fragment: a non-monotone batch seeds every
-        reweight (see :meth:`affected_seeds`), decreases included."""
-        if all(delta.monotone for delta in touched.values()):
-            return {}
-        return super().affected_seeds_global(query, fragments, states,
-                                             touched)
-
     def affected_seeds(self, query: Node, fragment: Fragment,
                        state: ValueState, delta) -> Set[Node]:
         """Direct hits: heads of deleted (and, for weighted programs,

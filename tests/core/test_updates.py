@@ -186,9 +186,9 @@ class TestContinuousSSSP:
                 and dist[v] == dist[u] + w]
 
     def test_monotone_batch_is_an_empty_region(self, small_road):
-        """A monotone batch takes the bounded path with nothing reset:
-        the batch-level gate empties the seeds even though the
-        per-fragment test would hit the decreased edge's head."""
+        """A monotone batch takes the bounded path with nothing reset,
+        even though the per-fragment test would hit the decreased edge's
+        head: the session does not seed a monotone batch."""
         session = ContinuousQuerySession(GrapeEngine(4), SSSPProgram(), 0,
                                          small_road)
         program, frags = session.program, session.fragmentation.fragments
@@ -198,8 +198,6 @@ class TestContinuousSSSP:
         assert all(d.monotone for d in touched.values())
         assert any(program.affected_seeds(0, frags[fid], session.states[fid],
                                           d) for fid, d in touched.items())
-        assert program.affected_seeds_global(0, frags, session.states,
-                                             touched) == {}
         session.apply_update(touched)
         m = session.metrics
         assert (m.incremental_maintained, m.fallback_reruns) == (1, 0)
