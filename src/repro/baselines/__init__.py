@@ -1,6 +1,6 @@
 """Baseline systems: vertex-centric (Giraph), GAS (GraphLab), block-centric
-(Blogel) — the paper's comparison targets, rebuilt on the same simulated
-cluster so their metrics are directly comparable to GRAPE's."""
+(Blogel) — the paper's comparison targets, recording their supersteps under
+the same BSP cost rule as GRAPE so their metrics are directly comparable."""
 
 from repro.baselines.block_centric import (BlogelEngine, BlogelResult,
                                            BlockProgram, CCBlockProgram,

@@ -34,7 +34,6 @@ from repro.baselines.vertex_centric import PregelEngine, PregelResult, \
 from repro.graph.graph import Graph, Node
 from repro.partition.base import Fragment, Fragmentation, PartitionStrategy
 from repro.partition.strategies import MetisLikePartition
-from repro.runtime.cluster import SimulatedCluster
 from repro.runtime.metrics import CostModel, RunMetrics
 from repro.runtime.wire import vertex_message_bytes
 from repro.sequential.sssp import dijkstra
@@ -98,6 +97,8 @@ class BlogelEngine:
                  cost_model: Optional[CostModel] = None,
                  precompute_cc: bool = False,
                  max_supersteps: int = 1_000_000):
+        if num_workers < 1:
+            raise ValueError("need at least one worker")
         self.num_workers = num_workers
         self.partition = partition or MetisLikePartition()
         self.cost_model = cost_model
@@ -129,8 +130,7 @@ class BlogelEngine:
             fragmentation: Optional[Fragmentation] = None) -> BlogelResult:
         if fragmentation is None:
             fragmentation = self.make_fragmentation(graph)
-        cluster = SimulatedCluster(self.num_workers,
-                                   cost_model=self.cost_model)
+        metrics = RunMetrics()
         blocks = fragmentation.fragments
         states = {b.fid: program.init_state(b, query) for b in blocks}
 
@@ -156,9 +156,9 @@ class BlogelEngine:
                         fragmentation.gp, query)
                 return task
 
-            cluster.run_superstep([make_task(b.fid) for b in blocks],
-                                  bytes_shipped=pending_bytes,
-                                  num_messages=pending_msgs)
+            metrics.run_superstep([make_task(b.fid) for b in blocks],
+                                  self.num_workers, pending_bytes,
+                                  pending_msgs, self.cost_model)
 
             pending_bytes = 0
             pending_msgs = 0
@@ -176,7 +176,7 @@ class BlogelEngine:
 
         pieces = [program.output(b, states[b.fid], query) for b in blocks]
         return BlogelResult(answer=program.combine_outputs(pieces, query),
-                            metrics=cluster.metrics)
+                            metrics=metrics)
 
 
 class SSSPBlockProgram(BlockProgram):

@@ -26,7 +26,6 @@ from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 from repro.baselines.vertex_centric import PregelEngine
 from repro.baselines.vertex_programs import SubIsoVertexProgram
 from repro.graph.graph import Graph, Node
-from repro.runtime.cluster import SimulatedCluster
 from repro.runtime.metrics import CostModel, RunMetrics
 from repro.runtime.wire import vertex_message_bytes
 
@@ -93,7 +92,7 @@ def _edges(graph: Graph, vertex: Node, direction: str):
 
 
 class GASEngine:
-    """Synchronous gather-apply-scatter over the simulated cluster."""
+    """Synchronous gather-apply-scatter on simulated BSP workers."""
 
     def __init__(self, num_workers: int, *,
                  cost_model: Optional[CostModel] = None,
@@ -109,8 +108,7 @@ class GASEngine:
 
     def run(self, program: GASProgram, graph: Graph,
             query: Any = None) -> GASResult:
-        cluster = SimulatedCluster(self.num_workers,
-                                   cost_model=self.cost_model)
+        metrics = RunMetrics()
         by_worker: List[List[Node]] = [[] for _ in range(self.num_workers)]
         for v in graph.nodes():
             by_worker[self._worker_of(v)].append(v)
@@ -166,10 +164,10 @@ class GASEngine:
                                     step_msgs += 1
                 return task
 
-            cluster.run_superstep([make_task(w)
+            metrics.run_superstep([make_task(w)
                                    for w in range(self.num_workers)],
-                                  bytes_shipped=pending_bytes,
-                                  num_messages=pending_msgs)
+                                  self.num_workers, pending_bytes,
+                                  pending_msgs, self.cost_model)
             values.update(staged)
             pending_bytes = step_bytes
             pending_msgs = step_msgs
@@ -177,8 +175,7 @@ class GASEngine:
             superstep += 1
 
         answer = program.finalize(graph, values, query)
-        return GASResult(answer=answer, values=values,
-                         metrics=cluster.metrics)
+        return GASResult(answer=answer, values=values, metrics=metrics)
 
 
 def run_subiso_on_gas(graph: Graph, query: Graph, num_workers: int, *,

@@ -13,8 +13,10 @@ This module reproduces that baseline faithfully:
   different workers are charged as network communication, intra-worker
   messages are free (Pregel's local short-circuit).
 
-The engine runs on the same :class:`~repro.runtime.cluster.SimulatedCluster`
-as GRAPE, so times, supersteps and bytes are directly comparable.
+The engine records each superstep with
+:meth:`~repro.runtime.metrics.RunMetrics.run_superstep`, under the BSP
+cost rule GRAPE's rounds use, so times, supersteps and bytes are directly
+comparable.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, \
     Set, Tuple
 
 from repro.graph.graph import Graph, Node
-from repro.runtime.cluster import SimulatedCluster
 from repro.runtime.metrics import CostModel, RunMetrics
 from repro.runtime.wire import vertex_message_bytes
 
@@ -93,7 +94,7 @@ class PregelResult:
 
 
 class PregelEngine:
-    """Synchronous vertex-centric execution over the simulated cluster.
+    """Synchronous vertex-centric execution on simulated BSP workers.
 
     Parameters
     ----------
@@ -130,9 +131,7 @@ class PregelEngine:
     def run(self, program: VertexProgram, graph: Graph,
             query: Any = None) -> PregelResult:
         """Run ``program`` to quiescence (all halted, no messages)."""
-        cluster = SimulatedCluster(self.num_workers,
-                                   cost_model=self.cost_model)
-
+        metrics = RunMetrics()
         by_worker: List[List[Node]] = [[] for _ in range(self.num_workers)]
         for v in graph.nodes():
             by_worker[self._worker_of(v)].append(v)
@@ -173,10 +172,10 @@ class PregelEngine:
                         out.extend(ctx._out)
                 return task
 
-            cluster.run_superstep([make_task(w)
+            metrics.run_superstep([make_task(w)
                                    for w in range(self.num_workers)],
-                                  bytes_shipped=pending_bytes,
-                                  num_messages=pending_msgs)
+                                  self.num_workers, pending_bytes,
+                                  pending_msgs, self.cost_model)
 
             # Route: sender-side combine per destination vertex, then
             # charge cross-worker traffic.
@@ -200,5 +199,4 @@ class PregelEngine:
             superstep += 1
 
         answer = program.finalize(graph, values, query)
-        return PregelResult(answer=answer, values=values,
-                            metrics=cluster.metrics)
+        return PregelResult(answer=answer, values=values, metrics=metrics)

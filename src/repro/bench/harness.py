@@ -3,9 +3,10 @@
 This reproduces the paper's evaluation protocol (Section 7): the same
 query batch runs on GRAPE, the vertex-centric engine ("giraph"), the GAS
 engine ("graphlab") and the block-centric engine ("blogel"); each run
-reports response time, communication volume and supersteps on the shared
-simulated cluster, so the cross-system comparisons of Figs. 6, 8 and 9 and
-Table 1 come from identical inputs and identical accounting.
+reports response time, communication volume and supersteps under the one
+BSP cost rule of :class:`~repro.runtime.metrics.RunMetrics`, so the
+cross-system comparisons of Figs. 6, 8 and 9 and Table 1 come from
+identical inputs and identical accounting.
 """
 
 from __future__ import annotations

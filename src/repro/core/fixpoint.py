@@ -31,11 +31,11 @@ from repro.core.coordinator import Coordinator
 from repro.core.pie import PIEProgram
 from repro.obs.trace import Span
 from repro.partition.base import Fragmentation
-from repro.runtime.cluster import physical_times
 from repro.runtime.executors import (PHASE_INC, PHASE_PEVAL, StepOutcome,
                                      read_report)
 from repro.runtime.message import stable_hash
-from repro.runtime.metrics import CostModel, RunMetrics, message_bytes
+from repro.runtime.metrics import (CostModel, RunMetrics, message_bytes,
+                                   physical_times)
 
 __all__ = ["Fixpoint", "route_channels"]
 

@@ -1,11 +1,9 @@
-"""Pluggable execution backends for the simulated cluster.
+"""Pluggable execution backends for the GRAPE engine.
 
 The paper's engine runs PEval/IncEval on ``n`` shared-nothing physical
-workers.  Historically :class:`~repro.runtime.cluster.SimulatedCluster`
-offered only serial or thread-pool execution of per-fragment closures —
-which keeps the BSP *accounting* honest but caps every dict-path workload
-at one core (the GIL).  This module makes the execution layer a pluggable
-backend with three implementations:
+workers.  In-process execution keeps the BSP *accounting* honest but caps
+every dict-path workload at one core (the GIL), so the execution layer is
+a pluggable backend with three implementations:
 
 * :class:`SerialBackend` — deterministic in-process execution (default);
 * :class:`ThreadBackend` — a thread pool; parallel for kernels that drop
@@ -29,18 +27,14 @@ backend with three implementations:
   ``shm_fallbacks``); bulk pickled transfers still ride ``/dev/shm``
   spill files above 1 MiB.
 
-Two execution contracts coexist:
-
-* **closure tasks** (``run_tasks``) — the baseline engines submit one
-  thunk per virtual worker; closures cannot cross a process boundary, so
-  only the *inline* backends support them;
-* **the PIE session protocol** (``open``/``step``) — the GRAPE engine
-  describes each superstep as data (:class:`StepCommand` per fragment),
-  the backend executes it wherever the fragment lives and returns a
-  :class:`StepOutcome` carrying the timed compute, the fragment's
-  changed-parameter report and its drained explicit-channel messages.
-  This is what lets the process backend keep fragments and states
-  resident instead of re-shipping closures every superstep.
+Every backend speaks one execution contract, the PIE session protocol
+(``open``/``step``): the GRAPE engine describes each superstep as data
+(:class:`StepCommand` per fragment), the backend executes it wherever the
+fragment lives and returns a :class:`StepOutcome` carrying the timed
+compute, the fragment's changed-parameter report and its drained
+explicit-channel messages.  This is what lets the process backend keep
+fragments and states resident instead of re-shipping them every
+superstep.
 
 Backend selection is by name (``"serial"``, ``"thread"``, ``"process"``)
 or instance; named lookups share one module-level backend per name, so
@@ -61,8 +55,8 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
-                    Set, Tuple, Union)
+from typing import (Any, Callable, Dict, Hashable, List, Optional, Set,
+                    Tuple, Union)
 
 from repro.obs import events as _events
 from repro.resilience import faults as _fault_plane
@@ -312,13 +306,9 @@ class ExecutorSession(abc.ABC):
 
 
 class ExecutorBackend(abc.ABC):
-    """A way of executing per-fragment work.
-
-    The *inline* backends (serial, thread) run everything in the
-    coordinator process and additionally support arbitrary closure tasks
-    (:meth:`run_tasks`, used by the baseline engines); the process
-    backend supports only the PIE session protocol.
-    """
+    """A way of executing per-fragment work: the *inline* backends
+    (serial, thread) run everything in the coordinator process, the
+    process backend on a pool of worker processes."""
 
     name: str = "abstract"
 
@@ -332,11 +322,6 @@ class ExecutorBackend(abc.ABC):
         shipping, shm attaches, delta replay).  Inline backends have no
         setup work and ignore it.
         """
-
-    @abc.abstractmethod
-    def run_tasks(self, thunks: Sequence[Callable[[], Any]],
-                  num_workers: int) -> List[Any]:
-        """Execute closure tasks (inline backends only)."""
 
     def close(self) -> None:
         """Release long-lived resources (worker processes, thread pools)."""
@@ -396,10 +381,8 @@ class _InlineSession(ExecutorSession):
                                        self._states[fid], commands[fid])
             return fid, outcome
 
-        fids = sorted(commands)
-        return dict(self._backend.run_tasks(
-            [lambda fid=fid: run_one(fid) for fid in fids],
-            self._num_workers))
+        return dict(self._backend._map(run_one, sorted(commands),
+                                       self._num_workers))
 
     def collect_states(self) -> Dict[int, Any]:
         return self._states
@@ -419,9 +402,10 @@ class SerialBackend(ExecutorBackend):
         return _InlineSession(self, program, query, fragmentation,
                               num_workers)
 
-    def run_tasks(self, thunks: Sequence[Callable[[], Any]],
-                  num_workers: int) -> List[Any]:
-        return [thunk() for thunk in thunks]
+    @staticmethod
+    def _map(fn: Callable[[Any], Any], items: List[Any],
+             width: int) -> List[Any]:
+        return [fn(item) for item in items]
 
 
 class ThreadBackend(ExecutorBackend):
@@ -456,12 +440,11 @@ class ThreadBackend(ExecutorBackend):
         return _InlineSession(self, program, query, fragmentation,
                               num_workers)
 
-    def run_tasks(self, thunks: Sequence[Callable[[], Any]],
-                  num_workers: int) -> List[Any]:
-        if len(thunks) <= 1:
-            return [thunk() for thunk in thunks]
-        pool = self._pool_for(max(2, num_workers))
-        return list(pool.map(lambda thunk: thunk(), thunks))
+    def _map(self, fn: Callable[[Any], Any], items: List[Any],
+             width: int) -> List[Any]:
+        if len(items) <= 1:
+            return [fn(item) for item in items]
+        return list(self._pool_for(max(2, width)).map(fn, items))
 
     def close(self) -> None:
         with self._lock:
@@ -1294,14 +1277,6 @@ class ProcessBackend(ExecutorBackend):
         session.fragment_bytes_shipped = fragment_bytes
         session.shm_fallbacks = shm_fallbacks
         return session
-
-    def run_tasks(self, thunks: Sequence[Callable[[], Any]],
-                  num_workers: int) -> List[Any]:
-        raise TypeError(
-            "the process backend cannot execute in-process task closures "
-            "(they cannot cross the process boundary); baseline engines "
-            "and SimulatedCluster.run_superstep need backend='serial' or "
-            "'thread'")
 
     # ------------------------------------------------------------------
     def _drop_dead_pins(self, handle: _WorkerHandle) -> None:

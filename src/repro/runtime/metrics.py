@@ -1,4 +1,4 @@
-"""Cost accounting for the simulated cluster.
+"""BSP cost accounting, one rule for GRAPE and the baseline engines.
 
 The paper reports three quantities per run: response time, communication
 volume (MB), and superstep counts.  On a real cluster, the response time of
@@ -19,14 +19,15 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.registry import TIME_BUCKETS, Histogram
 
 __all__ = ["CostModel", "DERIVED_STATE_COUNTERS", "PHASE_FIELDS",
            "RunMetrics", "ServiceMetrics", "UPDATE_PHASE_FIELDS",
-           "message_bytes", "STRAGGLER_SKEW"]
+           "message_bytes", "physical_times", "STRAGGLER_SKEW"]
 
 
 def message_bytes(payload: Any) -> int:
@@ -60,6 +61,23 @@ class CostModel:
     def superstep_time(self, max_worker_s: float, bytes_shipped: int) -> float:
         return (max_worker_s + self.sync_latency_s
                 + bytes_shipped * self.seconds_per_byte)
+
+
+def physical_times(times: Sequence[float],
+                   num_physical: int) -> Sequence[float]:
+    """Per-physical-worker compute seconds of one superstep (paper
+    Section 3.1: ``m`` virtual workers share ``n`` physical ones).  The
+    virtual workers' ``times`` are placed greedily, longest first, each
+    on the first least-loaded worker, and summed there.  With no more
+    virtual workers than physical ones every one has a worker to itself,
+    so the placement is the identity and none is computed."""
+    if len(times) <= num_physical:
+        return times
+    physical = [0.0] * num_physical
+    for i in sorted(range(len(times)), key=lambda i: -times[i]):
+        physical[min(range(num_physical),
+                     key=physical.__getitem__)] += times[i]
+    return physical
 
 
 #: RunMetrics gauges (point-in-time readings, not flows): merge()/absorb()
@@ -115,7 +133,7 @@ def _classify_fields(cls) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
 class RunMetrics:
     """Everything a single engine run reports.
 
-    ``parallel_time_s`` is the simulated cluster response time (the paper's
+    ``parallel_time_s`` is the simulated BSP response time (the paper's
     "Time (seconds)" axis); ``total_compute_s`` is aggregate CPU work;
     ``comm_bytes`` the paper's "Communication (MB)" axis.
 
@@ -236,6 +254,24 @@ class RunMetrics:
             "skew": skew,
             "slowest_worker": float(slowest),
         })
+
+    def run_superstep(self, tasks: Sequence[Callable[[], Any]],
+                      num_workers: int, bytes_shipped: int,
+                      num_messages: int,
+                      cost_model: Optional[CostModel] = None) -> None:
+        """Run one superstep of the baseline engines: one task per
+        virtual worker, in order, each timed, recorded on ``num_workers``
+        physical workers and charged the traffic delivered at its start
+        — the rule :meth:`repro.core.fixpoint.Fixpoint.record` applies
+        to GRAPE's rounds."""
+        times = []
+        for task in tasks:
+            start = time.perf_counter()
+            task()
+            times.append(time.perf_counter() - start)
+        self.record_superstep(physical_times(times, num_workers),
+                              bytes_shipped, num_messages,
+                              cost_model or CostModel())
 
     @property
     def comm_megabytes(self) -> float:

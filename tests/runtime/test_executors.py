@@ -6,7 +6,6 @@ from repro.core.engine import EngineConfig, GrapeEngine
 from repro.graph.generators import uniform_random_graph
 from repro.pie_programs import SSSPProgram
 from repro.resilience.faults import FaultPlane
-from repro.runtime.cluster import SimulatedCluster
 from repro.runtime import executors
 from repro.runtime.executors import (BACKEND_ENV_VAR, ProcessBackend,
                                      SerialBackend, ThreadBackend,
@@ -111,19 +110,6 @@ class TestFaultInjectionGate:
         monkeypatch.setenv(BACKEND_ENV_VAR, "process")
         engine = GrapeEngine(2, fault_plane=self._crash())
         assert engine._resolve_backend().name == "process"
-
-
-class TestClosureTasks:
-    def test_cluster_delegates_to_inline_backend(self):
-        cluster = SimulatedCluster(2, backend="thread")
-        results = cluster.run_superstep([lambda: 1, lambda: 2, lambda: 3])
-        assert results == [1, 2, 3]
-        assert cluster.metrics.supersteps == 1
-
-    def test_process_backend_rejects_closures(self):
-        cluster = SimulatedCluster(2, backend="process")
-        with pytest.raises(TypeError, match="process boundary"):
-            cluster.run_superstep([lambda: 1])
 
 
 class TestProcessPool:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.runtime.metrics import CostModel, RunMetrics, message_bytes
+from repro.runtime.metrics import (CostModel, RunMetrics, message_bytes,
+                                   physical_times)
 
 
 class TestMessageBytes:
@@ -73,3 +74,66 @@ class TestRunMetrics:
 
     def test_repr(self):
         assert "supersteps=0" in repr(RunMetrics())
+
+
+class TestPhysicalTimes:
+    def test_single_physical(self):
+        assert physical_times([1.0, 2.0, 3.0], 1) == [6.0]
+
+    def test_greedy_balance(self):
+        loads = physical_times([5.0, 4.0, 3.0, 2.0, 1.0, 1.0], 2)
+        assert sum(loads) == 16.0
+        assert abs(loads[0] - loads[1]) <= 2.0
+
+    def test_tie_break(self):
+        """Longest first, each on the first least-loaded worker: 5 | 4,
+        3 joins 4, 2 joins 5, 1 joins 7, the last 1 joins the first of
+        two equally loaded workers."""
+        assert physical_times([5, 4, 3, 2, 1, 1], 2) == [8.0, 8.0]
+        assert physical_times([1, 1, 1], 2) == [2.0, 1.0]
+
+    def test_no_more_virtual_than_physical_is_identity(self):
+        times = [0.3, 0.1]
+        assert physical_times(times, 2) is times
+        assert physical_times(times, 5) is times
+
+    def test_empty(self):
+        assert physical_times([], 3) == []
+
+
+class TestRunSuperstep:
+    FREE = CostModel(sync_latency_s=0.0, seconds_per_byte=0.0)
+
+    def test_tasks_run_in_order(self):
+        ran = []
+        RunMetrics().run_superstep([lambda i=i: ran.append(i)
+                                    for i in range(3)], 2, 0, 0)
+        assert ran == [0, 1, 2]
+
+    def test_metrics_accumulate(self):
+        m = RunMetrics()
+        m.run_superstep([lambda: None], 2, 100, 3, self.FREE)
+        m.run_superstep([lambda: None], 2, 50, 1, self.FREE)
+        assert (m.supersteps, m.comm_bytes, m.comm_messages) == (2, 150, 4)
+        assert m.backend == "serial"
+
+    def test_default_cost_model_charges_latency(self):
+        m = RunMetrics()
+        m.run_superstep([], 1, 0, 0)
+        assert m.parallel_time_s == pytest.approx(1e-3)
+
+    def test_virtual_workers_fold_to_physical(self):
+        """With 4 virtual tasks and 2 physical workers, parallel time is
+        at most the sum of all tasks and at least the max task."""
+
+        def busy():
+            total = 0
+            for i in range(20000):
+                total += i
+            return total
+
+        m = RunMetrics()
+        m.run_superstep([busy] * 4, 2, 0, 0, self.FREE)
+        assert m.worker_time_hist.count == 2  # one sample per physical
+        assert 0 < m.parallel_time_s <= m.total_compute_s
+        assert m.per_superstep[0]["max_worker_s"] == m.parallel_time_s
