@@ -33,6 +33,15 @@ under ``MAX_HASH_OVER_CSR_BUILD_X``: 1.2–1.5x as arrays; as a format /
 encode / ``crc32`` loop over every node and stored edge 5.7–7.0x (two
 traced runs of each workload; 3.3 and 4.1 in the two whose
 ``graph.csr.build_ms`` samples caught a slow stretch of the host).
+
+And when a restart has gone back to building dict graphs while it
+loads: ``store.snapshot.load_ms`` over ``store.snapshot.write_ms`` —
+the loader hashes the decoded arrays and defers every dict graph to its
+first use, the writer flattens and hashes the live graph, two timings
+of the same traced run — must stay at or under
+``MAX_LOAD_OVER_WRITE_X``: 1.4–2.2x with deferred graphs; 4.9–5.1x when
+the loader rebuilt every fragment's and the base graph's dicts and
+hashed the rebuilt base (social-hashcut, 2-core x86-64 Linux VM).
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ MAX_SSSP_OVERHEAD_X = 16.0
 MAX_CC_OVERHEAD_X = 10.0
 MAX_CSR_REBUILDS = 8
 MAX_HASH_OVER_CSR_BUILD_X = 3.0
+MAX_LOAD_OVER_WRITE_X = 3.0
 
 
 def check(result: dict) -> list:
@@ -75,6 +85,16 @@ def check(result: dict) -> list:
                         f"{MAX_HASH_OVER_CSR_BUILD_X:.0f} x "
                         f"graph.csr.build_ms = {build_ms:.1f}: the content "
                         "hash visits the graph record by record again")
+    load_ms = metrics.get("store.snapshot.load_ms", {}).get("value")
+    write_ms = metrics.get("store.snapshot.write_ms", {}).get("value")
+    if load_ms is None or not write_ms:
+        problems.append("no store.snapshot.load_ms / store.snapshot.write_ms "
+                        "in the result")
+    elif load_ms > MAX_LOAD_OVER_WRITE_X * write_ms:
+        problems.append(f"store.snapshot.load_ms = {load_ms:.1f} > "
+                        f"{MAX_LOAD_OVER_WRITE_X:.0f} x "
+                        f"store.snapshot.write_ms = {write_ms:.1f}: the "
+                        "loader builds dict graphs again")
     failed_share = metrics.get("failed_ops_share", {}).get("value")
     if result.get("failed", 0) or failed_share or not result.get("correct"):
         problems.append(f"failed operations: {result.get('failed')} of "
@@ -109,7 +129,11 @@ def main(argv) -> int:
               "graph.csr.build_ms = "
               f"{metrics['graph.content_hash_ms']['value']:.1f} / "
               f"{metrics['graph.csr.build_ms']['value']:.1f} "
-              f"<= {MAX_HASH_OVER_CSR_BUILD_X:.0f}, no failed operation")
+              f"<= {MAX_HASH_OVER_CSR_BUILD_X:.0f}, store.snapshot.load_ms / "
+              "store.snapshot.write_ms = "
+              f"{metrics['store.snapshot.load_ms']['value']:.1f} / "
+              f"{metrics['store.snapshot.write_ms']['value']:.1f} "
+              f"<= {MAX_LOAD_OVER_WRITE_X:.0f}, no failed operation")
     return 1 if problems else 0
 
 

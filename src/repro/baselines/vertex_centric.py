@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, \
-    Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.graph.graph import Graph, Node
 from repro.runtime.metrics import CostModel, RunMetrics

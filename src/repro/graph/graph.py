@@ -8,8 +8,7 @@ addition carry a numeric weight (used by SSSP and collaborative filtering).
 patterns of the sequential algorithms in :mod:`repro.sequential`:
 
 * ``successors(v)`` / ``predecessors(v)`` in O(out-degree) / O(in-degree);
-* O(1) membership tests for nodes and edges;
-* cheap induced-subgraph extraction (used by fragment construction).
+* O(1) membership tests for nodes and edges.
 
 For read-heavy numeric kernels a frozen CSR snapshot is available via
 :meth:`Graph.to_csr` (see :mod:`repro.graph.csr`).
@@ -17,13 +16,14 @@ For read-heavy numeric kernels a frozen CSR snapshot is available via
 
 from __future__ import annotations
 
+import threading
 from itertools import chain
-from typing import Any, Dict, Hashable, Iterable, Iterator, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, Set, Tuple
 
 Node = Hashable
 Edge = Tuple[Node, Node]
 
-__all__ = ["Graph", "Node", "Edge"]
+__all__ = ["DeferredGraph", "Graph", "Node", "Edge"]
 
 
 class Graph:
@@ -41,7 +41,7 @@ class Graph:
     """
 
     __slots__ = ("directed", "_succ", "_pred", "_node_labels", "_edge_labels",
-                 "_num_edges")
+                 "_num_edges", "_fill")
 
     def __init__(self, directed: bool = True):
         self.directed = directed
@@ -215,45 +215,6 @@ class Graph:
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
-    def induced_subgraph(self, nodes: Iterable[Node]) -> "Graph":
-        """Subgraph induced by ``nodes`` (paper Section 2).
-
-        Contains every edge of ``self`` whose endpoints are both in
-        ``nodes``, with labels and weights preserved.
-        """
-        keep = set(nodes)
-        sub = Graph(directed=self.directed)
-        for v in keep:
-            if v not in self._succ:
-                raise KeyError(v)
-            sub.add_node(v, self._node_labels.get(v))
-        for u in keep:
-            for v, w in self._succ[u].items():
-                if v in keep and not sub.has_edge(u, v):
-                    sub.add_edge(u, v, weight=w,
-                                 label=self._edge_labels.get((u, v)))
-        return sub
-
-    def subgraph_with_edges(self, nodes: Iterable[Node],
-                            edges: Iterable[Edge]) -> "Graph":
-        """Subgraph with explicit node and edge sets (not induced)."""
-        sub = Graph(directed=self.directed)
-        for v in nodes:
-            sub.add_node(v, self._node_labels.get(v))
-        for u, v in edges:
-            sub.add_edge(u, v, weight=self._succ[u][v],
-                         label=self._edge_labels.get((u, v)))
-        return sub
-
-    def reverse(self) -> "Graph":
-        """Graph with all edges reversed (labels/weights preserved)."""
-        rev = Graph(directed=self.directed)
-        for v in self._succ:
-            rev.add_node(v, self._node_labels.get(v))
-        for u, v, w in self.edges():
-            rev.add_edge(v, u, weight=w, label=self._edge_labels.get((u, v)))
-        return rev
-
     def copy(self) -> "Graph":
         dup = Graph(directed=self.directed)
         for v in self._succ:
@@ -277,10 +238,10 @@ class Graph:
         labels and weights — ``1 == 1.0`` and ``-0.0 == 0.0`` included)
         hash equal whatever order their nodes and edges were inserted
         in, and a change to any one of those fields changes the hash.
-        The durable store verifies with it that a loaded snapshot
-        decoded to the graph that was saved: an integrity check, not a
-        cryptographic digest.  Ids and labels enter through their
-        ``repr``, so the hash is as stable across processes and
+        A snapshot stores it, and its loader recomputes it from the
+        arrays (:func:`~repro.graph.csr.union_hash`): an integrity
+        check, not a cryptographic digest.  Ids and labels enter as
+        their ``repr``, so the hash is as stable across processes and
         ``PYTHONHASHSEED`` values as that is; weights as float64.
         """
         return self.to_csr().content_hash(self._edge_labels)
@@ -316,3 +277,40 @@ class Graph:
 
     def __hash__(self):  # mutable: identity hash
         return id(self)
+
+
+class DeferredGraph(Graph):
+    """A :class:`Graph` whose dicts ``fill`` builds on first use: the
+    first read of an attribute but ``directed`` runs it once on a fresh
+    :class:`Graph`, installs that graph's dicts and turns this into a
+    plain :class:`Graph`, hook gone (one on :class:`Graph` would slow
+    every slot read).  Fills hold one re-entrant lock (a fill may read
+    other deferred graphs): a racing reader waits or sees complete
+    dicts; a fill that raises leaves the graph deferred.  Pickling and
+    ``copy`` fill first; ``materialised`` counts fills in this process.
+    """
+
+    __slots__ = ()
+    _lock = threading.RLock()
+    materialised = 0
+
+    def __init__(self, directed: bool, fill: Callable[[Graph], None]):
+        self.directed = directed
+        self._fill = fill
+
+    def __getattr__(self, name: str) -> Any:  # an unset slot: not built
+        with DeferredGraph._lock:
+            if type(self) is DeferredGraph:
+                built = Graph(self.directed)
+                self._fill(built)
+                for slot in ("_succ", "_pred", "_node_labels",
+                             "_edge_labels", "_num_edges"):
+                    setattr(self, slot, getattr(built, slot))
+                del self._fill
+                self.__class__ = Graph
+                DeferredGraph.materialised += 1
+        return object.__getattribute__(self, name)
+
+    def __reduce_ex__(self, protocol):
+        self._succ  # noqa: B018 -- fill, then reduce as a plain Graph
+        return self.__reduce_ex__(protocol)

@@ -433,6 +433,9 @@ class FragmentationGraph:
     def __contains__(self, v: Node) -> bool:
         return v in self._owner
 
+    def __len__(self) -> int:  # |V|: every node has an owner
+        return len(self._owner)
+
 
 class BorderIndex:
     """Dense integer index over a fragmentation's border nodes.
@@ -488,7 +491,7 @@ class BorderIndex:
 
     @classmethod
     def build(cls, fragmentation: "Fragmentation") -> Optional["BorderIndex"]:
-        if int_array(list(fragmentation.graph.nodes())) is None:
+        if int_array(list(fragmentation.gp._owner)) is None:
             return None
         border: Set[Node] = set()
         for frag in fragmentation.fragments:
@@ -583,7 +586,8 @@ class Fragmentation:
         for frag in self.fragments:
             for v in frag.owned:
                 owner[v] = frag.fid
-            for v in frag.graph.nodes():
+            snap = frag._csr  # a warm start's: names nodes, builds no dicts
+            for v in (frag.graph.nodes() if snap is None else snap.node_of):
                 holders.setdefault(v, set()).add(frag.fid)
         self.gp = FragmentationGraph(
             owner, {v: frozenset(fs) for v, fs in holders.items()})
@@ -606,22 +610,6 @@ class Fragmentation:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._border_lock = threading.Lock()
-
-    @classmethod
-    def restored(cls, graph: Graph, fragments: Sequence[Fragment],
-                 strategy_name: str = "unknown",
-                 version: int = 0) -> "Fragmentation":
-        """Rebuild a fragmentation from persisted state (the durable
-        store's snapshot path).  ``G_P`` is recomputed from the
-        fragments' node sets (:func:`repro.core.updates.apply_delta`
-        keeps the two in lockstep).  The restored object resumes at the
-        persisted ``version`` but with an **empty delta log and a fresh
-        cache token**: no replay chain can be proven across a process
-        restart, so pooled workers are refreshed by full re-ship.
-        """
-        frag = cls(graph, fragments, strategy_name=strategy_name)
-        frag.version = version
-        return frag
 
     @property
     def num_fragments(self) -> int:

@@ -287,7 +287,7 @@ class DecreaseOnlyProgram(Maintenance):
             # ignored, as the dict algorithm's initial filter ignores them
             seeds = {id_of[v]: d for v, d in (old or {}).items()
                      if d < neutral and v in id_of}
-            if fragment.graph.has_node(query):
+            if query in id_of:
                 sid = id_of[query]
                 seeds[sid] = min(seeds.get(sid, neutral), self.zero)
             arr, _changed = self._kernel(csr, seeds)

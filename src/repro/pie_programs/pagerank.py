@@ -140,7 +140,7 @@ class PageRankProgram(PIEProgram):
     def preprocess(self, query: PageRankQuery,
                    fragmentation: Fragmentation) -> Dict[int, int]:
         """Broadcast |V| (needed for the uniform teleport term)."""
-        n = fragmentation.graph.num_nodes
+        n = len(fragmentation.gp)
         return {frag.fid: n for frag in fragmentation}
 
     def apply_preprocess(self, query: PageRankQuery, fragment: Fragment,

@@ -483,6 +483,8 @@ class ServiceMetrics:
     #: dict views built by array program states, over served runs and
     #: maintenance rounds (see :class:`RunMetrics`)
     dict_views_materialised: int = 0
+    #: deferred dict graphs built since construction (any in the process)
+    dict_graphs_materialised: int = 0
 
     def observe_run(self, metrics: "RunMetrics") -> None:
         """Fold one completed query run into the aggregates."""

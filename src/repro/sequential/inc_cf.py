@@ -8,9 +8,7 @@ observations" — instead of a full epoch.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Sequence, Set
 
 from repro.graph.graph import Node
 from repro.sequential.cf import FactorModel, Rating

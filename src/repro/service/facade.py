@@ -56,7 +56,7 @@ from repro.core.engine import EngineConfig, GrapeEngine
 from repro.core.updates import (ContinuousQuerySession, EdgeInsertion,
                                 apply_delta)
 from repro.graph.delta import FragmentDelta, GraphDelta, NormalizedDelta
-from repro.graph.graph import Graph, Node
+from repro.graph.graph import DeferredGraph, Graph, Node
 from repro.graph.io import read_edge_list
 from repro.obs import events as obs_events
 from repro.obs.diagnostics import SlowQueryLog, straggler_report
@@ -370,6 +370,7 @@ class GrapeService:
         # the cache; stats totals = this baseline + the live cached ones.
         self._csr_counter_base = dict.fromkeys(
             DERIVED_STATE_COUNTERS + _WATCH_COUNTERS, 0)
+        self._fills_at_start = DeferredGraph.materialised
         self._graph_locks: Dict[str, _RWLock] = {}
         # Serializes the control-plane mutators (watch registration and
         # insert_edges) per graph, so a watcher can never miss a batch
@@ -593,6 +594,8 @@ class GrapeService:
         for name in DERIVED_STATE_COUNTERS:
             setattr(self.stats, name, self._csr_counter_base[name] + sum(
                 getattr(frag, name) for frag in self._frag_cache.values()))
+        self.stats.dict_graphs_materialised = (DeferredGraph.materialised
+                                               - self._fills_at_start)
         segs, mapped = shm.global_stats()
         self.stats.shm_segments_active = segs
         self.stats.shm_bytes_mapped = mapped

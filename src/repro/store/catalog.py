@@ -49,7 +49,7 @@ import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.graph.delta import NormalizedDelta
 from repro.graph.graph import Graph
@@ -58,8 +58,7 @@ from repro.obs import events as _events
 from repro.partition.base import Fragmentation
 from repro.resilience import faults as _faults
 from repro.store.snapshot import load_snapshot, save_snapshot
-from repro.store.wal import (DeltaWAL, WALError, WALTailer,
-                             WAL_HEADER_SIZE)
+from repro.store.wal import DeltaWAL, WALTailer, WAL_HEADER_SIZE
 
 __all__ = ["FencedError", "GenerationGapError", "GraphStore",
            "StoreMetrics", "StoredGraph", "WALFollower"]

@@ -17,15 +17,17 @@ File layout::
 
 The npz payload carries the structural bulk as numpy CSR arrays
 (:meth:`~repro.graph.csr.CSRGraph.to_arrays` — ``indptr``/``indices``/
-``weights``) and
-everything object-shaped — node identities, labels, border sets, the
-saved graph's :meth:`~repro.graph.graph.Graph.content_hash` — as one
-pickled metadata blob stored as a ``uint8`` array.  Loading verifies the
-header checksum (bytes arrived intact) *and* the content hash (the
-decoded graph is the graph that was saved): the dict graph rebuilt from
-the arrays is hashed again, not the arrays as stored.  The hash is part
-of the format: version 2 stores the 64-bit array-computed one; a version
-1 file (a per-record ``crc32`` fold nothing computes any more) is refused.
+``weights``) and everything object-shaped — node identities, labels,
+border sets, the saved graph's
+:meth:`~repro.graph.graph.Graph.content_hash` — as one pickled metadata
+blob stored as a ``uint8`` array.  Loading verifies the header checksum
+(bytes arrived intact) *and* the content hash (the arrays are the graph
+that was saved): the hash of the live dict graph taken at save is
+recomputed from the decoded arrays (:func:`~repro.graph.csr.union_hash`),
+and the dict graphs handed out are built from those arrays on first use
+(:class:`~repro.graph.graph.DeferredGraph`).  The hash is part of the
+format: version 2 stores the 64-bit array-computed one; a version 1 file
+(a per-record ``crc32`` fold nothing computes any more) is refused.
 
 Writes are atomic: the file is assembled under a temporary name in the
 destination directory and published with ``os.replace``, so a crashed
@@ -41,12 +43,12 @@ import struct
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
-from repro.graph.graph import Graph
+from repro.graph.csr import CSRGraph, union_hash
+from repro.graph.graph import DeferredGraph, Graph
 from repro.ioutil import atomic_write_bytes
 from repro.partition.base import Fragment, Fragmentation
 from repro.resilience import faults as _faults
@@ -68,7 +70,8 @@ class LoadedSnapshot:
     """What :func:`load_snapshot` decoded.
 
     ``fragmentation`` is present only when one was saved; ``meta`` is the
-    caller-supplied metadata dict passed to :func:`save_snapshot`.
+    caller-supplied metadata dict passed to :func:`save_snapshot`.  The
+    graphs are deferred: their dicts are built on first use.
     """
 
     graph: Graph
@@ -93,31 +96,14 @@ def _pack_graph(csr: CSRGraph, edge_labels: Dict, prefix: str,
     }
 
 
-def _unpack_graph(prefix: str, arrays, meta: Dict) -> Tuple[Graph, CSRGraph]:
-    """Rebuild one graph from its packed arrays + metadata, each npz
-    member parsed once: the dict graph and the CSR snapshot it is of."""
-    gm = meta[prefix]
-    csr = CSRGraph.from_arrays(
-        directed=gm["directed"], node_of=gm["node_of"], labels=gm["labels"],
-        **{name: arrays[f"{prefix}{name}"]
-           for name in ("indptr", "indices", "weights")})
-    g = csr.to_graph()
-    g._edge_labels.update(gm["edge_labels"])
-    return g, csr
-
-
-def _derive_base(gm: Dict, fragments: List[Fragment]) -> Graph:
-    """Reassemble the base graph from the fragments' local graphs.
-
-    Edge-cut invariant: every base edge's stored orientation lives at
-    its source's owner (undirected edges at both endpoints' owners), so
-    merging the fragments' adjacency rows reproduces the base adjacency
-    exactly — in C-speed dict copies/updates rather than per-edge
-    replay.  Vertex-cut fragments partition the edge set outright, so
-    the same merge covers them.  Node labels come from each node's
-    owner.  Verified by the loader's content-hash check.
-    """
-    g = Graph(directed=gm["directed"])
+def _derive_base(g: Graph, gm: Dict, fragments: List[Fragment]) -> None:
+    """Fill ``g`` with the base graph, merged from the fragments' local
+    graphs before an update mutates one (``apply_delta`` changes the
+    base graph first at every step).  Every stored orientation of a base
+    edge lives at some fragment (edge-cut: at its source's owner;
+    vertex-cut: the fragments partition the edges), so merging the
+    adjacency rows in C-speed dict updates reproduces the base
+    adjacency; node labels come from each node's owner."""
     succ, node_labels = g._succ, g._node_labels
     for frag in fragments:
         for u, row in frag.graph._succ.items():
@@ -131,7 +117,6 @@ def _derive_base(gm: Dict, fragments: List[Fragment]) -> Graph:
             pred[v][u] = w
     g._count_edges()
     g._edge_labels.update(gm["edge_labels"])
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +155,9 @@ def save_snapshot(path: Union[str, Path], graph: Graph, *,
     else:
         # The fragments jointly cover every base edge (and owners cover
         # every node), so the base graph's arrays would be pure
-        # duplication: store only the fragments plus the base metadata
-        # and re-derive the base adjacency on load — roughly halving
-        # snapshot size and decode work.  The content-hash check below
-        # verifies the derivation against the saved graph.
+        # duplication: store only the fragments plus the base metadata;
+        # the loader hashes the fragments' arrays against the saved
+        # graph and derives the base graph from them.
         obj_meta["g_"] = {"directed": graph.directed,
                           "derived": True,
                           "edge_labels": dict(graph._edge_labels)}
@@ -225,11 +209,11 @@ def load_snapshot(path: Union[str, Path], *,
                   phases: Optional[Dict[str, float]] = None
                   ) -> LoadedSnapshot:
     """Read a snapshot back; verifies the checksummed header and the
-    decoded graph's content hash.  Raises :exc:`SnapshotError` on any
+    decoded arrays' content hash.  Raises :exc:`SnapshotError` on any
     truncation, corruption or format mismatch.
 
     ``phases``, when given, receives the seconds spent in ``verify_s``
-    (hashing the decoded graph) and ``decode_s`` (everything else).
+    (hashing the decoded arrays) and ``decode_s`` (everything else).
     """
     started = time.perf_counter()
     path = Path(path)
@@ -256,35 +240,50 @@ def load_snapshot(path: Union[str, Path], *,
 
     with np.load(io.BytesIO(payload), allow_pickle=False) as arrays:
         obj_meta = pickle.loads(arrays["pickled_meta"].tobytes())
-        m = obj_meta["num_fragments"]
-        fragments: List[Fragment] = []
-        for fid in range(m or 0):
-            local, csr = _unpack_graph(f"f{fid}_", arrays, obj_meta)
-            fm = obj_meta[f"f{fid}_"]
-            frag = Fragment(fid, local, set(fm["owned"]),
-                            set(fm["inner"]), set(fm["outer"]))
-            # The stored arrays *are* a current CSR snapshot: install it
-            # so a warm-started service serves its first kernel query
-            # without re-deriving CSR from the dict graph (installs do
-            # not count as builds — csr_snapshots_built stays honest).
-            frag.install_csr(csr)
-            fragments.append(frag)
-        if obj_meta["g_"].get("derived"):
-            graph = _derive_base(obj_meta["g_"], fragments)
-        else:
-            graph, _csr = _unpack_graph("g_", arrays, obj_meta)
-        decoded = time.perf_counter()
-        if graph.content_hash() != obj_meta["content_hash"]:
-            raise SnapshotError(
-                f"snapshot {path} decoded to a different graph than was "
-                "saved (content hash mismatch)")
-        verify_s = time.perf_counter() - decoded
-        fragmentation = None
-        if m is not None:
-            fragmentation = Fragmentation.restored(
-                graph, fragments,
-                strategy_name=obj_meta["strategy_name"],
-                version=obj_meta["frag_version"])
+        gm, m = obj_meta["g_"], obj_meta["num_fragments"]
+        prefixes = ["g_"] if m is None else [f"f{fid}_" for fid in range(m)]
+        snaps = [CSRGraph.from_arrays(
+            **{key: obj_meta[prefix][key]
+               for key in ("directed", "node_of", "labels")},
+            **{name: arrays[prefix + name] for name in CSRGraph.SHARED_FIELDS})
+            for prefix in prefixes]
+    # Every graph handed out is deferred: its dicts are built from these
+    # arrays on first use, so the arrays are what is verified.
+    fragmentation = None
+    if m is None:
+        graph = snaps[0].to_graph(gm["edge_labels"])
+    else:
+        fragments = [Fragment(fid, snap.to_graph(fm["edge_labels"]),
+                              set(fm["owned"]), set(fm["inner"]),
+                              set(fm["outer"])) for fid, (snap, fm) in
+                     enumerate(zip(snaps, map(obj_meta.get, prefixes)))]
+        for frag, snap in zip(fragments, snaps):
+            # the stored arrays *are* a current CSR snapshot (installs
+            # do not count as builds: csr_snapshots_built stays honest)
+            frag.install_csr(snap)
+        graph = DeferredGraph(gm["directed"],
+                              lambda g: _derive_base(g, gm, fragments))
+        # the persisted version, no delta log, a fresh cache token: no
+        # replay chain is proven across a restart (workers re-ship)
+        fragmentation = Fragmentation(graph, fragments,
+                                      strategy_name=obj_meta["strategy_name"])
+        fragmentation.version = obj_meta["frag_version"]
+    decoded = time.perf_counter()
+    try:  # nodes from their owners; G_P: no node held but unowned
+        owned = [np.arange(snaps[0].n)] if m is None else [np.fromiter(
+            map(snap.id_of.__getitem__, frag.owned), dtype=np.int64)
+            for snap, frag in zip(snaps, fragments)]
+        intact = union_hash(gm["directed"], list(zip(snaps, owned)),
+                            gm["edge_labels"]) == obj_meta["content_hash"]
+        intact &= m is None or len(fragmentation.gp._holders) == len(
+            fragmentation.gp)
+    except (KeyError, IndexError):
+        intact = False
+    if not intact:
+        raise SnapshotError(
+            f"snapshot {path} decoded to a different graph than was "
+            "saved (content hash mismatch)")
+    verify_s = time.perf_counter() - decoded
     if phases is not None:
         phases.update(verify_s=verify_s,
                       decode_s=time.perf_counter() - started - verify_s)

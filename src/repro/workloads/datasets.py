@@ -18,8 +18,7 @@ Sizes default to laptop scale (the paper's graphs are 10^7-10^8 edges; the
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 

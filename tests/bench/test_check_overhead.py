@@ -11,7 +11,8 @@ _spec.loader.exec_module(gate)
 
 
 def _result(overhead=7.0, failed=0, share=0.0, correct=True, rebuilds=4,
-            cc_overhead=4.0, hash_ms=12.0, build_ms=8.0):
+            cc_overhead=4.0, hash_ms=12.0, build_ms=8.0, load_ms=36.5,
+            write_ms=16.9):
     return {"correct": correct, "attempted": 220, "failed": failed,
             "metrics": {"overhead.sssp_x": {"value": overhead, "unit": "x"},
                         "overhead.cc_x": {"value": cc_overhead, "unit": "x"},
@@ -21,6 +22,10 @@ def _result(overhead=7.0, failed=0, share=0.0, correct=True, rebuilds=4,
                                                   "unit": "ms"},
                         "graph.csr.build_ms": {"value": build_ms,
                                                "unit": "ms"},
+                        "store.snapshot.load_ms": {"value": load_ms,
+                                                   "unit": "ms"},
+                        "store.snapshot.write_ms": {"value": write_ms,
+                                                    "unit": "ms"},
                         "failed_ops_share": {"value": share,
                                              "unit": "share"}}}
 
@@ -63,6 +68,18 @@ def test_fails_when_the_content_hash_visits_every_record_again():
     (problem,) = gate.check(_result(hash_ms=73.3, build_ms=11.4))
     assert "graph.content_hash_ms = 73.3 > 3 x" in problem
     for name in ("graph.content_hash_ms", "graph.csr.build_ms"):
+        result = _result()
+        del result["metrics"][name]
+        assert gate.check(result)
+
+
+def test_fails_when_a_restart_builds_dict_graphs_again():
+    bound = gate.MAX_LOAD_OVER_WRITE_X
+    assert gate.check(_result(load_ms=bound * 16.0, write_ms=16.0)) == []
+    # the loader that rebuilt every dict graph, social-hashcut
+    (problem,) = gate.check(_result(load_ms=88.6, write_ms=18.1))
+    assert "store.snapshot.load_ms = 88.6 > 3 x" in problem
+    for name in ("store.snapshot.load_ms", "store.snapshot.write_ms"):
         result = _result()
         del result["metrics"][name]
         assert gate.check(result)

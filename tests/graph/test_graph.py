@@ -202,40 +202,6 @@ class TestQueries:
 
 
 class TestDerivedGraphs:
-    def test_induced_subgraph(self, diamond):
-        sub = diamond.induced_subgraph([0, 1, 3])
-        assert set(sub.nodes()) == {0, 1, 3}
-        assert sub.has_edge(0, 1) and sub.has_edge(1, 3)
-        assert sub.has_edge(0, 3)
-        assert not sub.has_node(2)
-
-    def test_induced_subgraph_preserves_labels(self):
-        g = Graph()
-        g.add_node(1, "a")
-        g.add_edge(1, 2, weight=5.0, label="e")
-        sub = g.induced_subgraph([1, 2])
-        assert sub.node_label(1) == "a"
-        assert sub.edge_label(1, 2) == "e"
-        assert sub.edge_weight(1, 2) == 5.0
-
-    def test_induced_subgraph_missing_node_raises(self, diamond):
-        with pytest.raises(KeyError):
-            diamond.induced_subgraph([0, 42])
-
-    def test_subgraph_with_edges_not_induced(self, diamond):
-        sub = diamond.subgraph_with_edges([0, 1, 3], [(0, 1)])
-        assert sub.has_edge(0, 1)
-        assert not sub.has_edge(1, 3)
-
-    def test_reverse(self, diamond):
-        rev = diamond.reverse()
-        assert rev.has_edge(1, 0)
-        assert not rev.has_edge(0, 1)
-        assert rev.num_edges == diamond.num_edges
-
-    def test_reverse_twice_is_identity(self, diamond):
-        assert diamond.reverse().reverse() == diamond
-
     def test_copy_independent(self, diamond):
         dup = diamond.copy()
         assert dup == diamond

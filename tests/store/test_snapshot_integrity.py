@@ -3,8 +3,10 @@
 ``save_snapshot`` packs every fragment from ``frag.csr()`` — the cached
 snapshot, or one spliced from the pending dirty rows — so the payload
 must not depend on which of the two (or neither) the fragment held; and
-``load_snapshot`` hashes the dict graph it decoded, so an edit the sha256
-header cannot see (it was recomputed) is still refused.
+``load_snapshot`` hashes the arrays it decoded against the hash the save
+side took of the live dict graph, so an edit the sha256 header cannot
+see (it was recomputed) is still refused — while the graphs it hands
+out stay unbuilt until first use.
 """
 
 from __future__ import annotations
@@ -19,10 +21,13 @@ import pytest
 from hypothesis import given, settings
 
 from differential.test_snapshot_splice_property import (batches, graphs,
-                                                        resolve)
+                                                        resolve, weights)
 from repro.core.updates import apply_delta
+from repro.graph.csr import union_hash
 from repro.graph.generators import labeled_graph
-from repro.partition.strategies import HashPartition, MetisLikePartition
+from repro.graph.graph import DeferredGraph, Graph
+from repro.partition.strategies import (HashPartition, MetisLikePartition,
+                                        VertexCutPartition)
 from repro.store import SnapshotError, load_snapshot, save_snapshot
 from repro.store.snapshot import _HEADER, FORMAT_VERSION, MAGIC
 
@@ -139,3 +144,132 @@ def test_phases_say_where_the_time_went(tmp_path):
     assert set(written) == {"hash_s", "pack_s", "io_s"}
     assert set(loaded) == {"decode_s", "verify_s"}
     assert all(s > 0.0 for s in (*written.values(), *loaded.values()))
+
+
+# ---------------------------------------------------------------------------
+# The verification contract on the arrays, and the deferred graphs
+# ---------------------------------------------------------------------------
+@st.composite
+def labelled_graphs(draw):
+    """Small graphs whose nodes and edges may carry labels."""
+    n = draw(st.integers(min_value=3, max_value=12))
+    g = Graph(directed=draw(st.booleans()))
+    for v in range(n):
+        g.add_node(v, draw(st.sampled_from((None, "a", "b"))))
+    for _ in range(draw(st.integers(min_value=1, max_value=3 * n))):
+        u = draw(st.integers(min_value=0, max_value=n - 1))
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        if u != v:
+            g.add_edge(u, v, weight=draw(weights),
+                       label=draw(st.sampled_from((None, "x", "y"))))
+    return g
+
+
+def eager(snap, edge_labels) -> Graph:
+    """The graph a snapshot's arrays hold, built edge by edge through
+    the public API."""
+    g = Graph(directed=snap.directed)
+    for v, label in zip(snap.node_of, snap.labels):
+        g.add_node(v, label)
+    for u, start, end in zip(snap.node_of, snap.indptr[:-1].tolist(),
+                             snap.indptr[1:].tolist()):
+        for k in range(start, end):
+            v = snap.node_of[snap.indices[k]]
+            g.add_edge(u, v, weight=float(snap.weights[k]),
+                       label=edge_labels.get((u, v)))
+    return g
+
+
+def flip_weight(prefix):
+    def edit(arrays, _meta):
+        weights = arrays[f"{prefix}weights"].copy()
+        weights[-1] += 0.5
+        arrays[f"{prefix}weights"] = weights
+    return edit
+
+
+def drop_node(prefix, node):
+    """Remove ``node`` from one fragment: its row, the entries naming
+    it, its labels and its border-set memberships."""
+    def edit(arrays, meta):
+        fm = meta[prefix]
+        k = fm["node_of"].index(node)
+        indptr, indices, weights = (arrays[prefix + name] for name in
+                                    ("indptr", "indices", "weights"))
+        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        keep = (rows != k) & (indices != k)
+        rows, cols = rows[keep], indices[keep]
+        counts = np.bincount(rows - (rows > k), minlength=indptr.size - 2)
+        arrays[f"{prefix}indptr"] = np.concatenate(([0], np.cumsum(counts)))
+        arrays[f"{prefix}indices"] = cols - (cols > k)
+        arrays[f"{prefix}weights"] = weights[keep]
+        del fm["node_of"][k], fm["labels"][k]
+        for name in ("owned", "inner", "outer"):
+            fm[name] = [v for v in fm[name] if v != node]
+        fm["edge_labels"] = {e: label for e, label
+                             in fm["edge_labels"].items() if node not in e}
+    return edit
+
+
+def add_unowned_node(prefix):
+    """An isolated node in one fragment that no fragment owns."""
+    def edit(arrays, meta):
+        indptr = arrays[f"{prefix}indptr"]
+        arrays[f"{prefix}indptr"] = np.append(indptr, indptr[-1])
+        meta[prefix]["node_of"].append(10_000)
+        meta[prefix]["labels"].append(None)
+    return edit
+
+
+@given(g=labelled_graphs(), history=batches,
+       strategy=st.sampled_from((HashPartition(), VertexCutPartition())))
+@settings(max_examples=40, deadline=None)
+def test_the_loader_verifies_the_arrays_it_defers_graphs_to(
+        tmp_path_factory, g, history, strategy):
+    """Hash and vertex-cut, directed and undirected, labelled nodes and
+    edges, after a short update history: the loaded graphs are unbuilt,
+    the hash computed on their arrays is the live graph's, and, once
+    built, they equal the live graphs.  ``apply_delta`` maintains
+    edge-cut fragmentations; a vertex-cut one takes insertions of new
+    edges only (a deletion or reweight, which an insertion of an
+    existing edge is, looks for the edge at its source's owner)."""
+    tmp = tmp_path_factory.mktemp("arrays")
+    fragmentation = strategy.partition(g, 4)
+    for ops, _read in history:
+        if isinstance(strategy, VertexCutPartition):
+            ops = [op for op in ops
+                   if op[0] == "+" and not g.has_edge(op[1], op[2])]
+        apply_delta(fragmentation, resolve(g, ops))
+    path = tmp / "g.snap"
+    save_snapshot(path, g, fragmentation=fragmentation)
+
+    loaded = load_snapshot(path)
+    restored = loaded.fragmentation
+    parts = [(frag.csr(), np.array([frag.csr().id_of[v] for v in frag.owned],
+                                   dtype=np.int64)) for frag in restored]
+    assert union_hash(g.directed, parts, g._edge_labels) == g.content_hash()
+    assert type(loaded.graph) is DeferredGraph
+    assert all(type(frag.graph) is DeferredGraph for frag in restored)
+    for back, live in zip(restored, fragmentation):
+        snap = back.csr()
+        assert back.graph == eager(snap, live.graph._edge_labels)
+        assert type(back.graph) is Graph
+        assert back.graph == live.graph
+        assert list(back.graph.nodes()) == snap.node_of
+    assert loaded.graph == g
+    assert type(loaded.graph) is Graph
+
+    # re-packed under a valid sha256: the arrays' hash refuses each edit
+    with_edges = [fid for fid, frag in enumerate(fragmentation)
+                  if frag.graph.num_edges]
+    owner = max(fragmentation, key=lambda frag: len(frag.owned))
+    owned = next(v for v in owner.graph.nodes() if v in owner.owned)
+    edits = [drop_node(f"f{owner.fid}_", owned), add_unowned_node("f0_")]
+    if with_edges:
+        edits.append(flip_weight(f"f{with_edges[0]}_"))
+    for edit in edits:
+        tampered = tmp / "tampered.snap"
+        tampered.write_bytes(path.read_bytes())
+        rewrite(tampered, edit)
+        with pytest.raises(SnapshotError, match="content hash"):
+            load_snapshot(tampered)
