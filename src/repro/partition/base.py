@@ -398,13 +398,16 @@ class FragmentationGraph:
     facts and derive the pairs:
 
     * ``owner[v]`` — the owning fragment (edge-cut) or master (vertex-cut);
-    * ``holders[v]`` — every fragment whose local graph contains ``v``.
+    * ``holders[v]`` — every fragment whose local graph contains ``v``,
+      given as a bit mask over fragment ids.
     """
 
-    def __init__(self, owner: Mapping[Node, int],
-                 holders: Mapping[Node, FrozenSet[int]]):
+    def __init__(self, owner: Mapping[Node, int], held: Mapping[Node, int]):
         self._owner = dict(owner)
-        self._holders = {v: frozenset(fs) for v, fs in holders.items()}
+        # one frozenset per holder set, not per node: fewer GC-tracked objects
+        sets = {m: frozenset(i for i in range(m.bit_length()) if m >> i & 1)
+                for m in set(held.values())}
+        self._holders = {v: sets[m] for v, m in held.items()}
 
     def owner(self, v: Node) -> int:
         return self._owner[v]
@@ -582,17 +585,14 @@ class Fragmentation:
         # batches (insertion-ordered; oldest evicted first)
         self._delta_log: Dict[int, Dict[int, "FragmentDelta"]] = {}
         owner: Dict[Node, int] = {}
-        holders: Dict[Node, Set[int]] = {}
+        held: Dict[Node, int] = {}
         for frag in self.fragments:
-            for v in frag.owned:
-                owner[v] = frag.fid
+            owner.update(dict.fromkeys(frag.owned, frag.fid))
             snap = frag._csr  # a warm start's: names nodes, builds no dicts
             for v in (frag.graph.nodes() if snap is None else snap.node_of):
-                holders.setdefault(v, set()).add(frag.fid)
-        self.gp = FragmentationGraph(
-            owner, {v: frozenset(fs) for v, fs in holders.items()})
-        # (version, BorderIndex or None), brought current on first use
-        # per version
+                held[v] = held.get(v, 0) | 1 << frag.fid
+        self.gp = FragmentationGraph(owner, held)
+        # (version, index or None), brought current on first use per version
         self._border_index: Optional[Tuple[int, Optional[BorderIndex]]] = None
         self._border_lock = threading.Lock()
         #: border indexes built from the fragments / spliced from the

@@ -90,6 +90,19 @@ class TestFragmentationGraph:
         assert frag.gp.holders(2) == frozenset({0, 1})
         assert frag.gp.holders(0) == frozenset({0})
 
+    def test_holder_sets_are_shared(self):
+        """One frozenset per distinct holder set, not one per node: a
+        warm restart rebuilds ``G_P``, and a tracked object per node
+        would set off the cyclic collector's full passes."""
+        g = uniform_random_graph(300, 900, seed=1)
+        frag = build_edge_cut_fragments(g, {v: v % 4 for v in g.nodes()}, 4)
+        sets = list(frag.gp._holders.values())
+        assert len(sets) == 300
+        assert len({id(fs) for fs in sets}) == len(set(sets)) <= 2 ** 4
+        for f in frag:
+            for v in g.nodes():
+                assert (f.fid in frag.gp.holders(v)) == f.graph.has_node(v)
+
     def test_pairs(self, chain):
         _g, frag = chain
         assert frag.gp.pairs(2) == [(0, 1)]
