@@ -442,8 +442,7 @@ class CSRGraph:
                     row[v] = pred[v][u] = weights[k]
                     k += 1
             g._count_edges()
-            g._edge_labels.update(edge_labels or {})
-        return DeferredGraph(self.directed, fill)
+        return DeferredGraph(self.directed, fill, edge_labels)
 
     def __repr__(self) -> str:
         return f"CSRGraph(n={self.n}, m={self.num_directed_edges})"

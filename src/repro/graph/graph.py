@@ -281,30 +281,34 @@ class Graph:
 
 class DeferredGraph(Graph):
     """A :class:`Graph` whose dicts ``fill`` builds on first use: the
-    first read of an attribute but ``directed`` runs it once on a fresh
+    first read of an attribute but ``directed`` or ``_edge_labels`` (set
+    up front; the fill adds to them) runs it once on a fresh
     :class:`Graph`, installs that graph's dicts and turns this into a
     plain :class:`Graph`, hook gone (one on :class:`Graph` would slow
     every slot read).  Fills hold one re-entrant lock (a fill may read
     other deferred graphs): a racing reader waits or sees complete
     dicts; a fill that raises leaves the graph deferred.  Pickling and
-    ``copy`` fill first; ``materialised`` counts fills in this process.
+    ``copy`` fill first; ``materialised`` counts fills in this process
+    and those the process backend's workers report.
     """
 
     __slots__ = ()
     _lock = threading.RLock()
     materialised = 0
 
-    def __init__(self, directed: bool, fill: Callable[[Graph], None]):
+    def __init__(self, directed: bool, fill: Callable[[Graph], None],
+                 edge_labels: Dict[Edge, Any] | None = None):
         self.directed = directed
         self._fill = fill
+        self._edge_labels = dict(edge_labels or ())
 
     def __getattr__(self, name: str) -> Any:  # an unset slot: not built
         with DeferredGraph._lock:
             if type(self) is DeferredGraph:
                 built = Graph(self.directed)
+                built._edge_labels = self._edge_labels
                 self._fill(built)
-                for slot in ("_succ", "_pred", "_node_labels",
-                             "_edge_labels", "_num_edges"):
+                for slot in ("_succ", "_pred", "_node_labels", "_num_edges"):
                     setattr(self, slot, getattr(built, slot))
                 del self._fill
                 self.__class__ = Graph

@@ -94,8 +94,9 @@ class ArrayState:
         return self._epoch == fragment.csr_epoch
 
     def _keys_of(self, fragment: Fragment) -> List[Node]:
-        # dense ids are positions in the local graph's node order
-        return list(fragment.graph.nodes())
+        # dense ids are node-order positions; a snapshot builds no graph
+        return (fragment.csr().node_of if fragment.csr_cached
+                else list(fragment.graph.nodes()))
 
     def adopt(self, fragment: Fragment, keys: List[Node], *arrays) -> None:
         """Freshly computed arrays become the state."""
@@ -131,8 +132,7 @@ class ArrayState:
         self.drop_arrays()
 
     def view_on(self, fragment: Fragment) -> Any:
-        """The view, from a hook: arrays that arrived by pickle are
-        bound to ``fragment`` first."""
+        """The view, from a hook (binding arrays that came by pickle)."""
         self.current(fragment)
         return self.view
 

@@ -58,6 +58,7 @@ from operator import attrgetter
 from typing import (Any, Callable, Dict, Hashable, List, Optional, Set,
                     Tuple, Union)
 
+from repro.graph.graph import DeferredGraph
 from repro.obs import events as _events
 from repro.resilience import faults as _fault_plane
 from repro.resilience.errors import DeadlineExceeded, QueryCancelled
@@ -408,8 +409,9 @@ class SerialBackend(ExecutorBackend):
         return [fn(item) for item in items]
 
 
-class ThreadBackend(ExecutorBackend):
-    """Thread-pool execution.
+class ThreadBackend(SerialBackend):
+    """Thread-pool execution: the serial backend's sessions, their steps
+    mapped over a pool.
 
     Timing still uses per-task perf counters, so the BSP cost model is
     unaffected; wall-clock gains are limited to GIL-dropping kernels.
@@ -435,15 +437,10 @@ class ThreadBackend(ExecutorBackend):
                 self._pool_width = width
             return self._pool
 
-    def open(self, program, query, fragmentation, *, num_workers: int,
-             trace=None) -> ExecutorSession:
-        return _InlineSession(self, program, query, fragmentation,
-                              num_workers)
-
     def _map(self, fn: Callable[[Any], Any], items: List[Any],
              width: int) -> List[Any]:
         if len(items) <= 1:
-            return [fn(item) for item in items]
+            return SerialBackend._map(fn, items, width)
         return list(self._pool_for(max(2, width)).map(fn, items))
 
     def close(self) -> None:
@@ -661,6 +658,8 @@ def _worker_main(conn, heartbeat=None) -> None:
     *hung* (beats stopped) while waiting on a reply.
     """
     channel = _Channel(conn)
+    # a fork copies the fill lock as it was: held, if a thread was filling
+    DeferredGraph._lock = threading.RLock()
     hb_pause = threading.Event()
     if heartbeat is not None:
         def _beat():
@@ -674,8 +673,10 @@ def _worker_main(conn, heartbeat=None) -> None:
     fragments: Dict[int, Any] = {}
     states: Dict[int, Any] = {}
     frag_cache: Dict[Any, Dict[int, Any]] = {}
-    # fid -> _DERIVED_WORK counts already reported to the coordinator
+    # fid -> _DERIVED_WORK counts already reported to the coordinator,
+    # and the dict graph fills (a forked worker starts at its parent's)
     build_base: Dict[int, Tuple[int, ...]] = {}
+    fills_base = DeferredGraph.materialised
     # (token_id, fid) -> mapped shared segment backing that fragment's
     # CSR views; kept pinned for as long as the fragment could be served
     # from cache (dropping the reference unmaps, and unlinked segments
@@ -821,7 +822,9 @@ def _worker_main(conn, heartbeat=None) -> None:
                                          build_base.get(fid, (0,) * 4)))
                           for fid, work in done.items()}
                 build_base = done
-                channel.send(("ok", (states, builds)))
+                fills = DeferredGraph.materialised - fills_base
+                fills_base += fills
+                channel.send(("ok", (states, builds, fills)))
             elif kind == "close":
                 channel.send(("ok", None))
                 break
@@ -1076,14 +1079,16 @@ class _ProcessSession(ExecutorSession):
 
     def collect_states(self) -> Dict[int, Any]:
         states: Dict[int, Any] = {}
-        for worker_states, builds in self._broadcast(
+        for worker_states, builds, fills in self._broadcast(
                 lambda handle: ("collect", None)):
             states.update(worker_states)
-            # Fold worker-side snapshot builds and splices and table
-            # derivations into the coordinator fragments so service-level
-            # metrics stay meaningful.
+            # Fold worker-side snapshot builds and splices, table
+            # derivations and dict graph fills into the coordinator's
+            # counters so service-level metrics stay meaningful.
             for fid, work in builds.items():
                 self._fragmentation[fid].count_remote_csr_work(*work)
+            with DeferredGraph._lock:
+                DeferredGraph.materialised += fills
         self._account()
         return states
 

@@ -3,16 +3,16 @@
 The paper's parallel model has workers hold their fragments locally and
 exchange only border updates; shipping whole pickled fragments through
 pipes violated that on every cold pool.  This module lets the
-coordinator *publish* a fragment once — its CSR arrays plus a pickled
-copy of the dict-graph state in one named segment — and ship only a
-:class:`SegmentDescriptor` (a few hundred bytes) per fragment.  Workers
-attach the segment and map the arrays in place: fragment bytes on the
-pipe drop to near zero and the worker-side CSR rebuild disappears.
+coordinator *publish* a fragment once — its CSR arrays and what is not
+an array, the border sets as dense ids — in one named segment, and ship
+only a :class:`SegmentDescriptor` (a few hundred bytes) per fragment.
+Workers map the arrays in place and build a dict graph from them only
+when an update batch needs one: no dict graph crosses the segment.
 
 Layout of a segment (array offsets 64-byte aligned)::
 
     indptr | indices | weights
-           | meta (pickled Fragment: fid, dict graph, owned/inner/outer)
+           | meta (pickled node ids, labels, edge labels, owned/inner/outer)
 
 A segment is never written after publish.  A fragment an update batch
 touches retires its snapshot like any other and splices the next one
@@ -53,9 +53,12 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.partition.base import Fragment
 
 __all__ = ["SegmentDescriptor", "ShmArena", "attach_fragment",
            "forget_token", "global_stats", "invalidate_token",
@@ -92,18 +95,14 @@ def _owner_pid(name: str) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # Providers
 # ---------------------------------------------------------------------------
-class _Segment:
-    """A mapped segment: named, with a buffer.  The mapping object is
-    pinned here (and transitively by every numpy view built over
-    ``buf``); it is torn down by GC, never explicitly — closing a mmap
+class _Segment(NamedTuple):
+    """A mapped segment: named, with a buffer.  The buffer pins the
+    mapping object (and every numpy view built over ``buf`` pins the
+    buffer); it is torn down by GC, never explicitly — closing a mmap
     with exported views raises ``BufferError``."""
 
-    __slots__ = ("name", "buf", "_keepalive")
-
-    def __init__(self, name: str, buf, keepalive) -> None:
-        self.name = name
-        self.buf = buf
-        self._keepalive = keepalive
+    name: str
+    buf: memoryview
 
 
 class _FileProvider:
@@ -130,7 +129,7 @@ class _FileProvider:
             mapping = mmap.mmap(fd, size)
         finally:
             os.close(fd)
-        return _Segment(name, memoryview(mapping), mapping)
+        return _Segment(name, memoryview(mapping))
 
     def attach(self, name: str, size: int) -> _Segment:
         fd = os.open(self._path(name), os.O_RDONLY)
@@ -142,7 +141,7 @@ class _FileProvider:
             mapping = mmap.mmap(fd, size, prot=mmap.PROT_READ)
         finally:
             os.close(fd)
-        return _Segment(name, memoryview(mapping), mapping)
+        return _Segment(name, memoryview(mapping))
 
     def unlink(self, name: str) -> None:
         try:
@@ -192,7 +191,7 @@ class SegmentDescriptor:
     """Everything a worker needs to map a published fragment: the
     segment name, its total size, the array layout
     (``(field, dtype, count, offset)`` entries plus a trailing ``meta``
-    entry for the pickled fragment), and identity/version bookkeeping.
+    entry for the pickled non-arrays), and identity/version bookkeeping.
     A descriptor is a few hundred bytes — this is what crosses the pipe
     instead of the fragment."""
 
@@ -209,10 +208,14 @@ class SegmentDescriptor:
 
 def publish_fragment(prov, token_id: int, version: int, generation: int,
                      frag, csr) -> Tuple[_Segment, SegmentDescriptor]:
-    """Write one fragment — CSR arrays + pickled dict-graph state — into
-    a fresh named segment.  Raises ``OSError`` on provider failure (the
-    caller degrades to pickle shipping)."""
-    meta = pickle.dumps(frag, protocol=pickle.HIGHEST_PROTOCOL)
+    """Write one fragment — CSR arrays, then a pickle of node ids and
+    labels, edge labels and the border sets as dense ids; no dict graph
+    — into a fresh named segment.  Raises ``OSError`` on provider
+    failure (the caller degrades to pickle shipping)."""
+    ids = [np.fromiter(map(csr.id_of.__getitem__, nodes), np.int64)
+           for nodes in (frag.owned, frag.inner, frag.outer)]
+    meta = pickle.dumps((csr.node_of, csr.labels, frag.graph._edge_labels,
+                         *ids), protocol=pickle.HIGHEST_PROTOCOL)
     meta_off = csr.shared_nbytes()
     nbytes = meta_off + len(meta)
     seg = prov.create(_segment_name(frag.fid), max(nbytes, 1))
@@ -228,10 +231,11 @@ def publish_fragment(prov, token_id: int, version: int, generation: int,
 
 
 def attach_fragment(desc: SegmentDescriptor, timings=None):
-    """Map a published fragment (worker side): unpickle the dict-graph
-    state from the segment's meta region and install zero-copy CSR views
-    over its array regions.  Returns ``(fragment, segment)``; the caller
-    must pin the segment for as long as the views may be used.
+    """Map a published fragment (worker side): zero-copy CSR views over
+    the segment's arrays, installed on a fragment whose graph is built
+    from them on first use (the first replayed delta).  Returns
+    ``(fragment, segment)``; the caller must pin the segment for as long
+    as the views may be used.
 
     ``timings``, when a dict, receives ``attach_s`` (map + meta
     unpickle) and ``install_s`` (CSR view construction + install) for
@@ -241,26 +245,21 @@ def attach_fragment(desc: SegmentDescriptor, timings=None):
     if prov is None:
         raise OSError("no shared-memory provider available")
     seg = prov.attach(desc.name, desc.nbytes)
-    fields = {name: (dtype, count, off)
-              for name, dtype, count, off in desc.layout}
-    _dt, mcount, moff = fields["meta"]
-    frag = pickle.loads(bytes(seg.buf[moff:moff + mcount]))
+    _meta, _dt, mcount, moff = desc.layout[-1]
+    node_of, labels, edge_labels, *ids = pickle.loads(
+        seg.buf[moff:moff + mcount])
     if timings is not None:
         t1 = time.perf_counter()
         timings["attach_s"] = t1 - t0
-    # Rebuild the identity maps from the dict graph: pickle preserves
-    # insertion order, and a descriptor is only ever served for a CSR
-    # that is current for the published graph, so the dict order here is
-    # the order the arrays were built in.
-    node_of = list(frag.graph._succ)
     if len(node_of) != desc.n:
         raise OSError(f"segment {desc.name} node count mismatch: "
                       f"{len(node_of)} != {desc.n}")
-    id_of = {v: i for i, v in enumerate(node_of)}
-    labels = [frag.graph.node_label(v) for v in node_of]
     csr = CSRGraph.from_shared(seg.buf, desc.layout, n=desc.n,
-                               directed=desc.directed, id_of=id_of,
+                               directed=desc.directed,
+                               id_of=dict(zip(node_of, range(desc.n))),
                                node_of=node_of, labels=labels)
+    frag = Fragment(desc.fid, csr.to_graph(edge_labels), *(
+        set(map(node_of.__getitem__, a.tolist())) for a in ids))
     frag.install_csr(csr, shared=True)
     if timings is not None:
         timings["install_s"] = time.perf_counter() - t1
@@ -366,10 +365,10 @@ class ShmArena:
     def apply_delta(self, token_id: int, new_version: int,
                     touched: Dict[int, Any]) -> None:
         """Advance this arena's entries past one applied update batch:
-        a fragment the batch touched (graph or border sets — the pickled
-        meta region holds both) goes stale and is republished at the
-        next descriptor request; the others are current at the new
-        version."""
+        a fragment the batch touched (its arrays or its border sets,
+        which the meta region holds as dense ids) goes stale and is
+        republished at the next descriptor request; the others are
+        current at the new version."""
         with self._lock:
             for (tid, fid), entry in self._entries.items():
                 if tid != token_id or entry.stale:
@@ -421,9 +420,7 @@ class ShmArena:
         """Unlink and drop every segment of a retired fragmentation
         token.  Returns how many worker references were outstanding
         (normal while the pool is warm — the mappings stay valid)."""
-        with self._lock:
-            if self._provider is None:
-                return 0
+        with self._lock:  # (no provider: nothing was ever published)
             return self._forget_locked(token_id)
 
     def stats(self) -> Tuple[int, int]:
@@ -474,13 +471,8 @@ def forget_token(token_id: int) -> None:
 
 def global_stats() -> Tuple[int, int]:
     """(active segments, mapped bytes) across every live arena."""
-    segs = 0
-    nbytes = 0
-    for arena in list(_arenas):
-        s, b = arena.stats()
-        segs += s
-        nbytes += b
-    return segs, nbytes
+    stats = [arena.stats() for arena in list(_arenas)]
+    return sum(s for s, _b in stats), sum(b for _s, b in stats)
 
 
 def sweep_stale(prov=None) -> int:

@@ -96,7 +96,7 @@ def _pack_graph(csr: CSRGraph, edge_labels: Dict, prefix: str,
     }
 
 
-def _derive_base(g: Graph, gm: Dict, fragments: List[Fragment]) -> None:
+def _derive_base(g: Graph, fragments: List[Fragment]) -> None:
     """Fill ``g`` with the base graph, merged from the fragments' local
     graphs before an update mutates one (``apply_delta`` changes the
     base graph first at every step).  Every stored orientation of a base
@@ -116,7 +116,6 @@ def _derive_base(g: Graph, gm: Dict, fragments: List[Fragment]) -> None:
         for v, w in row.items():
             pred[v][u] = w
     g._count_edges()
-    g._edge_labels.update(gm["edge_labels"])
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +261,8 @@ def load_snapshot(path: Union[str, Path], *,
             # do not count as builds: csr_snapshots_built stays honest)
             frag.install_csr(snap)
         graph = DeferredGraph(gm["directed"],
-                              lambda g: _derive_base(g, gm, fragments))
+                              lambda g: _derive_base(g, fragments),
+                              gm["edge_labels"])
         # the persisted version, no delta log, a fresh cache token: no
         # replay chain is proven across a restart (workers re-ship)
         fragmentation = Fragmentation(graph, fragments,

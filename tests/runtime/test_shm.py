@@ -17,12 +17,15 @@ from hypothesis import given, settings
 from repro.core.engine import EngineConfig, GrapeEngine
 from repro.core.updates import apply_delta
 from repro.graph.delta import GraphDelta
-from repro.graph.generators import uniform_random_graph
+from repro.graph.generators import labeled_graph, uniform_random_graph
+from repro.graph.graph import DeferredGraph
+from repro.partition.strategies import HashPartition
 from repro.pie_programs import SSSPProgram
 from repro.runtime import shm
 from repro.runtime.executors import ProcessBackend
 from repro.sequential import sssp_distances
 from repro.service import GrapeService
+from repro.store import load_snapshot, save_snapshot
 
 pytestmark = pytest.mark.skipif(not shm.shm_available(),
                                 reason="no shared-memory provider here")
@@ -99,6 +102,58 @@ def test_segment_layout_is_three_arrays_and_the_fragment():
         assert os.path.getsize(os.path.join("/dev/shm", desc.name)) == end
     finally:
         prov.unlink(desc.name)
+
+
+def test_labelled_fragments_attach_unbuilt_and_replay_equal(tmp_path):
+    """A restored fragmentation with node and edge labels publishes and
+    attaches without building a dict graph; the attached copies then
+    replay a labelled insert and a mirror retirement to graphs equal to
+    the coordinator's — edges, weights and both label maps."""
+    g = labeled_graph(30, 70, num_labels=3, seed=4, directed=True)
+    for i, (u, v, w) in enumerate(sorted(g.edges())):
+        if i % 3 == 0:
+            g.add_edge(u, v, weight=w, label=f"e{i}")
+    save_snapshot(tmp_path / "g.snap", g,
+                  fragmentation=HashPartition().partition(g, 2))
+    restored = load_snapshot(tmp_path / "g.snap").fragmentation
+    prov = shm.provider()
+    fills = DeferredGraph.materialised
+    published = [shm.publish_fragment(prov, 1, 0, 0, frag, frag.csr())
+                 for frag in restored]
+    try:
+        clones = [shm.attach_fragment(desc)[0] for _seg, desc in published]
+    finally:
+        for _seg, desc in published:
+            prov.unlink(desc.name)
+    assert DeferredGraph.materialised == fills
+    assert all(type(c.graph) is DeferredGraph for c in clones)
+    for clone, frag in zip(clones, restored):
+        assert (clone.owned, clone.inner, clone.outer) == (
+            frag.owned, frag.inner, frag.outer)
+        assert clone.graph._edge_labels == frag.graph._edge_labels != {}
+
+    # fragment 0 gains a labelled mirror and drops one it reaches once
+    frag = restored[0]
+    local = frag.graph
+    u = min(frag.owned)
+    new = min(v for v in g.nodes() if not local.has_node(v))
+    gone = min(v for v in frag.outer if local.in_degree(v) == 1)
+    delta = GraphDelta().insert(u, new, 0.5)
+    delta.delete(next(iter(local.predecessors(gone))), gone)
+    touched = apply_delta(restored, delta)
+    assert (new, g.node_label(new)) in touched[0].new_nodes
+    assert g.node_label(new) is not None and gone in touched[0].retired_nodes
+    for fid, fdelta in touched.items():
+        fdelta.replay(clones[fid])
+    for clone, frag in zip(clones, restored):
+        assert clone.graph == frag.graph
+        assert clone.graph._succ == frag.graph._succ
+        assert clone.graph._node_labels == frag.graph._node_labels
+        assert clone.graph._edge_labels == frag.graph._edge_labels
+        assert (clone.owned, clone.inner, clone.outer) == (
+            frag.owned, frag.inner, frag.outer)
+        np.testing.assert_array_equal(clone.csr().indices,
+                                      frag.csr().indices)
 
 
 # ---------------------------------------------------------------------------

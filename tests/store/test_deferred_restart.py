@@ -3,15 +3,13 @@
 After a checkpointed ``close()`` the restarted service's graphs are
 deferred (``repro.graph.graph.DeferredGraph``): SSSP, BFS, CC and
 PageRank run on the installed CSR snapshots and build no dict graph, so
-``stats.dict_graphs_materialised`` stays 0.  The first ``update()``
-builds the dicts it mutates, and the answers stay equal to the oracles.
-On the process backend the shared-memory publish pickles the fragments
-(building their dicts), so that leg checks the answers only.
+``stats.dict_graphs_materialised`` stays 0 — on the process backend in
+the coordinator and in every worker, whose shared-memory segments carry
+arrays only.  The first ``update()`` builds the dicts it mutates, and
+the answers stay equal to the oracles.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -20,14 +18,12 @@ from repro.graph.delta import GraphDelta
 from repro.graph.generators import uniform_random_graph
 from repro.partition.strategies import HashPartition
 from repro.pie_programs.pagerank import PageRankQuery
-from repro.runtime.executors import BACKEND_ENV_VAR
 from repro.sequential import connected_components, sssp_distances
 from repro.service import GrapeService
 
 CONFIG = EngineConfig(partition=HashPartition(), num_fragments=4)
 QUERIES = (("sssp", 0), ("bfs", 0), ("cc", None),
            ("pagerank", PageRankQuery(max_iterations=6)))
-IN_PROCESS = os.environ.get(BACKEND_ENV_VAR, "serial") != "process"
 
 
 def play_all(service):
@@ -58,17 +54,15 @@ def test_a_read_only_restart_builds_no_dict_graph(tmp_path):
     try:
         answers = play_all(served)
         assert served.stats.cache_misses == 0  # the stored partition
-        if IN_PROCESS:
-            assert served.stats.dict_graphs_materialised == 0
+        assert served.stats.dict_graphs_materialised == 0
         assert_oracle_equal(answers, g, reference)
 
         delta = GraphDelta()
         delta.insert(0, 79, 0.05)
         delta.insert(5, 500, 0.5)
         served.update("g", delta)
-        if IN_PROCESS:
-            # the base graph and every fragment the batch touched
-            assert served.stats.dict_graphs_materialised >= 2
+        # the base graph and every fragment the batch touched
+        assert served.stats.dict_graphs_materialised >= 2
         mutated = served.graph("g")
         assert mutated.has_edge(79, 0) and mutated.num_nodes == 81
         g.add_edge(0, 79, weight=0.05)
