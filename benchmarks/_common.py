@@ -1,42 +1,16 @@
-"""Shared configuration and result recording for the benchmark suite.
-
-Every ``bench_*.py`` regenerates one of the paper's tables or figures at
-laptop scale: same systems, same query classes, same sweeps — smaller
-graphs (the ``SCALE`` constants; raise them for higher fidelity).  Each
-bench prints the paper-style series and appends it to
-``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can quote the numbers.
-"""
-
-from __future__ import annotations
+"""Paths and result recording shared by the ``bench_*`` scripts."""
 
 import pathlib
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-# Worker sweep: the paper uses 4..24 in steps of 4; we keep the endpoints
-# and midpoint to bound runtime.
-WORKER_SWEEP = [4, 8, 16, 24]
-
-# Dataset scales (fraction of the default stand-in size).
-TRAFFIC_SCALE = 0.30     # ~1.1k nodes, large diameter
-SOCIAL_SCALE = 0.12      # ~500 nodes, power-law
-KNOWLEDGE_SCALE = 0.15   # ~450 nodes, label-rich
-RATINGS_SCALE = 0.25     # ~100 users x 30 items
-
-# Query batch sizes (paper: 10 SSSP sources, 20 patterns).
-NUM_SSSP_QUERIES = 3
-NUM_PATTERN_QUERIES = 3
-
-# Pattern sizes: the paper's |Q| = (8, 15) for Sim and (6, 10) for SubIso,
-# scaled to the smaller stand-in graphs.
-SIM_PATTERN = (4, 6)
-SUBISO_PATTERN = (4, 5)
+# traffic_like scale of the ablation and throughput benches (~1.1k nodes)
+TRAFFIC_SCALE = 0.30
 
 
 def record(name: str, text: str) -> None:
     """Print a result block and persist it under benchmarks/results/."""
-    print()
-    print(text)
+    print(f"\n{text}")
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n", encoding="utf-8")

@@ -6,33 +6,50 @@ network under all four systems (GRAPE, vertex-centric "Giraph", GAS
 comparison: GRAPE needs a fraction of the supersteps and bytes because a
 fragment's worth of road network is traversed locally per superstep,
 while a vertex program advances one hop per superstep.
+``benchmarks/paper_claims.py`` checks the same claim at 50k nodes.
 
 Run:  python examples/road_network_routing.py
 """
 
-from repro.bench import format_results_table, run_queries, speedup_summary
+from functools import partial
+
+from repro import GrapeEngine
+from repro.baselines import (BlogelEngine, GASEngine, PregelEngine,
+                             SSSPBlockProgram, SSSPGASProgram,
+                             SSSPVertexProgram)
+from repro.partition.strategies import MetisLikePartition
+from repro.pie_programs import SSSPProgram
+from repro.sequential import sssp_distances
 from repro.workloads import sample_sources, traffic_like
 
 
 def main():
     graph = traffic_like(scale=0.2)  # ~800 nodes, large diameter
     sources = sample_sources(graph, 3, seed=7)
+    n = 8
     print(f"road network: {graph.num_nodes} intersections, "
           f"{graph.num_edges} road segments; "
-          f"{len(sources)} routing queries\n")
+          f"{len(sources)} routing queries, n={n} workers\n")
 
-    rows = [run_queries(system, "sssp", graph, sources, num_workers=8)
-            for system in ("giraph", "graphlab", "blogel", "grape")]
+    grape = GrapeEngine(n, partition=MetisLikePartition())
+    systems = {
+        "giraph": partial(PregelEngine(n).run, SSSPVertexProgram(), graph),
+        "graphlab": partial(GASEngine(n).run, SSSPGASProgram(), graph),
+        "blogel": partial(BlogelEngine(n).run, SSSPBlockProgram(), graph),
+        "grape": lambda s: grape.run(SSSPProgram(), s, graph=graph),
+    }
 
-    print(format_results_table(rows, title="SSSP, n=8 workers"))
-    print()
-    print(speedup_summary(rows))
-
-    # Sanity: every system agrees on the answers.
-    for row in rows[1:]:
-        for a, b in zip(rows[0].answers, row.answers):
-            assert all(abs(a[v] - b[v]) < 1e-9 for v in a
-                       if a[v] != float("inf"))
+    print(f"{'system':<10} {'comm(MB)':>10} {'supersteps':>11}")
+    for name, run in systems.items():
+        results = [run(s) for s in sources]
+        comm = sum(r.metrics.comm_megabytes for r in results) / len(sources)
+        steps = sum(r.metrics.supersteps for r in results) / len(sources)
+        print(f"{name:<10} {comm:>10.4f} {steps:>11.1f}")
+        # Every system agrees with Dijkstra, hence with each other.
+        for source, result in zip(sources, results):
+            assert all(abs(result.answer[v] - d) < 1e-9
+                       for v, d in sssp_distances(graph, source).items()
+                       if d != float("inf")), name
     print("\nall four systems returned identical distances ✓")
 
 

@@ -244,7 +244,7 @@ class MetisLikePartition(PartitionStrategy):
                 assignment[v] = fid
                 size += 1
                 frontier.extend(u for u in adj[v] if u in unassigned)
-        for v in unassigned:
+        for v in [u for u in nodes if u in unassigned]:  # not hash order
             assignment[v] = rng.randrange(num_fragments)
         return assignment
 

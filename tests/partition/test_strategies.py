@@ -1,5 +1,9 @@
 """Tests for the built-in partition strategies."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.graph.generators import (preferential_attachment,
@@ -10,6 +14,7 @@ from repro.partition.strategies import (STRATEGIES, GridPartition,
                                         RangePartition, StreamingPartition,
                                         VertexCutPartition, get_strategy)
 
+SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 EDGE_CUT_STRATEGIES = [HashPartition, RangePartition, GridPartition,
                        StreamingPartition, MetisLikePartition]
 
@@ -152,3 +157,18 @@ class TestAmbientSeedingIndependence:
         assert a == c
         # distinct seeds *may* coincide on tiny graphs, but not here
         assert a != b
+
+    def test_stable_across_hash_seeds(self):
+        """Regression: the initial partition spilled unreached nodes in
+        set order, so tuple-labelled graphs (``ratings_like``) were cut
+        differently in every process."""
+        code = ("from repro.workloads import ratings_like;"
+                "from repro.partition.strategies import MetisLikePartition;"
+                "print(sorted(MetisLikePartition().assign("
+                "ratings_like(scale=0.1)[0], 4).items()))")
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC))
+            for seed in ("0", "1")]
+        assert len({proc.communicate(timeout=120)[0] for proc in procs}) == 1
+        assert [proc.returncode for proc in procs] == [0, 0]
