@@ -3,7 +3,7 @@
 Fan et al. (SIGMOD 2017) claim that GRAPE ships a few percent of the
 bytes Giraph and GraphLab ship (Fig. 8), needs far fewer supersteps
 (Table 1), stays ahead as |G| grows (Fig. 9), and that IncEval and the
-sequential optimisations it inherits cut work (Fig. 7, Section 6).
+sequential optimisations it inherits cut work (Fig. 7).
 GRAPE and the Pregel, GAS and Blogel engines count supersteps, bytes and
 messages under one rule (:class:`repro.runtime.metrics.RunMetrics`), so
 each claim is a ratio of counts.  Each entry of :data:`ROWS` names a
@@ -12,24 +12,21 @@ drives the engines directly and checks every answer against
 :mod:`repro.sequential`.  A row's ``shape`` (GRAPE ahead at all) is
 asserted by tier-1 at ``smoke`` size; the paper's number is judged at
 ``full`` size, where a claim about parallel GRAPE holds only when its
-largest fragment is at most 2/n of |V|.  The Section 6 rows get no
-verdict: the paper states no compression ratio.  Wall time is
-reported, never judged: the Fig. 6 speedups and Fig. 9 scale-out
-timings need more than the 2 cores the committed run had (ROADMAP
-item D(iv)).
+largest fragment is at most 2/n of |V|.  Wall time is reported, never
+judged: the Fig. 6 speedups and Fig. 9 scale-out timings need more than
+the 2 cores the committed run had (ROADMAP item D(iv)).
 
-    python benchmarks/paper_claims.py --size smoke      # half a second
-    PYTHONHASHSEED=0 python benchmarks/paper_claims.py  # 15 min, 0.7 GB
+    python benchmarks/paper_claims.py --size smoke  # half a second
+    python benchmarks/paper_claims.py               # 15 min, 0.7 GB
 
-The full-size run rewrites ``results/PAPER_CLAIMS.json`` and records the
-hash seed: Pregel and GAS place non-integer node ids by builtin ``hash``,
-so the CF row's baseline counts move with it.
+The full-size run rewrites ``results/PAPER_CLAIMS.json``.  Every engine
+places vertices by ``stable_hash``, so no count depends on
+``PYTHONHASHSEED``.
 """
 
 import argparse
 import json
 import math
-import os
 import pathlib
 import resource
 import sys
@@ -47,8 +44,6 @@ from repro.baselines import (BlogelEngine, CCBlockProgram, CCGASProgram,
                              run_vcompute)
 from repro.core.engine import GrapeEngine
 from repro.graph.generators import grid_road_graph, labeled_graph
-from repro.optim.compression import (bisimulation_compress, chain_compress,
-                                     decompress_sim)
 from repro.optim.indexing import IndexedSimCandidates, NeighborhoodIndex
 from repro.partition.strategies import MetisLikePartition
 from repro.pie_programs import (CCProgram, CFProgram, CFQuery, SimProgram,
@@ -382,36 +377,6 @@ def index_gain(inputs: Inputs):
                 holds=balanced and value["grape"] >= value["sequential"] / 2)
 
 
-def bisimulation(inputs: Inputs):
-    """Section 6: Sim on the bisimulation quotient, lifted back."""
-    graph, workers = inputs.graph("powerlaw"), inputs.p["workers"]
-    patterns = inputs.queries("sim", graph)
-    quotient, representative = bisimulation_compress(graph)
-    counts, answers = run_system("grape", "sim", quotient, patterns, workers)
-    for pattern, answer in zip(patterns, answers):
-        check_answer("sim", decompress_sim(answer, representative),
-                     oracle("sim", graph, pattern))
-    value = {"nodes": _ratio(quotient.num_nodes, graph.num_nodes),
-             "edges": _ratio(quotient.num_edges, graph.num_edges)}
-    return _row(graph, patterns, workers, value=value,
-                systems={"grape-quotient": counts}, holds=None)
-
-
-def chain_contraction(inputs: Inputs):
-    """Section 6: SSSP on the road grid with degree-2 chains contracted."""
-    graph, workers = inputs.graph("road"), inputs.p["workers"]
-    compressed, _ = chain_compress(graph)
-    sources = inputs.queries("sssp", compressed)
-    counts, answers = run_system("grape", "sssp", compressed, sources, workers)
-    for source, answer in zip(sources, answers):
-        check_answer("sssp", answer, {v: d for v, d in oracle(
-            "sssp", graph, source).items() if compressed.has_node(v)})
-    value = {"nodes": _ratio(compressed.num_nodes, graph.num_nodes),
-             "edges": _ratio(compressed.num_edges, graph.num_edges)}
-    return _row(graph, sources, workers, value=value,
-                systems={"grape-compressed": counts}, holds=None)
-
-
 @dataclass(frozen=True)
 class Row:
     id: str
@@ -459,21 +424,10 @@ ROWS = tuple(
         "Sim candidates without the index over with it, sequentially and "
         "summed over GRAPE's PEvals; holds when GRAPE keeps >= half the "
         "sequential gain", index_gain),
-    Row("sec6-bisimulation", "Section 6",
-        "query-preserving compression: Sim answered on a smaller graph",
-        "quotient |V| and |E| over the graph's, with Sim on the quotient "
-        "lifted by decompress_sim equal to Sim on the graph; the paper "
-        "states no ratio, so no verdict", bisimulation),
-    Row("sec6-chain", "Section 6",
-        "query-preserving compression: SSSP answered on a smaller graph",
-        "|V| and |E| chain_compress keeps of the road grid, with junction "
-        "distances equal; no verdict, as sec6-bisimulation",
-        chain_contraction),
 )
 
 
-VERDICTS = {True: "holds", False: "does not hold at this size",
-            None: "not judged"}
+VERDICTS = {True: "holds", False: "does not hold at this size"}
 
 
 def run(size: str = "full") -> List[Dict[str, Any]]:
@@ -504,7 +458,6 @@ def main(argv: List[str]) -> int:
         from hostclock import host_fingerprint
         RESULTS.write_text(json.dumps({
             "size": args.size, "seed": SEED, "sizes": SIZES["full"],
-            "pythonhashseed": os.environ.get("PYTHONHASHSEED"),
             "host": host_fingerprint(),
             "wall_s": round(time.perf_counter() - start, 1),
             "peak_rss_mb": resource.getrusage(

@@ -26,6 +26,7 @@ from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 from repro.baselines.vertex_centric import PregelEngine
 from repro.baselines.vertex_programs import SubIsoVertexProgram
 from repro.graph.graph import Graph, Node
+from repro.runtime.message import stable_hash
 from repro.runtime.metrics import CostModel, RunMetrics
 from repro.runtime.wire import vertex_message_bytes
 
@@ -104,7 +105,7 @@ class GASEngine:
         self.max_supersteps = max_supersteps
 
     def _worker_of(self, v: Node) -> int:
-        return hash(v) % self.num_workers
+        return stable_hash(v) % self.num_workers
 
     def run(self, program: GASProgram, graph: Graph,
             query: Any = None) -> GASResult:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.graph.graph import Graph, Node
+from repro.runtime.message import stable_hash
 from repro.runtime.metrics import CostModel, RunMetrics
 from repro.runtime.wire import vertex_message_bytes
 
@@ -125,7 +126,7 @@ class PregelEngine:
     def _worker_of(self, v: Node) -> int:
         if self.placement is not None:
             return self.placement[v]
-        return hash(v) % self.num_workers
+        return stable_hash(v) % self.num_workers
 
     def run(self, program: VertexProgram, graph: Graph,
             query: Any = None) -> PregelResult:

@@ -1,7 +1,5 @@
-"""Graph-level optimizations: indexing, compression, message grouping."""
+"""Graph-level optimizations: indexing and message grouping."""
 
-from repro.optim.compression import (bisimulation_compress, chain_compress,
-                                     decompress_sim)
 from repro.optim.grouping import (grouped_bytes, grouping_savings,
                                   ungrouped_bytes)
 from repro.optim.indexing import (IndexedSimCandidates, NeighborhoodIndex,
@@ -9,6 +7,5 @@ from repro.optim.indexing import (IndexedSimCandidates, NeighborhoodIndex,
 
 __all__ = [
     "NeighborhoodIndex", "IndexedSimCandidates", "TwoHopIndex",
-    "bisimulation_compress", "decompress_sim", "chain_compress",
     "grouped_bytes", "ungrouped_bytes", "grouping_savings",
 ]

@@ -123,7 +123,8 @@ class Fragment:
                       state["inner"], state["outer"])
 
     def csr(self):
-        """Frozen CSR snapshot of the local graph, built lazily.
+        """Frozen CSR snapshot of the local graph; the partitioner and the
+        snapshot loader install the first one, else it is built lazily.
 
         The snapshot is cached until :meth:`invalidate_csr` retires it
         (mutation through :func:`repro.core.updates.apply_delta`);
@@ -478,34 +479,23 @@ class BorderIndex:
         self.holder_ptr = holder_ptr
         self.holder_fid = holder_fid
 
-    @staticmethod
-    def _rows(gp: FragmentationGraph, labels: List[int]
-              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Owner, holder count and (concatenated, ascending) holders of
-        each of ``labels``."""
-        owner = np.fromiter(map(gp.owner, labels), dtype=np.int32,
-                            count=len(labels))
-        holders = [sorted(gp.holders(v)) for v in labels]
-        counts = np.fromiter(map(len, holders), dtype=np.int64,
-                             count=len(labels))
-        fids = np.fromiter(itertools.chain.from_iterable(holders),
-                           dtype=np.int32, count=int(counts.sum()))
-        return owner, counts, fids
-
     @classmethod
     def build(cls, fragmentation: "Fragmentation") -> Optional["BorderIndex"]:
+        """From the border sets: a border node is held by the fragments
+        whose ``F_i.I`` or ``F_i.O`` has it (``G_P``'s holders)."""
         if int_array(list(fragmentation.gp._owner)) is None:
             return None
-        border: Set[Node] = set()
-        for frag in fragmentation.fragments:
-            border |= frag.inner
-            border |= frag.outer
-        nodes = int_array(sorted(border))
-        owner, counts, holder_fid = cls._rows(fragmentation.gp,
-                                              nodes.tolist())
-        holder_ptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-        np.cumsum(counts, out=holder_ptr[1:])
-        return cls(nodes, owner, holder_ptr, holder_fid)
+        sizes = [len(f.inner) + len(f.outer) for f in fragmentation]
+        labels = np.fromiter(itertools.chain.from_iterable(
+            itertools.chain(f.inner, f.outer) for f in fragmentation),
+            dtype=np.int64, count=sum(sizes))
+        fids = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+        order = np.lexsort((fids, labels))
+        nodes, starts = np.unique(labels[order], return_index=True)
+        owner = np.fromiter(map(fragmentation.gp.owner, nodes.tolist()),
+                            dtype=np.int32, count=nodes.shape[0])
+        return cls(nodes, owner, np.append(starts, order.shape[0]),
+                   fids[order])
 
     def patched(self, fragmentation: "Fragmentation",
                 dirty: Set[Node]) -> Optional["BorderIndex"]:
@@ -525,7 +515,11 @@ class BorderIndex:
         stay = np.flatnonzero(~np.isin(self.nodes, changed))
         kept_nodes = self.nodes[stay]
         at = np.searchsorted(kept_nodes, fresh)
-        owner, counts, fids = self._rows(fragmentation.gp, fresh)
+        gp = fragmentation.gp
+        holders = [sorted(gp.holders(v)) for v in fresh]
+        owner = np.array(list(map(gp.owner, fresh)), dtype=np.int32)
+        counts = np.array(list(map(len, holders)), dtype=np.int64)
+        fids = np.array(list(itertools.chain(*holders)), dtype=np.int32)
         holder_ptr, (holder_fid,) = splice_rows(
             self.holder_ptr, (self.holder_fid,), np.insert(stay, at, -1),
             counts, (fids,))
@@ -588,7 +582,7 @@ class Fragmentation:
         held: Dict[Node, int] = {}
         for frag in self.fragments:
             owner.update(dict.fromkeys(frag.owned, frag.fid))
-            snap = frag._csr  # a warm start's: names nodes, builds no dicts
+            snap = frag._csr  # installed: names nodes, builds no dicts
             for v in (frag.graph.nodes() if snap is None else snap.node_of):
                 held[v] = held.get(v, 0) | 1 << frag.fid
         self.gp = FragmentationGraph(owner, held)
@@ -805,50 +799,69 @@ def build_edge_cut_fragments(graph: Graph, assignment: Mapping[Node, int],
 
     Every edge ``(u, v)`` is stored at the fragment owning ``u``; if ``v``
     is owned elsewhere, a copy of ``v`` joins ``F_i.O`` and ``v`` joins the
-    owner's ``F_j.I``.
+    owner's ``F_j.I`` (undirected: both ways round).
+
+    Built from the graph's CSR snapshot and the assignment as an array;
+    each snapshot is installed (not a build) under a deferred dict graph,
+    filled on the first write.  Node and row order are an edge-by-edge
+    build's: owned nodes in ``owned``'s (assignment) order, then copies
+    by first cut edge, rows in ``graph.edges()`` order.
     """
-    missing = [v for v in graph.nodes() if v not in assignment]
+    base = CSRGraph.from_graph(graph)
+    n, m, node_of = base.n, num_fragments, base.node_of
+    missing = n - sum(map(assignment.__contains__, node_of))
     if missing:
-        raise ValueError(f"assignment missing {len(missing)} nodes")
+        raise ValueError(f"assignment missing {missing} nodes")
+    keys = list(assignment)
+    fids = np.fromiter(assignment.values(), dtype=np.int64, count=len(keys))
+    bad = (fids < 0) | (fids >= m)
+    if bad.any():
+        raise ValueError(f"fragment id {fids[bad][0]} out of range")
+    part = np.fromiter(map(assignment.__getitem__, node_of), dtype=np.int64,
+                       count=n)
+    rows = np.repeat(np.arange(n), np.diff(base.indptr))
+    cols = base.indices
+    # when graph.edges() yields an entry: an undirected edge once, from
+    # the earlier of its two rows (a later row's entry: its mirror's turn)
+    when = np.arange(cols.shape[0])
+    if not graph.directed:
+        key, back = rows * n + cols, rows > cols
+        by_key = np.argsort(key)
+        when[back] = by_key[np.searchsorted(key, cols[back] * n + rows[back],
+                                            sorter=by_key)]
+    tails, heads = part[rows], part[cols]
+    cut = np.flatnonzero(tails != heads)
+    cut = cut[np.argsort(when[cut], kind="stable")]
+    head, tail_fid = cols[cut], tails[cut]
 
-    owned: List[Set[Node]] = [set() for _ in range(num_fragments)]
-    for v, fid in assignment.items():
-        if not 0 <= fid < num_fragments:
-            raise ValueError(f"fragment id {fid} out of range")
-        owned[fid].add(v)
+    def first_seen(ids: np.ndarray) -> List[int]:
+        return ids[np.sort(np.unique(ids, return_index=True)[1])].tolist()
 
-    locals_: List[Graph] = [Graph(directed=graph.directed)
-                            for _ in range(num_fragments)]
-    inner: List[Set[Node]] = [set() for _ in range(num_fragments)]
-    outer: List[Set[Node]] = [set() for _ in range(num_fragments)]
-
-    for fid in range(num_fragments):
-        for v in owned[fid]:
-            locals_[fid].add_node(v, graph.node_label(v))
-
-    for u, v, w in graph.edges():
-        fu, fv = assignment[u], assignment[v]
-        label = graph.edge_label(u, v)
-        locals_[fu].add_node(v, graph.node_label(v))
-        locals_[fu].add_edge(u, v, weight=w, label=label)
-        if fu != fv:
-            outer[fu].add(v)
-        if not graph.directed and fu != fv:
-            # the symmetric orientation lives at fv as well
-            locals_[fv].add_node(u, graph.node_label(u))
-            locals_[fv].add_edge(v, u, weight=w, label=label)
-            outer[fv].add(u)
-
-    # F_i.I: owned nodes with an incoming cross edge.
-    for u, v, _w in graph.edges():
-        fu, fv = assignment[u], assignment[v]
-        if fu != fv:
-            inner[fv].add(v)
-            if not graph.directed:
-                inner[fu].add(u)
-
-    fragments = [Fragment(fid, locals_[fid], owned[fid], inner[fid],
-                          outer[fid]) for fid in range(num_fragments)]
+    fragments = []
+    for fid in range(m):
+        owned = set(itertools.compress(keys, (fids == fid).tolist()))
+        ids = list(map(base.id_of.__getitem__, owned))
+        ids += first_seen(head[tail_fid == fid])
+        local = np.empty(n, dtype=np.int64)
+        local[ids] = np.arange(len(ids))
+        sel = np.flatnonzero((tails == fid) | (not graph.directed)
+                             & (heads == fid))
+        at = local[rows[sel]]
+        order = np.argsort(at * cols.shape[0] + when[sel])  # keys unique
+        sel, nodes = sel[order], [node_of[i] for i in ids]
+        snap = CSRGraph.from_arrays(
+            directed=graph.directed, node_of=nodes,
+            indptr=np.searchsorted(at[order], np.arange(len(ids) + 1)),
+            indices=local[cols[sel]], weights=base.weights[sel],
+            labels=[base.labels[i] for i in ids])
+        labels = {e: lbl for e, lbl in graph._edge_labels.items()
+                  if assignment[e[0]] == fid or not graph.directed
+                  and assignment[e[1]] == fid}
+        frag = Fragment(fid, snap.to_graph(labels), owned, {
+            node_of[i] for i in first_seen(head[part[head] == fid])},
+            set(nodes[len(owned):]))
+        frag.install_csr(snap)
+        fragments.append(frag)
     return Fragmentation(graph, fragments, strategy_name=strategy_name)
 
 

@@ -19,9 +19,13 @@ partitions, 1-D and 2-D partitions, and a streaming-style strategy
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
+import numpy as np
+
+from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph, Node
 from repro.partition.base import (Fragmentation, PartitionStrategy,
                                   build_vertex_cut_fragments)
@@ -37,6 +41,8 @@ __all__ = [
     "get_strategy",
     "STRATEGIES",
 ]
+
+Level = Tuple[np.ndarray, np.ndarray, np.ndarray]  # indptr, indices, weights
 
 
 class HashPartition(PartitionStrategy):
@@ -161,6 +167,12 @@ class MetisLikePartition(PartitionStrategy):
        coarsest graph;
     3. *Uncoarsening*: project the partition back up, applying a
        Kernighan–Lin-style boundary refinement pass at every level.
+
+    Each level is a CSR table over dense ids whose rows list neighbours
+    and add weights in the order an edge-by-edge dict of dicts would, so
+    the assignment is the dict version's (visit order, ties, float sums).
+    A refinement pass visits only nodes on the cut at its start or next
+    to one it moved: any other has every neighbour at home and stays.
     """
 
     name = "metis"
@@ -178,102 +190,101 @@ class MetisLikePartition(PartitionStrategy):
         return random.Random(self.seed)
 
     # -- coarsening ---------------------------------------------------
-    def _heavy_edge_matching(self, adj: Dict[Node, Dict[Node, float]],
-                             ) -> Dict[Node, Node]:
+    @staticmethod
+    def _heavy_edge_matching(level: Level) -> List[int]:
         """Match each node with its heaviest unmatched neighbor
         (deterministic: nodes visited in degree order, ties broken by
-        adjacency order — no randomness in this phase)."""
-        matched: Dict[Node, Node] = {}
-        order = sorted(adj, key=lambda v: len(adj[v]))
-        for v in order:
-            if v in matched:
-                continue
-            best, best_w = None, -1.0
-            for u, w in adj[v].items():
-                if u not in matched and u != v and w > best_w:
-                    best, best_w = u, w
-            if best is None:
-                matched[v] = v
-            else:
-                matched[v] = best
-                matched[best] = v
-        return matched
+        adjacency order — no randomness in this phase); an unmatched
+        node is its own partner."""
+        indptr, cols, weights = level
+        ptr, cols, weights = indptr.tolist(), cols.tolist(), weights.tolist()
+        match = [-1] * (len(ptr) - 1)
+        for v in np.argsort(np.diff(indptr), kind="stable").tolist():
+            if match[v] < 0:
+                best, best_w = v, -1.0
+                for u, w in zip(cols[ptr[v]:ptr[v + 1]],
+                                weights[ptr[v]:ptr[v + 1]]):
+                    if match[u] < 0 and w > best_w:
+                        best, best_w = u, w
+                match[v], match[best] = best, v
+        return match
 
-    def _coarsen(self, adj: Dict[Node, Dict[Node, float]]):
-        """One coarsening level; returns (coarse_adj, mapping fine->coarse)."""
-        matched = self._heavy_edge_matching(adj)
-        coarse_of: Dict[Node, int] = {}
-        next_id = 0
-        for v in adj:
-            if v in coarse_of:
-                continue
-            partner = matched[v]
-            coarse_of[v] = next_id
-            coarse_of[partner] = next_id
-            next_id += 1
-        coarse: Dict[int, Dict[int, float]] = {i: {} for i in range(next_id)}
-        for v, nbrs in adj.items():
-            cv = coarse_of[v]
-            for u, w in nbrs.items():
-                cu = coarse_of[u]
-                if cu == cv:
-                    continue
-                coarse[cv][cu] = coarse[cv].get(cu, 0.0) + w
-        return coarse, coarse_of
+    def _coarsen(self, level: Level) -> Tuple[Level, np.ndarray]:
+        """One coarsening level: the coarse level and the fine -> coarse
+        map (a pair's id ranks its first member in node order)."""
+        indptr, cols, weights = level
+        rep = np.minimum(np.arange(indptr.shape[0] - 1),
+                         self._heavy_edge_matching(level))
+        coarse_of = np.unique(rep, return_inverse=True)[1]
+        rows = np.repeat(coarse_of, np.diff(indptr))
+        keep = rows != coarse_of[cols]
+        return _collapse(rows[keep], coarse_of[cols[keep]], weights[keep],
+                         int(coarse_of.max(initial=-1)) + 1), coarse_of
 
     # -- initial partition ---------------------------------------------
-    def _initial_partition(self, adj: Dict[Node, Dict[Node, float]],
-                           num_fragments: int,
-                           rng: random.Random) -> Dict[Node, int]:
-        """Greedy balanced BFS growth from random seeds."""
-        nodes = list(adj)
-        target = -(-len(nodes) // num_fragments)
-        unassigned = set(nodes)
-        assignment: Dict[Node, int] = {}
+    @staticmethod
+    def _initial_partition(level: Level, names: Sequence, num_fragments: int,
+                           rng: random.Random) -> Tuple[List[int], List[int]]:
+        """Greedy balanced BFS growth from random seeds (free nodes in
+        ``repr`` order of ``names``): the parts and the placing order."""
+        ptr, cols = level[0].tolist(), level[1].tolist()
+        n = len(ptr) - 1
+        target = -(-n // num_fragments)
+        by_repr = sorted(range(n), key=lambda v: repr(names[v]))
+        part, placed = [-1] * n, []
         for fid in range(num_fragments):
-            if not unassigned:
+            if len(placed) == n:
                 break
-            seed = rng.choice(sorted(unassigned, key=repr))
-            frontier = [seed]
+            frontier = [rng.choice([v for v in by_repr if part[v] < 0])]
             size = 0
             while frontier and size < target:
                 v = frontier.pop()
-                if v not in unassigned:
+                if part[v] >= 0:
                     continue
-                unassigned.discard(v)
-                assignment[v] = fid
+                part[v] = fid
+                placed.append(v)
                 size += 1
-                frontier.extend(u for u in adj[v] if u in unassigned)
-        for v in [u for u in nodes if u in unassigned]:  # not hash order
-            assignment[v] = rng.randrange(num_fragments)
-        return assignment
+                frontier.extend(u for u in cols[ptr[v]:ptr[v + 1]]
+                                if part[u] < 0)
+        for v in [u for u in range(n) if part[u] < 0]:
+            part[v] = rng.randrange(num_fragments)
+            placed.append(v)
+        return part, placed
 
     # -- refinement ----------------------------------------------------
-    def _refine(self, adj: Dict[Node, Dict[Node, float]],
-                assignment: Dict[Node, int], num_fragments: int) -> None:
+    def _refine(self, level: Level, part: List[int],
+                num_fragments: int) -> None:
         """KL-style pass: move boundary nodes to the fragment where they
         have the largest connection gain, respecting a balance cap."""
-        sizes = [0] * num_fragments
-        for fid in assignment.values():
-            sizes[fid] += 1
-        cap = max(2, int(1.05 * len(assignment) / num_fragments) + 1)
+        indptr, cols, weights = level
+        n = len(part)
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        # a node with all neighbours at home stays, unless weights < 0
+        home = (weights >= 0).all()
+        ptr, adj, wts = indptr.tolist(), cols.tolist(), weights.tolist()
+        sizes = np.bincount(part, minlength=num_fragments).tolist()
+        cap = max(2, int(1.05 * n / num_fragments) + 1)
         for _ in range(self.refine_passes):
             moved = 0
-            for v, nbrs in adj.items():
-                if not nbrs:
-                    continue
-                cur = assignment[v]
+            at = np.array(part, dtype=np.int64)
+            visit = np.zeros(n, dtype=bool)
+            visit[rows[(at[rows] != at[cols]) | ~home]] = True
+            visit = visit.tolist()  # compress reads it as the pass goes
+            for v in itertools.compress(range(n), visit):
+                cur = part[v]
                 conn = [0.0] * num_fragments
-                for u, w in nbrs.items():
-                    conn[assignment[u]] += w
-                best = max(range(num_fragments),
-                           key=lambda f: (conn[f], f == cur))
-                if best != cur and conn[best] > conn[cur] \
-                        and sizes[best] < cap and sizes[cur] > 1:
-                    assignment[v] = best
+                nbrs = adj[ptr[v]:ptr[v + 1]]
+                for u, w in zip(nbrs, wts[ptr[v]:ptr[v + 1]]):
+                    conn[part[u]] += w
+                top = max(conn)  # the first best; a tie keeps ``cur``
+                best = cur if conn[cur] == top else conn.index(top)
+                if best != cur and sizes[best] < cap and sizes[cur] > 1:
+                    part[v] = best
                     sizes[cur] -= 1
                     sizes[best] += 1
                     moved += 1
+                    for u in nbrs:
+                        visit[u] = True
             if not moved:
                 break
 
@@ -282,32 +293,48 @@ class MetisLikePartition(PartitionStrategy):
         # that draws randomness (initial-partition seeding/spill); the
         # coarsening and refinement phases are deterministic.
         rng = self._rng()
-        # Symmetrized weighted adjacency for the cut objective.
-        adj: Dict[Node, Dict[Node, float]] = {v: {} for v in graph.nodes()}
-        for u, v, w in graph.edges():
-            if u == v:
-                continue
-            adj[u][v] = adj[u].get(v, 0.0) + w
-            adj[v][u] = adj[v].get(u, 0.0) + w
-
-        levels = []  # (adj, fine->coarse map)
-        current = adj
-        while len(current) > max(self.coarsen_until,
-                                 4 * num_fragments):
+        snap = CSRGraph.from_graph(graph)
+        n, cols = snap.n, snap.indices
+        rows = np.repeat(np.arange(n), np.diff(snap.indptr))
+        # the cut objective's weighted adjacency, symmetrized edge by edge
+        # (an undirected edge once, from its earlier row)
+        keep = np.flatnonzero(rows != cols if graph.directed else rows < cols)
+        pairs = np.stack((rows[keep], cols[keep]), axis=1)
+        current = _collapse(pairs.ravel(), pairs[:, ::-1].ravel(),
+                            np.repeat(snap.weights[keep], 2), n)
+        levels = []  # (level, fine -> coarse map)
+        while n > max(self.coarsen_until, 4 * num_fragments):
             coarse, mapping = self._coarsen(current)
-            if len(coarse) >= len(current):  # no progress (all isolated)
+            if coarse[0].shape[0] - 1 >= n:  # no progress (all isolated)
                 break
             levels.append((current, mapping))
-            current = coarse
+            current, n = coarse, coarse[0].shape[0] - 1
 
-        assignment = self._initial_partition(current, num_fragments, rng)
-        self._refine(current, assignment, num_fragments)
+        part, placed = self._initial_partition(
+            current, range(n) if levels else snap.node_of, num_fragments, rng)
+        self._refine(current, part, num_fragments)
 
         # Project back through the levels, refining at each.
-        for fine_adj, mapping in reversed(levels):
-            assignment = {v: assignment[mapping[v]] for v in fine_adj}
-            self._refine(fine_adj, assignment, num_fragments)
-        return assignment
+        for fine, mapping in reversed(levels):
+            part = np.array(part, dtype=np.int64)[mapping].tolist()
+            self._refine(fine, part, num_fragments)
+        return {snap.node_of[v]: part[v]
+                for v in (range(snap.n) if levels else placed)}
+
+
+def _collapse(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
+              n: int) -> Level:
+    """The level of ``n`` nodes a dict of dicts filled with the entries
+    ``(rows, cols, weights)`` in order would hold: columns by first entry,
+    repeats added from ``0.0`` in entry order (``ufunc.at`` is in order)."""
+    width = max(n, 1)
+    uniq, first, inverse = np.unique(rows * width + cols, return_index=True,
+                                     return_inverse=True)
+    summed = np.zeros(uniq.shape[0])
+    np.add.at(summed, inverse, weights)
+    order = np.argsort(uniq // width * rows.shape[0] + first)
+    return (np.searchsorted(uniq // width, np.arange(n + 1)),
+            (uniq % width)[order], summed[order])
 
 
 class VertexCutPartition(PartitionStrategy):

@@ -2,6 +2,10 @@
 construction and the exact supersteps, bytes and messages of SSSP and CC
 on one small seeded graph."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.baselines import (BlogelEngine, CCBlockProgram, CCGASProgram,
@@ -25,11 +29,12 @@ def test_worker_count_checked_at_construction(engine):
         ENGINES[engine](0)
 
 
+# Pregel and GAS place vertex v on worker stable_hash(v) % workers
 @pytest.mark.parametrize("engine,query,supersteps,comm_bytes,messages", [
-    ("pregel", "sssp", 9, 2944, 92),
-    ("pregel", "cc", 8, 6880, 215),
-    ("gas", "sssp", 8, 9184, 287),
-    ("gas", "cc", 7, 43904, 1372),
+    ("pregel", "sssp", 9, 3104, 97),
+    ("pregel", "cc", 8, 7360, 230),
+    ("gas", "sssp", 8, 8864, 277),
+    ("gas", "cc", 7, 42688, 1334),
     ("blogel", "sssp", 5, 1312, 41),
     ("blogel", "cc", 3, 2208, 69),
 ])
@@ -49,3 +54,27 @@ def test_accounting_is_pinned(engine, query, supersteps, comm_bytes,
     assert (metrics.supersteps, metrics.comm_bytes,
             metrics.comm_messages) == (supersteps, comm_bytes, messages)
     assert metrics.backend == "serial"
+
+
+def test_placement_is_stable_across_hash_seeds():
+    """Pregel and GAS place vertices by ``stable_hash``, not builtin
+    ``hash``: on tuple node ids (the ratings graph's) their counts are
+    the same under every ``PYTHONHASHSEED``."""
+    code = (
+        "from repro.baselines import *;"
+        "from repro.graph.generators import uniform_random_graph;"
+        "from repro.graph.graph import Graph;"
+        "g = uniform_random_graph(40, 60, directed=False, seed=7);"
+        "t = Graph(directed=False);"
+        "[t.add_edge((u, 'x'), (v, 'x'), weight=w) for u, v, w in g.edges()];"
+        "ms = [E(3).run(P(), t, (0, 'x')).metrics for E, P in ("
+        "(PregelEngine, SSSPVertexProgram), (GASEngine, SSSPGASProgram))];"
+        "print([(m.supersteps, m.comm_bytes, m.comm_messages) for m in ms])")
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src))
+        for seed in ("0", "1", "2")]
+    outputs = {proc.communicate(timeout=120)[0] for proc in procs}
+    assert [proc.returncode for proc in procs] == [0, 0, 0]
+    assert len(outputs) == 1

@@ -10,9 +10,9 @@ gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gate)
 
 
-def _result(overhead=7.0, failed=0, share=0.0, correct=True, rebuilds=4,
+def _result(overhead=7.0, failed=0, share=0.0, correct=True, rebuilds=0,
             cc_overhead=4.0, hash_ms=12.0, build_ms=8.0, load_ms=36.5,
-            write_ms=16.9):
+            write_ms=16.9, partition_ms=40.0):
     return {"correct": correct, "attempted": 220, "failed": failed,
             "metrics": {"overhead.sssp_x": {"value": overhead, "unit": "x"},
                         "overhead.cc_x": {"value": cc_overhead, "unit": "x"},
@@ -21,6 +21,8 @@ def _result(overhead=7.0, failed=0, share=0.0, correct=True, rebuilds=4,
                         "graph.content_hash_ms": {"value": hash_ms,
                                                   "unit": "ms"},
                         "graph.csr.build_ms": {"value": build_ms,
+                                               "unit": "ms"},
+                        "partition.build_ms": {"value": partition_ms,
                                                "unit": "ms"},
                         "store.snapshot.load_ms": {"value": load_ms,
                                                    "unit": "ms"},
@@ -56,6 +58,9 @@ def test_fails_when_reads_after_writes_rebuild_snapshots_again():
     assert gate.check(_result(rebuilds=gate.MAX_CSR_REBUILDS)) == []
     (problem,) = gate.check(_result(rebuilds=20))  # the count before splices
     assert "graph.csr.rebuilds = 20" in problem
+    # ... and before fresh partitions installed their snapshots
+    (problem,) = gate.check(_result(rebuilds=4))
+    assert "graph.csr.rebuilds = 4 > 0" in problem
     result = _result()
     del result["metrics"]["graph.csr.rebuilds"]
     assert gate.check(result)
@@ -71,6 +76,17 @@ def test_fails_when_the_content_hash_visits_every_record_again():
         result = _result()
         del result["metrics"][name]
         assert gate.check(result)
+
+
+def test_fails_when_the_partition_is_built_edge_by_edge_again():
+    bound = gate.MAX_PARTITION_OVER_CSR_BUILD_X
+    assert gate.check(_result(partition_ms=bound * 8.0, build_ms=8.0)) == []
+    # dict graphs filled edge by edge, social-hashcut
+    (problem,) = gate.check(_result(partition_ms=77.0, build_ms=9.2))
+    assert "partition.build_ms = 77.0 > 6.5 x" in problem
+    result = _result()
+    del result["metrics"]["partition.build_ms"]
+    assert gate.check(result)
 
 
 def test_fails_when_a_restart_builds_dict_graphs_again():

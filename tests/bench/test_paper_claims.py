@@ -19,9 +19,8 @@ _spec.loader.exec_module(ledger)
 ROW_IDS = [row.id for row in ledger.ROWS]
 # No direction asserted: GRAPE's SubIso ships more bytes than Pregel's on
 # the generated graphs (a known cost; making it cheaper must not fail
-# here), and the Section 6 rows compare no systems.
-UNDIRECTED = {"fig8-subiso-powerlaw", "fig8-subiso-knowledge",
-              "sec6-bisimulation", "sec6-chain"}
+# here).
+UNDIRECTED = {"fig8-subiso-powerlaw", "fig8-subiso-knowledge"}
 
 
 @pytest.fixture(scope="module")

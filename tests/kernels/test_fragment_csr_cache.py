@@ -1,5 +1,6 @@
-"""Fragment CSR snapshot lifecycle: lazy build, reuse, invalidation, and
-the splice of the next snapshot from the retired one."""
+"""Fragment CSR snapshot lifecycle: the snapshot a fresh partition
+installs, lazy build, reuse, invalidation, and the splice of the next
+snapshot from the retired one."""
 
 import sys
 import threading
@@ -16,11 +17,26 @@ from repro.pie_programs import SSSPProgram
 
 
 def make_fragmentation(num_fragments=3, seed=0):
+    """A fresh partition with its installed snapshots let go: the
+    lifecycle of a fragment that has none (built lazily, spliced)."""
     g = uniform_random_graph(40, 120, seed=seed)
-    return GrapeEngine(num_fragments).make_fragmentation(g)
+    fragmentation = GrapeEngine(num_fragments).make_fragmentation(g)
+    fragmentation.release_snapshots()
+    return fragmentation
 
 
 class TestFragmentSnapshot:
+    def test_a_fresh_partition_installs_its_snapshots(self):
+        g = uniform_random_graph(40, 120, seed=0)
+        for frag in GrapeEngine(3).make_fragmentation(g):
+            assert frag.csr_cached and frag.csr_builds == 0
+            snap, fresh = frag.csr(), CSRGraph.from_graph(frag.graph)
+            assert snap.node_of == fresh.node_of
+            for name in ("indptr", "indices", "weights"):
+                assert np.array_equal(getattr(snap, name),
+                                      getattr(fresh, name))
+            assert frag.csr_builds == 0
+
     def test_lazy_build_and_reuse(self):
         frag = make_fragmentation()[0]
         assert frag.csr_builds == 0
@@ -252,8 +268,9 @@ class TestDerivedTables:
         u, v = self.cross_edge_onto_a_fresh_inner_node(g, fragmentation)
         apply_delta(fragmentation, GraphDelta().insert(u, v, 1.0))
         self.touch(fragmentation)
+        # one build: the first snapshot was the partitioner's, installed
         assert [(f.csr_builds, f.tables_carried, f.tables_rebuilt)
-                for f in fragmentation] == [(2, 0, 4)] * 3
+                for f in fragmentation] == [(1, 0, 4)] * 3
         assert_derived_state_fresh(fragmentation)
 
 

@@ -4,7 +4,6 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.graph.graph import Graph
-from repro.optim.compression import bisimulation_compress, decompress_sim
 from repro.optim.grouping import grouped_bytes, ungrouped_bytes
 from repro.optim.indexing import NeighborhoodIndex
 from repro.sequential.simulation import maximum_simulation
@@ -41,18 +40,6 @@ def test_neighborhood_index_is_sound(g, pattern):
     candidates = NeighborhoodIndex(g).candidates(pattern)
     for u in pattern.nodes():
         assert truth[u] <= candidates[u]
-
-
-@given(labeled_digraphs(), small_patterns())
-@settings(max_examples=60, deadline=None)
-def test_bisimulation_compression_preserves_sim(g, pattern):
-    """Q(G) computed on the quotient and lifted equals the direct answer
-    — the query-preserving property."""
-    compressed, rep = bisimulation_compress(g)
-    assert compressed.num_nodes <= g.num_nodes
-    direct = maximum_simulation(pattern, g)
-    lifted = decompress_sim(maximum_simulation(pattern, compressed), rep)
-    assert lifted == direct
 
 
 @given(st.dictionaries(

@@ -23,7 +23,9 @@ class TestServiceCSRCounters:
         with make_service() as service:
             service.play("sssp", query=0, graph="g")
             built = service.stats.csr_snapshots_built
-            assert built > 0
+            # the partitioner installed every snapshot: none was built
+            assert built == 0
+            assert all(f.csr_cached for f in service.fragmentation("g"))
             # Same cached fragmentation, snapshots reused.
             service.play("sssp", query=1, graph="g")
             service.play("bfs", query=0, graph="g")
@@ -33,7 +35,7 @@ class TestServiceCSRCounters:
     def test_insert_edges_counts_invalidations(self):
         with make_service() as service:
             watch = service.watch("sssp", 0, graph="g")
-            assert service.stats.csr_snapshots_built > 0
+            assert all(f.csr_cached for f in service.fragmentation("g"))
             service.insert_edges("g", [(0, 39, 0.01)])
             assert service.stats.csr_snapshot_invalidations >= 1
             assert watch.answer[39] <= 0.01
@@ -62,12 +64,13 @@ class TestServiceCSRCounters:
     def test_counters_survive_cache_retirement(self):
         with make_service() as service:
             service.play("sssp", query=0, graph="g")
-            built = service.stats.csr_snapshots_built
+            # (tables from the sets: snapshots are installed, not built)
+            built = service.stats.derived_tables_rebuilt
             assert built > 0
             service.load_graph("g", uniform_random_graph(40, 140, seed=4),
                                replace=True)
             service.play("sssp", query=0, graph="g")
-            assert service.stats.csr_snapshots_built > built
+            assert service.stats.derived_tables_rebuilt > built
 
     def test_retired_fragmentations_hold_no_arrays(self):
         """A handle on a retired fragmentation (a caller's, an old
@@ -91,7 +94,7 @@ class TestServiceCSRCounters:
             assert frag._csr is None and frag._csr_pending is None
             assert frag._border_table is None
         # ... and what it counted is still in the service's totals
-        assert service.stats.csr_snapshots_built >= len(held.fragments)
+        assert service.stats.csr_snapshot_invalidations >= 1
         assert service.stats.border_index_patches == patched
 
     def test_repr_folds_counters_in(self):
@@ -146,7 +149,7 @@ class TestDerivedTablesCrossTheSplice:
         svc.play("sssp", 0, graph="g")
         svc.play("cc", None, graph="g")
         before, carried = self.counters(svc), svc.stats.derived_tables_carried
-        assert before[0] == 4 and carried == 0
+        assert before[0] == 0 and carried == 0  # snapshots installed
         for program, query in (("sssp", 0), ("cc", None)) * 2:
             svc.update("g", mixed_batch(graph, rng))
             moved = svc.fragmentation("g").csr_snapshot_invalidations
@@ -164,7 +167,7 @@ class TestDerivedTablesCrossTheSplice:
         assert any(f.csr().remap is not None
                    for f in svc.fragmentation("g"))  # ids did move
         row = svc.debug_report()["layers"]["graph"]
-        assert row == {"csr_snapshots_built": 4,
+        assert row == {"csr_snapshots_built": 0,
                        "csr_snapshots_patched": svc.stats.csr_snapshots_patched,
                        "derived_tables_carried": after,
                        "derived_tables_rebuilt": before[1]}
@@ -203,7 +206,7 @@ class TestDerivedTablesCrossTheSplice:
             stats = svc.stats
             built, carried = stats.csr_snapshots_built, \
                 stats.derived_tables_carried
-            assert built == 4 and carried == 0
+            assert built == 0 and carried == 0  # installed, attached
             svc.update("g", mixed_batch(graph, random.Random(3)))
             svc.play("cc", None, graph="g")
             stats = svc.stats

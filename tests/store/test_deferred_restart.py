@@ -74,3 +74,25 @@ def test_a_read_only_restart_builds_no_dict_graph(tmp_path):
         assert_oracle_equal(play_all(served), g, reference)
     finally:
         served.close()
+
+
+def test_a_fresh_partition_builds_no_snapshot_and_no_dict_graph():
+    """A fresh partition serves like a restart: the partitioner installs
+    each fragment's CSR snapshot under a deferred dict graph, so a cold
+    service's first reads build neither.  The first ``update()`` fills
+    the dicts of the fragments its batch mutates — at most one per
+    fragment; this batch's edge joins two fragments, so two."""
+    g = uniform_random_graph(80, 240, directed=False, seed=12)
+    with GrapeService(engine=CONFIG) as service:
+        service.load_graph("g", g)
+        answers = play_all(service)
+        assert service.stats.csr_snapshots_built == 0
+        assert service.stats.dict_graphs_materialised == 0
+        assert answers["sssp"] == pytest.approx(sssp_distances(g, 0))
+        owner = service.fragmentation("g").gp.owner
+        assert owner(0) != owner(79)
+        service.update("g", GraphDelta().insert(0, 79, 0.05))
+        assert service.stats.dict_graphs_materialised == 2
+        g.add_edge(0, 79, weight=0.05)
+        assert service.play("sssp", 0, graph="g").answer \
+            == pytest.approx(sssp_distances(g, 0))
