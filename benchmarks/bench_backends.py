@@ -28,11 +28,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pathlib
 import platform
 import sys
 import time
 
-from _common import RESULTS_DIR
 from repro.core.engine import GrapeEngine
 from repro.graph.generators import grid_road_graph
 from repro.partition.base import PartitionStrategy
@@ -40,6 +40,7 @@ from repro.pie_programs import PageRankProgram, PageRankQuery, SSSPProgram
 from repro.runtime import shm
 from repro.runtime.executors import resolve_backend
 
+RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 BACKENDS = ("serial", "thread", "process")
 WORKER_SWEEP = (1, 2, 4, 8)
 FULL_SHAPE = (200, 250)    # 50k nodes, ~204k directed edges

@@ -19,15 +19,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import platform
 import random
 import time
 
-from _common import RESULTS_DIR
+from repro.core.engine import EngineConfig
 from repro.graph.generators import uniform_random_graph
 from repro.obs import events
 from repro.service import GrapeService
 
+RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 FULL_SHAPE = (3000, 10_000)   # nodes, edges
 QUICK_SHAPE = (600, 2000)
 FULL_QUERIES = 12
@@ -55,8 +57,8 @@ def serve_overhead(g, sources, backend, cycles):
     **median of per-cycle ratios** — linear drift cancels within a
     cycle, and a contention spike can corrupt at most one cycle.
     """
-    svc = GrapeService(backend=backend, grouping=False,
-                       tracing=True, slow_query_s=0.0)
+    svc = GrapeService(engine=EngineConfig(backend=backend),
+                       grouping=False, tracing=True, slow_query_s=0.0)
     svc.load_graph("soc", g)
     slow_log = svc.slow_queries
 

@@ -52,6 +52,17 @@ of the same traced run — must stay at or under
 ``MAX_LOAD_OVER_WRITE_X``: 1.4–2.2x with deferred graphs; 4.9–5.1x when
 the loader rebuilt every fragment's and the base graph's dicts and
 hashed the rebuilt base (social-hashcut, 2-core x86-64 Linux VM).
+
+And when an update batch has gone back to recomputing its standing
+queries (the 6.6x mixed-over-insert-only cliff of the churn workload
+before deletions took the bounded path): ``core.updates.fallback_reruns``
+— batches a session answered by re-running its query, summed over the
+traced schedule's SSSP and CC sessions — must stay at or under
+``MAX_FALLBACK_RERUNS``, and ``core.updates.partial_resets`` —
+non-monotone batches maintained by resetting their affected region —
+at or over ``MIN_PARTIAL_RESETS``: 0 would mean no mixed batch reached
+the bounded path.  Both are counts that repeat exactly: 0 and 16 of 24
+maintained refreshes on each of the four workloads.
 """
 
 from __future__ import annotations
@@ -65,6 +76,8 @@ MAX_CSR_REBUILDS = 0
 MAX_HASH_OVER_CSR_BUILD_X = 3.0
 MAX_PARTITION_OVER_CSR_BUILD_X = 6.5
 MAX_LOAD_OVER_WRITE_X = 3.0
+MAX_FALLBACK_RERUNS = 0
+MIN_PARTIAL_RESETS = 1
 
 
 def check(result: dict) -> list:
@@ -108,6 +121,17 @@ def check(result: dict) -> list:
                         f"{MAX_LOAD_OVER_WRITE_X:.0f} x "
                         f"store.snapshot.write_ms = {write_ms:.1f}: the "
                         "loader builds dict graphs again")
+    fallbacks = metrics.get("core.updates.fallback_reruns", {}).get("value")
+    resets = metrics.get("core.updates.partial_resets", {}).get("value")
+    if fallbacks is None or resets is None:
+        problems.append("no core.updates.fallback_reruns / "
+                        "core.updates.partial_resets in the result")
+    elif fallbacks > MAX_FALLBACK_RERUNS or resets < MIN_PARTIAL_RESETS:
+        problems.append(f"core.updates.fallback_reruns = {fallbacks:.0f} "
+                        f"(at most {MAX_FALLBACK_RERUNS}), "
+                        f"core.updates.partial_resets = {resets:.0f} "
+                        f"(at least {MIN_PARTIAL_RESETS}): update batches "
+                        "recompute their standing queries again")
     failed_share = metrics.get("failed_ops_share", {}).get("value")
     if result.get("failed", 0) or failed_share or not result.get("correct"):
         problems.append(f"failed operations: {result.get('failed')} of "
@@ -151,7 +175,12 @@ def main(argv) -> int:
               "store.snapshot.write_ms = "
               f"{metrics['store.snapshot.load_ms']['value']:.1f} / "
               f"{metrics['store.snapshot.write_ms']['value']:.1f} "
-              f"<= {MAX_LOAD_OVER_WRITE_X:.0f}, no failed operation")
+              f"<= {MAX_LOAD_OVER_WRITE_X:.0f}, "
+              "core.updates.fallback_reruns = "
+              f"{metrics['core.updates.fallback_reruns']['value']:.0f} "
+              f"<= {MAX_FALLBACK_RERUNS}, core.updates.partial_resets = "
+              f"{metrics['core.updates.partial_resets']['value']:.0f} "
+              f">= {MIN_PARTIAL_RESETS}, no failed operation")
     return 1 if problems else 0
 
 

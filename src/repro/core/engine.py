@@ -117,7 +117,8 @@ class EngineConfig:
     #: :exc:`~repro.resilience.errors.DeadlineExceeded`.  Enforced at
     #: every superstep boundary on all backends and *inside* worker
     #: pipe waits on the process backend (an inline superstep already in
-    #: compute finishes first — boundary granularity).
+    #: compute finishes first — boundary granularity).  A served query
+    #: that overruns counts in ``ServiceMetrics.deadlines_exceeded``.
     deadline_s: Optional[float] = None
     #: seconds without a worker heartbeat before the process backend
     #: declares the worker hung, kills it and (checkpoint permitting)

@@ -421,6 +421,16 @@ class CSRGraph:
     def num_directed_edges(self) -> int:
         return int(self.indices.shape[0])
 
+    @property
+    def num_edges(self) -> int:
+        """``Graph.num_edges`` of the graph this is a snapshot of: an
+        undirected edge is stored in both rows, a self loop in one."""
+        stored = self.num_directed_edges
+        if self.directed:
+            return stored
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        return (stored + int(np.count_nonzero(self.indices == rows))) // 2
+
     def to_graph(self, edge_labels: Optional[Dict[Edge, object]] = None
                  ) -> Graph:
         """The :class:`Graph` this is a snapshot of, with ``edge_labels``

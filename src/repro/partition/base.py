@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.graph.csr import (CSRGraph, int_array, positions_in_sorted,
                              splice_rows)
-from repro.graph.graph import Graph, Node
+from repro.graph.graph import DeferredGraph, Graph, Node
 
 __all__ = ["BorderIndex", "Fragment", "FragmentationGraph", "Fragmentation",
            "PartitionStrategy", "build_edge_cut_fragments",
@@ -356,10 +356,16 @@ class Fragment:
 
     @property
     def num_nodes(self) -> int:
+        snap = self._csr
+        if snap is not None and type(self.graph) is DeferredGraph:
+            return snap.n  # counting must not fill the dict graph
         return self.graph.num_nodes
 
     @property
     def num_edges(self) -> int:
+        snap = self._csr
+        if snap is not None and type(self.graph) is DeferredGraph:
+            return snap.num_edges
         return self.graph.num_edges
 
     def __repr__(self) -> str:

@@ -41,7 +41,6 @@ from repro.graph.delta import GraphDelta
 from repro.graph.graph import Graph
 from repro.obs import events as _events
 from repro.replication.admission import AdmissionController
-from repro.runtime.executors import ExecutorBackend
 from repro.service.facade import GrapeService
 from repro.store.catalog import (GenerationGapError, GraphStore,
                                  WALFollower)
@@ -71,7 +70,6 @@ class ReplicaService(GrapeService):
 
     def __init__(self, store_dir: Union[str, Path], *,
                  engine: Union[EngineConfig, GrapeEngine, None] = None,
-                 backend: Union[str, "ExecutorBackend", None] = None,
                  registry: Optional[PIERegistry] = None,
                  concurrency: int = 4,
                  admission: Optional[AdmissionController] = None,
@@ -79,7 +77,7 @@ class ReplicaService(GrapeService):
                  replica_id: str = "replica",
                  store_compact_threshold: Optional[int] = None,
                  store_retain_generations: Optional[int] = None):
-        super().__init__(engine=engine, backend=backend, registry=registry,
+        super().__init__(engine=engine, registry=registry,
                          concurrency=concurrency, admission=admission,
                          grouping=grouping, node_id=replica_id)
         self.replica_id = replica_id

@@ -70,7 +70,7 @@ from repro.replication.admission import (AdmissionController,
 from repro.resilience import (BackendCircuitBreaker, DeadlineExceeded,
                               QueryCancelled, RetryPolicy, run_with_retry)
 from repro.runtime import shm
-from repro.runtime.executors import ExecutorBackend, WorkerProcessDied
+from repro.runtime.executors import WorkerProcessDied
 from repro.runtime.metrics import (DERIVED_STATE_COUNTERS, PHASE_FIELDS,
                                    UPDATE_PHASE_FIELDS,
                                    ServiceMetrics)
@@ -241,15 +241,10 @@ class GrapeService:
     engine:
         Shared :class:`EngineConfig` (or a template :class:`GrapeEngine`
         whose spec is extracted); every query runs on a fresh engine built
-        from it.  Defaults to four workers.
-    backend:
-        Execution backend for every query this service runs:
-        ``"serial"``, ``"thread"``, ``"process"`` or an
-        :class:`~repro.runtime.executors.ExecutorBackend` instance.
-        Overrides the engine config's ``backend`` field; ``None`` keeps
-        it (which in turn falls back to the ``REPRO_BACKEND`` environment
-        variable).  Honored by ``play``, ``submit``/``submit_many`` and
-        the standing-query sessions created by ``watch``.
+        from it.  Defaults to four workers.  Its ``backend``,
+        ``deadline_s`` and ``heartbeat_timeout_s`` hold for ``play``,
+        ``submit``/``submit_many`` and the standing-query sessions
+        created by ``watch``.
     registry:
         Program store; defaults to a private copy of the default GRAPE
         library so per-service plug-ins stay local.
@@ -301,19 +296,10 @@ class GrapeService:
         transition is mirrored into ``stats``
         (``backend_degradations`` / ``backend_probes`` /
         ``backend_restorations``).
-    deadline_s / heartbeat_timeout_s:
-        Per-query time budget and hung-worker detection threshold,
-        folded into the shared engine config (see
-        :class:`~repro.core.engine.EngineConfig`).  A budget overrun
-        fails the query with
-        :exc:`~repro.resilience.DeadlineExceeded` (and is counted in
-        ``stats.deadlines_exceeded``); a process worker that stops
-        heart-beating is killed and, when checkpoints allow, replaced.
     """
 
     def __init__(self, *,
                  engine: Union[EngineConfig, GrapeEngine, None] = None,
-                 backend: Union[str, "ExecutorBackend", None] = None,
                  registry: Optional[PIERegistry] = None,
                  concurrency: int = 4,
                  store_dir: Union[str, Path, None] = None,
@@ -324,21 +310,11 @@ class GrapeService:
                  grouping: bool = True,
                  retry: Optional[RetryPolicy] = None,
                  degradation: Union[bool, BackendCircuitBreaker] = False,
-                 deadline_s: Optional[float] = None,
-                 heartbeat_timeout_s: Optional[float] = None,
                  tracing: bool = False,
                  slow_query_s: Optional[float] = None):
         if isinstance(engine, GrapeEngine):
             engine = engine.config
         self.engine_config = engine or EngineConfig()
-        if backend is not None:
-            self.engine_config = self.engine_config.replace(backend=backend)
-        if deadline_s is not None:
-            self.engine_config = self.engine_config.replace(
-                deadline_s=deadline_s)
-        if heartbeat_timeout_s is not None:
-            self.engine_config = self.engine_config.replace(
-                heartbeat_timeout_s=heartbeat_timeout_s)
         self.retry = retry
         if isinstance(degradation, BackendCircuitBreaker):
             self.breaker: Optional[BackendCircuitBreaker] = degradation

@@ -12,7 +12,7 @@ _spec.loader.exec_module(gate)
 
 def _result(overhead=7.0, failed=0, share=0.0, correct=True, rebuilds=0,
             cc_overhead=4.0, hash_ms=12.0, build_ms=8.0, load_ms=36.5,
-            write_ms=16.9, partition_ms=40.0):
+            write_ms=16.9, partition_ms=40.0, fallbacks=0, resets=16):
     return {"correct": correct, "attempted": 220, "failed": failed,
             "metrics": {"overhead.sssp_x": {"value": overhead, "unit": "x"},
                         "overhead.cc_x": {"value": cc_overhead, "unit": "x"},
@@ -28,6 +28,10 @@ def _result(overhead=7.0, failed=0, share=0.0, correct=True, rebuilds=0,
                                                    "unit": "ms"},
                         "store.snapshot.write_ms": {"value": write_ms,
                                                     "unit": "ms"},
+                        "core.updates.fallback_reruns": {"value": fallbacks,
+                                                         "unit": "count"},
+                        "core.updates.partial_resets": {"value": resets,
+                                                        "unit": "count"},
                         "failed_ops_share": {"value": share,
                                              "unit": "share"}}}
 
@@ -99,6 +103,23 @@ def test_fails_when_a_restart_builds_dict_graphs_again():
         result = _result()
         del result["metrics"][name]
         assert gate.check(result)
+
+
+def test_fails_when_update_batches_recompute_again():
+    # 0 fallback reruns and 16 partial resets: the traced social-hashcut run
+    assert gate.check(_result(fallbacks=0, resets=16)) == []
+    assert gate.check(_result(resets=gate.MIN_PARTIAL_RESETS)) == []
+    (problem,) = gate.check(_result(fallbacks=1))
+    assert "core.updates.fallback_reruns = 1 (at most 0)" in problem
+    # no mixed batch reached the bounded path
+    (problem,) = gate.check(_result(resets=0))
+    assert "core.updates.partial_resets = 0 (at least 1)" in problem
+    for name in ("core.updates.fallback_reruns",
+                 "core.updates.partial_resets"):
+        result = _result()
+        del result["metrics"][name]
+        (problem,) = gate.check(result)
+        assert problem.startswith("no core.updates.fallback_reruns")
 
 
 def test_fails_on_any_failed_operation():

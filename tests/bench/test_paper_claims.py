@@ -34,7 +34,8 @@ def _counts(row):
     """Every count of a row, without its wall times."""
     return json.dumps({k: v for k, v in row.items() if k != "wall_s"},
                       sort_keys=True, default=lambda c: [
-                          c.supersteps, c.comm_bytes, c.comm_messages])
+                          c.supersteps, c.comm_bytes, c.comm_messages,
+                          c.largest_fragment])
 
 
 @pytest.mark.parametrize("row_id", [i for i in ROW_IDS if i not in UNDIRECTED])
@@ -52,6 +53,19 @@ def test_sssp_rows_record_their_reach(runs):
         if row["id"].startswith(("fig8-sssp", "table1")):
             assert len(row["reach"]) == row["inputs"]["queries"]
             assert all(0 < share <= 1 for share in row["reach"])
+
+
+def test_locality_aware_partitions_cut_and_ship_less_on_the_road_grid(runs):
+    row = runs[0]["sec6-partition"]
+    for graph in row["graphs"].values():
+        assert list(graph["strategies"]) == [
+            "hash", "range", "grid", "streaming", "metis"]
+    menu = row["graphs"]["road"]["strategies"]
+    assert menu["metis"]["cut_edges"] < menu["hash"]["cut_edges"]
+    assert menu["streaming"]["cut_edges"] < menu["hash"]["cut_edges"]
+    assert (menu["metis"]["grape"].comm_bytes
+            < menu["hash"]["grape"].comm_bytes)
+    assert all(s["balanced"] for s in menu.values())
 
 
 def test_check_answer_rejects_a_wrong_answer():

@@ -74,8 +74,8 @@ def test_chaos_thread_with_store(oracle, tmp_path):
              .plan("store.wal.append", "torn", at=1)
              .plan("store.wal.append", "fsync", at=3)
              .rate("exec.step", "crash", 0.02, times=2))
-    svc = GrapeService(engine=EngineConfig(num_workers=4),
-                       backend="thread", store_dir=tmp_path / "store",
+    svc = GrapeService(engine=EngineConfig(num_workers=4, backend="thread"),
+                       store_dir=tmp_path / "store",
                        node_id="p",
                        retry=RetryPolicy(max_attempts=6,
                                          base_backoff_s=0.001,
@@ -108,9 +108,9 @@ def test_chaos_process_store_replica(oracle, tmp_path):
              .plan("store.wal.append", "fsync", at=2)
              .plan("replication.tail", "stall", key="soc", at=1)
              .rate("replication.tail", "stall", 0.2, times=2))
-    svc = GrapeService(engine=EngineConfig(num_workers=4),
-                       backend="process", store_dir=tmp_path / "store",
-                       node_id="primary", heartbeat_timeout_s=0.4,
+    svc = GrapeService(engine=EngineConfig(num_workers=4, backend="process",
+                                           heartbeat_timeout_s=0.4),
+                       store_dir=tmp_path / "store", node_id="primary",
                        retry=RetryPolicy(max_attempts=6,
                                          base_backoff_s=0.001,
                                          jitter=0.0),

@@ -184,11 +184,6 @@ class TestEngineConfig:
             GrapeEngine(**fields)
         with pytest.raises(ValueError):
             EngineConfig().replace(**fields)
-        if "backend" in fields:
-            from repro import GrapeService
-
-            with pytest.raises(ValueError, match="unknown backend"):
-                GrapeService(backend=fields["backend"])
 
     def test_a_backend_name_is_checked_without_building_one(
             self, monkeypatch):

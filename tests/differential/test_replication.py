@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.core.engine import EngineConfig
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import uniform_random_graph
 from repro.pie_programs import PageRankQuery
@@ -51,10 +52,11 @@ def mixed_batch(g, rng, i):
 def test_replica_answers_equal_primary_after_mixed_churn(backend, tmp_path):
     g = uniform_random_graph(60, 200, directed=False, seed=31)
     rng = random.Random(47)
-    with GrapeService(backend=backend, store_dir=tmp_path / "store",
+    engine = EngineConfig(backend=backend)
+    with GrapeService(engine=engine, store_dir=tmp_path / "store",
                       node_id="primary") as primary:
         primary.load_graph("soc", g)
-        replica = ReplicaService(tmp_path / "store", backend=backend,
+        replica = ReplicaService(tmp_path / "store", engine=engine,
                                  replica_id="r1")
         try:
             watch_p = primary.watch("sssp", 0, graph="soc")

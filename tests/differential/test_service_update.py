@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import EngineConfig
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import uniform_random_graph
 from repro.sequential import connected_components, sssp_distances
@@ -50,7 +51,7 @@ def mixed_delta(g, rng_edges):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_mixed_update_with_active_watches(backend):
     g = uniform_random_graph(70, 220, directed=False, seed=42)
-    with GrapeService(backend=backend) as service:
+    with GrapeService(engine=EngineConfig(backend=backend)) as service:
         service.load_graph("social", g)
         sssp_watch = service.watch("sssp", 0, graph="social")
         cc_watch = service.watch("cc", graph="social")
@@ -104,7 +105,7 @@ def test_watch_answers_survive_update_streams(backend):
     """Interleaved monotone and non-monotone batches: the maintained
     answers track the oracles at every step."""
     g = uniform_random_graph(50, 140, directed=False, seed=7)
-    with GrapeService(backend=backend) as service:
+    with GrapeService(engine=EngineConfig(backend=backend)) as service:
         service.load_graph("g", g)
         sssp_watch = service.watch("sssp", 0, graph="g")
         cc_watch = service.watch("cc", graph="g")

@@ -64,8 +64,9 @@ class Scenario:
     def __init__(self, graph_key: str, directed: bool, program: str):
         make_graph, partition = GRAPHS[graph_key]
         self.g = g = make_graph(directed)
-        self.service = GrapeService(backend="serial", engine=EngineConfig(
-            num_workers=4, partition=get_strategy(partition)))
+        self.service = GrapeService(engine=EngineConfig(
+            num_workers=4, partition=get_strategy(partition),
+            backend="serial"))
         self.service.load_graph("g", g)
         self.frags = self.service.fragmentation("g")
         owner = self.frags.gp.owner

@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (grid_road_graph, preferential_attachment,
                                     uniform_random_graph)
-from repro.graph.graph import Graph
-from repro.partition.base import BorderIndex, build_edge_cut_fragments
+from repro.graph.graph import DeferredGraph, Graph
+from repro.partition.base import (BorderIndex, build_edge_cut_fragments,
+                                 replication_factor)
 from repro.partition.strategies import (GridPartition, HashPartition,
                                         MetisLikePartition, RangePartition,
                                         StreamingPartition)
@@ -172,3 +173,26 @@ def test_non_int_ids_equal_the_dict_reference(g, k, strategy):
     assert_same_fragmentation(
         build_edge_cut_fragments(g, assignment, k),
         build_edge_cut_fragments_dicts(g, assignment, k))
+
+
+def test_counting_a_fragment_fills_no_dict_graph():
+    fragmentation = HashPartition().partition(
+        grid_road_graph(30, 30, seed=1), 4)
+    before = DeferredGraph.materialised
+    assert replication_factor(fragmentation) > 1.0
+    assert sum(f.num_edges for f in fragmentation) > 0
+    assert DeferredGraph.materialised == before
+
+
+@SETTINGS
+@given(g=graphs(), k=st.integers(1, 8), strategy=st.sampled_from(EDGE_CUT))
+def test_fragment_counts_equal_the_filled_graphs(g, k, strategy):
+    """Read from the installed snapshot, ``num_nodes`` / ``num_edges``
+    are the filled graph's: an undirected edge and a self-loop count
+    once."""
+    for fragment in strategy.partition(g, k):
+        counted = fragment.num_nodes, fragment.num_edges
+        assert type(fragment.graph) is DeferredGraph
+        graph = fragment.graph
+        assert counted == (graph.num_nodes, graph.num_edges)  # fills
+        assert type(graph) is Graph

@@ -78,6 +78,25 @@ class TestBootstrapAndTail:
         replica.close()
         primary.close()
 
+    def test_catches_up_a_backlog_in_one_sync(self, tmp_path):
+        """A replica that never synced during the churn applies the whole
+        backlog in one sync and then answers what the primary answers."""
+        primary, g = make_primary(tmp_path)
+        replica = ReplicaService(tmp_path / "store", replica_id="r1")
+        rng = random.Random(7)
+        for i in range(10):
+            primary.update("soc", mixed_batch(g, rng, i))
+        assert replica.lag_bytes("soc") > 0
+        assert replica.sync("soc") == 10
+        assert replica.applied_seq("soc") == 10
+        assert replica.lag_bytes("soc") == 0
+        assert replica.stats.replica_resnapshots == 0
+        for program, query in (("sssp", 0), ("cc", None)):
+            assert (replica.play(program, query, graph="soc").answer
+                    == primary.play(program, query, graph="soc").answer)
+        replica.close()
+        primary.close()
+
     def test_replica_watch_maintained_by_replaying_updates(self, tmp_path):
         """A standing watch on the replica is refreshed per tailed
         batch — paying for the update, not the query: the replica runs

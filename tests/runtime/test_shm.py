@@ -410,8 +410,8 @@ def test_update_unlinks_the_segments_it_stales():
     before = files()
     backend = ProcessBackend(max_workers=2)
     try:
-        with GrapeService(engine=EngineConfig(num_workers=2),
-                          backend=backend) as service:
+        with GrapeService(engine=EngineConfig(num_workers=2,
+                                              backend=backend)) as service:
             service.load_graph("g", g)
             service.play("sssp", 0, graph="g")
             published = ours()

@@ -78,7 +78,7 @@ class TestServiceCSRCounters:
         spliced, the ``F_i.O`` slot maps, the border index."""
         # (inline backend: on the process backend the slot maps live in
         # the workers)
-        service = GrapeService(backend="serial")
+        service = GrapeService(engine=EngineConfig(backend="serial"))
         service.load_graph("g", uniform_random_graph(40, 140, seed=3))
         service.play("sssp", query=0, graph="g")
         service.play("pagerank", PageRankQuery(max_iterations=3), graph="g")

@@ -47,8 +47,8 @@ def graph():
 
 
 def make_service(graph, breaker, retry):
-    svc = GrapeService(engine=EngineConfig(num_workers=4),
-                       backend="process", degradation=breaker,
+    svc = GrapeService(engine=EngineConfig(num_workers=4, backend="process"),
+                       degradation=breaker,
                        retry=retry, grouping=False)
     svc.program("killer")(WorkerKillerSSSP)
     svc.load_graph("road", graph)
@@ -111,8 +111,8 @@ def test_degradation_true_builds_a_default_breaker(graph):
 
 
 def test_without_degradation_the_failure_propagates(graph):
-    svc = GrapeService(engine=EngineConfig(num_workers=4),
-                       backend="process", grouping=False)
+    svc = GrapeService(engine=EngineConfig(num_workers=4, backend="process"),
+                       grouping=False)
     svc.program("killer")(WorkerKillerSSSP)
     svc.load_graph("road", graph)
     try:

@@ -5,10 +5,11 @@ from collections import deque
 import pytest
 
 from repro.core.api import PIERegistry
-from repro.core.engine import EngineConfig
+from repro.core.engine import EngineConfig, GrapeEngine
 from repro.core.pie import PIEProgram
 from repro.graph.generators import grid_road_graph
 from repro.partition.strategies import HashPartition, RangePartition
+from repro.pie_programs import BFSProgram, CCProgram, SSSPProgram
 from repro.sequential import sssp_distances
 from repro.service import GrapeService, QueryRequest
 from repro.core.aggregators import MaxAggregator
@@ -164,8 +165,16 @@ class TestSubmitMany:
         assert tickets[4].answer == pytest.approx(
             sssp_distances(small_road, 14))
         assert service.stats.queries_served == 5
-        # All five shared one fragmentation.
+        # All five shared one fragmentation, and answered what five fresh
+        # engines, each partitioning for itself, answer.
         assert service.stats.cache_misses == 1
+        assert service.stats.cache_hits == 4
+        programs = {"sssp": SSSPProgram, "bfs": BFSProgram,
+                    "cc": CCProgram}
+        for ticket in tickets:
+            fresh = GrapeEngine(4).run(programs[ticket.program](),
+                                       ticket.query, graph=small_road)
+            assert ticket.answer == fresh.answer
 
     def test_failure_lands_in_ticket_not_pool(self, service):
         good, bad = service.submit_many([("sssp", 0, "roads"),

@@ -110,8 +110,8 @@ def test_cancel_after_done_is_a_noop(service):
 
 
 def test_service_deadline_surfaces_and_counts(graph):
-    svc = GrapeService(engine=EngineConfig(num_workers=4),
-                       deadline_s=0.1, grouping=False)
+    svc = GrapeService(engine=EngineConfig(num_workers=4, deadline_s=0.1),
+                       grouping=False)
     svc.program("napsssp")(NapSSSP)
     svc.load_graph("road", graph)
     try:
