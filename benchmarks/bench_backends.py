@@ -4,7 +4,8 @@ Runs the GIL-bound dict-graph engine paths on the 50k-node/200k-edge
 road-style bench graph (the regime where only real process parallelism
 can help) across worker counts m ∈ {1, 2, 4, 8}, verifies every backend
 produces identical answers, and emits a machine-readable
-``benchmarks/results/BENCH_backends.json``.
+``benchmarks/results/BENCH_backends.json`` (``--quick`` prints it
+instead and writes no file).
 
 Two workloads:
 
@@ -146,7 +147,8 @@ def approx_equal(a, b, tol=1e-9):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
-                        help="small graph, m in {1,2}: CI wiring check")
+                        help="small graph, m in {1,2}: CI wiring check "
+                             "(writes no result file)")
     parser.add_argument("--repeat", type=int, default=2)
     parser.add_argument("--assert-speedup", action="store_true",
                         help="require process >= 2x serial at m=4 on "
@@ -210,11 +212,14 @@ def main(argv=None):
     # tear the shared pool down so repeated bench invocations are cold
     resolve_backend("process").close()
 
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out = RESULTS_DIR / "BENCH_backends.json"
-    out.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    print(f"wrote {out}")
+    text = json.dumps(results, indent=2, sort_keys=True)
+    if args.quick:
+        print(text)
+    else:
+        RESULTS_DIR.mkdir(exist_ok=True)
+        out = RESULTS_DIR / "BENCH_backends.json"
+        out.write_text(text + "\n", encoding="utf-8")
+        print(f"wrote {out}")
 
     if failures:
         print("ANSWER MISMATCHES:", *failures, sep="\n  ")

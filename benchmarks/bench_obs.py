@@ -12,7 +12,8 @@ The acceptance target is **< 5%** overhead (asserted with
 ``--assert-overhead``; timing noise makes an unconditional CI assert
 flaky).  The machine-readable result lands in
 ``benchmarks/results/BENCH_obs.json``; ``--quick`` shrinks the graph
-and counts to a CI wiring check.
+and counts to a CI wiring check that prints its result and writes no
+file.
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ def serve_overhead(g, sources, backend, cycles):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
-                        help="small graph, few queries (CI wiring check)")
+                        help="small graph, few queries (CI wiring check; "
+                             "writes no result file)")
     parser.add_argument("--backend", default="process",
                         choices=["serial", "thread", "process"])
     parser.add_argument("--assert-overhead", action="store_true",
@@ -136,9 +138,10 @@ def main() -> int:
     }
     text = json.dumps(result, indent=2)
     print(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_obs.json").write_text(text + "\n",
-                                                encoding="utf-8")
+    if not args.quick:
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / "BENCH_obs.json").write_text(text + "\n",
+                                                    encoding="utf-8")
     if args.assert_overhead and overhead_pct >= 5.0:
         raise SystemExit(
             f"tracing overhead {overhead_pct:.2f}% >= 5% target")

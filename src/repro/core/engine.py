@@ -39,10 +39,11 @@ The engine also implements:
 * the paper's **GRAPE-NI** ablation (Exp-2): ``incremental=False`` applies
   messages and re-runs ``PEval`` instead of ``IncEval``;
 * **monotonicity checking** (Assurance Theorem instrumentation);
-* **fault tolerance** (Section 6): per-superstep checkpoints through an
-  :class:`~repro.runtime.fault.Arbitrator`; a worker failure (a real
-  death, or a :class:`~repro.resilience.faults.FaultPlane` crash spec)
-  rolls the failed superstep back and replays it.
+* **fault tolerance** (Section 6): per-superstep in-memory checkpoints
+  through an :class:`~repro.runtime.fault.Arbitrator`; a worker failure
+  (a real death, or a :class:`~repro.resilience.faults.FaultPlane` crash
+  spec on any backend) re-opens the session, restores the checkpoint and
+  replays the failed superstep.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from repro.runtime.executors import (PHASE_IDLE, PHASE_INC, PHASE_NI,
                                      ExecutorBackend, StepCommand,
                                      WorkerHung, WorkerProcessDied,
                                      backend_name, resolve_backend)
-from repro.runtime.fault import Arbitrator
+from repro.runtime.fault import Arbitrator, WorkerFailure
 from repro.runtime.metrics import CostModel, RunMetrics, message_bytes
 
 __all__ = ["EngineConfig", "GrapeEngine", "GrapeResult"]
@@ -109,10 +110,10 @@ class EngineConfig:
     check_monotonic: bool = False
     #: safety bound on supersteps
     max_supersteps: int = 100_000
-    #: directory for per-superstep disk checkpoints (typically
-    #: :meth:`repro.store.GraphStore.checkpoint_dir`).  Enables recovery
-    #: from *real* worker deaths under the process backend.
-    checkpoint_dir: Optional[str] = None
+    #: checkpoint every superstep even without a fault plane, so a real
+    #: worker death under the process backend is recovered instead of
+    #: failing the run
+    checkpoint: bool = False
     #: per-query time budget in seconds; past it the run raises
     #: :exc:`~repro.resilience.errors.DeadlineExceeded`.  Enforced at
     #: every superstep boundary on all backends and *inside* worker
@@ -300,17 +301,11 @@ class _EngineRun(Fixpoint):
         self.deadline = (time.monotonic() + config.deadline_s
                          if config.deadline_s is not None else None)
         self.plane = config.fault_plane or fault_plane_mod.active()
-        self.arbitrator = Arbitrator(checkpoint_dir=config.checkpoint_dir)
-        # Checkpoint fault tolerance turns on whenever something can
-        # fail mid-run *and* recovery is possible: a disk checkpoint dir,
-        # or a fault plane with pending executor faults (in-memory
-        # checkpoints suffice for inline backends; the process backend
-        # additionally needs a checkpoint_dir only for real cross-process
-        # restores — in-memory copies restore through replace_states
-        # just as well).
-        self.fault_tolerant = (
-            config.checkpoint_dir is not None
-            or (self.plane is not None and self.plane.may_fire("exec.")))
+        self.arbitrator = Arbitrator()
+        # Checkpoints are taken when asked for or when a fault plane has
+        # pending executor faults.
+        self.fault_tolerant = config.checkpoint or (
+            self.plane is not None and self.plane.may_fire("exec."))
         self.session = None
 
     def _child(self, name: str, **tags):
@@ -370,15 +365,7 @@ class _EngineRun(Fixpoint):
             # the pool).
             _events.emit("session.close_failed",
                          error=type(exc).__name__, detail=str(exc))
-        # Retried: another pool worker may die while the replacement
-        # session is being opened (each attempt culls the handles it
-        # found dead, so progress is guaranteed).
-        for attempt in range(5):
-            try:
-                return self._open_session()
-            except WorkerProcessDied:
-                if attempt == 4:
-                    raise
+        self._open_session()
 
     # ------------------------------------------------------------------
     def step(self, messages, designated, keyvalue, first_round, span):
@@ -405,27 +392,24 @@ class _EngineRun(Fixpoint):
         """Run one superstep; recover failures and replay (the
         arbitrator's task-transfer protocol).
 
-        Two failure shapes are handled:
+        A failed worker aborts the step: a plane ``crash`` on the serial
+        / thread backends raises :exc:`~repro.runtime.fault.WorkerFailure`
+        once every task of the step has finished, a **real worker death**
+        on the process backend raises
+        :exc:`~repro.runtime.executors.WorkerProcessDied` (or
+        :exc:`~repro.runtime.executors.WorkerHung`, a worker killed for
+        missing heartbeats).  Both take one path: with a checkpoint
+        available the session is re-opened (on fresh pool workers), the
+        checkpoint restored into it and the step replayed.  A death
+        during the recovery itself (the replacement worker dies while
+        states are being restored) retries the whole sequence.  Known
+        limitation: a death landing inside the *checkpoint* exchange
+        (``collect_states``) rather than the step fails the run loudly
+        with :exc:`WorkerProcessDied` — the next consistent resume point
+        would predate work the coordinator has already folded; callers
+        treat it as a failed (safely re-runnable) query.
 
-        * an inline :exc:`~repro.runtime.fault.WorkerFailure` (a plane
-          ``crash`` on the serial / thread backends) surfaces in the
-          outcomes — the checkpoint is restored and the step replays;
-        * a **real worker death**
-          (:exc:`~repro.runtime.executors.WorkerProcessDied`, process
-          backend — including :exc:`~repro.runtime.executors.WorkerHung`,
-          a worker killed for missing heartbeats) aborts the exchange
-          mid-flight — with a checkpoint available the session is
-          re-opened on fresh pool workers, the checkpoint restored into
-          them and the step replayed.  A death during the recovery itself
-          (the replacement worker dies while states are being restored)
-          retries the whole sequence.  Known limitation: a death landing
-          inside the *checkpoint* exchange (``collect_states``) rather
-          than the step fails the run loudly with
-          :exc:`WorkerProcessDied` — the next consistent resume point
-          would predate work the coordinator has already folded; callers
-          treat it as a failed (safely re-runnable) query.
-
-        Either way only the attempt whose outcomes are returned becomes a
+        Only the attempt whose outcomes are returned becomes a
         superstep, so a recovered run's logical account — supersteps,
         traffic — equals an uninterrupted run's on every backend
         (``recoveries`` says what it went through).
@@ -457,15 +441,15 @@ class _EngineRun(Fixpoint):
                     f"query exceeded its {budget_s}s budget at a "
                     "superstep boundary", budget_s=budget_s)
             try:
-                outcomes = self.session.step(commands, deadline=deadline,
-                                             cancel=self.cancel)
+                return self.session.step(commands, deadline=deadline,
+                                         cancel=self.cancel)
             except DeadlineExceeded as exc:
                 # Raised inside a pipe wait, where only the absolute
                 # deadline is known — stamp the budget on the way out.
                 if exc.budget_s is None:
                     exc.budget_s = budget_s
                 raise
-            except WorkerProcessDied as exc:
+            except (WorkerProcessDied, WorkerFailure) as exc:
                 if attempts > 25 or not arbitrator.has_checkpoint:
                     if isinstance(exc, WorkerHung) and deadline is not None:
                         raise DeadlineExceeded(
@@ -484,19 +468,9 @@ class _EngineRun(Fixpoint):
                             raise
                 _events.emit("worker.recovered",
                              error=type(exc).__name__, attempts=attempts)
-                continue
             finally:
                 for command in commands.values():
                     command.fault = None
-            failure = next((o.failed for o in outcomes.values()
-                            if o.failed is not None), None)
-            if failure is None:
-                return outcomes
-            if attempts > 25:
-                raise failure
-            if arbitrator.has_checkpoint:
-                self._restore()
-            # else: replay from the current (pre-PEval) state.
 
     # ------------------------------------------------------------------
     def assemble(self, wall_start: float) -> GrapeResult:
@@ -532,4 +506,3 @@ class _EngineRun(Fixpoint):
     def close(self) -> None:
         if self.session is not None:
             self.session.close()
-        self.arbitrator.discard()

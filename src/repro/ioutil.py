@@ -3,8 +3,8 @@
 One implementation of the atomic-write protocol — temp file in the
 destination directory, write, flush, fsync, ``os.replace``, fsync of the
 parent directory — used by the snapshot container, the store manifest
-and the arbitrator's disk checkpoints, so their durability guarantees
-cannot silently diverge.
+and the replication epoch file, so their durability guarantees cannot
+silently diverge.
 
 The directory fsync matters: ``os.replace`` makes the rename atomic in
 the namespace, but on power loss the *directory entry* itself can be

@@ -102,9 +102,9 @@ class WorkerProcessDied(RuntimeError):
 
     Distinct from :exc:`~repro.runtime.fault.WorkerFailure` (how an
     injected ``crash`` surfaces on an inline backend): this is a real
-    OS-level death.  The engine recovers from it when a checkpoint exists
-    — the session is re-opened on fresh workers and the last consistent
-    checkpoint restored — and re-raises it otherwise.
+    OS-level death.  The engine recovers both the same way when a
+    checkpoint exists — the session is re-opened on fresh workers and the
+    last consistent checkpoint restored — and re-raises them otherwise.
     """
 
 
@@ -166,7 +166,6 @@ class StepOutcome:
     report_s: float = 0.0
     designated: Dict[int, list] = field(default_factory=dict)
     keyvalue: list = field(default_factory=list)
-    failed: Optional[WorkerFailure] = None
     #: tracing: worker-side measurements as ``(name, duration_s, tags)``
     #: tuples — spans travel the pipe by value, never as Span objects —
     #: re-attached by the engine under the superstep span whose id the
@@ -363,16 +362,14 @@ class _InlineSession(ExecutorSession):
         step_index = self._step_index
         self._step_index += 1
 
-        def run_one(fid: int) -> Tuple[int, StepOutcome]:
+        def run_one(fid: int) -> Tuple[int, Optional[StepOutcome]]:
             fault = commands[fid].fault
             if fault is not None:
-                # Inline acting of plane faults: a "crash" surfaces as a
-                # simulated WorkerFailure, recovered from the checkpoint
-                # like a real death; "hang"/"slow" stall the compute, which
-                # the engine's deadline check bounds at the next superstep.
+                # Inline acting of plane faults: a "crash" computes
+                # nothing; "hang"/"slow" stall the compute, which the
+                # engine's deadline check bounds at the next superstep.
                 if fault.kind == "crash":
-                    return fid, StepOutcome(failed=WorkerFailure(
-                        worker=fid, superstep=step_index))
+                    return fid, None
                 if fault.kind == "hang":
                     time.sleep(float(fault.param("hang_s", 0.5)))
                 elif fault.kind == "slow":
@@ -382,8 +379,16 @@ class _InlineSession(ExecutorSession):
                                        self._states[fid], commands[fid])
             return fid, outcome
 
-        return dict(self._backend._map(run_one, sorted(commands),
-                                       self._num_workers))
+        outcomes = dict(self._backend._map(run_one, sorted(commands),
+                                           self._num_workers))
+        # Raised only once every task has finished, so nothing is still
+        # computing while the engine restores the checkpoint — a crashed
+        # worker is recovered like a dead process.
+        crashed = [fid for fid, outcome in outcomes.items()
+                   if outcome is None]
+        if crashed:
+            raise WorkerFailure(worker=crashed[0], superstep=step_index)
+        return outcomes
 
     def collect_states(self) -> Dict[int, Any]:
         return self._states
@@ -1111,40 +1116,32 @@ class ProcessBackend(ExecutorBackend):
     happy path for churn workloads) and re-shipped in full only when the
     bounded delta log has a gap.
 
+    Workers start by the platform's default ``multiprocessing`` method;
+    payloads are explicitly pickled through the pipe, so pickle-safety
+    is enforced whatever it is.  Fragments ride the shared-memory plane
+    when the platform supports it (see
+    :func:`repro.runtime.shm.shm_available`) and the pipe otherwise.
+
     Parameters
     ----------
-    start_method:
-        ``multiprocessing`` start method; ``None`` uses the platform
-        default (``fork`` on Linux).  Payloads are explicitly pickled
-        through the pipe under every start method, so pickle-safety is
-        enforced uniformly.
     max_workers:
         Optional hard cap on pool size (default: grow with demand).
-    use_shm:
-        ``True`` forces the shared-memory fragment plane, ``False``
-        disables it (every fragment is pickled through the pipe),
-        ``None`` (default) enables it when the platform supports it
-        (see :func:`repro.runtime.shm.shm_available`).
     """
 
     name = "process"
 
-    def __init__(self, start_method: Optional[str] = None,
-                 max_workers: Optional[int] = None,
-                 use_shm: Optional[bool] = None):
+    def __init__(self, max_workers: Optional[int] = None):
         import multiprocessing
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context()
         self._max_workers = max_workers
         self._idle: List[_WorkerHandle] = []
         self._spawned = 0
         self._lock = threading.Lock()
         self._closed = False
-        if use_shm is None:
-            use_shm = shm.shm_available()
         # the arena LRU mirrors the worker fragment-cache bound so a
         # segment outlives every cache entry that may reference it
         self._arena = (shm.ShmArena(max_tokens=_WORKER_CACHE_TOKENS)
-                       if use_shm else None)
+                       if shm.shm_available() else None)
 
     # ------------------------------------------------------------------
     def open(self, program, query, fragmentation, *, num_workers: int,

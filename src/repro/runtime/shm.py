@@ -26,10 +26,8 @@ the tmpfs and the namespace the channel's >1MB payload spill uses too
 registers with ``multiprocessing``'s resource tracker, which would
 unlink attached segments behind long-lived pools.  The names carry the
 publishing PID so :func:`sweep_stale` can reclaim segments whose owner
-died without unlinking (the same discipline as the Arbitrator's
-checkpoint GC).  Without a writable ``/dev/shm``, or with
-``REPRO_SHM=0``, the plane reports unavailable and every caller uses the
-pickle shipping path.
+died without unlinking.  Without a writable ``/dev/shm`` the plane
+reports unavailable and every caller uses the pickle shipping path.
 
 Lifecycle is owned by :class:`ShmArena` (one per ``ProcessBackend``):
 entries are keyed by ``(token_id, fid)``, reference-counted against
@@ -68,7 +66,6 @@ __all__ = ["SegmentDescriptor", "ShmArena", "attach_fragment",
 #: every segment name starts with this prefix followed by the publishing
 #: PID — the stale sweep parses the PID back out to find orphans
 _SEG_PREFIX = "repro-shm-"
-_ENV_VAR = "REPRO_SHM"
 _DEFAULT_DIR = "/dev/shm"
 _counter = itertools.count(1)
 
@@ -162,8 +159,6 @@ _provider_box: List[Any] = []
 
 
 def _make_provider():
-    if os.environ.get(_ENV_VAR, "").strip().lower() in ("0", "off", "false"):
-        return None
     if os.path.isdir(_DEFAULT_DIR) and os.access(_DEFAULT_DIR, os.W_OK):
         return _FileProvider(_DEFAULT_DIR)
     return None
@@ -171,8 +166,8 @@ def _make_provider():
 
 def provider():
     """The process-wide segment provider: a :class:`_FileProvider`, or
-    None when shm is disabled or ``/dev/shm`` is not writable — every
-    caller then uses the pickle shipping path."""
+    None when ``/dev/shm`` is not writable — every caller then uses the
+    pickle shipping path."""
     with _provider_lock:
         if not _provider_box:
             _provider_box.append(_make_provider())
@@ -476,9 +471,9 @@ def global_stats() -> Tuple[int, int]:
 
 
 def sweep_stale(prov=None) -> int:
-    """Unlink segments whose publishing process is dead (mirrors the
-    Arbitrator's stale-checkpoint GC).  Live publishers' segments are
-    left alone.  Returns the number of segments removed."""
+    """Unlink segments whose publishing process is dead.  Live
+    publishers' segments are left alone.  Returns the number of segments
+    removed."""
     prov = prov or provider()
     if prov is None:
         return 0

@@ -10,7 +10,6 @@ of it, and a ``MANIFEST.json`` naming the current pair::
         MANIFEST.json          # {"name", "generation", "snapshot", "wal"}
         snapshot-<N>.snap      # repro.store.snapshot container
         wal-<N>.log            # repro.store.wal chain on top of it
-      checkpoints/<dir>/       # Arbitrator disk checkpoints (fault path)
 
 Commits are crash-ordered: a new snapshot and a fresh WAL are fully
 written (and fsynced) under the next generation number *before* the
@@ -173,7 +172,6 @@ class GraphStore:
         #: open the older WAL); 0 deletes them as soon as superseded
         self.retain_generations = max(0, retain_generations)
         self._graphs_dir = self.root / "graphs"
-        self._checkpoints_dir = self.root / "checkpoints"
         if not read_only:
             self._graphs_dir.mkdir(parents=True, exist_ok=True)
         self.metrics = StoreMetrics()
@@ -229,13 +227,6 @@ class GraphStore:
         blob = json.dumps(manifest, indent=2,
                           sort_keys=True).encode("utf-8")
         atomic_write_bytes(self._manifest_path(name), blob)
-
-    def checkpoint_dir(self, name: str) -> Path:
-        """Directory for this graph's engine-run disk checkpoints
-        (handed to :class:`~repro.runtime.fault.Arbitrator`)."""
-        path = self._checkpoints_dir / _dirname(name)
-        path.mkdir(parents=True, exist_ok=True)
-        return path
 
     # ------------------------------------------------------------------
     # fencing

@@ -174,12 +174,10 @@ class TestArrayFoldAndCompose:
 
 
 class TestCheckpointRestore:
-    @pytest.mark.parametrize("checkpoint_dir", [False, True])
-    def test_tables_are_copied_and_restored(self, tmp_path, checkpoint_dir):
+    def test_tables_are_copied_and_restored(self):
         coord = make_coordinator(SSSPProgram(), _two_fragments())
         coord.fold({0: _block([3], [2.0])}, first_round=True)
-        arbitrator = Arbitrator(
-            checkpoint_dir=str(tmp_path) if checkpoint_dir else None)
+        arbitrator = Arbitrator()
         arbitrator.checkpoint({"coordinator": coord.snapshot()})
         table, reported = coord.table.copy(), coord.reported.copy()
         coord.fold({0: _block([3], [1.0]), 1: _block([0], [4.0])})
@@ -190,7 +188,6 @@ class TestCheckpointRestore:
         # the restored tables are the coordinator's own again
         coord.fold({1: _block([0], [4.0])})
         assert not np.array_equal(coord.table, table)
-        arbitrator.discard()
 
     @pytest.mark.parametrize("make_program,query", [
         (SSSPProgram, 0), (BFSProgram, 0), (CCProgram, None),
@@ -217,11 +214,11 @@ class TestCheckpointRestore:
     @pytest.mark.parametrize("make_program,query", [
         (SSSPProgram, 0), (CCProgram, None),
         (PageRankProgram, PageRankQuery(max_iterations=5))])
-    def test_process_worker_death_keeps_the_supersteps(self, tmp_path,
-                                                       make_program, query):
+    def test_process_worker_death_keeps_the_supersteps(self, make_program,
+                                                       query):
         """A pooled worker really dies mid-run (the plane's ``crash``
-        is ``os._exit`` there); the run resumes from the disk checkpoint
-        on a fresh worker with the array tables restored, so its logical
+        is ``os._exit`` there); the run resumes from the checkpoint on a
+        fresh worker with the array tables restored, so its logical
         account equals the uninterrupted run's."""
         g = grid_road_graph(7, 7, seed=3)
         clean = GrapeEngine(3, backend="process").run(
@@ -229,7 +226,7 @@ class TestCheckpointRestore:
         plane = FaultPlane().plan("exec.step", "crash", key=0, at=2)
         recovered = GrapeEngine(
             3, backend="process", fault_plane=plane,
-            checkpoint_dir=str(tmp_path)).run(
+            checkpoint=True).run(
                 make_program(), query, fragmentation=clean.fragmentation)
         assert recovered.recoveries >= 1
         assert recovered.answer == clean.answer

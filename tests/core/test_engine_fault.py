@@ -11,8 +11,11 @@ import pytest
 
 from repro.core.engine import GrapeEngine
 from repro.graph.generators import grid_road_graph, uniform_random_graph
+from repro.obs import events
 from repro.pie_programs import CCProgram, SSSPProgram
-from repro.resilience.faults import FaultPlane
+from repro.resilience.faults import FaultAction, FaultPlane
+from repro.runtime.executors import PHASE_PEVAL, StepCommand, ThreadBackend
+from repro.runtime.fault import Arbitrator, WorkerFailure
 from repro.sequential import connected_components, sssp_distances
 
 BACKENDS = ("serial", "thread", "process")
@@ -83,6 +86,80 @@ class TestFaultRecovery:
                         clean.supersteps, clean.metrics.comm_bytes,
                         clean.metrics.comm_messages), backend
 
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_inline_crash_is_recovered_like_a_worker_death(self, small_road,
+                                                           backend):
+        """A plane crash on an inline backend takes a dead process's
+        path — re-open the session, restore the checkpoint, replay the
+        step — and says so with one ``worker.recovered`` per recovery."""
+        clean = GrapeEngine(4, backend=backend).run(
+            SSSPProgram(), query=0, graph=small_road)
+        plane = crashes((1, 1), (2, 3))
+        with events.use(events.EventLog()) as log:
+            faulty = GrapeEngine(4, backend=backend, fault_plane=plane).run(
+                SSSPProgram(), query=0, fragmentation=clean.fragmentation)
+        assert len(plane.fired) == 2
+        recovered = log.events("worker.recovered")
+        assert len(recovered) == faulty.recoveries == 2
+        assert {e.fields["error"] for e in recovered} == {"WorkerFailure"}
+        assert faulty.answer == clean.answer
+        assert (faulty.supersteps, faulty.metrics.comm_bytes,
+                faulty.metrics.comm_messages) == (
+                    clean.supersteps, clean.metrics.comm_bytes,
+                    clean.metrics.comm_messages)
+
+    def test_thread_crash_raises_after_every_task_finished(self,
+                                                           small_road):
+        """Nothing may still be computing when the engine restores the
+        checkpoint: the crash is raised once the slow task is done."""
+        finished = []
+
+        class Recording(SSSPProgram):
+            def peval(self, query, fragment, state):
+                super().peval(query, fragment, state)
+                finished.append(fragment.fid)
+
+        frag = GrapeEngine(2).make_fragmentation(small_road)
+        backend = ThreadBackend()
+        try:
+            session = backend.open(Recording(), 0, frag, num_workers=2)
+            session.init_states()
+            commands = {
+                0: StepCommand(phase=PHASE_PEVAL,
+                               fault=FaultAction("exec.step", "crash")),
+                1: StepCommand(phase=PHASE_PEVAL,
+                               fault=FaultAction("exec.step", "slow",
+                                                 {"delay_s": 0.2}))}
+            with pytest.raises(WorkerFailure) as info:
+                session.step(commands)
+            assert info.value.worker == 0
+            assert finished == [1]
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_inline_crash_without_checkpoint_raises(self, small_road,
+                                                    backend):
+        """A crash scheduled after the run started finds no checkpoint
+        to restore (none are taken while the plane has nothing pending):
+        the run fails with ``WorkerFailure``, as a process death without
+        a checkpoint fails with ``WorkerProcessDied``."""
+        plane = FaultPlane()
+        scheduled = []
+
+        class SchedulingSSSP(SSSPProgram):
+            def peval(self, query, fragment, state):
+                super().peval(query, fragment, state)
+                if fragment.fid == 0 and not scheduled:
+                    scheduled.append(fragment.fid)
+                    plane.plan("exec.step", "crash", key=1, at=2)
+
+        engine = GrapeEngine(4, backend=backend, fault_plane=plane)
+        with pytest.raises(WorkerFailure) as info:
+            engine.run(SchedulingSSSP(), query=0, graph=small_road)
+        assert info.value.worker == 1
+        assert plane.fired == [("exec.step", 1, 2, "crash")]
+
     def test_no_injector_no_recoveries(self, small_road):
         for backend in BACKENDS:
             result = GrapeEngine(4, backend=backend).run(
@@ -139,3 +216,40 @@ class TestFaultAfterDeletions:
             result = engine.run(CCProgram(), query=None, fragmentation=frag)
             assert result.recoveries >= 1, backend
             assert result.answer == expected, backend
+
+
+class TestCheckpointFlag:
+    """``checkpoint=True`` checkpoints every superstep with no fault plane
+    (what a real worker death needs); with neither, nothing is copied."""
+
+    @staticmethod
+    def _count_checkpoints(monkeypatch):
+        calls = []
+        checkpoint = Arbitrator.checkpoint
+
+        def counting(self, fragment_states):
+            calls.append(len(fragment_states))
+            checkpoint(self, fragment_states)
+
+        monkeypatch.setattr(Arbitrator, "checkpoint", counting)
+        return calls
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_flag_checkpoints_every_superstep(self, small_road, backend,
+                                              monkeypatch):
+        calls = self._count_checkpoints(monkeypatch)
+        result = GrapeEngine(4, backend=backend, checkpoint=True).run(
+            SSSPProgram(), query=0, graph=small_road)
+        # one before the first superstep, one after each
+        assert len(calls) == result.supersteps + 1
+        assert result.recoveries == 0
+        assert result.answer == pytest.approx(sssp_distances(small_road, 0))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_no_flag_no_plane_takes_no_checkpoint(self, small_road, backend,
+                                                  monkeypatch):
+        calls = self._count_checkpoints(monkeypatch)
+        result = GrapeEngine(4, backend=backend).run(
+            SSSPProgram(), query=0, graph=small_road)
+        assert calls == []
+        assert result.answer == pytest.approx(sssp_distances(small_road, 0))

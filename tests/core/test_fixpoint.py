@@ -220,7 +220,7 @@ class TestEngineConfig:
             with pytest.raises(TypeError):
                 GrapeEngine(2, **{field: None})
 
-    def test_engine_config_round_trips_every_field(self, tmp_path):
+    def test_engine_config_round_trips_every_field(self):
         """By reflection, so a new field cannot be forgotten."""
         from repro.runtime.executors import SerialBackend
         from repro.runtime.metrics import CostModel
@@ -231,7 +231,7 @@ class TestEngineConfig:
             "cost_model": CostModel(sync_latency_s=0.5),
             "backend": SerialBackend(), "incremental": False,
             "check_monotonic": True, "max_supersteps": 17,
-            "checkpoint_dir": str(tmp_path), "deadline_s": 2.5,
+            "checkpoint": True, "deadline_s": 2.5,
             "heartbeat_timeout_s": 0.75, "fault_plane": FaultPlane(seed=3),
         }
         names = [f.name for f in dataclasses.fields(EngineConfig)]

@@ -276,10 +276,11 @@ class TestCrossingAProcessBoundary:
     @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_checkpoint_restore_continue_with_array_only_states(
-            self, tmp_path, backend, name):
-        """Every fragment's state goes through a disk checkpoint each
-        superstep; two crashes restore them (on ``process``: onto fresh
-        workers whose fragment copies start at another epoch)."""
+            self, backend, name):
+        """Every fragment's state goes through a checkpoint (a deep copy
+        that keeps the arrays only) each superstep; two crashes restore
+        them (on ``process``: onto fresh workers whose fragment copies
+        start at another epoch)."""
         make, query, _attr = PROGRAMS[name]
         g = grid_road_graph(7, 7, seed=3)
         clean = GrapeEngine(3, backend=backend).run(make(), query, graph=g)
@@ -290,7 +291,7 @@ class TestCrossingAProcessBoundary:
         plane = (FaultPlane().plan("exec.step", "crash", key=0, at=2)
                  .plan("exec.step", "crash", key=1, at=1))
         recovered = GrapeEngine(3, backend=backend, fault_plane=plane,
-                                checkpoint_dir=str(tmp_path)).run(
+                                checkpoint=True).run(
             make(), query, fragmentation=clean.fragmentation)
         assert recovered.recoveries >= 1
         assert recovered.metrics.dict_views_materialised == 0

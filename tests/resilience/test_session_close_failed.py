@@ -44,10 +44,10 @@ class _FlakyBackend(SerialBackend):
         return _DyingSession(session) if self.opened == 1 else session
 
 
-def test_failed_close_during_recovery_emits_an_event(tmp_path):
+def test_failed_close_during_recovery_emits_an_event():
     g = grid_road_graph(6, 6, seed=3)
     backend = _FlakyBackend()
-    engine = GrapeEngine(4, backend=backend, checkpoint_dir=str(tmp_path))
+    engine = GrapeEngine(4, backend=backend, checkpoint=True)
     with events.use(events.EventLog()) as log:
         result = engine.run(SSSPProgram(), query=0, graph=g)
     # the recovery went ahead on a fresh session ...

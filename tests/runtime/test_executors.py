@@ -6,7 +6,7 @@ from repro.core.engine import EngineConfig, GrapeEngine
 from repro.graph.generators import uniform_random_graph
 from repro.pie_programs import SSSPProgram
 from repro.resilience.faults import FaultPlane
-from repro.runtime import executors
+from repro.runtime import executors, shm
 from repro.runtime.executors import (BACKEND_ENV_VAR, ProcessBackend,
                                      SerialBackend, ThreadBackend,
                                      available_backends, backend_name,
@@ -172,16 +172,17 @@ class TestProcessPool:
         apply_insertions(frag, [(0, 1, 0.01)])
         assert frag.cache_token != token
 
-    def test_mutation_delta_ships_instead_of_reshipping(self):
+    def test_mutation_delta_ships_instead_of_reshipping(self, monkeypatch):
         """After apply_delta, the next lease brings worker copies
         current by per-fragment delta replay: zero full re-ships, a
         little delta traffic, identical answers.  Pinned to the pickle
-        shipping path (use_shm=False) so the byte comparison measures
-        delta replay against a real full ship."""
+        shipping path (no shared-memory provider) so the byte comparison
+        measures delta replay against a real full ship."""
         from repro.core.updates import apply_delta
         from repro.graph.delta import GraphDelta
 
-        backend = ProcessBackend(use_shm=False)
+        monkeypatch.setattr(shm, "provider", lambda: None)
+        backend = ProcessBackend()
         try:
             graph = uniform_random_graph(60, 200, seed=3)
             engine = GrapeEngine(2, backend=backend)
@@ -289,10 +290,8 @@ class TestSharedMemoryPlane:
     """The zero-copy fragment plane: descriptor shipping, graceful
     fallback, and arena refcount hygiene."""
 
-    needs_shm = pytest.mark.skipif(
-        not __import__("repro.runtime.shm", fromlist=["shm_available"]
-                       ).shm_available(),
-        reason="no shared-memory provider here")
+    needs_shm = pytest.mark.skipif(not shm.shm_available(),
+                                   reason="no shared-memory provider here")
 
     @needs_shm
     def test_cold_lease_ships_descriptors_not_bytes(self):
@@ -318,8 +317,9 @@ class TestSharedMemoryPlane:
         finally:
             backend.close()
 
-    def test_use_shm_false_ships_pickled_fragments(self):
-        backend = ProcessBackend(use_shm=False)
+    def test_without_shm_ships_pickled_fragments(self, monkeypatch):
+        monkeypatch.setattr(shm, "provider", lambda: None)
+        backend = ProcessBackend()
         try:
             graph = uniform_random_graph(50, 160, seed=22)
             engine = GrapeEngine(2, backend=backend)

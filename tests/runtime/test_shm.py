@@ -508,8 +508,11 @@ def test_spill_of_a_killed_sender_is_swept(read_after_sweep):
         handle.channel.close()
 
 
-def test_env_var_disables_plane(monkeypatch):
-    monkeypatch.setenv("REPRO_SHM", "0")
+
+def test_unwritable_shm_dir_disables_plane(monkeypatch, tmp_path):
+    """Without a writable tmpfs directory there is no provider and the
+    arena hands out no descriptors: every fragment ships by pickle."""
+    monkeypatch.setattr(shm, "_DEFAULT_DIR", str(tmp_path / "absent"))
     monkeypatch.setattr(shm, "_provider_box", [])
     assert shm.provider() is None
     assert not shm.shm_available()
@@ -517,3 +520,12 @@ def test_env_var_disables_plane(monkeypatch):
     assert not arena.available
     assert arena.descriptor_for(1, 0, None) is None
     arena.close()
+
+
+def test_writable_shm_dir_enables_plane(monkeypatch, tmp_path):
+    monkeypatch.setattr(shm, "_DEFAULT_DIR", str(tmp_path))
+    monkeypatch.setattr(shm, "_provider_box", [])
+    prov = shm.provider()
+    assert prov is not None and prov.directory == str(tmp_path)
+    assert shm.provider() is prov  # made once per process
+    assert shm.shm_available()

@@ -83,11 +83,13 @@ class TestCatalog:
             assert store.load(name).name == name
         store.close()
 
-    def test_checkpoint_dir_created(self, tmp_path):
+    def test_root_holds_no_checkpoint_directory(self, tmp_path):
+        """Engine checkpoints live in the coordinator's memory; the
+        store's root holds the graphs only."""
         with GraphStore(tmp_path) as store:
-            path = store.checkpoint_dir("soc")
-            assert path.is_dir()
-            assert str(path).startswith(str(tmp_path))
+            store.persist_graph("soc", small_graph())
+            assert store.load("soc").name == "soc"
+        assert [p.name for p in tmp_path.iterdir()] == ["graphs"]
 
 
 class TestCompaction:
