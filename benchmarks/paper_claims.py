@@ -47,9 +47,8 @@ from repro.core.engine import GrapeEngine
 from repro.graph.generators import grid_road_graph, labeled_graph
 from repro.optim.indexing import IndexedSimCandidates, NeighborhoodIndex
 from repro.partition.base import cut_edges
-from repro.partition.strategies import (GridPartition, HashPartition,
-                                        MetisLikePartition, RangePartition,
-                                        StreamingPartition)
+from repro.partition.strategies import (HashPartition, MetisLikePartition,
+                                        RangePartition, StreamingPartition)
 from repro.pie_programs import (CCProgram, CFProgram, CFQuery, SimProgram,
                                 SSSPProgram, SubIsoProgram)
 from repro.sequential import (FactorModel, canonical_match,
@@ -111,9 +110,10 @@ class Counts:
         self.wall_s += wall_s
 
 
-#: Section 6's partition menu; the others are read against hash
-STRATEGIES = (HashPartition, RangePartition, GridPartition,
-              StreamingPartition, MetisLikePartition)
+#: Section 6's partition menu less the retired 2-D grid; the others
+#: are read against hash
+STRATEGIES = (HashPartition, RangePartition, StreamingPartition,
+              MetisLikePartition)
 
 
 def grape_engine(workers: int, partition=None, **fields) -> GrapeEngine:

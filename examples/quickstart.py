@@ -45,8 +45,8 @@ def main():
 
     m = ticket.metrics
     print(f"supersteps: {m.supersteps}   "
-          f"communication: {m.comm_bytes} bytes   "
-          f"simulated time: {m.parallel_time_s * 1000:.2f} ms")
+          f"communication: {m.comm_megabytes:.4f} MB   "
+          f"wall clock: {m.wall_clock_s * 1000:.2f} ms")
     print(f"service totals: {service.stats}")
 
 

@@ -37,7 +37,7 @@ from repro.graph.delta import GraphDelta
 from repro.graph.graph import Graph
 from repro.partition.base import Fragmentation
 from repro.partition.strategies import get_strategy
-from repro.runtime.metrics import CostModel, RunMetrics, ServiceMetrics
+from repro.runtime.metrics import RunMetrics, ServiceMetrics
 from repro.service import (GrapeService, QueryRequest, QueryTicket,
                            WatchHandle)
 from repro.store import GraphStore
@@ -47,7 +47,7 @@ __version__ = "1.2.0"
 __all__ = [
     "Graph", "GraphDelta", "GrapeEngine", "GrapeResult", "EngineConfig",
     "PIEProgram", "PIERegistry", "Fragmentation", "get_strategy",
-    "CostModel", "RunMetrics", "ServiceMetrics", "default_registry",
+    "RunMetrics", "ServiceMetrics", "default_registry",
     "ContinuousQuerySession", "GrapeService",
     "GraphStore", "QueryRequest", "QueryTicket", "WatchHandle",
     "__version__",

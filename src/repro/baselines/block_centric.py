@@ -34,7 +34,7 @@ from repro.baselines.vertex_centric import PregelEngine, PregelResult, \
 from repro.graph.graph import Graph, Node
 from repro.partition.base import Fragment, Fragmentation, PartitionStrategy
 from repro.partition.strategies import MetisLikePartition
-from repro.runtime.metrics import CostModel, RunMetrics
+from repro.runtime.metrics import RunMetrics
 from repro.runtime.wire import vertex_message_bytes
 from repro.sequential.sssp import dijkstra
 from repro.sequential.wcc import connected_components
@@ -94,14 +94,12 @@ class BlogelEngine:
 
     def __init__(self, num_workers: int, *,
                  partition: Optional[PartitionStrategy] = None,
-                 cost_model: Optional[CostModel] = None,
                  precompute_cc: bool = False,
                  max_supersteps: int = 1_000_000):
         if num_workers < 1:
             raise ValueError("need at least one worker")
         self.num_workers = num_workers
         self.partition = partition or MetisLikePartition()
-        self.cost_model = cost_model
         self.precompute_cc = precompute_cc
         self.max_supersteps = max_supersteps
 
@@ -158,7 +156,7 @@ class BlogelEngine:
 
             metrics.run_superstep([make_task(b.fid) for b in blocks],
                                   self.num_workers, pending_bytes,
-                                  pending_msgs, self.cost_model)
+                                  pending_msgs)
 
             pending_bytes = 0
             pending_msgs = 0
@@ -273,8 +271,8 @@ class CCBlockProgram(BlockProgram):
 
 def run_vcompute(vertex_program: VertexProgram, graph: Graph, query: Any,
                  num_workers: int, *,
-                 partition: Optional[PartitionStrategy] = None,
-                 cost_model: Optional[CostModel] = None) -> PregelResult:
+                 partition: Optional[PartitionStrategy] = None
+                 ) -> PregelResult:
     """Blogel V-compute: a vertex program with block-aligned placement.
 
     Vertices of a block live on one worker, so intra-block messages are
@@ -282,6 +280,6 @@ def run_vcompute(vertex_program: VertexProgram, graph: Graph, query: Any,
     """
     strategy = partition or MetisLikePartition()
     placement = strategy.assign(graph, num_workers)
-    engine = PregelEngine(num_workers, cost_model=cost_model,
-                          placement=placement, intra_worker_free=True)
+    engine = PregelEngine(num_workers, placement=placement,
+                          intra_worker_free=True)
     return engine.run(vertex_program, graph, query=query)

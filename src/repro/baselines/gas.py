@@ -27,7 +27,7 @@ from repro.baselines.vertex_centric import PregelEngine
 from repro.baselines.vertex_programs import SubIsoVertexProgram
 from repro.graph.graph import Graph, Node
 from repro.runtime.message import stable_hash
-from repro.runtime.metrics import CostModel, RunMetrics
+from repro.runtime.metrics import RunMetrics
 from repro.runtime.wire import vertex_message_bytes
 
 __all__ = ["GASProgram", "GASEngine", "GASResult", "run_subiso_on_gas"]
@@ -96,12 +96,10 @@ class GASEngine:
     """Synchronous gather-apply-scatter on simulated BSP workers."""
 
     def __init__(self, num_workers: int, *,
-                 cost_model: Optional[CostModel] = None,
                  max_supersteps: int = 1_000_000):
         if num_workers < 1:
             raise ValueError("need at least one worker")
         self.num_workers = num_workers
-        self.cost_model = cost_model
         self.max_supersteps = max_supersteps
 
     def _worker_of(self, v: Node) -> int:
@@ -168,7 +166,7 @@ class GASEngine:
             metrics.run_superstep([make_task(w)
                                    for w in range(self.num_workers)],
                                   self.num_workers, pending_bytes,
-                                  pending_msgs, self.cost_model)
+                                  pending_msgs)
             values.update(staged)
             pending_bytes = step_bytes
             pending_msgs = step_msgs
@@ -179,8 +177,7 @@ class GASEngine:
         return GASResult(answer=answer, values=values, metrics=metrics)
 
 
-def run_subiso_on_gas(graph: Graph, query: Graph, num_workers: int, *,
-                      cost_model: Optional[CostModel] = None):
+def run_subiso_on_gas(graph: Graph, query: Graph, num_workers: int):
     """SubIso on the GraphLab stand-in.
 
     GAS cannot express partial-match expansion, so — as GraphLab
@@ -188,5 +185,5 @@ def run_subiso_on_gas(graph: Graph, query: Graph, num_workers: int, *,
     accounting of GraphLab is approximated by the same cross-worker byte
     counting the vertex engine uses.
     """
-    engine = PregelEngine(num_workers, cost_model=cost_model)
+    engine = PregelEngine(num_workers)
     return engine.run(SubIsoVertexProgram(), graph, query=query)

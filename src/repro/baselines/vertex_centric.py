@@ -15,8 +15,8 @@ This module reproduces that baseline faithfully:
 
 The engine records each superstep with
 :meth:`~repro.runtime.metrics.RunMetrics.run_superstep`, under the BSP
-cost rule GRAPE's rounds use, so times, supersteps and bytes are directly
-comparable.
+cost rule GRAPE's rounds use, so supersteps, bytes and messages are
+directly comparable.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.graph.graph import Graph, Node
 from repro.runtime.message import stable_hash
-from repro.runtime.metrics import CostModel, RunMetrics
+from repro.runtime.metrics import RunMetrics
 from repro.runtime.wire import vertex_message_bytes
 
 __all__ = ["VertexProgram", "VertexContext", "PregelEngine", "PregelResult"]
@@ -110,14 +110,12 @@ class PregelEngine:
     """
 
     def __init__(self, num_workers: int, *,
-                 cost_model: Optional[CostModel] = None,
                  placement: Optional[Dict[Node, int]] = None,
                  intra_worker_free: bool = True,
                  max_supersteps: int = 1_000_000):
         if num_workers < 1:
             raise ValueError("need at least one worker")
         self.num_workers = num_workers
-        self.cost_model = cost_model
         self.placement = placement
         self.intra_worker_free = intra_worker_free
         self.max_supersteps = max_supersteps
@@ -175,7 +173,7 @@ class PregelEngine:
             metrics.run_superstep([make_task(w)
                                    for w in range(self.num_workers)],
                                   self.num_workers, pending_bytes,
-                                  pending_msgs, self.cost_model)
+                                  pending_msgs)
 
             # Route: sender-side combine per destination vertex, then
             # charge cross-worker traffic.

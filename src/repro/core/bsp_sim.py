@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core.engine import GrapeEngine, GrapeResult
 from repro.core.pie import ParamUpdates, PIEProgram
 from repro.graph.graph import Graph
 from repro.partition.base import Fragment, Fragmentation, \
     build_edge_cut_fragments
-from repro.runtime.metrics import CostModel
 
 __all__ = ["BSPProgram", "BSPOnGrape", "run_bsp_on_grape"]
 
@@ -115,7 +114,6 @@ def _dummy_fragmentation(num_workers: int) -> Fragmentation:
 
 
 def run_bsp_on_grape(bsp: BSPProgram, data_slices: Sequence[Any], *,
-                     cost_model: Optional[CostModel] = None,
                      max_supersteps: int = 100_000) -> GrapeResult:
     """Compile and run a BSP program on GRAPE.
 
@@ -124,8 +122,7 @@ def run_bsp_on_grape(bsp: BSPProgram, data_slices: Sequence[Any], *,
     superstep count (Theorem 2(1): no extra cost per superstep).
     """
     num_workers = len(data_slices)
-    engine = GrapeEngine(num_workers, cost_model=cost_model,
-                         max_supersteps=max_supersteps)
+    engine = GrapeEngine(num_workers, max_supersteps=max_supersteps)
     fragmentation = _dummy_fragmentation(num_workers)
     return engine.run(BSPOnGrape(num_workers), (bsp, list(data_slices)),
                       fragmentation=fragmentation)

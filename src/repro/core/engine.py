@@ -72,7 +72,7 @@ from repro.runtime.executors import (PHASE_IDLE, PHASE_INC, PHASE_NI,
                                      WorkerHung, WorkerProcessDied,
                                      backend_name, resolve_backend)
 from repro.runtime.fault import Arbitrator, WorkerFailure
-from repro.runtime.metrics import CostModel, RunMetrics, message_bytes
+from repro.runtime.metrics import RunMetrics, message_bytes
 
 __all__ = ["EngineConfig", "GrapeEngine", "GrapeResult"]
 
@@ -97,7 +97,6 @@ class EngineConfig:
     #: partition strategy ``P``; defaults to hash edge-cut.  Ignored when
     #: a prebuilt fragmentation is passed to :meth:`GrapeEngine.run`.
     partition: Optional[PartitionStrategy] = None
-    cost_model: Optional[CostModel] = None
     #: execution backend: ``"serial"``, ``"thread"``, ``"process"`` or an
     #: :class:`~repro.runtime.executors.ExecutorBackend` instance.
     #: ``None`` defers to the ``REPRO_BACKEND`` environment variable.
@@ -292,7 +291,6 @@ class _EngineRun(Fixpoint):
         super().__init__(program, query, fragmentation, None,
                          RunMetrics(backend=self.backend.name),
                          num_workers=config.num_workers,
-                         cost_model=config.cost_model,
                          max_supersteps=config.max_supersteps, trace=trace)
         # GRAPE-NI ablation: apply the message and redo PEval from
         # scratch instead of IncEval.
@@ -484,7 +482,6 @@ class _EngineRun(Fixpoint):
         if self.trace is not None:
             self.trace.record("assemble", assemble_s)
         metrics.assemble_s += assemble_s
-        metrics.parallel_time_s += assemble_s
         metrics.total_compute_s += assemble_s
         metrics.dict_views_materialised += sum(
             getattr(state, "views_materialised", 0)

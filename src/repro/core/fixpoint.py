@@ -34,8 +34,7 @@ from repro.partition.base import Fragmentation
 from repro.runtime.executors import (PHASE_INC, PHASE_PEVAL, StepOutcome,
                                      read_report)
 from repro.runtime.message import stable_hash
-from repro.runtime.metrics import (CostModel, RunMetrics, message_bytes,
-                                   physical_times)
+from repro.runtime.metrics import RunMetrics, message_bytes, physical_times
 
 __all__ = ["Fixpoint", "route_channels"]
 
@@ -52,7 +51,6 @@ class Fixpoint:
     def __init__(self, program: PIEProgram, query: Any,
                  fragmentation: Fragmentation, coordinator: Coordinator,
                  metrics: RunMetrics, *, num_workers: int,
-                 cost_model: Optional[CostModel] = None,
                  max_supersteps: int = 100_000,
                  trace: Optional[Span] = None):
         self.program = program
@@ -61,7 +59,6 @@ class Fixpoint:
         self.coordinator = coordinator
         self.metrics = metrics
         self.num_workers = num_workers
-        self.cost_model = cost_model or CostModel()
         self.max_supersteps = max_supersteps
         self.trace = trace
         self.states: Dict[int, Any] = {}
@@ -107,7 +104,7 @@ class Fixpoint:
         traffic the previous round left for it."""
         self.metrics.record_superstep(
             physical_times(times, self.num_workers), self.bytes_in,
-            self.msgs_in, self.cost_model)
+            self.msgs_in)
         self.bytes_in = self.msgs_in = 0
 
     def settle(self, up_bytes: int, up_msgs: int, dirty: Any,

@@ -16,15 +16,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, \
-    Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from repro.core.engine import GrapeEngine, GrapeResult
 from repro.core.pie import ParamUpdates, PIEProgram
 from repro.graph.graph import Graph
 from repro.partition.base import Fragment, Fragmentation, \
     build_edge_cut_fragments
-from repro.runtime.metrics import CostModel
 
 __all__ = ["MapReduceJob", "MapReduceOnGrape", "run_mapreduce_on_grape"]
 
@@ -158,8 +156,7 @@ def _worker_fragmentation(num_workers: int) -> Fragmentation:
 
 
 def run_mapreduce_on_grape(job: MapReduceJob,
-                           input_slices: Sequence[Sequence[KV]], *,
-                           cost_model: Optional[CostModel] = None,
+                           input_slices: Sequence[Sequence[KV]]
                            ) -> GrapeResult:
     """Compile and run a MapReduce job on GRAPE.
 
@@ -168,7 +165,7 @@ def run_mapreduce_on_grape(job: MapReduceJob,
     is at most ``2 * job.num_rounds`` (Theorem 2(2) optimality).
     """
     num_workers = len(input_slices)
-    engine = GrapeEngine(num_workers, cost_model=cost_model)
+    engine = GrapeEngine(num_workers)
     fragmentation = _worker_fragmentation(num_workers)
     return engine.run(MapReduceOnGrape(), (job, list(input_slices)),
                       fragmentation=fragmentation)

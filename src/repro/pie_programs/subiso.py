@@ -9,7 +9,9 @@ found by several fragments.
 
 Completeness relies on the locality of subgraph isomorphism for connected
 patterns: a cross-fragment match contains an in-border node, and all its
-nodes lie within ``d_Q`` undirected hops of it.
+nodes lie within ``d_Q`` undirected hops of it over the match's own edges
+(which is why the shipped neighbourhood can be cut to label-compatible
+nodes and edges, see :meth:`SubIsoProgram.preprocess`).
 """
 
 from __future__ import annotations
@@ -52,42 +54,52 @@ class SubIsoProgram(PIEProgram):
 
     def preprocess(self, query: Graph,
                    fragmentation: Fragmentation) -> Dict[int, tuple]:
-        """Ship each fragment the ``d_Q``-neighborhood of ``F_i.I``.
-
-        The payload contains only nodes and edges the fragment does not
-        already hold; its serialized size is charged as communication.
+        """Ship each fragment the part of the ``d_Q``-neighborhood of
+        ``F_i.I`` a match can use: a semi-join reduction (Yannakakis).
+        A match maps each pattern edge ``a -> b`` to a data edge labelled
+        ``(L(a), L(b))``, so the BFS starts at in-border nodes with a
+        pattern label and steps, and ships, only over such edges.  The
+        payload holds only nodes and edges the fragment lacks; its
+        serialized size is charged as communication.
         """
         d_q = pattern_diameter(query)
         graph = fragmentation.graph
+        label = graph.node_label
+        pairs = {(query.node_label(a), query.node_label(b))
+                 for a in query.nodes() for b in query.successors(a)}
+        labels = {query.node_label(a) for a in query.nodes()}
+
+        def usable(v: Node):
+            """``((tail, head, weight), other end)`` of each edge at ``v``
+            whose label pair is a pattern edge's."""
+            for w, weight in graph.successors_with_weights(v):
+                if (label(v), label(w)) in pairs:
+                    yield (v, w, weight), w
+            for w, weight in graph.predecessors_with_weights(v):
+                if (label(w), label(v)) in pairs:
+                    yield (w, v, weight), w
+
         payloads: Dict[int, tuple] = {}
         for frag in fragmentation:
-            if not frag.inner:
-                continue
-            reach: Set[Node] = set(frag.inner)
-            frontier = deque((v, 0) for v in frag.inner)
+            reach: Set[Node] = {v for v in frag.inner if label(v) in labels}
+            frontier = deque((v, 0) for v in reach)
             while frontier:
                 v, depth = frontier.popleft()
                 if depth == d_q:
                     continue
-                for w in graph.neighbors(v):
+                for _, w in usable(v):
                     if w not in reach:
                         reach.add(w)
                         frontier.append((w, depth + 1))
             local = frag.graph
-            new_nodes = [(v, graph.node_label(v)) for v in reach
+            new_nodes = [(v, label(v)) for v in reach
                          if not local.has_node(v)]
             known = reach | set(local.nodes())
-            new_edges = []
-            for v in reach:
-                for w, weight in graph.successors_with_weights(v):
-                    if w in known and not local.has_edge(v, w):
-                        new_edges.append((v, w, weight))
-                # incoming edges from known nodes into the reach set
-                for w, weight in graph.predecessors_with_weights(v):
-                    if w in known and not local.has_edge(w, v):
-                        new_edges.append((w, v, weight))
+            new_edges = {edge[:2]: edge for v in reach
+                         for edge, w in usable(v)
+                         if w in known and not local.has_edge(*edge[:2])}
             if new_nodes or new_edges:
-                payloads[frag.fid] = (new_nodes, new_edges)
+                payloads[frag.fid] = (new_nodes, list(new_edges.values()))
         return payloads
 
     def apply_preprocess(self, query: Graph, fragment: Fragment,

@@ -34,8 +34,8 @@ _EXPORTS = {
     "ReplicaService": "repro.replication.replica",
     "ReadOnlyReplicaError": "repro.replication.replica",
     "FailoverCoordinator": "repro.replication.failover",
-    "read_epoch": "repro.replication.failover",
-    "write_epoch": "repro.replication.failover",
+    "read_epoch": "repro.store.catalog",
+    "write_epoch": "repro.store.catalog",
 }
 
 

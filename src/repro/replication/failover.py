@@ -28,39 +28,17 @@ election discipline* on top of the WAL chain.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
-from repro.ioutil import atomic_write_bytes
 from repro.obs import events as _events
 from repro.replication.replica import ReplicaService
 from repro.resilience import faults as _faults
 from repro.resilience.errors import FailoverInterrupted
-from repro.store.catalog import EPOCH_FILE
+from repro.store.catalog import read_epoch, write_epoch
 
-__all__ = ["FailoverCoordinator", "read_epoch", "write_epoch"]
-
-
-def read_epoch(store_root: Union[str, Path]) -> Tuple[int, Optional[str]]:
-    """The fencing state ``(epoch, leader)`` at a store root;
-    ``(0, None)`` when no coordinator ever wrote one."""
-    try:
-        data = json.loads((Path(store_root) / EPOCH_FILE).read_text(
-            encoding="utf-8"))
-        return int(data["epoch"]), data.get("leader")
-    except (OSError, json.JSONDecodeError, KeyError, ValueError):
-        return 0, None
-
-
-def write_epoch(store_root: Union[str, Path], epoch: int,
-                leader: Optional[str]) -> None:
-    """Atomically publish a fencing epoch (tmp write + rename, same
-    durability discipline as the store's manifests)."""
-    blob = json.dumps({"epoch": epoch, "leader": leader},
-                      indent=2, sort_keys=True).encode("utf-8")
-    atomic_write_bytes(Path(store_root) / EPOCH_FILE, blob)
+__all__ = ["FailoverCoordinator"]
 
 
 class FailoverCoordinator:

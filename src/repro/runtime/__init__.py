@@ -8,10 +8,10 @@ from repro.runtime.executors import (ExecutorBackend, ExecutorSession,
                                      available_backends, resolve_backend)
 from repro.runtime.fault import Arbitrator, WorkerFailure
 from repro.runtime.message import DesignatedMessage, KeyValueMessage
-from repro.runtime.metrics import CostModel, RunMetrics, message_bytes
+from repro.runtime.metrics import RunMetrics, message_bytes
 
 __all__ = [
-    "CostModel", "RunMetrics", "message_bytes", "DesignatedMessage",
+    "RunMetrics", "message_bytes", "DesignatedMessage",
     "KeyValueMessage", "WorkerFailure", "Arbitrator",
     "ExecutorBackend", "ExecutorSession", "SerialBackend", "ThreadBackend",
     "ProcessBackend", "StepCommand", "StepOutcome",

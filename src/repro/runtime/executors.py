@@ -418,7 +418,7 @@ class ThreadBackend(SerialBackend):
     """Thread-pool execution: the serial backend's sessions, their steps
     mapped over a pool.
 
-    Timing still uses per-task perf counters, so the BSP cost model is
+    Worker times are still per-task perf counters and the counts are
     unaffected; wall-clock gains are limited to GIL-dropping kernels.
     """
 

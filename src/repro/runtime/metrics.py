@@ -1,31 +1,29 @@
 """BSP cost accounting, one rule for GRAPE and the baseline engines.
 
 The paper reports three quantities per run: response time, communication
-volume (MB), and superstep counts.  On a real cluster, the response time of
-a BSP computation is the sum over supersteps of
-
-    max over workers of local compute time  +  communication  +  sync latency
-
-(the BSP cost ``w + g*h + l`` of Valiant, quoted in paper Section 4.2).
-We measure local compute time with a perf counter around *real* executions
-of the plugged-in algorithms, measure message volume by serialized size,
-and combine them under a configurable :class:`CostModel`.  This reproduces
-cluster-shaped results on a single machine without pretending the GIL
-allows honest parallel wall-clock speedups.
+volume (MB), and superstep counts, and states the cost of a BSP
+computation as ``w + g*h + l`` (Valiant, quoted in paper Section 4.2).
+The counts are the model here: every engine closes each superstep
+through :meth:`RunMetrics.record_superstep`, which counts supersteps
+(the ``l`` term's multiplier), shipped bytes by serialized size (``h``)
+and messages.  They repeat exactly from run to run and host to host.
+Per-worker compute seconds are measured with a perf counter around
+*real* executions of the plugged-in algorithms and kept for straggler
+diagnostics (``max_worker_s``, skew) only; response time is the
+measured wall clock, never a simulated one.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.obs.registry import TIME_BUCKETS, Histogram
 
-__all__ = ["CostModel", "DERIVED_STATE_COUNTERS", "PHASE_FIELDS",
+__all__ = ["DERIVED_STATE_COUNTERS", "PHASE_FIELDS",
            "RunMetrics", "ServiceMetrics", "UPDATE_PHASE_FIELDS",
            "message_bytes", "physical_times", "STRAGGLER_SKEW"]
 
@@ -40,27 +38,6 @@ def message_bytes(payload: Any) -> int:
     closed-form model of :mod:`repro.runtime.wire`.
     """
     return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-
-
-@dataclass
-class CostModel:
-    """BSP cost parameters (Valiant's ``g`` and ``l``).
-
-    Attributes
-    ----------
-    sync_latency_s:
-        Fixed cost ``l`` charged per superstep (barrier + scheduling).
-        Defaults to 1 ms, a typical LAN barrier.
-    seconds_per_byte:
-        Inverse bandwidth ``g``; defaults to 1 GB/s.
-    """
-
-    sync_latency_s: float = 1e-3
-    seconds_per_byte: float = 1e-9
-
-    def superstep_time(self, max_worker_s: float, bytes_shipped: int) -> float:
-        return (max_worker_s + self.sync_latency_s
-                + bytes_shipped * self.seconds_per_byte)
 
 
 def physical_times(times: Sequence[float],
@@ -80,12 +57,12 @@ def physical_times(times: Sequence[float],
     return physical
 
 
-#: RunMetrics gauges (point-in-time readings, not flows): merge()/absorb()
-#: keep the maximum instead of summing
+#: RunMetrics gauges (point-in-time readings, not flows): absorb()
+#: keeps the maximum instead of summing
 _GAUGE_FIELDS = ("shm_segments_active", "shm_bytes_mapped",
                  "skew_ratio_max")
 
-#: RunMetrics fields merge()/absorb() handle by hand
+#: RunMetrics fields absorb() handles by hand
 _SPECIAL_FIELDS = ("backend", "per_superstep")
 
 #: always-on phase timers (plain ``perf_counter`` deltas, no tracing
@@ -114,7 +91,7 @@ def _time_hist() -> Histogram:
 
 def _classify_fields(cls) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     """Split a metrics dataclass's fields into additive and histogram
-    groups by reflection, so merge()/absorb() can never silently drop a
+    groups by reflection, so absorb() can never silently drop a
     newly added counter: every field is either special-cased by name,
     declared a gauge, or combined automatically."""
     probe = cls()
@@ -133,9 +110,9 @@ def _classify_fields(cls) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
 class RunMetrics:
     """Everything a single engine run reports.
 
-    ``parallel_time_s`` is the simulated BSP response time (the paper's
-    "Time (seconds)" axis); ``total_compute_s`` is aggregate CPU work;
-    ``comm_bytes`` the paper's "Communication (MB)" axis.
+    ``supersteps``, ``comm_bytes`` (the paper's "Communication (MB)"
+    axis) and ``comm_messages`` are exact counts; ``total_compute_s`` is
+    aggregate measured CPU work.
 
     ``backend``/``wall_clock_s``/``pipe_bytes`` describe the *physical*
     execution: which executor backend ran the supersteps, the real
@@ -155,7 +132,6 @@ class RunMetrics:
     """
 
     supersteps: int = 0
-    parallel_time_s: float = 0.0
     total_compute_s: float = 0.0
     comm_bytes: int = 0
     comm_messages: int = 0
@@ -220,8 +196,7 @@ class RunMetrics:
     per_superstep: List[Dict[str, float]] = field(default_factory=list)
 
     def record_superstep(self, worker_times: List[float],
-                         bytes_shipped: int, num_messages: int,
-                         cost_model: CostModel) -> None:
+                         bytes_shipped: int, num_messages: int) -> None:
         """Close one superstep: fold worker times and traffic into totals."""
         max_t = max(worker_times) if worker_times else 0.0
         sum_t = sum(worker_times)
@@ -229,8 +204,6 @@ class RunMetrics:
         self.total_compute_s += sum_t
         self.comm_bytes += bytes_shipped
         self.comm_messages += num_messages
-        step_time = cost_model.superstep_time(max_t, bytes_shipped)
-        self.parallel_time_s += step_time
         skew = 1.0
         slowest = -1
         if worker_times:
@@ -250,15 +223,13 @@ class RunMetrics:
             "sum_worker_s": sum_t,
             "bytes": float(bytes_shipped),
             "messages": float(num_messages),
-            "step_time_s": step_time,
             "skew": skew,
             "slowest_worker": float(slowest),
         })
 
     def run_superstep(self, tasks: Sequence[Callable[[], Any]],
                       num_workers: int, bytes_shipped: int,
-                      num_messages: int,
-                      cost_model: Optional[CostModel] = None) -> None:
+                      num_messages: int) -> None:
         """Run one superstep of the baseline engines: one task per
         virtual worker, in order, each timed, recorded on ``num_workers``
         physical workers and charged the traffic delivered at its start
@@ -270,8 +241,7 @@ class RunMetrics:
             task()
             times.append(time.perf_counter() - start)
         self.record_superstep(physical_times(times, num_workers),
-                              bytes_shipped, num_messages,
-                              cost_model or CostModel())
+                              bytes_shipped, num_messages)
 
     @property
     def comm_megabytes(self) -> float:
@@ -290,13 +260,6 @@ class RunMetrics:
         shared-memory plane cannot remove."""
         return max(0, self.pipe_bytes - self.fragment_bytes_shipped
                    - self.delta_bytes_shipped)
-
-    def merge(self, other: "RunMetrics") -> "RunMetrics":
-        """Combine metrics of sequential phases (e.g. query batches)
-        into a new object: a copy of this one, then :meth:`absorb`."""
-        out = copy.deepcopy(self)
-        out.absorb(other)
-        return out
 
     def absorb(self, other: "RunMetrics") -> None:
         """Fold ``other`` into this object *in place* — the one
@@ -323,7 +286,7 @@ class RunMetrics:
 
     def __repr__(self) -> str:
         return (f"RunMetrics(supersteps={self.supersteps}, "
-                f"time={self.parallel_time_s:.4f}s, "
+                f"wall={self.wall_clock_s:.4f}s, "
                 f"comm={self.comm_megabytes:.4f}MB, "
                 f"msgs={self.comm_messages})")
 

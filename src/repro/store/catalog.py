@@ -60,13 +60,34 @@ from repro.store.snapshot import load_snapshot, save_snapshot
 from repro.store.wal import DeltaWAL, WALTailer, WAL_HEADER_SIZE
 
 __all__ = ["FencedError", "GenerationGapError", "GraphStore",
-           "StoreMetrics", "StoredGraph", "WALFollower"]
+           "StoreMetrics", "StoredGraph", "WALFollower", "read_epoch",
+           "write_epoch"]
 
 #: default WAL size beyond which the next append triggers compaction
 DEFAULT_COMPACT_THRESHOLD = 4 << 20
 
 #: name of the fencing-epoch file under the store root
 EPOCH_FILE = "EPOCH"
+
+
+def read_epoch(store_root: Union[str, Path]) -> Tuple[int, Optional[str]]:
+    """The fencing state ``(epoch, leader)`` at a store root;
+    ``(0, None)`` when no coordinator ever wrote one."""
+    try:
+        data = json.loads((Path(store_root) / EPOCH_FILE).read_text(
+            encoding="utf-8"))
+        return int(data["epoch"]), data.get("leader")
+    except (OSError, json.JSONDecodeError, KeyError, ValueError):
+        return 0, None
+
+
+def write_epoch(store_root: Union[str, Path], epoch: int,
+                leader: Optional[str]) -> None:
+    """Atomically publish a fencing epoch (tmp write + rename, same
+    durability discipline as the store's manifests)."""
+    blob = json.dumps({"epoch": epoch, "leader": leader},
+                      indent=2, sort_keys=True).encode("utf-8")
+    atomic_write_bytes(Path(store_root) / EPOCH_FILE, blob)
 
 _CHAIN_FILE = re.compile(r"^(snapshot|wal)-(\d+)\.(snap|log)$")
 
@@ -189,7 +210,7 @@ class GraphStore:
             # moment a coordinator publishes a newer epoch; one that
             # *restarts* and names itself is rejected here, at open,
             # when the published leader is someone else.
-            epoch, leader = self.read_epoch()
+            epoch, leader = read_epoch(self.root)
             if (leader is not None and node_id is not None
                     and leader != node_id):
                 self.metrics.fenced_rejections += 1
@@ -231,19 +252,6 @@ class GraphStore:
     # ------------------------------------------------------------------
     # fencing
     # ------------------------------------------------------------------
-    @property
-    def epoch_path(self) -> Path:
-        return self.root / EPOCH_FILE
-
-    def read_epoch(self) -> Tuple[int, Optional[str]]:
-        """The on-disk fencing state ``(epoch, leader)``; ``(0, None)``
-        when no coordinator has ever written one."""
-        try:
-            data = json.loads(self.epoch_path.read_text(encoding="utf-8"))
-            return int(data["epoch"]), data.get("leader")
-        except (OSError, json.JSONDecodeError, KeyError, ValueError):
-            return 0, None
-
     def arm_fence(self, epoch: int) -> None:
         """Fence this handle's write path at ``epoch``: every subsequent
         write re-reads the ``EPOCH`` file and raises :class:`FencedError`
@@ -255,7 +263,7 @@ class GraphStore:
     def _check_fence(self) -> None:
         if self._fence_epoch is None:
             return
-        disk_epoch, leader = self.read_epoch()
+        disk_epoch, leader = read_epoch(self.root)
         if disk_epoch != self._fence_epoch:
             with self._lock:
                 self.metrics.fenced_rejections += 1

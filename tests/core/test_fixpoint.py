@@ -214,7 +214,7 @@ class TestEngineConfig:
         assert EngineConfig(num_workers=3).effective_fragments == 3
 
     def test_removed_spellings_are_gone(self):
-        for field in ("executor", "failure_injector"):
+        for field in ("executor", "failure_injector", "cost_model"):
             with pytest.raises(TypeError):
                 EngineConfig(**{field: None})
             with pytest.raises(TypeError):
@@ -223,12 +223,10 @@ class TestEngineConfig:
     def test_engine_config_round_trips_every_field(self):
         """By reflection, so a new field cannot be forgotten."""
         from repro.runtime.executors import SerialBackend
-        from repro.runtime.metrics import CostModel
 
         values = {
             "num_workers": 3, "num_fragments": 6,
             "partition": MetisLikePartition(),
-            "cost_model": CostModel(sync_latency_s=0.5),
             "backend": SerialBackend(), "incremental": False,
             "check_monotonic": True, "max_supersteps": 17,
             "checkpoint": True, "deadline_s": 2.5,

@@ -4,9 +4,7 @@ import pytest
 
 from repro.obs.diagnostics import SlowQueryLog, straggler_report
 from repro.obs.trace import Span
-from repro.runtime.metrics import CostModel, RunMetrics
-
-CM = CostModel(sync_latency_s=0.0, seconds_per_byte=0.0)
+from repro.runtime.metrics import RunMetrics
 
 
 class TestSlowQueryLog:
@@ -52,8 +50,8 @@ class TestStragglerReport:
     def _metrics_with_skew(self):
         m = RunMetrics(backend="thread")
         # Worker 2 is 4x slower than its peers in both supersteps.
-        m.record_superstep([0.01, 0.01, 0.04], 0, 0, CM)
-        m.record_superstep([0.01, 0.01, 0.04], 0, 0, CM)
+        m.record_superstep([0.01, 0.01, 0.04], 0, 0)
+        m.record_superstep([0.01, 0.01, 0.04], 0, 0)
         return m
 
     def test_identifies_suspect_worker(self):
@@ -66,7 +64,7 @@ class TestStragglerReport:
 
     def test_balanced_run_has_no_suspect(self):
         m = RunMetrics(backend="thread")
-        m.record_superstep([0.01, 0.01], 0, 0, CM)
+        m.record_superstep([0.01, 0.01], 0, 0)
         report = straggler_report(m)
         assert report["max_skew"] == pytest.approx(1.0)
         assert report["suspect"] is None

@@ -24,9 +24,8 @@ from repro.graph.generators import (grid_road_graph, preferential_attachment,
 from repro.graph.graph import DeferredGraph, Graph
 from repro.partition.base import (BorderIndex, build_edge_cut_fragments,
                                  replication_factor)
-from repro.partition.strategies import (GridPartition, HashPartition,
-                                        MetisLikePartition, RangePartition,
-                                        StreamingPartition)
+from repro.partition.strategies import (HashPartition, MetisLikePartition,
+                                        RangePartition, StreamingPartition)
 
 from .reference import MetisLikeDicts, build_edge_cut_fragments_dicts
 
@@ -56,8 +55,8 @@ PINNED = {
                              "e1e51d03622bcb63", "d07881616471ed45"),
 }
 
-EDGE_CUT = (HashPartition(), RangePartition(), GridPartition(),
-            StreamingPartition(), MetisLikePartition(coarsen_until=4))
+EDGE_CUT = (HashPartition(), RangePartition(), StreamingPartition(),
+            MetisLikePartition(coarsen_until=4))
 
 
 def digest(assignment) -> str:

@@ -5,14 +5,12 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.graph.graph import Graph
-from repro.partition.strategies import (GridPartition, HashPartition,
-                                        MetisLikePartition, RangePartition,
-                                        StreamingPartition,
+from repro.partition.strategies import (HashPartition, MetisLikePartition,
+                                        RangePartition, StreamingPartition,
                                         VertexCutPartition)
 
-STRATEGIES = [HashPartition(), RangePartition(), GridPartition(),
-              StreamingPartition(), MetisLikePartition(),
-              VertexCutPartition()]
+STRATEGIES = [HashPartition(), RangePartition(), StreamingPartition(),
+              MetisLikePartition(), VertexCutPartition()]
 
 
 @st.composite

@@ -9,14 +9,14 @@ import pytest
 from repro.graph.generators import (preferential_attachment,
                                     uniform_random_graph)
 from repro.partition.base import cut_edges, replication_factor
-from repro.partition.strategies import (STRATEGIES, GridPartition,
-                                        HashPartition, MetisLikePartition,
-                                        RangePartition, StreamingPartition,
+from repro.partition.strategies import (STRATEGIES, HashPartition,
+                                        MetisLikePartition, RangePartition,
+                                        StreamingPartition,
                                         VertexCutPartition, get_strategy)
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-EDGE_CUT_STRATEGIES = [HashPartition, RangePartition, GridPartition,
-                       StreamingPartition, MetisLikePartition]
+EDGE_CUT_STRATEGIES = [HashPartition, RangePartition, StreamingPartition,
+                       MetisLikePartition]
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +98,8 @@ class TestVertexCutStrategy:
 
 class TestRegistry:
     def test_all_registered(self):
-        assert set(STRATEGIES) == {"hash", "range", "grid", "streaming",
-                                   "metis", "vertex-cut"}
+        assert set(STRATEGIES) == {"hash", "range", "streaming", "metis",
+                                   "vertex-cut"}
 
     def test_get_strategy(self):
         assert isinstance(get_strategy("metis"), MetisLikePartition)
@@ -111,6 +111,10 @@ class TestRegistry:
     def test_get_strategy_unknown(self):
         with pytest.raises(ValueError, match="unknown partition strategy"):
             get_strategy("magic")
+
+    def test_retired_grid_strategy_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown partition strategy"):
+            get_strategy("grid")
 
     def test_zero_fragments_rejected(self, graph):
         with pytest.raises(ValueError):

@@ -1,18 +1,21 @@
 """Property-based Assurance tests: GRAPE == sequential oracle on random
 graphs, partitions and worker counts, for SSSP, CC and Sim, with the
 monotonic condition checked — on both border-parameter planes where a
-program has two (``use_csr``)."""
+program has two (``use_csr``) — and for SubIso."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.core.engine import GrapeEngine
 from repro.graph.graph import Graph
 from repro.partition.strategies import (HashPartition, MetisLikePartition,
                                         StreamingPartition)
-from repro.pie_programs import CCProgram, SimProgram, SSSPProgram
-from repro.sequential import (connected_components, maximum_simulation,
-                              sssp_distances)
+from repro.pie_programs import (CCProgram, SimProgram, SSSPProgram,
+                                SubIsoProgram)
+from repro.sequential import (canonical_match, connected_components,
+                              maximum_simulation, sssp_distances,
+                              vf2_all_matches)
 
 STRATEGIES = [HashPartition(), MetisLikePartition(), StreamingPartition()]
 
@@ -98,3 +101,62 @@ def test_sim_assurance(case, params):
     engine = GrapeEngine(n, partition=strategy, check_monotonic=True)
     result = engine.run(SimProgram(), query=pattern, graph=g)
     assert result.answer == maximum_simulation(pattern, g)
+
+
+@st.composite
+def subiso_cases(draw):
+    """A random labelled digraph (2-cycles allowed) and a connected
+    pattern over the same labels, repeated labels and 2-cycles
+    included."""
+    labels = ["a", "b", "c"]
+    n = draw(st.integers(min_value=2, max_value=14))
+    g = Graph(directed=True)
+    for v in range(n):  # "c" rarer, so patterns without it still match
+        g.add_node(v, draw(st.sampled_from(["a", "a", "b", "b", "c"])))
+    for _ in range(draw(st.integers(min_value=n, max_value=4 * n))):
+        u = draw(st.integers(min_value=0, max_value=n - 1))
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        if u != v:
+            g.add_edge(u, v)
+    k = draw(st.integers(min_value=2, max_value=4))
+    pattern = Graph(directed=True)
+    for a in range(k):
+        pattern.add_node(a, draw(st.sampled_from(labels)))
+    for a in range(1, k):  # a random spanning tree keeps it connected
+        b = draw(st.integers(min_value=0, max_value=a - 1))
+        pattern.add_edge(*((a, b) if draw(st.booleans()) else (b, a)))
+    for a, b, _ in list(pattern.edges()):
+        if draw(st.booleans()):
+            pattern.add_edge(b, a)
+    return g, pattern
+
+
+@pytest.mark.parametrize("fragments", [2, 3, 8])
+@given(case=subiso_cases(), metis=st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_subiso_assurance(fragments, case, metis):
+    """GRAPE's matches equal VF2's on the whole graph.  The preprocess
+    ships only nodes with a pattern label and edges with a pattern
+    edge's label pair, and still gives every fragment each match that
+    touches its in-border nodes, edges and all."""
+    g, pattern = case
+    engine = GrapeEngine(fragments, partition=(
+        MetisLikePartition() if metis else HashPartition()))
+    fragmentation = engine.make_fragmentation(g)
+    result = engine.run(SubIsoProgram(), query=pattern,
+                        fragmentation=fragmentation)
+    truth = vf2_all_matches(pattern, g)
+    assert ({canonical_match(m) for m in result.answer}
+            == {canonical_match(m) for m in truth})
+    label = pattern.node_label
+    pairs = {(label(a), label(b)) for a, b, _ in pattern.edges()}
+    payloads = SubIsoProgram().preprocess(pattern, fragmentation)
+    for frag in fragmentation:
+        new_nodes, new_edges = payloads.get(frag.fid, ((), ()))
+        assert {lab for _, lab in new_nodes} <= {label(a) for a in pattern}
+        assert {(g.node_label(u), g.node_label(v))
+                for u, v, _ in new_edges} <= pairs
+        held = {(u, v) for u, v, _ in [*frag.graph.edges(), *new_edges]}
+        for m in truth:
+            if frag.inner & set(m.values()):
+                assert {(m[a], m[b]) for a, b, _ in pattern.edges()} <= held

@@ -275,15 +275,16 @@ class TestMetricsPlumbing:
         assert result.metrics.backend == "process"
         assert result.metrics.pipe_bytes > 0
 
-    def test_merge_tracks_backend_and_pipe(self):
+    def test_absorb_tracks_backend_and_pipe(self):
         from repro.runtime.metrics import RunMetrics
         a = RunMetrics(backend="process", pipe_bytes=10, wall_clock_s=1.0)
-        b = RunMetrics(backend="process", pipe_bytes=5, wall_clock_s=0.5)
-        merged = a.merge(b)
-        assert merged.backend == "process"
-        assert merged.pipe_bytes == 15
-        assert merged.wall_clock_s == 1.5
-        assert a.merge(RunMetrics(backend="serial")).backend == "mixed"
+        a.absorb(RunMetrics(backend="process", pipe_bytes=5,
+                            wall_clock_s=0.5))
+        assert a.backend == "process"
+        assert a.pipe_bytes == 15
+        assert a.wall_clock_s == 1.5
+        a.absorb(RunMetrics(backend="serial"))
+        assert a.backend == "mixed"
 
 
 class TestSharedMemoryPlane:

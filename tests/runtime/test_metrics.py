@@ -1,9 +1,10 @@
-"""Tests for the BSP cost model and run metrics."""
+"""Tests for run metrics: the counts, worker times and their combination."""
+
+import copy
 
 import pytest
 
-from repro.runtime.metrics import (CostModel, RunMetrics, message_bytes,
-                                   physical_times)
+from repro.runtime.metrics import RunMetrics, message_bytes, physical_times
 
 
 class TestMessageBytes:
@@ -20,38 +21,27 @@ class TestMessageBytes:
         assert message_bytes(payload) == message_bytes(payload)
 
 
-class TestCostModel:
-    def test_superstep_time_components(self):
-        cm = CostModel(sync_latency_s=0.5, seconds_per_byte=0.001)
-        assert cm.superstep_time(2.0, 100) == pytest.approx(2.0 + 0.5 + 0.1)
-
-    def test_defaults_reasonable(self):
-        cm = CostModel()
-        assert cm.superstep_time(0.0, 0) == pytest.approx(1e-3)
-
-
 class TestRunMetrics:
     def test_record_superstep(self):
         m = RunMetrics()
-        cm = CostModel(sync_latency_s=0.0, seconds_per_byte=0.0)
         m.record_superstep([1.0, 3.0, 2.0], bytes_shipped=10,
-                           num_messages=2, cost_model=cm)
+                           num_messages=2)
         assert m.supersteps == 1
-        assert m.parallel_time_s == pytest.approx(3.0)  # max worker
+        assert m.per_superstep[0]["max_worker_s"] == 3.0
+        assert m.per_superstep[0]["slowest_worker"] == 1.0
         assert m.total_compute_s == pytest.approx(6.0)  # sum workers
         assert m.comm_bytes == 10
         assert m.comm_messages == 2
 
     def test_record_empty_worker_list(self):
         m = RunMetrics()
-        m.record_superstep([], 0, 0, CostModel())
+        m.record_superstep([], 0, 0)
         assert m.supersteps == 1
 
     def test_per_superstep_log(self):
         m = RunMetrics()
-        cm = CostModel()
-        m.record_superstep([1.0], 5, 1, cm)
-        m.record_superstep([2.0], 7, 1, cm)
+        m.record_superstep([1.0], 5, 1)
+        m.record_superstep([2.0], 7, 1)
         assert len(m.per_superstep) == 2
         assert m.per_superstep[1]["bytes"] == 7.0
 
@@ -60,20 +50,37 @@ class TestRunMetrics:
         m.comm_bytes = 2_500_000
         assert m.comm_megabytes == pytest.approx(2.5)
 
-    def test_merge(self):
-        cm = CostModel(sync_latency_s=0.0, seconds_per_byte=0.0)
+    def test_absorb_on_a_copy(self):
         a = RunMetrics()
-        a.record_superstep([1.0], 10, 1, cm)
+        a.record_superstep([1.0], 10, 1)
         b = RunMetrics()
-        b.record_superstep([2.0], 20, 2, cm)
-        merged = a.merge(b)
+        b.record_superstep([2.0], 20, 2)
+        merged = copy.deepcopy(a)
+        merged.absorb(b)
+        assert a.supersteps == 1
         assert merged.supersteps == 2
-        assert merged.parallel_time_s == pytest.approx(3.0)
+        assert [s["max_worker_s"] for s in merged.per_superstep] == [1.0, 2.0]
         assert merged.comm_bytes == 30
         assert merged.comm_messages == 3
 
     def test_repr(self):
         assert "supersteps=0" in repr(RunMetrics())
+
+    def test_repr_prints_measured_wall_clock(self):
+        m = RunMetrics()
+        m.record_superstep([1.0], 2_000_000, 3)
+        m.wall_clock_s = 0.25
+        assert repr(m) == ("RunMetrics(supersteps=1, wall=0.2500s, "
+                           "comm=2.0000MB, msgs=3)")
+
+    def test_superstep_row_holds_counts_and_worker_times_only(self):
+        """The counts are the cost model: a superstep's row carries its
+        traffic and the measured worker times, no simulated clock."""
+        m = RunMetrics()
+        m.record_superstep([1.0, 3.0], bytes_shipped=10, num_messages=2)
+        assert m.per_superstep[0] == {
+            "max_worker_s": 3.0, "sum_worker_s": 4.0, "bytes": 10.0,
+            "messages": 2.0, "skew": 1.5, "slowest_worker": 1.0}
 
 
 class TestPhysicalTimes:
@@ -102,8 +109,6 @@ class TestPhysicalTimes:
 
 
 class TestRunSuperstep:
-    FREE = CostModel(sync_latency_s=0.0, seconds_per_byte=0.0)
-
     def test_tasks_run_in_order(self):
         ran = []
         RunMetrics().run_superstep([lambda i=i: ran.append(i)
@@ -112,19 +117,14 @@ class TestRunSuperstep:
 
     def test_metrics_accumulate(self):
         m = RunMetrics()
-        m.run_superstep([lambda: None], 2, 100, 3, self.FREE)
-        m.run_superstep([lambda: None], 2, 50, 1, self.FREE)
+        m.run_superstep([lambda: None], 2, 100, 3)
+        m.run_superstep([lambda: None], 2, 50, 1)
         assert (m.supersteps, m.comm_bytes, m.comm_messages) == (2, 150, 4)
         assert m.backend == "serial"
 
-    def test_default_cost_model_charges_latency(self):
-        m = RunMetrics()
-        m.run_superstep([], 1, 0, 0)
-        assert m.parallel_time_s == pytest.approx(1e-3)
-
     def test_virtual_workers_fold_to_physical(self):
-        """With 4 virtual tasks and 2 physical workers, parallel time is
-        at most the sum of all tasks and at least the max task."""
+        """With 4 virtual tasks and 2 physical workers, the slowest
+        worker's time is at most the sum of all tasks."""
 
         def busy():
             total = 0
@@ -133,7 +133,7 @@ class TestRunSuperstep:
             return total
 
         m = RunMetrics()
-        m.run_superstep([busy] * 4, 2, 0, 0, self.FREE)
+        m.run_superstep([busy] * 4, 2, 0, 0)
         assert m.worker_time_hist.count == 2  # one sample per physical
-        assert 0 < m.parallel_time_s <= m.total_compute_s
-        assert m.per_superstep[0]["max_worker_s"] == m.parallel_time_s
+        assert m.supersteps == 1
+        assert 0 < m.per_superstep[0]["max_worker_s"] <= m.total_compute_s

@@ -4,17 +4,15 @@ histogram + skew fields, end to end across every backend."""
 import pytest
 
 from repro.core.engine import EngineConfig
-from repro.runtime.metrics import CostModel, RunMetrics, ServiceMetrics
+from repro.runtime.metrics import RunMetrics, ServiceMetrics
 from repro.service import GrapeService
-
-CM = CostModel(sync_latency_s=0.0, seconds_per_byte=0.0)
 
 
 class TestObserveRun:
     def _run(self, wall, worker_times):
         m = RunMetrics(backend="thread")
         m.wall_clock_s = wall
-        m.record_superstep(worker_times, 10, 2, CM)
+        m.record_superstep(worker_times, 10, 2)
         return m
 
     def test_totals_and_histograms_fold_in(self):

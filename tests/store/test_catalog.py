@@ -11,7 +11,8 @@ from repro.graph.delta import GraphDelta
 from repro.graph.generators import uniform_random_graph
 from repro.graph.graph import Graph
 from repro.partition.strategies import HashPartition
-from repro.store import GraphStore
+from repro.store import FencedError, GraphStore
+from repro.store.catalog import EPOCH_FILE, read_epoch, write_epoch
 
 
 def small_graph(seed=6):
@@ -90,6 +91,36 @@ class TestCatalog:
             store.persist_graph("soc", small_graph())
             assert store.load("soc").name == "soc"
         assert [p.name for p in tmp_path.iterdir()] == ["graphs"]
+
+
+class TestEpochFile:
+    """The ``EPOCH`` fencing file is parsed in one place, beside the
+    store that checks it on every write."""
+
+    def test_write_then_read_round_trips(self, tmp_path):
+        write_epoch(tmp_path, 3, "r2")
+        assert read_epoch(tmp_path) == (3, "r2")
+        write_epoch(tmp_path, 4, None)
+        assert read_epoch(tmp_path) == (4, None)
+
+    @pytest.mark.parametrize("content", [None, "not json", "{}",
+                                         '{"epoch": "x"}'])
+    def test_missing_or_unreadable_file_reads_as_no_coordinator(
+            self, tmp_path, content):
+        if content is not None:
+            (tmp_path / EPOCH_FILE).write_text(content, encoding="utf-8")
+        assert read_epoch(tmp_path) == (0, None)
+
+    def test_store_handle_is_fenced_by_a_newer_epoch(self, tmp_path):
+        write_epoch(tmp_path, 1, "r1")
+        with GraphStore(tmp_path, node_id="r1") as store:
+            store.persist_graph("soc", small_graph())
+            write_epoch(tmp_path, 2, "r2")
+            with pytest.raises(FencedError):
+                store.persist_graph("soc2", small_graph(seed=7))
+            assert store.metrics.fenced_rejections == 1
+        with pytest.raises(FencedError):
+            GraphStore(tmp_path, node_id="r1")
 
 
 class TestCompaction:
