@@ -12,9 +12,13 @@ that bring a fragment's derived tables current — no source is touched::
 Prints raw milliseconds (no host normalisation: compare two checkouts by
 alternating runs): the warm read and the first read after a write per
 program, the gap, and per wrapped function its inclusive time per first
-read — ``outer_slots`` includes the ``int_labels`` it reaches, ``csr()``
-the splice and the derive hooks (``_carry_tables``) — how often a label
-index was learned from the node list, and what ``service.stats`` counted.
+read — ``outer_slots`` includes the ``int_labels`` it reaches and the
+border table's patch (``_border_slow``), ``csr()`` the splice
+(``from_graph``) and whatever a checkout does to bring its tables across
+(wrapped when it has it: ``_carry_tables`` before stable ids) — how often
+a label index was learned from the node list, the tombstones the
+fragments' id tables hold at the end (stable ids only), and what
+``service.stats`` counted.
 """
 
 from __future__ import annotations
@@ -76,10 +80,11 @@ def main() -> int:
             wrap(Fragment, "csr", spent, calls),
             wrap(Fragment, "outer_slots", spent, calls),
             wrap(Fragment, "owned_slots", spent, calls),
+            wrap(Fragment, "border_slots", spent, calls),
+            wrap(Fragment, "_border_slow", spent, calls),
             wrap(Fragmentation, "border_index", spent, calls)]
-    for name in ("border_slots", "_carry_tables"):  # (this change's)
-        if hasattr(Fragment, name):
-            keys.append(wrap(Fragment, name, spent, calls))
+    if hasattr(Fragment, "_carry_tables"):  # (renumbering checkouts)
+        keys.append(wrap(Fragment, "_carry_tables", spent, calls))
 
     run = harness.Run(workloads.WORKLOADS[args.workload], args.seed, False)
     reads = defaultdict(list)       # (program, "warm" | "first") -> ms
@@ -128,6 +133,11 @@ def main() -> int:
                      "derived_tables_carried", "derived_tables_rebuilt"):
             if hasattr(stats, name):
                 print(f"  stats.{name} = {getattr(stats, name)}")
+        fragments = run.service.fragmentation(harness.GRAPH_NAME)
+        if hasattr(Fragment, "id_table"):
+            print("  tombstones / ids: " + ", ".join(
+                f"{len(f.id_table()[2])}/{len(f.id_table()[0])}"
+                for f in fragments))
         print("  label index learned from the node list: "
               f"{calls['label index learned from the node list']} times")
         print(f"  failed operations: {run.failed}")

@@ -312,18 +312,20 @@ class ArrayCoordinator(Coordinator):
         return messages
 
     def _route_by_owner(self, blocks) -> Dict[int, ParamBlock]:
-        index = self._index
-        parts: Dict[int, list] = {}
-        for src, block in blocks:
-            dest = index.owner[index.ids_of(block.ids)]
-            for fid in np.unique(dest).tolist():
-                mine = dest == fid
-                parts.setdefault(fid, []).append(
-                    (block.ids[mine], block.vals[mine],
-                     np.full(int(mine.sum()), src, dtype=np.int64)))
-        return {fid: ParamBlock(*(np.concatenate(column)
-                                  for column in zip(*pieces)))
-                for fid, pieces in parts.items()}
+        """The round's blocks, in source order, split by the owner of
+        each entry with one stable sort: a message lists its entries by
+        source, then in block order."""
+        if not blocks:
+            return {}
+        ids, vals = (np.concatenate([getattr(block, name) for _src, block
+                                     in blocks]) for name in ("ids", "vals"))
+        src = np.repeat(np.array([src for src, _block in blocks]),
+                        [len(block) for _src, block in blocks])
+        dest = self._index.owner[self._index.ids_of(ids)]
+        order = np.argsort(dest, kind="stable")
+        return {fid: ParamBlock(ids[mine], vals[mine], src[mine])
+                for fid, mine in enumerate(np.split(order, np.cumsum(
+                    np.bincount(dest))[:-1])) if mine.size}
 
 
 #: each block hook and the dict hooks it stands in for

@@ -103,9 +103,10 @@ def apply_delta(fragmentation: Fragmentation,
     gp = fragmentation.gp
     m = fragmentation.num_fragments
     touched: Dict[int, FragmentDelta] = {}
-    mutated_graphs: Set[int] = set()
 
     def fd(fid: int) -> FragmentDelta:
+        if fid not in touched:  # ids are taken before the graph moves
+            fragmentation[fid].id_table()
         return touched.setdefault(fid, FragmentDelta(fid=fid))
 
     def ensure_node(x: Node) -> int:
@@ -114,16 +115,15 @@ def apply_delta(fragmentation: Fragmentation,
         # stable_hash keeps new-node placement reproducible across runs
         # (builtin hash of strings varies with PYTHONHASHSEED).
         fid = stable_hash(x) % m
+        delta_f = fd(fid)
         graph.add_node(x)
         frag = fragmentation[fid]
         frag.graph.add_node(x)
         frag.owned.add(x)
         gp._owner[x] = fid
         gp._holders[x] = frozenset((fid,))
-        delta_f = fd(fid)
         delta_f.new_nodes.append((x, None))
         delta_f.owned_added.append(x)
-        mutated_graphs.add(fid)
         return fid
 
     def add_holder(x: Node, fid: int) -> None:
@@ -138,7 +138,6 @@ def apply_delta(fragmentation: Fragmentation,
             delta_f.new_nodes.append((v, graph.node_label(v)))
         frag.graph.add_node(v, graph.node_label(v))
         frag.graph.add_edge(u, v, weight=w)
-        mutated_graphs.add(fu)
         add_holder(v, fu)
         add_holder(u, fu)
         if fu != fv:
@@ -156,12 +155,10 @@ def apply_delta(fragmentation: Fragmentation,
         frag = fragmentation[fu]
         frag.graph.set_edge_weight(u, v, new)
         fd(fu).weight_changes.append((u, v, old, new))
-        mutated_graphs.add(fu)
         if not graph.directed:
             if fu != fv:
                 # the symmetric orientation is stored at v's owner
                 fragmentation[fv].graph.set_edge_weight(v, u, new)
-                mutated_graphs.add(fv)
             # Both orientations are recorded even when fu == fv (the
             # local undirected set_edge_weight already covered both):
             # programs folding a decrease must also try the v -> u
@@ -176,9 +173,8 @@ def apply_delta(fragmentation: Fragmentation,
             return
         if frag.graph.degree(x):
             return
-        frag.graph.remove_node(x)
-        mutated_graphs.add(fid)
         delta_f = fd(fid)
+        frag.graph.remove_node(x)
         delta_f.retired_nodes.append(x)
         if x in frag.outer:
             frag.outer.remove(x)
@@ -195,7 +191,6 @@ def apply_delta(fragmentation: Fragmentation,
             # non-monotone maintenance).
             w_old = frag.graph.edge_weight(u, v)
             frag.graph.remove_edge(u, v)
-            mutated_graphs.add(fu)
             fd(fu).deletions.append((u, v, w_old))
         maybe_retire(fu, v)
 
@@ -232,13 +227,12 @@ def apply_delta(fragmentation: Fragmentation,
         fix_inner(u)
         fix_inner(v)
 
-    # Every mutated fragment retires its snapshot with the rows the batch
-    # dirtied (the next read splices); an edited border set moves the
-    # border epoch, whether or not the local graph changed under it.
-    for fid in mutated_graphs:
-        fragmentation[fid].invalidate_csr(touched[fid].dirty_nodes())
+    # Every touched fragment takes the batch's joins and retirements
+    # into its id table; a mutated one retires its snapshot with the
+    # rows the batch dirtied (the next read splices), an edited border
+    # set moves the border epoch, whether or not the local graph changed.
     for fid, delta_f in touched.items():
-        fragmentation[fid].border_moved(delta_f.border_edits)
+        fragmentation[fid].absorb(delta_f)
     if touched:
         # Stamp sequence numbers and invalidate worker-side fragment
         # caches (process backend): the next lease replays these deltas,

@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.graph.graph import DeferredGraph, Edge, Graph, Node
 
-__all__ = ["CSRGraph", "edge_positions", "int_array", "positions_in_sorted",
-           "splice_rows", "union_hash"]
+__all__ = ["CSRGraph", "edge_positions", "found_in_sorted", "int_array",
+           "positions_in_sorted", "splice_rows", "union_hash"]
 
 
 def positions_in_sorted(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -31,6 +31,16 @@ def positions_in_sorted(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
                      or not np.array_equal(sorted_ids[pos], ids)):
         raise KeyError("id not found in the sorted id table")
     return pos
+
+
+def found_in_sorted(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``np.isin(sorted_ids, ids)`` for a sorted, duplicate-free table by
+    binary search (``np.isin`` sorts: 10-40x slower at 5k-20k entries)."""
+    found = np.zeros(sorted_ids.shape[0], dtype=bool)
+    pos = np.searchsorted(sorted_ids, ids)
+    ok = pos < sorted_ids.shape[0]
+    found[pos[ok][sorted_ids[pos[ok]] == ids[ok]]] = True
+    return found
 
 
 def edge_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -59,6 +69,14 @@ def int_array(nodes: Sequence) -> Optional[np.ndarray]:
         except OverflowError:  # labels beyond int64
             pass
     return None
+
+
+def live_ids(node_of: List[Node], dead: Iterable[int]) -> Dict[Node, int]:
+    """``id_of`` over ``node_of``: every node but the tombstones."""
+    id_of = dict(zip(node_of, range(len(node_of))))
+    for i in dead:
+        del id_of[node_of[i]]
+    return id_of
 
 
 def splice_rows(ptr: np.ndarray, cols: Sequence[np.ndarray],
@@ -159,31 +177,30 @@ class CSRGraph:
         arrays are private or map a published shared-memory segment.
     id_of, node_of:
         Mappings between original node objects and dense ids.
-    remap, appended:
-        What a splice learned (:meth:`from_graph`): the base's dense ids
-        -> these (``-1``: gone; ``None``: none moved), the ids of the
-        nodes the base did not have.
+    dead:
+        The tombstones' ids (sorted): nodes gone from the graph, kept with
+        a degree-0 row; ``node_of`` still names them, ``id_of`` does not.
     """
 
     __slots__ = ("n", "directed", "indptr", "indices", "weights",
-                 "id_of", "node_of", "labels", "remap", "appended",
+                 "id_of", "node_of", "labels", "dead",
                  "_label_index", "_min_weight")
 
     def __init__(self, n: int, directed: bool,
                  indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray,
                  id_of: Dict[Node, int], node_of: List[Node],
-                 labels: List):
+                 labels: List, dead: Iterable[int] = ()):
         self.n = n
         self.directed = directed
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
-        for arr in (indptr, indices, weights):
+        self.dead = np.asarray(dead, dtype=np.int64)
+        for arr in (indptr, indices, weights, self.dead):
             arr.flags.writeable = False
         self.id_of = id_of
         self.node_of = node_of
         self.labels = labels
-        self.remap = self.appended = None
         # (labels, sorted labels, their order) once int_labels was asked
         self._label_index: Optional[Tuple] = None
         self._min_weight: Optional[float] = None
@@ -201,63 +218,56 @@ class CSRGraph:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_graph(cls, g: Graph, *, base: Optional["CSRGraph"] = None,
+    def from_graph(cls, g: Graph, *, ids: Optional[Tuple] = None,
+                   base: Optional["CSRGraph"] = None,
                    dirty: Iterable[Node] = ()) -> "CSRGraph":
-        """Snapshot of ``g``: dense ids in node order, rows in adjacency
+        """Snapshot of ``g``, rows in adjacency order, dense ids from the
+        id table ``ids`` (``(node_of, id_of, dead)``, see
+        :meth:`repro.partition.base.Fragment.id_table`), else in node
         order.
 
-        With ``base`` — a snapshot of an earlier state of ``g`` — only
-        the rows of ``dirty`` (which must name every node whose adjacency
-        row changed since: endpoints of inserted, deleted and reweighted
-        edges, new and removed nodes) are read from the adjacency dicts;
-        the rest are spliced over from ``base``'s arrays, dense ids
-        remapped when the node order moved (a node added, removed, or
-        removed and re-added, which moves it to the end).  The result
-        equals the from-scratch build element for element.
+        With ``base`` — a snapshot of an earlier state of ``g`` under
+        the same ``ids`` — only the rows of ``dirty`` (every node whose
+        adjacency row changed since: endpoints of inserted, deleted and
+        reweighted edges, new and removed nodes) and of appended ids are
+        read from the dicts; the rest cross from ``base`` in one gather.
 
-        **The derive contract.**  The splice hands its successor what it
-        learned — :attr:`remap`, :attr:`appended` — and every table
-        derived from ``base`` crosses as a function of (previous table,
-        remap, dirty rows) instead of being re-learned from Python
-        objects: the label index here, a fragment's slot tables in
-        :meth:`repro.partition.base.Fragment.csr`.
+        **The stable-id contract.**  A node keeps its id while the table
+        lives: one that leaves is a tombstone (:attr:`dead`, a degree-0
+        row), one that comes back takes its old id, a new one the next.
+        A splice moves no id, so what is derived from ids changes only
+        at appended ids and at the nodes a delta names: the label index
+        here, a fragment's slot tables.  Live rows equal a from-scratch
+        build's, compared by label.
         """
-        # Reads the adjacency rows directly (C-speed row copies); Graph
-        # stores both orientations of an undirected edge already.
         succ = g._succ
-        node_of = list(succ)
-        n = len(node_of)
-        labels = (list(map(g._node_labels.get, node_of)) if g._node_labels
-                  else [None] * n)
+        node_of, table, dead = ids or (succ, None, ())
+        # a table only grows (a pack builds afresh): no growth, same list
+        node_of = base.node_of if base is not None \
+            and len(node_of) == base.n else list(node_of)
+        n, label = len(node_of), g._node_labels.get
+        dead = np.fromiter(sorted(dead), dtype=np.int64, count=len(dead))
         if base is None:
-            id_of = dict(zip(node_of, range(n)))
-            rows = list(succ.values())
+            labels = list(map(label, node_of))
+            id_of = live_ids(node_of, dead)
+            rows = list(map(succ.get, node_of, repeat({})))
         else:
-            # Every node that left, arrived or moved is dirty; the clean
-            # ones keep their order: their ids line up one to one.
-            dirty = list(dirty)
-            was = np.fromiter(map(base.id_of.get, dirty, repeat(-1)),
-                              dtype=np.int64, count=len(dirty))
-            if node_of == base.node_of:
-                node_of, id_of, now = base.node_of, base.id_of, was
-            else:
-                id_of = dict(zip(node_of, range(n)))
-                now = np.fromiter(map(id_of.get, dirty, repeat(-1)),
-                                  dtype=np.int64, count=len(dirty))
-            stay = np.ones(base.n, dtype=bool)
-            stay[was[was >= 0]] = False
-            stay_old = np.flatnonzero(stay)
-            stay = np.ones(n, dtype=bool)
-            stay[now[now >= 0]] = False
-            stay_new = np.flatnonzero(stay)
-            if stay_new.shape != stay_old.shape:
-                raise ValueError("dirty does not name every node that "
-                                 "joined or left the graph since base")
-            # source[i]: the row of ``base`` that is node i's, -1 for a
-            # row to read from ``g``
-            source = np.full(n, -1, dtype=np.int64)
-            source[stay_new] = stay_old
-            rows = [succ[node_of[i]] for i in np.flatnonzero(~stay).tolist()]
+            # the appended ids and the named rows are read, the rest kept
+            fresh = np.fromiter(map(table.get, dirty, repeat(-1)),
+                                dtype=np.int64)
+            fresh = np.union1d(fresh[fresh >= 0], np.arange(base.n, n))
+            source = np.arange(n, dtype=np.int64)
+            source[fresh] = -1
+            nodes = list(map(node_of.__getitem__, fresh.tolist()))
+            rows = list(map(succ.get, nodes, repeat({})))
+            # a batch sets no label: only a (re)joining node brings one
+            labels = base.labels + [None] * (n - base.n)
+            for i, v in zip(fresh.tolist(), nodes):
+                labels[i] = label(v)
+            id_of = base.id_of.copy()
+            id_of.update(zip(nodes, fresh.tolist()))
+            for i in np.intersect1d(fresh, dead).tolist():
+                del id_of[node_of[i]]
 
         counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
         total = int(counts.sum())
@@ -269,44 +279,29 @@ class CSRGraph:
             indptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
             return cls(n, g.directed, indptr, dst, wgt, id_of, node_of,
-                       labels)
-        remap = None
-        if id_of is not base.id_of:
-            remap = np.full(base.n, -1, dtype=np.int64)
-            remap[stay_old] = stay_new
-            remap[was[was >= 0]] = now[was >= 0]
+                       labels, dead)
         indptr, (indices, weights) = splice_rows(
-            base.indptr, (base.indices if remap is None
-                          else remap[base.indices], base.weights),
-            source, counts, (dst, wgt))
+            base.indptr, (base.indices, base.weights), source, counts,
+            (dst, wgt))
+        if (indptr[dead + 1] != indptr[dead]).any():
+            raise ValueError("dirty does not name every node that left "
+                             "the graph since base")
         snap = cls(n, g.directed, indptr, indices, weights, id_of, node_of,
-                   labels)
-        snap.remap = remap
-        snap.appended = np.sort(now[(was < 0) & (now >= 0)])
-        snap._label_index = base._derive_label_index(snap)
+                   labels, dead)
+        index = base._label_index
+        if index is not None and index[0] is not None and n > base.n:
+            # the appended labels, type-checked, merged into the table
+            new = int_array(node_of[base.n:])
+            if new is None:
+                index = (None, None, None)
+            else:
+                by_label = np.argsort(new, kind="stable")
+                at = np.searchsorted(index[1], new[by_label])
+                index = (np.concatenate((index[0], new)),
+                         np.insert(index[1], at, new[by_label]),
+                         np.insert(index[2], at, by_label + base.n))
+        snap._label_index = index
         return snap
-
-    def _derive_label_index(self, snap: "CSRGraph") -> Optional[Tuple]:
-        """The label index of ``snap``, spliced from this snapshot: this
-        one's index gathered through ``snap.remap``, the appended nodes
-        — the only ones type-checked — merged into the sorted table.
-        ``None`` (learn it on first use) when there is nothing to carry."""
-        index, remap = self._label_index, snap.remap
-        if remap is None or index is None or index[0] is None:
-            return index if remap is None else None
-        fresh = int_array([snap.node_of[i] for i in snap.appended.tolist()])
-        if fresh is None:
-            return (None, None, None)
-        labels, alive = np.empty(snap.n, dtype=np.int64), remap >= 0
-        labels[remap[alive]] = index[0][alive]
-        labels[snap.appended] = fresh
-        order = remap[index[2]]
-        alive = order >= 0
-        sorted_labels, order = index[1][alive], order[alive]
-        by_label = np.argsort(fresh, kind="stable")
-        at = np.searchsorted(sorted_labels, fresh[by_label])
-        return (labels, np.insert(sorted_labels, at, fresh[by_label]),
-                np.insert(order, at, snap.appended[by_label]))
 
     # ------------------------------------------------------------------
     # Array (de)serialization — the durable store's snapshot payload
@@ -321,9 +316,10 @@ class CSRGraph:
     def from_arrays(cls, *, directed: bool, indptr: np.ndarray,
                     indices: np.ndarray, weights: np.ndarray,
                     node_of: Sequence[Node],
-                    labels: Optional[Sequence] = None) -> "CSRGraph":
+                    labels: Optional[Sequence] = None,
+                    dead: Sequence[int] = ()) -> "CSRGraph":
         """Rebuild a snapshot from :meth:`to_arrays` output plus the node
-        identity/label metadata."""
+        identity/label metadata and the tombstones' ids."""
         node_of = list(node_of)
         n = len(node_of)
         if indptr.shape[0] != n + 1:
@@ -332,13 +328,13 @@ class CSRGraph:
         return cls(n, directed, np.asarray(indptr, dtype=np.int64),
                    np.asarray(indices, dtype=np.int64),
                    np.asarray(weights, dtype=np.float64),
-                   dict(zip(node_of, range(n))), node_of,
-                   list(labels) if labels is not None else [None] * n)
+                   live_ids(node_of, dead), node_of,
+                   list(labels) if labels is not None else [None] * n, dead)
 
     def content_hash(self, edge_labels: Dict[Edge, object]) -> int:
         """The :func:`union_hash` of this snapshot alone."""
-        return union_hash(self.directed, [(self, np.arange(self.n))],
-                          edge_labels)
+        return union_hash(self.directed, [(
+            self, np.delete(np.arange(self.n), self.dead))], edge_labels)
 
     # ------------------------------------------------------------------
     # Shared-memory (de)serialization — the process backend's zero-copy
@@ -377,18 +373,15 @@ class CSRGraph:
         return layout
 
     @classmethod
-    def from_shared(cls, buf, layout, *, n: int, directed: bool,
-                    id_of: Dict[Node, int], node_of: List[Node],
-                    labels: List) -> "CSRGraph":
+    def from_shared(cls, buf, layout, **meta) -> "CSRGraph":
         """Zero-copy snapshot over a shared buffer written by
-        :meth:`to_shared`: every array is a view into ``buf``, so the
+        :meth:`to_shared` (``meta``: what :meth:`from_arrays` takes
+        beside the arrays): every array is a view into ``buf``, so the
         buffer must stay mapped for the snapshot's lifetime."""
-        views = {name: np.frombuffer(buf, dtype=dtype, count=count,
-                                     offset=off)
-                 for name, dtype, count, off in layout
-                 if name in cls.SHARED_FIELDS}
-        return cls(n, directed, views["indptr"], views["indices"],
-                   views["weights"], id_of, node_of, labels)
+        return cls.from_arrays(**meta, **{
+            name: np.frombuffer(buf, dtype=dtype, count=count, offset=off)
+            for name, dtype, count, off in layout
+            if name in cls.SHARED_FIELDS})
 
     # ------------------------------------------------------------------
     @property
@@ -436,9 +429,11 @@ class CSRGraph:
         """The :class:`Graph` this is a snapshot of, with ``edge_labels``
         (a snapshot carries none), built on first use: a
         :class:`~repro.graph.graph.DeferredGraph`.  The rows hold the
-        *stored* adjacency, so one pass fills ``_succ`` / ``_pred``."""
+        *stored* adjacency, so one pass fills ``_succ`` / ``_pred``; the
+        two orientations of an undirected edge share one weight object,
+        as :meth:`Graph.add_edge` makes them.  Tombstones are left out."""
         def fill(g: Graph) -> None:
-            node_of = self.node_of
+            node_of, none = self.node_of, {}
             indices, weights = self.indices.tolist(), self.weights.tolist()
             succ = g._succ = {v: {} for v in node_of}
             pred = g._pred = {v: {} for v in node_of}
@@ -446,11 +441,14 @@ class CSRGraph:
                               if lbl is not None}
             k = 0
             for u, end in zip(node_of, self.indptr[1:].tolist()):
-                row = succ[u]
+                # undirected: what earlier rows stored towards u is u's row
+                row, back = succ[u], none if self.directed else pred[u]
                 while k < end:
                     v = node_of[indices[k]]
-                    row[v] = pred[v][u] = weights[k]
+                    row[v] = pred[v][u] = back.get(v, weights[k])
                     k += 1
+            for v in map(node_of.__getitem__, self.dead.tolist()):
+                del succ[v], pred[v]
             g._count_edges()
         return DeferredGraph(self.directed, fill, edge_labels)
 

@@ -372,8 +372,10 @@ class FragmentDelta:
         :func:`repro.core.updates.apply_delta`'s order — nodes,
         insertions, reweights, deletions, retirements, border sets — so
         the copy is structurally identical to the coordinator's fragment
-        at the same version, its epochs move like the original's and it
-        gets the same dirty rows to splice its next snapshot from."""
+        at the same version, its epochs and its id table move like the
+        original's and it gets the same dirty rows to splice its next
+        snapshot from."""
+        fragment.id_table()  # (taken before the graph moves)
         g = fragment.graph
         for v, label in self.new_nodes:
             g.add_node(v, label)
@@ -392,9 +394,7 @@ class FragmentDelta:
         fragment.inner.difference_update(self.inner_removed)
         fragment.outer.update(self.outer_added)
         fragment.outer.difference_update(self.outer_removed)
-        fragment.border_moved(self.border_edits)
-        if self.mutates_graph:
-            fragment.invalidate_csr(self.dirty_nodes())
+        fragment.absorb(self)
 
     def __repr__(self) -> str:
         return (f"FragmentDelta(fid={self.fid}, seq={self.seq}, "

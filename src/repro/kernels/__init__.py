@@ -38,10 +38,9 @@ lazily and caches it.  A mutation through
 (``Fragment.invalidate_csr(dirty)``: ``csr_cached`` turns false,
 ``csr_epoch`` moves, arrays addressed by the old dense ids stop being
 read) and the next kernel call gets the new one by *row splice*
-(``CSRGraph.from_graph(graph, base=retired, dirty=...)``) — the arrays a
-build from the whole graph gives, for one gather plus the dirty rows,
-with the tables derived from the old snapshot carried across (see
-:class:`~repro.partition.base.Fragment`).  A mutation that cannot name
+(``CSRGraph.from_graph(graph, ids=..., base=retired, dirty=...)``) — one
+gather plus the dirty rows, and no id moves: a retired node is a degree-0
+tombstone (see :class:`~repro.partition.base.Fragment`).  A mutation that cannot name
 its rows still drops the snapshot and the next call builds it.
 
 **When the dict algorithms run.**  A served query runs on arrays; a

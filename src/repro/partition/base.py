@@ -31,13 +31,17 @@ from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
 
 import numpy as np
 
-from repro.graph.csr import (CSRGraph, int_array, positions_in_sorted,
-                             splice_rows)
+from repro.graph.csr import (CSRGraph, found_in_sorted, int_array,
+                             positions_in_sorted, splice_rows)
 from repro.graph.graph import DeferredGraph, Graph, Node
 
-__all__ = ["BorderIndex", "Fragment", "FragmentationGraph", "Fragmentation",
-           "PartitionStrategy", "build_edge_cut_fragments",
+__all__ = ["TOMBSTONE", "BorderIndex", "Fragment", "FragmentationGraph",
+           "Fragmentation", "PartitionStrategy", "build_edge_cut_fragments",
            "build_vertex_cut_fragments", "cut_edges", "replication_factor"]
+
+
+#: a tombstone's place in :meth:`Fragment.keys` (never a node)
+TOMBSTONE = object()
 
 
 class Fragment:
@@ -58,22 +62,24 @@ class Fragment:
     outer:
         ``F_i.O`` — copied nodes owned elsewhere.
 
-    **Derived tables.**  The CSR snapshot (:meth:`csr`) and the slot
-    tables read off it (:meth:`outer_slots`, :meth:`border_slots`,
-    :meth:`owned_slots`) are each a function of (previous table, the
-    splice's id remap, the nodes the logged deltas name): the splice
-    that installs the next snapshot carries every table current with
-    the retired one across (``tables_carried``), so a batch costs the
-    next read work in its own size.  A table with no known predecessor
-    is derived from the sets (``tables_rebuilt``) — the same arrays.
+    **Stable ids.**  A node's dense id is fixed in the fragment's id
+    table (:meth:`id_table`) when it first joins the local graph; a
+    retired mirror is a tombstone (a degree-0 row no answer, report or
+    slot table sees) and takes its old id back.  :meth:`absorb` keeps
+    the table current in ``O(batch)`` on every copy alike, so the CSR
+    snapshot (:meth:`csr`, rows in table order) and the slot tables
+    (:meth:`outer_slots`, :meth:`border_slots`, :meth:`owned_slots`)
+    change only at appended ids and at the nodes a batch names.  Past
+    half tombstones the table is packed and its tables are derived
+    afresh from the sets (``tables_rebuilt``).
     """
 
-    __slots__ = ("fid", "graph", "owned", "inner", "outer",
+    __slots__ = ("fid", "graph", "owned", "inner", "outer", "_ids", "_keys",
                  "_csr", "_csr_pending", "_csr_lock", "_csr_shared",
                  "_remote_csr_live", "_border_table", "_owned_slots",
                  "_border_dirty", "csr_epoch", "border_epoch",
                  "csr_builds", "csr_patches", "csr_invalidations",
-                 "tables_carried", "tables_rebuilt")
+                 "tables_rebuilt")
 
     def __init__(self, fid: int, graph: Graph, owned: Set[Node],
                  inner: Set[Node], outer: Set[Node]):
@@ -82,9 +88,11 @@ class Fragment:
         self.owned = owned
         self.inner = inner
         self.outer = outer
+        self._ids: Optional[Tuple] = None  # see id_table
+        self._keys: Optional[Tuple] = None  # see keys
         self._csr = None
-        # (last snapshot, nodes whose adjacency row changed since, the
-        # csr_epoch it was live at): what the next csr() splices from
+        # (last snapshot, nodes whose adjacency row changed since): what
+        # the next csr() splices from
         self._csr_pending = None
         # GrapeService runs concurrent queries over one shared cached
         # fragmentation (they hold only the graph's read lock): lazy
@@ -106,21 +114,72 @@ class Fragment:
         #: happen without the local graph, and so ``csr_epoch``, moving
         self.border_epoch = 0
         #: snapshots built / spliced from the last one and a dirty set /
-        #: retired; tables carried across / derived from the sets
+        #: retired; slot tables derived from the sets
         self.csr_builds = self.csr_patches = self.csr_invalidations = 0
-        self.tables_carried = self.tables_rebuilt = 0
+        self.tables_rebuilt = 0
 
     def __getstate__(self):
         """Pickle contract (the process backend ships fragments once):
-        snapshots, tables and the lock never cross the pipe.  The
+        snapshots, tables and the lock never cross the pipe, the id
+        table does where the graph's node order does not spell it.  The
         receiving side starts at epoch 0 and derives its own lazily —
         consumers key their arrays on *their* fragment's epoch."""
-        return {slot: getattr(self, slot) for slot in
-                ("fid", "graph", "owned", "inner", "outer")}
+        state = {slot: getattr(self, slot) for slot in
+                 ("fid", "graph", "owned", "inner", "outer")}
+        ids = self._ids
+        if ids is not None and (ids[2] or ids[0] != list(self.graph._succ)):
+            state["ids"] = (ids[0], sorted(ids[2]))
+        return state
 
     def __setstate__(self, state):
         self.__init__(state["fid"], state["graph"], state["owned"],
                       state["inner"], state["outer"])
+        if "ids" in state:
+            self._ids = _id_table(*state["ids"])
+
+    def id_table(self) -> Tuple[List[Node], Dict[Node, int], Set[int]]:
+        """``(node_of, id_of, dead)``: every node the local graph held, by
+        dense id, and the tombstones' ids.  Taken from the installed
+        snapshot, else node order — so mutators ask before they mutate."""
+        if self._ids is None:
+            snap = self._csr
+            self._ids = _id_table(self.graph.nodes(), ()) if snap is None \
+                else _id_table(snap.node_of, snap.dead.tolist())
+        return self._ids
+
+    def keys(self) -> List[Node]:
+        """The id table's nodes by dense id, each tombstone as
+        :data:`TOMBSTONE`: what a state's per-vertex arrays are keyed by
+        (one list per ``csr_epoch``, shared, never written)."""
+        ids, cached, epoch = self.id_table(), self._keys, self.csr_epoch
+        if cached is None or cached[0] != epoch or cached[1] is not ids:
+            keys = list(ids[0])
+            for i in ids[2]:
+                keys[i] = TOMBSTONE
+            cached = self._keys = (epoch, ids, keys)
+        return cached[2]
+
+    def absorb(self, delta) -> None:
+        """Take ``delta`` (a :class:`~repro.graph.delta.FragmentDelta`
+        the graph and the sets already took) into the id table, the
+        border table's due patch and the dirty rows: a joining node
+        takes its old id or the next, a retired one is a tombstone, and
+        past half tombstones the table is packed (the next csr builds)."""
+        node_of, id_of, dead = self.id_table()
+        for v, _label in delta.new_nodes:
+            if id_of.setdefault(v, len(node_of)) == len(node_of):
+                node_of.append(v)
+            dead.discard(id_of[v])
+        dead.update(map(id_of.__getitem__, delta.retired_nodes))
+        if any(delta.border_edits):
+            self.border_epoch += 1
+            self._border_dirty.update(*delta.border_edits)
+        if delta.mutates_graph:
+            self.invalidate_csr(delta.dirty_nodes())
+        if 2 * len(dead) > len(node_of):
+            self._ids = _id_table([v for i, v in enumerate(node_of)
+                                   if i not in dead], ())
+            self._csr_pending = None
 
     def csr(self):
         """Frozen CSR snapshot of the local graph; the partitioner and the
@@ -130,88 +189,51 @@ class Fragment:
         (mutation through :func:`repro.core.updates.apply_delta`);
         CSR-capable PIE programs call this every round and almost always
         hit the cache.  After a mutation that named its dirty rows the
-        next snapshot is spliced from the retired one (``csr_patches``)
-        and the derived tables cross with it, otherwise it is built from
-        the whole graph (``csr_builds``) — the same arrays either way.
-        Thread-safe: concurrent readers build or splice exactly once.
+        next snapshot is spliced from the retired one (``csr_patches``),
+        otherwise it is built from the whole graph (``csr_builds``), in
+        id table order.  Thread-safe: readers build or splice once.
         """
         snap = self._csr
         if snap is None:
             with self._csr_lock:
                 snap = self._csr
                 if snap is None:
-                    pending, self._csr_pending = self._csr_pending, None
-                    if pending is None:
-                        snap = CSRGraph.from_graph(self.graph)
+                    base, dirty = self._csr_pending or (None, ())
+                    self._csr_pending = None
+                    snap = self._csr = CSRGraph.from_graph(
+                        self.graph, ids=self.id_table(), base=base,
+                        dirty=dirty)
+                    if base is None:
                         self.csr_builds += 1
                     else:
-                        base, rows, epoch = pending
-                        snap = CSRGraph.from_graph(self.graph, base=base,
-                                                   dirty=rows)
                         self.csr_patches += 1
-                        self.tables_carried += snap._label_index is not None
-                        self._carry_tables(snap, epoch, rows)
-                    self._csr = snap
         return snap
 
-    def _carry_tables(self, snap, epoch: int, rows=()) -> None:
-        """The derive hooks, run (under ``_csr_lock``) where tables
-        cross: those keyed by ``epoch`` are brought current with
-        ``snap`` — ids through the splice's remap (none when ``epoch``
-        is current: a border move alone), membership re-read at ``rows``
-        and the border edits' nodes — and the rest dropped."""
-        remap = snap.remap if epoch != self.csr_epoch else None
-        named, self._border_dirty = self._border_dirty.union(rows), set()
-        prev, self._border_table = self._border_table, None
-        if prev is not None and prev[0] == epoch \
-                and snap.int_labels is not None:
-            asked = int_array(list(named))
-            if asked is not None:
-                self._border_table = (
-                    self.csr_epoch, self.border_epoch) + _carry_border(
-                        prev[2:], remap, named, asked, self.inner,
-                        self.outer, snap.id_of)
-                self.tables_carried += 1
-        prev = self._owned_slots
-        if prev is not None and prev[0] != self.csr_epoch:
-            self._owned_slots = None
-        if prev is not None and prev[0] == epoch != self.csr_epoch:
-            # owned nodes keep their place in the node order and new
-            # ones are among the appended; else: derive from the set
-            node_of, ids = snap.node_of, prev[2]
-            added = [i for i in snap.appended.tolist()
-                     if node_of[i] in self.owned]
-            ids = np.concatenate((ids if remap is None else remap[ids],
-                                  np.array(added, dtype=np.int64)))
-            if (np.diff(ids, prepend=-1) > 0).all():
-                self._owned_slots = (self.csr_epoch, prev[1] + [
-                    node_of[i] for i in added], ids)
-                self.tables_carried += 1
-
     def _border_slow(self) -> Tuple:
-        """The border table ``(csr epoch, border epoch, sorted F_i.I |
+        """The border table ``(id table, border epoch, sorted F_i.I |
         F_i.O labels, their dense ids, which are F_i.O's, the F_i.O
-        labels, their ids)`` when a getter's epoch compare fails: it
-        crossed the splice in :meth:`csr`, is patched after a border
-        move alone, or is derived from the sets."""
+        labels, their ids)`` when a getter's key compare fails: patched
+        at the nodes the border edits named, or derived from the sets
+        for a new id table."""
         snap = self.csr()
         with self._csr_lock:
-            table = self._border_table
-            if table is not None and table[1] != self.border_epoch:
-                self._carry_tables(snap, self.csr_epoch)
-                table = self._border_table
-            if table is None or table[0] != self.csr_epoch:
+            table, ids = self._border_table, self.id_table()
+            if table is not None and table[0] is ids:
+                table = self._border_table = (ids, self.border_epoch) \
+                    + _patch_border(table[2:], self._border_dirty,
+                                    self.inner, self.outer, ids[1])
+            else:
                 labels = np.fromiter(
                     itertools.chain(self.inner, self.outer), dtype=np.int64,
                     count=len(self.inner) + len(self.outer))
                 order = np.argsort(labels, kind="stable")
                 labels, is_outer = labels[order], order >= len(self.inner)
-                ids = snap.ids_of(labels)
+                vids = snap.ids_of(labels)
                 table = self._border_table = (
-                    self.csr_epoch, self.border_epoch, labels, ids, is_outer,
-                    labels[is_outer], ids[is_outer])
-                self._border_dirty = set()
+                    ids, self.border_epoch, labels, vids, is_outer,
+                    labels[is_outer], vids[is_outer])
                 self.tables_rebuilt += 1
+            self._border_dirty = set()
         return table
 
     def outer_slots(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -220,9 +242,9 @@ class Fragment:
         map through which array-plane programs read their reports
         straight out of kernel arrays (``values[ids]`` lines up with
         ``labels``).  Requires integer node labels.  A view of the
-        border table, cached per ``(csr_epoch, border_epoch)``."""
+        border table, cached per ``(id table, border_epoch)``."""
         table = self._border_table
-        if table is None or table[0] != self.csr_epoch \
+        if table is None or table[0] is not self._ids \
                 or table[1] != self.border_epoch:
             table = self._border_slow()
         return table[5], table[6]
@@ -232,32 +254,32 @@ class Fragment:
         CC, whose candidate set is every border node, reads and reports
         component ids."""
         table = self._border_table
-        if table is None or table[0] != self.csr_epoch \
+        if table is None or table[0] is not self._ids \
                 or table[1] != self.border_epoch:
             table = self._border_slow()
         return table[2], table[3]
 
     def owned_slots(self) -> Tuple[List[Node], np.ndarray]:
-        """The owned nodes in the local graph's node order and their
-        (ascending) dense ids — what Assemble gathers a value array at,
-        and a deterministic order where iterating the ``owned`` set is
-        not (a pickle round trip reorders it, and float accumulations
-        that follow it would differ in the last digit between backends).
-        Cached per ``csr_epoch``; needs no live snapshot (dense ids *are*
-        positions in the graph's node order).  The nodes are the set's
-        own objects (together in memory on an unpickled copy)."""
-        cached = self._owned_slots
-        if cached is None or cached[0] != self.csr_epoch:
-            epoch = self.csr_epoch
-            snap = self._csr
-            id_of = (snap.id_of if snap is not None else
-                     dict(zip(self.graph.nodes(), itertools.count())))
-            nodes = sorted(self.owned, key=id_of.__getitem__)
-            ids = np.fromiter(map(id_of.__getitem__, nodes), dtype=np.int64,
-                              count=len(nodes))
-            cached = self._owned_slots = (epoch, nodes, ids)
+        """The owned nodes in id order and their (ascending) dense ids —
+        what Assemble gathers a value array at, and a deterministic order
+        where iterating the ``owned`` set is not (a pickle round trip
+        reorders it, and float accumulations that follow it would differ
+        in the last digit between backends).  Read off the id table, no
+        snapshot needed; owned nodes never retire and new ones take new
+        ids, so a batch only appends: the ids past the last read are
+        scanned."""
+        ids = self.id_table()
+        node_of, cached = ids[0], self._owned_slots
+        if cached is None or cached[0] is not ids:
+            cached = self._owned_slots = (ids, 0, [], np.empty(0, np.int64))
             self.tables_rebuilt += 1
-        return cached[1], cached[2]
+        if cached[1] != len(node_of):
+            added = [i for i in range(cached[1], len(node_of))
+                     if node_of[i] in self.owned]
+            cached = self._owned_slots = (ids, len(node_of), cached[2] + [
+                node_of[i] for i in added], np.concatenate(
+                    (cached[3], np.array(added, dtype=np.int64))))
+        return cached[2], cached[3]
 
     def install_csr(self, snap, *, shared: bool = False) -> None:
         """Adopt a prebuilt CSR snapshot without counting a build: warm
@@ -293,8 +315,8 @@ class Fragment:
         the retired snapshot is then kept, with the dirty set, for the
         next :meth:`csr` to splice from — dirty sets of successive
         mutations accumulate, until they stop being small against the
-        snapshot.  Without ``dirty`` the mutation is unknown and both
-        the live and any kept snapshot are dropped.
+        snapshot.  Without ``dirty`` the mutation is unknown: the
+        snapshots and the id table are dropped.
 
         ``csr_epoch`` advances on *every* call: it marks graph mutations,
         not cache drops (consumers' epoch-keyed arrays can come from a
@@ -303,12 +325,12 @@ class Fragment:
         """
         with self._csr_lock:
             live = self._csr
-            pending = (live, set(), self.csr_epoch) if live is not None \
+            pending = (live, set()) if live is not None \
                 else self._csr_pending
             self.csr_epoch += 1
-            if dirty is None or pending is None:
-                pending = None
-            else:
+            if dirty is None:
+                pending = self._ids = None
+            elif pending is not None:
                 pending[1].update(dirty)
                 if 2 * len(pending[1]) > pending[0].n:
                     pending = None  # no longer a small patch: build
@@ -328,21 +350,12 @@ class Fragment:
             self._border_table = self._owned_slots = None
             self._csr_shared = False
 
-    def border_moved(self, edits: Sequence[Sequence[Node]]) -> None:
-        """``F_i.I`` / ``F_i.O`` were edited at the nodes of ``edits``
-        (:attr:`~repro.graph.delta.FragmentDelta.border_edits`): the
-        border table is due a patch there."""
-        if any(edits):
-            self.border_epoch += 1
-            self._border_dirty.update(*edits)
-
     def count_remote_csr_work(self, builds: int, patches: int,
-                              carried: int = 0, rebuilt: int = 0) -> None:
+                              rebuilt: int = 0) -> None:
         """Fold snapshot and table derivations done on a worker-side
         copy of this fragment (process backend) into the local lifetime
         counters, so service-level metrics see them."""
         with self._csr_lock:
-            self.tables_carried += carried
             self.tables_rebuilt += rebuilt
             if builds or patches:
                 self.csr_builds += builds
@@ -358,7 +371,7 @@ class Fragment:
     def num_nodes(self) -> int:
         snap = self._csr
         if snap is not None and type(self.graph) is DeferredGraph:
-            return snap.n  # counting must not fill the dict graph
+            return snap.n - snap.dead.size  # (must not fill the dict graph)
         return self.graph.num_nodes
 
     @property
@@ -373,27 +386,22 @@ class Fragment:
                 f"inner={len(self.inner)}, outer={len(self.outer)})")
 
 
-def _carry_border(prev: Tuple, remap: Optional[np.ndarray],
-                  named: Set[Node], asked: np.ndarray, inner: Set[Node],
+def _id_table(nodes: List[Node], dead) -> Tuple:
+    """``(node_of, id_of, dead)`` over a copy of ``nodes``."""
+    nodes = list(nodes)
+    return nodes, dict(zip(nodes, range(len(nodes)))), set(dead)
+
+
+def _patch_border(prev: Tuple, named: Set[Node], inner: Set[Node],
                   outer: Set[Node], id_of: Dict[Node, int]) -> Tuple:
-    """The derive hook of the border table's arrays (see
-    :meth:`Fragment._border_slow`): ids cross through ``remap``; only
-    the ``named`` nodes (``asked``: the same, as an array) can have
-    joined or left, so when one did, their slots are dropped and
-    re-read.  Equal to deriving from the sets."""
-    labels, ids, is_outer = prev[:3]
-    if remap is not None:
-        ids = remap[ids]
-    was = np.isin(labels, asked)
+    """The border table's arrays after edits of ``F_i.I`` / ``F_i.O``
+    at the ``named`` nodes: their slots re-read, every id kept.  Equal
+    to deriving from the sets."""
+    keep = ~found_in_sorted(prev[0], int_array(list(named)))
     now = sorted(named & inner | named & outer)
-    if labels[was].tolist() != now:
-        labels, ids, is_outer = labels[~was], ids[~was], is_outer[~was]
-        at = np.searchsorted(labels, now)
-        labels = np.insert(labels, at, now)
-        ids = np.insert(ids, at, [id_of[v] for v in now])
-        is_outer = np.insert(is_outer, at, [v in outer for v in now])
-    elif remap is None:
-        return prev
+    at = np.searchsorted(prev[0][keep], now)
+    labels, ids, is_outer = (np.insert(col[keep], at, new) for col, new in zip(
+        prev[:3], (now, [id_of[v] for v in now], [v in outer for v in now])))
     return labels, ids, is_outer, labels[is_outer], ids[is_outer]
 
 
@@ -518,7 +526,7 @@ class BorderIndex:
         fragments = fragmentation.fragments
         fresh = [v for v in changed.tolist()
                  if any(v in f.inner or v in f.outer for f in fragments)]
-        stay = np.flatnonzero(~np.isin(self.nodes, changed))
+        stay = np.flatnonzero(~found_in_sorted(self.nodes, changed))
         kept_nodes = self.nodes[stay]
         at = np.searchsorted(kept_nodes, fresh)
         gp = fragmentation.gp
@@ -589,7 +597,7 @@ class Fragmentation:
         for frag in self.fragments:
             owner.update(dict.fromkeys(frag.owned, frag.fid))
             snap = frag._csr  # installed: names nodes, builds no dicts
-            for v in (frag.graph.nodes() if snap is None else snap.node_of):
+            for v in (frag.graph.nodes() if snap is None else snap.id_of):
                 held[v] = held.get(v, 0) | 1 << frag.fid
         self.gp = FragmentationGraph(owner, held)
         # (version, index or None), brought current on first use per version
@@ -730,8 +738,6 @@ class Fragmentation:
     csr_snapshots_patched = _summed("csr_patches", "CSR snapshot splices")
     csr_snapshot_invalidations = _summed("csr_invalidations",
                                          "CSR snapshot drops")
-    derived_tables_carried = _summed(
-        "tables_carried", "derived tables carried across a splice")
     derived_tables_rebuilt = _summed(
         "tables_rebuilt", "derived tables built from the sets")
 

@@ -38,7 +38,7 @@ import numpy as np
 from repro.core.aggregators import MinAggregator
 from repro.core.pie import BlockSpec, Maintenance, ParamUpdates
 from repro.graph.graph import Node
-from repro.partition.base import Fragment, Fragmentation
+from repro.partition.base import TOMBSTONE, Fragment, Fragmentation
 from repro.resilience.errors import StateSnapshotMismatch
 from repro.runtime.wire import ParamBlock
 
@@ -49,12 +49,12 @@ class ArrayState:
     """``(snapshot epoch, arrays)`` with a dict view derived on demand.
 
     The arrays (named by ``_arrays``, all set or all ``None``) are
-    addressed through ``_keys`` — for a per-vertex array the snapshot's
-    node order — and are *current* while ``_epoch`` equals the
-    fragment's ``csr_epoch``; only current arrays are ever read.  A state
-    that crossed a process boundary (``collect_states``, a checkpoint)
-    carries its arrays and no binding: the first hook that hands it a
-    fragment binds it, refusing arrays of another shape.
+    addressed through ``_keys`` — for a per-vertex array the fragment's
+    id table, no view showing its tombstones — and are *current* while
+    ``_epoch`` equals the fragment's ``csr_epoch``; only current arrays
+    are ever read.  A state that crossed a process boundary (a
+    checkpoint, ``collect_states``) carries its arrays and no binding:
+    the first hook that hands it a fragment binds it, by the id table.
     """
 
     _arrays: Tuple[str, ...] = ()
@@ -94,15 +94,14 @@ class ArrayState:
         return self._epoch == fragment.csr_epoch
 
     def _keys_of(self, fragment: Fragment) -> List[Node]:
-        # dense ids are node-order positions; a snapshot builds no graph
-        return (fragment.csr().node_of if fragment.csr_cached
-                else list(fragment.graph.nodes()))
+        return fragment.keys()  # (the id table builds no graph)
 
-    def adopt(self, fragment: Fragment, keys: List[Node], *arrays) -> None:
+    def adopt(self, fragment: Fragment, *arrays) -> None:
         """Freshly computed arrays become the state."""
         for name, array in zip(self._arrays, arrays):
             setattr(self, name, array)
-        self._epoch, self._keys, self._view = fragment.csr_epoch, keys, None
+        self._epoch, self._view = fragment.csr_epoch, None
+        self._keys = self._keys_of(fragment)
 
     def drop_arrays(self) -> None:
         """A dict algorithm wrote the view: it alone is the state now.
@@ -169,6 +168,7 @@ class ValueState(ArrayState):
 
     def _materialise(self) -> Dict[Node, Any]:
         view = dict(zip(self._keys, self._arr.tolist()))
+        view.pop(TOMBSTONE, None)
         if self.sparse:
             neutral = self.neutral
             view = {v: x for v, x in view.items() if x < neutral}
@@ -291,7 +291,7 @@ class DecreaseOnlyProgram(Maintenance):
                 sid = id_of[query]
                 seeds[sid] = min(seeds.get(sid, neutral), self.zero)
             arr, _changed = self._kernel(csr, seeds)
-            state.adopt(fragment, csr.node_of, arr)
+            state.adopt(fragment, arr)
         else:
             self._peval_dict(query, fragment, state)
             state.drop_arrays()

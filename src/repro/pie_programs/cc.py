@@ -35,7 +35,7 @@ from repro.core.aggregators import MinAggregator
 from repro.core.pie import BlockSpec, Maintenance, ParamUpdates
 from repro.graph.graph import Node
 from repro.kernels import csr_components
-from repro.partition.base import Fragment, Fragmentation
+from repro.partition.base import TOMBSTONE, Fragment, Fragmentation
 from repro.pie_programs._blocks import ArrayState
 from repro.runtime.wire import ParamBlock
 from repro.sequential.wcc import LocalComponents
@@ -48,19 +48,20 @@ _NO_CID = np.iinfo(np.int64).max
 def _components_view(comp: np.ndarray, nodes: List[Node],
                      lab: Optional[np.ndarray] = None) -> LocalComponents:
     """The dict structure of the partition ``comp`` (representative per
-    dense id) over ``nodes``, every component lowered to its ``lab``
-    where one was learned."""
+    dense id) over ``nodes`` (a tombstone's is empty), every component
+    lowered to its ``lab`` where one was learned."""
     order = np.argsort(comp, kind="stable")
     if not order.size:
         return LocalComponents.from_partition([])
     bounds = np.flatnonzero(np.diff(comp[order])) + 1
-    groups = [[nodes[i] for i in idx.tolist()]
+    groups = [[nodes[i] for i in idx.tolist() if nodes[i] is not TOMBSTONE]
               for idx in np.split(order, bounds)]
     comps = LocalComponents.from_partition(groups)
     if lab is not None:
         reps = comp[order[np.concatenate(([0], bounds))]]
         for group, cid in zip(groups, lab[reps].tolist()):
-            comps.lower_cid(group[0], cid)
+            if group:
+                comps.lower_cid(group[0], cid)
     return comps
 
 
@@ -155,7 +156,7 @@ class CCProgram(Maintenance):
             # NI-mode re-run / failure replay: never regress below ids
             # already learned from other fragments (monotonicity).
             np.minimum.at(lab, comp, old[1][old[0]])
-        state.adopt(fragment, csr.node_of, comp, lab)
+        state.adopt(fragment, comp, lab)
         state._slots = fragment.border_slots()
 
     def _peval_dict(self, fragment: Fragment, state: CCState) -> None:
@@ -164,7 +165,7 @@ class CCProgram(Maintenance):
         old = state.comps_on(fragment)
         if self.use_csr:
             csr = fragment.csr()
-            comps = _components_view(csr_components(csr), csr.node_of)
+            comps = _components_view(csr_components(csr), fragment.keys())
         else:
             comps = LocalComponents(fragment.graph)
         state.comps = comps

@@ -227,7 +227,7 @@ class PageRankProgram(PIEProgram):
 
         vals = teleport + query.damping * (incoming[owned_ids] + ext)
         state._incoming = incoming
-        state.adopt(fragment, owned_list, vals)
+        state.adopt(fragment, vals)
         if query.tolerance is not None:
             # Left-fold over Python floats: the dict path's exact sum.
             self._check_tolerance(query, state,
@@ -254,9 +254,7 @@ class PageRankProgram(PIEProgram):
                 state: PageRankState, message: ParamUpdates) -> None:
         if state.converged:
             return
-        for (v, name), (_t, contribution) in message.items():
-            _tag, src = name
-            state.external.setdefault(v, {})[src] = contribution
+        self.apply_message(query, fragment, state, message)
         self._iterate(query, fragment, state)
 
     def apply_message(self, query: PageRankQuery, fragment: Fragment,

@@ -643,8 +643,7 @@ def _apply_worker_fault(action: FaultAction,
 
 #: a fragment's lifetime counters of snapshot and table derivations, in
 #: the order of ``Fragment.count_remote_csr_work``'s parameters
-_DERIVED_WORK = attrgetter("csr_builds", "csr_patches", "tables_carried",
-                           "tables_rebuilt")
+_DERIVED_WORK = attrgetter("csr_builds", "csr_patches", "tables_rebuilt")
 
 
 def _worker_main(conn, heartbeat=None) -> None:
@@ -824,7 +823,7 @@ def _worker_main(conn, heartbeat=None) -> None:
                 done = {fid: _DERIVED_WORK(frag)
                         for fid, frag in fragments.items()}
                 builds = {fid: tuple(map(int.__sub__, work,
-                                         build_base.get(fid, (0,) * 4)))
+                                         build_base.get(fid, (0,) * 3)))
                           for fid, work in done.items()}
                 build_base = done
                 fills = DeferredGraph.materialised - fills_base

@@ -299,7 +299,7 @@ _RUN_ADDITIVE_FIELDS, _RUN_HISTOGRAM_FIELDS = _classify_fields(RunMetrics)
 #: aggregates them by
 DERIVED_STATE_COUNTERS = ("csr_snapshots_built", "csr_snapshots_patched",
                           "csr_snapshot_invalidations",
-                          "derived_tables_carried", "derived_tables_rebuilt",
+                          "derived_tables_rebuilt",
                           "border_index_builds", "border_index_patches")
 
 
@@ -331,12 +331,11 @@ class ServiceMetrics:
     #: the first read after one splices the retired snapshot with the
     #: batch's dirty rows (``patched``) where it used to rebuild — so
     #: builds stay near one per fragment however many batches arrive.
-    #: The border index is counted the same way, and so are the tables
-    #: derived from a snapshot: carried across a splice, or rebuilt.
+    #: The border index is counted the same way, and so are the slot
+    #: tables derived from the sets (a batch patches or appends to them).
     csr_snapshots_built: int = 0
     csr_snapshots_patched: int = 0
     csr_snapshot_invalidations: int = 0
-    derived_tables_carried: int = 0
     derived_tables_rebuilt: int = 0
     border_index_builds: int = 0
     border_index_patches: int = 0

@@ -204,13 +204,15 @@ class SegmentDescriptor:
 def publish_fragment(prov, token_id: int, version: int, generation: int,
                      frag, csr) -> Tuple[_Segment, SegmentDescriptor]:
     """Write one fragment — CSR arrays, then a pickle of node ids and
-    labels, edge labels and the border sets as dense ids; no dict graph
-    — into a fresh named segment.  Raises ``OSError`` on provider
-    failure (the caller degrades to pickle shipping)."""
+    labels, the tombstones' ids, edge labels and the border sets as
+    dense ids; no dict graph — into a fresh named segment.  Raises
+    ``OSError`` on provider failure (the caller degrades to pickle
+    shipping)."""
     ids = [np.fromiter(map(csr.id_of.__getitem__, nodes), np.int64)
            for nodes in (frag.owned, frag.inner, frag.outer)]
-    meta = pickle.dumps((csr.node_of, csr.labels, frag.graph._edge_labels,
-                         *ids), protocol=pickle.HIGHEST_PROTOCOL)
+    meta = pickle.dumps((csr.node_of, csr.labels, csr.dead.tolist(),
+                         frag.graph._edge_labels, *ids),
+                        protocol=pickle.HIGHEST_PROTOCOL)
     meta_off = csr.shared_nbytes()
     nbytes = meta_off + len(meta)
     seg = prov.create(_segment_name(frag.fid), max(nbytes, 1))
@@ -241,7 +243,7 @@ def attach_fragment(desc: SegmentDescriptor, timings=None):
         raise OSError("no shared-memory provider available")
     seg = prov.attach(desc.name, desc.nbytes)
     _meta, _dt, mcount, moff = desc.layout[-1]
-    node_of, labels, edge_labels, *ids = pickle.loads(
+    node_of, labels, dead, edge_labels, *ids = pickle.loads(
         seg.buf[moff:moff + mcount])
     if timings is not None:
         t1 = time.perf_counter()
@@ -249,10 +251,8 @@ def attach_fragment(desc: SegmentDescriptor, timings=None):
     if len(node_of) != desc.n:
         raise OSError(f"segment {desc.name} node count mismatch: "
                       f"{len(node_of)} != {desc.n}")
-    csr = CSRGraph.from_shared(seg.buf, desc.layout, n=desc.n,
-                               directed=desc.directed,
-                               id_of=dict(zip(node_of, range(desc.n))),
-                               node_of=node_of, labels=labels)
+    csr = CSRGraph.from_shared(seg.buf, desc.layout, directed=desc.directed,
+                               node_of=node_of, labels=labels, dead=dead)
     frag = Fragment(desc.fid, csr.to_graph(edge_labels), *(
         set(map(node_of.__getitem__, a.tolist())) for a in ids))
     frag.install_csr(csr, shared=True)
@@ -341,9 +341,8 @@ class ShmArena:
         # The coordinator adopts the published pages too (read-only
         # views over its own mapping) and lets its private arrays go.
         frag.install_csr(CSRGraph.from_shared(
-            seg.buf, desc.layout, n=csr.n, directed=csr.directed,
-            id_of=csr.id_of, node_of=csr.node_of, labels=csr.labels),
-            shared=True)
+            seg.buf, desc.layout, directed=csr.directed, node_of=csr.node_of,
+            labels=csr.labels, dead=csr.dead), shared=True)
         return desc
 
     def current_generation(self, token_id: int, version: int,

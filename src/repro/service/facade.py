@@ -1168,10 +1168,10 @@ class GrapeService:
                                     if batches else 0.0)
             for name in UPDATE_PHASE_FIELDS}}
         stats = self.stats
-        # the read path: snapshots spliced vs built, tables carried vs not
+        # the read path: snapshots spliced vs built, tables derived
         layers["graph"] = {name: getattr(stats, name) for name in (
             "csr_snapshots_built", "csr_snapshots_patched",
-            "derived_tables_carried", "derived_tables_rebuilt")}
+            "derived_tables_rebuilt")}
         written, loaded = stats.snapshots_written, stats.snapshots_loaded
         layers["store"] = {
             "snapshots_written": written, "snapshots_loaded": loaded,

@@ -18,6 +18,7 @@ File layout::
 The npz payload carries the structural bulk as numpy CSR arrays
 (:meth:`~repro.graph.csr.CSRGraph.to_arrays` — ``indptr``/``indices``/
 ``weights``) and everything object-shaped — node identities, labels,
+the tombstones' ids (a fragment's id table round-trips as it is),
 border sets, the saved graph's
 :meth:`~repro.graph.graph.Graph.content_hash` — as one pickled metadata
 blob stored as a ``uint8`` array.  Loading verifies the header checksum
@@ -94,6 +95,8 @@ def _pack_graph(csr: CSRGraph, edge_labels: Dict, prefix: str,
         "labels": csr.labels,
         "edge_labels": dict(edge_labels),
     }
+    if csr.dead.size:  # the tombstones of a fragment's id table
+        meta[prefix]["dead"] = csr.dead.tolist()
 
 
 def _derive_base(g: Graph, fragments: List[Fragment]) -> None:
@@ -243,7 +246,8 @@ def load_snapshot(path: Union[str, Path], *,
         prefixes = ["g_"] if m is None else [f"f{fid}_" for fid in range(m)]
         snaps = [CSRGraph.from_arrays(
             **{key: obj_meta[prefix][key]
-               for key in ("directed", "node_of", "labels")},
+               for key in ("directed", "node_of", "labels", "dead")
+               if key in obj_meta[prefix]},
             **{name: arrays[prefix + name] for name in CSRGraph.SHARED_FIELDS})
             for prefix in prefixes]
     # Every graph handed out is deferred: its dicts are built from these

@@ -32,7 +32,9 @@ uninterrupted run's — recovery is visible in ``recoveries`` only.
 update fuzz, the service-update differential, the chaos runner) make after
 every batch: snapshots, the tables derived from them (label index, slot
 tables) and the border index are spliced from their predecessors and the
-batch's dirty set, and must equal a from-scratch build field for field.
+batch's dirty set.  Snapshots keep their ids across batches (a retired
+node is a degree-0 tombstone), so they are compared with a from-scratch
+build by label: live rows, slot tables and border index alike.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 
 from repro.core import engine as engine_mod
 from repro.core.engine import GrapeEngine
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, int_array
 from repro.partition.base import BorderIndex, Fragment
 from repro.resilience.faults import FaultPlane
 
@@ -72,18 +74,54 @@ def normalize(answer: Any) -> Any:
     return answer
 
 
-def assert_same_snapshot(snap: CSRGraph, fresh: CSRGraph) -> None:
-    """``snap`` equals ``fresh`` field by field: the six structural
-    arrays with their dtypes, the id maps and the labels."""
-    assert (snap.n, snap.directed) == (fresh.n, fresh.directed)
-    for name in CSRGraph.SHARED_FIELDS:
-        got, want = getattr(snap, name), getattr(fresh, name)
+def assert_same_snapshot(snap: CSRGraph, other: CSRGraph) -> None:
+    """``snap`` equals ``other`` id for id: the structural arrays with
+    their dtypes, the id table (tombstones included), the live id map
+    and the labels — what two copies of one fragment must agree on."""
+    assert (snap.n, snap.directed) == (other.n, other.directed)
+    for name in CSRGraph.SHARED_FIELDS + ("dead",):
+        got, want = getattr(snap, name), getattr(other, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
-    assert snap.node_of == fresh.node_of
-    assert snap.id_of == fresh.id_of
-    assert list(snap.id_of) == list(fresh.id_of)
-    assert snap.labels == fresh.labels
+    assert snap.node_of == other.node_of
+    assert snap.id_of == other.id_of
+    assert snap.labels == other.labels
+
+
+def ids_after(base: CSRGraph, g) -> Tuple:
+    """The id table a splice of bare graph ``g`` over ``base`` runs
+    under (what a fragment's table would be): ``base``'s ids stay, the
+    nodes ``g`` no longer has are tombstones, new ones append."""
+    table = dict(zip(base.node_of, range(base.n)))
+    table.update((v, len(table)) for v in g.nodes() if v not in table)
+    return list(table), table, {i for v, i in table.items() if v not in g}
+
+
+def rows_by_label(snap: CSRGraph) -> Dict[Any, Any]:
+    """Each live node's row as ``[(neighbour, weight), ...]`` in row
+    order, and its label: a snapshot read without its ids."""
+    node_of, indptr = snap.node_of, snap.indptr.tolist()
+    cols, weights = snap.indices.tolist(), snap.weights.tolist()
+    return {v: (snap.labels[i], [(node_of[c], w) for c, w in zip(
+        cols[indptr[i]:indptr[i + 1]], weights[indptr[i]:indptr[i + 1]])])
+        for v, i in snap.id_of.items()}
+
+
+def assert_live_rows_equal(snap: CSRGraph, fresh: CSRGraph) -> None:
+    """The stable-id oracle of a snapshot against a from-scratch build
+    of the same graph: live rows equal by label, tombstones are degree-0
+    rows ``id_of`` leaves out, the id maps are each other's inverse."""
+    assert snap.directed == fresh.directed
+    for name in CSRGraph.SHARED_FIELDS + ("dead",):
+        assert getattr(snap, name).dtype == getattr(fresh, name).dtype, name
+    assert rows_by_label(snap) == rows_by_label(fresh)
+    dead = snap.dead.tolist()
+    assert dead == sorted(set(dead)) and len(snap.node_of) == snap.n
+    assert (np.diff(snap.indptr)[snap.dead] == 0).all()
+    assert set(dead).isdisjoint(snap.id_of.values())
+    assert len(snap.id_of) + len(dead) == snap.n
+    assert all(snap.node_of[i] == v for v, i in snap.id_of.items())
+    assert set(map(snap.node_of.__getitem__, dead)).isdisjoint(snap.id_of)
 
 
 def assert_same_border_index(index, fresh) -> None:
@@ -108,25 +146,38 @@ def _assert_same_arrays(got, want, what) -> None:
 def assert_derived_tables_fresh(frag) -> None:
     """The snapshot of ``frag`` and every table derived from it — the
     label index, ``outer_slots``, ``owned_slots``, ``border_slots`` —
-    carried across splices or not, equal (values and dtypes) what a
-    freshly built fragment over the same graph and sets derives."""
+    spliced, patched or appended to, equal what a freshly built fragment
+    over the same graph and sets derives, compared by label; the ids
+    are the fragment's id table's, tombstones in no slot table."""
     fresh = Fragment(frag.fid, frag.graph, frag.owned, frag.inner,
                      frag.outer)
     snap, want = frag.csr(), fresh.csr()
-    assert_same_snapshot(snap, want)
-    snap.int_labels, want.int_labels  # (learn them where nobody asked)
-    _assert_same_arrays(snap._label_index, want._label_index, "label index")
-    _assert_same_arrays(frag.owned_slots(), fresh.owned_slots(),
-                        "owned_slots")
+    assert_live_rows_equal(snap, want)
+    node_of, id_of, dead = frag.id_table()
+    assert snap.node_of == node_of and snap.dead.tolist() == sorted(dead)
+    assert all(id_of[v] == i for v, i in snap.id_of.items())
+    assert set(snap.id_of) == set(frag.graph.nodes())
+    labels = int_array(snap.node_of)
+    if labels is None:
+        assert snap.int_labels is None
+    else:  # the label index covers the table, tombstones included
+        order = np.argsort(labels, kind="stable")
+        _assert_same_arrays(snap._label_index if snap.int_labels is not None
+                            else None, (labels, labels[order], order),
+                            "label index")
+    nodes, ids = frag.owned_slots()
+    assert nodes == sorted(frag.owned, key=id_of.__getitem__)
+    _assert_same_arrays((ids,), (np.array([snap.id_of[v] for v in nodes],
+                                          dtype=np.int64),), "owned_slots")
     if want.int_labels is not None:  # the array plane's maps
-        _assert_same_arrays((snap.int_labels,), (want.int_labels,),
-                            "int_labels")
         for name in ("outer_slots", "border_slots"):
-            _assert_same_arrays(getattr(frag, name)(),
-                                getattr(fresh, name)(), name)
-        labels, vids = frag.outer_slots()
-        assert labels.tolist() == sorted(frag.outer)
-        assert [snap.node_of[i] for i in vids.tolist()] == labels.tolist()
+            (got, vids), (labels, _ids) = getattr(frag, name)(), \
+                getattr(fresh, name)()
+            _assert_same_arrays((got,), (labels,), name)
+            assert vids.dtype == np.int64, name
+            assert [snap.node_of[i] for i in vids.tolist()] == labels.tolist()
+            assert not np.isin(vids, snap.dead).any(), name
+        assert frag.outer_slots()[0].tolist() == sorted(frag.outer)
 
 
 def assert_derived_state_fresh(fragmentation) -> None:

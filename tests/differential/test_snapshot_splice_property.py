@@ -1,30 +1,38 @@
-"""Property test over delta-patched snapshots.
+"""Property test over delta-patched, stable-id snapshots.
 
 After an update batch a fragment keeps its retired CSR snapshot with the
 batch's dirty rows, and the fragmentation keeps its border index with the
-delta log; the next read *splices* the new ones.  The splice is checked,
-not trusted: for generated delta histories over small graphs x {hash,
-metis} — several batches between reads, mirrors retired in one batch and
-re-added in a later one (which moves the node to the end of the adjacency
-dict), brand-new nodes, weight-only batches, directed and undirected —
+delta log; the next read *splices* the new ones.  Ids never move: a node
+keeps its dense id while the fragment's id table lives, a retired mirror
+is a degree-0 tombstone, a re-added one takes its old id back, and once
+more than half the ids are tombstones the table is packed.  The splice is
+checked, not trusted: for generated delta histories over small graphs x
+{hash, metis} — several batches between reads, mirrors retired in one
+batch and re-added in a later one, brand-new nodes, weight-only batches,
+directed and undirected, and star histories that cross the packing
+threshold —
 
-* ``fragment.csr()`` equals ``CSRGraph.from_graph(fragment.graph)`` field
-  by field (all six arrays with dtypes, ``node_of``, ``id_of``,
-  ``labels``),
-* the tables derived from the snapshot — ``int_labels`` and the sorted
-  label index, ``outer_slots()``, ``owned_slots()``, ``border_slots()``
-  — which cross the splice through its id remap, equal (values and
-  dtypes) what a freshly built fragment over the same graph derives,
-* ``fragmentation.border_index()`` equals ``BorderIndex.build``,
+* ``fragment.csr()`` equals ``CSRGraph.from_graph(fragment.graph)`` by
+  label: live rows, labels, tombstones of degree 0 that ``id_of`` leaves
+  out; a splice across several batches equals the full build under the
+  same id table, id for id;
+* every id handed out stays with its node until the table is packed;
+* the tables read off the snapshot — the label index, ``outer_slots()``,
+  ``owned_slots()``, ``border_slots()`` — equal a fresh fragment's by
+  label, tombstones in none of them;
+* a state's arrays, pickled and bound to another copy, read back under
+  the same nodes (the binding is the id table's);
+* ``fragmentation.border_index()`` equals ``BorderIndex.build``;
 
-and the same holds for a worker-side copy of every fragment brought
-current by ``FragmentDelta.replay`` and for shared (``shm``) snapshots
-that received a delta.
+and a worker-side copy of every fragment brought current by
+``FragmentDelta.replay``, and a shared (``shm``) one, equal the
+coordinator's id for id.
 """
 
 import pickle
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 
@@ -35,10 +43,12 @@ from repro.graph.generators import uniform_random_graph
 from repro.graph.graph import Graph
 from repro.partition.base import BorderIndex, build_edge_cut_fragments
 from repro.partition.strategies import HashPartition, MetisLikePartition
+from repro.pie_programs.sssp import SSSPState
 from repro.runtime import shm
 
 from .harness import (assert_derived_state_fresh, assert_derived_tables_fresh,
-                      assert_same_border_index, assert_same_snapshot)
+                      assert_live_rows_equal, assert_same_border_index,
+                      assert_same_snapshot)
 
 PARTITIONS = (HashPartition(), MetisLikePartition())
 FRAGMENTS = 4
@@ -106,11 +116,102 @@ def worker_copies(fragmentation):
     return copies
 
 
+def assert_state_rebinds(frag, copy) -> None:
+    """A value array over ``frag``'s snapshot, pickled (which drops its
+    binding) and bound to ``copy``, reads back under the same nodes:
+    the binding is the id table's, whatever the graph's node order."""
+    snap = frag.csr()
+    state = SSSPState()
+    state.adopt(frag, np.arange(snap.n, dtype=np.float64))
+    want = {v: float(i) for v, i in snap.id_of.items()}
+    assert state.view == want
+    moved = pickle.loads(pickle.dumps(state))
+    assert moved.current(copy)
+    assert moved.view == want
+
+
 def assert_copies_current(fragmentation, copies) -> None:
     for frag, copy in zip(fragmentation, copies):
         assert list(copy.graph.nodes()) == list(frag.graph.nodes())
         assert copy.graph == frag.graph
+        assert_same_snapshot(copy.csr(), frag.csr())
         assert_derived_tables_fresh(copy)
+        assert_state_rebinds(frag, copy)
+
+
+class IdLedger:
+    """Every id each fragment's table handed out: checked after every
+    batch to still name its node, until a pack starts a new table."""
+
+    def __init__(self, fragmentation):
+        self.tables = [None] * len(fragmentation)
+        self.seen = [{} for _frag in fragmentation]
+        self.packs = 0
+        self.check(fragmentation)
+
+    def check(self, fragmentation) -> None:
+        for frag in fragmentation:
+            table, seen = frag.id_table(), self.seen[frag.fid]
+            node_of, id_of, dead = table
+            if table is not self.tables[frag.fid]:
+                if self.tables[frag.fid] is not None:
+                    self.packs += 1
+                    assert not dead and 2 * len(seen) > len(node_of)
+                self.tables[frag.fid], seen = table, {}
+                self.seen[frag.fid] = seen
+            assert all(id_of[v] == i for v, i in seen.items())
+            assert len(node_of) == len(id_of) and dead <= set(id_of.values())
+            assert set(frag.graph.nodes()) == {
+                v for v, i in id_of.items() if i not in dead}
+            seen.update(id_of)
+
+
+def check_history(g, fragmentation, history) -> IdLedger:
+    """Apply ``history`` — ``(delta maker, read?)`` pairs, the maker
+    called with the live graph — to ``fragmentation`` and to worker
+    copies, checking the stable-id oracle after every batch and every
+    read."""
+    # The mechanism on its own, whatever share of the rows is dirty (a
+    # fragment builds afresh once its dirty set stops being small): the
+    # last snapshot / index of every table and what changed since.
+    assert_derived_state_fresh(fragmentation)
+    bases = [frag.csr() for frag in fragmentation]
+    dirty_rows = [set() for _frag in fragmentation]
+    index, dirty_border = fragmentation.border_index(), set()
+    copies = worker_copies(fragmentation)
+    ledger = IdLedger(fragmentation)
+    for make, read in history + [(lambda graph: GraphDelta(), True)]:
+        tables = [frag.id_table() for frag in fragmentation]
+        touched = apply_delta(fragmentation, make(g))
+        for fid, delta in touched.items():
+            delta.replay(copies[fid])
+            dirty_rows[fid] |= delta.dirty_nodes()
+            dirty_border |= delta.border_nodes()
+            if delta.mutates_graph:
+                assert not fragmentation[fid].csr_cached
+        ledger.check(fragmentation)
+        for frag, table in zip(fragmentation, tables):
+            if frag.id_table() is not table:  # packed: no base to splice
+                bases[frag.fid] = None
+        if read:
+            assert_derived_state_fresh(fragmentation)
+            assert_copies_current(fragmentation, copies)
+            for frag in fragmentation:
+                ids = frag.id_table()
+                built = CSRGraph.from_graph(frag.graph, ids=ids)
+                if bases[frag.fid] is not None:
+                    bases[frag.fid] = CSRGraph.from_graph(
+                        frag.graph, ids=ids, base=bases[frag.fid],
+                        dirty=dirty_rows[frag.fid])
+                    assert_same_snapshot(bases[frag.fid], built)
+                assert_same_snapshot(frag.csr(), built)
+                bases[frag.fid] = built
+                dirty_rows[frag.fid] = set()
+            index = index.patched(fragmentation, dirty_border)
+            assert_same_border_index(index,
+                                     BorderIndex.build(fragmentation))
+            dirty_border = set()
+    return ledger
 
 
 @given(g=graphs(), history=batches,
@@ -118,44 +219,53 @@ def assert_copies_current(fragmentation, copies) -> None:
 @settings(max_examples=120, deadline=None)
 def test_spliced_state_equals_a_fresh_build(g, history, strategy):
     fragmentation = strategy.partition(g, FRAGMENTS)
-    # The mechanism on its own, whatever share of the rows is dirty (a
-    # fragment builds afresh once its dirty set stops being small): the
-    # last snapshot / index of every table and what changed since.
-    assert_derived_state_fresh(fragmentation)  # (tables to carry)
-    bases = [frag.csr() for frag in fragmentation]
-    dirty_rows = [set() for _frag in fragmentation]
-    index, dirty_border = fragmentation.border_index(), set()
-    copies = worker_copies(fragmentation)
-    for ops, read in history + [([], True)]:
-        touched = apply_delta(fragmentation, resolve(g, ops))
-        for fid, delta in touched.items():
-            delta.replay(copies[fid])
-            dirty_rows[fid] |= delta.dirty_nodes()
-            dirty_border |= delta.border_nodes()
-            if delta.mutates_graph:
-                assert not fragmentation[fid].csr_cached
-        if read:
-            assert_derived_state_fresh(fragmentation)
-            assert_copies_current(fragmentation, copies)
-            for frag in fragmentation:
-                bases[frag.fid] = CSRGraph.from_graph(
-                    frag.graph, base=bases[frag.fid],
-                    dirty=dirty_rows[frag.fid])
-                assert_same_snapshot(bases[frag.fid],
-                                     CSRGraph.from_graph(frag.graph))
-                dirty_rows[frag.fid] = set()
-            index = index.patched(fragmentation, dirty_border)
-            assert_same_border_index(index,
-                                     BorderIndex.build(fragmentation))
-            dirty_border = set()
+    ledger = check_history(g, fragmentation, [
+        (lambda graph, ops=ops: resolve(graph, ops), read)
+        for ops, read in history])
     if fragmentation.csr_snapshots_patched:
         event("a fragment spliced its snapshot")
-    if fragmentation.derived_tables_carried:
-        event("a fragment carried a derived table across")
-    if any(f.csr().remap is not None for f in fragmentation):
-        event("a splice remapped dense ids")
+    if any(f.csr().dead.size for f in fragmentation):
+        event("a snapshot holds a tombstone")
+    if ledger.packs:
+        event("an id table was packed")
     if fragmentation.border_index_patches:
         event("the fragmentation spliced its border index")
+
+
+@st.composite
+def star_histories(draw):
+    """A hub owned alone by fragment 0 with edges to leaves owned by
+    fragments 1-3, and batches toggling sets of hub edges: deleting most
+    of them retires most of fragment 0's mirrors at once, past the
+    packing threshold; re-adding brings them back."""
+    k = draw(st.integers(min_value=3, max_value=9))
+    g = Graph(directed=draw(st.booleans()))
+    for leaf in range(1, k + 1):
+        g.add_edge(0, leaf, weight=draw(weights))
+    toggles = st.lists(st.sets(st.integers(min_value=1, max_value=k),
+                               min_size=1), min_size=1, max_size=6)
+    history = []
+    for leaves in draw(toggles):
+        def make(graph, leaves=sorted(leaves), w=draw(weights)):
+            delta = GraphDelta()
+            for leaf in leaves:
+                if graph.has_edge(0, leaf):
+                    delta.delete(0, leaf)
+                else:
+                    delta.insert(0, leaf, w)
+            return delta
+        history.append((make, draw(st.booleans())))
+    return g, history
+
+
+@given(case=star_histories())
+@settings(max_examples=60, deadline=None)
+def test_histories_across_the_packing_threshold(case):
+    g, history = case
+    fragmentation = build_edge_cut_fragments(
+        g, {v: 0 if v == 0 else 1 + v % 3 for v in g.nodes()}, 4)
+    if check_history(g, fragmentation, history).packs:
+        event("an id table was packed")
 
 
 def two_fragment_path(half=8):
@@ -168,29 +278,56 @@ def two_fragment_path(half=8):
         g, {v: int(v >= half) for v in g.nodes()}, 2)
 
 
-def test_mirror_retired_then_readded_moves_to_the_end():
-    """The case that broke the first prototype: a mirror copy retired by
-    one batch and re-added by a later one comes back at the *end* of the
-    adjacency dict, so the dense ids from its old position on all move."""
+def test_a_readded_mirror_takes_its_old_id_back():
+    """A mirror copy retired by one batch and re-added by a later one
+    comes back at the end of the adjacency dict, but under its old id:
+    nothing after it moves, and every copy agrees."""
     g, fragmentation = two_fragment_path()
     left = fragmentation[0]
-    left.release_snapshots()        # the edits below bypass apply_delta
-    left.graph.remove_node(3)       # put the mirror (8) mid-order ...
-    left.graph.add_edge(2, 3, 1.0)  # ... by re-adding an owned node
-    left.graph.add_edge(3, 4, 1.0)
-    assert list(left.graph.nodes()) == [0, 1, 2, 4, 5, 6, 7, 8, 3]
     before = left.csr()
+    assert before.node_of == [0, 1, 2, 3, 4, 5, 6, 7, 8]
     copies = worker_copies(fragmentation)
     for delta in (GraphDelta().delete(7, 8),         # retires mirror 8
                   GraphDelta().insert(0, 77, 2.0),   # a new node first
                   GraphDelta().insert(7, 8, 3.0)):   # ... then 8 is back
         for fid, d in apply_delta(fragmentation, delta).items():
             d.replay(copies[fid])
-    assert list(left.graph.nodes()) == [0, 1, 2, 4, 5, 6, 7, 3, 77, 8]
+    assert list(left.graph.nodes()) == [0, 1, 2, 3, 4, 5, 6, 7, 77, 8]
     assert not left.csr_cached
     after = left.csr()
-    assert (left.csr_builds, left.csr_patches) == (1, 1)
-    assert before.id_of[3] == 8 and after.id_of[3] == 7
+    assert (left.csr_builds, left.csr_patches) == (0, 1)
+    assert after.node_of == [0, 1, 2, 3, 4, 5, 6, 7, 8, 77]
+    assert after.id_of[8] == before.id_of[8] == 8 and not after.dead.size
+    assert after.id_of[77] == 9
+    assert_derived_state_fresh(fragmentation)
+    assert_copies_current(fragmentation, copies)
+
+
+def test_a_packed_table_renumbers_every_copy_alike():
+    """Past half tombstones the id table is packed at the batch that
+    crossed, on the coordinator and on every replaying copy: the next
+    snapshot is a build in the packed order, and a mirror that comes
+    back after the pack takes the next id."""
+    g = Graph(directed=True)
+    for leaf in range(1, 7):
+        g.add_edge(0, leaf, weight=1.0)
+    fragmentation = build_edge_cut_fragments(
+        g, {v: int(v > 0) for v in g.nodes()}, 2)
+    hub = fragmentation[0]
+    assert hub.csr().node_of == [0, 1, 2, 3, 4, 5, 6]
+    copies = worker_copies(fragmentation)
+    for delta, dead in ((GraphDelta().delete(0, 2).delete(0, 4), [2, 4]),
+                        (GraphDelta().delete(0, 1).delete(0, 6), [])):
+        for fid, d in apply_delta(fragmentation, delta).items():
+            d.replay(copies[fid])
+        assert hub.csr().dead.tolist() == dead
+        assert_copies_current(fragmentation, copies)
+    # 4 of 7 ids dead: packed, the live nodes renumbered in order
+    assert hub.csr().node_of == [0, 3, 5] and hub.csr_builds == 1
+    for fid, d in apply_delta(fragmentation,
+                              GraphDelta().insert(0, 2, 1.0)).items():
+        d.replay(copies[fid])
+    assert hub.csr().node_of == [0, 3, 5, 2]  # (2 of 3 rows dirty: a build)
     assert_derived_state_fresh(fragmentation)
     assert_copies_current(fragmentation, copies)
 
@@ -218,8 +355,8 @@ def test_weight_only_batches_keep_the_id_maps():
     for frag, before in zip(fragmentation, snaps):
         after = frag.csr()
         assert after is not before and frag.csr_patches == 1
-        assert after.node_of is before.node_of
-        assert after.id_of is before.id_of
+        assert after.node_of == before.node_of
+        assert after.id_of == before.id_of
     assert_derived_state_fresh(fragmentation)
 
 
@@ -247,7 +384,8 @@ def test_shared_snapshots_splice_after_a_delta(directed):
         spliced = dict.fromkeys(range(3), 0)
         for batch in (GraphDelta().insert(u, 4000, 0.5)        # a new node
                       .delete(*cross).set_weight(u, v, 7.25),
-                      GraphDelta().set_weight(u, v, 0.75)):    # weights only
+                      GraphDelta().set_weight(u, v, 0.75),     # weights only
+                      GraphDelta().insert(*cross, 2.0)):       # back again
             touched = apply_delta(fragmentation, batch)
             for fid, delta in touched.items():
                 delta.replay(attached[fid][0])
@@ -261,11 +399,13 @@ def test_shared_snapshots_splice_after_a_delta(directed):
                     assert side.csr_builds == 0  # installed, attached
                     assert side.csr_patches == spliced[frag.fid]
                     assert side.csr_shared == (not spliced[frag.fid])
-                    assert_same_snapshot(snap,
-                                         CSRGraph.from_graph(side.graph))
+                    assert_live_rows_equal(snap,
+                                           CSRGraph.from_graph(side.graph))
                     assert_derived_tables_fresh(side)
+                # the coordinator's and the attached copy, id for id
+                assert_same_snapshot(frag.csr(), attached[frag.fid][0].csr())
         # the weight-only batch spliced too, and not everywhere
-        assert spliced[fragmentation.gp.owner(u)] == 2 > min(spliced.values())
+        assert spliced[fragmentation.gp.owner(u)] == 3 > min(spliced.values())
         assert_derived_state_fresh(fragmentation)
     finally:
         arena.close()

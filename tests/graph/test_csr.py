@@ -1,11 +1,22 @@
 """Tests for the CSR snapshot."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from differential.harness import ids_after
 from repro.graph.csr import CSRGraph, int_array
 from repro.graph.generators import uniform_random_graph
 from repro.graph.graph import Graph
+
+
+def splice(g, base, dirty):
+    """``g``'s snapshot spliced over ``base``, under the id table a
+    fragment would hold (ids stay, tombstones, appended new nodes)."""
+    return CSRGraph.from_graph(g, ids=ids_after(base, g), base=base,
+                               dirty=dirty)
 
 
 def row(csr, vid):
@@ -128,19 +139,17 @@ class TestReadOnly:
         yield "from_graph", built
         u, v, w = next(iter(g.edges()))
         g.set_edge_weight(u, v, w + 1.0)
-        yield "weight splice", CSRGraph.from_graph(g, base=built,
-                                                   dirty={u, v})
+        yield "weight splice", splice(g, built, {u, v})
         g.add_edge(u, "fresh", weight=0.5)
-        yield "remapping splice", CSRGraph.from_graph(g, base=built,
-                                                      dirty={u, v, "fresh"})
+        yield "appending splice", splice(g, built, {u, v, "fresh"})
         arrays = {name: arr.copy()
                   for name, arr in built.to_arrays().items()}
         yield "from_arrays", CSRGraph.from_arrays(
             directed=built.directed, node_of=built.node_of, **arrays)
         buf = bytearray(built.shared_nbytes())
         yield "from_shared", CSRGraph.from_shared(
-            buf, built.to_shared(buf), n=built.n, directed=built.directed,
-            id_of=built.id_of, node_of=built.node_of, labels=built.labels)
+            buf, built.to_shared(buf), directed=built.directed,
+            node_of=built.node_of, labels=built.labels)
 
     def test_every_construction_path_is_read_only(self):
         for path, snap in self.snapshots():
@@ -173,49 +182,115 @@ class TestIntLabels:
             g.to_csr().ids_of(np.array([2]))
 
 
-class TestSpliceHandsOverWhatItLearned:
+class TestSpliceKeepsIds:
     def spliced(self):
         g = Graph()
         for u, v in ((10, 20), (20, 30), (30, 40), (40, 10)):
             g.add_edge(u, v, weight=1.0)
         base = g.to_csr()
         assert base.int_labels.tolist() == [10, 20, 30, 40]
-        g.remove_node(20)              # gone
+        g.remove_node(20)              # gone: a tombstone
         g.remove_node(30)
-        g.add_edge(30, 40, weight=2.0)  # moved to the end
+        g.add_edge(30, 40, weight=2.0)  # back: its old id
         g.add_edge(5, 10, weight=3.0)   # appended
         return g, base, {10, 20, 30, 40, 5}
 
-    def test_remap_appended_and_the_carried_label_index(self):
+    def test_ids_stay_and_the_label_index_is_extended(self):
         g, base, dirty = self.spliced()
-        snap = CSRGraph.from_graph(g, base=base, dirty=dirty)
-        assert snap.node_of == [10, 40, 30, 5]
-        assert snap.remap.tolist() == [0, -1, 2, 1]
-        assert snap.appended.tolist() == [3]
-        fresh = g.to_csr()
-        assert (fresh.remap, fresh.appended) == (None, None)
-        assert snap._label_index is not None  # carried, not re-learned
-        fresh.int_labels
-        for got, want in zip(snap._label_index, fresh._label_index):
-            assert got.dtype == want.dtype and got.tolist() == want.tolist()
-        assert snap.ids_of(np.array([5, 30])).tolist() == [3, 2]
+        snap = splice(g, base, dirty)
+        assert snap.node_of == [10, 20, 30, 40, 5]
+        assert snap.dead.tolist() == [1]
+        assert snap.id_of == {10: 0, 30: 2, 40: 3, 5: 4}
+        assert np.diff(snap.indptr).tolist() == [0, 0, 1, 1, 1]
+        assert snap._label_index is not None  # extended, not re-learned
+        want = np.array([10, 20, 30, 40, 5])
+        order = np.argsort(want, kind="stable")
+        for got, exp in zip(snap._label_index, (want, want[order], order)):
+            assert got.dtype == np.int64 and got.tolist() == exp.tolist()
+        assert snap.ids_of(np.array([5, 30])).tolist() == [4, 2]
 
     def test_a_label_index_nobody_asked_for_is_not_derived(self):
         g = Graph()
         g.add_edge(1, 2, weight=1.0)
         base = g.to_csr()
         g.add_edge(2, 3, weight=1.0)
-        snap = CSRGraph.from_graph(g, base=base, dirty={2, 3})
+        snap = splice(g, base, {2, 3})
         assert snap._label_index is None
         assert snap.int_labels.tolist() == [1, 2, 3]
 
     def test_an_appended_label_that_is_no_array_value(self):
         g, base, dirty = self.spliced()
         g.add_edge("s", 10, weight=1.0)
-        snap = CSRGraph.from_graph(g, base=base, dirty=dirty | {"s"})
+        snap = splice(g, base, dirty | {"s"})
         assert snap.int_labels is None and g.to_csr().int_labels is None
 
-    def test_dirty_must_name_every_node_that_came_or_went(self):
+    def test_dirty_must_name_every_node_that_left(self):
         g, base, dirty = self.spliced()
         with pytest.raises(ValueError, match="dirty does not name"):
-            CSRGraph.from_graph(g, base=base, dirty=dirty - {5})
+            splice(g, base, dirty - {20})
+
+
+class TestToGraphFill:
+    """The deferred fill of a snapshot's dict graph stores what an
+    edge-by-edge build stores: one weight object per undirected edge,
+    shared by both orientations and ``_pred``; tombstones are no nodes."""
+
+    @staticmethod
+    def traced(build) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            kept = build()  # noqa: F841 -- measured while alive
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    def test_an_undirected_fill_shares_one_weight_per_edge(self):
+        snap = uniform_random_graph(300, 900, directed=False, seed=5).to_csr()
+        filled = snap.to_graph()
+        for u, row in filled._succ.items():
+            for v, w in row.items():
+                assert filled._succ[v][u] is w and filled._pred[v][u] is w
+
+        def fill():
+            g = snap.to_graph()
+            g._succ  # noqa: B018 -- the fill
+            return g
+
+        def edge_by_edge():
+            g = Graph(directed=False)
+            ws, cols = snap.weights.tolist(), snap.indices.tolist()
+            ptr = snap.indptr.tolist()
+            for v in snap.node_of:
+                g.add_node(v)
+            for i, u in enumerate(snap.node_of):
+                for k in range(ptr[i], ptr[i + 1]):
+                    if cols[k] >= i:  # each edge once, from one end
+                        g.add_edge(u, snap.node_of[cols[k]], weight=ws[k])
+            return g
+
+        # a float per stored entry instead would be ~8 % more
+        assert self.traced(fill) <= 1.02 * self.traced(edge_by_edge)
+
+    def test_tombstones_are_left_out(self):
+        g = Graph(directed=False)
+        g.add_edge(1, 2, weight=1.0)
+        g.add_edge(2, 3, weight=2.0)
+        base = g.to_csr()
+        g.remove_node(3)
+        snap = splice(g, base, {2, 3})
+        assert snap.dead.tolist() == [2]
+        assert snap.to_graph() == g
+        assert list(snap.to_graph().nodes()) == [1, 2]
+
+
+class TestFoundInSorted:
+    def test_equals_isin(self):
+        from repro.graph.csr import found_in_sorted
+        rng = np.random.default_rng(4)
+        for size in (0, 1, 50, 3000):
+            table = np.unique(rng.integers(-500, 10_000, size))
+            for ids in (rng.integers(-600, 10_100, 40), table[::7],
+                        np.empty(0, dtype=np.int64)):
+                assert np.array_equal(found_in_sorted(table, ids),
+                                      np.isin(table, ids))

@@ -211,9 +211,10 @@ class TestSplice:
 
 
 class TestDerivedTables:
-    """The slot tables cross a splice, a border move alone patches
-    them, and what has no known predecessor is derived from the sets —
-    the same arrays every time (tests/differential has the property)."""
+    """The slot tables are built once per id table: a batch appends to
+    ``owned_slots`` and patches the border table at the nodes its border
+    edits name, and a splice leaves both alone — the same arrays a
+    fresh build derives (tests/differential has the property)."""
 
     def fragmentation(self):
         from repro.partition.strategies import HashPartition
@@ -233,17 +234,17 @@ class TestDerivedTables:
                     and not g.has_edge(u, v)
                     and v not in fragmentation[owner(v)].inner)
 
-    def test_tables_are_built_once_and_carried_from_then_on(self):
+    def test_tables_are_built_once_and_patched_from_then_on(self):
         g, fragmentation = self.fragmentation()
         self.touch(fragmentation)
-        assert [(f.tables_carried, f.tables_rebuilt)
-                for f in fragmentation] == [(0, 2)] * 3
+        assert [f.tables_rebuilt for f in fragmentation] == [2] * 3
         u, v = self.cross_edge_onto_a_fresh_inner_node(g, fragmentation)
         gp = fragmentation.gp
         there, here = fragmentation[gp.owner(u)], fragmentation[gp.owner(v)]
         assert v not in here.border_slots()[0]
+        before = there.border_slots()
         touched = apply_delta(fragmentation, GraphDelta().insert(u, v, 1.0))
-        # the tail's owner: a new mirror, a splice, every table crosses
+        # the tail's owner: a new mirror, a splice
         assert touched[there.fid].mutates_graph and not there.csr_cached
         # the head's owner: F_i.I moved, the local graph did not
         assert not touched[here.fid].mutates_graph and here.csr_cached
@@ -251,16 +252,20 @@ class TestDerivedTables:
         self.touch(fragmentation)
         assert v in here.border_slots()[0] and v not in here.outer_slots()[0]
         assert v in there.outer_slots()[0]
-        # label index + border table + owned slots / the border table
-        assert (there.tables_carried, here.tables_carried) == (3, 1)
+        # the mirror took the next id; every other slot kept its id
+        labels, ids = there.border_slots()
+        assert ids[labels == v].tolist() == [there.csr().n - 1]
+        kept = np.isin(labels, before[0])
+        assert labels[kept].tolist() == before[0].tolist()
+        assert ids[kept].tolist() == before[1].tolist()
         assert [f.tables_rebuilt for f in fragmentation] == [2] * 3
         assert_derived_state_fresh(fragmentation)
-        warm = [(f.tables_carried, f.border_slots()) for f in fragmentation]
+        warm = [f.border_slots() for f in fragmentation]
         self.touch(fragmentation)
-        assert all(f.tables_carried == n and f.border_slots()[0] is t[0]
-                   for f, (n, t) in zip(fragmentation, warm))
+        assert all(f.border_slots()[0] is t[0]
+                   for f, t in zip(fragmentation, warm))
 
-    def test_tables_without_a_known_predecessor_are_rebuilt(self):
+    def test_tables_of_a_new_id_table_are_rebuilt(self):
         g, fragmentation = self.fragmentation()
         self.touch(fragmentation)
         for frag in fragmentation:
@@ -269,8 +274,8 @@ class TestDerivedTables:
         apply_delta(fragmentation, GraphDelta().insert(u, v, 1.0))
         self.touch(fragmentation)
         # one build: the first snapshot was the partitioner's, installed
-        assert [(f.csr_builds, f.tables_carried, f.tables_rebuilt)
-                for f in fragmentation] == [(1, 0, 4)] * 3
+        assert [(f.csr_builds, f.tables_rebuilt)
+                for f in fragmentation] == [(1, 4)] * 3
         assert_derived_state_fresh(fragmentation)
 
 

@@ -96,7 +96,6 @@ def test_service_exports_and_tabulates_the_layers(small_road):
     # all four), every table from the sets
     graph = report["layers"].pop("graph")
     assert graph == {"csr_snapshots_built": 0, "csr_snapshots_patched": 0,
-                     "derived_tables_carried": 0,
                      "derived_tables_rebuilt": graph["derived_tables_rebuilt"]}
     assert graph["derived_tables_rebuilt"] >= 4
     assert set(report["layers"]) == {"report_read", "fold", "compose",

@@ -1,6 +1,7 @@
 """Serving-layer observability of CSR snapshot reuse."""
 
 import gc
+import itertools
 import random
 
 import pytest
@@ -121,18 +122,16 @@ def mixed_batch(graph, rng, ops=32):
     return delta
 
 
-class TestDerivedTablesCrossTheSplice:
+class TestFirstReadsKeepIds:
     """The first read after a write derives no table from Python
-    objects: label index and slot tables cross the splice with the
-    snapshot (``derived_tables_carried``), nothing is rebuilt."""
+    objects: a splice moves no id, so the label index and the slot
+    tables change only at appended ids and the nodes a batch names —
+    nothing is rebuilt (``derived_tables_rebuilt`` stays)."""
 
     @pytest.fixture(params=[False, True], ids=["undirected", "directed"])
     def service(self, request):
         graph = preferential_attachment(400, 3, directed=request.param,
                                         seed=5)
-        # (inline backend: pooled workers hold the snapshots and carry
-        # their tables; the coordinator's Assemble map has no snapshot
-        # to cross with and follows the graph order — see below)
         with GrapeService(engine=EngineConfig(
                 num_workers=4, partition=HashPartition(),
                 backend="serial")) as svc:
@@ -148,28 +147,27 @@ class TestDerivedTablesCrossTheSplice:
         rng = random.Random(7)
         svc.play("sssp", 0, graph="g")
         svc.play("cc", None, graph="g")
-        before, carried = self.counters(svc), svc.stats.derived_tables_carried
-        assert before[0] == 0 and carried == 0  # snapshots installed
+        before = self.counters(svc)
+        assert before[0] == 0  # snapshots installed
+        first = {f.fid: dict(zip(f.csr().node_of, itertools.count()))
+                 for f in svc.fragmentation("g")}
         for program, query in (("sssp", 0), ("cc", None)) * 2:
             svc.update("g", mixed_batch(graph, rng))
             moved = svc.fragmentation("g").csr_snapshot_invalidations
             svc.play(program, query, graph="g")
             assert self.counters(svc) == before
-            stats = svc.stats
-            assert stats.csr_snapshots_patched == moved
-            # label index, border table and owned slots of every splice
-            assert stats.derived_tables_carried >= 3 * moved
-            after = stats.derived_tables_carried
+            assert svc.stats.csr_snapshots_patched == moved
             for warm, q in (("sssp", 0), ("cc", None), ("bfs", 0)):
                 svc.play(warm, q, graph="g")
             assert self.counters(svc) == before
-            assert svc.stats.derived_tables_carried == after
-        assert any(f.csr().remap is not None
-                   for f in svc.fragmentation("g"))  # ids did move
+        for frag in svc.fragmentation("g"):  # no id moved
+            snap = frag.csr()
+            assert all(snap.node_of[i] == v
+                       for v, i in first[frag.fid].items())
+        assert any(f.csr().dead.size for f in svc.fragmentation("g"))
         row = svc.debug_report()["layers"]["graph"]
         assert row == {"csr_snapshots_built": 0,
                        "csr_snapshots_patched": svc.stats.csr_snapshots_patched,
-                       "derived_tables_carried": after,
                        "derived_tables_rebuilt": before[1]}
 
     def test_a_first_read_leaves_nothing_to_the_cycle_collector(self,
@@ -195,7 +193,7 @@ class TestDerivedTablesCrossTheSplice:
             del gc.garbage[:]
         assert leaked == []
 
-    def test_worker_side_carries_fold_into_the_service_counters(self):
+    def test_worker_side_splices_fold_into_the_service_counters(self):
         graph = preferential_attachment(300, 3, directed=False, seed=5)
         with GrapeService(engine=EngineConfig(
                 num_workers=2, num_fragments=4, partition=HashPartition(),
@@ -203,15 +201,9 @@ class TestDerivedTablesCrossTheSplice:
             svc.load_graph("g", graph)
             svc.play("sssp", 0, graph="g")
             svc.play("cc", None, graph="g")
-            stats = svc.stats
-            built, carried = stats.csr_snapshots_built, \
-                stats.derived_tables_carried
-            assert built == 0 and carried == 0  # installed, attached
+            built, rebuilt = self.counters(svc)
+            assert built == 0 and rebuilt > 0  # installed, attached
             svc.update("g", mixed_batch(graph, random.Random(3)))
             svc.play("cc", None, graph="g")
-            stats = svc.stats
-            assert stats.csr_snapshots_built == built
-            assert stats.csr_snapshots_patched >= 1
-            # the workers' label indexes and border tables crossed
-            assert stats.derived_tables_carried \
-                >= 2 * stats.csr_snapshots_patched
+            assert self.counters(svc) == (built, rebuilt)
+            assert svc.stats.csr_snapshots_patched >= 1
