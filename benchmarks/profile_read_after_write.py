@@ -13,9 +13,10 @@ Prints raw milliseconds (no host normalisation: compare two checkouts by
 alternating runs): the warm read and the first read after a write per
 program, the gap, and per wrapped function its inclusive time per first
 read — ``outer_slots`` includes the ``int_labels`` it reaches and the
-border table's patch (``_border_slow``), ``csr()`` the splice
-(``from_graph``) and whatever a checkout does to bring its tables across
-(wrapped when it has it: ``_carry_tables`` before stable ids) — how often
+border table's patch (``_border``; ``_border_slow`` in older
+checkouts), ``csr()`` the splice (``from_graph``) and whatever a
+checkout does to bring its tables across (wrapped when it has it:
+``_carry_tables`` before stable ids) — how often
 a label index was learned from the node list, the tombstones the
 fragments' id tables hold at the end (stable ids only), and what
 ``service.stats`` counted.
@@ -81,10 +82,10 @@ def main() -> int:
             wrap(Fragment, "outer_slots", spent, calls),
             wrap(Fragment, "owned_slots", spent, calls),
             wrap(Fragment, "border_slots", spent, calls),
-            wrap(Fragment, "_border_slow", spent, calls),
             wrap(Fragmentation, "border_index", spent, calls)]
-    if hasattr(Fragment, "_carry_tables"):  # (renumbering checkouts)
-        keys.append(wrap(Fragment, "_carry_tables", spent, calls))
+    for name in ("_border_slow", "_border", "_carry_tables"):
+        if name in Fragment.__dict__:  # (whichever the checkout has)
+            keys.append(wrap(Fragment, name, spent, calls))
 
     run = harness.Run(workloads.WORKLOADS[args.workload], args.seed, False)
     reads = defaultdict(list)       # (program, "warm" | "first") -> ms

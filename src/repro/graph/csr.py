@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.graph.graph import DeferredGraph, Edge, Graph, Node
 
-__all__ = ["CSRGraph", "edge_positions", "found_in_sorted", "int_array",
-           "positions_in_sorted", "splice_rows", "union_hash"]
+__all__ = ["CSRGraph", "edge_positions", "found_in_sorted", "id_table",
+           "int_array", "positions_in_sorted", "splice_rows", "union_hash"]
 
 
 def positions_in_sorted(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -71,12 +71,17 @@ def int_array(nodes: Sequence) -> Optional[np.ndarray]:
     return None
 
 
-def live_ids(node_of: List[Node], dead: Iterable[int]) -> Dict[Node, int]:
-    """``id_of`` over ``node_of``: every node but the tombstones."""
+def id_table(nodes: Iterable[Node], dead: Iterable[int] = ()) -> Tuple[
+        List[Node], Dict[Node, int], Dict[Node, int]]:
+    """``(node_of, id_of, dead)`` over a copy of ``nodes``, dense ids by
+    position: the live nodes' ids and the tombstones' (ids ``dead``)
+    apart (:meth:`repro.partition.base.Fragment.id_table`)."""
+    node_of = list(nodes)
     id_of = dict(zip(node_of, range(len(node_of))))
-    for i in dead:
-        del id_of[node_of[i]]
-    return id_of
+    dead = {node_of[i]: i for i in dead}
+    for v in dead:
+        del id_of[v]
+    return node_of, id_of, dead
 
 
 def splice_rows(ptr: np.ndarray, cols: Sequence[np.ndarray],
@@ -176,7 +181,9 @@ class CSRGraph:
         from construction on: nothing writes a snapshot, whether its
         arrays are private or map a published shared-memory segment.
     id_of, node_of:
-        Mappings between original node objects and dense ids.
+        Mappings between original node objects and dense ids; a
+        fragment's snapshot shares its id table's ``id_of``, valid while
+        the snapshot is current (a retired one is a splice base only).
     dead:
         The tombstones' ids (sorted): nodes gone from the graph, kept with
         a degree-0 row; ``node_of`` still names them, ``id_of`` does not.
@@ -222,15 +229,15 @@ class CSRGraph:
                    base: Optional["CSRGraph"] = None,
                    dirty: Iterable[Node] = ()) -> "CSRGraph":
         """Snapshot of ``g``, rows in adjacency order, dense ids from the
-        id table ``ids`` (``(node_of, id_of, dead)``, see
-        :meth:`repro.partition.base.Fragment.id_table`), else in node
-        order.
+        id table ``ids`` (:func:`id_table`'s triple, ``id_of`` shared),
+        else in node order.
 
         With ``base`` — a snapshot of an earlier state of ``g`` under
-        the same ``ids`` — only the rows of ``dirty`` (every node whose
-        adjacency row changed since: endpoints of inserted, deleted and
-        reweighted edges, new and removed nodes) and of appended ids are
-        read from the dicts; the rest cross from ``base`` in one gather.
+        the same ``ids``, which must name every ``dirty`` node (every
+        node whose adjacency row changed since: endpoints of inserted,
+        deleted and reweighted edges, new and removed nodes) — only the
+        rows of ``dirty`` and of appended ids are read from the dicts;
+        the rest cross from ``base`` in one gather.
 
         **The stable-id contract.**  A node keeps its id while the table
         lives: one that leaves is a tombstone (:attr:`dead`, a degree-0
@@ -241,21 +248,25 @@ class CSRGraph:
         build's, compared by label.
         """
         succ = g._succ
-        node_of, table, dead = ids or (succ, None, ())
+        if ids is None and base is not None:
+            raise ValueError("a splice needs the id table its base was "
+                             "built under")
+        node_of, id_of, tombs = ids or id_table(succ)
         # a table only grows (a pack builds afresh): no growth, same list
         node_of = base.node_of if base is not None \
             and len(node_of) == base.n else list(node_of)
         n, label = len(node_of), g._node_labels.get
-        dead = np.fromiter(sorted(dead), dtype=np.int64, count=len(dead))
+        dead = np.array(sorted(tombs.values()), dtype=np.int64)
         if base is None:
             labels = list(map(label, node_of))
-            id_of = live_ids(node_of, dead)
             rows = list(map(succ.get, node_of, repeat({})))
         else:
             # the appended ids and the named rows are read, the rest kept
-            fresh = np.fromiter(map(table.get, dirty, repeat(-1)),
-                                dtype=np.int64)
-            fresh = np.union1d(fresh[fresh >= 0], np.arange(base.n, n))
+            fresh = [id_of.get(v, tombs.get(v, -1)) for v in dirty]
+            if -1 in fresh:
+                raise ValueError("a dirty node is not in the id table")
+            fresh = np.union1d(np.array(fresh, dtype=np.int64),
+                               np.arange(base.n, n))
             source = np.arange(n, dtype=np.int64)
             source[fresh] = -1
             nodes = list(map(node_of.__getitem__, fresh.tolist()))
@@ -264,10 +275,6 @@ class CSRGraph:
             labels = base.labels + [None] * (n - base.n)
             for i, v in zip(fresh.tolist(), nodes):
                 labels[i] = label(v)
-            id_of = base.id_of.copy()
-            id_of.update(zip(nodes, fresh.tolist()))
-            for i in np.intersect1d(fresh, dead).tolist():
-                del id_of[node_of[i]]
 
         counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
         total = int(counts.sum())
@@ -317,18 +324,26 @@ class CSRGraph:
                     indices: np.ndarray, weights: np.ndarray,
                     node_of: Sequence[Node],
                     labels: Optional[Sequence] = None,
-                    dead: Sequence[int] = ()) -> "CSRGraph":
+                    dead: Sequence[int] = (),
+                    id_of: Optional[Dict[Node, int]] = None) -> "CSRGraph":
         """Rebuild a snapshot from :meth:`to_arrays` output plus the node
-        identity/label metadata and the tombstones' ids."""
+        identity/label metadata, the tombstones' ids (sorted, unique,
+        degree 0, else :exc:`ValueError`) and ``id_of`` to share."""
         node_of = list(node_of)
         n = len(node_of)
+        indptr, dead = (np.asarray(a, dtype=np.int64) for a in (indptr, dead))
         if indptr.shape[0] != n + 1:
             raise ValueError(f"indptr has {indptr.shape[0]} entries "
                              f"for {n} nodes")
-        return cls(n, directed, np.asarray(indptr, dtype=np.int64),
-                   np.asarray(indices, dtype=np.int64),
-                   np.asarray(weights, dtype=np.float64),
-                   live_ids(node_of, dead), node_of,
+        if dead.size and not (0 <= dead[0] and dead[-1] < n
+                              and (np.diff(dead) > 0).all()
+                              and (indptr[dead] == indptr[dead + 1]).all()):
+            raise ValueError("tombstone ids must be sorted, unique, in "
+                             "range and of degree 0")
+        if id_of is None:
+            id_of = id_table(node_of, dead.tolist())[1]
+        return cls(n, directed, indptr, np.asarray(indices, dtype=np.int64),
+                   np.asarray(weights, dtype=np.float64), id_of, node_of,
                    list(labels) if labels is not None else [None] * n, dead)
 
     def content_hash(self, edge_labels: Dict[Edge, object]) -> int:

@@ -31,7 +31,7 @@ from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
 
 import numpy as np
 
-from repro.graph.csr import (CSRGraph, found_in_sorted, int_array,
+from repro.graph.csr import (CSRGraph, found_in_sorted, id_table, int_array,
                              positions_in_sorted, splice_rows)
 from repro.graph.graph import DeferredGraph, Graph, Node
 
@@ -66,12 +66,9 @@ class Fragment:
     table (:meth:`id_table`) when it first joins the local graph; a
     retired mirror is a tombstone (a degree-0 row no answer, report or
     slot table sees) and takes its old id back.  :meth:`absorb` keeps
-    the table current in ``O(batch)`` on every copy alike, so the CSR
-    snapshot (:meth:`csr`, rows in table order) and the slot tables
-    (:meth:`outer_slots`, :meth:`border_slots`, :meth:`owned_slots`)
-    change only at appended ids and at the nodes a batch names.  Past
-    half tombstones the table is packed and its tables are derived
-    afresh from the sets (``tables_rebuilt``).
+    the table in ``O(batch)`` on every copy alike, so the snapshot
+    (:meth:`csr`) and the slot tables change only at appended ids and at
+    the nodes a batch names; past half tombstones the table is packed.
     """
 
     __slots__ = ("fid", "graph", "owned", "inner", "outer", "_ids", "_keys",
@@ -88,8 +85,7 @@ class Fragment:
         self.owned = owned
         self.inner = inner
         self.outer = outer
-        self._ids: Optional[Tuple] = None  # see id_table
-        self._keys: Optional[Tuple] = None  # see keys
+        self._ids = self._keys = None  # see id_table, keys
         self._csr = None
         # (last snapshot, nodes whose adjacency row changed since): what
         # the next csr() splices from
@@ -103,7 +99,7 @@ class Fragment:
         #: a worker-side copy of this fragment holds a live snapshot
         #: (process backend); used only for invalidation accounting
         self._remote_csr_live = False
-        # the slot tables (see _border_slow, owned_slots) and the nodes
+        # the slot tables (see _border, owned_slots) and the nodes
         # that joined or left F_i.I / F_i.O since they were current
         self._border_table = self._owned_slots = None
         self._border_dirty: Set[Node] = set()
@@ -120,65 +116,68 @@ class Fragment:
 
     def __getstate__(self):
         """Pickle contract (the process backend ships fragments once):
-        snapshots, tables and the lock never cross the pipe, the id
-        table does where the graph's node order does not spell it.  The
-        receiving side starts at epoch 0 and derives its own lazily —
-        consumers key their arrays on *their* fragment's epoch."""
+        snapshots, tables and the lock stay, the id table crosses unless
+        the graph's node order spells it.  The receiving side starts at
+        epoch 0 and derives its own; consumers key on *its* epoch."""
         state = {slot: getattr(self, slot) for slot in
                  ("fid", "graph", "owned", "inner", "outer")}
-        ids = self._ids
+        # (a loaded snapshot has tombstones its deferred graph has not)
+        ids = self._ids if self._csr is None else self.id_table()
         if ids is not None and (ids[2] or ids[0] != list(self.graph._succ)):
-            state["ids"] = (ids[0], sorted(ids[2]))
+            state["ids"] = (ids[0], sorted(ids[2].values()))
         return state
 
     def __setstate__(self, state):
         self.__init__(state["fid"], state["graph"], state["owned"],
                       state["inner"], state["outer"])
         if "ids" in state:
-            self._ids = _id_table(*state["ids"])
+            self._ids = id_table(*state["ids"])
 
-    def id_table(self) -> Tuple[List[Node], Dict[Node, int], Set[int]]:
-        """``(node_of, id_of, dead)``: every node the local graph held, by
-        dense id, and the tombstones' ids.  Taken from the installed
-        snapshot, else node order — so mutators ask before they mutate."""
+    def id_table(self) -> Tuple:
+        """``(node_of, id_of, dead)`` (:func:`~repro.graph.csr.id_table`):
+        taken from the installed snapshot (sharing its ``id_of``), else
+        node order — so mutators ask before they mutate."""
         if self._ids is None:
             snap = self._csr
-            self._ids = _id_table(self.graph.nodes(), ()) if snap is None \
-                else _id_table(snap.node_of, snap.dead.tolist())
+            self._ids = id_table(self.graph.nodes()) if snap is None else (
+                list(snap.node_of), snap.id_of,
+                {snap.node_of[i]: i for i in snap.dead.tolist()})
         return self._ids
 
     def keys(self) -> List[Node]:
         """The id table's nodes by dense id, each tombstone as
         :data:`TOMBSTONE`: what a state's per-vertex arrays are keyed by
-        (one list per ``csr_epoch``, shared, never written)."""
-        ids, cached, epoch = self.id_table(), self._keys, self.csr_epoch
-        if cached is None or cached[0] != epoch or cached[1] is not ids:
+        (one list per id table change, shared, never written)."""
+        ids, cached = self.id_table(), self._keys
+        if cached is None or cached[0] is not ids:
             keys = list(ids[0])
-            for i in ids[2]:
+            for i in ids[2].values():
                 keys[i] = TOMBSTONE
-            cached = self._keys = (epoch, ids, keys)
-        return cached[2]
+            cached = self._keys = (ids, keys)
+        return cached[1]
 
     def absorb(self, delta) -> None:
         """Take ``delta`` (a :class:`~repro.graph.delta.FragmentDelta`
         the graph and the sets already took) into the id table, the
-        border table's due patch and the dirty rows: a joining node
-        takes its old id or the next, a retired one is a tombstone, and
-        past half tombstones the table is packed (the next csr builds)."""
+        border table's due patch and the dirty rows: a node joins under
+        its old id or the next, a retired one is a tombstone, and past
+        half tombstones the table is packed (the next csr builds)."""
         node_of, id_of, dead = self.id_table()
-        for v, _label in delta.new_nodes:
-            if id_of.setdefault(v, len(node_of)) == len(node_of):
+        for v, _label in delta.new_nodes:  # (joins precede retirements)
+            i = id_of[v] = dead.pop(v, len(node_of))
+            if i == len(node_of):
                 node_of.append(v)
-            dead.discard(id_of[v])
-        dead.update(map(id_of.__getitem__, delta.retired_nodes))
+        for v in delta.retired_nodes:
+            dead[v] = id_of.pop(v)
+        if delta.new_nodes or delta.retired_nodes:
+            self._keys = None
         if any(delta.border_edits):
             self.border_epoch += 1
             self._border_dirty.update(*delta.border_edits)
         if delta.mutates_graph:
             self.invalidate_csr(delta.dirty_nodes())
         if 2 * len(dead) > len(node_of):
-            self._ids = _id_table([v for i, v in enumerate(node_of)
-                                   if i not in dead], ())
+            self._ids = id_table([v for v in node_of if v in id_of])
             self._csr_pending = None
 
     def csr(self):
@@ -203,18 +202,19 @@ class Fragment:
                     snap = self._csr = CSRGraph.from_graph(
                         self.graph, ids=self.id_table(), base=base,
                         dirty=dirty)
-                    if base is None:
-                        self.csr_builds += 1
-                    else:
-                        self.csr_patches += 1
+                    self.csr_builds += base is None
+                    self.csr_patches += base is not None
         return snap
 
-    def _border_slow(self) -> Tuple:
+    def _border(self) -> Tuple:
         """The border table ``(id table, border epoch, sorted F_i.I |
         F_i.O labels, their dense ids, which are F_i.O's, the F_i.O
-        labels, their ids)`` when a getter's key compare fails: patched
-        at the nodes the border edits named, or derived from the sets
-        for a new id table."""
+        labels, their ids)``: patched at the nodes the border edits
+        named, derived from the sets for a new id table."""
+        table = self._border_table
+        if table is not None and table[0] is self._ids \
+                and table[1] == self.border_epoch:
+            return table
         snap = self.csr()
         with self._csr_lock:
             table, ids = self._border_table, self.id_table()
@@ -242,32 +242,22 @@ class Fragment:
         map through which array-plane programs read their reports
         straight out of kernel arrays (``values[ids]`` lines up with
         ``labels``).  Requires integer node labels.  A view of the
-        border table, cached per ``(id table, border_epoch)``."""
-        table = self._border_table
-        if table is None or table[0] is not self._ids \
-                or table[1] != self.border_epoch:
-            table = self._border_slow()
-        return table[5], table[6]
+        border table."""
+        return self._border()[5:]
 
     def border_slots(self) -> Tuple[np.ndarray, np.ndarray]:
         """``F_i.I ∪ F_i.O`` as arrays, like :meth:`outer_slots`: where
         CC, whose candidate set is every border node, reads and reports
         component ids."""
-        table = self._border_table
-        if table is None or table[0] is not self._ids \
-                or table[1] != self.border_epoch:
-            table = self._border_slow()
-        return table[2], table[3]
+        return self._border()[2:4]
 
     def owned_slots(self) -> Tuple[List[Node], np.ndarray]:
         """The owned nodes in id order and their (ascending) dense ids —
         what Assemble gathers a value array at, and a deterministic order
         where iterating the ``owned`` set is not (a pickle round trip
         reorders it, and float accumulations that follow it would differ
-        in the last digit between backends).  Read off the id table, no
-        snapshot needed; owned nodes never retire and new ones take new
-        ids, so a batch only appends: the ids past the last read are
-        scanned."""
+        in the last digit between backends).  Owned nodes never retire, so
+        a batch only appends: the ids past the last read are scanned."""
         ids = self.id_table()
         node_of, cached = ids[0], self._owned_slots
         if cached is None or cached[0] is not ids:
@@ -384,12 +374,6 @@ class Fragment:
     def __repr__(self) -> str:
         return (f"Fragment(fid={self.fid}, owned={len(self.owned)}, "
                 f"inner={len(self.inner)}, outer={len(self.outer)})")
-
-
-def _id_table(nodes: List[Node], dead) -> Tuple:
-    """``(node_of, id_of, dead)`` over a copy of ``nodes``."""
-    nodes = list(nodes)
-    return nodes, dict(zip(nodes, range(len(nodes)))), set(dead)
 
 
 def _patch_border(prev: Tuple, named: Set[Node], inner: Set[Node],
@@ -555,7 +539,6 @@ class BorderIndex:
         return all(np.array_equal(getattr(self, name), getattr(other, name))
                    for name in self.__slots__)
 
-
     def __repr__(self) -> str:
         return (f"BorderIndex(border={len(self)}, "
                 f"held={int(self.holder_fid.shape[0])})")
@@ -665,14 +648,10 @@ class Fragmentation:
         """Every node whose border membership or holders the batches
         after ``version`` may have changed; ``None`` when the delta log
         does not cover them all."""
-        dirty: Set[Node] = set()
-        for step_version in range(version + 1, self.version + 1):
-            step = self._delta_log.get(step_version)
-            if step is None:
-                return None
-            for delta in step.values():
-                dirty.update(delta.border_nodes())
-        return dirty
+        chain = self.replay_chain(version, self.version, range(len(self)))
+        return None if chain is None else set().union(*(
+            delta.border_nodes() for deltas in chain.values()
+            for delta in deltas))
 
     def release_snapshots(self) -> None:
         """Drop every derived array — the fragments' snapshots and the

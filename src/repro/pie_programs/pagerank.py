@@ -254,7 +254,9 @@ class PageRankProgram(PIEProgram):
                 state: PageRankState, message: ParamUpdates) -> None:
         if state.converged:
             return
-        self.apply_message(query, fragment, state, message)
+        for (v, name), (_t, contribution) in message.items():
+            _tag, src = name
+            state.external.setdefault(v, {})[src] = contribution
         self._iterate(query, fragment, state)
 
     def apply_message(self, query: PageRankQuery, fragment: Fragment,

@@ -342,7 +342,7 @@ class ShmArena:
         # views over its own mapping) and lets its private arrays go.
         frag.install_csr(CSRGraph.from_shared(
             seg.buf, desc.layout, directed=csr.directed, node_of=csr.node_of,
-            labels=csr.labels, dead=csr.dead), shared=True)
+            labels=csr.labels, dead=csr.dead, id_of=csr.id_of), shared=True)
         return desc
 
     def current_generation(self, token_id: int, version: int,

@@ -244,12 +244,16 @@ def load_snapshot(path: Union[str, Path], *,
         obj_meta = pickle.loads(arrays["pickled_meta"].tobytes())
         gm, m = obj_meta["g_"], obj_meta["num_fragments"]
         prefixes = ["g_"] if m is None else [f"f{fid}_" for fid in range(m)]
-        snaps = [CSRGraph.from_arrays(
-            **{key: obj_meta[prefix][key]
-               for key in ("directed", "node_of", "labels", "dead")
-               if key in obj_meta[prefix]},
-            **{name: arrays[prefix + name] for name in CSRGraph.SHARED_FIELDS})
-            for prefix in prefixes]
+        try:
+            snaps = [CSRGraph.from_arrays(
+                **{key: obj_meta[prefix][key]
+                   for key in ("directed", "node_of", "labels", "dead")
+                   if key in obj_meta[prefix]},
+                **{name: arrays[prefix + name]
+                   for name in CSRGraph.SHARED_FIELDS})
+                for prefix in prefixes]
+        except (ValueError, KeyError, IndexError) as exc:
+            raise SnapshotError(f"bad snapshot {path}: {exc}") from exc
     # Every graph handed out is deferred: its dicts are built from these
     # arrays on first use, so the arrays are what is verified.
     fragmentation = None

@@ -94,7 +94,8 @@ def ids_after(base: CSRGraph, g) -> Tuple:
     nodes ``g`` no longer has are tombstones, new ones append."""
     table = dict(zip(base.node_of, range(base.n)))
     table.update((v, len(table)) for v in g.nodes() if v not in table)
-    return list(table), table, {i for v, i in table.items() if v not in g}
+    dead = {v: i for v, i in table.items() if v not in g}
+    return list(table), {v: i for v, i in table.items() if v in g}, dead
 
 
 def rows_by_label(snap: CSRGraph) -> Dict[Any, Any]:
@@ -154,8 +155,10 @@ def assert_derived_tables_fresh(frag) -> None:
     snap, want = frag.csr(), fresh.csr()
     assert_live_rows_equal(snap, want)
     node_of, id_of, dead = frag.id_table()
-    assert snap.node_of == node_of and snap.dead.tolist() == sorted(dead)
-    assert all(id_of[v] == i for v, i in snap.id_of.items())
+    assert snap.id_of is id_of  # one table: the snapshot shares its map
+    assert snap.node_of == node_of
+    assert snap.dead.tolist() == sorted(dead.values())
+    assert all(node_of[i] == v for v, i in dead.items())
     assert set(snap.id_of) == set(frag.graph.nodes())
     labels = int_array(snap.node_of)
     if labels is None:

@@ -159,11 +159,13 @@ class IdLedger:
                     assert not dead and 2 * len(seen) > len(node_of)
                 self.tables[frag.fid], seen = table, {}
                 self.seen[frag.fid] = seen
-            assert all(id_of[v] == i for v, i in seen.items())
-            assert len(node_of) == len(id_of) and dead <= set(id_of.values())
-            assert set(frag.graph.nodes()) == {
-                v for v, i in id_of.items() if i not in dead}
+            assert all(id_of.get(v, dead.get(v)) == i
+                       for v, i in seen.items())
+            assert len(node_of) == len(id_of) + len(dead)
+            assert dead.keys().isdisjoint(id_of)
+            assert set(frag.graph.nodes()) == set(id_of)
             seen.update(id_of)
+            seen.update(dead)
 
 
 def check_history(g, fragmentation, history) -> IdLedger:
@@ -330,6 +332,32 @@ def test_a_packed_table_renumbers_every_copy_alike():
     assert hub.csr().node_of == [0, 3, 5, 2]  # (2 of 3 rows dirty: a build)
     assert_derived_state_fresh(fragmentation)
     assert_copies_current(fragmentation, copies)
+
+
+def test_a_loaded_fragment_pickles_with_its_tombstones(tmp_path):
+    """A snapshot file carries the tombstones, the deferred graph it
+    installs under does not: a loaded fragment shipped by pickle (no
+    shared memory) still sends its id table, so the worker copy agrees
+    id for id before and after the next batch."""
+    from repro.store.snapshot import load_snapshot, save_snapshot
+
+    g, fragmentation = two_fragment_path()
+    apply_delta(fragmentation, GraphDelta().delete(7, 8))  # retires 8 at 0
+    assert fragmentation[0].csr().dead.tolist() == [8]
+    save_snapshot(tmp_path / "g.snap", g, fragmentation=fragmentation)
+    loaded = load_snapshot(tmp_path / "g.snap").fragmentation
+    left = loaded[0]
+    assert left.csr().dead.tolist() == [8] and 8 not in left.graph
+    copies = pickle.loads(pickle.dumps(loaded.fragments))
+    for frag, copy in zip(loaded, copies):
+        assert copy.id_table()[0] == frag.id_table()[0]
+        assert copy.id_table()[2] == frag.id_table()[2]
+    assert_copies_current(loaded, copies)
+    for fid, delta in apply_delta(loaded, GraphDelta().insert(7, 8, 2.0)
+                                  .insert(0, 77, 1.0)).items():
+        delta.replay(copies[fid])
+    assert left.csr().id_of[8] == 8 and left.csr().id_of[77] == 9
+    assert_copies_current(loaded, copies)
 
 
 def test_border_index_follows_a_node_out_and_back_in():

@@ -229,6 +229,22 @@ class TestSpliceKeepsIds:
         with pytest.raises(ValueError, match="dirty does not name"):
             splice(g, base, dirty - {20})
 
+    def test_a_splice_needs_the_id_table(self):
+        g, base, dirty = self.spliced()
+        with pytest.raises(ValueError, match="needs the id table"):
+            CSRGraph.from_graph(g, base=base, dirty=dirty)
+
+    def test_a_dirty_node_of_the_graph_must_be_in_the_table(self):
+        """A node that joined the graph behind the table's back (a
+        mutation no ``Fragment.absorb`` saw) is refused, not dropped."""
+        g, base, dirty = self.spliced()
+        node_of, id_of, dead = ids_after(base, g)
+        node_of.remove(5)
+        del id_of[5]
+        with pytest.raises(ValueError, match="not in the id table"):
+            CSRGraph.from_graph(g, ids=(node_of, id_of, dead), base=base,
+                                dirty=dirty)
+
 
 class TestToGraphFill:
     """The deferred fill of a snapshot's dict graph stores what an

@@ -96,3 +96,41 @@ def test_a_fresh_partition_builds_no_snapshot_and_no_dict_graph():
         g.add_edge(0, 79, weight=0.05)
         assert service.play("sssp", 0, graph="g").answer \
             == pytest.approx(sssp_distances(g, 0))
+
+
+def test_a_restart_with_tombstones_serves_on_pickled_workers(
+        tmp_path, monkeypatch):
+    """A batch that retires mirror copies leaves tombstones in the
+    checkpointed snapshots; after a restart, process workers that get
+    their fragments by pickle (no shared memory) key their arrays by the
+    same id table as the coordinator, so every answer assembles and
+    equals the oracle."""
+    from repro.runtime import shm
+    from repro.runtime.executors import ProcessBackend
+
+    live = GrapeService(engine=CONFIG, store_dir=tmp_path)
+    live.load_graph("g", uniform_random_graph(60, 150, seed=5))
+    live.play("sssp", 0, graph="g")  # partitions before the batch
+    g = uniform_random_graph(60, 150, seed=5)  # the oracle's copy
+    delta = GraphDelta()
+    for u, v, _w in list(g.edges())[::3]:
+        delta.delete(u, v)
+        g.remove_edge(u, v)
+    live.update("g", delta)
+    assert any(f.csr().dead.size for f in live.fragmentation("g"))
+    reference = play_all(live)
+    live.close()
+
+    monkeypatch.setattr(shm, "provider", lambda: None)  # (a private pool:
+    backend = ProcessBackend()  # the shared "process" one keeps its shm)
+    served = GrapeService(engine=EngineConfig(
+        partition=HashPartition(), num_fragments=4, backend=backend),
+        store_dir=tmp_path)
+    try:
+        first = served.play("sssp", 0, graph="g")
+        assert first.metrics.fragments_shipped > 0  # by pickle
+        assert first.metrics.shm_segments_active == 0
+        assert_oracle_equal(play_all(served), g, reference)
+    finally:
+        served.close()
+        backend.close()

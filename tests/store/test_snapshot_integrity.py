@@ -21,8 +21,11 @@ import pytest
 from hypothesis import given, settings
 
 from differential.test_snapshot_splice_property import (batches, graphs,
-                                                        resolve, weights)
+                                                        resolve,
+                                                        two_fragment_path,
+                                                        weights)
 from repro.core.updates import apply_delta
+from repro.graph.delta import GraphDelta
 from repro.graph.csr import union_hash
 from repro.graph.generators import labeled_graph
 from repro.graph.graph import DeferredGraph, Graph
@@ -190,10 +193,10 @@ def flip_weight(prefix):
     return edit
 
 
-def drop_node(prefix, node):
+def drop_node(prefix, node, shift_dead=True):
     """Remove ``node`` from one fragment: its row, the entries naming
     it, its labels, its border-set memberships, its id (the ids after
-    it move up one)."""
+    it move up one; the tombstones' too unless not ``shift_dead``)."""
     def edit(arrays, meta):
         fm = meta[prefix]
         k = fm["node_of"].index(node)
@@ -207,7 +210,7 @@ def drop_node(prefix, node):
         arrays[f"{prefix}indices"] = cols - (cols > k)
         arrays[f"{prefix}weights"] = weights[keep]
         del fm["node_of"][k], fm["labels"][k]
-        if "dead" in fm:  # the tombstones after it move up one id
+        if "dead" in fm and shift_dead:  # the tombstones after it, too
             fm["dead"] = [i - (i > k) for i in fm["dead"]]
         for name in ("owned", "inner", "outer"):
             fm[name] = [v for v in fm[name] if v != node]
@@ -278,3 +281,36 @@ def test_the_loader_verifies_the_arrays_it_defers_graphs_to(
         rewrite(tampered, edit)
         with pytest.raises(SnapshotError, match="content hash"):
             load_snapshot(tampered)
+
+
+def set_dead(prefix, dead):
+    def edit(_arrays, meta):
+        meta[prefix]["dead"] = dead
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    drop_node("f0_", 3, shift_dead=False),  # the tombstone now names 12
+    set_dead("f0_", [10]),                  # past the last id
+    set_dead("f0_", [-1]),
+    set_dead("f0_", [0]),                   # a node with edges
+    set_dead("f0_", [8, 8]),
+    set_dead("f0_", [9, 8]),
+], ids=["unshifted", "out-of-range", "negative", "has-a-row", "repeated",
+        "unsorted"])
+def test_the_loader_refuses_bad_tombstones(tmp_path, edit):
+    """Fragment 0 holds a tombstone (mirror 8, id 8) before a live
+    mirror (12, id 9): a tombstone id that is out of range, repeated,
+    unsorted or names a row with edges is refused as a bad snapshot."""
+    g, fragmentation = two_fragment_path()
+    for delta in (GraphDelta().insert(0, 12, 1.0), GraphDelta().delete(7, 8)):
+        apply_delta(fragmentation, delta)  # (g moves with it)
+    assert fragmentation[0].csr().node_of[8:] == [8, 12]
+    assert fragmentation[0].csr().dead.tolist() == [8]
+    path = tmp_path / "g.snap"
+    save_snapshot(path, g, fragmentation=fragmentation)
+    assert load_snapshot(path).fragmentation[0].csr().dead.tolist() == [8]
+    rewrite(path, edit)
+    with pytest.raises(SnapshotError):
+        load_snapshot(path)
+
